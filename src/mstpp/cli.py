@@ -489,6 +489,10 @@ def cmd_k(cfg, out_dir, seed, threads):
 
 
 def cmd_test(cfg, out_dir, seed, threads):
+    if cfg["n_perm"] < 1:
+        raise ConfigError("n_perm must be at least 1")
+    if not 0.0 < cfg["alpha"] < 1.0:
+        raise ConfigError("alpha must lie in (0, 1)")
     p = _load_pattern(cfg)
     C = _markset_from(cfg["c_set"])
     D = _markset_from(cfg["d_set"])

@@ -32,9 +32,10 @@ from .pattern import permute_marks
 from .second_order import (
     KSurface,
     Weights,
-    _accumulate_rect,
     _denominator,
     _mark_masks,
+    _norm_scenario,
+    _pair_surface,
     k_inhom,
     default_lag_grids,
     pair_geometry,
@@ -139,14 +140,19 @@ def _stat_values(stat):
     return stat.values if hasattr(stat, "values") else np.asarray(stat, dtype=float)
 
 
+def _check_band(rank, alpha):
+    if rank not in ("minmax", "pointwise"):
+        raise ValueError("rank must be 'minmax' or 'pointwise'")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+
+
 def _band(stack, rank, alpha):
     if rank == "minmax":
         return stack.min(axis=0), stack.max(axis=0), "MinMax"
-    if rank == "pointwise":
-        lower = np.quantile(stack, alpha / 2.0, axis=0)
-        upper = np.quantile(stack, 1.0 - alpha / 2.0, axis=0)
-        return lower, upper, f"Pointwise({alpha})"
-    raise ValueError("rank must be 'minmax' or 'pointwise'")
+    lower = np.quantile(stack, alpha / 2.0, axis=0)
+    upper = np.quantile(stack, 1.0 - alpha / 2.0, axis=0)
+    return lower, upper, f"Pointwise({alpha})"
 
 
 def envelopes(observed_stat, simulator, n_sim, rank="minmax", alpha=0.05,
@@ -161,6 +167,7 @@ def envelopes(observed_stat, simulator, n_sim, rank="minmax", alpha=0.05,
     """
     if n_sim < 1:
         raise ValueError("need at least one simulation")
+    _check_band(rank, alpha)
     children = np.random.SeedSequence(seed).spawn(n_sim)
 
     def run(i):
@@ -196,14 +203,8 @@ def _delta_values(geom, inv_lam, inv_lam_g, mC, mD, nu_C, nu_D, scenario):
     """K^CD - K^DC on shared geometry: the denominator is symmetric in
     (C, D) under every scenario, so one denominator serves both."""
     pw = inv_lam[geom.I] * inv_lam[geom.J]
-    num_cd = _accumulate_rect(
-        geom.a_r, geom.pt_b_r[geom.I], geom.a_t, geom.pt_b_t[geom.I],
-        pw * mC[geom.I] * mD[geom.J], *geom.shape,
-    )
-    num_dc = _accumulate_rect(
-        geom.a_r, geom.pt_b_r[geom.I], geom.a_t, geom.pt_b_t[geom.I],
-        pw * mD[geom.I] * mC[geom.J], *geom.shape,
-    )
+    num_cd = _pair_surface(geom, pw * mC[geom.I] * mD[geom.J])
+    num_dc = _pair_surface(geom, pw * mD[geom.I] * mC[geom.J])
     denom = _denominator(geom, scenario, nu_C, nu_D, inv_lam, inv_lam_g, mC, mD)
     with np.errstate(divide="ignore", invalid="ignore"):
         v_cd = np.where((num_cd == 0) | (denom == 0), 0.0, num_cd / denom)
@@ -228,6 +229,7 @@ def delta_surface(p, C, D, r_grid=None, t_grid=None, weights=None,
     """The antisymmetric marking statistic Delta = K^CD - K^DC."""
     if weights is None:
         raise ValueError("weights are required")
+    scenario = _norm_scenario(scenario)
     if r_grid is None or t_grid is None:
         dr, dt = default_lag_grids(p.window)
         r_grid = dr if r_grid is None else r_grid
@@ -235,7 +237,6 @@ def delta_surface(p, C, D, r_grid=None, t_grid=None, weights=None,
     geom = geometry
     if geom is None:
         geom = pair_geometry(p, r_grid, t_grid, route=route, erosion=erosion)
-    scenario = f"S{scenario}" if isinstance(scenario, int) else str(scenario).upper()
     mC, mD, inv_lam, inv_lam_g, nu_C, nu_D = _scenario_inputs(p, weights, C, D, scenario)
     values = _delta_values(geom, inv_lam, inv_lam_g, mC, mD, nu_C, nu_D, scenario)
     return DeltaSurface(
@@ -358,13 +359,16 @@ def random_labelling_test(p, C, D, r_grid=None, t_grid=None, weights_builder=Non
     """
     if p.marks is None or p.n < 2:
         raise ValueError("random labelling needs a marked pattern with >= 2 points")
+    if n_perm < 1:
+        raise ValueError("need at least one permutation")
+    _check_band(rank, alpha)
+    scenario = _norm_scenario(scenario)
     if C == D:
         warnings.warn("C == D makes Delta identically zero; the test is degenerate")
     if r_grid is None or t_grid is None:
         dr, dt = default_lag_grids(p.window)
         r_grid = dr if r_grid is None else r_grid
         t_grid = dt if t_grid is None else t_grid
-    scenario = f"S{scenario}" if isinstance(scenario, int) else str(scenario).upper()
     geom = pair_geometry(p, r_grid, t_grid, route=route, erosion=erosion)
     if weights_builder is None:
         weights_builder = _default_builder(p)

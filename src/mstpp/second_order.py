@@ -19,10 +19,18 @@ margin, du <= t <= first-point temporal margin}. Each pair is therefore
 accumulated at the four corners of its index rectangle in a difference
 array, and a double cumulative sum recovers every cell total in one pass;
 per-cell denominator sums over the eroded windows use the same device with
-degenerate rectangles starting at (0, 0). Candidate pairs come either
-from a plain O(N^2) scan (`route="brute"`) or from a uniform grid index
-(`route="indexed"`); both feed identical lex-sorted pair arrays into the
-same accumulation code, so their outputs agree bit for bit.
+degenerate rectangles starting at (0, 0); the corner layout depends only
+on the geometry, so it is built once per `PairGeometry`.
+
+Candidate pairs come either from a plain O(N^2) scan (`route="brute"`) or
+from a KD-tree (`route="indexed"`). The tree holds the points with time
+rescaled by r_max / t_max, and its sup-metric ball of radius r_max, padded
+by a bound on the rounding of the rescaled times, contains the whole
+(r_max, t_max) cylinder: it returns a superset of the pairs within the
+maximal lags. Both routes emit candidates in (I, J) order and pass them
+through the same exact filter ds <= r_max, du <= t_max on the unscaled
+lags, so they feed identical pair arrays into the same accumulation code
+and their outputs agree bit for bit.
 """
 
 import json
@@ -242,7 +250,7 @@ class BoxUnionSet:
 class PairGeometry:
     r_grid: np.ndarray
     t_grid: np.ndarray
-    I: np.ndarray            # first-point indices of candidate ordered pairs
+    I: np.ndarray            # first-point indices of ordered pairs, sorted by (I, J)
     J: np.ndarray            # second-point indices
     dx: np.ndarray           # spatial displacements x[J] - x[I]
     ds: np.ndarray           # Euclidean spatial lags
@@ -255,6 +263,17 @@ class PairGeometry:
     ell_t: np.ndarray        # eroded temporal lengths per t-cell
     erosion: str             # "per-cell" | "fixed"
     route: str
+    pair_corners: tuple = field(init=False, repr=False, compare=False)
+    point_corners: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # The rectangles depend only on the geometry, so their corners are
+        # laid out once here and reused by every surface evaluated on it.
+        T = self.t_grid.size
+        self.pair_corners = _rect_corners(
+            self.a_r, self.pt_b_r[self.I], self.a_t, self.pt_b_t[self.I], T)
+        zeros = np.zeros(self.pt_b_r.size, dtype=np.intp)
+        self.point_corners = _rect_corners(zeros, self.pt_b_r, zeros, self.pt_b_t, T)
 
     @property
     def shape(self):
@@ -286,58 +305,27 @@ def _pairs_brute(p, t_max, chunk=512):
 
 
 def _pairs_indexed(p, r_max, t_max):
-    """Candidate pairs from a uniform space-time cell index: each point is
-    matched against points in its own and adjacent cells, a superset of
-    all pairs within (r_max, t_max)."""
-    lo, hi = p.window.spatial_bounds()
-    sizes = [max(1, int(math.ceil((hi[a] - lo[a]) / r_max)) if r_max > 0 else 1)
-             for a in range(p.dim)]
-    tl = p.window.temporal_length
-    sizes.append(max(1, int(math.ceil(tl / t_max)) if t_max > 0 else 1))
-    coords = []
-    for a in range(p.dim):
-        width = (hi[a] - lo[a]) / sizes[a]
-        coords.append(np.clip(((p.x[:, a] - lo[a]) / width).astype(np.intp), 0, sizes[a] - 1))
-    widtht = tl / sizes[-1]
-    coords.append(
-        np.clip(((p.t - p.window.temporal[0]) / widtht).astype(np.intp), 0, sizes[-1] - 1)
-    )
-    strides = np.ones(len(sizes), dtype=np.intp)
-    for a in range(len(sizes) - 2, -1, -1):
-        strides[a] = strides[a + 1] * sizes[a + 1]
-    key = sum(coords[a] * strides[a] for a in range(len(sizes)))
-    order = np.argsort(key, kind="stable")
-    sorted_keys = key[order]
-    all_idx = np.arange(p.n, dtype=np.intp)
-    out_i, out_j = [], []
-    offsets = np.stack(
-        np.meshgrid(*[[-1, 0, 1]] * len(sizes), indexing="ij"), axis=-1
-    ).reshape(-1, len(sizes))
-    for off in offsets:
-        valid = np.ones(p.n, dtype=bool)
-        nk = np.zeros(p.n, dtype=np.intp)
-        for a in range(len(sizes)):
-            ca = coords[a] + off[a]
-            valid &= (ca >= 0) & (ca < sizes[a])
-            nk += np.where(valid, ca, 0) * strides[a]
-        src = all_idx[valid]
-        nk = nk[valid]
-        left = np.searchsorted(sorted_keys, nk, side="left")
-        right = np.searchsorted(sorted_keys, nk, side="right")
-        counts = right - left
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        starts_excl = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        pos = np.arange(total) + np.repeat(left - starts_excl, counts)
-        jj = order[pos]
-        ii = np.repeat(src, counts)
-        keep = ii != jj
-        out_i.append(ii[keep])
-        out_j.append(jj[keep])
-    if not out_i:
+    """Candidate ordered pairs, sorted by (I, J), from a KD-tree search.
+
+    Time is rescaled by r_max / t_max so the (r_max, t_max) cylinder fits
+    in the sup-metric ball of radius r_max. Each coordinate difference the
+    tree compares is at most the pair's spatial lag or its rescaled
+    temporal lag, so every pair the exact filter keeps is found once the
+    radius is padded by a bound on the rounding of the rescaled times."""
+    from scipy.spatial import cKDTree
+
+    n = p.n
+    if n < 2:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    return np.concatenate(out_i), np.concatenate(out_j)
+    scale = r_max / t_max if r_max > 0 and t_max > 0 else 1.0
+    radius = r_max if r_max > 0 else t_max
+    coords = np.column_stack([p.x, p.t * scale])
+    radius += 4.0 * np.finfo(float).eps * (radius + np.max(np.abs(coords)))
+    pairs = cKDTree(coords).query_pairs(radius, p=np.inf, output_type="ndarray")
+    i, j = pairs.T
+    key = np.concatenate([i * n + j, j * n + i])
+    key.sort()
+    return np.divmod(key, n)
 
 
 def pair_geometry(p, r_grid, t_grid, route="indexed", erosion="per-cell"):
@@ -351,7 +339,8 @@ def pair_geometry(p, r_grid, t_grid, route="indexed", erosion="per-cell"):
     t_grid = np.asarray(t_grid, dtype=float)
     for g, name in ((r_grid, "r_grid"), (t_grid, "t_grid")):
         if g.ndim != 1 or g.size == 0 or np.any(g < 0) or np.any(np.diff(g) <= 0):
-            raise ValueError(f"{name} must be a nondecreasing positive lag vector")
+            raise ValueError(f"{name} must be a nonempty, strictly increasing vector "
+                             "of nonnegative lags")
     if erosion not in ("per-cell", "fixed"):
         raise ValueError("erosion must be 'per-cell' or 'fixed'")
     if route not in ("indexed", "brute"):
@@ -364,13 +353,14 @@ def pair_geometry(p, r_grid, t_grid, route="indexed", erosion="per-cell"):
     else:
         I, J = _pairs_indexed(p, r_max, t_max)
     if I.size:
-        dx = p.x[J] - p.x[I]
+        # np.take and per-axis sums: row gathers and reductions over a short
+        # axis are several times slower through fancy indexing and np.sum
+        dx = np.take(p.x, J, axis=0) - np.take(p.x, I, axis=0)
         du = np.abs(p.t[J] - p.t[I])
-        ds = np.sqrt(np.sum(dx * dx, axis=1))
-        keep = (ds <= r_max) & (du <= t_max)
-        I, J, dx, ds, du = I[keep], J[keep], dx[keep], ds[keep], du[keep]
-        order = np.lexsort((J, I))
-        I, J, dx, ds, du = I[order], J[order], dx[order], ds[order], du[order]
+        ds = np.sqrt(sum(dx[:, a] * dx[:, a] for a in range(p.dim)))
+        keep = np.flatnonzero((ds <= r_max) & (du <= t_max))
+        I, J, ds, du = I[keep], J[keep], ds[keep], du[keep]
+        dx = np.take(dx, keep, axis=0)
     else:
         dx = np.empty((0, p.dim))
         ds = np.empty(0)
@@ -400,34 +390,41 @@ def pair_geometry(p, r_grid, t_grid, route="indexed", erosion="per-cell"):
     )
 
 
-def _accumulate_rect(a_r, b_r, a_t, b_t, w, R, T):
-    """Sum w over index rectangles [a_r..b_r] x [a_t..b_t]: four-corner
-    difference array + double cumulative sum. The corner contributions are
-    concatenated in a fixed layout so any two callers feeding identical
-    pair arrays get bit-identical cell totals."""
+def _rect_corners(a_r, b_r, a_t, b_t, T):
+    """Nonempty index rectangles [a_r..b_r] x [a_t..b_t] as a mask and the
+    flat difference-array indices of their four corners, concatenated in a
+    fixed layout so any two callers feeding identical rectangles and weights
+    get bit-identical cell totals from `_sum_corners`."""
     valid = (a_r <= b_r) & (a_t <= b_t)
     ar = a_r[valid]
-    br = b_r[valid]
+    br = b_r[valid] + 1
     at = a_t[valid]
-    bt = b_t[valid]
-    wv = np.asarray(w, dtype=float)[valid]
+    bt = b_t[valid] + 1
     ncol = T + 1
-    i00 = ar * ncol + at
-    i10 = (br + 1) * ncol + at
-    i01 = ar * ncol + (bt + 1)
-    i11 = (br + 1) * ncol + (bt + 1)
-    idx = np.concatenate([i00, i10, i01, i11])
+    idx = np.concatenate([ar * ncol + at, br * ncol + at, ar * ncol + bt, br * ncol + bt])
+    return valid, idx
+
+
+def _sum_corners(corners, w, R, T):
+    """Sum w over the rectangles laid out by `_rect_corners`: four-corner
+    difference array + double cumulative sum."""
+    valid, idx = corners
+    wv = np.asarray(w, dtype=float)[valid]
     wts = np.concatenate([wv, -wv, -wv, wv])
-    diff = np.bincount(idx, weights=wts, minlength=(R + 1) * ncol).reshape(R + 1, ncol)
+    diff = np.bincount(idx, weights=wts, minlength=(R + 1) * (T + 1)).reshape(R + 1, T + 1)
     return np.cumsum(np.cumsum(diff, axis=0), axis=1)[:R, :T]
+
+
+def _pair_surface(geom, pair_w):
+    """Per-cell sums of pair weights: each pair counts in the cells from its
+    own lags up to its first point's erosion limit."""
+    return _sum_corners(geom.pair_corners, pair_w, *geom.shape)
 
 
 def _point_surface(geom, point_w):
     """Per-cell sums of point weights over the eroded windows (rectangle
     from cell (0,0) to each point's erosion limit)."""
-    R, T = geom.shape
-    zeros = np.zeros(point_w.shape[0], dtype=np.intp)
-    return _accumulate_rect(zeros, geom.pt_b_r, zeros, geom.pt_b_t, point_w, R, T)
+    return _sum_corners(geom.point_corners, point_w, *geom.shape)
 
 
 def _denominator(geom, scenario, nu_C, nu_D, inv_lam, inv_lam_g, mC, mD):
@@ -642,17 +639,11 @@ def k_inhom(
         raise ValueError("mark sets must have positive reference measure")
 
     pw = inv_lam[geom.I] * inv_lam[geom.J]
-    num = _accumulate_rect(
-        geom.a_r, geom.pt_b_r[geom.I], geom.a_t, geom.pt_b_t[geom.I],
-        pw * mC[geom.I] * mD[geom.J], *geom.shape,
-    )
+    num = _pair_surface(geom, pw * mC[geom.I] * mD[geom.J])
     denom = _denominator(geom, scenario, nu_C, nu_D, inv_lam, inv_lam_g, mC, mD)
     values = _ratio(num, denom)
     if symmetrize:
-        num_dc = _accumulate_rect(
-            geom.a_r, geom.pt_b_r[geom.I], geom.a_t, geom.pt_b_t[geom.I],
-            pw * mD[geom.I] * mC[geom.J], *geom.shape,
-        )
+        num_dc = _pair_surface(geom, pw * mD[geom.I] * mC[geom.J])
         denom_dc = _denominator(geom, scenario, nu_D, nu_C, inv_lam, inv_lam_g, mD, mC)
         values = 0.5 * (values + _ratio(num_dc, denom_dc))
     return KSurface(
@@ -694,10 +685,7 @@ def k_ground(p, r_grid=None, t_grid=None, weights=None, scenario="S1",
     if geom is None:
         geom = pair_geometry(p, r_grid, t_grid, route=route, erosion=erosion)
     inv = 1.0 / lam_g
-    num = _accumulate_rect(
-        geom.a_r, geom.pt_b_r[geom.I], geom.a_t, geom.pt_b_t[geom.I],
-        inv[geom.I] * inv[geom.J], *geom.shape,
-    )
+    num = _pair_surface(geom, inv[geom.I] * inv[geom.J])
     if scenario == "S1":
         denom = np.outer(geom.ell_r, geom.ell_t)
     else:
@@ -783,10 +771,7 @@ def k_directional(p, C=None, D=None, phi=-math.pi / 2, psi=math.pi / 2,
     nu_D = p.nu(D) if D is not None else p.nu_total()
     in_cone = direction_in_cone(geom.dx[:, 0], geom.dx[:, 1], phi, psi).astype(float)
     pw = inv_lam[geom.I] * inv_lam[geom.J] * in_cone
-    num = _accumulate_rect(
-        geom.a_r, geom.pt_b_r[geom.I], geom.a_t, geom.pt_b_t[geom.I],
-        pw * mC[geom.I] * mD[geom.J], *geom.shape,
-    )
+    num = _pair_surface(geom, pw * mC[geom.I] * mD[geom.J])
     denom = _denominator(geom, scenario, nu_C, nu_D, inv_lam, inv_lam_g, mC, mD)
     values = _ratio(num, denom)
     return KSurface(
@@ -828,10 +813,7 @@ def k_cross_multitype(p, i, j, r_grid=None, t_grid=None, weights=None,
     mC = LabelSet([i]).mask(p.marks).astype(float)
     mD = LabelSet([j]).mask(p.marks).astype(float)
     inv = 1.0 / lam
-    num = _accumulate_rect(
-        geom.a_r, geom.pt_b_r[geom.I], geom.a_t, geom.pt_b_t[geom.I],
-        inv[geom.I] * inv[geom.J] * mC[geom.I] * mD[geom.J], *geom.shape,
-    )
+    num = _pair_surface(geom, inv[geom.I] * inv[geom.J] * mC[geom.I] * mD[geom.J])
     denom = np.outer(geom.ell_r, geom.ell_t)
     values = _ratio(num, denom)
     return KSurface(
@@ -864,10 +846,7 @@ def k_stationary(p, C=None, D=None, r_grid=None, t_grid=None,
     n_C = float(np.sum(mC))
     n_D = float(np.sum(mD))
     inv = np.full(p.n, 1.0 / lam_hat)
-    num = _accumulate_rect(
-        geom.a_r, geom.pt_b_r[geom.I], geom.a_t, geom.pt_b_t[geom.I],
-        inv[geom.I] * inv[geom.J] * mC[geom.I] * mD[geom.J], *geom.shape,
-    )
+    num = _pair_surface(geom, inv[geom.I] * inv[geom.J] * mC[geom.I] * mD[geom.J])
     denom = np.outer(geom.ell_r, geom.ell_t) * (n_C * n_D / p.n**2)
     values = _ratio(num, denom)
     return KSurface(

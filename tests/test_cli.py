@@ -331,6 +331,15 @@ class TestTestCommand:
         assert (one / "envelope.csv").read_bytes() == \
             (two / "envelope.csv").read_bytes()
 
+    @pytest.mark.parametrize("line", ["n_perm = 0", "alpha = 1.7", "alpha = 0"])
+    def test_bad_band_settings_are_config_errors(self, tmp_path, marked_catalog, line):
+        text = self.config_text(marked_catalog).replace("n_perm = 9", line)
+        cfg = write_config(tmp_path / "c.txt", text)
+        res = run_cli("test", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert res.returncode == 2, res.stderr
+        assert "config error" in res.stderr
+        assert line.split()[0] in res.stderr
+
     def test_degenerate_sets_warn(self, tmp_path, marked_catalog):
         cfg = write_config(
             tmp_path / "c.txt",

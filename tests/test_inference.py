@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import mstpp.inference as inference
 from mstpp.inference import (
     DISCLAIMER,
     DeltaSurface,
@@ -254,6 +255,10 @@ class TestEnvelopes:
         with pytest.raises(ValueError, match="rank"):
             envelopes(np.zeros((3, 4)), self.noise_simulator, n_sim=2,
                       rank="global", seed=1)
+        for alpha in (0.0, 1.0, 1.7):
+            with pytest.raises(ValueError, match="alpha"):
+                envelopes(np.zeros((3, 4)), self.noise_simulator, n_sim=2,
+                          rank="pointwise", alpha=alpha)
         with pytest.raises(ValueError, match="crossed"):
             EnvelopeSet(observed=None, lower=np.ones(3), upper=np.zeros(3),
                         rank="MinMax", n_sim=1, generator="g",
@@ -323,6 +328,32 @@ class TestRandomLabelling:
         with pytest.raises(ValueError, match="marked"):
             random_labelling_test(unmarked, C_HALF, D_HALF, R_GRID, T_GRID,
                                   weights_builder=const_weights, n_perm=3)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(scenario=7), "scenario"),
+        (dict(n_perm=0), "permutation"),
+        (dict(alpha=1.7), "alpha"),
+        (dict(alpha=0.0), "alpha"),
+        (dict(rank="global"), "rank"),
+    ])
+    def test_bad_arguments_fail_before_any_work(self, small_marked, monkeypatch,
+                                                kwargs, match):
+        def no_work(*args, **kw):
+            raise AssertionError("work started before the arguments were checked")
+
+        monkeypatch.setattr(inference, "pair_geometry", no_work)
+        with pytest.raises(ValueError, match=match):
+            random_labelling_test(small_marked, C_HALF, D_HALF, R_GRID, T_GRID,
+                                  weights_builder=no_work, **kwargs)
+
+    def test_delta_surface_checks_scenario_first(self, small_marked, monkeypatch):
+        def no_work(*args, **kw):
+            raise AssertionError("work started before the arguments were checked")
+
+        monkeypatch.setattr(inference, "pair_geometry", no_work)
+        with pytest.raises(ValueError, match="scenario"):
+            delta_surface(small_marked, C_HALF, D_HALF, R_GRID, T_GRID,
+                          const_weights(small_marked), scenario=7)
 
     def test_serialization_round_trip(self, small_marked, tmp_path):
         env = random_labelling_test(small_marked, C_HALF, D_HALF, R_GRID, T_GRID,

@@ -112,6 +112,85 @@ class TestLagSets:
         assert not E.contains_lag(np.array([[0.2, 0.0]]), np.array([0.0]))[0]
 
 
+def _lattice(steps, window):
+    """Points on a regular lattice of cell centres, so many lags fall
+    exactly on (or within rounding of) the grid values."""
+    axes = [lo + (np.arange(k) + 0.5) * (hi - lo) / k
+            for k, (lo, hi) in zip(steps, window.spatial + (window.temporal,))]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    return pattern_from_arrays(mesh[:, :-1], mesh[:, -1], None, window, None)
+
+
+def _with_copies(x, t, copies, window):
+    """Label-1 points plus label-2 points at exactly the same place and
+    time as the rows ``copies``."""
+    marks = np.concatenate([np.ones(len(t)), np.full(len(copies), 2.0)])
+    return pattern_from_arrays(np.concatenate([x, x[copies]]),
+                               np.concatenate([t, t[copies]]), marks, window,
+                               LabelMarks(2))
+
+
+def route_case(case):
+    """(pattern, r_grid, t_grid) for the indexed-vs-brute comparisons."""
+    if case == "uniform":
+        return uniform_pattern(2000, seed=63), R_GRID, T_GRID
+    if case == "clustered":
+        rng = np.random.default_rng(64)
+        centres = rng.random((20, 3))
+        pts = np.clip(np.repeat(centres, 100, axis=0) + rng.normal(0, 0.03, (2000, 3)),
+                      0.0, 1.0)
+        return pattern_from_arrays(pts[:, :2], pts[:, 2], None, UNIT, None), R_GRID, T_GRID
+    if case == "lattice":
+        # lattice lags of 0.3 in time and 0.1, 0.25 (3-4-5) in space
+        p = _lattice((20, 20, 10), UNIT)
+        return p, np.array([0.1, 0.25]), np.array([0.1, 0.2, 0.3])
+    if case == "lattice-far":
+        # far from the origin: lattice lags of 0.1 and 0.3 are inexact there
+        far = Window(spatial=((1e4, 1e4 + 1.0), (-1e4, -1e4 + 1.0)),
+                     temporal=(1e6, 1e6 + 1.0))
+        return _lattice((10, 10, 10), far), np.array([0.1, 0.3]), np.array([0.1, 0.3])
+    if case == "rescale-edge":
+        # pairs whose time lag sits one spacing of the times below t_max, far
+        # from the time origin: r_max / t_max is inexact, so their rescaled
+        # lags round to slightly more than r_max
+        window = Window(spatial=((0.0, 1.0), (0.0, 1.0)), temporal=(100.0, 101.5))
+        rng = np.random.default_rng(69)
+        t0 = 100.3 + 0.6 * rng.random(200)
+        t1 = t0 + 0.3
+        t1 = np.where(t1 - t0 > 0.3, np.nextafter(t1, 0.0), t1)
+        x0 = 0.3 + 0.4 * rng.random((200, 2))
+        x = np.concatenate([x0, x0 + 0.01])
+        p = pattern_from_arrays(x, np.concatenate([t0, t1]), None, window, None)
+        return p, np.array([0.1, 0.2]), np.array([0.1, 0.3])
+    if case == "duplicates":
+        base = uniform_pattern(300, seed=65, marks=None)
+        x = base.x.copy()
+        t = base.t.copy()
+        t[:20] = t[20:40]           # same time, other places
+        x[40:60] = x[60:80]         # same place, other times
+        copies = np.arange(0, 300, 3)
+        return _with_copies(x, t, copies, UNIT), R_GRID, T_GRID
+    if case == "long-time":
+        window = Window(spatial=((0.0, 1.0), (0.0, 1.0)), temporal=(0.0, 10.0))
+        return (uniform_pattern(1500, seed=66, window=window),
+                np.linspace(0.02, 0.1, 5), np.linspace(0.5, 2.0, 4))
+    if case in ("zero-r", "zero-t", "zero-both"):
+        p = _lattice((6, 6, 6), UNIT)
+        r_grid = np.array([0.0]) if case != "zero-t" else np.array([0.2, 0.4])
+        t_grid = np.array([0.0]) if case != "zero-r" else np.array([0.2, 0.4])
+        return _with_copies(p.x, p.t, np.arange(30), UNIT), r_grid, t_grid
+    if case == "1d":
+        window = Window(spatial=((0.0, 4.0),), temporal=(0.0, 1.0))
+        return uniform_pattern(800, seed=67, window=window), R_GRID, T_GRID
+    if case == "3d":
+        window = Window(spatial=((0.0, 1.0),) * 3, temporal=(0.0, 1.0))
+        return uniform_pattern(800, seed=68, window=window), R_GRID, T_GRID
+    n = {"empty": 0, "single": 1, "two": 2}[case]
+    x = np.full((n, 2), 0.5)
+    t = 0.5 + 0.01 * np.arange(n)
+    return pattern_from_arrays(x, t, None, UNIT, None), R_GRID, T_GRID
+
+
 class TestPairGeometry:
     def test_routes_agree_exactly(self):
         p = uniform_pattern(40, seed=60)
@@ -121,6 +200,21 @@ class TestPairGeometry:
         assert np.array_equal(brute.J, fast.J)
         assert np.array_equal(brute.ds, fast.ds)
         assert np.array_equal(brute.du, fast.du)
+
+    @pytest.mark.parametrize("case", [
+        "uniform", "clustered", "lattice", "lattice-far", "rescale-edge", "duplicates",
+        "long-time", "zero-r", "zero-t", "zero-both", "1d", "3d",
+        "empty", "single", "two",
+    ])
+    def test_indexed_route_matches_brute(self, case):
+        p, r_grid, t_grid = route_case(case)
+        brute = pair_geometry(p, r_grid, t_grid, route="brute")
+        fast = pair_geometry(p, r_grid, t_grid, route="indexed")
+        for name in ("I", "J", "dx", "ds", "du"):
+            assert np.array_equal(getattr(brute, name), getattr(fast, name)), name
+        key = fast.I * max(p.n, 1) + fast.J
+        assert np.all(np.diff(key) > 0)
+        assert np.all(fast.I != fast.J)
 
     def test_grid_validation(self):
         p = uniform_pattern(5, seed=61)
