@@ -502,12 +502,8 @@ def cmd_test(cfg, out_dir, seed, threads):
         raise ConfigError("scenario must be 1, 2, 3 or 4")
     builder = None
     if cfg["weights"] == "voronoi-marked":
-        needs_ground = scenario in (3, 4)
-
         def builder(q):
-            est = voronoi_marked(q)
-            ground = voronoi_ground(q) if needs_ground else None
-            return weights_from_estimate(est, ground)
+            return _build_weights(q, "voronoi-marked", scenario, None)
 
     env = random_labelling_test(
         p, C, D, r_grid, t_grid, weights_builder=builder,

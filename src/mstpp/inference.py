@@ -15,6 +15,11 @@ Three layers:
   permutation), so each permutation costs only two weighted accumulation
   passes.
 
+Every surface here comes from the K-family core of ``second_order``
+(``_marked_terms``, ``_geometry``, ``_k_values`` over ``_denominator``), so
+its checks and arithmetic are those of ``k_inhom``, and bad arguments fail
+before any geometry, tessellation or permutation.
+
 Per-replicate randomness always derives from a root seed through
 splittable seed sequences, and reductions run in replicate-index order,
 so results are independent of the worker count.
@@ -22,7 +27,6 @@ so results are independent of the worker count.
 
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,16 +34,18 @@ import numpy as np
 from .intensity import voronoi_ground
 from .pattern import permute_marks
 from .second_order import (
-    KSurface,
     Weights,
+    _Surface,
     _denominator,
-    _mark_masks,
+    _geometry,
+    _k_values,
+    _lag_grids,
+    _mark_sets,
+    _marked_terms,
     _norm_scenario,
-    _pair_surface,
+    _replicates,
     k_inhom,
-    default_lag_grids,
     pair_geometry,
-    unit_ball_volume,
 )
 
 __all__ = [
@@ -61,25 +67,11 @@ DISCLAIMER = (
 
 
 @dataclass
-class DeltaSurface:
+class DeltaSurface(_Surface):
     """A difference surface over a lag grid (e.g. K^CD - K^DC)."""
 
-    r_grid: np.ndarray
-    t_grid: np.ndarray
-    values: np.ndarray
-    C: object
-    D: object
     statistic: str
     meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.r_grid = np.asarray(self.r_grid, dtype=float)
-        self.t_grid = np.asarray(self.t_grid, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.r_grid.size, self.t_grid.size):
-            raise ValueError("values shape does not match lag grids")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("difference surface must be finite")
 
 
 @dataclass
@@ -168,20 +160,14 @@ def envelopes(observed_stat, simulator, n_sim, rank="minmax", alpha=0.05,
     if n_sim < 1:
         raise ValueError("need at least one simulation")
     _check_band(rank, alpha)
-    children = np.random.SeedSequence(seed).spawn(n_sim)
 
-    def run(i):
+    def run(i, child):
         try:
-            return _stat_values(simulator(i, children[i]))
+            return _stat_values(simulator(i, child))
         except Exception as e:  # propagate with replicate index per contract
             raise RuntimeError(f"simulator failed at replicate {i}: {e}") from e
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sims = list(pool.map(run, range(n_sim)))
-    else:
-        sims = [run(i) for i in range(n_sim)]
-    stack = np.stack(sims)
+    stack = np.stack(_replicates(run, n_sim, seed, threads))
     obs = _stat_values(observed_stat)
     if stack.shape[1:] != obs.shape:
         raise ValueError("simulated statistic shape differs from observed")
@@ -199,48 +185,25 @@ def envelopes(observed_stat, simulator, n_sim, rank="minmax", alpha=0.05,
 # --------------------------------------------------------------------------
 
 
-def _delta_values(geom, inv_lam, inv_lam_g, mC, mD, nu_C, nu_D, scenario):
-    """K^CD - K^DC on shared geometry: the denominator is symmetric in
-    (C, D) under every scenario, so one denominator serves both."""
+def _delta_values(geom, scenario, terms):
+    """K^CD - K^DC on shared geometry from `_marked_terms` output: the
+    denominator is symmetric in (C, D), so one serves both terms."""
+    mC, mD, inv_lam = terms[:3]
     pw = inv_lam[geom.I] * inv_lam[geom.J]
-    num_cd = _pair_surface(geom, pw * mC[geom.I] * mD[geom.J])
-    num_dc = _pair_surface(geom, pw * mD[geom.I] * mC[geom.J])
-    denom = _denominator(geom, scenario, nu_C, nu_D, inv_lam, inv_lam_g, mC, mD)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v_cd = np.where((num_cd == 0) | (denom == 0), 0.0, num_cd / denom)
-        v_dc = np.where((num_dc == 0) | (denom == 0), 0.0, num_dc / denom)
-    return v_cd - v_dc
-
-
-def _scenario_inputs(p, weights, C, D, scenario):
-    mC, mD = _mark_masks(p, C, D)
-    inv_lam = 1.0 / weights._require("lam", "marked K estimation")
-    inv_lam_g = None
-    if scenario in ("S3", "S4"):
-        inv_lam_g = 1.0 / weights._require("lam_ground", f"scenario {scenario}")
-    nu_C = p.nu(C) if C is not None else p.nu_total()
-    nu_D = p.nu(D) if D is not None else p.nu_total()
-    return mC, mD, inv_lam, inv_lam_g, nu_C, nu_D
+    denom = _denominator(geom, scenario, *terms)
+    return _k_values(geom, pw, mC, mD, denom) - _k_values(geom, pw, mD, mC, denom)
 
 
 def delta_surface(p, C, D, r_grid=None, t_grid=None, weights=None,
                   scenario="S2", erosion="per-cell", route="indexed",
                   geometry=None):
     """The antisymmetric marking statistic Delta = K^CD - K^DC."""
-    if weights is None:
-        raise ValueError("weights are required")
     scenario = _norm_scenario(scenario)
-    if r_grid is None or t_grid is None:
-        dr, dt = default_lag_grids(p.window)
-        r_grid = dr if r_grid is None else r_grid
-        t_grid = dt if t_grid is None else t_grid
-    geom = geometry
-    if geom is None:
-        geom = pair_geometry(p, r_grid, t_grid, route=route, erosion=erosion)
-    mC, mD, inv_lam, inv_lam_g, nu_C, nu_D = _scenario_inputs(p, weights, C, D, scenario)
-    values = _delta_values(geom, inv_lam, inv_lam_g, mC, mD, nu_C, nu_D, scenario)
+    terms = _marked_terms(p, weights, C, D, scenario)
+    geom = _geometry(p, r_grid, t_grid, route, erosion, geometry)
     return DeltaSurface(
-        r_grid=geom.r_grid, t_grid=geom.t_grid, values=values, C=C, D=D,
+        r_grid=geom.r_grid, t_grid=geom.t_grid,
+        values=_delta_values(geom, scenario, terms), C=C, D=D,
         statistic="K_CD - K_DC",
         meta={"scenario": scenario, "erosion": geom.erosion,
               "weights_source": weights.source},
@@ -253,17 +216,11 @@ def diag_independent_marks(p, C, D, r_grid=None, t_grid=None, weights=None,
     ground K): centred at zero under independent marking. Computed with
     one shared geometry, identical weights and scenario on both terms, so
     C = D = full mark space gives an exactly zero surface."""
-    if weights is None:
-        raise ValueError("weights are required")
-    if r_grid is None or t_grid is None:
-        dr, dt = default_lag_grids(p.window)
-        r_grid = dr if r_grid is None else r_grid
-        t_grid = dt if t_grid is None else t_grid
-    geom = pair_geometry(p, r_grid, t_grid, route=route, erosion=erosion)
-    marked = k_inhom(p, C, D, r_grid, t_grid, weights, scenario=scenario,
-                     geometry=geom)
-    ground = k_inhom(p, None, None, r_grid, t_grid, weights, scenario=scenario,
-                     geometry=geom)
+    scenario = _norm_scenario(scenario)
+    _marked_terms(p, weights, C, D, scenario)  # both terms' checks, before any work
+    geom = pair_geometry(p, *_lag_grids(p, r_grid, t_grid), route=route, erosion=erosion)
+    marked = k_inhom(p, C, D, weights=weights, scenario=scenario, geometry=geom)
+    ground = k_inhom(p, None, None, weights=weights, scenario=scenario, geometry=geom)
     return DeltaSurface(
         r_grid=geom.r_grid, t_grid=geom.t_grid,
         values=marked.values - ground.values, C=C, D=D,
@@ -281,7 +238,7 @@ def diag_independent_components(p, C, D, r_grid=None, t_grid=None, weights=None,
                    erosion=erosion, route=route)
     return DeltaSurface(
         r_grid=surf.r_grid, t_grid=surf.t_grid,
-        values=surf.values - surf.poisson_surface(), C=C, D=D,
+        values=surf.diff_poisson(), C=C, D=D,
         statistic="K_CD - poisson",
         meta={"scenario": surf.scenario, "erosion": erosion,
               "weights_source": weights.source},
@@ -296,22 +253,15 @@ def decomposition_residual(p, C, r_grid=None, t_grid=None, weights=None,
 
     which is centred at zero when the C and M\\C components are
     independent."""
-    if weights is None:
-        raise ValueError("weights are required")
-    if r_grid is None or t_grid is None:
-        dr, dt = default_lag_grids(p.window)
-        r_grid = dr if r_grid is None else r_grid
-        t_grid = dt if t_grid is None else t_grid
-    geom = pair_geometry(p, r_grid, t_grid, route=route, erosion=erosion)
-    k_cm = k_inhom(p, C, None, r_grid, t_grid, weights, scenario=scenario,
-                   geometry=geom)
-    k_cc = k_inhom(p, C, C, r_grid, t_grid, weights, scenario=scenario,
-                   geometry=geom)
+    scenario = _norm_scenario(scenario)
+    _marked_terms(p, weights, C, None, scenario)  # both terms' checks, before any work
+    geom = pair_geometry(p, *_lag_grids(p, r_grid, t_grid), route=route, erosion=erosion)
+    k_cm = k_inhom(p, C, None, weights=weights, scenario=scenario, geometry=geom)
+    k_cc = k_inhom(p, C, C, weights=weights, scenario=scenario, geometry=geom)
     nu_c = p.nu(C)
     nu_m = p.nu_total()
-    wd = unit_ball_volume(p.dim)
-    bench = np.outer(geom.r_grid**p.dim, 2.0 * geom.t_grid) * wd
-    values = k_cm.values - (nu_m - nu_c) / nu_m * bench - nu_c / nu_m * k_cc.values
+    values = (k_cm.values - (nu_m - nu_c) / nu_m * k_cm.poisson_surface()
+              - nu_c / nu_m * k_cc.values)
     return DeltaSurface(
         r_grid=geom.r_grid, t_grid=geom.t_grid, values=values, C=C, D=None,
         statistic="K_CM decomposition residual",
@@ -353,6 +303,9 @@ def random_labelling_test(p, C, D, r_grid=None, t_grid=None, weights_builder=Non
     every permuted pattern unless ``rebuild_weights`` is False (fixed-
     weights fast mode, labeled in the output); the default builder is the
     mark-ignoring ground Voronoi plug-in, for which both modes coincide.
+    Patterns with coincident locations are rejected up front: a
+    permutation could give two such points the same mark, and no simple
+    pattern allows that.
 
     Returns an EnvelopeSet whose metadata carries the per-cell exceedance
     map, the exceedance fraction, and the pointwise-band disclaimer.
@@ -363,42 +316,26 @@ def random_labelling_test(p, C, D, r_grid=None, t_grid=None, weights_builder=Non
         raise ValueError("need at least one permutation")
     _check_band(rank, alpha)
     scenario = _norm_scenario(scenario)
+    if np.unique(np.column_stack([p.x, p.t]), axis=0).shape[0] != p.n:
+        raise ValueError("random labelling needs distinct point locations: a mark "
+                         "permutation can give coincident points the same mark")
+    _mark_sets(p, C, D)  # the mark sets' checks, before any work
     if C == D:
         warnings.warn("C == D makes Delta identically zero; the test is degenerate")
-    if r_grid is None or t_grid is None:
-        dr, dt = default_lag_grids(p.window)
-        r_grid = dr if r_grid is None else r_grid
-        t_grid = dt if t_grid is None else t_grid
-    geom = pair_geometry(p, r_grid, t_grid, route=route, erosion=erosion)
+    geom = pair_geometry(p, *_lag_grids(p, r_grid, t_grid), route=route, erosion=erosion)
     if weights_builder is None:
         weights_builder = _default_builder(p)
     w_obs = weights_builder(p)
+    observed = delta_surface(p, C, D, weights=w_obs, scenario=scenario, geometry=geom)
 
-    def delta_of(q, w):
-        mC, mD, inv_lam, inv_lam_g, nu_C, nu_D = _scenario_inputs(q, w, C, D, scenario)
-        return _delta_values(geom, inv_lam, inv_lam_g, mC, mD, nu_C, nu_D, scenario)
-
-    observed_values = delta_of(p, w_obs)
-    observed = DeltaSurface(
-        r_grid=geom.r_grid, t_grid=geom.t_grid, values=observed_values, C=C, D=D,
-        statistic="K_CD - K_DC",
-        meta={"scenario": scenario, "erosion": erosion, "weights_source": w_obs.source},
-    )
-    children = np.random.SeedSequence(seed).spawn(n_perm)
-
-    def run(i):
-        q = permute_marks(p, seed=children[i])
+    def run(i, child):
+        q = permute_marks(p, seed=child)
         w = weights_builder(q) if rebuild_weights else w_obs
-        return delta_of(q, w)
+        return _delta_values(geom, scenario, _marked_terms(q, w, C, D, scenario))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sims = list(pool.map(run, range(n_perm)))
-    else:
-        sims = [run(i) for i in range(n_perm)]
-    stack = np.stack(sims)
+    stack = np.stack(_replicates(run, n_perm, seed, threads))
     lower, upper, rank_label = _band(stack, rank, alpha)
-    exceeds = (observed_values < lower) | (observed_values > upper)
+    exceeds = (observed.values < lower) | (observed.values > upper)
     return EnvelopeSet(
         observed=observed, lower=lower, upper=upper, rank=rank_label,
         n_sim=n_perm, generator="mark-permutation", exceeds=exceeds,

@@ -420,7 +420,10 @@ def thin(p, retention, seed=None):
 
 def permute_marks(p, seed=None):
     """Uniform random permutation of the marks (without replacement);
-    locations untouched."""
+    locations untouched.
+
+    Raises ValueError ("pattern is not simple") when two points share a
+    location and the permutation gives them the same mark."""
     if not p.is_marked:
         raise ValueError("ground pattern has no marks to permute")
     if p.n < 2:

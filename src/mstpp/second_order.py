@@ -11,6 +11,13 @@ inhomogeneous spatio-temporal K-function; cones give the directional
 variant, and plug-in choices of the normalizing measures give the four
 denominator scenarios and the stationary specialization.
 
+Every estimator here, and every contrast surface in `inference`, is
+`_k_values` over one resolved `PairGeometry`: a pair weight summed over the
+C-first, D-second pairs of each lag cell, divided by a scenario
+`_denominator` (unit mark masses for the ground and cross K-functions) or
+the stationary plug-in. `_marked_terms` checks the arguments before the
+geometry is built, so bad arguments fail before any pair is searched.
+
 Implementation notes
 --------------------
 A pair at spatial lag ds and temporal lag du contributes to exactly the
@@ -36,12 +43,13 @@ and their outputs agree bit for bit.
 import json
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import direction_in_cone, erode_window, unit_ball_volume
-from .pattern import full_mark_set, thin
+from .geometry import cylinder_volume, direction_in_cone, erode_window, unit_ball_volume
+from .pattern import LabelSet, full_mark_set, thin
 
 __all__ = [
     "Weights",
@@ -159,7 +167,7 @@ class CylinderSet:
         return (ds <= self.r) & (np.abs(dt) <= self.t)
 
     def volume(self, d):
-        return 2.0 * self.t * self.r**d * unit_ball_volume(d)
+        return cylinder_volume(self.r, self.t, d)
 
 
 @dataclass(frozen=True)
@@ -427,31 +435,33 @@ def _point_surface(geom, point_w):
     return _sum_corners(geom.point_corners, point_w, *geom.shape)
 
 
-def _denominator(geom, scenario, nu_C, nu_D, inv_lam, inv_lam_g, mC, mD):
-    ell = np.outer(geom.ell_r, geom.ell_t)
-    if scenario == "S1":
-        return ell * (nu_C * nu_D)
-    if scenario == "S2":
-        S_C = _point_surface(geom, inv_lam * mC)
-        S_D = _point_surface(geom, inv_lam * mD)
-        return S_C * S_D / ell
-    G = _point_surface(geom, inv_lam_g)
-    if scenario == "S3":
-        return (nu_C * nu_D) * G
+def _denominator(geom, scenario, mC, mD, inv_lam, inv_lam_g, nu_C, nu_D):
+    """Scenario normalization: the window measure is known (S1, S2) or the
+    reciprocal ground-intensity sum (S3, S4); the mark-set masses are known
+    (S1, S3) or reciprocal-intensity sums over the C and D points (S2, S4).
+    The arguments after the scenario are the terms `_marked_terms` returns.
+    It is symmetric in (C, D)."""
+    if scenario in ("S1", "S2"):
+        window = np.outer(geom.ell_r, geom.ell_t)
+    else:
+        window = _point_surface(geom, inv_lam_g)
+    if scenario in ("S1", "S3"):
+        return window * (nu_C * nu_D)
     S_C = _point_surface(geom, inv_lam * mC)
     S_D = _point_surface(geom, inv_lam * mD)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(G > 0, S_C * S_D / G, 0.0)
+        return np.where(window > 0, S_C * S_D / window, 0.0)
 
 
-def _ratio(num, denom):
-    """num/denom with the convention that degenerate cells give 0: an empty
-    numerator means no qualifying pairs, and an empty denominator means no
-    eligible points were available to estimate the normalizing masses.
-    Either way the cell carries no information."""
+def _k_values(geom, pair_w, mC, mD, denom):
+    """The minus-sampling estimate: weights of the C-first, D-second pairs
+    summed per lag cell, over the denominator. Degenerate cells give 0: an
+    empty numerator means no qualifying pairs, and an empty denominator
+    means no eligible points were available to estimate the normalizing
+    masses. Either way the cell carries no information."""
+    num = _pair_surface(geom, pair_w * mC[geom.I] * mD[geom.J])
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where((num == 0) | (denom == 0), 0.0, num / denom)
-    return out
+        return np.where((num == 0) | (denom == 0), 0.0, num / denom)
 
 
 # --------------------------------------------------------------------------
@@ -460,26 +470,15 @@ def _ratio(num, denom):
 
 
 @dataclass
-class KSurface:
-    """A K-function estimate over a rectangular lag grid.
-
-    ``values[i, j]`` is the estimate at (r_grid[i], t_grid[j]). ``C`` and
-    ``D`` are the mark sets (None for ground statistics), ``scenario`` the
-    normalizing-measure treatment, ``weights_source`` one of
-    TrueIntensity / PluggedEstimate / Smoothed(n, p). ``meta`` carries
-    data-quality items (floor hits, erosion mode, spread of smoothing
-    replicates, degenerate-thinning count, seeds).
-    """
+class _Surface:
+    """Finite values over a rectangular lag grid: ``values[i, j]`` belongs
+    to (r_grid[i], t_grid[j]). ``C`` and ``D`` are the mark sets."""
 
     r_grid: np.ndarray
     t_grid: np.ndarray
     values: np.ndarray
     C: object
     D: object
-    scenario: str
-    weights_source: str
-    d: int
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.r_grid = np.asarray(self.r_grid, dtype=float)
@@ -490,10 +489,26 @@ class KSurface:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("surface values must be finite")
 
+
+@dataclass
+class KSurface(_Surface):
+    """A K-function estimate over a rectangular lag grid.
+
+    ``C`` and ``D`` are None for ground statistics, ``scenario`` is the
+    normalizing-measure treatment, ``weights_source`` one of
+    TrueIntensity / PluggedEstimate / Smoothed(n, p). ``meta`` carries
+    data-quality items (floor hits, erosion mode, spread of smoothing
+    replicates, degenerate-thinning count, seeds).
+    """
+
+    scenario: str
+    weights_source: str
+    d: int
+    meta: dict = field(default_factory=dict)
+
     def poisson_surface(self):
         """The Poisson benchmark 2 t r^d omega_d on the same grid."""
-        wd = unit_ball_volume(self.d)
-        return np.outer(self.r_grid**self.d, 2.0 * self.t_grid) * wd
+        return poisson_reference(self.r_grid, self.t_grid, self.d).values
 
     def diff_poisson(self):
         return self.values - self.poisson_surface()
@@ -559,8 +574,7 @@ def poisson_reference(r_grid, t_grid, d):
     """The theoretical Poisson surface 2 t r^d omega_d."""
     r_grid = np.asarray(r_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
-    wd = unit_ball_volume(d)
-    values = np.outer(r_grid**d, 2.0 * t_grid) * wd
+    values = np.outer(r_grid**d, 2.0 * t_grid) * unit_ball_volume(d)
     return KSurface(
         r_grid=r_grid, t_grid=t_grid, values=values, C=None, D=None,
         scenario="theory", weights_source="Poisson", d=d,
@@ -576,6 +590,58 @@ def _mark_masks(p, C, D):
     C = full_mark_set(p.mark_space) if C is None else C
     D = full_mark_set(p.mark_space) if D is None else D
     return C.mask(p.marks).astype(float), D.mask(p.marks).astype(float)
+
+
+def _mark_sets(p, C, D):
+    """Masks and reference masses of C and D (None = full mark space);
+    unit masses on an unmarked pattern."""
+    mC, mD = _mark_masks(p, C, D)
+    if p.marks is None:
+        return mC, mD, 1.0, 1.0
+    nu_C = p.nu(C) if C is not None else p.nu_total()
+    nu_D = p.nu(D) if D is not None else p.nu_total()
+    if nu_C <= 0 or nu_D <= 0:
+        raise ValueError("mark sets must have positive reference measure")
+    return mC, mD, nu_C, nu_D
+
+
+def _marked_terms(p, weights, C, D, scenario):
+    """Everything a marked statistic needs besides the geometry, checked:
+    the mark masks, 1/lam, 1/lam_ground (S3 and S4 only) and the mark-set
+    masses, in the argument order of `_denominator`."""
+    if weights is None:
+        raise ValueError("weights are required")
+    if p.marks is None:
+        raise ValueError("marked K needs a marked pattern; use k_ground instead")
+    mC, mD, nu_C, nu_D = _mark_sets(p, C, D)
+    inv_lam = 1.0 / weights._require("lam", "marked K estimation")
+    inv_lam_g = None
+    if scenario in ("S3", "S4"):
+        inv_lam_g = 1.0 / weights._require("lam_ground", f"scenario {scenario}")
+    return mC, mD, inv_lam, inv_lam_g, nu_C, nu_D
+
+
+def _lag_grids(p, r_grid, t_grid):
+    """The caller's lag grids, with the default grid for any left out."""
+    dr, dt = default_lag_grids(p.window)
+    return dr if r_grid is None else r_grid, dt if t_grid is None else t_grid
+
+
+def _geometry(p, r_grid, t_grid, route, erosion, geometry=None):
+    """The caller's precomputed geometry, or a new one for these grids."""
+    if geometry is not None:
+        return geometry
+    return pair_geometry(p, *_lag_grids(p, r_grid, t_grid), route=route, erosion=erosion)
+
+
+def _replicates(fn, n, seed, threads):
+    """[fn(i, child_i) for i < n], the child seeds spawned from ``seed``;
+    run on a thread pool when threads > 1, in index order either way."""
+    children = np.random.SeedSequence(seed).spawn(n)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, range(n), children))
+    return [fn(i, child) for i, child in enumerate(children)]
 
 
 def k_inhom(
@@ -615,37 +681,15 @@ def k_inhom(
         Precomputed geometry for these locations and grids (permutation
         fast path); ``route``/``erosion`` are taken from it.
     """
-    if weights is None:
-        raise ValueError("weights are required")
-    if p.marks is None:
-        raise ValueError("marked K needs a marked pattern; use k_ground instead")
     scenario = _norm_scenario(scenario)
-    if r_grid is None or t_grid is None:
-        dr, dt = default_lag_grids(p.window)
-        r_grid = dr if r_grid is None else r_grid
-        t_grid = dt if t_grid is None else t_grid
-    geom = geometry
-    if geom is None:
-        geom = pair_geometry(p, r_grid, t_grid, route=route, erosion=erosion)
-    mC, mD = _mark_masks(p, C, D)
-    lam = weights._require("lam", "marked K estimation")
-    inv_lam = 1.0 / lam
-    inv_lam_g = None
-    if scenario in ("S3", "S4"):
-        inv_lam_g = 1.0 / weights._require("lam_ground", f"scenario {scenario}")
-    nu_C = p.nu(C) if C is not None else p.nu_total()
-    nu_D = p.nu(D) if D is not None else p.nu_total()
-    if scenario in ("S1", "S3") and (nu_C <= 0 or nu_D <= 0):
-        raise ValueError("mark sets must have positive reference measure")
-
+    terms = _marked_terms(p, weights, C, D, scenario)
+    geom = _geometry(p, r_grid, t_grid, route, erosion, geometry)
+    mC, mD, inv_lam, _, nu_C, nu_D = terms
     pw = inv_lam[geom.I] * inv_lam[geom.J]
-    num = _pair_surface(geom, pw * mC[geom.I] * mD[geom.J])
-    denom = _denominator(geom, scenario, nu_C, nu_D, inv_lam, inv_lam_g, mC, mD)
-    values = _ratio(num, denom)
-    if symmetrize:
-        num_dc = _pair_surface(geom, pw * mD[geom.I] * mC[geom.J])
-        denom_dc = _denominator(geom, scenario, nu_D, nu_C, inv_lam, inv_lam_g, mD, mC)
-        values = 0.5 * (values + _ratio(num_dc, denom_dc))
+    denom = _denominator(geom, scenario, *terms)
+    values = _k_values(geom, pw, mC, mD, denom)
+    if symmetrize:  # the denominator is symmetric in (C, D)
+        values = 0.5 * (values + _k_values(geom, pw, mD, mC, denom))
     return KSurface(
         r_grid=geom.r_grid, t_grid=geom.t_grid, values=values,
         C=C, D=D, scenario=scenario, weights_source=weights.source, d=p.dim,
@@ -677,20 +721,11 @@ def k_ground(p, r_grid=None, t_grid=None, weights=None, scenario="S1",
     lam_g = weights.lam_ground if weights.lam_ground is not None else weights.lam
     if lam_g is None:
         raise ValueError("weights.lam_ground (or lam) is required")
-    if r_grid is None or t_grid is None:
-        dr, dt = default_lag_grids(p.window)
-        r_grid = dr if r_grid is None else r_grid
-        t_grid = dt if t_grid is None else t_grid
-    geom = geometry
-    if geom is None:
-        geom = pair_geometry(p, r_grid, t_grid, route=route, erosion=erosion)
+    geom = _geometry(p, r_grid, t_grid, route, erosion, geometry)
     inv = 1.0 / lam_g
-    num = _pair_surface(geom, inv[geom.I] * inv[geom.J])
-    if scenario == "S1":
-        denom = np.outer(geom.ell_r, geom.ell_t)
-    else:
-        denom = _point_surface(geom, inv)
-    values = _ratio(num, denom)
+    ones = np.ones(p.n)
+    denom = _denominator(geom, scenario, ones, ones, inv, inv, 1.0, 1.0)
+    values = _k_values(geom, inv[geom.I] * inv[geom.J], ones, ones, denom)
     return KSurface(
         r_grid=geom.r_grid, t_grid=geom.t_grid, values=values, C=None, D=None,
         scenario=scenario, weights_source=weights.source, d=p.dim,
@@ -709,19 +744,14 @@ def k_measure_hat(p, C, D, E, weights, return_report=False):
     """
     r_c, t_c = E.bounding_lags()
     erode_window(p.window, r_c, t_c)
-    mC, mD = _mark_masks(p, C, D)
+    mC, mD, nu_C, nu_D = _mark_sets(p, C, D)
     if p.marks is not None:
         lam = weights._require("lam", "measure estimation")
-        nu_C = p.nu(C) if C is not None else p.nu_total()
-        nu_D = p.nu(D) if D is not None else p.nu_total()
     else:
         lam = weights.lam if weights.lam is not None else weights._require(
             "lam_ground", "measure estimation on an unmarked pattern"
         )
-        nu_C = nu_D = 1.0
     inv = 1.0 / lam
-    if nu_C <= 0 or nu_D <= 0:
-        raise ValueError("mark sets must have positive reference measure")
     I, J = _pairs_brute(p, t_c)
     total = 0.0
     if I.size:
@@ -749,31 +779,13 @@ def k_directional(p, C=None, D=None, phi=-math.pi / 2, psi=math.pi / 2,
     if p.dim != 2:
         raise ValueError("directional K requires two spatial dimensions")
     ConeSet(phi, psi, 1.0, 1.0)  # validate angles
-    if weights is None:
-        raise ValueError("weights are required")
-    if p.marks is None:
-        raise ValueError("marked directional K needs a marked pattern")
     scenario = _norm_scenario(scenario)
-    if r_grid is None or t_grid is None:
-        dr, dt = default_lag_grids(p.window)
-        r_grid = dr if r_grid is None else r_grid
-        t_grid = dt if t_grid is None else t_grid
-    geom = geometry
-    if geom is None:
-        geom = pair_geometry(p, r_grid, t_grid, route=route, erosion=erosion)
-    mC, mD = _mark_masks(p, C, D)
-    lam = weights._require("lam", "marked K estimation")
-    inv_lam = 1.0 / lam
-    inv_lam_g = None
-    if scenario in ("S3", "S4"):
-        inv_lam_g = 1.0 / weights._require("lam_ground", f"scenario {scenario}")
-    nu_C = p.nu(C) if C is not None else p.nu_total()
-    nu_D = p.nu(D) if D is not None else p.nu_total()
+    terms = _marked_terms(p, weights, C, D, scenario)
+    geom = _geometry(p, r_grid, t_grid, route, erosion, geometry)
+    mC, mD, inv_lam = terms[:3]
     in_cone = direction_in_cone(geom.dx[:, 0], geom.dx[:, 1], phi, psi).astype(float)
     pw = inv_lam[geom.I] * inv_lam[geom.J] * in_cone
-    num = _pair_surface(geom, pw * mC[geom.I] * mD[geom.J])
-    denom = _denominator(geom, scenario, nu_C, nu_D, inv_lam, inv_lam_g, mC, mD)
-    values = _ratio(num, denom)
+    values = _k_values(geom, pw, mC, mD, _denominator(geom, scenario, *terms))
     return KSurface(
         r_grid=geom.r_grid, t_grid=geom.t_grid, values=values, C=C, D=D,
         scenario=scenario, weights_source=weights.source, d=p.dim,
@@ -792,33 +804,18 @@ def k_cross_multitype(p, i, j, r_grid=None, t_grid=None, weights=None,
     depend on the label reference weights. ``i == j`` gives component i's
     space-time K-function.
     """
-    from .pattern import LabelSet
-
     if p.marks is None or not p.mark_space.is_labelled:
         raise ValueError("cross K requires a label-marked pattern")
-    if weights is None:
-        raise ValueError("weights are required")
-    lam = weights._require("lam", "cross K estimation")
-    n_i = int(np.sum(p.marks == i))
-    n_j = int(np.sum(p.marks == j))
-    if n_i == 0 or n_j == 0:
-        warnings.warn(f"component {i if n_i == 0 else j} is empty; surface is zero")
-    if r_grid is None or t_grid is None:
-        dr, dt = default_lag_grids(p.window)
-        r_grid = dr if r_grid is None else r_grid
-        t_grid = dt if t_grid is None else t_grid
-    geom = geometry
-    if geom is None:
-        geom = pair_geometry(p, r_grid, t_grid, route=route, erosion=erosion)
-    mC = LabelSet([i]).mask(p.marks).astype(float)
-    mD = LabelSet([j]).mask(p.marks).astype(float)
-    inv = 1.0 / lam
-    num = _pair_surface(geom, inv[geom.I] * inv[geom.J] * mC[geom.I] * mD[geom.J])
-    denom = np.outer(geom.ell_r, geom.ell_t)
-    values = _ratio(num, denom)
+    C, D = LabelSet([i]), LabelSet([j])
+    mC, mD, inv = _marked_terms(p, weights, C, D, "S1")[:3]
+    if not mC.any() or not mD.any():
+        warnings.warn(f"component {j if mC.any() else i} is empty; surface is zero")
+    geom = _geometry(p, r_grid, t_grid, route, erosion, geometry)
+    denom = _denominator(geom, "S1", mC, mD, inv, None, 1.0, 1.0)  # unit mark masses
+    values = _k_values(geom, inv[geom.I] * inv[geom.J], mC, mD, denom)
     return KSurface(
         r_grid=geom.r_grid, t_grid=geom.t_grid, values=values,
-        C=LabelSet([i]), D=LabelSet([j]), scenario="cross",
+        C=C, D=D, scenario="cross",
         weights_source=weights.source, d=p.dim,
         meta={"erosion": geom.erosion, "route": geom.route, "i": i, "j": j,
               "floor_hits": weights.floor_hits},
@@ -833,22 +830,14 @@ def k_stationary(p, C=None, D=None, r_grid=None, t_grid=None,
     stationary estimator."""
     if p.n == 0:
         raise ValueError("stationary K needs a nonempty pattern")
-    if r_grid is None or t_grid is None:
-        dr, dt = default_lag_grids(p.window)
-        r_grid = dr if r_grid is None else r_grid
-        t_grid = dt if t_grid is None else t_grid
-    geom = pair_geometry(p, r_grid, t_grid, route=route, erosion=erosion)
-    if p.marks is None:
-        mC = mD = np.ones(p.n)
-    else:
-        mC, mD = _mark_masks(p, C, D)
+    mC, mD = _mark_masks(p, C, D)
+    geom = _geometry(p, r_grid, t_grid, route, erosion)
     lam_hat = p.n / p.window.volume
     n_C = float(np.sum(mC))
     n_D = float(np.sum(mD))
     inv = np.full(p.n, 1.0 / lam_hat)
-    num = _pair_surface(geom, inv[geom.I] * inv[geom.J] * mC[geom.I] * mD[geom.J])
     denom = np.outer(geom.ell_r, geom.ell_t) * (n_C * n_D / p.n**2)
-    values = _ratio(num, denom)
+    values = _k_values(geom, inv[geom.I] * inv[geom.J], mC, mD, denom)
     return KSurface(
         r_grid=geom.r_grid, t_grid=geom.t_grid, values=values, C=C, D=D,
         scenario="stationary", weights_source="Stationary", d=p.dim,
@@ -878,14 +867,12 @@ def k_smoothed(p, C=None, D=None, r_grid=None, t_grid=None, weights_builder=None
         raise ValueError("a weights_builder is required")
     if p.marks is None:
         raise ValueError("smoothing is defined for marked patterns")
-    if r_grid is None or t_grid is None:
-        dr, dt = default_lag_grids(p.window)
-        r_grid = dr if r_grid is None else r_grid
-        t_grid = dt if t_grid is None else t_grid
-    children = np.random.SeedSequence(seed).spawn(n)
+    scenario = _norm_scenario(scenario)
+    _mark_sets(p, C, D)  # the mark sets' checks, before any thinning
+    r_grid, t_grid = _lag_grids(p, r_grid, t_grid)
     shape = (np.asarray(r_grid).size, np.asarray(t_grid).size)
 
-    def one(child):
+    def one(i, child):
         q = thin(p, retention, seed=child)
         if q.n == 0:
             return None
@@ -897,13 +884,7 @@ def k_smoothed(p, C=None, D=None, r_grid=None, t_grid=None, weights_builder=None
                        erosion=erosion, route=route, symmetrize=symmetrize)
         return surf.values
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, children))
-    else:
-        results = [one(child) for child in children]
+    results = _replicates(one, n, seed, threads)
     degenerate = sum(1 for v in results if v is None)
     surfaces = [np.zeros(shape) if v is None else v for v in results]
     stack = np.stack(surfaces)
@@ -911,7 +892,7 @@ def k_smoothed(p, C=None, D=None, r_grid=None, t_grid=None, weights_builder=None
     spread = stack.std(axis=0, ddof=1) if n > 1 else np.zeros(shape)
     return KSurface(
         r_grid=np.asarray(r_grid, dtype=float), t_grid=np.asarray(t_grid, dtype=float),
-        values=mean, C=C, D=D, scenario=_norm_scenario(scenario),
+        values=mean, C=C, D=D, scenario=scenario,
         weights_source=f"Smoothed(n={n}, p={retention})", d=p.dim,
         meta={"erosion": erosion, "route": route, "retention": retention,
               "n_thinnings": n, "degenerate_thinnings": degenerate,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mstpp.inference as inference
+import mstpp.second_order as second_order
 from mstpp.inference import (
     DISCLAIMER,
     DeltaSurface,
@@ -33,10 +34,22 @@ R_GRID = np.linspace(0.05, 0.25, 5)
 T_GRID = np.linspace(0.05, 0.25, 5)
 C_HALF = MarkInterval(0.0, 0.5)
 D_HALF = MarkInterval(0.5, 1.0, closed_lo=False)
+ZERO_MASS = MarkInterval(0.5, 0.5)
+LAM20 = np.full(20, 12.0)  # one weight per point of small_marked
 
 
 def const_weights(p):
     return Weights(lam=np.full(p.n, 12.0), lam_ground=np.full(p.n, 12.0))
+
+
+def no_work(*args, **kw):
+    raise AssertionError("work started before the arguments were checked")
+
+
+def forbid_geometry(monkeypatch):
+    """Make every pair-geometry build fail, wherever it is looked up."""
+    monkeypatch.setattr(inference, "pair_geometry", no_work)
+    monkeypatch.setattr(second_order, "pair_geometry", no_work)
 
 
 class TestDeltaSurface:
@@ -94,6 +107,46 @@ class TestDeltaSurface:
         with pytest.raises(ValueError, match="finite"):
             DeltaSurface(r_grid=np.array([0.1]), t_grid=np.array([0.1]),
                          values=np.array([[np.nan]]), C=None, D=None, statistic="x")
+
+    @pytest.mark.parametrize("scenario", ["S1", "S2", "S3", "S4"])
+    def test_zero_mass_mark_sets_rejected(self, small_marked, scenario):
+        w = const_weights(small_marked)
+        for C, D in ((ZERO_MASS, D_HALF), (C_HALF, ZERO_MASS)):
+            with pytest.raises(ValueError, match="positive reference measure"):
+                delta_surface(small_marked, C, D, R_GRID, T_GRID, w, scenario=scenario)
+
+    @pytest.mark.parametrize("C, weights, scenario, match", [
+        (C_HALF, None, "S2", "weights"),
+        (C_HALF, Weights(lam=LAM20), "S3", "lam_ground"),
+        (C_HALF, Weights(lam=LAM20), "S4", "lam_ground"),
+        (ZERO_MASS, Weights(lam=LAM20), "S1", "positive reference measure"),
+        (ZERO_MASS, Weights(lam=LAM20), "S2", "positive reference measure"),
+    ])
+    def test_bad_arguments_fail_before_any_work(self, small_marked, monkeypatch,
+                                                C, weights, scenario, match):
+        forbid_geometry(monkeypatch)
+        with pytest.raises(ValueError, match=match):
+            delta_surface(small_marked, C, D_HALF, R_GRID, T_GRID, weights,
+                          scenario=scenario)
+
+
+@pytest.mark.parametrize("diagnostic", [
+    lambda p, C, w, sc: diag_independent_marks(p, C, D_HALF, R_GRID, T_GRID, w, scenario=sc),
+    lambda p, C, w, sc: diag_independent_components(p, C, D_HALF, R_GRID, T_GRID, w,
+                                                    scenario=sc),
+    lambda p, C, w, sc: decomposition_residual(p, C, R_GRID, T_GRID, w, scenario=sc),
+], ids=["marks", "components", "residual"])
+@pytest.mark.parametrize("C, weights, scenario, match", [
+    (C_HALF, None, "S2", "weights"),
+    (C_HALF, Weights(lam=LAM20), 3, "lam_ground"),
+    (ZERO_MASS, Weights(lam=LAM20), "S2", "positive reference measure"),
+    (C_HALF, Weights(lam=LAM20), 7, "scenario"),
+], ids=["weights", "lam_ground", "zero-mass", "scenario"])
+def test_diagnostics_fail_before_any_work(small_marked, monkeypatch, diagnostic,
+                                          C, weights, scenario, match):
+    forbid_geometry(monkeypatch)
+    with pytest.raises(ValueError, match=match):
+        diagnostic(small_marked, C, weights, scenario)
 
 
 class TestIndependentMarksDiagnostic:
@@ -347,13 +400,37 @@ class TestRandomLabelling:
                                   weights_builder=no_work, **kwargs)
 
     def test_delta_surface_checks_scenario_first(self, small_marked, monkeypatch):
-        def no_work(*args, **kw):
-            raise AssertionError("work started before the arguments were checked")
-
-        monkeypatch.setattr(inference, "pair_geometry", no_work)
+        forbid_geometry(monkeypatch)
         with pytest.raises(ValueError, match="scenario"):
             delta_surface(small_marked, C_HALF, D_HALF, R_GRID, T_GRID,
                           const_weights(small_marked), scenario=7)
+
+    @pytest.mark.parametrize("C, D", [(ZERO_MASS, D_HALF), (C_HALF, ZERO_MASS)])
+    def test_zero_mass_mark_set_fails_before_any_work(self, small_marked, monkeypatch,
+                                                       C, D):
+        forbid_geometry(monkeypatch)
+        monkeypatch.setattr(inference, "_default_builder", no_work)
+        for builder in (no_work, None):
+            with pytest.raises(ValueError, match="positive reference measure"):
+                random_labelling_test(small_marked, C, D, R_GRID, T_GRID,
+                                      weights_builder=builder, n_perm=3)
+
+    def test_coincident_locations_fail_before_any_work(self, monkeypatch):
+        # two points at one (x, t) with different labels form a simple
+        # pattern, but about half of all permutations give them one label
+        base = uniform_pattern(60, seed=86, marks="labels")
+        x, t, marks = base.x.copy(), base.t.copy(), base.marks.copy()
+        x[1], t[1] = x[0], t[0]
+        marks[:2] = 1.0, 2.0
+        p = pattern_from_arrays(x, t, marks, UNIT, LabelMarks(k=2))
+        with pytest.raises(ValueError, match="not simple"):
+            for s in range(20):
+                permute_marks(p, seed=s)
+        forbid_geometry(monkeypatch)
+        monkeypatch.setattr(inference, "permute_marks", no_work)
+        with pytest.raises(ValueError, match="distinct point locations"):
+            random_labelling_test(p, LabelSet([1]), LabelSet([2]), R_GRID, T_GRID,
+                                  weights_builder=no_work, n_perm=20, seed=0)
 
     def test_serialization_round_trip(self, small_marked, tmp_path):
         env = random_labelling_test(small_marked, C_HALF, D_HALF, R_GRID, T_GRID,

@@ -1,0 +1,58 @@
+"""The traced benchmark pass (perfbench/spans.py) wraps library functions
+at the module attributes their callers look up. A refactor that drops or
+renames one of them breaks the traced pass, so it must fail here too."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import mstpp.cli as cli
+from mstpp.pattern import LabelSet
+
+from .conftest import uniform_pattern
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+GRID = np.array([0.1, 0.2])
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer()
+
+
+def test_tracer_installs_and_restores_every_name():
+    tracer = load_tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._patched)
+    finally:
+        tracer.uninstall()
+    names = {(getattr(owner, "__name__", ""), attr) for owner, attr, _ in patched}
+    assert {("mstpp.inference", "pair_geometry"), ("mstpp.inference", "_default_builder"),
+            ("mstpp.inference", "permute_marks"), ("mstpp.second_order", "pair_geometry"),
+            ("mstpp.cli", "k_stationary"), ("mstpp.cli", "random_labelling_test")} <= names
+    for owner, attr, original in patched:
+        assert owner.__dict__[attr] is original, attr
+
+
+def test_traced_k_family_calls_account_for_their_time():
+    p = uniform_pattern(30, seed=5, marks="labels")
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        surf = tracer.call("cli.k", lambda: cli.k_stationary(p, r_grid=GRID, t_grid=GRID),
+                           (), {})
+        tracer.call("cli.test", lambda: cli.random_labelling_test(
+            p, LabelSet([1]), LabelSet([2]), GRID, GRID, n_perm=3, seed=1), (), {})
+    finally:
+        tracer.uninstall()
+    metrics, errors = tracer.layer_metrics()
+    assert errors == []
+    assert surf.values.shape == (2, 2)
+    # one geometry per command, each counted once
+    assert [s[0] for s in tracer.spans].count("second_order.geometry") == 2
+    assert metrics["inference.perms"] == 3.0
+    assert metrics["pattern.permute_s"] > 0.0

@@ -36,6 +36,7 @@ from mstpp.second_order import (
     weights_from_estimate,
     weights_from_function,
 )
+import mstpp.second_order as second_order
 from mstpp.simulate import IntensityField, sim_poisson, superpose
 
 from .conftest import UNIT, uniform_pattern
@@ -45,6 +46,7 @@ R_GRID = np.linspace(0.05, 0.25, 5)
 T_GRID = np.linspace(0.05, 0.25, 5)
 C_HALF = MarkInterval(0.0, 0.5)
 D_HALF = MarkInterval(0.5, 1.0, closed_lo=False)
+ZERO_MASS = MarkInterval(0.5, 0.5)
 
 
 def demo_weights(p):
@@ -389,6 +391,53 @@ class TestEngineInvariances:
         with pytest.raises(ValueError, match="positive finite"):
             Weights(lam=np.array([1.0, -2.0]))
 
+    @pytest.mark.parametrize("scenario", ["S1", "S2", "S3", "S4"])
+    def test_zero_mass_mark_sets_rejected(self, small_marked, scenario):
+        p = small_marked
+        w = demo_weights(p)
+        for C, D in ((ZERO_MASS, D_HALF), (C_HALF, ZERO_MASS)):
+            with pytest.raises(ValueError, match="positive reference measure"):
+                k_inhom(p, C, D, R_GRID, T_GRID, w, scenario=scenario)
+            with pytest.raises(ValueError, match="positive reference measure"):
+                k_directional(p, C, D, -0.4, 0.7, R_GRID, T_GRID, w, scenario=scenario)
+        with pytest.raises(ValueError, match="positive reference measure"):
+            k_smoothed(p, ZERO_MASS, D_HALF, R_GRID, T_GRID, lambda q, keep: w,
+                       scenario=scenario)
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda p, w: k_inhom(p, C_HALF, D_HALF, R_GRID, T_GRID, None), "weights"),
+        (lambda p, w: k_inhom(p, C_HALF, D_HALF, R_GRID, T_GRID,
+                              Weights(lam=w.lam), scenario="S3"), "lam_ground"),
+        (lambda p, w: k_inhom(p, ZERO_MASS, D_HALF, R_GRID, T_GRID, w,
+                              scenario="S1"), "positive reference measure"),
+        (lambda p, w: k_inhom(p, C_HALF, D_HALF, R_GRID, T_GRID, w, scenario=9),
+         "scenario"),
+        (lambda p, w: k_directional(p, C_HALF, D_HALF, -0.4, 0.7, R_GRID, T_GRID,
+                                    None), "weights"),
+        (lambda p, w: k_directional(p, C_HALF, D_HALF, -0.4, 0.7, R_GRID, T_GRID,
+                                    Weights(lam=w.lam), scenario="S4"), "lam_ground"),
+        (lambda p, w: k_directional(p, C_HALF, ZERO_MASS, -0.4, 0.7, R_GRID, T_GRID,
+                                    w, scenario="S2"), "positive reference measure"),
+        (lambda p, w: k_ground(p, R_GRID, T_GRID, w, scenario="S2"), "S1 and S3"),
+        (lambda p, w: k_cross_multitype(p, 1, 2, R_GRID, T_GRID, None), "label"),
+        (lambda p, w: k_stationary(project_ground(p), C_HALF, D_HALF, R_GRID, T_GRID),
+         "unmarked"),
+        (lambda p, w: k_smoothed(p, C_HALF, D_HALF, R_GRID, T_GRID,
+                                 lambda q, keep: w, scenario=9), "scenario"),
+    ], ids=["inhom-weights", "inhom-lam_ground", "inhom-zero-mass", "inhom-scenario",
+            "directional-weights", "directional-lam_ground", "directional-zero-mass",
+            "ground-scenario", "cross-labels", "stationary-unmarked",
+            "smoothed-scenario"])
+    def test_bad_arguments_fail_before_any_work(self, small_marked, monkeypatch,
+                                                call, match):
+        def no_work(*args, **kw):
+            raise AssertionError("work started before the arguments were checked")
+
+        monkeypatch.setattr(second_order, "pair_geometry", no_work)
+        monkeypatch.setattr(second_order, "thin", no_work)
+        with pytest.raises(ValueError, match=match):
+            call(small_marked, demo_weights(small_marked))
+
     def test_plugged_weights_source(self):
         p = uniform_pattern(10, seed=65)
         quad = Quadrature(n_space=24, n_time=24)
@@ -615,6 +664,12 @@ class TestStationary:
         empty = pattern_from_arrays(np.zeros((0, 2)), np.zeros(0), window=UNIT)
         with pytest.raises(ValueError):
             k_stationary(empty)
+
+    def test_mark_sets_on_unmarked_pattern_rejected(self, small_labelled):
+        ground = project_ground(small_labelled)
+        for C, D in ((LabelSet([1]), None), (None, LabelSet([2]))):
+            with pytest.raises(ValueError, match="mark sets supplied for an unmarked"):
+                k_stationary(ground, C, D, R_GRID, T_GRID)
 
 
 class TestSmoothed:
