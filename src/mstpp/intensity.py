@@ -8,6 +8,17 @@ Ties at equidistant nodes go to the lowest generator index. Exact cell
 geometry is never computed; the quadrature resolution is the error knob
 and is fully caller-configurable.
 
+One metric rule covers every tessellation: the distance is the maximum,
+over groups of coordinates, of the Euclidean distance within each group
+(space and time for the space-time sup metric; a single group for the
+spatial factor and for the Euclidean time-mark variant). A mark joins it
+by that same maximum for continuous marks and is added to it for labels
+(the additive metric). One chunked nearest-generator search evaluates the
+metric, and one sweep over the quadrature nodes (times the mark axis, if
+the tessellation has one) serves both the build, which bins the node
+volumes into cells, and the mass audit, which sums the estimate over the
+same grid shifted by ``AUDIT_OFFSET``.
+
 Estimator variants
 ------------------
 voronoi_ground
@@ -31,7 +42,6 @@ identity: the sum of 1/est over the pattern's own points equals the total
 reference measure of the domain, exactly under the built quadrature.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,6 +116,16 @@ def _axis_nodes(lo, hi, n, offset=0.5):
     return lo + (np.arange(n) + offset) * step
 
 
+def _space_axes(window, n, offset):
+    lo, hi = window.spatial_bounds()
+    return [_axis_nodes(lo[i], hi[i], n, offset) for i in range(window.dim)]
+
+
+def _mesh(axes):
+    """Every node of the product of 1-d node arrays, one row each."""
+    return np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+
+
 def _group_rows(rows):
     """Distinct rows in first-occurrence order, their multiplicities, and
     each input row's group index. First-occurrence order makes argmin
@@ -118,39 +138,6 @@ def _group_rows(rows):
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     return uniq[order], counts[order], rank[np.asarray(inverse).ravel()]
-
-
-def _sq_dists(block, gens):
-    """Squared Euclidean distances accumulated one coordinate at a time —
-    the same summation order as reducing stacked differences, so results
-    are bit-identical, without materializing the 3-d intermediate."""
-    d2 = (block[:, 0, None] - gens[None, :, 0]) ** 2
-    for k in range(1, block.shape[1]):
-        d2 += (block[:, k, None] - gens[None, :, k]) ** 2
-    return d2
-
-
-def _nearest_sq(nodes, gens, chunk):
-    """Nearest-generator labels by squared Euclidean distance, chunked;
-    first-occurrence argmin = lowest generator index at ties."""
-    labels = np.empty(nodes.shape[0], dtype=np.intp)
-    for start in range(0, nodes.shape[0], chunk):
-        block = nodes[start : start + chunk]
-        labels[start : start + chunk] = np.argmin(_sq_dists(block, gens), axis=1)
-    return labels
-
-
-def _nearest_sup_sq(nodes_x, nodes_t, gens_x, gens_t, chunk):
-    """Nearest labels under the space-time sup metric, compared on squares
-    (monotone transform, preserves order and ties)."""
-    labels = np.empty(nodes_x.shape[0], dtype=np.intp)
-    for start in range(0, nodes_x.shape[0], chunk):
-        bx = nodes_x[start : start + chunk]
-        bt = nodes_t[start : start + chunk]
-        d2 = _sq_dists(bx, gens_x)
-        np.maximum(d2, (bt[:, None] - gens_t[None, :]) ** 2, out=d2)
-        labels[start : start + chunk] = np.argmin(d2, axis=1)
-    return labels
 
 
 def _mark_axis(mark_space, marks, n_mark, offset=0.5):
@@ -172,18 +159,153 @@ def _mark_axis(mark_space, marks, n_mark, offset=0.5):
     return nodes, np.full(nodes.shape, w)
 
 
-def _space_time_nodes(window, n_space, n_time, offset=0.5):
-    lo, hi = window.spatial_bounds()
-    axes = [_axis_nodes(lo[i], hi[i], n_space, offset) for i in range(window.dim)]
-    axes.append(_axis_nodes(window.temporal[0], window.temporal[1], n_time, offset))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
-    vol = window.volume / (n_space**window.dim * n_time)
-    return pts[:, :-1], pts[:, -1], vol
+def _checked_marks(mark_space, m):
+    m = np.asarray(m, dtype=float).ravel()
+    if not np.all(mark_space.mark_mask(m)):
+        raise ValueError("evaluation marks must lie in the mark space")
+    return m
+
+
+# --------------------------------------------------------------------------
+# the metric, the nearest-generator search and the quadrature sweep
+#
+# A metric is (groups, join): the sizes of the leading coordinate groups and
+# how a trailing mark joins them (None: no mark, "max": continuous marks,
+# "add": labels). Distances are compared on squares, except under "add",
+# where the space part is rooted first; for a one-coordinate group that root
+# is exactly |difference| (a correctly rounded sqrt of a square in binary).
+# --------------------------------------------------------------------------
+
+
+def _mark_join(mark_space):
+    return "add" if mark_space.is_labelled else "max"
+
+
+def _space_time_metric(p, marked):
+    return (p.dim, 1), (_mark_join(p.mark_space) if marked else None)
+
+
+def _sq_dists(block, gens):
+    """Squared Euclidean distances accumulated one coordinate at a time —
+    the same summation order as reducing stacked differences, so results
+    are bit-identical, without materializing the 3-d intermediate."""
+    d2 = (block[:, 0, None] - gens[None, :, 0]) ** 2
+    for k in range(1, block.shape[1]):
+        d2 += (block[:, k, None] - gens[None, :, k]) ** 2
+    return d2
+
+
+def _space_part(metric, block, gens):
+    """The metric before the mark joins: max over the coordinate groups of
+    the squared distance within each (only those leading columns are read),
+    rooted when the mark is added."""
+    groups, join = metric
+    d2, col = None, 0
+    for size in groups:
+        sq = _sq_dists(block[:, col : col + size], gens[:, col : col + size])
+        d2 = sq if d2 is None else np.maximum(d2, sq, out=d2)
+        col += size
+    return np.sqrt(d2) if join == "add" else d2
+
+
+def _join_mark(join, part, dm, out):
+    """Join absolute mark differences ``dm`` to the space part."""
+    if join == "add":
+        return np.add(part, dm, out=out)
+    return np.maximum(part, dm * dm, out=out)
+
+
+def _nearest(metric, queries, gens, chunk):
+    """Index of each query row's nearest generator row, ``chunk`` queries at
+    a time; the mark, if the metric has one, is the last column. argmin
+    keeps the first occurrence, so ties go to the lowest generator index."""
+    join = metric[1]
+    labels = np.empty(queries.shape[0], dtype=np.intp)
+    for start in range(0, queries.shape[0], chunk):
+        block = queries[start : start + chunk]
+        d = _space_part(metric, block, gens)
+        if join is not None:
+            d = _join_mark(join, d, np.abs(block[:, -1, None] - gens[None, :, -1]), d)
+        labels[start : start + chunk] = np.argmin(d, axis=1)
+    return labels
+
+
+def _sweep(metric, gens, grid, chunk):
+    """(nearest-generator labels, mark weight) blocks over a grid's nodes
+    times its mark axis. A grid is (nodes, volume element, mark axis or
+    None). Without a mark axis there is one block, of weight 1.0; with one,
+    the space part is computed once per chunk and reused for every mark
+    node (chunks outer, mark nodes inner)."""
+    nodes, _, mark_axis = grid
+    if mark_axis is None:
+        yield _nearest(metric, nodes, gens, chunk), 1.0
+        return
+    gm = gens[:, -1]
+    for start in range(0, nodes.shape[0], chunk):
+        part = _space_part(metric, nodes[start : start + chunk], gens)
+        buf = np.empty_like(part)
+        for z, wj in zip(*mark_axis):
+            d = _join_mark(metric[1], part, np.abs(z - gm)[None, :], buf)
+            yield np.argmin(d, axis=1), wj
+
+
+def _cell_measures(metric, gens, grid, chunk):
+    """The build: each node's volume element, times its mark weight, accrues
+    to its nearest generator. The volume element is a scalar or, for the
+    time-mark grid, one weight per node."""
+    vol, n = grid[1], gens.shape[0]
+    measures = np.zeros(n)
+    for labels, wj in _sweep(metric, gens, grid, chunk):
+        if np.ndim(vol):
+            measures += np.bincount(labels, weights=vol, minlength=n)
+        else:
+            measures += np.bincount(labels, minlength=n) * (vol * wj)
+    return measures
+
+
+def _integral(metric, gens, values, grid, chunk):
+    """The audit: the per-generator ``values`` summed over the grid's nodes,
+    times their volume elements and mark weights."""
+    vol = grid[1]
+    total = 0.0
+    for labels, wj in _sweep(metric, gens, grid, chunk):
+        vals = values[labels]
+        total += float(np.sum(vals * vol)) if np.ndim(vol) else float(np.sum(vals)) * vol * wj
+    return total
+
+
+def _refining(measures_at, quad, message):
+    """Cell measures at ``quad``, or at ``quad.refined()`` when a cell got no
+    node; QuadratureError(message) when one gets none at either."""
+    for q in (quad, quad.refined()):
+        measures = measures_at(q)
+        if np.all(measures > 0):
+            return measures, q
+    raise QuadratureError(message)
+
+
+def _space_time_grid(p, quad, offset, marked):
+    w = p.window
+    axes = _space_axes(w, quad.n_space, offset)
+    axes.append(_axis_nodes(w.temporal[0], w.temporal[1], quad.n_time, offset))
+    vol = w.volume / (quad.n_space**w.dim * quad.n_time)
+    mark_axis = _mark_axis(p.mark_space, p.marks, quad.n_mark, offset) if marked else None
+    return _mesh(axes), vol, mark_axis
+
+
+class _Floored:
+    """Values below ``floor`` are raised to it and counted in ``floor_hits``."""
+
+    def _floor_values(self, vals):
+        hits = int(np.sum(vals < self.floor))
+        if hits:
+            self.floor_hits += hits
+            vals = np.maximum(vals, self.floor)
+        return vals
 
 
 @dataclass
-class VoronoiEstimate:
+class VoronoiEstimate(_Floored):
     """A tessellation-backed intensity estimate.
 
     ``kind`` is "ground" (space-time) or "marked" (space-time-mark). Cell
@@ -210,12 +332,14 @@ class VoronoiEstimate:
             return "SupSpaceTime"
         return "FullMarked"
 
-    def _floor_values(self, vals):
-        hits = int(np.sum(vals < self.floor))
-        if hits:
-            self.floor_hits += hits
-            vals = np.maximum(vals, self.floor)
-        return vals
+    @property
+    def _metric(self):
+        return _space_time_metric(self.pattern, self.kind == "marked")
+
+    @property
+    def _gens(self):
+        marks = [] if self.gens_m is None else [self.gens_m]
+        return np.column_stack([self.gens_x, self.gens_t] + marks)
 
     def weights_for_own_points(self):
         """Estimate at the pattern's own points: each generator's nearest
@@ -225,22 +349,14 @@ class VoronoiEstimate:
 
     def at(self, x, t, m=None):
         """Evaluate at arbitrary locations (arrays); marked estimates
-        require the mark coordinate."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        t = np.asarray(t, dtype=float).ravel()
-        q = self.quadrature
-        if self.kind == "ground":
-            labels = _nearest_sup_sq(x, t, self.gens_x, self.gens_t, q.chunk)
-        else:
+        require the mark coordinate, inside the mark space."""
+        cols = [np.atleast_2d(np.asarray(x, dtype=float)), np.asarray(t, dtype=float).ravel()]
+        if self.kind == "marked":
             if m is None:
                 raise ValueError("marked estimate needs mark coordinates")
-            m = np.asarray(m, dtype=float).ravel()
-            labels = _nearest_marked(
-                x, t, m, self.gens_x, self.gens_t, self.gens_m,
-                self.pattern.mark_space.is_labelled, q.chunk,
-            )
-        vals = self.mult[labels] / self.cell_measures[labels]
-        return self._floor_values(vals)
+            cols.append(_checked_marks(self.pattern.mark_space, m))
+        labels = _nearest(self._metric, np.column_stack(cols), self._gens, self.quadrature.chunk)
+        return self._floor_values(self.mult[labels] / self.cell_measures[labels])
 
     def cell_measure_rows(self):
         """(point_index, cell_measure) rows for the audit CSV dump."""
@@ -249,31 +365,32 @@ class VoronoiEstimate:
         )
 
 
-def _nearest_marked(x, t, m, gens_x, gens_t, gens_m, labelled, chunk):
-    labels = np.empty(x.shape[0], dtype=np.intp)
-    for start in range(0, x.shape[0], chunk):
-        bx = x[start : start + chunk]
-        bt = t[start : start + chunk]
-        bm = m[start : start + chunk]
-        d2 = _sq_dists(bx, gens_x)
-        np.maximum(d2, (bt[:, None] - gens_t[None, :]) ** 2, out=d2)
-        dm = np.abs(bm[:, None] - gens_m[None, :])
-        if labelled:
-            d = np.sqrt(d2)
-            d += dm
-        else:
-            d = np.maximum(d2, dm * dm)
-        labels[start : start + chunk] = np.argmin(d, axis=1)
-    return labels
-
-
-def _ground_measures(p, quad, offset=0.5):
-    gens, mult, group = _group_rows(np.column_stack([p.x, p.t]))
-    gx, gt = gens[:, :-1], gens[:, -1]
-    nodes_x, nodes_t, vol = _space_time_nodes(p.window, quad.n_space, quad.n_time, offset)
-    labels = _nearest_sup_sq(nodes_x, nodes_t, gx, gt, quad.chunk)
-    measures = np.bincount(labels, minlength=gens.shape[0]) * vol
-    return gens, mult, group, measures
+def _voronoi(p, kind, quad):
+    if p.n == 0:
+        raise ValueError("cannot estimate intensity from an empty pattern")
+    marked = kind == "marked"
+    if marked and not p.is_marked:
+        raise ValueError("marked estimator needs a marked pattern")
+    gens, mult, group = _group_rows(np.column_stack([p.x, p.t] + ([p.marks] if marked else [])))
+    metric = _space_time_metric(p, marked)
+    measures, q = _refining(
+        lambda q: _cell_measures(metric, gens, _space_time_grid(p, q, 0.5, marked), q.chunk),
+        quad,
+        "empty tessellation cell at refined quadrature",
+    )
+    d = p.dim
+    return VoronoiEstimate(
+        kind=kind,
+        pattern=p,
+        gens_x=gens[:, :d],
+        gens_t=gens[:, d],
+        gens_m=gens[:, d + 1] if marked else None,
+        mult=mult,
+        group_of_point=group,
+        cell_measures=measures,
+        quadrature=q,
+        refined=q is not quad,
+    )
 
 
 def voronoi_ground(p, quadrature=None):
@@ -281,87 +398,14 @@ def voronoi_ground(p, quadrature=None):
     if any, are ignored). Evaluation at (x, t) returns the reciprocal
     measure of the nearest generator's cell (times its multiplicity for
     coincident ground locations)."""
-    if p.n == 0:
-        raise ValueError("cannot estimate intensity from an empty pattern")
-    quad = quadrature if quadrature is not None else Quadrature()
-    refined = False
-    for attempt in range(2):
-        gens, mult, group, measures = _ground_measures(p, quad)
-        if np.all(measures > 0):
-            break
-        quad = quad.refined()
-        refined = True
-    if np.any(measures <= 0):
-        raise QuadratureError("empty tessellation cell at refined quadrature")
-    return VoronoiEstimate(
-        kind="ground",
-        pattern=p,
-        gens_x=gens[:, :-1],
-        gens_t=gens[:, -1],
-        gens_m=None,
-        mult=mult,
-        group_of_point=group,
-        cell_measures=measures,
-        quadrature=quad,
-        refined=refined,
-    )
-
-
-def _marked_measures(p, quad, offset=0.5):
-    gens, mult, group = _group_rows(np.column_stack([p.x, p.t, p.marks]))
-    gx, gt, gm = gens[:, :-2], gens[:, -2], gens[:, -1]
-    nodes_x, nodes_t, vol = _space_time_nodes(p.window, quad.n_space, quad.n_time, offset)
-    mark_nodes, mark_w = _mark_axis(p.mark_space, p.marks, quad.n_mark, offset)
-    labelled = p.mark_space.is_labelled
-    counts = np.zeros(gens.shape[0])
-    n_nodes = nodes_x.shape[0]
-    for start in range(0, n_nodes, quad.chunk):
-        bx = nodes_x[start : start + quad.chunk]
-        bt = nodes_t[start : start + quad.chunk]
-        d2 = _sq_dists(bx, gx)
-        np.maximum(d2, (bt[:, None] - gt[None, :]) ** 2, out=d2)
-        ground_part = np.sqrt(d2) if labelled else d2
-        buf = np.empty_like(d2)
-        for j, (z, wj) in enumerate(zip(mark_nodes, mark_w)):
-            dm = np.abs(z - gm)
-            if labelled:
-                np.add(ground_part, dm[None, :], out=buf)
-            else:
-                np.maximum(ground_part, (dm * dm)[None, :], out=buf)
-            labels = np.argmin(buf, axis=1)
-            counts += np.bincount(labels, minlength=gens.shape[0]) * (vol * wj)
-    return gens, mult, group, counts
+    return _voronoi(p, "ground", quadrature if quadrature is not None else Quadrature())
 
 
 def voronoi_marked(p, quadrature=None):
     """Space-time-mark Voronoi intensity estimate under the full marked
     metric; cell measures are taken under Lebesgue x reference-measure."""
-    if p.n == 0:
-        raise ValueError("cannot estimate intensity from an empty pattern")
-    if not p.is_marked:
-        raise ValueError("marked estimator needs a marked pattern")
     quad = quadrature if quadrature is not None else Quadrature(n_space=48, n_time=48)
-    refined = False
-    for attempt in range(2):
-        gens, mult, group, measures = _marked_measures(p, quad)
-        if np.all(measures > 0):
-            break
-        quad = quad.refined()
-        refined = True
-    if np.any(measures <= 0):
-        raise QuadratureError("empty tessellation cell at refined quadrature")
-    return VoronoiEstimate(
-        kind="marked",
-        pattern=p,
-        gens_x=gens[:, :-2],
-        gens_t=gens[:, -2],
-        gens_m=gens[:, -1],
-        mult=mult,
-        group_of_point=group,
-        cell_measures=measures,
-        quadrature=quad,
-        refined=refined,
-    )
+    return _voronoi(p, "marked", quad)
 
 
 # --------------------------------------------------------------------------
@@ -369,8 +413,19 @@ def voronoi_marked(p, quadrature=None):
 # --------------------------------------------------------------------------
 
 
+class _Cells:
+    """Shared by the factor cells: the value at the pattern's own points,
+    and the integral, which exact cells give as the point count."""
+
+    def own_values(self):
+        return self.mult[self.group_of_point] / self.measures[self.group_of_point]
+
+    def integral(self, quadrature=None):
+        return float(np.sum(self.mult))
+
+
 @dataclass
-class _Cells1D:
+class _Cells1D(_Cells):
     """Exact 1D Voronoi cells on an interval: boundaries at midpoints of
     the sorted distinct values. At an exact boundary the query resolves to
     the lower-valued generator (measure-zero convention)."""
@@ -410,15 +465,9 @@ class _Cells1D:
         idx = np.searchsorted(self.boundaries, np.asarray(q, dtype=float), side="right")
         return self.mult[idx] / self.measures[idx]
 
-    def own_values(self):
-        return self.mult[self.group_of_point] / self.measures[self.group_of_point]
-
-    def integral(self):
-        return float(np.sum(self.mult))   # exact cells: always the point count
-
 
 @dataclass
-class _LabelCells:
+class _LabelCells(_Cells):
     """Mark-axis cells for finite label spaces: each label belongs to the
     nearest observed label (ties to the lowest point index); measures sum
     the label weights inside the cell."""
@@ -431,12 +480,10 @@ class _LabelCells:
     @classmethod
     def build(cls, marks, mark_space):
         gens, mult, group = _group_rows(np.asarray(marks, dtype=float)[:, None])
-        gens = gens[:, 0]
-        all_labels = np.arange(1, mark_space.k + 1, dtype=float)
-        dist = np.abs(all_labels[:, None] - gens[None, :])
-        cell_of_label = np.argmin(dist, axis=1)
+        all_labels = np.arange(1, mark_space.k + 1, dtype=float)[:, None]
+        cell_of_label = _nearest(((1,), None), all_labels, gens, mark_space.k)
         weights = np.asarray(mark_space.weights, dtype=float)
-        measures = np.zeros(gens.size)
+        measures = np.zeros(gens.shape[0])
         np.add.at(measures, cell_of_label, weights)
         table = mult[cell_of_label] / measures[cell_of_label]
         return cls(table, group, mult, measures)
@@ -445,141 +492,72 @@ class _LabelCells:
         idx = np.asarray(np.round(q), dtype=int) - 1
         return self.table_value[idx]
 
-    def own_values(self):
-        return self.mult[self.group_of_point] / self.measures[self.group_of_point]
-
-    def integral(self):
-        return float(np.sum(self.mult))
-
 
 @dataclass
-class _SpatialCells:
+class _QuadCells(_Cells):
+    """A separable factor's Voronoi cells by quadrature. A subclass gives
+    the grid; the build and the audit both use it."""
+
+    pattern: MarkedPattern
+    rows: np.ndarray   # distinct generators
+    mult: np.ndarray
+    group_of_point: np.ndarray
+    measures: np.ndarray
+    metric: tuple
+    quad: Quadrature
+
+    @classmethod
+    def build(cls, p, rows, metric, quad, message):
+        gens, mult, group = _group_rows(rows)
+        measures, q = _refining(
+            lambda q: _cell_measures(metric, gens, cls._grid(p, q, 0.5), q.chunk), quad, message
+        )
+        return cls(p, gens, mult, group, measures, metric, q)
+
+    def value_at(self, *coords):
+        labels = _nearest(self.metric, np.column_stack(coords), self.rows, self.quad.chunk)
+        return self.mult[labels] / self.measures[labels]
+
+    def integral(self, quadrature=None):
+        q = quadrature if quadrature is not None else self.quad
+        grid = self._grid(self.pattern, q, AUDIT_OFFSET)
+        return _integral(self.metric, self.rows, self.mult / self.measures, grid, q.chunk)
+
+
+class _SpatialCells(_QuadCells):
     """Euclidean spatial Voronoi cells by quadrature over the spatial box."""
 
-    gens: np.ndarray
-    mult: np.ndarray
-    group_of_point: np.ndarray
-    measures: np.ndarray
-    window: object
-    quad: Quadrature
+    @property
+    def gens(self):
+        return self.rows
 
-    @classmethod
-    def build(cls, p, quad, offset=0.5):
-        gens, mult, group = _group_rows(p.x)
-        lo, hi = p.window.spatial_bounds()
-        axes = [_axis_nodes(lo[i], hi[i], quad.n_space_only, offset) for i in range(p.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        nodes = np.column_stack([m.ravel() for m in mesh])
+    @staticmethod
+    def _grid(p, quad, offset):
         vol = p.window.spatial_volume / quad.n_space_only**p.dim
-        labels = _nearest_sq(nodes, gens, quad.chunk)
-        measures = np.bincount(labels, minlength=gens.shape[0]) * vol
-        if np.any(measures <= 0):
-            raise QuadratureError("empty spatial cell; refine n_space_only")
-        return cls(gens, mult, group, measures, p.window, quad)
-
-    def value_at(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        labels = _nearest_sq(x, self.gens, self.quad.chunk)
-        return self.mult[labels] / self.measures[labels]
-
-    def own_values(self):
-        return self.mult[self.group_of_point] / self.measures[self.group_of_point]
-
-    def integral(self, offset=AUDIT_OFFSET):
-        lo, hi = self.window.spatial_bounds()
-        d = self.gens.shape[1]
-        axes = [_axis_nodes(lo[i], hi[i], self.quad.n_space_only, offset) for i in range(d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        nodes = np.column_stack([m.ravel() for m in mesh])
-        vol = self.window.spatial_volume / self.quad.n_space_only**d
-        labels = _nearest_sq(nodes, self.gens, self.quad.chunk)
-        vals = self.mult[labels] / self.measures[labels]
-        return float(np.sum(vals) * vol)
+        return _mesh(_space_axes(p.window, quad.n_space_only, offset)), vol, None
 
 
-@dataclass
-class _TimeMarkCells:
+class _TimeMarkCells(_QuadCells):
     """Joint time-mark Voronoi cells by quadrature, under the max metric
     (continuous marks), the additive metric (labels), or the Euclidean
-    plane metric when requested."""
+    plane metric when requested. Mark weights differ between mark nodes,
+    so the grid carries one volume element per node."""
 
-    gens_t: np.ndarray
-    gens_m: np.ndarray
-    mult: np.ndarray
-    group_of_point: np.ndarray
-    measures: np.ndarray
-    mark_space: object
-    window: object
-    quad: Quadrature
-    euclidean: bool
-
-    @classmethod
-    def build(cls, p, quad, euclidean=False, offset=0.5):
-        gens, mult, group = _group_rows(np.column_stack([p.t, p.marks]))
-        gt, gm = gens[:, 0], gens[:, 1]
-        measures = cls._measures(
-            gt, gm, p.window, p.mark_space, p.marks, quad, euclidean, offset
-        )
-        if np.any(measures <= 0):
-            raise QuadratureError("empty time-mark cell; refine n_time_tm/n_mark_tm")
-        return cls(gt, gm, mult, group, measures, p.mark_space, p.window, quad, euclidean)
+    @property
+    def gens_t(self):
+        return self.rows[:, 0]
 
     @staticmethod
-    def _measures(gt, gm, window, mark_space, marks, quad, euclidean, offset):
-        t_nodes = _axis_nodes(window.temporal[0], window.temporal[1], quad.n_time_tm, offset)
-        t_w = window.temporal_length / quad.n_time_tm
-        m_nodes, m_w = _mark_axis(mark_space, marks, quad.n_mark_tm, offset)
-        tt, mm = np.meshgrid(t_nodes, m_nodes, indexing="ij")
-        ww = np.outer(np.full(t_nodes.shape, t_w), m_w)
-        labels = _TimeMarkCells._labels(
-            tt.ravel(), mm.ravel(), gt, gm, mark_space.is_labelled, euclidean, quad.chunk
-        )
-        return np.bincount(labels, weights=ww.ravel(), minlength=gt.size)
-
-    @staticmethod
-    def _labels(qt, qm, gt, gm, labelled, euclidean, chunk):
-        labels = np.empty(qt.size, dtype=np.intp)
-        for start in range(0, qt.size, chunk):
-            bt = qt[start : start + chunk, None] - gt[None, :]
-            bm = qm[start : start + chunk, None] - gm[None, :]
-            if euclidean:
-                d = bt * bt + bm * bm
-            elif labelled:
-                d = np.abs(bt) + np.abs(bm)
-            else:
-                d = np.maximum(bt * bt, bm * bm)
-            labels[start : start + chunk] = np.argmin(d, axis=1)
-        return labels
-
-    def value_at(self, t, m):
-        labels = self._labels(
-            np.asarray(t, dtype=float).ravel(),
-            np.asarray(m, dtype=float).ravel(),
-            self.gens_t,
-            self.gens_m,
-            self.mark_space.is_labelled,
-            self.euclidean,
-            self.quad.chunk,
-        )
-        return self.mult[labels] / self.measures[labels]
-
-    def own_values(self):
-        return self.mult[self.group_of_point] / self.measures[self.group_of_point]
-
-    def integral(self, marks, offset=AUDIT_OFFSET):
-        t_nodes = _axis_nodes(
-            self.window.temporal[0], self.window.temporal[1], self.quad.n_time_tm, offset
-        )
-        t_w = self.window.temporal_length / self.quad.n_time_tm
-        m_nodes, m_w = _mark_axis(self.mark_space, marks, self.quad.n_mark_tm, offset)
-        tt, mm = np.meshgrid(t_nodes, m_nodes, indexing="ij")
-        ww = np.outer(np.full(t_nodes.shape, t_w), m_w)
-        vals = self.value_at(tt.ravel(), mm.ravel())
-        return float(np.sum(vals * ww.ravel()))
+    def _grid(p, quad, offset):
+        w = p.window
+        t_nodes = _axis_nodes(w.temporal[0], w.temporal[1], quad.n_time_tm, offset)
+        m_nodes, m_w = _mark_axis(p.mark_space, p.marks, quad.n_mark_tm, offset)
+        ww = np.outer(np.full(t_nodes.shape, w.temporal_length / quad.n_time_tm), m_w)
+        return _mesh([t_nodes, m_nodes]), ww.ravel(), None
 
 
 @dataclass
-class SeparableIntensity:
+class SeparableIntensity(_Floored):
     """A separable-setup intensity estimate (S1, S2, or S3)."""
 
     setup: str
@@ -589,53 +567,31 @@ class SeparableIntensity:
     floor: float = INTENSITY_FLOOR
     floor_hits: int = field(default=0, compare=False)
 
-    def _floor_values(self, vals):
-        hits = int(np.sum(vals < self.floor))
-        if hits:
-            self.floor_hits += hits
-            vals = np.maximum(vals, self.floor)
-        return vals
-
     def at(self, x, t, m):
-        """Evaluate at arbitrary space-time-mark locations."""
+        """Evaluate at arbitrary space-time-mark locations (marks inside
+        the mark space)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         t = np.asarray(t, dtype=float).ravel()
-        m = np.asarray(m, dtype=float).ravel()
-        if self.setup == "S1":
-            vals = (
-                self.factors["spatial"].value_at(x)
-                * self.factors["temporal"].value_at(t)
-                * self.factors["mark"].value_at(m)
-                / self.n**2
-            )
-        elif self.setup == "S2":
-            vals = self.factors["mark"].value_at(m) / self.n * self.factors["ground"].at(x, t)
-        else:
-            vals = self.factors["spatial"].value_at(x) / self.n * self.factors[
-                "timemark"
-            ].value_at(t, m)
-        return self._floor_values(vals)
+        m = _checked_marks(self.pattern.mark_space, m)
+        coords = {"spatial": (x,), "temporal": (t,), "mark": (m,), "timemark": (t, m)}
+        return self._floor_values(self._product({
+            k: f.at(x, t) if k == "ground" else f.value_at(*coords[k])
+            for k, f in self.factors.items()
+        }))
 
     def weights_for_own_points(self):
-        p = self.pattern
+        return self._floor_values(self._product({
+            k: f.weights_for_own_points() if k == "ground" else f.own_values()
+            for k, f in self.factors.items()
+        }))
+
+    def _product(self, v):
+        """The setup's combination of per-factor values ``v`` (by name)."""
         if self.setup == "S1":
-            vals = (
-                self.factors["spatial"].own_values()
-                * self.factors["temporal"].own_values()
-                * self.factors["mark"].own_values()
-                / self.n**2
-            )
-        elif self.setup == "S2":
-            vals = (
-                self.factors["mark"].own_values()
-                / self.n
-                * self.factors["ground"].weights_for_own_points()
-            )
-        else:
-            vals = (
-                self.factors["spatial"].own_values() / self.n * self.factors["timemark"].own_values()
-            )
-        return self._floor_values(vals)
+            return v["spatial"] * v["temporal"] * v["mark"] / self.n**2
+        if self.setup == "S2":
+            return v["mark"] / self.n * v["ground"]
+        return v["spatial"] / self.n * v["timemark"]
 
 
 def voronoi_separable(p, setup, euclidean_tm=False, quadrature=None):
@@ -660,35 +616,30 @@ def voronoi_separable(p, setup, euclidean_tm=False, quadrature=None):
     if not p.is_marked:
         raise ValueError("separable setups need a marked pattern")
     quad = quadrature if quadrature is not None else Quadrature()
+    ms = p.mark_space
 
-    def _retry(build):
-        try:
-            return build(quad)
-        except QuadratureError:
-            return build(quad.refined())
-
-    def _mark_factor(q):
-        if p.mark_space.is_labelled:
-            return _LabelCells.build(p.marks, p.mark_space)
-        return _Cells1D.build(
-            p.marks, p.mark_space.lo, p.mark_space.hi, p.mark_space.reference, n_total=p.n
+    def spatial():
+        return _SpatialCells.build(
+            p, p.x, ((p.dim,), None), quad, "empty spatial cell; refine n_space_only"
         )
 
-    factors = {}
+    def mark():
+        if ms.is_labelled:
+            return _LabelCells.build(p.marks, ms)
+        return _Cells1D.build(p.marks, ms.lo, ms.hi, ms.reference, n_total=p.n)
+
     if setup == "S1":
-        factors["spatial"] = _retry(lambda q: _SpatialCells.build(p, q))
-        factors["temporal"] = _Cells1D.build(
-            p.t, p.window.temporal[0], p.window.temporal[1], "lebesgue"
-        )
-        factors["mark"] = _mark_factor(quad)
+        temporal = _Cells1D.build(p.t, p.window.temporal[0], p.window.temporal[1], "lebesgue")
+        factors = {"spatial": spatial(), "temporal": temporal, "mark": mark()}
     elif setup == "S2":
-        factors["mark"] = _mark_factor(quad)
-        factors["ground"] = voronoi_ground(p, quad)
+        factors = {"mark": mark(), "ground": voronoi_ground(p, quad)}
     elif setup == "S3":
-        factors["spatial"] = _retry(lambda q: _SpatialCells.build(p, q))
-        factors["timemark"] = _retry(
-            lambda q: _TimeMarkCells.build(p, q, euclidean=euclidean_tm)
+        metric = ((2,), None) if euclidean_tm else ((1,), _mark_join(ms))
+        timemark = _TimeMarkCells.build(
+            p, np.column_stack([p.t, p.marks]), metric, quad,
+            "empty time-mark cell; refine n_time_tm/n_mark_tm",
         )
+        factors = {"spatial": spatial(), "timemark": timemark}
     else:
         raise ValueError(f"unknown setup {setup!r}; expected S1, S2, or S3")
     return SeparableIntensity(setup=setup, n=p.n, factors=factors, pattern=p)
@@ -704,56 +655,15 @@ def estimate_mass(est, quadrature=None):
     evaluation grid (never the grid that built the cell measures, where the
     integral would be the point count exactly by construction). The audit
     therefore measures real quadrature error. ``quadrature`` overrides the
-    audit-grid resolution (default: the resolution the estimate was built
-    at)."""
+    audit-grid resolution (default: the resolution the estimate, or each
+    of its quadrature-built factors, was built at)."""
     if isinstance(est, VoronoiEstimate):
-        p = est.pattern
         quad = quadrature if quadrature is not None else est.quadrature
-        nodes_x, nodes_t, vol = _space_time_nodes(
-            p.window, quad.n_space, quad.n_time, AUDIT_OFFSET
-        )
-        if est.kind == "ground":
-            labels = _nearest_sup_sq(nodes_x, nodes_t, est.gens_x, est.gens_t, quad.chunk)
-            vals = est.mult[labels] / est.cell_measures[labels]
-            return float(np.sum(vals) * vol)
-        mark_nodes, mark_w = _mark_axis(p.mark_space, p.marks, quad.n_mark, AUDIT_OFFSET)
-        labelled = p.mark_space.is_labelled
-        total = 0.0
-        for start in range(0, nodes_x.shape[0], quad.chunk):
-            bx = nodes_x[start : start + quad.chunk]
-            bt = nodes_t[start : start + quad.chunk]
-            d2 = _sq_dists(bx, est.gens_x)
-            np.maximum(d2, (bt[:, None] - est.gens_t[None, :]) ** 2, out=d2)
-            ground_part = np.sqrt(d2) if labelled else d2
-            buf = np.empty_like(d2)
-            for z, wj in zip(mark_nodes, mark_w):
-                dm = np.abs(z - est.gens_m)
-                if labelled:
-                    np.add(ground_part, dm[None, :], out=buf)
-                else:
-                    np.maximum(ground_part, (dm * dm)[None, :], out=buf)
-                labels = np.argmin(buf, axis=1)
-                vals = est.mult[labels] / est.cell_measures[labels]
-                total += float(np.sum(vals)) * vol * wj
-        return total
+        grid = _space_time_grid(est.pattern, quad, AUDIT_OFFSET, est.kind == "marked")
+        return _integral(est._metric, est._gens, est.mult / est.cell_measures, grid, quad.chunk)
     if isinstance(est, SeparableIntensity):
-        p = est.pattern
-        if est.setup == "S1":
-            return (
-                est.factors["spatial"].integral()
-                * est.factors["temporal"].integral()
-                * est.factors["mark"].integral()
-                / est.n**2
-            )
-        if est.setup == "S2":
-            return (
-                est.factors["mark"].integral()
-                / est.n
-                * estimate_mass(est.factors["ground"], quadrature)
-            )
-        return (
-            est.factors["spatial"].integral()
-            / est.n
-            * est.factors["timemark"].integral(p.marks)
-        )
+        return est._product({
+            k: estimate_mass(f, quadrature) if k == "ground" else f.integral(quadrature)
+            for k, f in est.factors.items()
+        })
     raise TypeError(f"cannot audit {type(est).__name__}")

@@ -605,6 +605,12 @@ def _mark_sets(p, C, D):
     return mC, mD, nu_C, nu_D
 
 
+def _per_point(p, lam):
+    if lam.shape[0] != p.n:
+        raise ValueError("weights must have one value per point")
+    return lam
+
+
 def _marked_terms(p, weights, C, D, scenario):
     """Everything a marked statistic needs besides the geometry, checked:
     the mark masks, 1/lam, 1/lam_ground (S3 and S4 only) and the mark-set
@@ -614,10 +620,10 @@ def _marked_terms(p, weights, C, D, scenario):
     if p.marks is None:
         raise ValueError("marked K needs a marked pattern; use k_ground instead")
     mC, mD, nu_C, nu_D = _mark_sets(p, C, D)
-    inv_lam = 1.0 / weights._require("lam", "marked K estimation")
+    inv_lam = 1.0 / _per_point(p, weights._require("lam", "marked K estimation"))
     inv_lam_g = None
     if scenario in ("S3", "S4"):
-        inv_lam_g = 1.0 / weights._require("lam_ground", f"scenario {scenario}")
+        inv_lam_g = 1.0 / _per_point(p, weights._require("lam_ground", f"scenario {scenario}"))
     return mC, mD, inv_lam, inv_lam_g, nu_C, nu_D
 
 
@@ -721,8 +727,8 @@ def k_ground(p, r_grid=None, t_grid=None, weights=None, scenario="S1",
     lam_g = weights.lam_ground if weights.lam_ground is not None else weights.lam
     if lam_g is None:
         raise ValueError("weights.lam_ground (or lam) is required")
+    inv = 1.0 / _per_point(p, lam_g)
     geom = _geometry(p, r_grid, t_grid, route, erosion, geometry)
-    inv = 1.0 / lam_g
     ones = np.ones(p.n)
     denom = _denominator(geom, scenario, ones, ones, inv, inv, 1.0, 1.0)
     values = _k_values(geom, inv[geom.I] * inv[geom.J], ones, ones, denom)
@@ -751,7 +757,7 @@ def k_measure_hat(p, C, D, E, weights, return_report=False):
         lam = weights.lam if weights.lam is not None else weights._require(
             "lam_ground", "measure estimation on an unmarked pattern"
         )
-    inv = 1.0 / lam
+    inv = 1.0 / _per_point(p, lam)
     I, J = _pairs_brute(p, t_c)
     total = 0.0
     if I.size:

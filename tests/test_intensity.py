@@ -168,6 +168,29 @@ class TestMarkedEstimator:
         with pytest.raises(ValueError, match="mark"):
             est.at(np.array([[0.5, 0.5]]), np.array([0.5]))
 
+    @pytest.mark.parametrize("setup, marks, mark", [
+        ("marked", "labels", 0.0),
+        ("marked", "labels", 99.0),
+        ("marked", "labels", 1.5),
+        ("marked", "interval", -0.1),
+        ("S1", "labels", 0.0),
+        ("S1", "labels", 3.0),
+        ("S2", "labels", 0.0),
+        ("S3", "labels", 3.0),
+        ("S1", "interval", 1.5),
+        ("S3", "interval", -0.1),
+    ])
+    def test_marks_outside_the_mark_space_rejected(self, setup, marks, mark):
+        # label 0 used to index label k from the end and label k+1 raised
+        # IndexError; interval marks were evaluated in the edge cell
+        p = uniform_pattern(10, seed=39, marks=marks)
+        est = voronoi_marked(p) if setup == "marked" else voronoi_separable(p, setup)
+        x, t = np.array([[0.5, 0.5], [0.2, 0.3]]), np.array([0.5, 0.4])
+        inside = p.marks[:2]
+        assert np.all(np.isfinite(est.at(x, t, inside)))
+        with pytest.raises(ValueError, match="mark space"):
+            est.at(x, t, np.array([inside[0], mark]))
+
     def test_evaluation_matches_own_weights(self):
         p = uniform_pattern(10, seed=39)
         est = voronoi_marked(p)
@@ -276,6 +299,15 @@ class TestMassAudit:
         est = voronoi_ground(p)
         coarse = estimate_mass(est, Quadrature(n_space=24, n_time=24))
         assert coarse == pytest.approx(15.0, rel=0.05)
+        # the separable setups audit their quadrature-built factors (spatial,
+        # time-mark) at the override too; the exact factors need no grid
+        marked = uniform_pattern(15, seed=50)
+        override = Quadrature(n_space=24, n_time=24, n_space_only=16, n_time_tm=16, n_mark_tm=16)
+        for setup in ("S1", "S2", "S3"):
+            est = voronoi_separable(marked, setup)
+            coarse = estimate_mass(est, override)
+            assert coarse == pytest.approx(15.0, rel=0.05), setup
+            assert coarse != estimate_mass(est), setup
 
     def test_unsupported_object_rejected(self):
         with pytest.raises(TypeError):

@@ -27,6 +27,7 @@ import numpy as np
 from mstpp.geometry import Window
 from mstpp.intensity import (
     Quadrature,
+    QuadratureError,
     VoronoiEstimate,
     estimate_mass,
     voronoi_ground,
@@ -156,7 +157,7 @@ def _cells(est):
 def _error(build):
     try:
         build()
-    except Exception as e:  # noqa: BLE001 - the message is the recorded value
+    except (ValueError, TypeError, QuadratureError) as e:
         return f"{type(e).__name__}: {e}"
     return "no error"
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import mstpp.cli as cli
+from mstpp.intensity import Quadrature
 from mstpp.pattern import LabelSet
 
 from .conftest import uniform_pattern
@@ -34,6 +35,13 @@ def test_tracer_installs_and_restores_every_name():
     assert {("mstpp.inference", "pair_geometry"), ("mstpp.inference", "_default_builder"),
             ("mstpp.inference", "permute_marks"), ("mstpp.second_order", "pair_geometry"),
             ("mstpp.cli", "k_stationary"), ("mstpp.cli", "random_labelling_test")} <= names
+    # the estimators at every name their callers look up, and the `at` that
+    # each estimate class defines itself (one inherited from a base class
+    # cannot be wrapped per class)
+    assert {("mstpp.cli", "voronoi_ground"), ("mstpp.intensity", "voronoi_ground"),
+            ("mstpp.inference", "voronoi_ground"), ("mstpp.cli", "voronoi_marked"),
+            ("mstpp.cli", "voronoi_separable"), ("mstpp.cli", "estimate_mass"),
+            ("VoronoiEstimate", "at"), ("SeparableIntensity", "at")} <= names
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, attr
 
@@ -56,3 +64,30 @@ def test_traced_k_family_calls_account_for_their_time():
     assert [s[0] for s in tracer.spans].count("second_order.geometry") == 2
     assert metrics["inference.perms"] == 3.0
     assert metrics["pattern.permute_s"] > 0.0
+
+
+def test_traced_intensity_builds_count_generators_and_node_evaluations():
+    p = uniform_pattern(30, seed=6, marks="labels")  # distinct x and t, labels {1, 2}
+    q = Quadrature(n_space=8, n_time=6, n_space_only=16, n_time_tm=128, chunk=100)
+    x, t, m = p.x[:4], p.t[:4], p.marks[:4]
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        def intensity():
+            for est in (cli.voronoi_marked(p, q), cli.voronoi_separable(p, "S3", quadrature=q)):
+                est.at(x, t, m)
+                cli.estimate_mass(est)
+
+        tracer.call("cli.intensity", intensity, (), {})
+    finally:
+        tracer.uninstall()
+    metrics, errors = tracer.layer_metrics()
+    assert errors == []
+    spans = [s[0] for s in tracer.spans]
+    assert spans.count("intensity.eval") == 2 and spans.count("intensity.audit") == 2
+    assert (metrics["intensity.builds"], metrics["intensity.failed"],
+            metrics["intensity.refined"]) == (2.0, 0.0, 0.0)
+    # 30 generators in each of the marked, spatial and time-mark tessellations;
+    # their nodes: 8^2 x 6 space-time x 2 labels, 16^2 spatial, 128 times x 2 labels
+    assert metrics["intensity.generators"] == 90.0
+    assert metrics["intensity.node_gen_evals"] == 30 * (8**2 * 6 * 2 + 16**2 + 128 * 2)

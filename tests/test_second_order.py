@@ -424,10 +424,23 @@ class TestEngineInvariances:
          "unmarked"),
         (lambda p, w: k_smoothed(p, C_HALF, D_HALF, R_GRID, T_GRID,
                                  lambda q, keep: w, scenario=9), "scenario"),
+        (lambda p, w: k_inhom(p, C_HALF, D_HALF, R_GRID, T_GRID,
+                              Weights(lam=np.ones(5))), "one value per point"),
+        (lambda p, w: k_inhom(p, C_HALF, D_HALF, R_GRID, T_GRID,
+                              Weights(lam=w.lam, lam_ground=np.ones(p.n + 1)),
+                              scenario="S3"), "one value per point"),
+        (lambda p, w: k_ground(p, R_GRID, T_GRID, Weights(lam_ground=np.ones(5))),
+         "one value per point"),
+        (lambda p, w: k_cross_multitype(
+            p.with_marks((np.arange(p.n) % 2 + 1.0), LabelMarks(k=2)), 1, 2, R_GRID, T_GRID,
+            Weights(lam=np.ones(5))), "one value per point"),
+        (lambda p, w: k_measure_hat(p, None, None, CylinderSet(0.1, 0.1),
+                                    Weights(lam=np.ones(5))), "one value per point"),
     ], ids=["inhom-weights", "inhom-lam_ground", "inhom-zero-mass", "inhom-scenario",
             "directional-weights", "directional-lam_ground", "directional-zero-mass",
             "ground-scenario", "cross-labels", "stationary-unmarked",
-            "smoothed-scenario"])
+            "smoothed-scenario", "inhom-lam-length", "inhom-lam_ground-length",
+            "ground-length", "cross-length", "measure-length"])
     def test_bad_arguments_fail_before_any_work(self, small_marked, monkeypatch,
                                                 call, match):
         def no_work(*args, **kw):
