@@ -161,7 +161,7 @@ def _mark_axis(mark_space, marks, n_mark, offset=0.5):
 
 def _checked_marks(mark_space, m):
     m = np.asarray(m, dtype=float).ravel()
-    if not np.all(mark_space.mark_mask(m)):
+    if not mark_space.contains_mark(m):
         raise ValueError("evaluation marks must lie in the mark space")
     return m
 
