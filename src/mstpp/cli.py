@@ -272,20 +272,27 @@ def _markset_from(spec):
     raise ConfigError(f"bad mark set {spec!r}: expected all, interval,.. or labels,..")
 
 
+_QUAD_KEYS = {
+    "quad_space": "n_space",
+    "quad_time": "n_time",
+    "quad_mark": "n_mark",
+    "quad_space_only": "n_space_only",
+    "quad_time_tm": "n_time_tm",
+    "quad_mark_tm": "n_mark_tm",
+}
+
+
 def _quadrature_from(cfg):
-    overrides = {
-        "n_space": cfg.get("quad_space", 0),
-        "n_time": cfg.get("quad_time", 0),
-        "n_mark": cfg.get("quad_mark", 0),
-        "n_space_only": cfg.get("quad_space_only", 0),
-        "n_time_tm": cfg.get("quad_time_tm", 0),
-        "n_mark_tm": cfg.get("quad_mark_tm", 0),
-    }
+    """Quadrature from the quad_* keys; a key left at 0 keeps its default."""
+    for key in _QUAD_KEYS:
+        if cfg.get(key, 0) < 0:
+            raise ConfigError(f"key {key!r}: expected a positive integer (0: the default), "
+                              f"got {cfg[key]}")
+    overrides = {field: cfg.get(key, 0) for key, field in _QUAD_KEYS.items()}
     if not any(overrides.values()):
         return None
     base = Quadrature()
-    kwargs = {k: (v if v else getattr(base, k)) for k, v in overrides.items()}
-    return Quadrature(**kwargs)
+    return Quadrature(**{f: (v if v else getattr(base, f)) for f, v in overrides.items()})
 
 
 def _load_pattern(cfg):
@@ -353,8 +360,8 @@ def _build_estimate(p, estimator, quad, euclidean_tm):
 
 
 def cmd_intensity(cfg, out_dir, seed, threads):
-    p = _load_pattern(cfg)
     quad = _quadrature_from(cfg)
+    p = _load_pattern(cfg)
     estimator = cfg["estimator"]
     est = _build_estimate(p, estimator, quad, cfg["euclidean_tm"])
 

@@ -19,6 +19,27 @@ the tessellation has one) serves both the build, which bins the node
 volumes into cells, and the mass audit, which sums the estimate over the
 same grid shifted by ``AUDIT_OFFSET``.
 
+The search is exact but pruned. Each chunk of query rows is cut into small
+tiles of nearby rows (Z-order over the chunk's bounding box). For every
+generator, the metric is bounded from below at the tile box's nearest
+point (each coordinate clamped to the box) and from above at its farthest
+corner, with the same per-group sums, maximum and mark join as the
+metric itself. Only generators whose lower bound is <= the smallest upper
+bound are searched, in increasing index order, by the same first-
+occurrence argmin as a search over all generators. This is exact in
+floating point, not only in exact arithmetic: subtraction, squaring,
+summation, maximum, square root and addition are all monotone under
+rounding, so the computed distance from any row of the tile to a
+generator lies between that generator's computed bounds. A generator
+left out therefore lies strictly farther from every row than the
+generator with the smallest upper bound, so it can neither be the nearest
+nor tie with it. The distances that are computed are the same operations
+on the same operands as in a full search, labels are written back in node
+order, and every reduction adds in node order, so results are
+bit-identical to comparing every node with every generator. Under a mark
+axis each chunk is tiled and its space part bounded once; each mark node
+then only joins its mark distance to those bounds.
+
 Estimator variants
 ------------------
 voronoi_ground
@@ -42,7 +63,7 @@ identity: the sum of 1/est over the pattern's own points equals the total
 reference measure of the domain, exactly under the built quadrature.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -63,6 +84,8 @@ INTENSITY_FLOOR = 1e-12
 # offset fraction for the independent mass-audit grid (any fixed value
 # away from the build grid's 0.5 works; this one is (3 - sqrt(5))/2)
 AUDIT_OFFSET = 0.3819660112501051
+# query rows per tile of the pruned nearest-generator search
+_TILE = 64
 
 
 class QuadratureError(RuntimeError):
@@ -89,6 +112,8 @@ class Quadrature:
         Axis resolutions for the joint time-mark tessellation of setup S3.
     chunk : int
         Nodes per processing chunk (memory knob, no effect on results).
+
+    Every field must be a positive integer (ValueError otherwise).
     """
 
     n_space: int = 56
@@ -98,6 +123,12 @@ class Quadrature:
     n_time_tm: int = 128
     n_mark_tm: int = 128
     chunk: int = 8192
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+                raise ValueError(f"quadrature {f.name} must be a positive integer, got {v!r}")
 
     def refined(self):
         return Quadrature(
@@ -159,6 +190,14 @@ def _mark_axis(mark_space, marks, n_mark, offset=0.5):
     return nodes, np.full(nodes.shape, w)
 
 
+def _checked_coords(x, t):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    t = np.asarray(t, dtype=float).ravel()
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(t))):
+        raise ValueError("evaluation coordinates must be finite")
+    return x, t
+
+
 def _checked_marks(mark_space, m):
     m = np.asarray(m, dtype=float).ravel()
     if not mark_space.contains_mark(m):
@@ -185,48 +224,116 @@ def _space_time_metric(p, marked):
     return (p.dim, 1), (_mark_join(p.mark_space) if marked else None)
 
 
-def _sq_dists(block, gens):
-    """Squared Euclidean distances accumulated one coordinate at a time —
-    the same summation order as reducing stacked differences, so results
-    are bit-identical, without materializing the 3-d intermediate."""
-    d2 = (block[:, 0, None] - gens[None, :, 0]) ** 2
-    for k in range(1, block.shape[1]):
-        d2 += (block[:, k, None] - gens[None, :, k]) ** 2
-    return d2
-
-
-def _space_part(metric, block, gens):
+def _space_part(metric, diff):
     """The metric before the mark joins: max over the coordinate groups of
-    the squared distance within each (only those leading columns are read),
-    rooted when the mark is added."""
+    the squared distance within each, rooted when the mark is added.
+    ``diff(k)`` gives the differences in coordinate k; the squares are
+    accumulated one coordinate at a time in column order."""
     groups, join = metric
     d2, col = None, 0
     for size in groups:
-        sq = _sq_dists(block[:, col : col + size], gens[:, col : col + size])
+        sq = diff(col) ** 2
+        for k in range(col + 1, col + size):
+            sq += diff(k) ** 2
         d2 = sq if d2 is None else np.maximum(d2, sq, out=d2)
         col += size
     return np.sqrt(d2) if join == "add" else d2
 
 
-def _join_mark(join, part, dm, out):
+def _join_mark(join, part, dm, out=None):
     """Join absolute mark differences ``dm`` to the space part."""
     if join == "add":
         return np.add(part, dm, out=out)
     return np.maximum(part, dm * dm, out=out)
 
 
+def _tiles(block):
+    """``block`` cut into tiles of nearby rows: their positions (B, T) and
+    their coordinates, coordinate-major (c, B, T). Rows go in Z-order over
+    an 8-bit grid on the block's bounding box, with one scale for every
+    coordinate (the metric compares them in their own units); the last
+    tile is padded by repeating its final row."""
+    n, c = block.shape
+    cols = np.ascontiguousarray(block.T)
+    lo = cols.min(axis=1)
+    span = np.max(cols.max(axis=1) - lo)
+    cells = ((cols - lo[:, None]) * (255.0 / span if span > 0 else 0.0)).astype(np.intp)
+    v = np.arange(256)
+    spread = sum(((v >> b) & 1) << (b * c) for b in range(8))
+    order = np.argsort(sum(spread[cells[k]] << k for k in range(c)))
+    size = min(_TILE, n)
+    pos = np.concatenate([order, np.repeat(order[-1:], -n % size)]).reshape(-1, size)
+    return pos, cols[:, pos]
+
+
+def _box_bounds(metric, tiles, gt):
+    """Lower and upper bounds of the metric from each tile's bounding box to
+    every generator, (B, n), from the coordinate differences to the box's
+    nearest point (each coordinate clamped) and to its farthest corner.
+    Rounding is monotone, so they bound every row's computed distance.
+    Generators are coordinate-major, ``gt`` (c, n). Without a mark
+    coordinate in ``tiles`` the bounds are of the space part."""
+    rows = tiles.reshape(-1, tiles.shape[2])  # 2-d: numpy reduces these rows faster
+    lo, hi = (a.reshape(tiles.shape[:2]) for a in (rows.min(axis=1), rows.max(axis=1)))
+    near, far = [], []
+    for k in range(tiles.shape[0]):
+        below = gt[k] - lo[k, :, None]
+        above = hi[k, :, None] - gt[k]
+        far.append(np.maximum(below, above))
+        near.append(np.maximum(-np.minimum(below, above), 0.0))
+    marked = metric[1] is not None and tiles.shape[0] > sum(metric[0])
+    return tuple(
+        _join_mark(metric[1], _space_part(metric, b.__getitem__), b[-1]) if marked
+        else _space_part(metric, b.__getitem__)
+        for b in (near, far)
+    )
+
+
+def _tile_labels(metric, tiles, gt, lb, ub, z=None):
+    """Nearest generator of every tile row, searched among the candidates:
+    the generators whose lower bound is <= the tile's smallest upper bound,
+    in increasing index order, so argmin's first occurrence is the lowest
+    index among ties. Tiles go in batches of similar candidate counts, each
+    row padded with its first candidate, which a later position never
+    beats. The mark is the last coordinate of ``tiles`` or, for a mark node
+    of a sweep, ``z``."""
+    keep = lb <= ub.min(axis=1, keepdims=True)
+    out = np.empty(tiles.shape[1:], dtype=np.intp)
+    counts = np.count_nonzero(keep, axis=1)
+    order = np.argsort(counts, kind="stable")
+    counts = counts[order]
+    start = 0
+    while start < order.size:
+        stop = np.searchsorted(counts, 2 * counts[start], side="right")
+        sel, k = order[start:stop], counts[start:stop]
+        start = stop
+        rows, cols = np.nonzero(keep[sel])
+        first = np.cumsum(k) - k
+        idx = np.repeat(cols[first], k[-1]).reshape(sel.size, -1)
+        idx[rows, np.arange(rows.size) - first[rows]] = cols
+        q, cand = tiles[:, sel], gt[:, idx]
+
+        def diff(col):
+            return q[col][:, :, None] - cand[col][:, None, :]
+
+        d = _space_part(metric, diff)
+        if metric[1] is not None:
+            dm = np.abs(diff(-1) if z is None else z - cand[-1][:, None, :])
+            d = _join_mark(metric[1], d, dm, d)
+        out[sel] = np.take_along_axis(idx, np.argmin(d, axis=2), axis=1)
+    return out
+
+
 def _nearest(metric, queries, gens, chunk):
     """Index of each query row's nearest generator row, ``chunk`` queries at
-    a time; the mark, if the metric has one, is the last column. argmin
-    keeps the first occurrence, so ties go to the lowest generator index."""
-    join = metric[1]
+    a time; the mark, if the metric has one, is the last column. Ties go to
+    the lowest generator index."""
+    gt = np.ascontiguousarray(gens.T)
     labels = np.empty(queries.shape[0], dtype=np.intp)
     for start in range(0, queries.shape[0], chunk):
-        block = queries[start : start + chunk]
-        d = _space_part(metric, block, gens)
-        if join is not None:
-            d = _join_mark(join, d, np.abs(block[:, -1, None] - gens[None, :, -1]), d)
-        labels[start : start + chunk] = np.argmin(d, axis=1)
+        pos, tiles = _tiles(queries[start : start + chunk])
+        lb, ub = _box_bounds(metric, tiles, gt)
+        labels[start + pos] = _tile_labels(metric, tiles, gt, lb, ub)
     return labels
 
 
@@ -234,19 +341,24 @@ def _sweep(metric, gens, grid, chunk):
     """(nearest-generator labels, mark weight) blocks over a grid's nodes
     times its mark axis. A grid is (nodes, volume element, mark axis or
     None). Without a mark axis there is one block, of weight 1.0; with one,
-    the space part is computed once per chunk and reused for every mark
-    node (chunks outer, mark nodes inner)."""
+    each chunk is tiled and its space part bounded once for every mark node
+    (chunks outer, mark nodes inner)."""
     nodes, _, mark_axis = grid
     if mark_axis is None:
         yield _nearest(metric, nodes, gens, chunk), 1.0
         return
-    gm = gens[:, -1]
+    join, gt = metric[1], np.ascontiguousarray(gens.T)
     for start in range(0, nodes.shape[0], chunk):
-        part = _space_part(metric, nodes[start : start + chunk], gens)
-        buf = np.empty_like(part)
+        block = nodes[start : start + chunk]
+        pos, tiles = _tiles(block)
+        lb, ub = _box_bounds(metric, tiles, gt)
         for z, wj in zip(*mark_axis):
-            d = _join_mark(metric[1], part, np.abs(z - gm)[None, :], buf)
-            yield np.argmin(d, axis=1), wj
+            dm = np.abs(z - gt[-1])
+            labels = np.empty(block.shape[0], dtype=np.intp)
+            labels[pos] = _tile_labels(
+                metric, tiles, gt, _join_mark(join, lb, dm), _join_mark(join, ub, dm), z
+            )
+            yield labels, wj
 
 
 def _cell_measures(metric, gens, grid, chunk):
@@ -348,9 +460,9 @@ class VoronoiEstimate(_Floored):
         return self._floor_values(vals)
 
     def at(self, x, t, m=None):
-        """Evaluate at arbitrary locations (arrays); marked estimates
+        """Evaluate at arbitrary finite locations (arrays); marked estimates
         require the mark coordinate, inside the mark space."""
-        cols = [np.atleast_2d(np.asarray(x, dtype=float)), np.asarray(t, dtype=float).ravel()]
+        cols = list(_checked_coords(x, t))
         if self.kind == "marked":
             if m is None:
                 raise ValueError("marked estimate needs mark coordinates")
@@ -568,10 +680,9 @@ class SeparableIntensity(_Floored):
     floor_hits: int = field(default=0, compare=False)
 
     def at(self, x, t, m):
-        """Evaluate at arbitrary space-time-mark locations (marks inside
-        the mark space)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        t = np.asarray(t, dtype=float).ravel()
+        """Evaluate at arbitrary finite space-time-mark locations (marks
+        inside the mark space)."""
+        x, t = _checked_coords(x, t)
         m = _checked_marks(self.pattern.mark_space, m)
         coords = {"spatial": (x,), "temporal": (t,), "mark": (m,), "timemark": (t, m)}
         return self._floor_values(self._product({

@@ -14,6 +14,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -253,6 +254,25 @@ class MarkedPattern:
         if marks is not None:
             self.marks.setflags(write=False)
 
+    @classmethod
+    def _trusted(cls, x, t, marks, window, mark_space):
+        """A pattern from fields already known to be valid and simple,
+        without the checks; the arrays become read-only and are not
+        copied."""
+        p = object.__new__(cls)
+        for name, value in zip(("x", "t", "marks", "window", "mark_space"),
+                               (x, t, marks, window, mark_space)):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(p, name, value)
+        return p
+
+    @cached_property
+    def _distinct_locations(self):
+        """Whether no two points share a location (x, t); computed once."""
+        rows = np.column_stack([self.x, self.t])
+        return rows.shape[0] < 2 or np.unique(rows, axis=0).shape[0] == rows.shape[0]
+
     @property
     def n(self):
         return self.x.shape[0]
@@ -430,6 +450,9 @@ def permute_marks(p, seed=None):
         raise ValueError("mark permutation needs at least two points")
     rng = np.random.default_rng(seed)
     marks = p.marks[rng.permutation(p.n)]
-    return MarkedPattern(
-        x=p.x, t=p.t, marks=marks, window=p.window, mark_space=p.mark_space
-    )
+    if not p._distinct_locations:
+        return MarkedPattern(
+            x=p.x, t=p.t, marks=marks, window=p.window, mark_space=p.mark_space
+        )
+    # permuted valid marks over distinct locations: valid and simple
+    return MarkedPattern._trusted(p.x.copy(), p.t.copy(), marks, p.window, p.mark_space)

@@ -177,3 +177,76 @@ def wedge_contains(dx, phi, psi):
         if phi - 1e-15 <= a <= psi + 1e-15:
             return True
     return False
+
+
+# --------------------------------------------------------------------------
+# brute nearest-generator search: every query against every generator
+#
+# The library's search before it pruned generators by tile bounding boxes,
+# kept verbatim as the reference for the pruned search. A metric is
+# (groups, join) as in mstpp.intensity.
+# --------------------------------------------------------------------------
+
+
+def _sq_dists(block, gens):
+    """Squared Euclidean distances accumulated one coordinate at a time —
+    the same summation order as reducing stacked differences, so results
+    are bit-identical, without materializing the 3-d intermediate."""
+    d2 = (block[:, 0, None] - gens[None, :, 0]) ** 2
+    for k in range(1, block.shape[1]):
+        d2 += (block[:, k, None] - gens[None, :, k]) ** 2
+    return d2
+
+
+def _space_part(metric, block, gens):
+    """The metric before the mark joins: max over the coordinate groups of
+    the squared distance within each (only those leading columns are read),
+    rooted when the mark is added."""
+    groups, join = metric
+    d2, col = None, 0
+    for size in groups:
+        sq = _sq_dists(block[:, col : col + size], gens[:, col : col + size])
+        d2 = sq if d2 is None else np.maximum(d2, sq, out=d2)
+        col += size
+    return np.sqrt(d2) if join == "add" else d2
+
+
+def _join_mark(join, part, dm, out):
+    """Join absolute mark differences ``dm`` to the space part."""
+    if join == "add":
+        return np.add(part, dm, out=out)
+    return np.maximum(part, dm * dm, out=out)
+
+
+def nearest_oracle(metric, queries, gens, chunk):
+    """Index of each query row's nearest generator row, ``chunk`` queries at
+    a time; the mark, if the metric has one, is the last column. argmin
+    keeps the first occurrence, so ties go to the lowest generator index."""
+    join = metric[1]
+    labels = np.empty(queries.shape[0], dtype=np.intp)
+    for start in range(0, queries.shape[0], chunk):
+        block = queries[start : start + chunk]
+        d = _space_part(metric, block, gens)
+        if join is not None:
+            d = _join_mark(join, d, np.abs(block[:, -1, None] - gens[None, :, -1]), d)
+        labels[start : start + chunk] = np.argmin(d, axis=1)
+    return labels
+
+
+def sweep_oracle(metric, gens, grid, chunk):
+    """(nearest-generator labels, mark weight) blocks over a grid's nodes
+    times its mark axis. A grid is (nodes, volume element, mark axis or
+    None). Without a mark axis there is one block, of weight 1.0; with one,
+    the space part is computed once per chunk and reused for every mark
+    node (chunks outer, mark nodes inner)."""
+    nodes, _, mark_axis = grid
+    if mark_axis is None:
+        yield nearest_oracle(metric, nodes, gens, chunk), 1.0
+        return
+    gm = gens[:, -1]
+    for start in range(0, nodes.shape[0], chunk):
+        part = _space_part(metric, nodes[start : start + chunk], gens)
+        buf = np.empty_like(part)
+        for z, wj in zip(*mark_axis):
+            d = _join_mark(metric[1], part, np.abs(z - gm)[None, :], buf)
+            yield np.argmin(d, axis=1), wj

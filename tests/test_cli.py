@@ -116,6 +116,11 @@ class TestConfigParsing:
         assert quad.n_space == 24 and quad.n_time == 12
         assert quad.n_mark == 14  # untouched default
 
+    @pytest.mark.parametrize("key", ["quad_space", "quad_mark_tm"])
+    def test_negative_quadrature_override_rejected(self, key):
+        with pytest.raises(ConfigError, match=key):
+            _quadrature_from({key: -3})
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
@@ -142,6 +147,17 @@ class TestExitCodes:
         res = run_cli("k", "--config", cfg, "--out", str(tmp_path / "o"))
         assert res.returncode == 3
         assert "numerical failure" in res.stderr
+
+    def test_negative_quadrature_is_2_before_loading(self, tmp_path):
+        # the catalog does not exist: loading it first would exit 1
+        cfg = write_config(
+            tmp_path / "c.txt",
+            f"input = {tmp_path / 'missing.csv'}\n{CATALOG_KEYS}marks = interval,0,1\n"
+            "quad_space = -3",
+        )
+        res = run_cli("intensity", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert res.returncode == 2, res.stderr
+        assert "config error" in res.stderr and "quad_space" in res.stderr
 
     def test_bad_scenario_is_2(self, tmp_path, marked_catalog):
         cfg = write_config(

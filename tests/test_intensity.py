@@ -26,6 +26,20 @@ def single_point(window=UNIT, marks=None, mark_space=None):
     return pattern_from_arrays(x, t, marks, window, mark_space)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("chunk", 0), ("n_space", 0), ("n_time", -2), ("n_mark", 2.5),
+    ("n_space_only", True), ("n_time_tm", "8"), ("n_mark_tm", None),
+])
+def test_quadrature_fields_must_be_positive_integers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+        Quadrature(**{field: value})
+
+
+def test_quadrature_accepts_numpy_integers():
+    quad = Quadrature(n_space=np.int64(8), chunk=np.int32(1))
+    assert quad.refined().n_space == 16
+
+
 class TestGroundEstimator:
     def test_single_point_reciprocal_window_volume(self):
         box = Window(spatial=((0.0, 2.0), (0.0, 2.0)), temporal=(0.0, 2.0))
@@ -190,6 +204,21 @@ class TestMarkedEstimator:
         assert np.all(np.isfinite(est.at(x, t, inside)))
         with pytest.raises(ValueError, match="mark space"):
             est.at(x, t, np.array([inside[0], mark]))
+
+    @pytest.mark.parametrize("setup", ["ground", "marked", "S1", "S3"])
+    @pytest.mark.parametrize("bad", ["x", "t"])
+    def test_non_finite_coordinates_rejected(self, setup, bad):
+        p = uniform_pattern(10, seed=39)
+        builders = {"ground": voronoi_ground, "marked": voronoi_marked}
+        est = builders.get(setup, lambda p: voronoi_separable(p, setup))(p)
+        x, t = np.array([[0.5, 0.5], [0.2, 0.3]]), np.array([0.5, 0.4])
+        if bad == "x":
+            x[1, 0] = np.nan
+        else:
+            t[0] = np.inf
+        args = (x, t) if setup == "ground" else (x, t, p.marks[:2])
+        with pytest.raises(ValueError, match="finite"):
+            est.at(*args)
 
     def test_evaluation_matches_own_weights(self):
         p = uniform_pattern(10, seed=39)

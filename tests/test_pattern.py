@@ -7,6 +7,7 @@ from mstpp.pattern import (
     ContinuousMarks,
     LabelMarks,
     LabelSet,
+    MarkedPattern,
     MarkInterval,
     full_mark_set,
     load_catalog,
@@ -321,6 +322,26 @@ class TestPermuteMarks:
         )
         with pytest.raises(ValueError):
             permute_marks(p)
+
+    def test_distinct_locations_checked_once(self, monkeypatch):
+        # permuting marks over distinct locations cannot make two points
+        # coincide, so only the source pattern's first permutation checks
+        p = uniform_pattern(40, seed=23, marks="labels")
+        first = permute_marks(p, seed=1)
+
+        def no_unique(*args, **kwargs):
+            raise AssertionError("simplicity re-checked")
+
+        monkeypatch.setattr(np, "unique", no_unique)
+        q = permute_marks(p, seed=1)
+        monkeypatch.undo()
+        full = MarkedPattern(q.x, q.t, q.marks, q.window, q.mark_space)
+        for a, b, c in ((q.x, first.x, full.x), (q.t, first.t, full.t),
+                        (q.marks, first.marks, full.marks)):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+            assert not a.flags.writeable
+        assert not np.shares_memory(q.x, p.x) and not np.shares_memory(q.t, p.t)
+        assert not np.shares_memory(q.marks, p.marks)
 
 
 class TestSimplenessInvariant:
