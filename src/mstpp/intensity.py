@@ -257,7 +257,7 @@ def _tiles(block):
     cols = np.ascontiguousarray(block.T)
     lo = cols.min(axis=1)
     span = np.max(cols.max(axis=1) - lo)
-    cells = ((cols - lo[:, None]) * (255.0 / span if span > 0 else 0.0)).astype(np.intp)
+    cells = ((cols - lo[:, None]) / (span if span > 0 else 1.0) * 255.0).astype(np.intp)
     v = np.arange(256)
     spread = sum(((v >> b) & 1) << (b * c) for b in range(8))
     order = np.argsort(sum(spread[cells[k]] << k for k in range(c)))

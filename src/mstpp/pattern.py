@@ -271,7 +271,7 @@ class MarkedPattern:
     def _distinct_locations(self):
         """Whether no two points share a location (x, t); computed once."""
         rows = np.column_stack([self.x, self.t])
-        return rows.shape[0] < 2 or np.unique(rows, axis=0).shape[0] == rows.shape[0]
+        return np.unique(rows, axis=0).shape[0] == rows.shape[0]
 
     @property
     def n(self):
