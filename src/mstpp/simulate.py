@@ -1,9 +1,17 @@
 """
 Generators for the benchmark models and their building blocks:
 inhomogeneous Poisson processes (dominating-rate thinning), Gaussian
-random fields on regular grids (dense factorization), log-Gaussian Cox
-processes, iid and geostatistical marking schemes, and superposition of
-components into a multitype pattern.
+random fields on regular grids, log-Gaussian Cox processes, iid and
+geostatistical marking schemes, and superposition of components into a
+multitype pattern.
+
+A grid field has a separable covariance, so its lattice covariance is the
+Kronecker product C_S (x) C_T of a spatial and a temporal factor. It is
+drawn through the symmetric square root of that product, built from the
+eigendecompositions of the two small factors (the Kronecker eigen-trick,
+Saatci 2012), and no matrix over all grid cells is ever formed. The
+geostatistical marks are correlated at irregular points instead and use a
+dense Cholesky factor with a jitter ladder.
 
 All generators are pure functions of (inputs, seed) and safe to run
 concurrently with independent seeds.
@@ -50,7 +58,10 @@ JITTER_LADDER = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
 
 class FactorizationError(RuntimeError):
-    """Covariance matrix not positive definite after the jitter ladder."""
+    """A covariance that is not positive semidefinite: the dense factor of
+    the geostatistical marks still fails after the jitter ladder, or a
+    grid field's Kronecker covariance has an eigenvalue below
+    -JITTER_LADDER[-1]."""
 
 
 @dataclass(frozen=True)
@@ -135,12 +146,20 @@ class SeparableCovariance:
     def matrix(self, x, t):
         """Covariance matrix for points with spatial rows x (N, d) and
         times t (N,)."""
-        x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
-        diff = x[:, None, :] - x[None, :, :]
-        h = np.sqrt(np.sum(diff * diff, axis=2))
         u = np.abs(t[:, None] - t[None, :])
-        return self.value(h, u)
+        return self.value(_pairwise_distances(x), u)
+
+
+def _pairwise_distances(x):
+    """Euclidean distances between the rows of x (N, d). The squares are
+    summed axis by axis, so no (N, N, d) temporary is made."""
+    x = np.asarray(x, dtype=float)
+    d2 = np.zeros((x.shape[0], x.shape[0]))
+    for k in range(x.shape[1]):
+        diff = x[:, None, k] - x[None, :, k]
+        d2 += diff * diff
+    return np.sqrt(d2)
 
 
 @dataclass(frozen=True)
@@ -256,53 +275,108 @@ def _chol_with_jitter(cov):
     )
 
 
+def _grid_shape(shape):
+    # (nx, ny, nt) as Python ints, or ValueError
+    try:
+        dims = tuple(shape)
+    except TypeError:
+        dims = ()
+    if len(dims) != 3 or any(
+        isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1 for v in dims
+    ):
+        raise ValueError(f"grid shape must be three positive integers, got {shape!r}")
+    return tuple(int(v) for v in dims)
+
+
 @dataclass(frozen=True)
 class GRFSampler:
-    """Precomputed lattice Gaussian-field sampler: cell-center mean vector
-    plus the Cholesky factor of the covariance matrix. Building it is the
-    expensive step; ``sample`` is a matrix-vector product, so one sampler
-    serves any number of replicates."""
+    """Precomputed lattice Gaussian-field sampler for a separable
+    covariance. On the grid the covariance is the Kronecker product
+    C_S (x) C_T of the spatial factor over the nx * ny cell centres and
+    the temporal factor over the nt slice centres, so it is stored as
+    the eigenbases U_S, U_T of the two factors and the square roots R
+    (nx * ny, nt) of the product eigenvalues, clipped at 0. ``sample``
+    applies the symmetric square root C^(1/2) = U diag(R) U^T with
+    U = U_S (x) U_T to a standard normal draw without forming any
+    N x N matrix, so one sampler serves any number of replicates.
+
+    C^(1/2) is unique, so a draw does not depend on the basis LAPACK
+    picks inside degenerate eigenspaces (lattice symmetry, or a rank-1
+    temporal factor such as ``Constant``)."""
 
     window: Window
     shape: tuple
     mean: np.ndarray
-    factor: np.ndarray
-    jitter: float
+    space_basis: np.ndarray
+    time_basis: np.ndarray
+    root: np.ndarray
 
     @classmethod
     def build(cls, mean_fn, cov, shape, window):
-        nx, ny, nt = (int(s) for s in shape)
-        if nx * ny * nt > DENSE_CELL_GUARD:
+        """Evaluate the mean at the cell centres and eigendecompose both
+        covariance factors.
+
+        Raises
+        ------
+        ValueError
+            If ``shape`` is not three positive integers, ``cov`` is not a
+            SeparableCovariance, or either factor exceeds the dense guard
+            (8000 spatial cells or time slices). All three are checked
+            before any matrix is built.
+        FactorizationError
+            If a product eigenvalue is below -JITTER_LADDER[-1].
+        """
+        nx, ny, nt = _grid_shape(shape)
+        if not isinstance(cov, SeparableCovariance):
+            raise ValueError(f"cov must be a SeparableCovariance, got {type(cov).__name__}")
+        if max(nx * ny, nt) > DENSE_CELL_GUARD:
             raise ValueError(
-                f"grid has {nx * ny * nt} cells; dense guard is {DENSE_CELL_GUARD}"
+                f"grid has {nx * ny} spatial cells and {nt} time slices; "
+                f"dense guard is {DENSE_CELL_GUARD} for each"
             )
         grid = GridField(window=window, shape=(nx, ny, nt), values=np.zeros((nx, ny, nt)))
         cx, cy, ct = grid.cell_centers()
         mx, my, mt = np.meshgrid(cx, cy, ct, indexing="ij")
-        xs = np.column_stack([mx.ravel(), my.ravel()])
-        ts = mt.ravel()
-        mean = np.asarray(mean_fn(xs[:, 0], xs[:, 1], ts), dtype=float)
-        cov_mat = cov.matrix(xs, ts)
-        factor, jitter = _chol_with_jitter(cov_mat)
-        return cls(window=window, shape=(nx, ny, nt), mean=mean, factor=factor,
-                   jitter=jitter)
+        mean = np.asarray(mean_fn(mx.ravel(), my.ravel(), mt.ravel()), dtype=float)
+        sx, sy = np.meshgrid(cx, cy, indexing="ij")
+        xs = np.column_stack([sx.ravel(), sy.ravel()])
+        space_cov = cov.spatial.value(_pairwise_distances(xs))
+        time_cov = cov.temporal.value(np.abs(ct[:, None] - ct[None, :]))
+        lam_s, u_s = np.linalg.eigh(space_cov)
+        lam_t, u_t = np.linalg.eigh(time_cov)
+        lam = lam_s[:, None] * lam_t[None, :]
+        if lam.min() < -JITTER_LADDER[-1]:
+            raise FactorizationError(
+                f"covariance not positive semidefinite: eigenvalue {lam.min():.3g} "
+                f"below {-JITTER_LADDER[-1]}"
+            )
+        return cls(window=window, shape=(nx, ny, nt), mean=mean, space_basis=u_s,
+                   time_basis=u_t, root=np.sqrt(np.maximum(lam, 0.0)))
 
     def sample(self, seed=None):
         rng = np.random.default_rng(seed)
-        z = self.factor @ rng.standard_normal(self.mean.size)
-        nx, ny, nt = self.shape
+        return self._field(rng.standard_normal(self.mean.size))
+
+    def _field(self, z):
+        # mean + C^(1/2) z for z (N,) in grid order; as a matrix, z has one
+        # row per spatial cell and one column per time slice
+        z = np.reshape(z, self.root.shape)
+        u_s, u_t = self.space_basis, self.time_basis
+        z = u_s @ ((u_s.T @ z @ u_t) * self.root) @ u_t.T
         return GridField(window=self.window, shape=self.shape,
-                         values=(self.mean + z).reshape(nx, ny, nt))
+                         values=(self.mean + z.ravel()).reshape(self.shape))
 
 
 def sim_grf(mean_fn, cov, shape, window, seed=None):
-    """Exact Gaussian random field draw on a regular (nx, ny, nt) grid by
-    dense factorization of the covariance matrix.
+    """Exact Gaussian random field draw on a regular (nx, ny, nt) grid
+    through the symmetric square root of the lattice covariance
+    C_S (x) C_T (see ``GRFSampler``).
 
     ``mean_fn(x, y, t)`` is evaluated vectorized at cell centers;
-    ``cov`` is a SeparableCovariance. Grids above the dense guard
-    (8000 cells) are refused. For repeated draws build a ``GRFSampler``
-    once and call its ``sample`` instead.
+    ``cov`` is a SeparableCovariance. Grids with more than 8000 spatial
+    cells (nx * ny) or time slices are refused by the dense guard. For
+    repeated draws build a ``GRFSampler`` once and call its ``sample``
+    instead.
     """
     return GRFSampler.build(mean_fn, cov, shape, window).sample(seed)
 
@@ -314,9 +388,10 @@ def sim_lgcp(mean_fn=None, cov=None, shape=None, window=None, seed=None,
     Poisson counts per cell with uniform placement inside each cell.
 
     The discretization error is O(cell diameter). Returns a ground pattern.
-    Pass a prebuilt ``sampler`` (GRFSampler) to amortize the factorization
-    across replicates; otherwise one is built from (mean_fn, cov, shape,
-    window).
+    The field is ``sampler.sample`` on the first normal draws of the
+    seed's stream. Pass a prebuilt ``sampler`` (GRFSampler) to amortize
+    the two eigendecompositions across replicates; otherwise one is built
+    from (mean_fn, cov, shape, window).
     """
     if sampler is None:
         if mean_fn is None or cov is None or shape is None or window is None:
@@ -454,7 +529,9 @@ PRESET_NAMES = ("poisson-bernoulli", "lgcp-bernoulli", "bivariate", "lgcp-geosta
 
 # spatial Whittle-Matern (smoothness 0.5, inverse scale 1) times a constant
 # temporal factor; the constant factor makes the field constant in time per
-# location, which the PSD jitter (<= 1e-6) regularizes
+# location, so the lattice covariance has rank nx * ny. The Kronecker square
+# root needs no jitter for that: its negative rounding eigenvalues are
+# clipped at 0
 _BENCH_COV = SeparableCovariance(WhittleMatern(SIGMA2, 0.5, 1.0), Constant(1.0))
 
 
@@ -477,7 +554,7 @@ def lgcp_mean(slope, var_sign=-1.0):
 
 def preset_sampler(name, grf_shape=(16, 16, 16)):
     """Prebuild the Gaussian-field sampler behind an LGCP preset so repeated
-    ``simulate_preset`` calls can skip the covariance factorization."""
+    ``simulate_preset`` calls can skip the covariance eigendecompositions."""
     if name == "lgcp-bernoulli":
         return GRFSampler.build(lgcp_mean(-0.5), _BENCH_COV, grf_shape, UNIT_WINDOW)
     if name == "bivariate":
@@ -508,7 +585,7 @@ def simulate_preset(name, seed=None, grf_shape=(16, 16, 16), sampler=None):
         the full space-time location of each point.
 
     ``sampler``, if given, must come from ``preset_sampler(name, ...)`` and
-    replaces the per-call factorization for the preset's Cox component.
+    replaces the per-call sampler build for the preset's Cox component.
     """
     rng = np.random.default_rng(seed)
     if name == "poisson-bernoulli":

@@ -113,13 +113,14 @@ def voronoi_masses_oracle(p, n_space, n_time, chunk=200_000):
     space_nodes = np.column_stack([m.ravel() for m in mesh])
     vol = p.window.volume / (n_space ** p.dim * n_time)
     masses = np.zeros(p.n)
+    # the spatial distances are the same in every time slice
+    space_d = [np.sqrt(np.sum((space_nodes[s:s + chunk, None, :] - p.x[None, :, :]) ** 2, axis=2))
+               for s in range(0, space_nodes.shape[0], chunk)]
     # one time slice at a time keeps the node array small at high resolution
     for tv in t_axis:
         dt = np.abs(tv - p.t)[None, :]
-        for s in range(0, space_nodes.shape[0], chunk):
-            blk = space_nodes[s:s + chunk]
-            d2 = np.sum((blk[:, None, :] - p.x[None, :, :]) ** 2, axis=2)
-            d = np.maximum(np.sqrt(d2), dt)
+        for blk_d in space_d:
+            d = np.maximum(blk_d, dt)
             lab = np.argmin(d, axis=1)
             masses += np.bincount(lab, minlength=p.n) * vol
     return masses

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from mstpp.simulate import (
     UniformInterval,
     UserTable,
     WhittleMatern,
+    _BENCH_COV,
+    _pairwise_distances,
     assign_marks_geostat,
     assign_marks_iid,
     lgcp_mean,
@@ -123,9 +126,81 @@ class TestGaussianField:
         on_the_fly = sim_grf(lgcp_mean(-0.5), self.cov, (6, 6, 6), UNIT, seed=17)
         assert np.array_equal(sampler.sample(seed=17).values, on_the_fly.values)
 
+    @staticmethod
+    def _unused_mean(x, y, t):
+        raise AssertionError("mean evaluated before the argument checks")
+
     def test_dense_guard(self):
-        with pytest.raises(ValueError, match="guard"):
-            GRFSampler.build(lambda x, y, t: 0.0 * x, self.cov, (30, 30, 30), UNIT)
+        # an 8100-cell spatial factor would be a 525 MB matrix, and so
+        # would an 8001-slice temporal one
+        for shape in [(90, 90, 1), (1, 1, 8001)]:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="guard"):
+                    GRFSampler.build(self._unused_mean, self.cov, shape, UNIT)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000, shape
+
+    def test_large_grid_builds(self):
+        # 27000 cells: beyond the dense guard as one matrix, but its
+        # spatial factor has only 900 cells
+        f = sim_grf(lambda x, y, t: 1.0 + 0.0 * x, self.cov, (30, 30, 30), UNIT, seed=3)
+        assert f.shape == (30, 30, 30)
+        assert np.all(np.isfinite(f.values))
+        # the constant temporal factor makes the field constant in time, up
+        # to the roots of rounding-level eigenvalues (a jittered dense
+        # factor would add noise of sd 1e-5 or more)
+        assert np.allclose(f.values, f.values[:, :, :1], rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (4, 4, 3, 1), (4, 0, 3), (4, -1, 3),
+                                       (4, 4, 3.0), (True, 4, 3), 16, None, "443"])
+    def test_bad_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="three positive integers"):
+            GRFSampler.build(self._unused_mean, self.cov, shape, UNIT)
+
+    def test_numpy_integer_shape_accepted(self):
+        sampler = GRFSampler.build(lambda x, y, t: 0.0 * x, self.cov, np.array([3, 2, 2]), UNIT)
+        assert sampler.shape == (3, 2, 2)
+        assert all(type(v) is int for v in sampler.shape)
+
+    def test_non_separable_covariance_rejected(self):
+        with pytest.raises(ValueError, match="SeparableCovariance"):
+            GRFSampler.build(self._unused_mean, WhittleMatern(SIGMA2, 0.5, 1.0), (4, 4, 3), UNIT)
+
+    @pytest.mark.parametrize("cov, shape", [
+        (_BENCH_COV, (4, 4, 3)),
+        (SeparableCovariance(WhittleMatern(1.0, 1.5, 3.0), Exponential(0.5)), (5, 4, 3)),
+    ])
+    def test_sampler_applies_the_symmetric_square_root(self, cov, shape):
+        sampler = GRFSampler.build(lambda x, y, t: 0.0 * x, cov, shape, UNIT)
+        n = sampler.mean.size
+        # A: the matrix of the linear map z -> field - mean
+        a = np.column_stack([sampler._field(e).values.ravel() for e in np.eye(n)])
+        grid = GridField(window=UNIT, shape=shape, values=np.zeros(shape))
+        mx, my, mt = np.meshgrid(*grid.cell_centers(), indexing="ij")
+        target = cov.matrix(np.column_stack([mx.ravel(), my.ravel()]), mt.ravel())
+        scale = np.abs(target).max()
+        assert np.abs(a - a.T).max() <= 1e-12 * scale
+        assert np.abs(a @ a - target).max() <= 1e-12 * scale
+        # positive semidefinite as well, so A is the unique root C^(1/2)
+        assert np.linalg.eigvalsh(a).min() >= -1e-12 * scale
+
+    def test_bench_covariance_has_degenerate_eigenspaces(self):
+        # what makes the root's uniqueness matter in the test above: a
+        # rank-1 temporal factor, and repeated spatial eigenvalues from the
+        # lattice's x <-> y symmetry
+        sampler = GRFSampler.build(lambda x, y, t: 0.0 * x, _BENCH_COV, (4, 4, 3), UNIT)
+        live = sampler.root.max(axis=0) > 1e-6
+        assert np.count_nonzero(live) == 1
+        assert np.min(np.diff(np.sort(sampler.root[:, live].ravel()))) < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_pairwise_distances_match_the_direct_formula(self, d):
+        x = np.random.default_rng(d).random((57, d))
+        diff = x[:, None, :] - x[None, :, :]
+        assert np.array_equal(_pairwise_distances(x), np.sqrt(np.sum(diff * diff, axis=2)))
 
     def test_spatial_correlation_decays(self):
         sampler = GRFSampler.build(lambda x, y, t: 0.0 * x, self.cov, (8, 8, 1), UNIT)
@@ -149,6 +224,8 @@ class TestGaussianField:
         ground = uniform_pattern(3, seed=5, marks=None)
         with pytest.raises(FactorizationError):
             assign_marks_geostat(ground, broken, seed=0)
+        with pytest.raises(FactorizationError):
+            GRFSampler.build(lambda x, y, t: 0.0 * x, broken, (3, 3, 2), UNIT)
 
 
 class TestCox:
