@@ -62,7 +62,7 @@ from .second_order import (
     weights_from_estimate,
 )
 from .inference import random_labelling_test
-from .simulate import PRESET_NAMES, FactorizationError, simulate_preset
+from .simulate import DENSE_CELL_GUARD, PRESET_NAMES, FactorizationError, simulate_preset
 
 __all__ = ["main", "ConfigError", "InputError"]
 
@@ -333,6 +333,10 @@ def cmd_simulate(cfg, out_dir, seed, threads):
     shape = cfg["grf_cells"]
     if len(shape) != 3 or any(v < 1 for v in shape):
         raise ConfigError("grf_cells needs 3 positive integers")
+    nx, ny, nt = shape
+    if max(nx * ny, nt) > DENSE_CELL_GUARD:
+        raise ConfigError(f"grf_cells {nx},{ny},{nt} has {nx * ny} spatial cells and {nt} "
+                          f"time slices; at most {DENSE_CELL_GUARD} of each")
     p = simulate_preset(preset, seed=seed, grf_shape=tuple(shape))
     save_catalog(p, os.path.join(out_dir, "catalog.csv"))
     meta = {

@@ -26,18 +26,32 @@ margin, du <= t <= first-point temporal margin}. Each pair is therefore
 accumulated at the four corners of its index rectangle in a difference
 array, and a double cumulative sum recovers every cell total in one pass;
 per-cell denominator sums over the eroded windows use the same device with
-degenerate rectangles starting at (0, 0); the corner layout depends only
-on the geometry, so it is built once per `PairGeometry`.
+degenerate rectangles starting at (0, 0).
 
 Candidate pairs come either from a plain O(N^2) scan (`route="brute"`) or
 from a KD-tree (`route="indexed"`). The tree holds the points with time
 rescaled by r_max / t_max, and its sup-metric ball of radius r_max, padded
 by a bound on the rounding of the rescaled times, contains the whole
 (r_max, t_max) cylinder: it returns a superset of the pairs within the
-maximal lags. Both routes emit candidates in (I, J) order and pass them
-through the same exact filter ds <= r_max, du <= t_max on the unscaled
-lags, so they feed identical pair arrays into the same accumulation code
-and their outputs agree bit for bit.
+maximal lags. Both routes emit the candidates of `_BLOCK` consecutive
+first points at a time, sorted by (I, J), and feed them to one blocked
+pass (`_stored_pairs`). Each block is filtered exactly on the unscaled
+lags (ds <= r_max, du <= t_max); every pair whose rectangle is empty,
+because its lags exceed its first point's erosion limits, is dropped; the
+rest are binned. Only the first- and second-point indices and the four
+flat corner indices of each kept pair are stored, as int32, the corners
+corner-major. So a geometry holds 24 bytes per pair that can contribute,
+and building it holds one block's candidates at a time. The two routes
+store identical arrays, so their outputs agree bit for bit.
+
+`_sum_corners` adds the weights into the difference array with
+`np.add.at` at the first corners, then `np.subtract.at` at the second and
+third, then `np.add.at` at the fourth, each in pair order. That is the
+order in which `np.bincount` over the four corner lists concatenated (with
+weights w, -w, -w, w) adds into each bin, and x - w is x + (-w) exactly,
+so every cell total equals the one of the full-array layout bit for bit.
+Dropping the empty-rectangle pairs drops only corner entries that were
+masked out before, so it changes no total either.
 """
 
 import json
@@ -258,34 +272,33 @@ class BoxUnionSet:
 class PairGeometry:
     r_grid: np.ndarray
     t_grid: np.ndarray
-    I: np.ndarray            # first-point indices of ordered pairs, sorted by (I, J)
-    J: np.ndarray            # second-point indices
-    dx: np.ndarray           # spatial displacements x[J] - x[I]
-    ds: np.ndarray           # Euclidean spatial lags
-    du: np.ndarray           # absolute temporal lags
-    a_r: np.ndarray          # first r-cell each pair can enter
-    a_t: np.ndarray          # first t-cell each pair can enter
+    I: np.ndarray            # first-point indices (int32) of the stored pairs, sorted by (I, J)
+    J: np.ndarray            # second-point indices (int32)
+    corners: np.ndarray      # (4, pairs) int32 flat difference-array corners of each
+                             # pair's nonempty rectangle, corner-major
     pt_b_r: np.ndarray       # last r-cell where each point stays eroded-in
     pt_b_t: np.ndarray       # last t-cell where each point stays eroded-in
     ell_r: np.ndarray        # eroded spatial volumes per r-cell
     ell_t: np.ndarray        # eroded temporal lengths per t-cell
     erosion: str             # "per-cell" | "fixed"
     route: str
-    pair_corners: tuple = field(init=False, repr=False, compare=False)
     point_corners: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # The rectangles depend only on the geometry, so their corners are
-        # laid out once here and reused by every surface evaluated on it.
-        T = self.t_grid.size
-        self.pair_corners = _rect_corners(
-            self.a_r, self.pt_b_r[self.I], self.a_t, self.pt_b_t[self.I], T)
-        zeros = np.zeros(self.pt_b_r.size, dtype=np.intp)
-        self.point_corners = _rect_corners(zeros, self.pt_b_r, zeros, self.pt_b_t, T)
+        # (eligible-point mask, corners of the rectangles from cell (0, 0)
+        # to each eligible point's erosion limit)
+        valid = (self.pt_b_r >= 0) & (self.pt_b_t >= 0)
+        zeros = np.zeros(np.count_nonzero(valid), dtype=np.intp)
+        self.point_corners = valid, _corners(
+            zeros, self.pt_b_r[valid], zeros, self.pt_b_t[valid], self.t_grid.size)
 
     @property
     def shape(self):
         return self.r_grid.size, self.t_grid.size
+
+
+# candidate pairs are searched and filtered _BLOCK first points at a time
+_BLOCK = 256
 
 
 def _margins(p):
@@ -295,45 +308,80 @@ def _margins(p):
     return margin_s, margin_t
 
 
-def _pairs_brute(p, t_max, chunk=512):
-    out_i, out_j = [], []
+def _pairs_brute(p, t_max):
+    """Candidate ordered pairs with temporal lag <= t_max, as (I, J) blocks
+    of _BLOCK first points each, in (I, J) order."""
     n = p.n
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
         du = np.abs(p.t[start:stop, None] - p.t[None, :])
-        mask = du <= t_max
-        ii, jj = np.nonzero(mask)
+        ii, jj = np.nonzero(du <= t_max)
         ii += start
         keep = ii != jj
-        out_i.append(ii[keep])
-        out_j.append(jj[keep])
-    if not out_i:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    return np.concatenate(out_i), np.concatenate(out_j)
+        yield ii[keep], jj[keep]
 
 
 def _pairs_indexed(p, r_max, t_max):
-    """Candidate ordered pairs, sorted by (I, J), from a KD-tree search.
+    """Candidate ordered pairs from a KD-tree search, as (I, J) blocks of
+    _BLOCK first points each, in (I, J) order.
 
     Time is rescaled by r_max / t_max so the (r_max, t_max) cylinder fits
     in the sup-metric ball of radius r_max. Each coordinate difference the
     tree compares is at most the pair's spatial lag or its rescaled
     temporal lag, so every pair the exact filter keeps is found once the
-    radius is padded by a bound on the rounding of the rescaled times."""
+    radius is padded by a bound on the rounding of the rescaled times.
+    Each block's first points form a small tree searched against the
+    whole pattern's, so only one block's pairs are held at a time."""
     from scipy.spatial import cKDTree
 
     n = p.n
     if n < 2:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+        return
     scale = r_max / t_max if r_max > 0 and t_max > 0 else 1.0
     radius = r_max if r_max > 0 else t_max
     coords = np.column_stack([p.x, p.t * scale])
     radius += 4.0 * np.finfo(float).eps * (radius + np.max(np.abs(coords)))
-    pairs = cKDTree(coords).query_pairs(radius, p=np.inf, output_type="ndarray")
-    i, j = pairs.T
-    key = np.concatenate([i * n + j, j * n + i])
-    key.sort()
-    return np.divmod(key, n)
+    tree = cKDTree(coords)
+    for start in range(0, n, _BLOCK):
+        found = cKDTree(coords[start:start + _BLOCK]).sparse_distance_matrix(
+            tree, radius, p=np.inf, output_type="ndarray")
+        key = (found["i"] + start) * n + found["j"]
+        key.sort()
+        ii, jj = np.divmod(key, n)
+        keep = ii != jj
+        yield ii[keep], jj[keep]
+
+
+def _stored_pairs(p, blocks, r_grid, t_grid, pt_b_r, pt_b_t):
+    """The candidate pairs whose rectangle of lag cells is nonempty, with
+    the corners of that rectangle, from (I, J) blocks in (I, J) order.
+
+    A pair enters the cells from its own lags (a_r, a_t) up to its first
+    point's erosion limits (b_r, b_t). Its rectangle is nonempty exactly
+    when ds <= r_grid[b_r] and du <= t_grid[b_t], lags that never exceed
+    (r_max, t_max): this one test is the exact filter ds <= r_max,
+    du <= t_max and the empty-rectangle test together, so only the pairs
+    kept are binned."""
+    reach_r = np.where(pt_b_r >= 0, r_grid[pt_b_r], -1.0)
+    reach_t = np.where(pt_b_t >= 0, t_grid[pt_b_t], -1.0)
+    T = t_grid.size
+    out_i, out_j, out_c = [], [], []
+    for I, J in blocks:
+        # np.take and per-axis sums: row gathers and reductions over a short
+        # axis are several times slower through fancy indexing and np.sum
+        dx = np.take(p.x, J, axis=0) - np.take(p.x, I, axis=0)
+        ds = np.sqrt(sum(dx[:, a] * dx[:, a] for a in range(p.dim)))
+        du = np.abs(p.t[J] - p.t[I])
+        keep = np.flatnonzero((ds <= reach_r[I]) & (du <= reach_t[I]))
+        I, J = I[keep], J[keep]
+        a_r = np.searchsorted(r_grid, ds[keep], side="left")
+        a_t = np.searchsorted(t_grid, du[keep], side="left")
+        out_i.append(I.astype(np.int32))
+        out_j.append(J.astype(np.int32))
+        out_c.append(_corners(a_r, pt_b_r[I], a_t, pt_b_t[I], T))
+    if not out_i:
+        return np.empty(0, np.int32), np.empty(0, np.int32), np.empty((4, 0), np.int32)
+    return np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_c, axis=1)
 
 
 def pair_geometry(p, r_grid, t_grid, route="indexed", erosion="per-cell"):
@@ -349,6 +397,9 @@ def pair_geometry(p, r_grid, t_grid, route="indexed", erosion="per-cell"):
         if g.ndim != 1 or g.size == 0 or np.any(g < 0) or np.any(np.diff(g) <= 0):
             raise ValueError(f"{name} must be a nonempty, strictly increasing vector "
                              "of nonnegative lags")
+    R, T = r_grid.size, t_grid.size
+    if (R + 1) * (T + 1) > np.iinfo(np.int32).max:
+        raise ValueError("r_grid and t_grid have too many cells")
     if erosion not in ("per-cell", "fixed"):
         raise ValueError("erosion must be 'per-cell' or 'fixed'")
     if route not in ("indexed", "brute"):
@@ -356,83 +407,65 @@ def pair_geometry(p, r_grid, t_grid, route="indexed", erosion="per-cell"):
     r_max, t_max = float(r_grid[-1]), float(t_grid[-1])
     erode_window(p.window, r_max, t_max)  # raises ErosionError if too large
 
-    if route == "brute":
-        I, J = _pairs_brute(p, t_max)
-    else:
-        I, J = _pairs_indexed(p, r_max, t_max)
-    if I.size:
-        # np.take and per-axis sums: row gathers and reductions over a short
-        # axis are several times slower through fancy indexing and np.sum
-        dx = np.take(p.x, J, axis=0) - np.take(p.x, I, axis=0)
-        du = np.abs(p.t[J] - p.t[I])
-        ds = np.sqrt(sum(dx[:, a] * dx[:, a] for a in range(p.dim)))
-        keep = np.flatnonzero((ds <= r_max) & (du <= t_max))
-        I, J, ds, du = I[keep], J[keep], ds[keep], du[keep]
-        dx = np.take(dx, keep, axis=0)
-    else:
-        dx = np.empty((0, p.dim))
-        ds = np.empty(0)
-        du = np.empty(0)
-
     margin_s, margin_t = _margins(p)
-    R, T = r_grid.size, t_grid.size
+    lo, hi = p.window.spatial_bounds()
     if erosion == "per-cell":
         pt_b_r = np.searchsorted(r_grid, margin_s, side="right") - 1
         pt_b_t = np.searchsorted(t_grid, margin_t, side="right") - 1
-        lo, hi = p.window.spatial_bounds()
         ell_r = np.prod([(hi[a] - lo[a]) - 2.0 * r_grid for a in range(p.dim)], axis=0)
         ell_t = p.window.temporal_length - 2.0 * t_grid
     else:
         eligible = (margin_s >= r_max) & (margin_t >= t_max)
         pt_b_r = np.where(eligible, R - 1, -1)
         pt_b_t = np.where(eligible, T - 1, -1)
-        lo, hi = p.window.spatial_bounds()
         ell_r = np.full(R, np.prod([(hi[a] - lo[a]) - 2.0 * r_max for a in range(p.dim)]))
         ell_t = np.full(T, p.window.temporal_length - 2.0 * t_max)
-    a_r = np.searchsorted(r_grid, ds, side="left")
-    a_t = np.searchsorted(t_grid, du, side="left")
+    if route == "brute":
+        blocks = _pairs_brute(p, t_max)
+    else:
+        blocks = _pairs_indexed(p, r_max, t_max)
+    I, J, corners = _stored_pairs(p, blocks, r_grid, t_grid, pt_b_r, pt_b_t)
     return PairGeometry(
-        r_grid=r_grid, t_grid=t_grid, I=I, J=J, dx=dx, ds=ds, du=du,
-        a_r=a_r, a_t=a_t, pt_b_r=pt_b_r, pt_b_t=pt_b_t,
-        ell_r=ell_r, ell_t=ell_t, erosion=erosion, route=route,
+        r_grid=r_grid, t_grid=t_grid, I=I, J=J, corners=corners,
+        pt_b_r=pt_b_r, pt_b_t=pt_b_t, ell_r=ell_r, ell_t=ell_t,
+        erosion=erosion, route=route,
     )
 
 
-def _rect_corners(a_r, b_r, a_t, b_t, T):
-    """Nonempty index rectangles [a_r..b_r] x [a_t..b_t] as a mask and the
-    flat difference-array indices of their four corners, concatenated in a
-    fixed layout so any two callers feeding identical rectangles and weights
-    get bit-identical cell totals from `_sum_corners`."""
-    valid = (a_r <= b_r) & (a_t <= b_t)
-    ar = a_r[valid]
-    br = b_r[valid] + 1
-    at = a_t[valid]
-    bt = b_t[valid] + 1
+def _corners(a_r, b_r, a_t, b_t, T):
+    """Flat difference-array indices (int32) of the four corners of the
+    nonempty index rectangles [a_r..b_r] x [a_t..b_t], corner-major."""
     ncol = T + 1
-    idx = np.concatenate([ar * ncol + at, br * ncol + at, ar * ncol + bt, br * ncol + bt])
-    return valid, idx
+    br = b_r + 1
+    bt = b_t + 1
+    return np.stack([a_r * ncol + a_t, br * ncol + a_t,
+                     a_r * ncol + bt, br * ncol + bt]).astype(np.int32)
 
 
 def _sum_corners(corners, w, R, T):
-    """Sum w over the rectangles laid out by `_rect_corners`: four-corner
-    difference array + double cumulative sum."""
-    valid, idx = corners
-    wv = np.asarray(w, dtype=float)[valid]
-    wts = np.concatenate([wv, -wv, -wv, wv])
-    diff = np.bincount(idx, weights=wts, minlength=(R + 1) * (T + 1)).reshape(R + 1, T + 1)
-    return np.cumsum(np.cumsum(diff, axis=0), axis=1)[:R, :T]
+    """Sum w over the rectangles laid out by `_corners`: four-corner
+    difference array + double cumulative sum. Every weight is added into
+    its corner's bin in corner-major, then pair order."""
+    w = np.asarray(w, dtype=float)
+    diff = np.zeros((R + 1) * (T + 1))
+    np.add.at(diff, corners[0], w)
+    np.subtract.at(diff, corners[1], w)
+    np.subtract.at(diff, corners[2], w)
+    np.add.at(diff, corners[3], w)
+    return np.cumsum(np.cumsum(diff.reshape(R + 1, T + 1), axis=0), axis=1)[:R, :T]
 
 
 def _pair_surface(geom, pair_w):
-    """Per-cell sums of pair weights: each pair counts in the cells from its
-    own lags up to its first point's erosion limit."""
-    return _sum_corners(geom.pair_corners, pair_w, *geom.shape)
+    """Per-cell sums of the stored pairs' weights: each pair counts in the
+    cells from its own lags up to its first point's erosion limit."""
+    return _sum_corners(geom.corners, pair_w, *geom.shape)
 
 
 def _point_surface(geom, point_w):
     """Per-cell sums of point weights over the eroded windows (rectangle
     from cell (0,0) to each point's erosion limit)."""
-    return _sum_corners(geom.point_corners, point_w, *geom.shape)
+    valid, corners = geom.point_corners
+    return _sum_corners(corners, np.asarray(point_w, dtype=float)[valid], *geom.shape)
 
 
 def _denominator(geom, scenario, mC, mD, inv_lam, inv_lam_g, nu_C, nu_D):
@@ -758,21 +791,20 @@ def k_measure_hat(p, C, D, E, weights, return_report=False):
             "lam_ground", "measure estimation on an unmarked pattern"
         )
     inv = 1.0 / _per_point(p, lam)
-    I, J = _pairs_brute(p, t_c)
-    total = 0.0
-    if I.size:
-        dx = p.x[J] - p.x[I]
-        du = p.t[J] - p.t[I]
-        margin_s, margin_t = _margins(p)
-        keep = (margin_s[I] >= r_c) & (margin_t[I] >= t_c)
-        keep &= E.contains_lag(dx, du)
-        keep &= (mC[I] > 0) & (mD[J] > 0)
-        total = float(np.sum(inv[I[keep]] * inv[J[keep]]))
+    margin_s, margin_t = _margins(p)
+    first = (margin_s >= r_c) & (margin_t >= t_c) & (mC > 0)
+    pairs, terms = 0, [np.empty(0)]
+    for I, J in _pairs_brute(p, t_c):
+        pairs += I.size
+        keep = first[I] & (mD[J] > 0) & E.contains_lag(p.x[J] - p.x[I], p.t[J] - p.t[I])
+        terms.append(inv[I[keep]] * inv[J[keep]])
+    # one sum over all blocks' terms, so the total is independent of _BLOCK
+    total = float(np.sum(np.concatenate(terms)))
     eroded = erode_window(p.window, r_c, t_c)
     denom = eroded.spatial_volume * eroded.temporal_length * nu_C * nu_D
     value = 0.0 if total == 0.0 else total / denom
     if return_report:
-        return value, {"floor_hits": weights.floor_hits, "pairs": int(I.size)}
+        return value, {"floor_hits": weights.floor_hits, "pairs": pairs}
     return value
 
 
@@ -789,7 +821,8 @@ def k_directional(p, C=None, D=None, phi=-math.pi / 2, psi=math.pi / 2,
     terms = _marked_terms(p, weights, C, D, scenario)
     geom = _geometry(p, r_grid, t_grid, route, erosion, geometry)
     mC, mD, inv_lam = terms[:3]
-    in_cone = direction_in_cone(geom.dx[:, 0], geom.dx[:, 1], phi, psi).astype(float)
+    dx = np.take(p.x, geom.J, axis=0) - np.take(p.x, geom.I, axis=0)
+    in_cone = direction_in_cone(dx[:, 0], dx[:, 1], phi, psi).astype(float)
     pw = inv_lam[geom.I] * inv_lam[geom.J] * in_cone
     values = _k_values(geom, pw, mC, mD, _denominator(geom, scenario, *terms))
     return KSurface(

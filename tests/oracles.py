@@ -3,10 +3,14 @@
 Everything here is written as directly as possible from the estimator
 definitions — plain Python loops over ordered pairs, one lag cell at a
 time — with none of the difference-array, sorting, or indexing machinery
-of the library code. Slow on purpose; tests keep N small.
+of the library code. Slow on purpose; tests keep N small. Two sections
+instead keep a library kernel as it was before it was optimized (the brute
+nearest-generator search and the full-array pair geometry), as references
+the optimized kernels must match exactly.
 """
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -251,3 +255,144 @@ def sweep_oracle(metric, gens, grid, chunk):
         for z, wj in zip(*mark_axis):
             d = _join_mark(metric[1], part, np.abs(z - gm)[None, :], buf)
             yield np.argmin(d, axis=1), wj
+
+
+# --------------------------------------------------------------------------
+# full-array pair geometry
+#
+# The library's pair geometry before it was built in blocks, kept verbatim
+# as the reference for the blocked pass: every candidate pair is held at
+# once with its displacement, its lags and its first lag cells, and the
+# rectangles' corners are laid out over all of them (empty ones masked).
+# The surface helpers below are the formulas that were evaluated on it.
+# --------------------------------------------------------------------------
+
+
+@dataclass
+class FullGeometry:
+    r_grid: np.ndarray
+    t_grid: np.ndarray
+    I: np.ndarray
+    J: np.ndarray
+    dx: np.ndarray
+    ds: np.ndarray
+    du: np.ndarray
+    a_r: np.ndarray
+    a_t: np.ndarray
+    pt_b_r: np.ndarray
+    pt_b_t: np.ndarray
+    ell_r: np.ndarray
+    ell_t: np.ndarray
+    pair_corners: tuple = field(init=False)
+    point_corners: tuple = field(init=False)
+
+    def __post_init__(self):
+        T = self.t_grid.size
+        self.pair_corners = rect_corners_oracle(
+            self.a_r, self.pt_b_r[self.I], self.a_t, self.pt_b_t[self.I], T)
+        zeros = np.zeros(self.pt_b_r.size, dtype=np.intp)
+        self.point_corners = rect_corners_oracle(zeros, self.pt_b_r, zeros, self.pt_b_t, T)
+
+    @property
+    def shape(self):
+        return self.r_grid.size, self.t_grid.size
+
+
+def _pairs_indexed_full(p, r_max, t_max):
+    from scipy.spatial import cKDTree
+
+    n = p.n
+    if n < 2:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    scale = r_max / t_max if r_max > 0 and t_max > 0 else 1.0
+    radius = r_max if r_max > 0 else t_max
+    coords = np.column_stack([p.x, p.t * scale])
+    radius += 4.0 * np.finfo(float).eps * (radius + np.max(np.abs(coords)))
+    pairs = cKDTree(coords).query_pairs(radius, p=np.inf, output_type="ndarray")
+    i, j = pairs.T
+    key = np.concatenate([i * n + j, j * n + i])
+    key.sort()
+    return np.divmod(key, n)
+
+
+def pair_geometry_oracle(p, r_grid, t_grid, erosion="per-cell"):
+    """Every pair within the maximal lags, in (I, J) order, with the full
+    per-pair arrays; no argument checks. The candidates come from the
+    KD-tree search only: its brute-scan alternative gave identical arrays,
+    so one reference serves both library routes."""
+    r_grid = np.asarray(r_grid, dtype=float)
+    t_grid = np.asarray(t_grid, dtype=float)
+    r_max, t_max = float(r_grid[-1]), float(t_grid[-1])
+    I, J = _pairs_indexed_full(p, r_max, t_max)
+    if I.size:
+        dx = np.take(p.x, J, axis=0) - np.take(p.x, I, axis=0)
+        du = np.abs(p.t[J] - p.t[I])
+        ds = np.sqrt(sum(dx[:, a] * dx[:, a] for a in range(p.dim)))
+        keep = np.flatnonzero((ds <= r_max) & (du <= t_max))
+        I, J, ds, du = I[keep], J[keep], ds[keep], du[keep]
+        dx = np.take(dx, keep, axis=0)
+    else:
+        dx = np.empty((0, p.dim))
+        ds = np.empty(0)
+        du = np.empty(0)
+
+    margin_s, margin_t = margins(p)
+    R, T = r_grid.size, t_grid.size
+    lo, hi = p.window.spatial_bounds()
+    if erosion == "per-cell":
+        pt_b_r = np.searchsorted(r_grid, margin_s, side="right") - 1
+        pt_b_t = np.searchsorted(t_grid, margin_t, side="right") - 1
+        ell_r = np.prod([(hi[a] - lo[a]) - 2.0 * r_grid for a in range(p.dim)], axis=0)
+        ell_t = p.window.temporal_length - 2.0 * t_grid
+    else:
+        eligible = (margin_s >= r_max) & (margin_t >= t_max)
+        pt_b_r = np.where(eligible, R - 1, -1)
+        pt_b_t = np.where(eligible, T - 1, -1)
+        ell_r = np.full(R, np.prod([(hi[a] - lo[a]) - 2.0 * r_max for a in range(p.dim)]))
+        ell_t = np.full(T, p.window.temporal_length - 2.0 * t_max)
+    a_r = np.searchsorted(r_grid, ds, side="left")
+    a_t = np.searchsorted(t_grid, du, side="left")
+    return FullGeometry(
+        r_grid=r_grid, t_grid=t_grid, I=I, J=J, dx=dx, ds=ds, du=du,
+        a_r=a_r, a_t=a_t, pt_b_r=pt_b_r, pt_b_t=pt_b_t, ell_r=ell_r, ell_t=ell_t,
+    )
+
+
+def rect_corners_oracle(a_r, b_r, a_t, b_t, T):
+    """Mask of the nonempty rectangles [a_r..b_r] x [a_t..b_t] and the flat
+    difference-array indices of their four corners, concatenated."""
+    valid = (a_r <= b_r) & (a_t <= b_t)
+    ar = a_r[valid]
+    br = b_r[valid] + 1
+    at = a_t[valid]
+    bt = b_t[valid] + 1
+    ncol = T + 1
+    idx = np.concatenate([ar * ncol + at, br * ncol + at, ar * ncol + bt, br * ncol + bt])
+    return valid, idx
+
+
+def sum_corners_oracle(corners, w, R, T):
+    valid, idx = corners
+    wv = np.asarray(w, dtype=float)[valid]
+    wts = np.concatenate([wv, -wv, -wv, wv])
+    diff = np.bincount(idx, weights=wts, minlength=(R + 1) * (T + 1)).reshape(R + 1, T + 1)
+    return np.cumsum(np.cumsum(diff, axis=0), axis=1)[:R, :T]
+
+
+def denominator_oracle(geom, scenario, mC, mD, inv_lam, inv_lam_g, nu_C, nu_D):
+    if scenario in ("S1", "S2"):
+        window = np.outer(geom.ell_r, geom.ell_t)
+    else:
+        window = sum_corners_oracle(geom.point_corners, inv_lam_g, *geom.shape)
+    if scenario in ("S1", "S3"):
+        return window * (nu_C * nu_D)
+    S_C = sum_corners_oracle(geom.point_corners, inv_lam * mC, *geom.shape)
+    S_D = sum_corners_oracle(geom.point_corners, inv_lam * mD, *geom.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(window > 0, S_C * S_D / window, 0.0)
+
+
+def k_values_oracle(geom, pair_w, mC, mD, denom):
+    num = sum_corners_oracle(geom.pair_corners, pair_w * mC[geom.I] * mD[geom.J], *geom.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((num == 0) | (denom == 0), 0.0, num / denom)

@@ -185,6 +185,15 @@ class TestSimulateCommand:
         assert "command = simulate" in echo
         assert "seed = 7" in echo
 
+    def test_oversized_grf_grid_is_2(self, tmp_path):
+        cfg = write_config(tmp_path / "c.txt",
+                           "preset = lgcp-bernoulli\ngrf_cells = 100,100,2")
+        out = tmp_path / "run"
+        res = run_cli("simulate", "--config", cfg, "--seed", "3", "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert "config error" in res.stderr and "grf_cells" in res.stderr
+        assert not (out / "catalog.csv").exists()
+
     def test_seed_determinism(self, tmp_path):
         cfg = write_config(tmp_path / "c.txt",
                            "preset = lgcp-bernoulli\ngrf_cells = 8,8,8")

@@ -1,11 +1,15 @@
 import csv
+import functools
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from mstpp.geometry import ErosionError, Window
+from mstpp.geometry import ErosionError, Window, direction_in_cone
+from mstpp.inference import delta_surface
 from mstpp.intensity import Quadrature, voronoi_ground, voronoi_marked
 from mstpp.pattern import (
     ContinuousMarks,
@@ -40,7 +44,14 @@ import mstpp.second_order as second_order
 from mstpp.simulate import IntensityField, sim_poisson, superpose
 
 from .conftest import UNIT, uniform_pattern
-from .oracles import k_cells_oracle, measure_oracle, wedge_contains
+from .oracles import (
+    denominator_oracle,
+    k_cells_oracle,
+    k_values_oracle,
+    measure_oracle,
+    pair_geometry_oracle,
+    wedge_contains,
+)
 
 R_GRID = np.linspace(0.05, 0.25, 5)
 T_GRID = np.linspace(0.05, 0.25, 5)
@@ -132,6 +143,13 @@ def _with_copies(x, t, copies, window):
                                LabelMarks(2))
 
 
+ROUTE_CASES = [
+    "uniform", "clustered", "lattice", "lattice-far", "rescale-edge", "duplicates",
+    "long-time", "zero-r", "zero-t", "zero-both", "1d", "3d",
+    "empty", "single", "two",
+]
+
+
 def route_case(case):
     """(pattern, r_grid, t_grid) for the indexed-vs-brute comparisons."""
     if case == "uniform":
@@ -193,28 +211,32 @@ def route_case(case):
     return pattern_from_arrays(x, t, None, UNIT, None), R_GRID, T_GRID
 
 
+def assert_same_geometry(a, b):
+    """Every array two geometries store is identical, dtype included."""
+    arrays = [k for k, v in vars(a).items() if isinstance(v, np.ndarray)]
+    assert {"I", "J", "corners"} <= set(arrays)
+    for name in arrays:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    for x, y in zip(a.point_corners, b.point_corners):
+        assert np.array_equal(x, y)
+
+
 class TestPairGeometry:
     def test_routes_agree_exactly(self):
         p = uniform_pattern(40, seed=60)
         brute = pair_geometry(p, R_GRID, T_GRID, route="brute")
         fast = pair_geometry(p, R_GRID, T_GRID, route="indexed")
-        assert np.array_equal(brute.I, fast.I)
-        assert np.array_equal(brute.J, fast.J)
-        assert np.array_equal(brute.ds, fast.ds)
-        assert np.array_equal(brute.du, fast.du)
+        assert brute.I.size
+        assert_same_geometry(brute, fast)
 
-    @pytest.mark.parametrize("case", [
-        "uniform", "clustered", "lattice", "lattice-far", "rescale-edge", "duplicates",
-        "long-time", "zero-r", "zero-t", "zero-both", "1d", "3d",
-        "empty", "single", "two",
-    ])
+    @pytest.mark.parametrize("case", ROUTE_CASES)
     def test_indexed_route_matches_brute(self, case):
         p, r_grid, t_grid = route_case(case)
         brute = pair_geometry(p, r_grid, t_grid, route="brute")
         fast = pair_geometry(p, r_grid, t_grid, route="indexed")
-        for name in ("I", "J", "dx", "ds", "du"):
-            assert np.array_equal(getattr(brute, name), getattr(fast, name)), name
-        key = fast.I * max(p.n, 1) + fast.J
+        assert_same_geometry(brute, fast)
+        key = fast.I.astype(np.int64) * max(p.n, 1) + fast.J
         assert np.all(np.diff(key) > 0)
         assert np.all(fast.I != fast.J)
 
@@ -228,6 +250,10 @@ class TestPairGeometry:
             pair_geometry(p, R_GRID, T_GRID, route="magic")
         with pytest.raises(ValueError, match="erosion"):
             pair_geometry(p, R_GRID, T_GRID, erosion="none")
+        # the corner indices are int32: a larger grid would wrap them
+        fine = np.linspace(1e-6, 0.2, 50_000)
+        with pytest.raises(ValueError, match="too many cells"):
+            pair_geometry(p, fine, fine)
 
     def test_overlarge_lags_rejected(self):
         p = uniform_pattern(5, seed=62)
@@ -245,6 +271,142 @@ class TestPairGeometry:
         # pair distance exactly 0.125, margins exactly on grid values
         assert surf.values[0, 0] == 2.0 / (0.75**2 * 0.5)
         assert surf.values[1, 1] == 2.0 / (0.5**2 * 0.25)
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=float).tobytes()
+
+
+C_ONE, D_TWO = LabelSet([1]), LabelSet([2])
+CONE = (-1.0, 1.2)
+
+
+@functools.lru_cache(maxsize=1)  # the routes and block lengths of one case and erosion run in a row
+def full_case(case, erosion):
+    """A route case with labels {1, 2} (drawn where it has other marks or
+    none), per-point weights, its full-array reference geometry and the
+    reference formulas evaluated on it."""
+    p, r_grid, t_grid = route_case(case)
+    rng = np.random.default_rng(70)
+    if p.marks is None or not p.mark_space.is_labelled:
+        labels = rng.integers(1, 3, size=p.n).astype(float)
+        p = pattern_from_arrays(p.x, p.t, labels, p.window, LabelMarks(2))
+    w = Weights(lam=rng.uniform(5.0, 20.0, p.n), lam_ground=rng.uniform(5.0, 20.0, p.n))
+    full = pair_geometry_oracle(p, r_grid, t_grid, erosion)
+    return p, r_grid, t_grid, w, full, reference_surfaces(p, w, full)
+
+
+def reference_surfaces(p, w, full):
+    """name -> the estimator's formula evaluated on the full arrays."""
+    out = {}
+    I, J = full.I, full.J
+    mC, mD = C_ONE.mask(p.marks).astype(float), D_TWO.mask(p.marks).astype(float)
+    nu_C, nu_D = p.nu(C_ONE), p.nu(D_TWO)
+    inv, inv_g = 1.0 / w.lam, 1.0 / w.lam_ground
+    pw = inv[I] * inv[J]
+    for sc in ("S1", "S2", "S3", "S4"):
+        denom = denominator_oracle(full, sc, mC, mD, inv, inv_g, nu_C, nu_D)
+        cd = k_values_oracle(full, pw, mC, mD, denom)
+        out[f"k_inhom/{sc}"] = cd
+        out[f"delta_surface/{sc}"] = cd - k_values_oracle(full, pw, mD, mC, denom)
+    ones = np.ones(p.n)
+    for sc in ("S1", "S3"):
+        denom = denominator_oracle(full, sc, ones, ones, inv_g, inv_g, 1.0, 1.0)
+        out[f"k_ground/{sc}"] = k_values_oracle(full, inv_g[I] * inv_g[J], ones, ones, denom)
+    if p.dim == 2:
+        in_cone = direction_in_cone(full.dx[:, 0], full.dx[:, 1], *CONE).astype(float)
+        denom = denominator_oracle(full, "S2", mC, mD, inv, None, nu_C, nu_D)
+        out["k_directional"] = k_values_oracle(full, pw * in_cone, mC, mD, denom)
+    for i, j in ((1, 2), (2, 2)):
+        mi = LabelSet([i]).mask(p.marks).astype(float)
+        mj = LabelSet([j]).mask(p.marks).astype(float)
+        denom = denominator_oracle(full, "S1", mi, mj, inv, None, 1.0, 1.0)
+        out[f"k_cross_multitype/{i}{j}"] = k_values_oracle(full, pw, mi, mj, denom)
+    if p.n:
+        inv_s = np.full(p.n, p.window.volume / p.n)
+        n_C, n_D = float(np.sum(mC)), float(np.sum(mD))
+        denom = np.outer(full.ell_r, full.ell_t) * (n_C * n_D / p.n**2)
+        out["k_stationary"] = k_values_oracle(full, inv_s[I] * inv_s[J], mC, mD, denom)
+    return out
+
+
+def library_surfaces(p, w, geom, r_grid, t_grid, route, erosion):
+    """The same names -> the library's estimators on a blocked geometry."""
+    out = {}
+    for sc in ("S1", "S2", "S3", "S4"):
+        kw = dict(weights=w, scenario=sc, geometry=geom)
+        out[f"k_inhom/{sc}"] = k_inhom(p, C_ONE, D_TWO, **kw).values
+        out[f"delta_surface/{sc}"] = delta_surface(p, C_ONE, D_TWO, **kw).values
+    for sc in ("S1", "S3"):
+        out[f"k_ground/{sc}"] = k_ground(p, weights=w, scenario=sc, geometry=geom).values
+    if p.dim == 2:
+        out["k_directional"] = k_directional(p, C_ONE, D_TWO, *CONE, weights=w,
+                                             geometry=geom).values
+    for i, j in ((1, 2), (2, 2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # empty components in the tiny cases
+            out[f"k_cross_multitype/{i}{j}"] = k_cross_multitype(
+                p, i, j, weights=w, geometry=geom).values
+    if p.n:
+        out["k_stationary"] = k_stationary(p, C_ONE, D_TWO, r_grid, t_grid,
+                                           erosion=erosion, route=route).values
+    return out
+
+
+class TestBlockedGeometry:
+    """The blocked pass stores exactly the reference's pairs with nonempty
+    rectangles, for any block length, and every estimator on it equals the
+    reference formulas on the full arrays bit for bit."""
+
+    @pytest.mark.parametrize("block", [1, 3, None], ids=["block1", "block3", "default"])
+    @pytest.mark.parametrize("route", ["brute", "indexed"])
+    @pytest.mark.parametrize("erosion", ["per-cell", "fixed"])
+    @pytest.mark.parametrize("case", ROUTE_CASES)
+    def test_matches_full_arrays(self, monkeypatch, case, erosion, route, block):
+        if block is not None:
+            monkeypatch.setattr(second_order, "_BLOCK", block)
+        p, r_grid, t_grid, w, full, want = full_case(case, erosion)
+        geom = pair_geometry(p, r_grid, t_grid, route=route, erosion=erosion)
+        valid, idx = full.pair_corners
+        assert geom.I.dtype == geom.J.dtype == geom.corners.dtype == np.int32
+        assert np.array_equal(geom.I, full.I[valid])
+        assert np.array_equal(geom.J, full.J[valid])
+        assert np.array_equal(geom.corners, idx.reshape(4, -1))
+        for name in ("pt_b_r", "pt_b_t", "ell_r", "ell_t"):
+            assert np.array_equal(getattr(geom, name), getattr(full, name)), name
+        # k_stationary takes no geometry: hand it the one just checked
+        monkeypatch.setattr(second_order, "pair_geometry", lambda *args, **kw: geom)
+        got = library_surfaces(p, w, geom, r_grid, t_grid, route, erosion)
+        assert sorted(got) == sorted(want)
+        for name in want:
+            assert _bits(got[name]) == _bits(want[name]), name
+
+    def test_cases_store_and_drop_pairs(self):
+        # the comparison above means something: candidates with empty
+        # rectangles are dropped, and most cases keep some pairs
+        dropped = kept = 0
+        for case in ROUTE_CASES:
+            valid = pair_geometry_oracle(*route_case(case)).pair_corners[0]
+            dropped += np.count_nonzero(~valid)
+            kept += bool(np.count_nonzero(valid))
+        assert dropped > 0 and kept >= 10
+
+
+class TestPairMemory:
+    @pytest.mark.parametrize("route, bound_mb", [("indexed", 44), ("brute", 110)])
+    def test_stationary_peak_is_bounded(self, route, bound_mb):
+        # 3000 uniform points on the default grid: about 616k pairs within
+        # the maximal lags, 284k of them with a nonempty rectangle. Holding
+        # every candidate's full arrays at once peaked at 88 MB (indexed)
+        # and 220 MB (brute); the blocked pass peaks at about 22 and 45 MB.
+        p = uniform_pattern(3000, seed=71, marks="labels")
+        tracemalloc.start()
+        try:
+            k_stationary(p, LabelSet([1]), LabelSet([2]), route=route)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 1e6
 
 
 class TestAgainstOracle:
