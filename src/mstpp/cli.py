@@ -365,16 +365,16 @@ def _build_estimate(p, estimator, quad, euclidean_tm):
 
 def cmd_intensity(cfg, out_dir, seed, threads):
     quad = _quadrature_from(cfg)
-    p = _load_pattern(cfg)
-    estimator = cfg["estimator"]
-    est = _build_estimate(p, estimator, quad, cfg["euclidean_tm"])
-
     cells = cfg["eval_cells"]
     if len(cells) == 3:
         cells = cells + (5,)
     if len(cells) != 4 or any(v < 1 for v in cells):
         raise ConfigError("eval_cells needs 3 or 4 positive integers")
     nx, ny, nt, nm = cells
+    p = _load_pattern(cfg)
+    estimator = cfg["estimator"]
+    est = _build_estimate(p, estimator, quad, cfg["euclidean_tm"])
+
     lo, hi = p.window.spatial_bounds()
     xs = lo[0] + (np.arange(nx) + 0.5) * (hi[0] - lo[0]) / nx
     ys = lo[1] + (np.arange(ny) + 0.5) * (hi[1] - lo[1]) / ny
@@ -430,8 +430,8 @@ def cmd_intensity(cfg, out_dir, seed, threads):
                 writer.writerow([str(int(idx)), _fmt(measure)])
 
 
-def _grids_from(cfg, window):
-    r_default, t_default = default_lag_grids(window)
+def _grids_from(cfg):
+    r_default, t_default = default_lag_grids(_window_from(cfg["window"]))
     r_max = cfg["r_max"] if cfg["r_max"] > 0 else float(r_default[-1])
     t_max = cfg["t_max"] if cfg["t_max"] > 0 else float(t_default[-1])
     n_r, n_t = cfg["n_r"], cfg["n_t"]
@@ -465,19 +465,28 @@ def _build_weights(p, mode, scenario, quad, euclidean_tm=False):
     raise ConfigError(f"unknown weights mode {mode!r}")
 
 
+def _scenario_from(cfg):
+    if cfg["scenario"] not in (1, 2, 3, 4):
+        raise ConfigError("scenario must be 1, 2, 3 or 4")
+    return cfg["scenario"]
+
+
 def cmd_k(cfg, out_dir, seed, threads):
-    p = _load_pattern(cfg)
     C = _markset_from(cfg["c_set"])
     D = _markset_from(cfg["d_set"])
-    r_grid, t_grid = _grids_from(cfg, p.window)
+    r_grid, t_grid = _grids_from(cfg)
     quad = None  # estimator default quadratures
     mode = cfg["weights"]
-    scenario = cfg["scenario"]
-    if scenario not in (1, 2, 3, 4):
-        raise ConfigError("scenario must be 1, 2, 3 or 4")
-    if mode == "stationary":
-        if cfg["smooth_n"] > 0:
+    scenario = _scenario_from(cfg)
+    if cfg["smooth_n"] < 0:
+        raise ConfigError("smooth_n must be nonnegative (0: no smoothing)")
+    if cfg["smooth_n"] > 0:
+        if mode == "stationary":
             raise ConfigError("smoothing is not defined for the stationary estimator")
+        if not 0.0 < cfg["smooth_p"] < 1.0:
+            raise ConfigError("smooth_p must lie in (0, 1)")
+    p = _load_pattern(cfg)
+    if mode == "stationary":
         surf = k_stationary(p, C, D, r_grid, t_grid, erosion=cfg["erosion"],
                             route=cfg["route"])
     elif cfg["smooth_n"] > 0:
@@ -504,13 +513,11 @@ def cmd_test(cfg, out_dir, seed, threads):
         raise ConfigError("n_perm must be at least 1")
     if not 0.0 < cfg["alpha"] < 1.0:
         raise ConfigError("alpha must lie in (0, 1)")
-    p = _load_pattern(cfg)
     C = _markset_from(cfg["c_set"])
     D = _markset_from(cfg["d_set"])
-    r_grid, t_grid = _grids_from(cfg, p.window)
-    scenario = cfg["scenario"]
-    if scenario not in (1, 2, 3, 4):
-        raise ConfigError("scenario must be 1, 2, 3 or 4")
+    r_grid, t_grid = _grids_from(cfg)
+    scenario = _scenario_from(cfg)
+    p = _load_pattern(cfg)
     builder = None
     if cfg["weights"] == "voronoi-marked":
         def builder(q):

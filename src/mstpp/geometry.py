@@ -1,12 +1,11 @@
 """
-Metrics, neighborhoods, window erosion, and set volumes on the
-space-time(-mark) domain.
+Observation windows, window erosion, and the volumes and direction test
+of the lag sets on the space-time domain. The tessellation metric lives in
+`intensity`, and the lag sets themselves in `second_order`.
 
 Conventions used throughout the package:
 
-- space-time distance is the sup metric: the maximum of the Euclidean
-  spatial distance and the absolute time difference,
-- every neighborhood (cylinder, ball, cone) is closed,
+- every lag set (cylinder, cone) is closed,
 - observation windows are axis-aligned boxes; eroding a box by (r, t)
   shrinks each spatial axis by r on both ends and the temporal interval
   by t on both ends, which for boxes coincides with the Euclidean
@@ -19,51 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SpaceTimePoint",
     "Window",
-    "Cylinder",
-    "Cone2D",
     "ErosionError",
-    "sup_metric",
-    "full_metric",
-    "cylinder_contains",
     "cylinder_volume",
     "cone_volume",
     "unit_ball_volume",
+    "direction_in_cone",
     "erode_window",
 ]
 
 
 class ErosionError(ValueError):
     """Raised when eroding a window by (r, t) would empty it."""
-
-
-@dataclass(frozen=True)
-class SpaceTimePoint:
-    """A ground point: spatial coordinates plus a time coordinate.
-
-    Parameters
-    ----------
-    x : tuple of float
-        Spatial coordinates in R^d, d >= 1.
-    t : float
-        Time coordinate.
-    """
-
-    x: tuple
-    t: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        object.__setattr__(self, "t", float(self.t))
-        if len(self.x) < 1:
-            raise ValueError("spatial dimension must be >= 1")
-        if not all(math.isfinite(v) for v in self.x) or not math.isfinite(self.t):
-            raise ValueError("coordinates must be finite")
-
-    @property
-    def dim(self):
-        return len(self.x)
 
 
 @dataclass(frozen=True)
@@ -137,67 +103,6 @@ def unit_ball_volume(d):
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
-@dataclass(frozen=True)
-class Cylinder:
-    """Closed cylinder: spatial ball of radius r times a time interval
-    of half-height t, centered at a space-time point."""
-
-    center: SpaceTimePoint
-    r: float
-    t: float
-
-    def __post_init__(self):
-        if self.r < 0 or self.t < 0:
-            raise ValueError("cylinder requires r >= 0 and t >= 0")
-
-    def contains(self, p):
-        return cylinder_contains(self, p)
-
-    @property
-    def volume(self):
-        return cylinder_volume(self.r, self.t, self.center.dim)
-
-
-@dataclass(frozen=True)
-class Cone2D:
-    """Closed double cone in R^2 x R: points x + a*(cos v, sin v) with
-    a in [0, r] and direction v in [phi, psi] or [phi+pi, psi+pi],
-    times the interval [t_c - t, t_c + t].
-
-    Requires -pi/2 <= phi < psi <= phi + pi.
-    """
-
-    center: SpaceTimePoint
-    phi: float
-    psi: float
-    r: float
-    t: float
-
-    def __post_init__(self):
-        if self.center.dim != 2:
-            raise ValueError("directional cones are defined for d = 2 only")
-        if not (-math.pi / 2 <= self.phi < math.pi / 2):
-            raise ValueError("phi must lie in [-pi/2, pi/2)")
-        if not (self.phi < self.psi <= self.phi + math.pi):
-            raise ValueError("psi must lie in (phi, phi + pi]")
-        if self.r < 0 or self.t < 0:
-            raise ValueError("cone requires r >= 0 and t >= 0")
-
-    def contains(self, p):
-        if p.dim != 2:
-            raise ValueError("dimension mismatch")
-        dx = p.x[0] - self.center.x[0]
-        dy = p.x[1] - self.center.x[1]
-        dt = abs(p.t - self.center.t)
-        if dt > self.t or math.hypot(dx, dy) > self.r:
-            return False
-        return bool(direction_in_cone(np.array([dx]), np.array([dy]), self.phi, self.psi)[0])
-
-    @property
-    def volume(self):
-        return cone_volume(self.phi, self.psi, self.r, self.t)
-
-
 def direction_in_cone(dx, dy, phi, psi):
     """Vectorized membership of displacement directions in the closed double
     wedge [phi, psi] union [phi+pi, psi+pi]. Zero displacements belong to
@@ -215,61 +120,6 @@ def direction_in_cone(dx, dy, phi, psi):
         inside = (rel <= span) | (rel >= math.pi - 1e-12)
     inside = inside | ((dx == 0.0) & (dy == 0.0))
     return inside
-
-
-def sup_metric(a, b):
-    """Sup metric between two space-time points: the maximum of the
-    Euclidean spatial distance and the absolute time difference.
-
-    Parameters
-    ----------
-    a, b : SpaceTimePoint
-
-    Returns
-    -------
-    float
-    """
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    ds = math.dist(a.x, b.x)
-    return max(ds, abs(a.t - b.t))
-
-
-def full_metric(a, b, mark_space):
-    """Distance between two marked points.
-
-    For continuous mark spaces the combination rule is the maximum of the
-    space-time sup metric and the absolute mark difference; for finite
-    label spaces the combination is additive (sup metric plus absolute
-    label difference).
-
-    Parameters
-    ----------
-    a, b : (SpaceTimePoint, mark) pairs
-    mark_space : object
-        Must expose ``is_labelled`` and ``contains_mark``.
-
-    Returns
-    -------
-    float
-    """
-    (pa, ma), (pb, mb) = a, b
-    if not mark_space.contains_mark(ma) or not mark_space.contains_mark(mb):
-        raise ValueError("mark outside mark space")
-    ground = sup_metric(pa, pb)
-    dmark = abs(float(ma) - float(mb))
-    if mark_space.is_labelled:
-        return ground + dmark
-    return max(ground, dmark)
-
-
-def cylinder_contains(c, p):
-    """Closed-cylinder membership: spatial distance <= r and time
-    difference <= t, both boundaries inclusive."""
-    if c.center.dim != p.dim:
-        raise ValueError("dimension mismatch")
-    ds = math.dist(c.center.x, p.x)
-    return ds <= c.r and abs(c.center.t - p.t) <= c.t
 
 
 def cylinder_volume(r, t, d):

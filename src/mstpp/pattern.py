@@ -3,7 +3,8 @@ The marked point-pattern data model: mark spaces and their reference
 measures, mark sets, patterns, ingestion, and the basic transformers
 (rescaling, mark restriction, thinning, mark permutation).
 
-A pattern stores its points as arrays (x: (N, d), t: (N,), marks: (N,)),
+A pattern holds its points only as arrays (x: (N, d), t: (N,), marks:
+(N,)), which the estimators read whole; there is no per-point object. It
 is immutable after construction, and always satisfies simpleness: no two
 points share an identical (location, mark). Unmarked ("ground") patterns
 carry ``marks=None`` and ``mark_space=None``; the simulators produce these
@@ -11,21 +12,20 @@ and the marking operations upgrade them.
 """
 
 import csv
-import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .geometry import SpaceTimePoint, Window
+from .geometry import Window
 
 __all__ = [
     "ContinuousMarks",
     "LabelMarks",
     "MarkInterval",
     "LabelSet",
-    "MarkedPoint",
+    "full_mark_set",
     "MarkedPattern",
     "pattern_from_arrays",
     "load_catalog",
@@ -189,12 +189,6 @@ def full_mark_set(mark_space):
 
 
 @dataclass(frozen=True)
-class MarkedPoint:
-    loc: SpaceTimePoint
-    mark: float
-
-
-@dataclass(frozen=True)
 class MarkedPattern:
     """A finite marked (or ground) spatio-temporal point pattern in a window.
 
@@ -284,15 +278,6 @@ class MarkedPattern:
     @property
     def is_marked(self):
         return self.marks is not None
-
-    def points(self):
-        """The points as MarkedPoint values (mark NaN for ground patterns)."""
-        out = []
-        for i in range(self.n):
-            loc = SpaceTimePoint(tuple(self.x[i]), float(self.t[i]))
-            mark = float(self.marks[i]) if self.is_marked else math.nan
-            out.append(MarkedPoint(loc, mark))
-        return out
 
     def nu(self, mark_set):
         """Reference-measure mass of a mark set under this pattern's space

@@ -62,7 +62,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import cylinder_volume, direction_in_cone, erode_window, unit_ball_volume
+from .geometry import (cone_volume, cylinder_volume, direction_in_cone, erode_window,
+                       unit_ball_volume)
 from .pattern import LabelSet, full_mark_set, thin
 
 __all__ = [
@@ -71,7 +72,6 @@ __all__ = [
     "weights_from_estimate",
     "KSurface",
     "CylinderSet",
-    "BallSet",
     "ConeSet",
     "BoxUnionSet",
     "PairGeometry",
@@ -185,22 +185,6 @@ class CylinderSet:
 
 
 @dataclass(frozen=True)
-class BallSet:
-    """Sup-metric ball of radius r, identical to CylinderSet(r, r)."""
-
-    r: float
-
-    def bounding_lags(self):
-        return self.r, self.r
-
-    def contains_lag(self, dx, dt):
-        return CylinderSet(self.r, self.r).contains_lag(dx, dt)
-
-    def volume(self, d):
-        return CylinderSet(self.r, self.r).volume(d)
-
-
-@dataclass(frozen=True)
 class ConeSet:
     """Double cone (planar double wedge [phi, psi] times [-t, t]) clipped
     to spatial radius r; requires d = 2. Boundary directions are included
@@ -231,7 +215,7 @@ class ConeSet:
         return ok & direction_in_cone(dx[:, 0], dx[:, 1], self.phi, self.psi)
 
     def volume(self, d=2):
-        return (self.psi - self.phi) * self.r**2 * 2.0 * self.t
+        return cone_volume(self.phi, self.psi, self.r, self.t)
 
 
 @dataclass(frozen=True)
@@ -869,7 +853,7 @@ def k_stationary(p, C=None, D=None, r_grid=None, t_grid=None,
     stationary estimator."""
     if p.n == 0:
         raise ValueError("stationary K needs a nonempty pattern")
-    mC, mD = _mark_masks(p, C, D)
+    mC, mD = _mark_sets(p, C, D)[:2]
     geom = _geometry(p, r_grid, t_grid, route, erosion)
     lam_hat = p.n / p.window.volume
     n_C = float(np.sum(mC))

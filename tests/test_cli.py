@@ -159,6 +159,30 @@ class TestExitCodes:
         assert res.returncode == 2, res.stderr
         assert "config error" in res.stderr and "quad_space" in res.stderr
 
+    @pytest.mark.parametrize("command, lines, key", [
+        ("intensity", "eval_cells = 10,10,0", "eval_cells"),
+        ("k", "scenario = 5", "scenario"),
+        ("k", "n_r = 0", "n_r"),
+        ("k", "n_t = -1", "n_t"),
+        ("k", "smooth_n = -1", "smooth_n"),
+        ("k", "smooth_n = 3\nsmooth_p = 1.5", "smooth_p"),
+        ("k", "smooth_n = 3\nsmooth_p = 0", "smooth_p"),
+        ("test", "scenario = 0", "scenario"),
+        ("test", "n_r = 0", "n_r"),
+        ("test", "n_t = 0", "n_t"),
+    ], ids=["intensity-eval_cells", "k-scenario", "k-n_r", "k-n_t", "k-smooth_n",
+            "k-smooth_p-above", "k-smooth_p-zero", "test-scenario", "test-n_r", "test-n_t"])
+    def test_bad_settings_are_2_before_loading(self, tmp_path, command, lines, key):
+        # the catalog does not exist: loading it first would exit 1
+        sets = "c_set = all\nd_set = all\n" if command == "test" else ""
+        cfg = write_config(
+            tmp_path / "c.txt",
+            f"input = {tmp_path / 'missing.csv'}\n{CATALOG_KEYS}marks = labels,2\n{sets}{lines}",
+        )
+        res = run_cli(command, "--config", cfg, "--out", str(tmp_path / "o"))
+        assert res.returncode == 2, res.stderr
+        assert "config error" in res.stderr and key in res.stderr
+
     def test_bad_scenario_is_2(self, tmp_path, marked_catalog):
         cfg = write_config(
             tmp_path / "c.txt",

@@ -2,112 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from mstpp.geometry import (
-    Cone2D,
-    Cylinder,
     ErosionError,
-    SpaceTimePoint,
     Window,
     cone_volume,
-    cylinder_contains,
     cylinder_volume,
     direction_in_cone,
     erode_window,
-    full_metric,
-    sup_metric,
     unit_ball_volume,
 )
-from mstpp.pattern import ContinuousMarks, LabelMarks
 
 from .oracles import mc_volume, wedge_contains
-
-coord = st.floats(min_value=-50, max_value=50, allow_nan=False, width=32)
-
-
-def pt(x, y, t):
-    return SpaceTimePoint(x=(x, y), t=t)
-
-
-class TestSupMetric:
-    def test_pythagoras_dominates(self):
-        assert sup_metric(pt(0, 0, 0), pt(3, 4, 2)) == 5.0
-
-    def test_identity(self):
-        a = pt(0.3, -1.2, 7.0)
-        assert sup_metric(a, a) == 0.0
-
-    def test_time_dominates(self):
-        assert sup_metric(pt(0, 0, 0), pt(0.1, 0, 0.7)) == 0.7
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            sup_metric(SpaceTimePoint(x=(0.0,), t=0.0), pt(0, 0, 0))
-
-    @given(coord, coord, coord, coord, coord, coord)
-    def test_symmetry_and_nonnegativity(self, x1, y1, t1, x2, y2, t2):
-        a, b = pt(x1, y1, t1), pt(x2, y2, t2)
-        assert sup_metric(a, b) == sup_metric(b, a) >= 0.0
-
-    @given(*(coord,) * 9)
-    def test_triangle_inequality(self, x1, y1, t1, x2, y2, t2, x3, y3, t3):
-        a, b, c = pt(x1, y1, t1), pt(x2, y2, t2), pt(x3, y3, t3)
-        assert sup_metric(a, c) <= sup_metric(a, b) + sup_metric(b, c) + 1e-9
-
-
-class TestFullMetric:
-    interval = ContinuousMarks(0.0, 1.0)
-    labels = LabelMarks(k=3)
-
-    def _pair(self, ground_dist, m1, m2):
-        return (pt(0, 0, 0), m1), (pt(ground_dist, 0, 0), m2)
-
-    def test_interval_max_form(self):
-        a, b = self._pair(0.3, 0.2, 0.7)
-        assert full_metric(a, b, self.interval) == pytest.approx(0.5)
-
-    def test_labels_same_label(self):
-        a, b = self._pair(0.3, 1, 1)
-        assert full_metric(a, b, self.labels) == pytest.approx(0.3)
-
-    def test_labels_additive(self):
-        a, b = self._pair(0.3, 1, 2)
-        assert full_metric(a, b, self.labels) == pytest.approx(1.3)
-
-    def test_mark_outside_space_rejected(self):
-        a, b = self._pair(0.3, 0.2, 1.7)
-        with pytest.raises(ValueError, match="mark"):
-            full_metric(a, b, self.interval)
-
-
-class TestCylinder:
-    def test_boundary_closed(self):
-        c = Cylinder(center=pt(0, 0, 0), r=1.0, t=1.0)
-        assert c.contains(pt(1, 0, 1))
-
-    def test_just_outside(self):
-        c = Cylinder(center=pt(0, 0, 0), r=1.0, t=1.0)
-        assert not c.contains(pt(1.0001, 0, 0))
-
-    def test_degenerate_contains_center(self):
-        c = Cylinder(center=pt(0, 0, 0), r=0.0, t=0.0)
-        assert c.contains(pt(0, 0, 0))
-
-    def test_negative_extent_rejected(self):
-        with pytest.raises(ValueError):
-            Cylinder(center=pt(0, 0, 0), r=-0.1, t=1.0)
-
-    def test_contains_matches_inequalities(self):
-        rng = np.random.default_rng(42)
-        centers = rng.uniform(-2, 2, size=(10_000, 3))
-        others = rng.uniform(-2, 2, size=(10_000, 3))
-        for k in range(10_000):
-            c = Cylinder(center=pt(*centers[k]), r=1.0, t=0.5)
-            p = pt(*others[k])
-            expect = (math.hypot(*(others[k][:2] - centers[k][:2])) <= 1.0
-                      and abs(others[k][2] - centers[k][2]) <= 0.5)
-            assert cylinder_contains(c, p) == expect
 
 
 class TestVolumes:
@@ -162,14 +69,6 @@ class TestDirectionInCone:
         rng = np.random.default_rng(4)
         dx, dy = rng.normal(size=50), rng.normal(size=50)
         assert direction_in_cone(dx, dy, -math.pi / 2, math.pi / 2).all()
-
-    def test_cone2d_parameter_validation(self):
-        with pytest.raises(ValueError):
-            Cone2D(center=pt(0, 0, 0), phi=-2.0, psi=0.0, r=1.0, t=1.0)
-        with pytest.raises(ValueError):
-            Cone2D(center=pt(0, 0, 0), phi=0.0, psi=0.0, r=1.0, t=1.0)
-        with pytest.raises(ValueError):
-            Cone2D(center=pt(0, 0, 0), phi=0.0, psi=3.5, r=1.0, t=1.0)
 
 
 class TestErodeWindow:

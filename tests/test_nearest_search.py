@@ -107,3 +107,34 @@ def test_lattice_cases_contain_ties():
     gens, queries, _ = _case("lattice", METRICS["spatial"])
     d = np.sum((queries[:, None, :] - gens[None, :, :]) ** 2, axis=2)
     assert np.any(np.sum(d == d.min(axis=1, keepdims=True), axis=1) > 1)
+
+
+# (metric, query, generators, expected label): the query lies between two
+# generators, and the competing generator sits just inside or just outside
+# the first one's distance, where another metric form would pick the other
+HAND_CASES = {
+    # sup of the Euclidean spatial distance 5 (3-4-5) and the time lag 2
+    "space-dominates-near": ("ground-sup", (0, 0, 0), [(3, 4, 2), (0, 0, 4.9)], 1),
+    "space-dominates-far": ("ground-sup", (0, 0, 0), [(3, 4, 2), (0, 0, 5.1)], 0),
+    # sup of the spatial distance 0.1 and the time lag 0.7 (not their
+    # Euclidean norm 0.707)
+    "time-dominates-near": ("ground-sup", (0, 0, 0), [(0.1, 0, 0.7), (0.695, 0, 0)], 1),
+    "time-dominates-far": ("ground-sup", (0, 0, 0), [(0.1, 0, 0.7), (0.705, 0, 0)], 0),
+    # max of the space-time distance 0.3 and the mark difference 0.5
+    "marks-max-near": ("marked-max", (0, 0, 0, 0.2), [(0.3, 0, 0, 0.7), (0.45, 0, 0, 0.2)], 1),
+    "marks-max-far": ("marked-max", (0, 0, 0, 0.2), [(0.3, 0, 0, 0.7), (0.55, 0, 0, 0.2)], 0),
+    # the same label adds nothing to the space-time distance 0.3
+    "labels-same-near": ("marked-add", (0, 0, 0, 1), [(0.3, 0, 0, 1), (0, 0, 0.29, 1)], 1),
+    "labels-same-far": ("marked-add", (0, 0, 0, 1), [(0.3, 0, 0, 1), (0, 0, 0.31, 1)], 0),
+    "labels-same-vs-other": ("marked-add", (0, 0, 0, 1), [(0.3, 0, 0, 1), (0.25, 0, 0, 2)], 0),
+    # labels 1 and 2 add 1 to the space-time distance 0.3
+    "labels-differ-near": ("marked-add", (0, 0, 0, 1), [(0.3, 0, 0, 2), (1.25, 0, 0, 1)], 1),
+    "labels-differ-far": ("marked-add", (0, 0, 0, 1), [(0.3, 0, 0, 2), (1.35, 0, 0, 1)], 0),
+}
+
+
+@pytest.mark.parametrize("case", HAND_CASES)
+def test_metric_hand_cases(case):
+    name, query, gens, want = HAND_CASES[case]
+    queries, gens = np.array([query], dtype=float), np.array(gens, dtype=float)
+    assert _nearest(METRICS[name], queries, gens, Quadrature().chunk).tolist() == [want]

@@ -21,7 +21,6 @@ from mstpp.pattern import (
     project_ground,
 )
 from mstpp.second_order import (
-    BallSet,
     BoxUnionSet,
     ConeSet,
     CylinderSet,
@@ -74,17 +73,14 @@ class TestLagSets:
         assert E.volume(2) == pytest.approx(2.0 * 0.2 * math.pi * 0.01)
         assert E.contains_lag(np.array([[0.1, 0.0]]), np.array([0.2]))[0]
         assert not E.contains_lag(np.array([[0.11, 0.0]]), np.array([0.0]))[0]
+        assert CylinderSet(0.0, 0.0).contains_lag(np.zeros((1, 2)), np.zeros(1))[0]
+        rng = np.random.default_rng(42)
+        dx = rng.uniform(-0.3, 0.3, size=(10_000, 2))
+        dt = rng.uniform(-0.3, 0.3, size=10_000)
+        want = [math.hypot(*v) <= 0.1 and abs(u) <= 0.2 for v, u in zip(dx, dt)]
+        assert list(E.contains_lag(dx, dt)) == want
         with pytest.raises(ValueError):
             CylinderSet(-0.1, 0.1)
-
-    def test_ball_equals_cylinder_with_equal_lags(self):
-        ball, cyl = BallSet(0.3), CylinderSet(0.3, 0.3)
-        assert ball.bounding_lags() == cyl.bounding_lags()
-        assert ball.volume(2) == cyl.volume(2)
-        rng = np.random.default_rng(0)
-        dx = rng.uniform(-0.4, 0.4, size=(200, 2))
-        dt = rng.uniform(-0.4, 0.4, size=200)
-        assert np.array_equal(ball.contains_lag(dx, dt), cyl.contains_lag(dx, dt))
 
     def test_cone_volume_shapes(self):
         quarter = ConeSet(-math.pi / 4, math.pi / 4, 0.2, 0.3)
@@ -108,6 +104,8 @@ class TestLagSets:
             ConeSet(-2.0, 0.0, 0.1, 0.1)
         with pytest.raises(ValueError):
             ConeSet(0.0, 0.0, 0.1, 0.1)
+        with pytest.raises(ValueError):
+            ConeSet(0.0, 3.5, 0.1, 0.1)
         with pytest.raises(ValueError, match="two spatial"):
             ConeSet(0.0, 1.0, 0.1, 0.1).contains_lag(np.zeros((1, 3)), np.zeros(1))
 
@@ -584,6 +582,11 @@ class TestEngineInvariances:
         (lambda p, w: k_cross_multitype(p, 1, 2, R_GRID, T_GRID, None), "label"),
         (lambda p, w: k_stationary(project_ground(p), C_HALF, D_HALF, R_GRID, T_GRID),
          "unmarked"),
+        (lambda p, w: k_stationary(p, ZERO_MASS, D_HALF, R_GRID, T_GRID),
+         "positive reference measure"),
+        (lambda p, w: k_stationary(p.with_marks(np.arange(p.n) % 2 + 1.0, LabelMarks(k=2)),
+                                   LabelSet([7]), LabelSet([2]), R_GRID, T_GRID),
+         "positive reference measure"),
         (lambda p, w: k_smoothed(p, C_HALF, D_HALF, R_GRID, T_GRID,
                                  lambda q, keep: w, scenario=9), "scenario"),
         (lambda p, w: k_inhom(p, C_HALF, D_HALF, R_GRID, T_GRID,
@@ -601,6 +604,7 @@ class TestEngineInvariances:
     ], ids=["inhom-weights", "inhom-lam_ground", "inhom-zero-mass", "inhom-scenario",
             "directional-weights", "directional-lam_ground", "directional-zero-mass",
             "ground-scenario", "cross-labels", "stationary-unmarked",
+            "stationary-zero-mass", "stationary-absent-label",
             "smoothed-scenario", "inhom-lam-length", "inhom-lam_ground-length",
             "ground-length", "cross-length", "measure-length"])
     def test_bad_arguments_fail_before_any_work(self, small_marked, monkeypatch,
