@@ -184,7 +184,6 @@ SCHEMAS = {
             "voronoi-marked",
         ),
         "erosion": (_choice("per-cell", "fixed"), "per-cell"),
-        "route": (_choice("indexed", "brute"), "indexed"),
         "symmetrize": (_p_bool, False),
         "smooth_n": (_p_int, 0),
         "smooth_p": (_p_float, 0.5),
@@ -206,7 +205,6 @@ SCHEMAS = {
         "rank": (_choice("pointwise", "minmax"), "pointwise"),
         "alpha": (_p_float, 0.05),
         "erosion": (_choice("per-cell", "fixed"), "per-cell"),
-        "route": (_choice("indexed", "brute"), "indexed"),
     },
 }
 
@@ -431,6 +429,9 @@ def cmd_intensity(cfg, out_dir, seed, threads):
 
 
 def _grids_from(cfg):
+    for key in ("r_max", "t_max"):
+        if not cfg[key] >= 0:  # NaN too
+            raise ConfigError(f"{key} must be nonnegative (0: the default), got {cfg[key]}")
     r_default, t_default = default_lag_grids(_window_from(cfg["window"]))
     r_max = cfg["r_max"] if cfg["r_max"] > 0 else float(r_default[-1])
     t_max = cfg["t_max"] if cfg["t_max"] > 0 else float(t_default[-1])
@@ -487,8 +488,7 @@ def cmd_k(cfg, out_dir, seed, threads):
             raise ConfigError("smooth_p must lie in (0, 1)")
     p = _load_pattern(cfg)
     if mode == "stationary":
-        surf = k_stationary(p, C, D, r_grid, t_grid, erosion=cfg["erosion"],
-                            route=cfg["route"])
+        surf = k_stationary(p, C, D, r_grid, t_grid, erosion=cfg["erosion"])
     elif cfg["smooth_n"] > 0:
         def builder(q, keep):
             return _build_weights(q, mode, scenario, quad)
@@ -496,14 +496,13 @@ def cmd_k(cfg, out_dir, seed, threads):
         surf = k_smoothed(
             p, C, D, r_grid, t_grid, weights_builder=builder,
             retention=cfg["smooth_p"], n=cfg["smooth_n"], scenario=scenario,
-            erosion=cfg["erosion"], route=cfg["route"],
-            symmetrize=cfg["symmetrize"], seed=seed, threads=threads,
+            erosion=cfg["erosion"], symmetrize=cfg["symmetrize"], seed=seed,
+            threads=threads,
         )
     else:
         w = _build_weights(p, mode, scenario, quad)
         surf = k_inhom(p, C, D, r_grid, t_grid, w, scenario=scenario,
-                       erosion=cfg["erosion"], route=cfg["route"],
-                       symmetrize=cfg["symmetrize"])
+                       erosion=cfg["erosion"], symmetrize=cfg["symmetrize"])
     surf.write_csv(os.path.join(out_dir, "k_surface.csv"))
     surf.write_meta(os.path.join(out_dir, "k_surface.json"))
 
@@ -526,8 +525,8 @@ def cmd_test(cfg, out_dir, seed, threads):
     env = random_labelling_test(
         p, C, D, r_grid, t_grid, weights_builder=builder,
         n_perm=cfg["n_perm"], rank=cfg["rank"], alpha=cfg["alpha"],
-        scenario=scenario, erosion=cfg["erosion"], route=cfg["route"],
-        seed=seed, rebuild_weights=cfg["rebuild_weights"], threads=threads,
+        scenario=scenario, erosion=cfg["erosion"], seed=seed,
+        rebuild_weights=cfg["rebuild_weights"], threads=threads,
     )
     env.write_csv(os.path.join(out_dir, "envelope.csv"))
     env.write_meta(os.path.join(out_dir, "envelope.json"))

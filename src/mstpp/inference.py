@@ -195,12 +195,11 @@ def _delta_values(geom, scenario, terms):
 
 
 def delta_surface(p, C, D, r_grid=None, t_grid=None, weights=None,
-                  scenario="S2", erosion="per-cell", route="indexed",
-                  geometry=None):
+                  scenario="S2", erosion="per-cell", geometry=None):
     """The antisymmetric marking statistic Delta = K^CD - K^DC."""
     scenario = _norm_scenario(scenario)
     terms = _marked_terms(p, weights, C, D, scenario)
-    geom = _geometry(p, r_grid, t_grid, route, erosion, geometry)
+    geom = _geometry(p, r_grid, t_grid, erosion, geometry)
     return DeltaSurface(
         r_grid=geom.r_grid, t_grid=geom.t_grid,
         values=_delta_values(geom, scenario, terms), C=C, D=D,
@@ -211,14 +210,14 @@ def delta_surface(p, C, D, r_grid=None, t_grid=None, weights=None,
 
 
 def diag_independent_marks(p, C, D, r_grid=None, t_grid=None, weights=None,
-                           scenario="S2", erosion="per-cell", route="indexed"):
+                           scenario="S2", erosion="per-cell"):
     """K^CD minus the full-mark-space surface K^MM (which reduces to the
     ground K): centred at zero under independent marking. Computed with
     one shared geometry, identical weights and scenario on both terms, so
     C = D = full mark space gives an exactly zero surface."""
     scenario = _norm_scenario(scenario)
     _marked_terms(p, weights, C, D, scenario)  # both terms' checks, before any work
-    geom = pair_geometry(p, *_lag_grids(p, r_grid, t_grid), route=route, erosion=erosion)
+    geom = pair_geometry(p, *_lag_grids(p, r_grid, t_grid), erosion=erosion)
     marked = k_inhom(p, C, D, weights=weights, scenario=scenario, geometry=geom)
     ground = k_inhom(p, None, None, weights=weights, scenario=scenario, geometry=geom)
     return DeltaSurface(
@@ -231,11 +230,10 @@ def diag_independent_marks(p, C, D, r_grid=None, t_grid=None, weights=None,
 
 
 def diag_independent_components(p, C, D, r_grid=None, t_grid=None, weights=None,
-                                scenario="S2", erosion="per-cell", route="indexed"):
+                                scenario="S2", erosion="per-cell"):
     """K^CD minus the Poisson benchmark 2 omega_d r^d t: centred at zero
     when the C- and D-component processes are independent."""
-    surf = k_inhom(p, C, D, r_grid, t_grid, weights, scenario=scenario,
-                   erosion=erosion, route=route)
+    surf = k_inhom(p, C, D, r_grid, t_grid, weights, scenario=scenario, erosion=erosion)
     return DeltaSurface(
         r_grid=surf.r_grid, t_grid=surf.t_grid,
         values=surf.diff_poisson(), C=C, D=D,
@@ -246,7 +244,7 @@ def diag_independent_components(p, C, D, r_grid=None, t_grid=None, weights=None,
 
 
 def decomposition_residual(p, C, r_grid=None, t_grid=None, weights=None,
-                           scenario="S2", erosion="per-cell", route="indexed"):
+                           scenario="S2", erosion="per-cell"):
     """Residual of the independent-components decomposition of K^{C,M}:
 
         K^{CM} - [nu(M\\C)/nu(M)] * 2 omega_d r^d t - [nu(C)/nu(M)] * K^{CC}
@@ -255,7 +253,7 @@ def decomposition_residual(p, C, r_grid=None, t_grid=None, weights=None,
     independent."""
     scenario = _norm_scenario(scenario)
     _marked_terms(p, weights, C, None, scenario)  # both terms' checks, before any work
-    geom = pair_geometry(p, *_lag_grids(p, r_grid, t_grid), route=route, erosion=erosion)
+    geom = pair_geometry(p, *_lag_grids(p, r_grid, t_grid), erosion=erosion)
     k_cm = k_inhom(p, C, None, weights=weights, scenario=scenario, geometry=geom)
     k_cc = k_inhom(p, C, C, weights=weights, scenario=scenario, geometry=geom)
     nu_c = p.nu(C)
@@ -292,7 +290,7 @@ def _default_builder(p):
 
 def random_labelling_test(p, C, D, r_grid=None, t_grid=None, weights_builder=None,
                           n_perm=99, rank="pointwise", alpha=0.05, scenario="S2",
-                          erosion="per-cell", route="indexed", seed=None,
+                          erosion="per-cell", seed=None,
                           rebuild_weights=True, threads=1):
     """Monte-Carlo test of random labelling via mark permutation.
 
@@ -316,13 +314,13 @@ def random_labelling_test(p, C, D, r_grid=None, t_grid=None, weights_builder=Non
         raise ValueError("need at least one permutation")
     _check_band(rank, alpha)
     scenario = _norm_scenario(scenario)
-    if np.unique(np.column_stack([p.x, p.t]), axis=0).shape[0] != p.n:
+    if not p._distinct_locations:
         raise ValueError("random labelling needs distinct point locations: a mark "
                          "permutation can give coincident points the same mark")
     _mark_sets(p, C, D)  # the mark sets' checks, before any work
     if C == D:
         warnings.warn("C == D makes Delta identically zero; the test is degenerate")
-    geom = pair_geometry(p, *_lag_grids(p, r_grid, t_grid), route=route, erosion=erosion)
+    geom = pair_geometry(p, *_lag_grids(p, r_grid, t_grid), erosion=erosion)
     if weights_builder is None:
         weights_builder = _default_builder(p)
     w_obs = weights_builder(p)

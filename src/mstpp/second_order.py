@@ -28,21 +28,20 @@ array, and a double cumulative sum recovers every cell total in one pass;
 per-cell denominator sums over the eroded windows use the same device with
 degenerate rectangles starting at (0, 0).
 
-Candidate pairs come either from a plain O(N^2) scan (`route="brute"`) or
-from a KD-tree (`route="indexed"`). The tree holds the points with time
-rescaled by r_max / t_max, and its sup-metric ball of radius r_max, padded
-by a bound on the rounding of the rescaled times, contains the whole
+Candidate pairs come from a KD-tree that holds the points with time
+rescaled by r_max / t_max. Its sup-metric ball of radius r_max, padded by
+a bound on the rounding of the rescaled times, contains the whole
 (r_max, t_max) cylinder: it returns a superset of the pairs within the
-maximal lags. Both routes emit the candidates of `_BLOCK` consecutive
-first points at a time, sorted by (I, J), and feed them to one blocked
+maximal lags. The search emits the candidates of `_BLOCK` consecutive
+first points at a time, sorted by (I, J), and feeds them to one blocked
 pass (`_stored_pairs`). Each block is filtered exactly on the unscaled
 lags (ds <= r_max, du <= t_max); every pair whose rectangle is empty,
 because its lags exceed its first point's erosion limits, is dropped; the
 rest are binned. Only the first- and second-point indices and the four
 flat corner indices of each kept pair are stored, as int32, the corners
 corner-major. So a geometry holds 24 bytes per pair that can contribute,
-and building it holds one block's candidates at a time. The two routes
-store identical arrays, so their outputs agree bit for bit.
+and building it holds one block's candidates at a time. The stored arrays
+equal those of a plain scan over all ordered pairs (`tests/oracles.py`).
 
 `_sum_corners` adds the weights into the difference array with
 `np.add.at` at the first corners, then `np.subtract.at` at the second and
@@ -265,7 +264,6 @@ class PairGeometry:
     ell_r: np.ndarray        # eroded spatial volumes per r-cell
     ell_t: np.ndarray        # eroded temporal lengths per t-cell
     erosion: str             # "per-cell" | "fixed"
-    route: str
     point_corners: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -290,19 +288,6 @@ def _margins(p):
     margin_s = np.min(np.minimum(p.x - lo, hi - p.x), axis=1)
     margin_t = np.minimum(p.t - p.window.temporal[0], p.window.temporal[1] - p.t)
     return margin_s, margin_t
-
-
-def _pairs_brute(p, t_max):
-    """Candidate ordered pairs with temporal lag <= t_max, as (I, J) blocks
-    of _BLOCK first points each, in (I, J) order."""
-    n = p.n
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        du = np.abs(p.t[start:stop, None] - p.t[None, :])
-        ii, jj = np.nonzero(du <= t_max)
-        ii += start
-        keep = ii != jj
-        yield ii[keep], jj[keep]
 
 
 def _pairs_indexed(p, r_max, t_max):
@@ -368,7 +353,7 @@ def _stored_pairs(p, blocks, r_grid, t_grid, pt_b_r, pt_b_t):
     return np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_c, axis=1)
 
 
-def pair_geometry(p, r_grid, t_grid, route="indexed", erosion="per-cell"):
+def pair_geometry(p, r_grid, t_grid, erosion="per-cell"):
     """Build the mark-independent pair/erosion geometry for a lag grid.
 
     Validates that the window survives erosion at the maximal lags. The
@@ -386,8 +371,6 @@ def pair_geometry(p, r_grid, t_grid, route="indexed", erosion="per-cell"):
         raise ValueError("r_grid and t_grid have too many cells")
     if erosion not in ("per-cell", "fixed"):
         raise ValueError("erosion must be 'per-cell' or 'fixed'")
-    if route not in ("indexed", "brute"):
-        raise ValueError("route must be 'indexed' or 'brute'")
     r_max, t_max = float(r_grid[-1]), float(t_grid[-1])
     erode_window(p.window, r_max, t_max)  # raises ErosionError if too large
 
@@ -404,15 +387,12 @@ def pair_geometry(p, r_grid, t_grid, route="indexed", erosion="per-cell"):
         pt_b_t = np.where(eligible, T - 1, -1)
         ell_r = np.full(R, np.prod([(hi[a] - lo[a]) - 2.0 * r_max for a in range(p.dim)]))
         ell_t = np.full(T, p.window.temporal_length - 2.0 * t_max)
-    if route == "brute":
-        blocks = _pairs_brute(p, t_max)
-    else:
-        blocks = _pairs_indexed(p, r_max, t_max)
-    I, J, corners = _stored_pairs(p, blocks, r_grid, t_grid, pt_b_r, pt_b_t)
+    I, J, corners = _stored_pairs(p, _pairs_indexed(p, r_max, t_max),
+                                  r_grid, t_grid, pt_b_r, pt_b_t)
     return PairGeometry(
         r_grid=r_grid, t_grid=t_grid, I=I, J=J, corners=corners,
         pt_b_r=pt_b_r, pt_b_t=pt_b_t, ell_r=ell_r, ell_t=ell_t,
-        erosion=erosion, route=route,
+        erosion=erosion,
     )
 
 
@@ -515,7 +495,8 @@ class KSurface(_Surface):
     normalizing-measure treatment, ``weights_source`` one of
     TrueIntensity / PluggedEstimate / Smoothed(n, p). ``meta`` carries
     data-quality items (floor hits, erosion mode, spread of smoothing
-    replicates, degenerate-thinning count, seeds).
+    replicates, degenerate-thinning count, seeds); its ``route`` names the
+    pair search and is always "indexed".
     """
 
     scenario: str
@@ -650,11 +631,11 @@ def _lag_grids(p, r_grid, t_grid):
     return dr if r_grid is None else r_grid, dt if t_grid is None else t_grid
 
 
-def _geometry(p, r_grid, t_grid, route, erosion, geometry=None):
+def _geometry(p, r_grid, t_grid, erosion, geometry=None):
     """The caller's precomputed geometry, or a new one for these grids."""
     if geometry is not None:
         return geometry
-    return pair_geometry(p, *_lag_grids(p, r_grid, t_grid), route=route, erosion=erosion)
+    return pair_geometry(p, *_lag_grids(p, r_grid, t_grid), erosion=erosion)
 
 
 def _replicates(fn, n, seed, threads):
@@ -676,7 +657,6 @@ def k_inhom(
     weights=None,
     scenario="S2",
     erosion="per-cell",
-    route="indexed",
     symmetrize=False,
     geometry=None,
 ):
@@ -696,17 +676,15 @@ def k_inhom(
     erosion : {"per-cell", "fixed"}
         Minus-sampling erosion varies with the lag cell (literal form) or
         is fixed at the maximal lags for all cells.
-    route : {"indexed", "brute"}
-        Pair-search backend; results are bit-identical.
     symmetrize : bool
         Return the symmetrized estimate (mean of the CD and DC forms).
     geometry : PairGeometry, optional
         Precomputed geometry for these locations and grids (permutation
-        fast path); ``route``/``erosion`` are taken from it.
+        fast path); ``erosion`` is taken from it.
     """
     scenario = _norm_scenario(scenario)
     terms = _marked_terms(p, weights, C, D, scenario)
-    geom = _geometry(p, r_grid, t_grid, route, erosion, geometry)
+    geom = _geometry(p, r_grid, t_grid, erosion, geometry)
     mC, mD, inv_lam, _, nu_C, nu_D = terms
     pw = inv_lam[geom.I] * inv_lam[geom.J]
     denom = _denominator(geom, scenario, *terms)
@@ -718,7 +696,7 @@ def k_inhom(
         C=C, D=D, scenario=scenario, weights_source=weights.source, d=p.dim,
         meta={
             "erosion": geom.erosion,
-            "route": geom.route,
+            "route": "indexed",
             "floor_hits": weights.floor_hits,
             "symmetrized": bool(symmetrize),
             "nu_C": float(nu_C),
@@ -728,7 +706,7 @@ def k_inhom(
 
 
 def k_ground(p, r_grid=None, t_grid=None, weights=None, scenario="S1",
-             erosion="per-cell", route="indexed", geometry=None):
+             erosion="per-cell", geometry=None):
     """Inhomogeneous space-time K-function of the ground process.
 
     Uses ``weights.lam_ground`` (or ``lam`` for unmarked patterns).
@@ -745,14 +723,14 @@ def k_ground(p, r_grid=None, t_grid=None, weights=None, scenario="S1",
     if lam_g is None:
         raise ValueError("weights.lam_ground (or lam) is required")
     inv = 1.0 / _per_point(p, lam_g)
-    geom = _geometry(p, r_grid, t_grid, route, erosion, geometry)
+    geom = _geometry(p, r_grid, t_grid, erosion, geometry)
     ones = np.ones(p.n)
     denom = _denominator(geom, scenario, ones, ones, inv, inv, 1.0, 1.0)
     values = _k_values(geom, inv[geom.I] * inv[geom.J], ones, ones, denom)
     return KSurface(
         r_grid=geom.r_grid, t_grid=geom.t_grid, values=values, C=None, D=None,
         scenario=scenario, weights_source=weights.source, d=p.dim,
-        meta={"erosion": geom.erosion, "route": geom.route,
+        meta={"erosion": geom.erosion, "route": "indexed",
               "floor_hits": weights.floor_hits, "ground": True},
     )
 
@@ -764,6 +742,11 @@ def k_measure_hat(p, C, D, E, weights, return_report=False):
     The window is eroded by E's circumscribing cylinder lags; the sum runs
     over ordered distinct pairs with the first point in the eroded window
     with mark in C and the second point displaced into E with mark in D.
+    The candidate pairs come from the KD-tree search of `pair_geometry`
+    at E's bounding lags, whose padded ball contains E, so the same pairs
+    are summed in the same (I, J) order as by a scan of all pairs. With
+    ``return_report``, ``pairs`` counts those candidates: the ordered
+    pairs the tree returns, before E's exact membership test.
     """
     r_c, t_c = E.bounding_lags()
     erode_window(p.window, r_c, t_c)
@@ -778,7 +761,7 @@ def k_measure_hat(p, C, D, E, weights, return_report=False):
     margin_s, margin_t = _margins(p)
     first = (margin_s >= r_c) & (margin_t >= t_c) & (mC > 0)
     pairs, terms = 0, [np.empty(0)]
-    for I, J in _pairs_brute(p, t_c):
+    for I, J in _pairs_indexed(p, r_c, t_c):
         pairs += I.size
         keep = first[I] & (mD[J] > 0) & E.contains_lag(p.x[J] - p.x[I], p.t[J] - p.t[I])
         terms.append(inv[I[keep]] * inv[J[keep]])
@@ -794,7 +777,7 @@ def k_measure_hat(p, C, D, E, weights, return_report=False):
 
 def k_directional(p, C=None, D=None, phi=-math.pi / 2, psi=math.pi / 2,
                   r_grid=None, t_grid=None, weights=None, scenario="S2",
-                  erosion="per-cell", route="indexed", geometry=None):
+                  erosion="per-cell", geometry=None):
     """Directional marked inhomogeneous K-function: cylinder sets replaced
     by double cones over the wedge [phi, psi]. Requires d = 2. The full
     wedge (-pi/2, pi/2] reproduces k_inhom exactly."""
@@ -803,7 +786,7 @@ def k_directional(p, C=None, D=None, phi=-math.pi / 2, psi=math.pi / 2,
     ConeSet(phi, psi, 1.0, 1.0)  # validate angles
     scenario = _norm_scenario(scenario)
     terms = _marked_terms(p, weights, C, D, scenario)
-    geom = _geometry(p, r_grid, t_grid, route, erosion, geometry)
+    geom = _geometry(p, r_grid, t_grid, erosion, geometry)
     mC, mD, inv_lam = terms[:3]
     dx = np.take(p.x, geom.J, axis=0) - np.take(p.x, geom.I, axis=0)
     in_cone = direction_in_cone(dx[:, 0], dx[:, 1], phi, psi).astype(float)
@@ -812,13 +795,13 @@ def k_directional(p, C=None, D=None, phi=-math.pi / 2, psi=math.pi / 2,
     return KSurface(
         r_grid=geom.r_grid, t_grid=geom.t_grid, values=values, C=C, D=D,
         scenario=scenario, weights_source=weights.source, d=p.dim,
-        meta={"erosion": geom.erosion, "route": geom.route, "phi": phi, "psi": psi,
+        meta={"erosion": geom.erosion, "route": "indexed", "phi": phi, "psi": psi,
               "floor_hits": weights.floor_hits},
     )
 
 
 def k_cross_multitype(p, i, j, r_grid=None, t_grid=None, weights=None,
-                      erosion="per-cell", route="indexed", geometry=None):
+                      erosion="per-cell", geometry=None):
     """i-to-j cross K-function for multitype (label-marked) patterns.
 
     ``weights.lam`` must hold each point's own-component ground intensity
@@ -833,20 +816,19 @@ def k_cross_multitype(p, i, j, r_grid=None, t_grid=None, weights=None,
     mC, mD, inv = _marked_terms(p, weights, C, D, "S1")[:3]
     if not mC.any() or not mD.any():
         warnings.warn(f"component {j if mC.any() else i} is empty; surface is zero")
-    geom = _geometry(p, r_grid, t_grid, route, erosion, geometry)
+    geom = _geometry(p, r_grid, t_grid, erosion, geometry)
     denom = _denominator(geom, "S1", mC, mD, inv, None, 1.0, 1.0)  # unit mark masses
     values = _k_values(geom, inv[geom.I] * inv[geom.J], mC, mD, denom)
     return KSurface(
         r_grid=geom.r_grid, t_grid=geom.t_grid, values=values,
         C=C, D=D, scenario="cross",
         weights_source=weights.source, d=p.dim,
-        meta={"erosion": geom.erosion, "route": geom.route, "i": i, "j": j,
+        meta={"erosion": geom.erosion, "route": "indexed", "i": i, "j": j,
               "floor_hits": weights.floor_hits},
     )
 
 
-def k_stationary(p, C=None, D=None, r_grid=None, t_grid=None,
-                 erosion="per-cell", route="indexed"):
+def k_stationary(p, C=None, D=None, r_grid=None, t_grid=None, erosion="per-cell"):
     """Stationary marked space-time K-function: constant intensity
     N/volume and empirical mark-set masses N_C N_D / N^2 plugged into the
     minus-sampling form. With C = D = full mark space this is the unmarked
@@ -854,7 +836,7 @@ def k_stationary(p, C=None, D=None, r_grid=None, t_grid=None,
     if p.n == 0:
         raise ValueError("stationary K needs a nonempty pattern")
     mC, mD = _mark_sets(p, C, D)[:2]
-    geom = _geometry(p, r_grid, t_grid, route, erosion)
+    geom = _geometry(p, r_grid, t_grid, erosion)
     lam_hat = p.n / p.window.volume
     n_C = float(np.sum(mC))
     n_D = float(np.sum(mD))
@@ -864,14 +846,14 @@ def k_stationary(p, C=None, D=None, r_grid=None, t_grid=None,
     return KSurface(
         r_grid=geom.r_grid, t_grid=geom.t_grid, values=values, C=C, D=D,
         scenario="stationary", weights_source="Stationary", d=p.dim,
-        meta={"erosion": geom.erosion, "route": geom.route,
+        meta={"erosion": geom.erosion, "route": "indexed",
               "n_C": n_C, "n_D": n_D},
     )
 
 
 def k_smoothed(p, C=None, D=None, r_grid=None, t_grid=None, weights_builder=None,
                retention=0.5, n=10, scenario="S2", erosion="per-cell",
-               route="indexed", symmetrize=False, seed=None, threads=1):
+               symmetrize=False, seed=None, threads=1):
     """Smoothed K-function: the average of estimates over n independent
     p-thinnings of the pattern.
 
@@ -904,7 +886,7 @@ def k_smoothed(p, C=None, D=None, r_grid=None, t_grid=None, weights_builder=None
             return None
         w = weights_builder(q, retention)
         surf = k_inhom(q, C, D, r_grid, t_grid, w, scenario=scenario,
-                       erosion=erosion, route=route, symmetrize=symmetrize)
+                       erosion=erosion, symmetrize=symmetrize)
         return surf.values
 
     results = _replicates(one, n, seed, threads)
@@ -917,7 +899,7 @@ def k_smoothed(p, C=None, D=None, r_grid=None, t_grid=None, weights_builder=None
         r_grid=np.asarray(r_grid, dtype=float), t_grid=np.asarray(t_grid, dtype=float),
         values=mean, C=C, D=D, scenario=scenario,
         weights_source=f"Smoothed(n={n}, p={retention})", d=p.dim,
-        meta={"erosion": erosion, "route": route, "retention": retention,
+        meta={"erosion": erosion, "route": "indexed", "retention": retention,
               "n_thinnings": n, "degenerate_thinnings": degenerate,
               "seed": str(seed), "spread": spread},
     )

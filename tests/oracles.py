@@ -5,7 +5,8 @@ definitions — plain Python loops over ordered pairs, one lag cell at a
 time — with none of the difference-array, sorting, or indexing machinery
 of the library code. Slow on purpose; tests keep N small. Two sections
 instead keep a library kernel as it was before it was optimized (the brute
-nearest-generator search and the full-array pair geometry), as references
+nearest-generator search and the full-array pair geometry, whose pairs
+come from a plain scan instead of the library's KD-tree), as references
 the optimized kernels must match exactly.
 """
 
@@ -298,43 +299,26 @@ class FullGeometry:
         return self.r_grid.size, self.t_grid.size
 
 
-def _pairs_indexed_full(p, r_max, t_max):
-    from scipy.spatial import cKDTree
-
-    n = p.n
-    if n < 2:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    scale = r_max / t_max if r_max > 0 and t_max > 0 else 1.0
-    radius = r_max if r_max > 0 else t_max
-    coords = np.column_stack([p.x, p.t * scale])
-    radius += 4.0 * np.finfo(float).eps * (radius + np.max(np.abs(coords)))
-    pairs = cKDTree(coords).query_pairs(radius, p=np.inf, output_type="ndarray")
-    i, j = pairs.T
-    key = np.concatenate([i * n + j, j * n + i])
-    key.sort()
-    return np.divmod(key, n)
-
-
 def pair_geometry_oracle(p, r_grid, t_grid, erosion="per-cell"):
     """Every pair within the maximal lags, in (I, J) order, with the full
-    per-pair arrays; no argument checks. The candidates come from the
-    KD-tree search only: its brute-scan alternative gave identical arrays,
-    so one reference serves both library routes."""
+    per-pair arrays; no argument checks. The candidates come from a plain
+    scan, one first point at a time, over all ordered pairs with i != j
+    and |dt| <= t_max, so the reference does not depend on the library's
+    KD-tree search."""
     r_grid = np.asarray(r_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     r_max, t_max = float(r_grid[-1]), float(t_grid[-1])
-    I, J = _pairs_indexed_full(p, r_max, t_max)
-    if I.size:
-        dx = np.take(p.x, J, axis=0) - np.take(p.x, I, axis=0)
-        du = np.abs(p.t[J] - p.t[I])
+    rows = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
+             np.empty((0, p.dim)), np.empty(0))]
+    for i in range(p.n):
+        j = np.flatnonzero(np.abs(p.t - p.t[i]) <= t_max)
+        j = j[j != i]
+        dx = p.x[j] - p.x[i]
         ds = np.sqrt(sum(dx[:, a] * dx[:, a] for a in range(p.dim)))
-        keep = np.flatnonzero((ds <= r_max) & (du <= t_max))
-        I, J, ds, du = I[keep], J[keep], ds[keep], du[keep]
-        dx = np.take(dx, keep, axis=0)
-    else:
-        dx = np.empty((0, p.dim))
-        ds = np.empty(0)
-        du = np.empty(0)
+        keep = ds <= r_max
+        rows.append((np.full(np.count_nonzero(keep), i), j[keep], dx[keep], ds[keep]))
+    I, J, dx, ds = (np.concatenate(arrays) for arrays in zip(*rows))
+    du = np.abs(p.t[J] - p.t[I])
 
     margin_s, margin_t = margins(p)
     R, T = r_grid.size, t_grid.size

@@ -41,6 +41,7 @@ from mstpp.simulate import (
 )
 
 from .conftest import UNIT, uniform_pattern
+from .oracles import denominator_oracle, k_values_oracle, pair_geometry_oracle
 
 R3 = T3 = np.array([0.05, 0.10, 0.15])
 R20, T20 = default_lag_grids(UNIT, 20)
@@ -175,14 +176,23 @@ class TestAcceptance:
                 marked_fn=lambda x, t, m: 15.0 + 10.0 * x[:, 0] + 5.0 * t,
                 ground_fn=lambda x, t: 20.0 + 10.0 * x[:, 1],
             )
-            ki = k_inhom(p, LOWER_HALF, UPPER_HALF, R20, T20, weights=w, route="indexed")
-            kb = k_inhom(p, LOWER_HALF, UPPER_HALF, R20, T20, weights=w, route="brute")
-            gi = k_ground(p, R20, T20, weights=w, route="indexed")
-            gb = k_ground(p, R20, T20, weights=w, route="brute")
-            all_equal = all_equal and np.array_equal(ki.values, kb.values)
-            all_equal = all_equal and np.array_equal(gi.values, gb.values)
+            ki = k_inhom(p, LOWER_HALF, UPPER_HALF, R20, T20, weights=w)
+            gi = k_ground(p, R20, T20, weights=w)
+            # the estimators' formulas on the pairs of a plain O(N^2) scan
+            full = pair_geometry_oracle(p, R20, T20)
+            mC = LOWER_HALF.mask(p.marks).astype(float)
+            mD = UPPER_HALF.mask(p.marks).astype(float)
+            inv, inv_g = 1.0 / w.lam, 1.0 / w.lam_ground
+            denom = denominator_oracle(full, "S2", mC, mD, inv, None,
+                                       p.nu(LOWER_HALF), p.nu(UPPER_HALF))
+            kb = k_values_oracle(full, inv[full.I] * inv[full.J], mC, mD, denom)
+            ones = np.ones(p.n)
+            denom = denominator_oracle(full, "S1", ones, ones, inv_g, inv_g, 1.0, 1.0)
+            gb = k_values_oracle(full, inv_g[full.I] * inv_g[full.J], ones, ones, denom)
+            all_equal = all_equal and np.array_equal(ki.values, kb)
+            all_equal = all_equal and np.array_equal(gi.values, gb)
         _report(capsys, 5, "indexed vs brute-force pair enumeration, 50 patterns",
-                all_equal, "bit-identical marked and ground surfaces", t0)
+                all_equal, "marked and ground surfaces bit-identical to the scan oracle", t0)
 
     def test_06_independent_marks_envelope(self, capsys):
         t0 = time.time()

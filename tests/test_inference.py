@@ -432,6 +432,21 @@ class TestRandomLabelling:
             random_labelling_test(p, LabelSet([1]), LabelSet([2]), R_GRID, T_GRID,
                                   weights_builder=no_work, n_perm=20, seed=0)
 
+    def test_distinct_locations_checked_once(self, monkeypatch):
+        # the test's own check and the permutations share the pattern's
+        # cached result
+        p = uniform_pattern(40, seed=87, marks="labels")
+        real, axes = np.unique, []
+
+        def counting(*args, **kwargs):
+            axes.append(kwargs.get("axis"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting)
+        random_labelling_test(p, LabelSet([1]), LabelSet([2]), R_GRID, T_GRID,
+                              weights_builder=const_weights, n_perm=5, seed=0)
+        assert axes.count(0) == 1
+
     def test_serialization_round_trip(self, small_marked, tmp_path):
         env = random_labelling_test(small_marked, C_HALF, D_HALF, R_GRID, T_GRID,
                                     weights_builder=const_weights, n_perm=9, seed=27)

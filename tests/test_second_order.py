@@ -141,15 +141,16 @@ def _with_copies(x, t, copies, window):
                                LabelMarks(2))
 
 
-ROUTE_CASES = [
+PAIR_CASES = [
     "uniform", "clustered", "lattice", "lattice-far", "rescale-edge", "duplicates",
     "long-time", "zero-r", "zero-t", "zero-both", "1d", "3d",
     "empty", "single", "two",
 ]
 
 
-def route_case(case):
-    """(pattern, r_grid, t_grid) for the indexed-vs-brute comparisons."""
+def pair_case(case):
+    """(pattern, r_grid, t_grid) for the comparisons of the KD-tree pair
+    search with the plain scan of the oracle."""
     if case == "uniform":
         return uniform_pattern(2000, seed=63), R_GRID, T_GRID
     if case == "clustered":
@@ -209,34 +210,33 @@ def route_case(case):
     return pattern_from_arrays(x, t, None, UNIT, None), R_GRID, T_GRID
 
 
-def assert_same_geometry(a, b):
-    """Every array two geometries store is identical, dtype included."""
-    arrays = [k for k, v in vars(a).items() if isinstance(v, np.ndarray)]
-    assert {"I", "J", "corners"} <= set(arrays)
-    for name in arrays:
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype and np.array_equal(x, y), name
-    for x, y in zip(a.point_corners, b.point_corners):
-        assert np.array_equal(x, y)
+def assert_matches_oracle(geom, full):
+    """A geometry stores exactly the oracle's pairs with nonempty
+    rectangles, in its (I, J) order, and the same per-point arrays."""
+    valid, idx = full.pair_corners
+    assert geom.I.dtype == geom.J.dtype == geom.corners.dtype == np.int32
+    assert np.array_equal(geom.I, full.I[valid])
+    assert np.array_equal(geom.J, full.J[valid])
+    assert np.array_equal(geom.corners, idx.reshape(4, -1))
+    for name in ("pt_b_r", "pt_b_t", "ell_r", "ell_t"):
+        assert np.array_equal(getattr(geom, name), getattr(full, name)), name
+    point_valid, point_idx = full.point_corners
+    assert np.array_equal(geom.point_corners[0], point_valid)
+    assert np.array_equal(geom.point_corners[1].ravel(), point_idx)
 
 
 class TestPairGeometry:
-    def test_routes_agree_exactly(self):
+    def test_matches_scan_exactly(self):
         p = uniform_pattern(40, seed=60)
-        brute = pair_geometry(p, R_GRID, T_GRID, route="brute")
-        fast = pair_geometry(p, R_GRID, T_GRID, route="indexed")
-        assert brute.I.size
-        assert_same_geometry(brute, fast)
+        geom = pair_geometry(p, R_GRID, T_GRID)
+        assert geom.I.size
+        assert_matches_oracle(geom, pair_geometry_oracle(p, R_GRID, T_GRID))
 
-    @pytest.mark.parametrize("case", ROUTE_CASES)
-    def test_indexed_route_matches_brute(self, case):
-        p, r_grid, t_grid = route_case(case)
-        brute = pair_geometry(p, r_grid, t_grid, route="brute")
-        fast = pair_geometry(p, r_grid, t_grid, route="indexed")
-        assert_same_geometry(brute, fast)
-        key = fast.I.astype(np.int64) * max(p.n, 1) + fast.J
-        assert np.all(np.diff(key) > 0)
-        assert np.all(fast.I != fast.J)
+    @pytest.mark.parametrize("case", PAIR_CASES)
+    def test_indexed_search_matches_scan(self, case):
+        p, r_grid, t_grid = pair_case(case)
+        assert_matches_oracle(pair_geometry(p, r_grid, t_grid),
+                              pair_geometry_oracle(p, r_grid, t_grid))
 
     def test_grid_validation(self):
         p = uniform_pattern(5, seed=61)
@@ -244,8 +244,6 @@ class TestPairGeometry:
             pair_geometry(p, np.array([0.2, 0.1]), T_GRID)
         with pytest.raises(ValueError, match="t_grid"):
             pair_geometry(p, R_GRID, np.array([]))
-        with pytest.raises(ValueError, match="route"):
-            pair_geometry(p, R_GRID, T_GRID, route="magic")
         with pytest.raises(ValueError, match="erosion"):
             pair_geometry(p, R_GRID, T_GRID, erosion="none")
         # the corner indices are int32: a larger grid would wrap them
@@ -279,12 +277,12 @@ C_ONE, D_TWO = LabelSet([1]), LabelSet([2])
 CONE = (-1.0, 1.2)
 
 
-@functools.lru_cache(maxsize=1)  # the routes and block lengths of one case and erosion run in a row
+@functools.lru_cache(maxsize=1)  # the block lengths of one case and erosion run in a row
 def full_case(case, erosion):
-    """A route case with labels {1, 2} (drawn where it has other marks or
+    """A pair case with labels {1, 2} (drawn where it has other marks or
     none), per-point weights, its full-array reference geometry and the
     reference formulas evaluated on it."""
-    p, r_grid, t_grid = route_case(case)
+    p, r_grid, t_grid = pair_case(case)
     rng = np.random.default_rng(70)
     if p.marks is None or not p.mark_space.is_labelled:
         labels = rng.integers(1, 3, size=p.n).astype(float)
@@ -328,7 +326,7 @@ def reference_surfaces(p, w, full):
     return out
 
 
-def library_surfaces(p, w, geom, r_grid, t_grid, route, erosion):
+def library_surfaces(p, w, geom, r_grid, t_grid, erosion):
     """The same names -> the library's estimators on a blocked geometry."""
     out = {}
     for sc in ("S1", "S2", "S3", "S4"):
@@ -347,7 +345,7 @@ def library_surfaces(p, w, geom, r_grid, t_grid, route, erosion):
                 p, i, j, weights=w, geometry=geom).values
     if p.n:
         out["k_stationary"] = k_stationary(p, C_ONE, D_TWO, r_grid, t_grid,
-                                           erosion=erosion, route=route).values
+                                           erosion=erosion).values
     return out
 
 
@@ -357,24 +355,17 @@ class TestBlockedGeometry:
     reference formulas on the full arrays bit for bit."""
 
     @pytest.mark.parametrize("block", [1, 3, None], ids=["block1", "block3", "default"])
-    @pytest.mark.parametrize("route", ["brute", "indexed"])
     @pytest.mark.parametrize("erosion", ["per-cell", "fixed"])
-    @pytest.mark.parametrize("case", ROUTE_CASES)
-    def test_matches_full_arrays(self, monkeypatch, case, erosion, route, block):
+    @pytest.mark.parametrize("case", PAIR_CASES)
+    def test_matches_full_arrays(self, monkeypatch, case, erosion, block):
         if block is not None:
             monkeypatch.setattr(second_order, "_BLOCK", block)
         p, r_grid, t_grid, w, full, want = full_case(case, erosion)
-        geom = pair_geometry(p, r_grid, t_grid, route=route, erosion=erosion)
-        valid, idx = full.pair_corners
-        assert geom.I.dtype == geom.J.dtype == geom.corners.dtype == np.int32
-        assert np.array_equal(geom.I, full.I[valid])
-        assert np.array_equal(geom.J, full.J[valid])
-        assert np.array_equal(geom.corners, idx.reshape(4, -1))
-        for name in ("pt_b_r", "pt_b_t", "ell_r", "ell_t"):
-            assert np.array_equal(getattr(geom, name), getattr(full, name)), name
+        geom = pair_geometry(p, r_grid, t_grid, erosion=erosion)
+        assert_matches_oracle(geom, full)
         # k_stationary takes no geometry: hand it the one just checked
         monkeypatch.setattr(second_order, "pair_geometry", lambda *args, **kw: geom)
-        got = library_surfaces(p, w, geom, r_grid, t_grid, route, erosion)
+        got = library_surfaces(p, w, geom, r_grid, t_grid, erosion)
         assert sorted(got) == sorted(want)
         for name in want:
             assert _bits(got[name]) == _bits(want[name]), name
@@ -383,28 +374,27 @@ class TestBlockedGeometry:
         # the comparison above means something: candidates with empty
         # rectangles are dropped, and most cases keep some pairs
         dropped = kept = 0
-        for case in ROUTE_CASES:
-            valid = pair_geometry_oracle(*route_case(case)).pair_corners[0]
+        for case in PAIR_CASES:
+            valid = pair_geometry_oracle(*pair_case(case)).pair_corners[0]
             dropped += np.count_nonzero(~valid)
             kept += bool(np.count_nonzero(valid))
         assert dropped > 0 and kept >= 10
 
 
 class TestPairMemory:
-    @pytest.mark.parametrize("route, bound_mb", [("indexed", 44), ("brute", 110)])
-    def test_stationary_peak_is_bounded(self, route, bound_mb):
+    def test_stationary_peak_is_bounded(self):
         # 3000 uniform points on the default grid: about 616k pairs within
         # the maximal lags, 284k of them with a nonempty rectangle. Holding
-        # every candidate's full arrays at once peaked at 88 MB (indexed)
-        # and 220 MB (brute); the blocked pass peaks at about 22 and 45 MB.
+        # every candidate's full arrays at once peaked at 88 MB; the
+        # blocked pass peaks at about 22 MB.
         p = uniform_pattern(3000, seed=71, marks="labels")
         tracemalloc.start()
         try:
-            k_stationary(p, LabelSet([1]), LabelSet([2]), route=route)
+            k_stationary(p, LabelSet([1]), LabelSet([2]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < bound_mb * 1e6
+        assert peak < 44e6
 
 
 class TestAgainstOracle:
@@ -473,11 +463,16 @@ class TestAgainstOracle:
 
 
 class TestEngineInvariances:
-    def test_route_bit_identity(self, small_marked):
-        w = demo_weights(small_marked)
-        a = k_inhom(small_marked, C_HALF, D_HALF, R_GRID, T_GRID, w, route="brute")
-        b = k_inhom(small_marked, C_HALF, D_HALF, R_GRID, T_GRID, w, route="indexed")
-        assert np.array_equal(a.values, b.values)
+    def test_scan_oracle_bit_identity(self, small_marked):
+        p = small_marked
+        w = demo_weights(p)
+        got = k_inhom(p, C_HALF, D_HALF, R_GRID, T_GRID, w)
+        full = pair_geometry_oracle(p, R_GRID, T_GRID)
+        mC, mD = C_HALF.mask(p.marks).astype(float), D_HALF.mask(p.marks).astype(float)
+        inv = 1.0 / w.lam
+        denom = denominator_oracle(full, "S2", mC, mD, inv, None, p.nu(C_HALF), p.nu(D_HALF))
+        want = k_values_oracle(full, inv[full.I] * inv[full.J], mC, mD, denom)
+        assert _bits(got.values) == _bits(want)
 
     def test_geometry_reuse_is_exact(self, small_marked):
         p = small_marked
