@@ -278,11 +278,17 @@ CONE = (-1.0, 1.2)
 
 
 @functools.lru_cache(maxsize=1)  # the block lengths of one case and erosion run in a row
-def full_case(case, erosion):
+def full_case(case, erosion, order="given"):
     """A pair case with labels {1, 2} (drawn where it has other marks or
     none), per-point weights, its full-array reference geometry and the
-    reference formulas evaluated on it."""
+    reference formulas evaluated on it. order='shuffled' permutes the
+    points first, so the search's blocks of first points no longer follow
+    the lattice, cluster or copy structure of the case."""
     p, r_grid, t_grid = pair_case(case)
+    if order == "shuffled":
+        perm = np.random.default_rng(72).permutation(p.n)
+        marks = None if p.marks is None else p.marks[perm]
+        p = pattern_from_arrays(p.x[perm], p.t[perm], marks, p.window, p.mark_space)
     rng = np.random.default_rng(70)
     if p.marks is None or not p.mark_space.is_labelled:
         labels = rng.integers(1, 3, size=p.n).astype(float)
@@ -351,16 +357,18 @@ def library_surfaces(p, w, geom, r_grid, t_grid, erosion):
 
 class TestBlockedGeometry:
     """The blocked pass stores exactly the reference's pairs with nonempty
-    rectangles, for any block length, and every estimator on it equals the
-    reference formulas on the full arrays bit for bit."""
+    rectangles, for any block length and any order of the points, and every
+    estimator on it equals the reference formulas on the full arrays bit
+    for bit."""
 
     @pytest.mark.parametrize("block", [1, 3, None], ids=["block1", "block3", "default"])
+    @pytest.mark.parametrize("order", ["given", "shuffled"])
     @pytest.mark.parametrize("erosion", ["per-cell", "fixed"])
     @pytest.mark.parametrize("case", PAIR_CASES)
-    def test_matches_full_arrays(self, monkeypatch, case, erosion, block):
+    def test_matches_full_arrays(self, monkeypatch, case, erosion, order, block):
         if block is not None:
             monkeypatch.setattr(second_order, "_BLOCK", block)
-        p, r_grid, t_grid, w, full, want = full_case(case, erosion)
+        p, r_grid, t_grid, w, full, want = full_case(case, erosion, order)
         geom = pair_geometry(p, r_grid, t_grid, erosion=erosion)
         assert_matches_oracle(geom, full)
         # k_stationary takes no geometry: hand it the one just checked
