@@ -4,8 +4,10 @@ with iid uniform marks against the closed-form reference 2*pi*r^2*t.
 
 Simulates `--reps` unit-window patterns of intensity `--lam`, estimates
 K^{CD} for the lower/upper mark halves with true-intensity weights, and
-prints the replicate mean, Monte-Carlo standard error, and the reference
-at each lag cell. Optionally writes the table as CSV.
+prints the replicate mean, Monte-Carlo standard error, the reference and
+the z-score of the mean at each lag cell. The z-score is NaN (`n/a` in the
+table) where the standard error is 0, as it is where every replicate has
+the same value. Optionally writes the table as CSV.
 """
 
 import argparse
@@ -26,6 +28,10 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=0, help="root seed")
     ap.add_argument("--out", default=None, help="optional CSV output path")
     args = ap.parse_args(argv)
+    if args.reps < 2:
+        ap.error(f"--reps must be at least 2 for a standard error, got {args.reps}")
+    if not args.lam > 0:
+        ap.error(f"--lam must be positive, got {args.lam}")
 
     window = Window(((0.0, 1.0), (0.0, 1.0)), (0.0, 1.0))
     field = IntensityField(lambda x, t: np.full(len(t), args.lam), window, args.lam)
@@ -51,9 +57,11 @@ def main(argv=None):
     for a, r in enumerate(r_grid):
         for b, t in enumerate(t_grid):
             ref = 2.0 * np.pi * r**2 * t
-            z = (mean[a, b] - ref) / se[a, b]
+            spread = se[a, b] > 0
+            z = (mean[a, b] - ref) / se[a, b] if spread else float("nan")
             rows.append((r, t, mean[a, b], se[a, b], ref, z))
-            print(f"{r:6.3f} {t:6.3f} {mean[a, b]:12.6g} {se[a, b]:12.6g} {ref:12.6g} {z:8.2f}")
+            zs = f"{z:8.2f}" if spread else f"{'n/a':>8}"
+            print(f"{r:6.3f} {t:6.3f} {mean[a, b]:12.6g} {se[a, b]:12.6g} {ref:12.6g} {zs}")
 
     if args.out:
         with open(args.out, "w") as fh:

@@ -418,6 +418,10 @@ def cmd_intensity(cfg, out_dir, seed, threads):
         lines.append(f"reciprocal_sum = {_fmt(recip)}")
         lines.append(f"domain_measure = {_fmt(total)}")
         lines.append(f"identity_relative_error = {_fmt(abs(recip - total) / total)}")
+    # the quadrature the build used: the resolutions its tessellations read
+    res = est.resolutions()
+    lines.append(f"refined = {int(est.refined)}")
+    lines += [f"{key} = {res[f]}" for key, f in _QUAD_KEYS.items() if f in res]
     with open(os.path.join(out_dir, "audit.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     if cfg.get("dump_cells") and hasattr(est, "cell_measure_rows"):

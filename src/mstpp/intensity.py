@@ -40,6 +40,22 @@ bit-identical to comparing every node with every generator. Under a mark
 axis each chunk is tiled and its space part bounded once; each mark node
 then only joins its mark distance to those bounds.
 
+Two more cuts are exact for the same reasons. First, a mark node of a sweep
+bounds only the generators whose mark term alone (the squared mark
+difference under max, the difference under addition) is at most ``cut``:
+the largest, over the chunk's tiles, of the joined upper bound of the
+generator nearest in mark (the lowest index among ties). The space part is
+>= 0 and joining is monotone, so a generator left out has a joined lower
+bound above ``cut``, hence above every tile's smallest upper bound; that
+smallest upper bound is at least its own generator's mark term, so it is
+reached among the generators kept, which stay in index order. Candidates,
+their order and the argmin are unchanged. When every generator is kept,
+as for most label axes and for mark nodes among the observed marks, no
+copy is made. Second, a
+tile with a single candidate takes it as every row's label without
+computing a distance: the generator of the smallest upper bound is always
+a candidate, so a sole candidate is that nearest generator.
+
 Estimator variants
 ------------------
 voronoi_ground
@@ -190,6 +206,12 @@ def _mark_axis(mark_space, marks, n_mark, offset=0.5):
     return nodes, np.full(nodes.shape, w)
 
 
+def _discretized(mark_space):
+    """Whether ``_mark_axis`` reads a resolution (continuous Lebesgue or
+    normalized references) rather than enumerating atoms."""
+    return not mark_space.is_labelled and mark_space.reference != "empirical"
+
+
 def _checked_coords(x, t):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     t = np.asarray(t, dtype=float).ravel()
@@ -293,16 +315,19 @@ def _tile_labels(metric, tiles, gt, lb, ub, z=None):
     """Nearest generator of every tile row, searched among the candidates:
     the generators whose lower bound is <= the tile's smallest upper bound,
     in increasing index order, so argmin's first occurrence is the lowest
-    index among ties. Tiles go in batches of similar candidate counts, each
-    row padded with its first candidate, which a later position never
-    beats. The mark is the last coordinate of ``tiles`` or, for a mark node
-    of a sweep, ``z``."""
+    index among ties. A tile with one candidate takes it; the others go in
+    batches of similar candidate counts, each row padded with its first
+    candidate, which a later position never beats. The mark is the last
+    coordinate of ``tiles`` or, for a mark node of a sweep, ``z``."""
     keep = lb <= ub.min(axis=1, keepdims=True)
     out = np.empty(tiles.shape[1:], dtype=np.intp)
     counts = np.count_nonzero(keep, axis=1)
     order = np.argsort(counts, kind="stable")
     counts = counts[order]
-    start = 0
+    # every tile keeps the generator of its smallest upper bound, so the
+    # tiles of exactly one candidate come first; that one is their label
+    start = np.searchsorted(counts, 1, side="right")
+    out[order[:start]] = np.nonzero(keep[order[:start]])[1][:, None]
     while start < order.size:
         stop = np.searchsorted(counts, 2 * counts[start], side="right")
         sel, k = order[start:stop], counts[start:stop]
@@ -342,7 +367,8 @@ def _sweep(metric, gens, grid, chunk):
     times its mark axis. A grid is (nodes, volume element, mark axis or
     None). Without a mark axis there is one block, of weight 1.0; with one,
     each chunk is tiled and its space part bounded once for every mark node
-    (chunks outer, mark nodes inner)."""
+    (chunks outer, mark nodes inner), and each mark node searches only the
+    generators its mark term cannot rule out."""
     nodes, _, mark_axis = grid
     if mark_axis is None:
         yield _nearest(metric, nodes, gens, chunk), 1.0
@@ -354,10 +380,18 @@ def _sweep(metric, gens, grid, chunk):
         lb, ub = _box_bounds(metric, tiles, gt)
         for z, wj in zip(*mark_axis):
             dm = np.abs(z - gt[-1])
+            # the generators whose mark term alone stays within the largest
+            # upper bound, over the tiles, of the generator nearest in mark
+            g0 = np.argmin(dm)
+            cut = np.max(_join_mark(join, ub[:, g0], dm[g0]))
+            near = np.flatnonzero((dm * dm if join == "max" else dm) <= cut)
+            gs, lbs, ubs = (gt, lb, ub) if near.size == dm.size else (
+                gt[:, near], lb[:, near], ub[:, near])
+            dm = dm[near]
             labels = np.empty(block.shape[0], dtype=np.intp)
-            labels[pos] = _tile_labels(
-                metric, tiles, gt, _join_mark(join, lb, dm), _join_mark(join, ub, dm), z
-            )
+            labels[pos] = near[_tile_labels(
+                metric, tiles, gs, _join_mark(join, lbs, dm), _join_mark(join, ubs, dm), z
+            )]
             yield labels, wj
 
 
@@ -470,6 +504,14 @@ class VoronoiEstimate(_Floored):
         labels = _nearest(self._metric, np.column_stack(cols), self._gens, self.quadrature.chunk)
         return self._floor_values(self.mult[labels] / self.cell_measures[labels])
 
+    def resolutions(self):
+        """The ``Quadrature`` fields its tessellation read, by name, at the
+        quadrature it was built at (after any refinement)."""
+        names = ["n_space", "n_time"]
+        if self.kind == "marked" and _discretized(self.pattern.mark_space):
+            names.append("n_mark")
+        return {f: getattr(self.quadrature, f) for f in names}
+
     def cell_measure_rows(self):
         """(point_index, cell_measure) rows for the audit CSV dump."""
         return np.column_stack(
@@ -527,7 +569,13 @@ def voronoi_marked(p, quadrature=None):
 
 class _Cells:
     """Shared by the factor cells: the value at the pattern's own points,
-    and the integral, which exact cells give as the point count."""
+    and the integral, which exact cells give as the point count. Exact
+    cells read no quadrature."""
+
+    refined = False
+
+    def resolutions(self):
+        return {}
 
     def own_values(self):
         return self.mult[self.group_of_point] / self.measures[self.group_of_point]
@@ -617,6 +665,7 @@ class _QuadCells(_Cells):
     measures: np.ndarray
     metric: tuple
     quad: Quadrature
+    refined: bool = False
 
     @classmethod
     def build(cls, p, rows, metric, quad, message):
@@ -624,7 +673,7 @@ class _QuadCells(_Cells):
         measures, q = _refining(
             lambda q: _cell_measures(metric, gens, cls._grid(p, q, 0.5), q.chunk), quad, message
         )
-        return cls(p, gens, mult, group, measures, metric, q)
+        return cls(p, gens, mult, group, measures, metric, q, q is not quad)
 
     def value_at(self, *coords):
         labels = _nearest(self.metric, np.column_stack(coords), self.rows, self.quad.chunk)
@@ -643,6 +692,9 @@ class _SpatialCells(_QuadCells):
     def gens(self):
         return self.rows
 
+    def resolutions(self):
+        return {"n_space_only": self.quad.n_space_only}
+
     @staticmethod
     def _grid(p, quad, offset):
         vol = p.window.spatial_volume / quad.n_space_only**p.dim
@@ -658,6 +710,12 @@ class _TimeMarkCells(_QuadCells):
     @property
     def gens_t(self):
         return self.rows[:, 0]
+
+    def resolutions(self):
+        res = {"n_time_tm": self.quad.n_time_tm}
+        if _discretized(self.pattern.mark_space):
+            res["n_mark_tm"] = self.quad.n_mark_tm
+        return res
 
     @staticmethod
     def _grid(p, quad, offset):
@@ -678,6 +736,16 @@ class SeparableIntensity(_Floored):
     pattern: MarkedPattern
     floor: float = INTENSITY_FLOOR
     floor_hits: int = field(default=0, compare=False)
+
+    @property
+    def refined(self):
+        """Whether any factor was built at the refined quadrature."""
+        return any(f.refined for f in self.factors.values())
+
+    def resolutions(self):
+        """The ``Quadrature`` fields its factors' tessellations read, by
+        name, at the quadrature each factor was built at."""
+        return {k: v for f in self.factors.values() for k, v in f.resolutions().items()}
 
     def at(self, x, t, m):
         """Evaluate at arbitrary finite space-time-mark locations (marks

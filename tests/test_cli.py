@@ -16,9 +16,15 @@ from mstpp.cli import (
     parse_config_file,
     resolve_config,
 )
-from mstpp.pattern import LabelSet, MarkInterval, save_catalog
+from mstpp.pattern import (
+    ContinuousMarks,
+    LabelSet,
+    MarkInterval,
+    pattern_from_arrays,
+    save_catalog,
+)
 
-from .conftest import uniform_pattern
+from .conftest import UNIT, uniform_pattern
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -290,6 +296,55 @@ class TestIntensityCommand:
         audit = (out / "audit.txt").read_text()
         assert "mass_estimate" in audit
         assert "reciprocal_sum" not in audit
+
+    def test_audit_reports_default_quadrature(self, tmp_path, marked_catalog):
+        cfg = write_config(
+            tmp_path / "c.txt",
+            f"input = {marked_catalog}\n{CATALOG_KEYS}marks = interval,0,1\n"
+            "eval_cells = 1,1,1,1",
+        )
+        out = tmp_path / "run"
+        res = run_cli("intensity", "--config", cfg, "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        audit = _audit_lines(out)
+        # the marked estimator's defaults; no separable resolution is read
+        assert audit[-4:] == ["refined = 0", "quad_space = 48", "quad_time = 48",
+                              "quad_mark = 14"]
+
+    def test_audit_reports_refined_quadrature(self, tmp_path):
+        # the middle cell of three close points holds no node of the 6-node
+        # spatial axes, so the S3 spatial factor refines; its time-mark
+        # factor is built at the configured resolution
+        p = pattern_from_arrays(
+            np.array([[0.33, 0.5], [0.375, 0.5], [0.42, 0.5], [0.8, 0.2]]),
+            np.array([0.5, 0.5, 0.5, 0.3]), np.array([0.33, 0.375, 0.42, 0.9]),
+            UNIT, ContinuousMarks(0.0, 1.0))
+        save_catalog(p, tmp_path / "close.csv")
+        cfg = write_config(
+            tmp_path / "c.txt",
+            f"input = {tmp_path / 'close.csv'}\n{CATALOG_KEYS}marks = interval,0,1\n"
+            "estimator = s3\nquad_space_only = 6\nquad_time_tm = 6\nquad_mark_tm = 6\n"
+            "eval_cells = 1,1,1,1",
+        )
+        out = tmp_path / "run"
+        res = run_cli("intensity", "--config", cfg, "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        audit = _audit_lines(out)
+        assert audit[-4:] == ["refined = 1", "quad_space_only = 12", "quad_time_tm = 6",
+                              "quad_mark_tm = 6"]
+
+
+def _audit_lines(out):
+    """audit.txt's lines, each checked to be ``key = number`` with a key of
+    its own."""
+    lines = (out / "audit.txt").read_text().splitlines()
+    keys = [line.split(" = ")[0] for line in lines]
+    assert len(set(keys)) == len(lines)
+    for line in lines:
+        key, value = line.split(" = ")
+        assert key.isidentifier()
+        float(value)
+    return lines
 
 
 class TestKCommand:

@@ -40,6 +40,37 @@ def test_quadrature_accepts_numpy_integers():
     assert quad.refined().n_space == 16
 
 
+SMALL = Quadrature(n_space=12, n_time=12, n_mark=4, n_space_only=24, n_time_tm=16,
+                   n_mark_tm=16)
+EMPIRICAL = ContinuousMarks(-1.0, 1.0, "empirical")
+
+
+@pytest.mark.parametrize("estimator, marks, mark_space, want", [
+    ("ground", "interval", None, {"n_space", "n_time"}),
+    ("marked", "interval", None, {"n_space", "n_time", "n_mark"}),
+    ("marked", "labels", None, {"n_space", "n_time"}),
+    ("marked", "interval", EMPIRICAL, {"n_space", "n_time"}),
+    ("S1", "interval", None, {"n_space_only"}),
+    ("S2", "labels", None, {"n_space", "n_time"}),
+    ("S3", "interval", None, {"n_space_only", "n_time_tm", "n_mark_tm"}),
+    ("S3", "labels", None, {"n_space_only", "n_time_tm"}),
+    ("S3", "interval", EMPIRICAL, {"n_space_only", "n_time_tm"}),
+])
+def test_resolutions_name_the_fields_the_tessellations_read(estimator, marks, mark_space,
+                                                             want):
+    """Label spaces and empirical references enumerate their marks, and
+    exact 1D and label cells read no quadrature."""
+    p = uniform_pattern(6, seed=93, marks=marks, mark_space=mark_space)
+    if estimator == "ground":
+        est = voronoi_ground(p, SMALL)
+    elif estimator == "marked":
+        est = voronoi_marked(p, SMALL)
+    else:
+        est = voronoi_separable(p, estimator, quadrature=SMALL)
+    assert not est.refined
+    assert est.resolutions() == {f: getattr(SMALL, f) for f in want}
+
+
 class TestGroundEstimator:
     def test_single_point_reciprocal_window_volume(self):
         box = Window(spatial=((0.0, 2.0), (0.0, 2.0)), temporal=(0.0, 2.0))

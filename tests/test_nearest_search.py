@@ -8,6 +8,12 @@ metric form the estimators use: the ground sup metric, the marked metric
 with the mark joined by max (continuous marks) or added (labels), the
 spatial-only metric, and the time-mark metric under max, add and the
 Euclidean plane metric.
+
+Two cuts are exercised on purpose: the sweep drops, per mark node, the
+generators whose mark term alone rules them out (a mark axis far wider
+than the generators' marks, a label no generator carries), and a tile with
+a single candidate takes it without a distance (a few far-apart
+generators).
 """
 
 import itertools
@@ -15,6 +21,7 @@ import itertools
 import numpy as np
 import pytest
 
+from mstpp import intensity
 from mstpp.intensity import Quadrature, _nearest, _sweep
 
 from .oracles import nearest_oracle, sweep_oracle
@@ -37,7 +44,7 @@ METRICS = {
     "timemark-add": ((1,), "add"),
     "timemark-euclidean": ((2,), None),
 }
-PATTERNS = ("random", "lattice", "coincident", "one-generator", "equal-queries")
+PATTERNS = ("random", "lattice", "coincident", "one-generator", "equal-queries", "far-apart")
 CHUNKS = (1, 37, Quadrature().chunk)
 LABELS = np.array([1.0, 2.0, 3.0])
 
@@ -65,6 +72,16 @@ def _case(pattern, metric, seed=7):
         cols_q = [space_q] * ncol + ([mark_q] if join else [])
         gens = np.array(list(itertools.product(*cols_g)))
         queries = np.array(list(itertools.product(*cols_q)))
+    elif pattern == "far-apart":
+        # generators near corners of the unit box, each with a small cluster
+        # of one tile's worth of queries (with its mark), so the tiles of a
+        # full chunk keep one candidate each
+        corners = np.array(list(itertools.product((0.05, 0.95), repeat=ncol))[:6])
+        gens = corners + 0.01 * rng.random(corners.shape)
+        if join:
+            gens = np.column_stack([gens, _marks(join, rng, gens.shape[0])])
+        queries = np.repeat(gens, 64, axis=0)
+        queries[:, :ncol] += 0.1 * rng.random((queries.shape[0], ncol))
     else:
         n = {"one-generator": 1, "coincident": 10}.get(pattern, 30)
         gens = rng.random((n, ncol))
@@ -99,6 +116,64 @@ def test_pruned_search_matches_brute(name, pattern, chunk):
     grid = (nodes, 1.0, mark_axis)
     blocks = [(lab.tolist(), w) for lab, w in _sweep(metric, gens, grid, chunk)]
     assert blocks == [(lab.tolist(), w) for lab, w in sweep_oracle(metric, gens, grid, chunk)]
+
+
+def _spy_tile_labels(monkeypatch):
+    """Record, for each call of ``_tile_labels``, how many generators it
+    was given and how many candidates each of its tiles kept."""
+    calls, real = [], intensity._tile_labels
+
+    def spy(metric, tiles, gt, lb, ub, z=None):
+        counts = np.count_nonzero(lb <= ub.min(axis=1, keepdims=True), axis=1)
+        calls.append((gt.shape[1], counts))
+        return real(metric, tiles, gt, lb, ub, z)
+
+    monkeypatch.setattr(intensity, "_tile_labels", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", METRICS)
+def test_far_apart_tiles_keep_one_candidate(monkeypatch, name):
+    """The far-apart case reaches the single-candidate tiles: every tile of
+    a full chunk keeps one candidate."""
+    calls = _spy_tile_labels(monkeypatch)
+    gens, queries, _ = _case("far-apart", METRICS[name])
+    _nearest(METRICS[name], queries, gens, Quadrature().chunk)
+    counts = np.concatenate([c for _, c in calls])
+    assert np.all(counts == 1)
+
+
+# mark-axis cases: (generator marks, mark axis, space scale).
+# "wide" puts mark nodes over [-8, 8] around marks in [0, 1]; "unused-label"
+# sweeps labels 1-4 over generators that carry only 1 and 2, in a space
+# small enough that a label difference outweighs any space distance
+MARK_AXES = {
+    "wide": (lambda rng, n: rng.random(n), np.linspace(-8.0, 8.0, 17), 1.0),
+    "unused-label": (lambda rng, n: rng.choice([1.0, 2.0], size=n),
+                     np.array([1.0, 2.0, 3.0, 4.0]), 0.2),
+}
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("name, axis", [
+    (name, "unused-label" if join == "add" else "wide")
+    for name, (_, join) in METRICS.items() if join is not None
+])
+def test_sweep_drops_far_mark_nodes_exactly(monkeypatch, name, axis, chunk):
+    metric = METRICS[name]
+    draw, z, scale = MARK_AXES[axis]
+    rng = np.random.default_rng(11)
+    ncol = sum(metric[0])
+    gens = np.column_stack([scale * rng.random((30, ncol)), draw(rng, 30)])
+    nodes = scale * rng.random((150, ncol))
+    grid = (nodes, 1.0, (z, np.linspace(0.5, 1.5, z.size)))
+    want = [(lab.tolist(), w) for lab, w in sweep_oracle(metric, gens, grid, chunk)]
+    calls = _spy_tile_labels(monkeypatch)
+    assert [(lab.tolist(), w) for lab, w in _sweep(metric, gens, grid, chunk)] == want
+    assert min(n for n, _ in calls) < gens.shape[0]
+    queries = np.column_stack([np.repeat(nodes, z.size, axis=0), np.tile(z, nodes.shape[0])])
+    assert np.array_equal(_nearest(metric, queries, gens, chunk),
+                          nearest_oracle(metric, queries, gens, chunk))
 
 
 def test_lattice_cases_contain_ties():

@@ -32,9 +32,31 @@ def test_every_script_is_run():
     assert sorted(path.stem for path in SCRIPTS.glob("*.py")) == sorted(r[0] for r in RUNS)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name, argv, table, lines", RUNS, ids=[r[0] for r in RUNS])
 def test_script_runs(tmp_path, capsys, name, argv, table, lines):
     main = load_script(name).main
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 0
     assert len((tmp_path / table).read_text().splitlines()) == lines
     assert "wrote" in capsys.readouterr().out
+
+
+def test_poisson_reference_z_is_nan_where_se_is_zero(tmp_path, capsys):
+    # with two replicates at this intensity, some lag cells hold the same
+    # value in both, so their standard error is 0
+    main = load_script("run_poisson_reference").main
+    assert main(["--reps", "2", "--lam", "50", "--out", str(tmp_path / "ref.csv")]) == 0
+    table = capsys.readouterr().out.splitlines()[1:-1]
+    rows = [line.split(",") for line in (tmp_path / "ref.csv").read_text().splitlines()[1:]]
+    zero = [float(row[3]) == 0 for row in rows]
+    assert any(zero)
+    assert [row[5] == "nan" for row in rows] == zero
+    assert [line.split()[-1] == "n/a" for line in table] == zero
+
+
+@pytest.mark.parametrize("argv", [["--reps", "1"], ["--lam", "0"], ["--lam", "-5"],
+                                  ["--lam", "nan"]])
+def test_poisson_reference_rejects_bad_arguments(argv):
+    with pytest.raises(SystemExit) as exc:
+        load_script("run_poisson_reference").main(argv)
+    assert exc.value.code == 2
