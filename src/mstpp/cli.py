@@ -54,6 +54,7 @@ from .pattern import (
     save_catalog,
 )
 from .second_order import (
+    _MAX_BINS,
     Weights,
     default_lag_grids,
     k_inhom,
@@ -442,6 +443,9 @@ def _grids_from(cfg):
     n_r, n_t = cfg["n_r"], cfg["n_t"]
     if n_r < 1 or n_t < 1:
         raise ConfigError("n_r and n_t must be positive")
+    if (n_r + 1) * (n_t + 1) > _MAX_BINS:
+        raise ConfigError(f"n_r = {n_r} and n_t = {n_t} give too many lag cells: "
+                          f"(n_r + 1)(n_t + 1) must not exceed {_MAX_BINS}")
     r_grid = r_max * np.arange(1, n_r + 1) / n_r
     t_grid = t_max * np.arange(1, n_t + 1) / n_t
     return r_grid, t_grid

@@ -189,9 +189,8 @@ def _delta_values(geom, scenario, terms):
     """K^CD - K^DC on shared geometry from `_marked_terms` output: the
     denominator is symmetric in (C, D), so one serves both terms."""
     mC, mD, inv_lam = terms[:3]
-    pw = inv_lam[geom.I] * inv_lam[geom.J]
     denom = _denominator(geom, scenario, *terms)
-    return _k_values(geom, pw, mC, mD, denom) - _k_values(geom, pw, mD, mC, denom)
+    return _k_values(geom, inv_lam, mC, mD, denom) - _k_values(geom, inv_lam, mD, mC, denom)
 
 
 def delta_surface(p, C, D, r_grid=None, t_grid=None, weights=None,

@@ -37,19 +37,33 @@ first points at a time, sorted by (I, J), and feeds them to one blocked
 pass (`_stored_pairs`). Each block is filtered exactly on the unscaled
 lags (ds <= r_max, du <= t_max); every pair whose rectangle is empty,
 because its lags exceed its first point's erosion limits, is dropped; the
-rest are binned. Only the first- and second-point indices and the four
-flat corner indices of each kept pair are stored, as int32, the corners
-corner-major. So a geometry holds 24 bytes per pair that can contribute,
-and building it holds one block's candidates at a time. The stored arrays
-equal those of a plain scan over all ordered pairs (`tests/oracles.py`).
+rest are binned. A kept pair stores its first- and second-point indices
+as int32 and its first lag cells (a_r, a_t), the rectangle's low corner,
+as the smallest unsigned type that holds the cell counts (uint8 up to 255
+cells per axis): 10 bytes per pair that can contribute. The high corner
+comes from the first point's erosion limits, so the geometry keeps it
+once per point, as (b_r + 1)(T + 1) and b_t + 1. Building it holds one
+block's candidates at a time. The stored arrays equal those of a plain
+scan over all ordered pairs (`tests/oracles.py`).
 
-`_sum_corners` adds the weights into the difference array with
-`np.add.at` at the first corners, then `np.subtract.at` at the second and
-third, then `np.add.at` at the fourth, each in pair order. That is the
-order in which `np.bincount` over the four corner lists concatenated (with
-weights w, -w, -w, w) adds into each bin, and x - w is x + (-w) exactly,
-so every cell total equals the one of the full-array layout bit for bit.
-Dropping the empty-rectangle pairs drops only corner entries that were
+`_k_values` sums the numerator over `_CHUNK` stored pairs at a time. Each
+chunk keeps only its pairs with mC[I] mD[J] != 0 (and, for the
+directional statistic, inside the cone), and builds their weights
+1/lam[I] * 1/lam[J] once. It then adds the weights into the difference
+array with `np.add.at` at every chunk's first corners, then
+`np.subtract.at` at every chunk's second and third, then `np.add.at` at
+every chunk's fourth, each in pair order: corner-major across all chunks.
+That is the order in which `np.bincount` over the four corner lists of
+all pairs concatenated (with weights w, -w, -w, w) adds into each bin,
+and x - w is x + (-w) exactly. The skipped pairs change no bin either:
+`Weights` admits only positive finite intensities, and the mark masks and
+the cone test are 0/1, so (while the products 1/lam[I] * 1/lam[J] are
+finite) a skipped pair's full weight is +0.0 and a kept pair's is the
+product times 1.0; and a bin that starts at +0.0 and only ever adds or
+subtracts finite values never holds -0.0, the one value for which
+x + 0.0 differs from x. So every cell total equals the one of the
+full-array layout bit for bit, for any chunk length. Dropping the
+empty-rectangle pairs at the build drops only corner entries that were
 masked out before, so it changes no total either.
 """
 
@@ -257,14 +271,15 @@ class PairGeometry:
     t_grid: np.ndarray
     I: np.ndarray            # first-point indices (int32) of the stored pairs, sorted by (I, J)
     J: np.ndarray            # second-point indices (int32)
-    corners: np.ndarray      # (4, pairs) int32 flat difference-array corners of each
-                             # pair's nonempty rectangle, corner-major
+    a_r: np.ndarray          # first r-cell of each stored pair's nonempty rectangle
+    a_t: np.ndarray          # first t-cell; both np.min_scalar_type(max(R, T))
     pt_b_r: np.ndarray       # last r-cell where each point stays eroded-in
     pt_b_t: np.ndarray       # last t-cell where each point stays eroded-in
     ell_r: np.ndarray        # eroded spatial volumes per r-cell
     ell_t: np.ndarray        # eroded temporal lengths per t-cell
     erosion: str             # "per-cell" | "fixed"
     point_corners: tuple = field(init=False, repr=False, compare=False)
+    pair_ends: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # (eligible-point mask, corners of the rectangles from cell (0, 0)
@@ -273,6 +288,11 @@ class PairGeometry:
         zeros = np.zeros(np.count_nonzero(valid), dtype=np.intp)
         self.point_corners = valid, _corners(
             zeros, self.pt_b_r[valid], zeros, self.pt_b_t[valid], self.t_grid.size)
+        # the flat row offset and the column one past each point's erosion
+        # limits: the far sides of the rectangles of the pairs it starts
+        ncol = self.t_grid.size + 1
+        self.pair_ends = (((self.pt_b_r + 1) * ncol).astype(np.intp),
+                          (self.pt_b_t + 1).astype(np.intp))
 
     @property
     def shape(self):
@@ -281,6 +301,10 @@ class PairGeometry:
 
 # candidate pairs are searched and filtered _BLOCK first points at a time
 _BLOCK = 256
+# the surface sums run over _CHUNK stored pairs at a time
+_CHUNK = 1 << 16
+# the difference array of an R x T grid has (R + 1)(T + 1) bins, int32-indexed
+_MAX_BINS = np.iinfo(np.int32).max
 
 
 def _margins(p):
@@ -323,7 +347,7 @@ def _pairs_indexed(p, r_max, t_max):
 
 def _stored_pairs(p, blocks, r_grid, t_grid, pt_b_r, pt_b_t):
     """The candidate pairs whose rectangle of lag cells is nonempty, with
-    the corners of that rectangle, from (I, J) blocks in (I, J) order.
+    the first cells of that rectangle, from (I, J) blocks in (I, J) order.
 
     A pair enters the cells from its own lags (a_r, a_t) up to its first
     point's erosion limits (b_r, b_t). Its rectangle is nonempty exactly
@@ -333,8 +357,8 @@ def _stored_pairs(p, blocks, r_grid, t_grid, pt_b_r, pt_b_t):
     kept are binned."""
     reach_r = np.where(pt_b_r >= 0, r_grid[pt_b_r], -1.0)
     reach_t = np.where(pt_b_t >= 0, t_grid[pt_b_t], -1.0)
-    T = t_grid.size
-    out_i, out_j, out_c = [], [], []
+    cell = np.min_scalar_type(max(r_grid.size, t_grid.size))
+    out = [], [], [], []
     for I, J in blocks:
         # np.take and per-axis sums: row gathers and reductions over a short
         # axis are several times slower through fancy indexing and np.sum
@@ -343,14 +367,17 @@ def _stored_pairs(p, blocks, r_grid, t_grid, pt_b_r, pt_b_t):
         du = np.abs(p.t[J] - p.t[I])
         keep = np.flatnonzero((ds <= reach_r[I]) & (du <= reach_t[I]))
         I, J = I[keep], J[keep]
-        a_r = np.searchsorted(r_grid, ds[keep], side="left")
-        a_t = np.searchsorted(t_grid, du[keep], side="left")
-        out_i.append(I.astype(np.int32))
-        out_j.append(J.astype(np.int32))
-        out_c.append(_corners(a_r, pt_b_r[I], a_t, pt_b_t[I], T))
-    if not out_i:
-        return np.empty(0, np.int32), np.empty(0, np.int32), np.empty((4, 0), np.int32)
-    return np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_c, axis=1)
+        out[0].append(I.astype(np.int32))
+        out[1].append(J.astype(np.int32))
+        out[2].append(np.searchsorted(r_grid, ds[keep], side="left").astype(cell))
+        out[3].append(np.searchsorted(t_grid, du[keep], side="left").astype(cell))
+    # one array at a time, each block list freed once joined, so the joined
+    # arrays and the block lists coexist for one array only
+    stored = []
+    for parts, dtype in zip(out, (np.int32, np.int32, cell, cell)):
+        stored.append(np.concatenate(parts) if parts else np.empty(0, dtype))
+        parts.clear()
+    return stored
 
 
 def pair_geometry(p, r_grid, t_grid, erosion="per-cell"):
@@ -367,7 +394,7 @@ def pair_geometry(p, r_grid, t_grid, erosion="per-cell"):
             raise ValueError(f"{name} must be a nonempty, strictly increasing vector "
                              "of nonnegative lags")
     R, T = r_grid.size, t_grid.size
-    if (R + 1) * (T + 1) > np.iinfo(np.int32).max:
+    if (R + 1) * (T + 1) > _MAX_BINS:
         raise ValueError("r_grid and t_grid have too many cells")
     if erosion not in ("per-cell", "fixed"):
         raise ValueError("erosion must be 'per-cell' or 'fixed'")
@@ -387,10 +414,10 @@ def pair_geometry(p, r_grid, t_grid, erosion="per-cell"):
         pt_b_t = np.where(eligible, T - 1, -1)
         ell_r = np.full(R, np.prod([(hi[a] - lo[a]) - 2.0 * r_max for a in range(p.dim)]))
         ell_t = np.full(T, p.window.temporal_length - 2.0 * t_max)
-    I, J, corners = _stored_pairs(p, _pairs_indexed(p, r_max, t_max),
-                                  r_grid, t_grid, pt_b_r, pt_b_t)
+    I, J, a_r, a_t = _stored_pairs(p, _pairs_indexed(p, r_max, t_max),
+                                   r_grid, t_grid, pt_b_r, pt_b_t)
     return PairGeometry(
-        r_grid=r_grid, t_grid=t_grid, I=I, J=J, corners=corners,
+        r_grid=r_grid, t_grid=t_grid, I=I, J=J, a_r=a_r, a_t=a_t,
         pt_b_r=pt_b_r, pt_b_t=pt_b_t, ell_r=ell_r, ell_t=ell_t,
         erosion=erosion,
     )
@@ -406,23 +433,22 @@ def _corners(a_r, b_r, a_t, b_t, T):
                      a_r * ncol + bt, br * ncol + bt]).astype(np.int32)
 
 
+def _cell_totals(diff, R, T):
+    """Every cell total from a flat (R + 1) x (T + 1) difference array."""
+    return np.cumsum(np.cumsum(diff.reshape(R + 1, T + 1), axis=0), axis=1)[:R, :T]
+
+
 def _sum_corners(corners, w, R, T):
     """Sum w over the rectangles laid out by `_corners`: four-corner
     difference array + double cumulative sum. Every weight is added into
-    its corner's bin in corner-major, then pair order."""
+    its corner's bin in corner-major, then point order."""
     w = np.asarray(w, dtype=float)
     diff = np.zeros((R + 1) * (T + 1))
     np.add.at(diff, corners[0], w)
     np.subtract.at(diff, corners[1], w)
     np.subtract.at(diff, corners[2], w)
     np.add.at(diff, corners[3], w)
-    return np.cumsum(np.cumsum(diff.reshape(R + 1, T + 1), axis=0), axis=1)[:R, :T]
-
-
-def _pair_surface(geom, pair_w):
-    """Per-cell sums of the stored pairs' weights: each pair counts in the
-    cells from its own lags up to its first point's erosion limit."""
-    return _sum_corners(geom.corners, pair_w, *geom.shape)
+    return _cell_totals(diff, R, T)
 
 
 def _point_surface(geom, point_w):
@@ -450,13 +476,48 @@ def _denominator(geom, scenario, mC, mD, inv_lam, inv_lam_g, nu_C, nu_D):
         return np.where(window > 0, S_C * S_D / window, 0.0)
 
 
-def _k_values(geom, pair_w, mC, mD, denom):
-    """The minus-sampling estimate: weights of the C-first, D-second pairs
-    summed per lag cell, over the denominator. Degenerate cells give 0: an
-    empty numerator means no qualifying pairs, and an empty denominator
-    means no eligible points were available to estimate the normalizing
-    masses. Either way the cell carries no information."""
-    num = _pair_surface(geom, pair_w * mC[geom.I] * mD[geom.J])
+def _k_values(geom, inv, mC, mD, denom, pair_test=None):
+    """The minus-sampling estimate: the weights inv[I] * inv[J] of the
+    C-first, D-second stored pairs summed per lag cell (each pair counts in
+    the cells from its own lags up to its first point's erosion limit),
+    over the denominator. ``pair_test(I, J)``, if given, returns a boolean
+    per pair of the first- and second-point indices it is handed; only the
+    pairs it passes are summed. Degenerate cells give 0: an empty
+    numerator means no qualifying pairs, and an empty denominator means no
+    eligible points were available to estimate the normalizing masses.
+    Either way the cell carries no information.
+
+    The sum runs chunk by chunk, corner-major across all chunks; the module
+    notes say why it equals the full-array sum bit for bit."""
+    R, T = geom.shape
+    ncol = T + 1
+    in_C, in_D = mC != 0, mD != 0
+    chunks = []
+    # np.take: gathers by int32 indices are several times slower through
+    # fancy indexing, which first converts the indices to intp
+    for start in range(0, geom.I.size, _CHUNK):
+        stop = start + _CHUNK
+        I, J = geom.I[start:stop], geom.J[start:stop]
+        k = np.flatnonzero(np.take(in_C, I) & np.take(in_D, J))
+        I, J = np.take(I, k), np.take(J, k)
+        if pair_test is not None:
+            hit = np.flatnonzero(pair_test(I, J))
+            k, I, J = np.take(k, hit), np.take(I, hit), np.take(J, hit)
+        chunks.append((np.take(inv, I) * np.take(inv, J), I,
+                       np.take(geom.a_r[start:stop], k), np.take(geom.a_t[start:stop], k)))
+    row_end, col_end = geom.pair_ends
+    diff = np.zeros((R + 1) * (T + 1))
+    # the first cells are cast to intp before any index arithmetic: under
+    # numpy's promotion rules uint8 * int stays uint8 and wraps
+    for w, I, a_r, a_t in chunks:
+        np.add.at(diff, a_r.astype(np.intp) * ncol + a_t, w)
+    for w, I, a_r, a_t in chunks:
+        np.subtract.at(diff, np.take(row_end, I) + a_t, w)
+    for w, I, a_r, a_t in chunks:
+        np.subtract.at(diff, a_r.astype(np.intp) * ncol + np.take(col_end, I), w)
+    for w, I, a_r, a_t in chunks:
+        np.add.at(diff, np.take(row_end, I) + np.take(col_end, I), w)
+    num = _cell_totals(diff, R, T)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where((num == 0) | (denom == 0), 0.0, num / denom)
 
@@ -686,11 +747,10 @@ def k_inhom(
     terms = _marked_terms(p, weights, C, D, scenario)
     geom = _geometry(p, r_grid, t_grid, erosion, geometry)
     mC, mD, inv_lam, _, nu_C, nu_D = terms
-    pw = inv_lam[geom.I] * inv_lam[geom.J]
     denom = _denominator(geom, scenario, *terms)
-    values = _k_values(geom, pw, mC, mD, denom)
+    values = _k_values(geom, inv_lam, mC, mD, denom)
     if symmetrize:  # the denominator is symmetric in (C, D)
-        values = 0.5 * (values + _k_values(geom, pw, mD, mC, denom))
+        values = 0.5 * (values + _k_values(geom, inv_lam, mD, mC, denom))
     return KSurface(
         r_grid=geom.r_grid, t_grid=geom.t_grid, values=values,
         C=C, D=D, scenario=scenario, weights_source=weights.source, d=p.dim,
@@ -726,7 +786,7 @@ def k_ground(p, r_grid=None, t_grid=None, weights=None, scenario="S1",
     geom = _geometry(p, r_grid, t_grid, erosion, geometry)
     ones = np.ones(p.n)
     denom = _denominator(geom, scenario, ones, ones, inv, inv, 1.0, 1.0)
-    values = _k_values(geom, inv[geom.I] * inv[geom.J], ones, ones, denom)
+    values = _k_values(geom, inv, ones, ones, denom)
     return KSurface(
         r_grid=geom.r_grid, t_grid=geom.t_grid, values=values, C=None, D=None,
         scenario=scenario, weights_source=weights.source, d=p.dim,
@@ -788,10 +848,13 @@ def k_directional(p, C=None, D=None, phi=-math.pi / 2, psi=math.pi / 2,
     terms = _marked_terms(p, weights, C, D, scenario)
     geom = _geometry(p, r_grid, t_grid, erosion, geometry)
     mC, mD, inv_lam = terms[:3]
-    dx = np.take(p.x, geom.J, axis=0) - np.take(p.x, geom.I, axis=0)
-    in_cone = direction_in_cone(dx[:, 0], dx[:, 1], phi, psi).astype(float)
-    pw = inv_lam[geom.I] * inv_lam[geom.J] * in_cone
-    values = _k_values(geom, pw, mC, mD, _denominator(geom, scenario, *terms))
+
+    def in_cone(I, J):
+        dx = np.take(p.x, J, axis=0) - np.take(p.x, I, axis=0)
+        return direction_in_cone(dx[:, 0], dx[:, 1], phi, psi)
+
+    values = _k_values(geom, inv_lam, mC, mD, _denominator(geom, scenario, *terms),
+                       pair_test=in_cone)
     return KSurface(
         r_grid=geom.r_grid, t_grid=geom.t_grid, values=values, C=C, D=D,
         scenario=scenario, weights_source=weights.source, d=p.dim,
@@ -818,7 +881,7 @@ def k_cross_multitype(p, i, j, r_grid=None, t_grid=None, weights=None,
         warnings.warn(f"component {j if mC.any() else i} is empty; surface is zero")
     geom = _geometry(p, r_grid, t_grid, erosion, geometry)
     denom = _denominator(geom, "S1", mC, mD, inv, None, 1.0, 1.0)  # unit mark masses
-    values = _k_values(geom, inv[geom.I] * inv[geom.J], mC, mD, denom)
+    values = _k_values(geom, inv, mC, mD, denom)
     return KSurface(
         r_grid=geom.r_grid, t_grid=geom.t_grid, values=values,
         C=C, D=D, scenario="cross",
@@ -842,7 +905,7 @@ def k_stationary(p, C=None, D=None, r_grid=None, t_grid=None, erosion="per-cell"
     n_D = float(np.sum(mD))
     inv = np.full(p.n, 1.0 / lam_hat)
     denom = np.outer(geom.ell_r, geom.ell_t) * (n_C * n_D / p.n**2)
-    values = _k_values(geom, inv[geom.I] * inv[geom.J], mC, mD, denom)
+    values = _k_values(geom, inv, mC, mD, denom)
     return KSurface(
         r_grid=geom.r_grid, t_grid=geom.t_grid, values=values, C=C, D=D,
         scenario="stationary", weights_source="Stationary", d=p.dim,

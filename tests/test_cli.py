@@ -180,12 +180,17 @@ class TestExitCodes:
         ("k", "t_max = -5", "t_max"),
         ("test", "r_max = -0.1", "r_max"),
         ("test", "t_max = -5", "t_max"),
+        # over the pair geometry's cell limit: once a numerical failure (exit
+        # 3) after the weights were built
+        ("k", "n_r = 50000\nn_t = 50000", "n_r = 50000 and n_t = 50000"),
+        ("test", "n_r = 50000\nn_t = 50000", "n_r = 50000 and n_t = 50000"),
         # one pair search: no key selects it
         ("k", "route = indexed", "unknown key(s) for 'k': ['route']"),
         ("test", "route = indexed", "unknown key(s) for 'test': ['route']"),
     ], ids=["intensity-eval_cells", "k-scenario", "k-n_r", "k-n_t", "k-smooth_n",
             "k-smooth_p-above", "k-smooth_p-zero", "test-scenario", "test-n_r", "test-n_t",
-            "k-r_max", "k-t_max", "test-r_max", "test-t_max", "k-route", "test-route"])
+            "k-r_max", "k-t_max", "test-r_max", "test-t_max", "k-cells", "test-cells",
+            "k-route", "test-route"])
     def test_bad_settings_are_2_before_loading(self, tmp_path, command, lines, key):
         # the catalog does not exist: loading it first would exit 1
         sets = "c_set = all\nd_set = all\n" if command == "test" else ""

@@ -212,12 +212,16 @@ def pair_case(case):
 
 def assert_matches_oracle(geom, full):
     """A geometry stores exactly the oracle's pairs with nonempty
-    rectangles, in its (I, J) order, and the same per-point arrays."""
-    valid, idx = full.pair_corners
-    assert geom.I.dtype == geom.J.dtype == geom.corners.dtype == np.int32
+    rectangles, in its (I, J) order, with their first lag cells in the
+    smallest unsigned type that holds the cell counts, and the same
+    per-point arrays."""
+    valid = full.pair_corners[0]
+    assert geom.I.dtype == geom.J.dtype == np.int32
+    assert geom.a_r.dtype == geom.a_t.dtype == np.min_scalar_type(max(full.shape))
     assert np.array_equal(geom.I, full.I[valid])
     assert np.array_equal(geom.J, full.J[valid])
-    assert np.array_equal(geom.corners, idx.reshape(4, -1))
+    assert np.array_equal(geom.a_r, full.a_r[valid])
+    assert np.array_equal(geom.a_t, full.a_t[valid])
     for name in ("pt_b_r", "pt_b_t", "ell_r", "ell_t"):
         assert np.array_equal(getattr(geom, name), getattr(full, name)), name
     point_valid, point_idx = full.point_corners
@@ -246,7 +250,8 @@ class TestPairGeometry:
             pair_geometry(p, R_GRID, np.array([]))
         with pytest.raises(ValueError, match="erosion"):
             pair_geometry(p, R_GRID, T_GRID, erosion="none")
-        # the corner indices are int32: a larger grid would wrap them
+        # the difference array's bins are int32-indexed: a larger grid
+        # would wrap them
         fine = np.linspace(1e-6, 0.2, 50_000)
         with pytest.raises(ValueError, match="too many cells"):
             pair_geometry(p, fine, fine)
@@ -378,6 +383,48 @@ class TestBlockedGeometry:
         for name in want:
             assert _bits(got[name]) == _bits(want[name]), name
 
+    # A chunk of one to three pairs costs a Python iteration per surface,
+    # so the chunk axis runs on the cases that store few pairs, among them
+    # the duplicate points whose pairs pile up in the same bins; the test
+    # above runs the default chunk length on every case. Only per-cell
+    # erosion: under fixed erosion the four corner kinds never share a bin.
+    @pytest.mark.parametrize("chunk", [1, 3], ids=["chunk1", "chunk3"])
+    @pytest.mark.parametrize("order", ["given", "shuffled"])
+    @pytest.mark.parametrize("case", ["duplicates", "zero-r", "zero-t", "zero-both", "3d", "two"])
+    def test_chunked_sums_match_full_arrays(self, monkeypatch, case, order, chunk):
+        # a bin's additions span chunk boundaries: corner-major order across
+        # all chunks keeps every surface bit for bit
+        monkeypatch.setattr(second_order, "_CHUNK", chunk)
+        p, r_grid, t_grid, w, full, want = full_case(case, "per-cell", order)
+        geom = pair_geometry(p, r_grid, t_grid)
+        monkeypatch.setattr(second_order, "pair_geometry", lambda *args, **kw: geom)
+        got = library_surfaces(p, w, geom, r_grid, t_grid, "per-cell")
+        for name in want:
+            assert _bits(got[name]) == _bits(want[name]), name
+
+    @pytest.mark.parametrize("R, T, cell", [(255, 255, np.uint8), (255, 20, np.uint8),
+                                            (256, 256, np.uint16), (20, 300, np.uint16)],
+                             ids=["255x255", "255x20", "256x256", "20x300"])
+    def test_cell_dtype_switch(self, monkeypatch, R, T, cell):
+        # first cells up to 254 fit uint8; their flat corners do not, so a
+        # cell is cast to intp before any index arithmetic (uint8 * int
+        # stays uint8 under numpy's promotion rules and wraps or overflows)
+        p = uniform_pattern(300, seed=73, marks="labels")
+        r_grid = 0.25 * np.arange(1, R + 1) / R
+        t_grid = 0.25 * np.arange(1, T + 1) / T
+        rng = np.random.default_rng(74)
+        w = Weights(lam=rng.uniform(5.0, 20.0, p.n), lam_ground=rng.uniform(5.0, 20.0, p.n))
+        full = pair_geometry_oracle(p, r_grid, t_grid)
+        geom = pair_geometry(p, r_grid, t_grid)
+        assert geom.a_r.dtype == geom.a_t.dtype == cell
+        assert_matches_oracle(geom, full)
+        assert geom.a_r.max() >= min(R, 256) // 2 and geom.a_t.max() >= min(T, 256) // 2
+        want = reference_surfaces(p, w, full)
+        monkeypatch.setattr(second_order, "pair_geometry", lambda *args, **kw: geom)
+        got = library_surfaces(p, w, geom, r_grid, t_grid, "per-cell")
+        for name in want:
+            assert _bits(got[name]) == _bits(want[name]), name
+
     def test_cases_store_and_drop_pairs(self):
         # the comparison above means something: candidates with empty
         # rectangles are dropped, and most cases keep some pairs
@@ -389,20 +436,40 @@ class TestBlockedGeometry:
         assert dropped > 0 and kept >= 10
 
 
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestPairMemory:
     def test_stationary_peak_is_bounded(self):
         # 3000 uniform points on the default grid: about 616k pairs within
-        # the maximal lags, 284k of them with a nonempty rectangle. Holding
-        # every candidate's full arrays at once peaked at 88 MB; the
-        # blocked pass peaks at about 22 MB.
+        # the maximal lags, 284k of them with a nonempty rectangle. The
+        # blocked pass and the chunked surface sum peak at about 16 MB;
+        # holding every candidate's full arrays at once would take 88 MB.
         p = uniform_pattern(3000, seed=71, marks="labels")
-        tracemalloc.start()
-        try:
-            k_stationary(p, LabelSet([1]), LabelSet([2]))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 44e6
+        peak = _traced_peak(lambda: k_stationary(p, LabelSet([1]), LabelSet([2])))
+        assert peak < 32e6
+
+    def test_surface_peak_is_bounded_by_the_geometry(self):
+        # 5000 uniform points: 789k stored pairs, 7.9 MB of pair arrays.
+        # The surface step keeps 14 bytes per pair its mark sets select
+        # (weight, first point and first cells) and one chunk's
+        # temporaries: about 0.45x the pair arrays for C = label 1,
+        # D = label 2 and 1.6x for the ground statistic, which keeps every
+        # pair. Pair-length float64 weights and masks would reach 2.4x.
+        p = uniform_pattern(5000, seed=71, marks="labels")
+        geom = pair_geometry(p, *default_lag_grids(p.window))
+        stored = sum(a.nbytes for a in (geom.I, geom.J, geom.a_r, geom.a_t))
+        assert stored == 10 * geom.I.size
+        w = Weights(lam=np.full(p.n, 5000.0), lam_ground=np.full(p.n, 5000.0))
+        C, D = LabelSet([1]), LabelSet([2])
+        assert _traced_peak(lambda: k_inhom(p, C, D, weights=w, geometry=geom)) < 0.75 * stored
+        assert _traced_peak(lambda: k_ground(p, weights=w, geometry=geom)) < 2.0 * stored
 
 
 class TestAgainstOracle:
