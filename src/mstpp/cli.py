@@ -55,7 +55,6 @@ from .pattern import (
 )
 from .second_order import (
     _MAX_BINS,
-    Weights,
     default_lag_grids,
     k_inhom,
     k_smoothed,
@@ -378,27 +377,16 @@ def cmd_intensity(cfg, out_dir, seed, threads):
     xs = lo[0] + (np.arange(nx) + 0.5) * (hi[0] - lo[0]) / nx
     ys = lo[1] + (np.arange(ny) + 0.5) * (hi[1] - lo[1]) / ny
     ts = p.window.temporal[0] + (np.arange(nt) + 0.5) * p.window.temporal_length / nt
-    marked_eval = estimator != "ground"
-    if marked_eval:
+    axes = [xs, ys, ts]
+    if estimator != "ground":
         ms = p.mark_space
         if ms.is_labelled:
-            zs = np.arange(1, ms.k + 1, dtype=float)
+            axes.append(np.arange(1, ms.k + 1, dtype=float))
         else:
-            zs = ms.lo + (np.arange(nm) + 0.5) * (ms.hi - ms.lo) / nm
-        grid = np.meshgrid(xs, ys, ts, zs, indexing="ij")
-        gx = np.column_stack([grid[0].ravel(), grid[1].ravel()])
-        gt = grid[2].ravel()
-        gm = grid[3].ravel()
-        vals = est.at(gx, gt, gm)
-        header = ["x", "y", "t", "m", "lambda_hat"]
-        columns = [gx[:, 0], gx[:, 1], gt, gm, vals]
-    else:
-        grid = np.meshgrid(xs, ys, ts, indexing="ij")
-        gx = np.column_stack([grid[0].ravel(), grid[1].ravel()])
-        gt = grid[2].ravel()
-        vals = est.at(gx, gt)
-        header = ["x", "y", "t", "lambda_hat"]
-        columns = [gx[:, 0], gx[:, 1], gt, vals]
+            axes.append(ms.lo + (np.arange(nm) + 0.5) * (ms.hi - ms.lo) / nm)
+    columns = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+    columns.append(est.at(np.column_stack(columns[:2]), *columns[2:]))
+    header = ["x", "y", "t", "m"][:len(axes)] + ["lambda_hat"]
     import csv as _csv
 
     with open(os.path.join(out_dir, "intensity.csv"), "w", newline="") as fh:
@@ -451,27 +439,16 @@ def _grids_from(cfg):
     return r_grid, t_grid
 
 
-def _build_weights(p, mode, scenario, quad, euclidean_tm=False):
-    needs_ground = scenario in (3, 4)
+def _build_weights(p, mode, scenario):
+    """Plug-in weights of a ``voronoi-*`` or ``separable-*`` mode at the
+    default quadratures, with the ground estimate as lam_ground for the
+    ``voronoi-ground`` mode and for scenarios 3 and 4."""
+    est = _build_estimate(p, mode.split("-")[1], None, False)
     if mode == "voronoi-ground":
-        ground = voronoi_ground(p, quad)
-        lam = ground.weights_for_own_points()
-        return Weights(lam=lam, lam_ground=lam, source="PluggedEstimate",
-                       floor_hits=ground.floor_hits)
-    if mode == "voronoi-marked":
-        est = voronoi_marked(p, quad)
-        ground = voronoi_ground(p, quad) if needs_ground else None
-        return weights_from_estimate(est, ground)
-    if mode.startswith("separable-"):
-        est = voronoi_separable(p, mode.split("-")[1].upper(),
-                                euclidean_tm=euclidean_tm, quadrature=quad)
-        lam = est.weights_for_own_points()
-        lam_g = None
-        if needs_ground:
-            lam_g = voronoi_ground(p, quad).weights_for_own_points()
-        return Weights(lam=lam, lam_ground=lam_g, source="PluggedEstimate",
-                       floor_hits=est.floor_hits)
-    raise ConfigError(f"unknown weights mode {mode!r}")
+        ground = est
+    else:
+        ground = voronoi_ground(p) if scenario in (3, 4) else None
+    return weights_from_estimate(est, ground)
 
 
 def _scenario_from(cfg):
@@ -484,7 +461,6 @@ def cmd_k(cfg, out_dir, seed, threads):
     C = _markset_from(cfg["c_set"])
     D = _markset_from(cfg["d_set"])
     r_grid, t_grid = _grids_from(cfg)
-    quad = None  # estimator default quadratures
     mode = cfg["weights"]
     scenario = _scenario_from(cfg)
     if cfg["smooth_n"] < 0:
@@ -499,7 +475,7 @@ def cmd_k(cfg, out_dir, seed, threads):
         surf = k_stationary(p, C, D, r_grid, t_grid, erosion=cfg["erosion"])
     elif cfg["smooth_n"] > 0:
         def builder(q, keep):
-            return _build_weights(q, mode, scenario, quad)
+            return _build_weights(q, mode, scenario)
 
         surf = k_smoothed(
             p, C, D, r_grid, t_grid, weights_builder=builder,
@@ -508,7 +484,7 @@ def cmd_k(cfg, out_dir, seed, threads):
             threads=threads,
         )
     else:
-        w = _build_weights(p, mode, scenario, quad)
+        w = _build_weights(p, mode, scenario)
         surf = k_inhom(p, C, D, r_grid, t_grid, w, scenario=scenario,
                        erosion=cfg["erosion"], symmetrize=cfg["symmetrize"])
     surf.write_csv(os.path.join(out_dir, "k_surface.csv"))
@@ -528,7 +504,7 @@ def cmd_test(cfg, out_dir, seed, threads):
     builder = None
     if cfg["weights"] == "voronoi-marked":
         def builder(q):
-            return _build_weights(q, "voronoi-marked", scenario, None)
+            return _build_weights(q, "voronoi-marked", scenario)
 
     env = random_labelling_test(
         p, C, D, r_grid, t_grid, weights_builder=builder,

@@ -34,7 +34,6 @@ import numpy as np
 from .intensity import voronoi_ground
 from .pattern import permute_marks
 from .second_order import (
-    Weights,
     _Surface,
     _denominator,
     _geometry,
@@ -46,6 +45,7 @@ from .second_order import (
     _replicates,
     k_inhom,
     pair_geometry,
+    weights_from_estimate,
 )
 
 __all__ = [
@@ -278,11 +278,10 @@ def _default_builder(p):
     reference convention (common mark density 1). Built once because it
     ignores marks entirely."""
     ground = voronoi_ground(p)
-    lam = ground.weights_for_own_points()
+    weights = weights_from_estimate(ground, ground)
 
     def build(q):
-        return Weights(lam=lam, lam_ground=lam, source="PluggedEstimate",
-                       floor_hits=ground.floor_hits)
+        return weights
 
     return build
 

@@ -79,7 +79,7 @@ identity: the sum of 1/est over the pattern's own points equals the total
 reference measure of the domain, exactly under the built quadrature.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -440,14 +440,17 @@ def _space_time_grid(p, quad, offset, marked):
 
 
 class _Floored:
-    """Values below ``floor`` are raised to it and counted in ``floor_hits``."""
+    """Values below ``INTENSITY_FLOOR`` are raised to it. ``floor_hits`` is
+    derived from the estimate, never accrued: how many of the pattern's own
+    points have an estimate below the floor before that clamp."""
 
-    def _floor_values(self, vals):
-        hits = int(np.sum(vals < self.floor))
-        if hits:
-            self.floor_hits += hits
-            vals = np.maximum(vals, self.floor)
-        return vals
+    @property
+    def floor_hits(self):
+        return int(np.count_nonzero(self._unclamped_own() < INTENSITY_FLOOR))
+
+    def weights_for_own_points(self):
+        """The estimate at the pattern's own points, clamped to the floor."""
+        return np.maximum(self._unclamped_own(), INTENSITY_FLOOR)
 
 
 @dataclass
@@ -469,8 +472,6 @@ class VoronoiEstimate(_Floored):
     cell_measures: np.ndarray
     quadrature: Quadrature
     refined: bool = False
-    floor: float = INTENSITY_FLOOR
-    floor_hits: int = field(default=0, compare=False)
 
     @property
     def metric_mode(self):
@@ -487,11 +488,10 @@ class VoronoiEstimate(_Floored):
         marks = [] if self.gens_m is None else [self.gens_m]
         return np.column_stack([self.gens_x, self.gens_t] + marks)
 
-    def weights_for_own_points(self):
+    def _unclamped_own(self):
         """Estimate at the pattern's own points: each generator's nearest
         generator is itself, so the value is multiplicity / cell measure."""
-        vals = self.mult[self.group_of_point] / self.cell_measures[self.group_of_point]
-        return self._floor_values(vals)
+        return self.mult[self.group_of_point] / self.cell_measures[self.group_of_point]
 
     def at(self, x, t, m=None):
         """Evaluate at arbitrary finite locations (arrays); marked estimates
@@ -502,7 +502,7 @@ class VoronoiEstimate(_Floored):
                 raise ValueError("marked estimate needs mark coordinates")
             cols.append(_checked_marks(self.pattern.mark_space, m))
         labels = _nearest(self._metric, np.column_stack(cols), self._gens, self.quadrature.chunk)
-        return self._floor_values(self.mult[labels] / self.cell_measures[labels])
+        return np.maximum(self.mult[labels] / self.cell_measures[labels], INTENSITY_FLOOR)
 
     def resolutions(self):
         """The ``Quadrature`` fields its tessellation read, by name, at the
@@ -734,8 +734,6 @@ class SeparableIntensity(_Floored):
     n: int
     factors: dict
     pattern: MarkedPattern
-    floor: float = INTENSITY_FLOOR
-    floor_hits: int = field(default=0, compare=False)
 
     @property
     def refined(self):
@@ -753,16 +751,18 @@ class SeparableIntensity(_Floored):
         x, t = _checked_coords(x, t)
         m = _checked_marks(self.pattern.mark_space, m)
         coords = {"spatial": (x,), "temporal": (t,), "mark": (m,), "timemark": (t, m)}
-        return self._floor_values(self._product({
+        return np.maximum(self._product({
             k: f.at(x, t) if k == "ground" else f.value_at(*coords[k])
             for k, f in self.factors.items()
-        }))
+        }), INTENSITY_FLOOR)
 
-    def weights_for_own_points(self):
-        return self._floor_values(self._product({
+    def _unclamped_own(self):
+        """The setup's product at the pattern's own points (an S2 ground
+        factor enters at its own clamped values)."""
+        return self._product({
             k: f.weights_for_own_points() if k == "ground" else f.own_values()
             for k, f in self.factors.items()
-        }))
+        })
 
     def _product(self, v):
         """The setup's combination of per-factor values ``v`` (by name)."""

@@ -42,9 +42,9 @@ as int32 and its first lag cells (a_r, a_t), the rectangle's low corner,
 as the smallest unsigned type that holds the cell counts (uint8 up to 255
 cells per axis): 10 bytes per pair that can contribute. The high corner
 comes from the first point's erosion limits, so the geometry keeps it
-once per point, as (b_r + 1)(T + 1) and b_t + 1. Building it holds one
-block's candidates at a time. The stored arrays equal those of a plain
-scan over all ordered pairs (`tests/oracles.py`).
+once per point, as (b_r + 1)(T + 1), b_t + 1 and their sum. Building it
+holds one block's candidates at a time. The stored arrays equal those of
+a plain scan over all ordered pairs (`tests/oracles.py`).
 
 `_k_values` sums the numerator over `_CHUNK` stored pairs at a time. Each
 chunk keeps only its pairs with mC[I] mD[J] != 0 (and, for the
@@ -121,9 +121,10 @@ class Weights:
 
     ``lam`` holds the marked intensity at each point; ``lam_ground`` the
     ground (mark-integrated) intensity, needed only by scenarios 3-4 and
-    by ground-process statistics. ``floor_hits`` counts points whose
-    plugged estimate hit the evaluation floor (carried into surface
-    metadata as a data-quality flag).
+    by ground-process statistics. ``floor_hits`` is the plugged estimates'
+    own-point floor count (`weights_from_estimate`), derived from the
+    estimates and not from how often they were evaluated; it is carried
+    into surface metadata as a data-quality flag.
     """
 
     lam: np.ndarray = None
@@ -160,13 +161,17 @@ def weights_from_function(p, marked_fn=None, ground_fn=None, source="TrueIntensi
 
 
 def weights_from_estimate(est, ground_est=None):
-    """Plug-in weights from intensity estimates (their own-point values)."""
+    """Plug-in weights from intensity estimates (their own-point values).
+    ``floor_hits`` adds each distinct estimate's own-point floor hits once,
+    so ``weights_from_estimate(g, g)`` plugs the ground estimate ``g`` in as
+    both intensities and counts its hits once."""
     lam = est.weights_for_own_points()
     hits = est.floor_hits
     lam_g = None
     if ground_est is not None:
         lam_g = ground_est.weights_for_own_points()
-        hits += ground_est.floor_hits
+        if ground_est is not est:
+            hits += ground_est.floor_hits
     return Weights(lam=lam, lam_ground=lam_g, source="PluggedEstimate", floor_hits=hits)
 
 
@@ -278,21 +283,16 @@ class PairGeometry:
     ell_r: np.ndarray        # eroded spatial volumes per r-cell
     ell_t: np.ndarray        # eroded temporal lengths per t-cell
     erosion: str             # "per-cell" | "fixed"
-    point_corners: tuple = field(init=False, repr=False, compare=False)
     pair_ends: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # (eligible-point mask, corners of the rectangles from cell (0, 0)
-        # to each eligible point's erosion limit)
-        valid = (self.pt_b_r >= 0) & (self.pt_b_t >= 0)
-        zeros = np.zeros(np.count_nonzero(valid), dtype=np.intp)
-        self.point_corners = valid, _corners(
-            zeros, self.pt_b_r[valid], zeros, self.pt_b_t[valid], self.t_grid.size)
         # the flat row offset and the column one past each point's erosion
-        # limits: the far sides of the rectangles of the pairs it starts
+        # limits, and their sum: the far sides and the far corner of the
+        # rectangles of the pairs it starts
         ncol = self.t_grid.size + 1
-        self.pair_ends = (((self.pt_b_r + 1) * ncol).astype(np.intp),
-                          (self.pt_b_t + 1).astype(np.intp))
+        row_end = ((self.pt_b_r + 1) * ncol).astype(np.intp)
+        col_end = (self.pt_b_t + 1).astype(np.intp)
+        self.pair_ends = row_end, col_end, row_end + col_end
 
     @property
     def shape(self):
@@ -423,39 +423,35 @@ def pair_geometry(p, r_grid, t_grid, erosion="per-cell"):
     )
 
 
-def _corners(a_r, b_r, a_t, b_t, T):
-    """Flat difference-array indices (int32) of the four corners of the
-    nonempty index rectangles [a_r..b_r] x [a_t..b_t], corner-major."""
+def _sum_rects(geom, chunks):
+    """Per-cell sums of the weights of index rectangles, each from its first
+    cell (a_r, a_t) to its point I's erosion limit, over ``chunks`` of
+    (w, I, a_r, a_t): a four-corner difference array and a double
+    cumulative sum. Every weight is added into its corner's bin
+    corner-major across all chunks, then in chunk and pair order."""
+    R, T = geom.shape
     ncol = T + 1
-    br = b_r + 1
-    bt = b_t + 1
-    return np.stack([a_r * ncol + a_t, br * ncol + a_t,
-                     a_r * ncol + bt, br * ncol + bt]).astype(np.int32)
-
-
-def _cell_totals(diff, R, T):
-    """Every cell total from a flat (R + 1) x (T + 1) difference array."""
-    return np.cumsum(np.cumsum(diff.reshape(R + 1, T + 1), axis=0), axis=1)[:R, :T]
-
-
-def _sum_corners(corners, w, R, T):
-    """Sum w over the rectangles laid out by `_corners`: four-corner
-    difference array + double cumulative sum. Every weight is added into
-    its corner's bin in corner-major, then point order."""
-    w = np.asarray(w, dtype=float)
+    row_end, col_end, far = geom.pair_ends
     diff = np.zeros((R + 1) * (T + 1))
-    np.add.at(diff, corners[0], w)
-    np.subtract.at(diff, corners[1], w)
-    np.subtract.at(diff, corners[2], w)
-    np.add.at(diff, corners[3], w)
-    return _cell_totals(diff, R, T)
+    # the first cells are cast to intp before any index arithmetic: under
+    # numpy's promotion rules uint8 * int stays uint8 and wraps
+    for w, I, a_r, a_t in chunks:
+        np.add.at(diff, a_r.astype(np.intp) * ncol + a_t, w)
+    for w, I, a_r, a_t in chunks:
+        np.subtract.at(diff, np.take(row_end, I) + a_t, w)
+    for w, I, a_r, a_t in chunks:
+        np.subtract.at(diff, a_r.astype(np.intp) * ncol + np.take(col_end, I), w)
+    for w, I, a_r, a_t in chunks:
+        np.add.at(diff, np.take(far, I), w)
+    return np.cumsum(np.cumsum(diff.reshape(R + 1, T + 1), axis=0), axis=1)[:R, :T]
 
 
 def _point_surface(geom, point_w):
     """Per-cell sums of point weights over the eroded windows (rectangle
     from cell (0,0) to each point's erosion limit)."""
-    valid, corners = geom.point_corners
-    return _sum_corners(corners, np.asarray(point_w, dtype=float)[valid], *geom.shape)
+    I = np.flatnonzero((geom.pt_b_r >= 0) & (geom.pt_b_t >= 0))
+    zeros = np.zeros(I.size, dtype=np.intp)
+    return _sum_rects(geom, [(np.asarray(point_w, dtype=float)[I], I, zeros, zeros)])
 
 
 def _denominator(geom, scenario, mC, mD, inv_lam, inv_lam_g, nu_C, nu_D):
@@ -489,8 +485,6 @@ def _k_values(geom, inv, mC, mD, denom, pair_test=None):
 
     The sum runs chunk by chunk, corner-major across all chunks; the module
     notes say why it equals the full-array sum bit for bit."""
-    R, T = geom.shape
-    ncol = T + 1
     in_C, in_D = mC != 0, mD != 0
     chunks = []
     # np.take: gathers by int32 indices are several times slower through
@@ -505,19 +499,7 @@ def _k_values(geom, inv, mC, mD, denom, pair_test=None):
             k, I, J = np.take(k, hit), np.take(I, hit), np.take(J, hit)
         chunks.append((np.take(inv, I) * np.take(inv, J), I,
                        np.take(geom.a_r[start:stop], k), np.take(geom.a_t[start:stop], k)))
-    row_end, col_end = geom.pair_ends
-    diff = np.zeros((R + 1) * (T + 1))
-    # the first cells are cast to intp before any index arithmetic: under
-    # numpy's promotion rules uint8 * int stays uint8 and wraps
-    for w, I, a_r, a_t in chunks:
-        np.add.at(diff, a_r.astype(np.intp) * ncol + a_t, w)
-    for w, I, a_r, a_t in chunks:
-        np.subtract.at(diff, np.take(row_end, I) + a_t, w)
-    for w, I, a_r, a_t in chunks:
-        np.subtract.at(diff, a_r.astype(np.intp) * ncol + np.take(col_end, I), w)
-    for w, I, a_r, a_t in chunks:
-        np.add.at(diff, np.take(row_end, I) + np.take(col_end, I), w)
-    num = _cell_totals(diff, R, T)
+    num = _sum_rects(geom, chunks)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where((num == 0) | (denom == 0), 0.0, num / denom)
 

@@ -16,6 +16,7 @@ from mstpp.cli import (
     parse_config_file,
     resolve_config,
 )
+from mstpp.geometry import Window
 from mstpp.pattern import (
     ContinuousMarks,
     LabelSet,
@@ -401,6 +402,27 @@ class TestKCommand:
             (two / "k_surface.csv").read_bytes()
         meta = json.loads((one / "k_surface.json").read_text())
         assert meta["weights_source"] == "Smoothed(n=3, p=0.6)"
+
+    @pytest.mark.parametrize("mode, estimates", [
+        ("voronoi-ground", 1), ("voronoi-marked", 2), ("separable-s1", 2),
+    ])
+    def test_floor_hits_count_each_estimate_once(self, tmp_path, mode, estimates):
+        # on this window every estimate lies far below the floor at every
+        # point; scenario 4 plugs in the ground estimate as well, which the
+        # voronoi-ground mode already is
+        huge = Window(spatial=((0.0, 1e8), (0.0, 1e8)), temporal=(0.0, 1.0))
+        p = uniform_pattern(6, seed=92, window=huge)
+        save_catalog(p, tmp_path / "huge.csv")
+        cfg = write_config(
+            tmp_path / "c.txt",
+            f"input = {tmp_path / 'huge.csv'}\nwindow = 0,1e8,0,1e8,0,1\n"
+            f"marks = interval,0,1\nweights = {mode}\nscenario = 4\nn_r = 2\nn_t = 2",
+        )
+        out = tmp_path / "run"
+        res = run_cli("k", "--config", cfg, "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        meta = json.loads((out / "k_surface.json").read_text())
+        assert meta["meta"]["floor_hits"] == estimates * p.n
 
     def test_stationary_smoothing_rejected(self, tmp_path, marked_catalog):
         cfg = write_config(

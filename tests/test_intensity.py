@@ -13,6 +13,7 @@ from mstpp.intensity import (
     voronoi_separable,
 )
 from mstpp.pattern import ContinuousMarks, LabelMarks, pattern_from_arrays
+from mstpp.second_order import weights_from_estimate
 from mstpp.simulate import IntensityField, sim_poisson
 
 from .conftest import UNIT, uniform_pattern
@@ -158,6 +159,13 @@ class TestGroundEstimator:
         w = est.weights_for_own_points()
         assert w[0] == pytest.approx(1e-12)
         assert est.floor_hits == 1
+        # evaluation clamps too, but never changes the estimate's count
+        assert est.at(np.array([[1.0, 1.0]]), np.array([1.0]))[0] == pytest.approx(1e-12)
+        for _ in range(3):
+            assert np.array_equal(est.weights_for_own_points(), w)
+            assert est.floor_hits == 1
+            assert weights_from_estimate(est).floor_hits == 1
+        assert weights_from_estimate(est, est).floor_hits == 1
 
     def test_cell_measure_rows_layout(self):
         p = uniform_pattern(7, seed=33, marks=None)

@@ -224,9 +224,6 @@ def assert_matches_oracle(geom, full):
     assert np.array_equal(geom.a_t, full.a_t[valid])
     for name in ("pt_b_r", "pt_b_t", "ell_r", "ell_t"):
         assert np.array_equal(getattr(geom, name), getattr(full, name)), name
-    point_valid, point_idx = full.point_corners
-    assert np.array_equal(geom.point_corners[0], point_valid)
-    assert np.array_equal(geom.point_corners[1].ravel(), point_idx)
 
 
 class TestPairGeometry:
