@@ -147,6 +147,16 @@ def _choice(*options):
 
 _REQUIRED = object()
 
+# intensity config key -> Quadrature field, in the order of the audit lines
+_QUAD_KEYS = {
+    "quad_space": "n_space",
+    "quad_time": "n_time",
+    "quad_mark": "n_mark",
+    "quad_space_only": "n_space_only",
+    "quad_time_tm": "n_time_tm",
+    "quad_mark_tm": "n_mark_tm",
+}
+
 SCHEMAS = {
     "simulate": {
         "preset": (_p_str, _REQUIRED),
@@ -159,12 +169,7 @@ SCHEMAS = {
         "estimator": (_choice("ground", "marked", "s1", "s2", "s3"), "marked"),
         "euclidean_tm": (_p_bool, False),
         "eval_cells": (_p_ints, (10, 10, 5, 5)),
-        "quad_space": (_p_int, 0),
-        "quad_time": (_p_int, 0),
-        "quad_mark": (_p_int, 0),
-        "quad_space_only": (_p_int, 0),
-        "quad_time_tm": (_p_int, 0),
-        "quad_mark_tm": (_p_int, 0),
+        **{key: (_p_int, 0) for key in _QUAD_KEYS},
         "dump_cells": (_p_bool, False),
     },
     "k": {
@@ -268,16 +273,6 @@ def _markset_from(spec):
     except (IndexError, ValueError) as e:
         raise ConfigError(f"bad mark set {spec!r}: {e}") from e
     raise ConfigError(f"bad mark set {spec!r}: expected all, interval,.. or labels,..")
-
-
-_QUAD_KEYS = {
-    "quad_space": "n_space",
-    "quad_time": "n_time",
-    "quad_mark": "n_mark",
-    "quad_space_only": "n_space_only",
-    "quad_time_tm": "n_time_tm",
-    "quad_mark_tm": "n_mark_tm",
-}
 
 
 def _quadrature_from(cfg):
@@ -538,6 +533,17 @@ COMMANDS = {
 }
 
 
+def _threads(v):
+    """``--threads``: a positive integer; anything else is a usage error (exit 2)."""
+    try:
+        n = int(v)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {v!r}")
+    return n
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="mstpp",
@@ -549,7 +555,7 @@ def main(argv=None):
         cp.add_argument("--config", required=True, help="key = value config file")
         cp.add_argument("--seed", type=int, default=0, help="root random seed")
         cp.add_argument("--out", required=True, help="output directory")
-        cp.add_argument("--threads", type=int, default=1, help="worker thread cap")
+        cp.add_argument("--threads", type=_threads, default=1, help="worker thread cap (>= 1)")
     args = parser.parse_args(argv)
     try:
         raw = parse_config_file(args.config)

@@ -19,6 +19,14 @@ the tessellation has one) serves both the build, which bins the node
 volumes into cells, and the mass audit, which sums the estimate over the
 same grid shifted by ``AUDIT_OFFSET``.
 
+Every quadrature tessellation is one cell type, ``_QuadCells``, with one
+build (which retries once at ``Quadrature.refined()``), one evaluation, one
+value at the pattern's own points and one audit (``integral``); each
+subclass only gives its grid. ``VoronoiEstimate`` is that type on the
+space-time(-mark) grid, the separable spatial and time-mark factors on
+theirs. The exact 1-D and label cells share the own-point value, and
+their integral is the point count.
+
 The search is exact but pruned. Each chunk of query rows is cut into small
 tiles of nearby rows (Z-order over the chunk's bounding box). For every
 generator, the metric is bounded from below at the tile box's nearest
@@ -79,7 +87,7 @@ identity: the sum of 1/est over the pattern's own points equals the total
 reference measure of the domain, exactly under the built quadrature.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -147,15 +155,9 @@ class Quadrature:
                 raise ValueError(f"quadrature {f.name} must be a positive integer, got {v!r}")
 
     def refined(self):
-        return Quadrature(
-            n_space=self.n_space * 2,
-            n_time=self.n_time * 2,
-            n_mark=self.n_mark * 2,
-            n_space_only=self.n_space_only * 2,
-            n_time_tm=self.n_time_tm * 2,
-            n_mark_tm=self.n_mark_tm * 2,
-            chunk=self.chunk,
-        )
+        """Every resolution doubled; ``chunk`` is kept."""
+        return replace(self, **{f.name: getattr(self, f.name) * 2
+                                for f in fields(self) if f.name != "chunk"})
 
 
 def _axis_nodes(lo, hi, n, offset=0.5):
@@ -240,10 +242,6 @@ def _checked_marks(mark_space, m):
 
 def _mark_join(mark_space):
     return "add" if mark_space.is_labelled else "max"
-
-
-def _space_time_metric(p, marked):
-    return (p.dim, 1), (_mark_join(p.mark_space) if marked else None)
 
 
 def _space_part(metric, diff):
@@ -409,17 +407,6 @@ def _cell_measures(metric, gens, grid, chunk):
     return measures
 
 
-def _integral(metric, gens, values, grid, chunk):
-    """The audit: the per-generator ``values`` summed over the grid's nodes,
-    times their volume elements and mark weights."""
-    vol = grid[1]
-    total = 0.0
-    for labels, wj in _sweep(metric, gens, grid, chunk):
-        vals = values[labels]
-        total += float(np.sum(vals * vol)) if np.ndim(vol) else float(np.sum(vals)) * vol * wj
-    return total
-
-
 def _refining(measures_at, quad, message):
     """Cell measures at ``quad``, or at ``quad.refined()`` when a cell got no
     node; QuadratureError(message) when one gets none at either."""
@@ -430,13 +417,9 @@ def _refining(measures_at, quad, message):
     raise QuadratureError(message)
 
 
-def _space_time_grid(p, quad, offset, marked):
-    w = p.window
-    axes = _space_axes(w, quad.n_space, offset)
-    axes.append(_axis_nodes(w.temporal[0], w.temporal[1], quad.n_time, offset))
-    vol = w.volume / (quad.n_space**w.dim * quad.n_time)
-    mark_axis = _mark_axis(p.mark_space, p.marks, quad.n_mark, offset) if marked else None
-    return _mesh(axes), vol, mark_axis
+# --------------------------------------------------------------------------
+# cell types
+# --------------------------------------------------------------------------
 
 
 class _Floored:
@@ -446,52 +429,98 @@ class _Floored:
 
     @property
     def floor_hits(self):
-        return int(np.count_nonzero(self._unclamped_own() < INTENSITY_FLOOR))
+        return int(np.count_nonzero(self.own_values() < INTENSITY_FLOOR))
 
     def weights_for_own_points(self):
         """The estimate at the pattern's own points, clamped to the floor."""
-        return np.maximum(self._unclamped_own(), INTENSITY_FLOOR)
+        return np.maximum(self.own_values(), INTENSITY_FLOOR)
+
+
+class _Cells:
+    """Shared by every cell type: the value at the pattern's own points
+    (each generator's nearest generator is itself, so it is multiplicity
+    over cell measure), and the integral, which exact cells give as the
+    point count. Exact cells read no quadrature."""
+
+    refined = False
+
+    def resolutions(self):
+        return {}
+
+    def own_values(self):
+        return self.mult[self.group_of_point] / self.measures[self.group_of_point]
+
+    def integral(self, quadrature=None):
+        return float(np.sum(self.mult))
 
 
 @dataclass
-class VoronoiEstimate(_Floored):
-    """A tessellation-backed intensity estimate.
+class _QuadCells(_Cells):
+    """Voronoi cells by quadrature. A subclass gives the grid, a function of
+    the pattern, the quadrature, the node offset and the metric; the build
+    and the audit both use it."""
 
-    ``kind`` is "ground" (space-time) or "marked" (space-time-mark). Cell
-    measures are per distinct generator; a pattern point's estimate is the
-    generator multiplicity over its cell measure.
-    """
-
-    kind: str
     pattern: MarkedPattern
-    gens_x: np.ndarray
-    gens_t: np.ndarray
-    gens_m: object
+    rows: np.ndarray   # distinct generators
     mult: np.ndarray
     group_of_point: np.ndarray
-    cell_measures: np.ndarray
+    measures: np.ndarray
+    metric: tuple
     quadrature: Quadrature
     refined: bool = False
 
-    @property
-    def metric_mode(self):
-        if self.kind == "ground":
-            return "SupSpaceTime"
-        return "FullMarked"
+    @classmethod
+    def build(cls, p, rows, metric, quad, message):
+        gens, mult, group = _group_rows(rows)
+        measures, q = _refining(
+            lambda q: _cell_measures(metric, gens, cls._grid(p, q, 0.5, metric), q.chunk),
+            quad, message,
+        )
+        return cls(p, gens, mult, group, measures, metric, q, q is not quad)
+
+    def value_at(self, *coords):
+        labels = _nearest(self.metric, np.column_stack(coords), self.rows, self.quadrature.chunk)
+        return self.mult[labels] / self.measures[labels]
+
+    def integral(self, quadrature=None):
+        """The audit: the estimate summed over the grid at ``AUDIT_OFFSET``
+        (at ``quadrature``, else at the one the cells were built at), times
+        the nodes' volume elements and mark weights."""
+        q = quadrature if quadrature is not None else self.quadrature
+        grid = self._grid(self.pattern, q, AUDIT_OFFSET, self.metric)
+        values, vol, total = self.mult / self.measures, grid[1], 0.0
+        for labels, wj in _sweep(self.metric, self.rows, grid, q.chunk):
+            vals = values[labels]
+            total += float(np.sum(vals * vol)) if np.ndim(vol) else float(np.sum(vals)) * vol * wj
+        return total
+
+
+class VoronoiEstimate(_Floored, _QuadCells):
+    """A space-time(-mark) tessellation-backed intensity estimate.
+
+    ``kind`` is "ground" (space-time) or "marked" (space-time-mark), as the
+    metric has a mark join. Cell measures are per distinct generator; a
+    pattern point's estimate is the generator multiplicity over its cell
+    measure.
+    """
 
     @property
-    def _metric(self):
-        return _space_time_metric(self.pattern, self.kind == "marked")
+    def kind(self):
+        return "ground" if self.metric[1] is None else "marked"
 
     @property
-    def _gens(self):
-        marks = [] if self.gens_m is None else [self.gens_m]
-        return np.column_stack([self.gens_x, self.gens_t] + marks)
+    def gens_x(self):
+        return self.rows[:, : self.pattern.dim]
 
-    def _unclamped_own(self):
-        """Estimate at the pattern's own points: each generator's nearest
-        generator is itself, so the value is multiplicity / cell measure."""
-        return self.mult[self.group_of_point] / self.cell_measures[self.group_of_point]
+    @staticmethod
+    def _grid(p, quad, offset, metric):
+        w = p.window
+        axes = _space_axes(w, quad.n_space, offset)
+        axes.append(_axis_nodes(w.temporal[0], w.temporal[1], quad.n_time, offset))
+        vol = w.volume / (quad.n_space**w.dim * quad.n_time)
+        marked = metric[1] is not None
+        mark_axis = _mark_axis(p.mark_space, p.marks, quad.n_mark, offset) if marked else None
+        return _mesh(axes), vol, mark_axis
 
     def at(self, x, t, m=None):
         """Evaluate at arbitrary finite locations (arrays); marked estimates
@@ -501,8 +530,7 @@ class VoronoiEstimate(_Floored):
             if m is None:
                 raise ValueError("marked estimate needs mark coordinates")
             cols.append(_checked_marks(self.pattern.mark_space, m))
-        labels = _nearest(self._metric, np.column_stack(cols), self._gens, self.quadrature.chunk)
-        return np.maximum(self.mult[labels] / self.cell_measures[labels], INTENSITY_FLOOR)
+        return np.maximum(self.value_at(*cols), INTENSITY_FLOOR)
 
     def resolutions(self):
         """The ``Quadrature`` fields its tessellation read, by name, at the
@@ -515,35 +543,19 @@ class VoronoiEstimate(_Floored):
     def cell_measure_rows(self):
         """(point_index, cell_measure) rows for the audit CSV dump."""
         return np.column_stack(
-            [np.arange(self.pattern.n, dtype=float), self.cell_measures[self.group_of_point]]
+            [np.arange(self.pattern.n, dtype=float), self.measures[self.group_of_point]]
         )
 
 
-def _voronoi(p, kind, quad):
+def _voronoi(p, marked, quad):
     if p.n == 0:
         raise ValueError("cannot estimate intensity from an empty pattern")
-    marked = kind == "marked"
     if marked and not p.is_marked:
         raise ValueError("marked estimator needs a marked pattern")
-    gens, mult, group = _group_rows(np.column_stack([p.x, p.t] + ([p.marks] if marked else [])))
-    metric = _space_time_metric(p, marked)
-    measures, q = _refining(
-        lambda q: _cell_measures(metric, gens, _space_time_grid(p, q, 0.5, marked), q.chunk),
-        quad,
+    metric = (p.dim, 1), (_mark_join(p.mark_space) if marked else None)
+    return VoronoiEstimate.build(
+        p, np.column_stack([p.x, p.t] + ([p.marks] if marked else [])), metric, quad,
         "empty tessellation cell at refined quadrature",
-    )
-    d = p.dim
-    return VoronoiEstimate(
-        kind=kind,
-        pattern=p,
-        gens_x=gens[:, :d],
-        gens_t=gens[:, d],
-        gens_m=gens[:, d + 1] if marked else None,
-        mult=mult,
-        group_of_point=group,
-        cell_measures=measures,
-        quadrature=q,
-        refined=q is not quad,
     )
 
 
@@ -552,36 +564,19 @@ def voronoi_ground(p, quadrature=None):
     if any, are ignored). Evaluation at (x, t) returns the reciprocal
     measure of the nearest generator's cell (times its multiplicity for
     coincident ground locations)."""
-    return _voronoi(p, "ground", quadrature if quadrature is not None else Quadrature())
+    return _voronoi(p, False, quadrature if quadrature is not None else Quadrature())
 
 
 def voronoi_marked(p, quadrature=None):
     """Space-time-mark Voronoi intensity estimate under the full marked
     metric; cell measures are taken under Lebesgue x reference-measure."""
     quad = quadrature if quadrature is not None else Quadrature(n_space=48, n_time=48)
-    return _voronoi(p, "marked", quad)
+    return _voronoi(p, True, quad)
 
 
 # --------------------------------------------------------------------------
 # separable factors
 # --------------------------------------------------------------------------
-
-
-class _Cells:
-    """Shared by the factor cells: the value at the pattern's own points,
-    and the integral, which exact cells give as the point count. Exact
-    cells read no quadrature."""
-
-    refined = False
-
-    def resolutions(self):
-        return {}
-
-    def own_values(self):
-        return self.mult[self.group_of_point] / self.measures[self.group_of_point]
-
-    def integral(self, quadrature=None):
-        return float(np.sum(self.mult))
 
 
 @dataclass
@@ -653,38 +648,6 @@ class _LabelCells(_Cells):
         return self.table_value[idx]
 
 
-@dataclass
-class _QuadCells(_Cells):
-    """A separable factor's Voronoi cells by quadrature. A subclass gives
-    the grid; the build and the audit both use it."""
-
-    pattern: MarkedPattern
-    rows: np.ndarray   # distinct generators
-    mult: np.ndarray
-    group_of_point: np.ndarray
-    measures: np.ndarray
-    metric: tuple
-    quad: Quadrature
-    refined: bool = False
-
-    @classmethod
-    def build(cls, p, rows, metric, quad, message):
-        gens, mult, group = _group_rows(rows)
-        measures, q = _refining(
-            lambda q: _cell_measures(metric, gens, cls._grid(p, q, 0.5), q.chunk), quad, message
-        )
-        return cls(p, gens, mult, group, measures, metric, q, q is not quad)
-
-    def value_at(self, *coords):
-        labels = _nearest(self.metric, np.column_stack(coords), self.rows, self.quad.chunk)
-        return self.mult[labels] / self.measures[labels]
-
-    def integral(self, quadrature=None):
-        q = quadrature if quadrature is not None else self.quad
-        grid = self._grid(self.pattern, q, AUDIT_OFFSET)
-        return _integral(self.metric, self.rows, self.mult / self.measures, grid, q.chunk)
-
-
 class _SpatialCells(_QuadCells):
     """Euclidean spatial Voronoi cells by quadrature over the spatial box."""
 
@@ -692,11 +655,15 @@ class _SpatialCells(_QuadCells):
     def gens(self):
         return self.rows
 
+    @property
+    def quad(self):
+        return self.quadrature
+
     def resolutions(self):
-        return {"n_space_only": self.quad.n_space_only}
+        return {"n_space_only": self.quadrature.n_space_only}
 
     @staticmethod
-    def _grid(p, quad, offset):
+    def _grid(p, quad, offset, metric):
         vol = p.window.spatial_volume / quad.n_space_only**p.dim
         return _mesh(_space_axes(p.window, quad.n_space_only, offset)), vol, None
 
@@ -711,14 +678,18 @@ class _TimeMarkCells(_QuadCells):
     def gens_t(self):
         return self.rows[:, 0]
 
+    @property
+    def quad(self):
+        return self.quadrature
+
     def resolutions(self):
-        res = {"n_time_tm": self.quad.n_time_tm}
+        res = {"n_time_tm": self.quadrature.n_time_tm}
         if _discretized(self.pattern.mark_space):
-            res["n_mark_tm"] = self.quad.n_mark_tm
+            res["n_mark_tm"] = self.quadrature.n_mark_tm
         return res
 
     @staticmethod
-    def _grid(p, quad, offset):
+    def _grid(p, quad, offset, metric):
         w = p.window
         t_nodes = _axis_nodes(w.temporal[0], w.temporal[1], quad.n_time_tm, offset)
         m_nodes, m_w = _mark_axis(p.mark_space, p.marks, quad.n_mark_tm, offset)
@@ -756,13 +727,17 @@ class SeparableIntensity(_Floored):
             for k, f in self.factors.items()
         }), INTENSITY_FLOOR)
 
-    def _unclamped_own(self):
+    def own_values(self):
         """The setup's product at the pattern's own points (an S2 ground
         factor enters at its own clamped values)."""
         return self._product({
             k: f.weights_for_own_points() if k == "ground" else f.own_values()
             for k, f in self.factors.items()
         })
+
+    def integral(self, quadrature=None):
+        """The setup's product of its factors' integrals."""
+        return self._product({k: f.integral(quadrature) for k, f in self.factors.items()})
 
     def _product(self, v):
         """The setup's combination of per-factor values ``v`` (by name)."""
@@ -824,11 +799,6 @@ def voronoi_separable(p, setup, euclidean_tm=False, quadrature=None):
     return SeparableIntensity(setup=setup, n=p.n, factors=factors, pattern=p)
 
 
-# --------------------------------------------------------------------------
-# mass audit
-# --------------------------------------------------------------------------
-
-
 def estimate_mass(est, quadrature=None):
     """Integral of the estimate over its domain, computed on an offset
     evaluation grid (never the grid that built the cell measures, where the
@@ -836,13 +806,6 @@ def estimate_mass(est, quadrature=None):
     therefore measures real quadrature error. ``quadrature`` overrides the
     audit-grid resolution (default: the resolution the estimate, or each
     of its quadrature-built factors, was built at)."""
-    if isinstance(est, VoronoiEstimate):
-        quad = quadrature if quadrature is not None else est.quadrature
-        grid = _space_time_grid(est.pattern, quad, AUDIT_OFFSET, est.kind == "marked")
-        return _integral(est._metric, est._gens, est.mult / est.cell_measures, grid, quad.chunk)
-    if isinstance(est, SeparableIntensity):
-        return est._product({
-            k: estimate_mass(f, quadrature) if k == "ground" else f.integral(quadrature)
-            for k, f in est.factors.items()
-        })
-    raise TypeError(f"cannot audit {type(est).__name__}")
+    if not isinstance(est, (VoronoiEstimate, SeparableIntensity)):
+        raise TypeError(f"cannot audit {type(est).__name__}")
+    return est.integral(quadrature)

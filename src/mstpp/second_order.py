@@ -11,12 +11,17 @@ inhomogeneous spatio-temporal K-function; cones give the directional
 variant, and plug-in choices of the normalizing measures give the four
 denominator scenarios and the stationary specialization.
 
-Every estimator here, and every contrast surface in `inference`, is
-`_k_values` over one resolved `PairGeometry`: a pair weight summed over the
-C-first, D-second pairs of each lag cell, divided by a scenario
-`_denominator` (unit mark masses for the ground and cross K-functions) or
-the stationary plug-in. `_marked_terms` checks the arguments before the
-geometry is built, so bad arguments fail before any pair is searched.
+Every K-function estimator here, and every contrast surface in
+`inference`, is `_k_values` over one resolved `PairGeometry`: a pair weight
+summed over the C-first, D-second pairs of each lag cell, divided by a
+scenario `_denominator` (unit mark masses for the ground and cross
+K-functions) or the stationary plug-in. `k_smoothed` averages `k_inhom`
+over thinnings. `k_measure_hat`, the estimate for one structuring set, is
+not built on a geometry: it sums the KD-tree candidates at its set's
+bounding lags itself, after an exact membership test. `_marked_terms`
+checks the marked arguments and `_checked_lags` the lag grids, the erosion
+mode and the window before the geometry is built (and before `k_smoothed`
+thins), so bad arguments fail before any pair is searched.
 
 Implementation notes
 --------------------
@@ -380,6 +385,23 @@ def _stored_pairs(p, blocks, r_grid, t_grid, pt_b_r, pt_b_t):
     return stored
 
 
+def _checked_lags(p, r_grid, t_grid, erosion):
+    """The lag grids as float arrays, after the checks of the grids, of the
+    erosion mode and of the window's erosion at the maximal lags."""
+    r_grid = np.asarray(r_grid, dtype=float)
+    t_grid = np.asarray(t_grid, dtype=float)
+    for g, name in ((r_grid, "r_grid"), (t_grid, "t_grid")):
+        if g.ndim != 1 or g.size == 0 or np.any(g < 0) or np.any(np.diff(g) <= 0):
+            raise ValueError(f"{name} must be a nonempty, strictly increasing vector "
+                             "of nonnegative lags")
+    if (r_grid.size + 1) * (t_grid.size + 1) > _MAX_BINS:
+        raise ValueError("r_grid and t_grid have too many cells")
+    if erosion not in ("per-cell", "fixed"):
+        raise ValueError("erosion must be 'per-cell' or 'fixed'")
+    erode_window(p.window, float(r_grid[-1]), float(t_grid[-1]))  # ErosionError if too large
+    return r_grid, t_grid
+
+
 def pair_geometry(p, r_grid, t_grid, erosion="per-cell"):
     """Build the mark-independent pair/erosion geometry for a lag grid.
 
@@ -387,20 +409,9 @@ def pair_geometry(p, r_grid, t_grid, erosion="per-cell"):
     result can be reused across any number of weight/mark-set evaluations
     on the same point locations (e.g. mark permutations).
     """
-    r_grid = np.asarray(r_grid, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
-    for g, name in ((r_grid, "r_grid"), (t_grid, "t_grid")):
-        if g.ndim != 1 or g.size == 0 or np.any(g < 0) or np.any(np.diff(g) <= 0):
-            raise ValueError(f"{name} must be a nonempty, strictly increasing vector "
-                             "of nonnegative lags")
+    r_grid, t_grid = _checked_lags(p, r_grid, t_grid, erosion)
     R, T = r_grid.size, t_grid.size
-    if (R + 1) * (T + 1) > _MAX_BINS:
-        raise ValueError("r_grid and t_grid have too many cells")
-    if erosion not in ("per-cell", "fixed"):
-        raise ValueError("erosion must be 'per-cell' or 'fixed'")
     r_max, t_max = float(r_grid[-1]), float(t_grid[-1])
-    erode_window(p.window, r_max, t_max)  # raises ErosionError if too large
-
     margin_s, margin_t = _margins(p)
     lo, hi = p.window.spatial_bounds()
     if erosion == "per-cell":
@@ -790,6 +801,8 @@ def k_measure_hat(p, C, D, E, weights, return_report=False):
     ``return_report``, ``pairs`` counts those candidates: the ordered
     pairs the tree returns, before E's exact membership test.
     """
+    if weights is None:
+        raise ValueError("weights are required")
     r_c, t_c = E.bounding_lags()
     erode_window(p.window, r_c, t_c)
     mC, mD, nu_C, nu_D = _mark_sets(p, C, D)
@@ -907,7 +920,8 @@ def k_smoothed(p, C=None, D=None, r_grid=None, t_grid=None, weights_builder=None
     plug-in estimators refit on the thinned pattern target this
     automatically, true-intensity callers must scale by the retention).
     Thinnings left without C- or D-points contribute all-zero surfaces;
-    their count is reported in the metadata.
+    their count is reported in the metadata, and so is ``floor_hits``, the
+    sum of the other thinnings' ``Weights.floor_hits``.
     """
     if not 0.0 < retention < 1.0:
         raise ValueError("retention must lie in (0, 1)")
@@ -918,9 +932,10 @@ def k_smoothed(p, C=None, D=None, r_grid=None, t_grid=None, weights_builder=None
     if p.marks is None:
         raise ValueError("smoothing is defined for marked patterns")
     scenario = _norm_scenario(scenario)
-    _mark_sets(p, C, D)  # the mark sets' checks, before any thinning
-    r_grid, t_grid = _lag_grids(p, r_grid, t_grid)
-    shape = (np.asarray(r_grid).size, np.asarray(t_grid).size)
+    # the mark sets', grids', erosion's and window's checks, before any thinning
+    _mark_sets(p, C, D)
+    r_grid, t_grid = _checked_lags(p, *_lag_grids(p, r_grid, t_grid), erosion)
+    shape = (r_grid.size, t_grid.size)
 
     def one(i, child):
         q = thin(p, retention, seed=child)
@@ -932,19 +947,19 @@ def k_smoothed(p, C=None, D=None, r_grid=None, t_grid=None, weights_builder=None
         w = weights_builder(q, retention)
         surf = k_inhom(q, C, D, r_grid, t_grid, w, scenario=scenario,
                        erosion=erosion, symmetrize=symmetrize)
-        return surf.values
+        return surf.values, w.floor_hits
 
     results = _replicates(one, n, seed, threads)
     degenerate = sum(1 for v in results if v is None)
-    surfaces = [np.zeros(shape) if v is None else v for v in results]
+    floor_hits = sum(v[1] for v in results if v is not None)
+    surfaces = [np.zeros(shape) if v is None else v[0] for v in results]
     stack = np.stack(surfaces)
     mean = stack.mean(axis=0)
     spread = stack.std(axis=0, ddof=1) if n > 1 else np.zeros(shape)
     return KSurface(
-        r_grid=np.asarray(r_grid, dtype=float), t_grid=np.asarray(t_grid, dtype=float),
-        values=mean, C=C, D=D, scenario=scenario,
+        r_grid=r_grid, t_grid=t_grid, values=mean, C=C, D=D, scenario=scenario,
         weights_source=f"Smoothed(n={n}, p={retention})", d=p.dim,
         meta={"erosion": erosion, "route": "indexed", "retention": retention,
               "n_thinnings": n, "degenerate_thinnings": degenerate,
-              "seed": str(seed), "spread": spread},
+              "floor_hits": floor_hits, "seed": str(seed), "spread": spread},
     )

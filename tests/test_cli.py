@@ -203,6 +203,15 @@ class TestExitCodes:
         assert res.returncode == 2, res.stderr
         assert "config error" in res.stderr and key in res.stderr
 
+    @pytest.mark.parametrize("threads", ["-4", "0", "two"])
+    def test_bad_threads_is_2_before_any_work(self, tmp_path, threads):
+        cfg = write_config(tmp_path / "c.txt", "preset = poisson-bernoulli")
+        out = tmp_path / "o"
+        res = run_cli("simulate", "--config", cfg, "--out", str(out), "--threads", threads)
+        assert res.returncode == 2, res.stderr
+        assert "--threads" in res.stderr and "positive integer" in res.stderr
+        assert not out.exists()
+
     def test_bad_scenario_is_2(self, tmp_path, marked_catalog):
         cfg = write_config(
             tmp_path / "c.txt",

@@ -89,7 +89,7 @@ class TestGroundEstimator:
         )
         est = voronoi_ground(p)
         node_vol = UNIT.volume / (56 * 56 * 56)
-        assert np.all(np.abs(est.cell_measures - 0.5) < 10 * node_vol)
+        assert np.all(np.abs(est.measures - 0.5) < 10 * node_vol)
         assert np.allclose(est.weights_for_own_points(), 2.0, rtol=1e-3)
 
     def test_shared_coordinate_pair_still_partitions_window(self):
@@ -99,8 +99,8 @@ class TestGroundEstimator:
             np.array([[0.25, 0.5], [0.75, 0.5]]), np.array([0.5, 0.5]), window=UNIT
         )
         est = voronoi_ground(p)
-        assert est.cell_measures[0] > est.cell_measures[1]
-        assert np.sum(est.cell_measures) == pytest.approx(UNIT.volume, rel=1e-12)
+        assert est.measures[0] > est.measures[1]
+        assert np.sum(est.measures) == pytest.approx(UNIT.volume, rel=1e-12)
 
     def test_cell_measures_match_fine_reference_grid(self):
         p = pattern_from_arrays(
@@ -110,7 +110,7 @@ class TestGroundEstimator:
         )
         est = voronoi_ground(p)
         reference = voronoi_masses_oracle(p, 560, 560)
-        assert np.all(np.abs(est.cell_measures - reference) / reference < 0.005)
+        assert np.all(np.abs(est.measures - reference) / reference < 0.005)
 
     def test_evaluation_matches_own_weights(self):
         p = uniform_pattern(15, seed=31, marks=None)
@@ -125,14 +125,14 @@ class TestGroundEstimator:
         est = voronoi_ground(p)
         w = est.weights_for_own_points()
         assert w[0] == w[1]
-        assert est.cell_measures.shape[0] == 2
-        pair_cell = est.cell_measures[est.group_of_point[0]]
+        assert est.measures.shape[0] == 2
+        pair_cell = est.measures[est.group_of_point[0]]
         assert w[0] == pytest.approx(2.0 / pair_cell, rel=1e-12)
         # reference masses are per point; the coincident pair funnels to index 0
         ref = voronoi_masses_oracle(p, 300, 300)
         assert ref[1] == 0.0
         assert np.all(
-            np.abs(est.cell_measures - ref[[0, 2]]) / ref[[0, 2]] < 0.01
+            np.abs(est.measures - ref[[0, 2]]) / ref[[0, 2]] < 0.01
         )
 
     def test_reciprocal_sum_recovers_window_volume(self):
@@ -186,13 +186,13 @@ class TestMarkedEstimator:
         p = uniform_pattern(6, seed=34)
         est = voronoi_marked(p)
         reference = marked_masses_oracle(p, 80, 80, 24)
-        assert np.all(np.abs(est.cell_measures - reference) / reference < 0.02)
+        assert np.all(np.abs(est.measures - reference) / reference < 0.02)
 
     def test_cell_measures_match_fine_reference_grid_label_marks(self):
         p = uniform_pattern(8, seed=35, marks="labels")
         est = voronoi_marked(p)
         reference = marked_masses_oracle(p, 80, 80, 0)
-        assert np.all(np.abs(est.cell_measures - reference) / reference < 0.02)
+        assert np.all(np.abs(est.measures - reference) / reference < 0.02)
 
     def test_identical_marks_reduce_to_ground_over_mark_mass(self):
         n = 12

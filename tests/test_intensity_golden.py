@@ -140,17 +140,13 @@ def _queries(p, seed):
 
 def _cells(est):
     if isinstance(est, VoronoiEstimate):
-        return {"cells": _reprs(est.cell_measures), "quadrature": repr(est.quadrature),
+        return {"cells": _reprs(est.measures), "quadrature": repr(est.quadrature),
                 "refined": est.refined}
     out = {}
     for name, factor in sorted(est.factors.items()):
-        if isinstance(factor, VoronoiEstimate):
-            out[f"{name}/cells"] = _reprs(factor.cell_measures)
+        out[f"{name}/cells"] = _reprs(factor.measures)
+        if hasattr(factor, "quadrature"):
             out[f"{name}/quadrature"] = repr(factor.quadrature)
-        else:
-            out[f"{name}/cells"] = _reprs(factor.measures)
-            if hasattr(factor, "quad"):
-                out[f"{name}/quadrature"] = repr(factor.quad)
     return out
 
 

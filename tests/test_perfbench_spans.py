@@ -74,7 +74,9 @@ def test_traced_intensity_builds_count_generators_and_node_evaluations():
     tracer.install()
     try:
         def intensity():
-            for est in (cli.voronoi_marked(p, q), cli.voronoi_separable(p, "S3", quadrature=q)):
+            for est in (cli.voronoi_marked(p, q), cli.voronoi_separable(p, "S3", quadrature=q),
+                        cli.voronoi_separable(p, "S2", quadrature=q),
+                        cli.voronoi_separable(p, "S1", quadrature=q)):
                 est.at(x, t, m)
                 cli.estimate_mass(est)
 
@@ -84,10 +86,17 @@ def test_traced_intensity_builds_count_generators_and_node_evaluations():
     metrics, errors = tracer.layer_metrics()
     assert errors == []
     spans = [s[0] for s in tracer.spans]
-    assert spans.count("intensity.eval") == 2 and spans.count("intensity.audit") == 2
+    # S2's `at` evaluates its ground factor through that estimate's own `at`
+    assert spans.count("intensity.eval") == 5 and spans.count("intensity.audit") == 4
+    # S2 builds its ground factor in an `intensity.ground` span of its own
+    assert spans.count("intensity.separable") == 3 and spans.count("intensity.ground") == 1
     assert (metrics["intensity.builds"], metrics["intensity.failed"],
-            metrics["intensity.refined"]) == (2.0, 0.0, 0.0)
-    # 30 generators in each of the marked, spatial and time-mark tessellations;
-    # their nodes: 8^2 x 6 space-time x 2 labels, 16^2 spatial, 128 times x 2 labels
-    assert metrics["intensity.generators"] == 90.0
-    assert metrics["intensity.node_gen_evals"] == 30 * (8**2 * 6 * 2 + 16**2 + 128 * 2)
+            metrics["intensity.refined"]) == (5.0, 0.0, 0.0)
+    # 30 generators in each of the marked, spatial (S3 and S1), time-mark and
+    # ground tessellations; their nodes: 8^2 x 6 space-time x 2 labels, 16^2
+    # spatial, 128 times x 2 labels, 8^2 x 6 space-time. S2's ground factor
+    # is counted once, by its own span; the exact 1-D and label cells of S1
+    # and S2 add none.
+    assert metrics["intensity.generators"] == 150.0
+    assert metrics["intensity.node_gen_evals"] == 30 * (
+        8**2 * 6 * 2 + 16**2 + 128 * 2 + 8**2 * 6 + 16**2)

@@ -668,12 +668,21 @@ class TestEngineInvariances:
             Weights(lam=np.ones(5))), "one value per point"),
         (lambda p, w: k_measure_hat(p, None, None, CylinderSet(0.1, 0.1),
                                     Weights(lam=np.ones(5))), "one value per point"),
+        (lambda p, w: k_measure_hat(p, None, None, CylinderSet(0.1, 0.1), None),
+         "weights are required"),
+        (lambda p, w: k_smoothed(p, C_HALF, D_HALF, R_GRID, T_GRID,
+                                 lambda q, keep: w, erosion="nope"), "erosion must be"),
+        (lambda p, w: k_smoothed(p, C_HALF, D_HALF, R_GRID[::-1], T_GRID,
+                                 lambda q, keep: w), "strictly increasing"),
+        (lambda p, w: k_smoothed(p, C_HALF, D_HALF, np.array([0.6]), T_GRID,
+                                 lambda q, keep: w), "empties an axis"),
     ], ids=["inhom-weights", "inhom-lam_ground", "inhom-zero-mass", "inhom-scenario",
             "directional-weights", "directional-lam_ground", "directional-zero-mass",
             "ground-scenario", "cross-labels", "stationary-unmarked",
             "stationary-zero-mass", "stationary-absent-label",
             "smoothed-scenario", "inhom-lam-length", "inhom-lam_ground-length",
-            "ground-length", "cross-length", "measure-length"])
+            "ground-length", "cross-length", "measure-length", "measure-weights",
+            "smoothed-erosion", "smoothed-grid", "smoothed-window"])
     def test_bad_arguments_fail_before_any_work(self, small_marked, monkeypatch,
                                                 call, match):
         def no_work(*args, **kw):
@@ -958,6 +967,25 @@ class TestSmoothed:
         )
         assert surf.meta["degenerate_thinnings"] >= 1
         assert surf.meta["n_thinnings"] == 15
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_floor_hits_add_every_thinnings_weights(self, threads):
+        # each built Weights reports 7 floor hits; the rare label leaves some
+        # thinnings without C- or D-points, and those build no weights
+        marks = np.ones(20)
+        marks[7] = 2.0
+        base = uniform_pattern(20, seed=73, marks=None)
+        p = base.with_marks(marks, LabelMarks(k=2))
+        rare = LabelSet([2])
+
+        def builder(q, retention):
+            return Weights(lam=np.full(q.n, 10.0), floor_hits=7)
+
+        surf = k_smoothed(p, rare, rare, R_GRID, T_GRID, builder, retention=0.3, n=15,
+                          scenario="S2", seed=1, threads=threads)
+        degenerate = surf.meta["degenerate_thinnings"]
+        assert 1 <= degenerate < 15
+        assert surf.meta["floor_hits"] == 7 * (15 - degenerate)
 
     def test_validation(self, small_marked):
         with pytest.raises(ValueError, match="retention"):
