@@ -91,9 +91,6 @@ class Window:
         ok &= (t >= self.temporal[0]) & (t <= self.temporal[1])
         return ok
 
-    def erode(self, r, t):
-        return erode_window(self, r, t)
-
 
 def unit_ball_volume(d):
     """Lebesgue volume of the unit Euclidean ball in R^d."""

@@ -35,10 +35,10 @@ from .intensity import voronoi_ground
 from .pattern import permute_marks
 from .second_order import (
     _Surface,
+    _checked_lags,
     _denominator,
     _geometry,
     _k_values,
-    _lag_grids,
     _mark_sets,
     _marked_terms,
     _norm_scenario,
@@ -139,12 +139,22 @@ def _check_band(rank, alpha):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
 
 
-def _band(stack, rank, alpha):
+def _envelope(observed, stack, rank, alpha, generator, **meta):
+    """The ``rank`` band of the replicate ``stack`` around ``observed`` (a
+    surface or an array), its exceedance map, and ``meta`` with the
+    pointwise-band disclaimer."""
     if rank == "minmax":
-        return stack.min(axis=0), stack.max(axis=0), "MinMax"
-    lower = np.quantile(stack, alpha / 2.0, axis=0)
-    upper = np.quantile(stack, 1.0 - alpha / 2.0, axis=0)
-    return lower, upper, f"Pointwise({alpha})"
+        lower, upper, label = stack.min(axis=0), stack.max(axis=0), "MinMax"
+    else:
+        lower = np.quantile(stack, alpha / 2.0, axis=0)
+        upper = np.quantile(stack, 1.0 - alpha / 2.0, axis=0)
+        label = f"Pointwise({alpha})"
+    obs = _stat_values(observed)
+    return EnvelopeSet(
+        observed=observed, lower=lower, upper=upper, rank=label, n_sim=len(stack),
+        generator=generator, exceeds=(obs < lower) | (obs > upper),
+        meta={**meta, "disclaimer": DISCLAIMER},
+    )
 
 
 def envelopes(observed_stat, simulator, n_sim, rank="minmax", alpha=0.05,
@@ -171,13 +181,7 @@ def envelopes(observed_stat, simulator, n_sim, rank="minmax", alpha=0.05,
     obs = _stat_values(observed_stat)
     if stack.shape[1:] != obs.shape:
         raise ValueError("simulated statistic shape differs from observed")
-    lower, upper, rank_label = _band(stack, rank, alpha)
-    exceeds = (obs < lower) | (obs > upper)
-    return EnvelopeSet(
-        observed=observed_stat, lower=lower, upper=upper, rank=rank_label,
-        n_sim=n_sim, generator=generator, exceeds=exceeds,
-        meta={"seed": str(seed), "disclaimer": DISCLAIMER},
-    )
+    return _envelope(observed_stat, stack, rank, alpha, generator, seed=str(seed))
 
 
 # --------------------------------------------------------------------------
@@ -216,7 +220,7 @@ def diag_independent_marks(p, C, D, r_grid=None, t_grid=None, weights=None,
     C = D = full mark space gives an exactly zero surface."""
     scenario = _norm_scenario(scenario)
     _marked_terms(p, weights, C, D, scenario)  # both terms' checks, before any work
-    geom = pair_geometry(p, *_lag_grids(p, r_grid, t_grid), erosion=erosion)
+    geom = pair_geometry(p, r_grid, t_grid, erosion=erosion)
     marked = k_inhom(p, C, D, weights=weights, scenario=scenario, geometry=geom)
     ground = k_inhom(p, None, None, weights=weights, scenario=scenario, geometry=geom)
     return DeltaSurface(
@@ -252,7 +256,7 @@ def decomposition_residual(p, C, r_grid=None, t_grid=None, weights=None,
     independent."""
     scenario = _norm_scenario(scenario)
     _marked_terms(p, weights, C, None, scenario)  # both terms' checks, before any work
-    geom = pair_geometry(p, *_lag_grids(p, r_grid, t_grid), erosion=erosion)
+    geom = pair_geometry(p, r_grid, t_grid, erosion=erosion)
     k_cm = k_inhom(p, C, None, weights=weights, scenario=scenario, geometry=geom)
     k_cc = k_inhom(p, C, C, weights=weights, scenario=scenario, geometry=geom)
     nu_c = p.nu(C)
@@ -315,10 +319,11 @@ def random_labelling_test(p, C, D, r_grid=None, t_grid=None, weights_builder=Non
     if not p._distinct_locations:
         raise ValueError("random labelling needs distinct point locations: a mark "
                          "permutation can give coincident points the same mark")
-    _mark_sets(p, C, D)  # the mark sets' checks, before any work
+    _mark_sets(p, C, D)  # the mark sets' and the lags' checks, before any work
+    _checked_lags(p, r_grid, t_grid, erosion)
     if C == D:
         warnings.warn("C == D makes Delta identically zero; the test is degenerate")
-    geom = pair_geometry(p, *_lag_grids(p, r_grid, t_grid), erosion=erosion)
+    geom = pair_geometry(p, r_grid, t_grid, erosion=erosion)
     if weights_builder is None:
         weights_builder = _default_builder(p)
     w_obs = weights_builder(p)
@@ -330,16 +335,8 @@ def random_labelling_test(p, C, D, r_grid=None, t_grid=None, weights_builder=Non
         return _delta_values(geom, scenario, _marked_terms(q, w, C, D, scenario))
 
     stack = np.stack(_replicates(run, n_perm, seed, threads))
-    lower, upper, rank_label = _band(stack, rank, alpha)
-    exceeds = (observed.values < lower) | (observed.values > upper)
-    return EnvelopeSet(
-        observed=observed, lower=lower, upper=upper, rank=rank_label,
-        n_sim=n_perm, generator="mark-permutation", exceeds=exceeds,
-        meta={
-            "seed": str(seed),
-            "scenario": scenario,
-            "weights_mode": "rebuilt" if rebuild_weights else "fixed",
-            "exceedance_fraction": float(np.mean(exceeds)),
-            "disclaimer": DISCLAIMER,
-        },
-    )
+    env = _envelope(observed, stack, rank, alpha, "mark-permutation", seed=str(seed),
+                    scenario=scenario,
+                    weights_mode="rebuilt" if rebuild_weights else "fixed")
+    env.meta["exceedance_fraction"] = env.exceedance_fraction
+    return env

@@ -11,17 +11,18 @@ inhomogeneous spatio-temporal K-function; cones give the directional
 variant, and plug-in choices of the normalizing measures give the four
 denominator scenarios and the stationary specialization.
 
-Every K-function estimator here, and every contrast surface in
-`inference`, is `_k_values` over one resolved `PairGeometry`: a pair weight
-summed over the C-first, D-second pairs of each lag cell, divided by a
-scenario `_denominator` (unit mark masses for the ground and cross
-K-functions) or the stationary plug-in. `k_smoothed` averages `k_inhom`
-over thinnings. `k_measure_hat`, the estimate for one structuring set, is
-not built on a geometry: it sums the KD-tree candidates at its set's
-bounding lags itself, after an exact membership test. `_marked_terms`
-checks the marked arguments and `_checked_lags` the lag grids, the erosion
-mode and the window before the geometry is built (and before `k_smoothed`
-thins), so bad arguments fail before any pair is searched.
+Every statistic here, and every contrast surface in `inference`, reads one
+`PairGeometry`, the only pair search (`_stored_pairs`). Every K-function
+estimator is `_k_values` over a resolved geometry: a pair weight summed
+over the C-first, D-second pairs of each lag cell, divided by a scenario
+`_denominator` (unit mark masses for the ground and cross K-functions) or
+the stationary plug-in. `k_smoothed` averages `k_inhom` over thinnings.
+`k_measure_hat`, the estimate for one structuring set, sums the stored
+pairs of the fixed-erosion geometry at its set's bounding lags that pass
+an exact membership test. `_marked_terms` checks the marked arguments and
+`_checked_lags` the lag grids (the default grid for any left out), the
+erosion mode and the window before the geometry is built (and before
+`k_smoothed` thins), so bad arguments fail before any pair is searched.
 
 Implementation notes
 --------------------
@@ -33,21 +34,21 @@ array, and a double cumulative sum recovers every cell total in one pass;
 per-cell denominator sums over the eroded windows use the same device with
 degenerate rectangles starting at (0, 0).
 
-Candidate pairs come from a KD-tree that holds the points with time
-rescaled by r_max / t_max. Its sup-metric ball of radius r_max, padded by
-a bound on the rounding of the rescaled times, contains the whole
-(r_max, t_max) cylinder: it returns a superset of the pairs within the
-maximal lags. The search emits the candidates of `_BLOCK` consecutive
-first points at a time, sorted by (I, J), and feeds them to one blocked
-pass (`_stored_pairs`). Each block is filtered exactly on the unscaled
-lags (ds <= r_max, du <= t_max); every pair whose rectangle is empty,
-because its lags exceed its first point's erosion limits, is dropped; the
-rest are binned. A kept pair stores its first- and second-point indices
-as int32 and its first lag cells (a_r, a_t), the rectangle's low corner,
-as the smallest unsigned type that holds the cell counts (uint8 up to 255
-cells per axis): 10 bytes per pair that can contribute. The high corner
-comes from the first point's erosion limits, so the geometry keeps it
-once per point, as (b_r + 1)(T + 1), b_t + 1 and their sum. Building it
+`_stored_pairs` searches and filters the pairs in one blocked pass.
+Candidates come from a KD-tree that holds the points with time rescaled by
+r_max / t_max. Its sup-metric ball of radius r_max, padded by a bound on
+the rounding of the rescaled times, contains the whole (r_max, t_max)
+cylinder: it returns a superset of the pairs within the maximal lags. The
+candidates of `_BLOCK` consecutive first points at a time are sorted by
+(I, J) and filtered exactly on the unscaled lags (ds <= r_max,
+du <= t_max); the self pairs, and every pair whose rectangle is empty
+because its lags exceed its first point's erosion limits, are dropped;
+the rest are binned. A kept pair stores its first- and second-point
+indices as int32 and its first lag cells (a_r, a_t), the rectangle's low
+corner, as the smallest unsigned type that holds the cell counts (uint8 up
+to 255 cells per axis): 10 bytes per pair that can contribute. The high
+corner comes from the first point's erosion limits, so the geometry keeps
+it once per point, as (b_r + 1)(T + 1), b_t + 1 and their sum. Building it
 holds one block's candidates at a time. The stored arrays equal those of
 a plain scan over all ordered pairs (`tests/oracles.py`).
 
@@ -312,65 +313,45 @@ _CHUNK = 1 << 16
 _MAX_BINS = np.iinfo(np.int32).max
 
 
-def _margins(p):
-    lo, hi = p.window.spatial_bounds()
-    margin_s = np.min(np.minimum(p.x - lo, hi - p.x), axis=1)
-    margin_t = np.minimum(p.t - p.window.temporal[0], p.window.temporal[1] - p.t)
-    return margin_s, margin_t
-
-
-def _pairs_indexed(p, r_max, t_max):
-    """Candidate ordered pairs from a KD-tree search, as (I, J) blocks of
-    _BLOCK first points each, in (I, J) order.
-
-    Time is rescaled by r_max / t_max so the (r_max, t_max) cylinder fits
-    in the sup-metric ball of radius r_max. Each coordinate difference the
-    tree compares is at most the pair's spatial lag or its rescaled
-    temporal lag, so every pair the exact filter keeps is found once the
-    radius is padded by a bound on the rounding of the rescaled times.
-    Each block's first points form a small tree searched against the
-    whole pattern's, so only one block's pairs are held at a time."""
-    from scipy.spatial import cKDTree
-
-    n = p.n
-    if n < 2:
-        return
-    scale = r_max / t_max if r_max > 0 and t_max > 0 else 1.0
-    radius = r_max if r_max > 0 else t_max
-    coords = np.column_stack([p.x, p.t * scale])
-    radius += 4.0 * np.finfo(float).eps * (radius + np.max(np.abs(coords)))
-    tree = cKDTree(coords)
-    for start in range(0, n, _BLOCK):
-        found = cKDTree(coords[start:start + _BLOCK]).sparse_distance_matrix(
-            tree, radius, p=np.inf, output_type="ndarray")
-        key = (found["i"] + start) * n + found["j"]
-        key.sort()
-        ii, jj = np.divmod(key, n)
-        keep = ii != jj
-        yield ii[keep], jj[keep]
-
-
-def _stored_pairs(p, blocks, r_grid, t_grid, pt_b_r, pt_b_t):
-    """The candidate pairs whose rectangle of lag cells is nonempty, with
-    the first cells of that rectangle, from (I, J) blocks in (I, J) order.
+def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t):
+    """The ordered pairs whose rectangle of lag cells is nonempty, in (I, J)
+    order, with the first cells (a_r, a_t) of that rectangle.
 
     A pair enters the cells from its own lags (a_r, a_t) up to its first
     point's erosion limits (b_r, b_t). Its rectangle is nonempty exactly
     when ds <= r_grid[b_r] and du <= t_grid[b_t], lags that never exceed
-    (r_max, t_max): this one test is the exact filter ds <= r_max,
-    du <= t_max and the empty-rectangle test together, so only the pairs
-    kept are binned."""
+    (r_max, t_max): this one test, with I != J, is the exact filter of the
+    tree's candidates (see the module notes), so only the pairs kept are
+    binned. Each coordinate difference the tree compares is at most the
+    pair's spatial lag or its rescaled temporal lag, so every pair the
+    filter keeps is found once the radius is padded by a bound on the
+    rounding of the rescaled times."""
+    from scipy.spatial import cKDTree
+
+    n = p.n
+    r_max, t_max = float(r_grid[-1]), float(t_grid[-1])
+    scale = r_max / t_max if r_max > 0 and t_max > 0 else 1.0
+    radius = r_max if r_max > 0 else t_max
+    coords = np.column_stack([p.x, p.t * scale])
+    radius += 4.0 * np.finfo(float).eps * (radius + np.max(np.abs(coords), initial=0.0))
+    tree = cKDTree(coords)
     reach_r = np.where(pt_b_r >= 0, r_grid[pt_b_r], -1.0)
     reach_t = np.where(pt_b_t >= 0, t_grid[pt_b_t], -1.0)
     cell = np.min_scalar_type(max(r_grid.size, t_grid.size))
     out = [], [], [], []
-    for I, J in blocks:
+    for start in range(0, n, _BLOCK):
+        found = cKDTree(coords[start:start + _BLOCK]).sparse_distance_matrix(
+            tree, radius, p=np.inf, output_type="ndarray")
+        key = (found["i"] + start) * n + found["j"]
+        del found  # the block's largest array, freed before the filter's temporaries
+        key.sort()
+        I, J = np.divmod(key, n)
         # np.take and per-axis sums: row gathers and reductions over a short
         # axis are several times slower through fancy indexing and np.sum
         dx = np.take(p.x, J, axis=0) - np.take(p.x, I, axis=0)
         ds = np.sqrt(sum(dx[:, a] * dx[:, a] for a in range(p.dim)))
         du = np.abs(p.t[J] - p.t[I])
-        keep = np.flatnonzero((ds <= reach_r[I]) & (du <= reach_t[I]))
+        keep = np.flatnonzero((I != J) & (ds <= reach_r[I]) & (du <= reach_t[I]))
         I, J = I[keep], J[keep]
         out[0].append(I.astype(np.int32))
         out[1].append(J.astype(np.int32))
@@ -386,14 +367,17 @@ def _stored_pairs(p, blocks, r_grid, t_grid, pt_b_r, pt_b_t):
 
 
 def _checked_lags(p, r_grid, t_grid, erosion):
-    """The lag grids as float arrays, after the checks of the grids, of the
-    erosion mode and of the window's erosion at the maximal lags."""
-    r_grid = np.asarray(r_grid, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
+    """The lag grids as float arrays, the default grid for any left as None,
+    after the checks of the grids, of the erosion mode and of the window's
+    erosion at the maximal lags."""
+    dr, dt = default_lag_grids(p.window)
+    r_grid = np.asarray(dr if r_grid is None else r_grid, dtype=float)
+    t_grid = np.asarray(dt if t_grid is None else t_grid, dtype=float)
     for g, name in ((r_grid, "r_grid"), (t_grid, "t_grid")):
-        if g.ndim != 1 or g.size == 0 or np.any(g < 0) or np.any(np.diff(g) <= 0):
+        if (g.ndim != 1 or g.size == 0 or not np.all(np.isfinite(g)) or np.any(g < 0)
+                or np.any(np.diff(g) <= 0)):
             raise ValueError(f"{name} must be a nonempty, strictly increasing vector "
-                             "of nonnegative lags")
+                             "of finite nonnegative lags")
     if (r_grid.size + 1) * (t_grid.size + 1) > _MAX_BINS:
         raise ValueError("r_grid and t_grid have too many cells")
     if erosion not in ("per-cell", "fixed"):
@@ -402,8 +386,9 @@ def _checked_lags(p, r_grid, t_grid, erosion):
     return r_grid, t_grid
 
 
-def pair_geometry(p, r_grid, t_grid, erosion="per-cell"):
-    """Build the mark-independent pair/erosion geometry for a lag grid.
+def pair_geometry(p, r_grid=None, t_grid=None, erosion="per-cell"):
+    """Build the mark-independent pair/erosion geometry for a lag grid
+    (default: quarter-extent 20-cell grids).
 
     Validates that the window survives erosion at the maximal lags. The
     result can be reused across any number of weight/mark-set evaluations
@@ -411,22 +396,23 @@ def pair_geometry(p, r_grid, t_grid, erosion="per-cell"):
     """
     r_grid, t_grid = _checked_lags(p, r_grid, t_grid, erosion)
     R, T = r_grid.size, t_grid.size
-    r_max, t_max = float(r_grid[-1]), float(t_grid[-1])
-    margin_s, margin_t = _margins(p)
     lo, hi = p.window.spatial_bounds()
+    # each point's distances to the window's spatial and temporal boundary
+    margin_s = np.min(np.minimum(p.x - lo, hi - p.x), axis=1)
+    margin_t = np.minimum(p.t - p.window.temporal[0], p.window.temporal[1] - p.t)
     if erosion == "per-cell":
         pt_b_r = np.searchsorted(r_grid, margin_s, side="right") - 1
         pt_b_t = np.searchsorted(t_grid, margin_t, side="right") - 1
         ell_r = np.prod([(hi[a] - lo[a]) - 2.0 * r_grid for a in range(p.dim)], axis=0)
         ell_t = p.window.temporal_length - 2.0 * t_grid
     else:
+        r_max, t_max = float(r_grid[-1]), float(t_grid[-1])
         eligible = (margin_s >= r_max) & (margin_t >= t_max)
         pt_b_r = np.where(eligible, R - 1, -1)
         pt_b_t = np.where(eligible, T - 1, -1)
         ell_r = np.full(R, np.prod([(hi[a] - lo[a]) - 2.0 * r_max for a in range(p.dim)]))
         ell_t = np.full(T, p.window.temporal_length - 2.0 * t_max)
-    I, J, a_r, a_t = _stored_pairs(p, _pairs_indexed(p, r_max, t_max),
-                                   r_grid, t_grid, pt_b_r, pt_b_t)
+    I, J, a_r, a_t = _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t)
     return PairGeometry(
         r_grid=r_grid, t_grid=t_grid, I=I, J=J, a_r=a_r, a_t=a_t,
         pt_b_r=pt_b_r, pt_b_t=pt_b_t, ell_r=ell_r, ell_t=ell_t,
@@ -679,17 +665,18 @@ def _marked_terms(p, weights, C, D, scenario):
     return mC, mD, inv_lam, inv_lam_g, nu_C, nu_D
 
 
-def _lag_grids(p, r_grid, t_grid):
-    """The caller's lag grids, with the default grid for any left out."""
-    dr, dt = default_lag_grids(p.window)
-    return dr if r_grid is None else r_grid, dt if t_grid is None else t_grid
-
-
 def _geometry(p, r_grid, t_grid, erosion, geometry=None):
-    """The caller's precomputed geometry, or a new one for these grids."""
-    if geometry is not None:
-        return geometry
-    return pair_geometry(p, *_lag_grids(p, r_grid, t_grid), erosion=erosion)
+    """The caller's precomputed geometry, checked against the call, or a new
+    one for these grids, checked before `pair_geometry` is entered, as the
+    other arguments are."""
+    if geometry is None:
+        return pair_geometry(p, *_checked_lags(p, r_grid, t_grid, erosion), erosion=erosion)
+    if r_grid is not None or t_grid is not None:
+        raise ValueError("pass lag grids or a geometry, not both")
+    if geometry.pt_b_r.size != p.n:
+        raise ValueError(f"the geometry holds {geometry.pt_b_r.size} points, "
+                         f"the pattern {p.n}")
+    return geometry
 
 
 def _replicates(fn, n, seed, threads):
@@ -792,19 +779,19 @@ def k_measure_hat(p, C, D, E, weights, return_report=False):
     """Minus-sampling estimate of the second-order reduced moment measure
     of a single structuring set E (known window and mark-set measures).
 
-    The window is eroded by E's circumscribing cylinder lags; the sum runs
-    over ordered distinct pairs with the first point in the eroded window
-    with mark in C and the second point displaced into E with mark in D.
-    The candidate pairs come from the KD-tree search of `pair_geometry`
-    at E's bounding lags, whose padded ball contains E, so the same pairs
-    are summed in the same (I, J) order as by a scan of all pairs. With
-    ``return_report``, ``pairs`` counts those candidates: the ordered
-    pairs the tree returns, before E's exact membership test.
+    The window is eroded by E's circumscribing cylinder lags (r_c, t_c);
+    the sum runs over ordered distinct pairs with the first point in the
+    eroded window with mark in C and the second point displaced into E with
+    mark in D. It reads the fixed-erosion `pair_geometry` at (r_c, t_c),
+    whose stored pairs, in (I, J) order, contain every such pair on the
+    same lags (a cylinder or cone tests ds itself; a box's ds rounds to at
+    most r_c, since squaring, summing and sqrt are monotone under rounding).
+    With ``return_report``, ``pairs`` counts those stored pairs.
     """
     if weights is None:
         raise ValueError("weights are required")
     r_c, t_c = E.bounding_lags()
-    erode_window(p.window, r_c, t_c)
+    eroded = erode_window(p.window, r_c, t_c)
     mC, mD, nu_C, nu_D = _mark_sets(p, C, D)
     if p.marks is not None:
         lam = weights._require("lam", "measure estimation")
@@ -813,20 +800,18 @@ def k_measure_hat(p, C, D, E, weights, return_report=False):
             "lam_ground", "measure estimation on an unmarked pattern"
         )
     inv = 1.0 / _per_point(p, lam)
-    margin_s, margin_t = _margins(p)
-    first = (margin_s >= r_c) & (margin_t >= t_c) & (mC > 0)
-    pairs, terms = 0, [np.empty(0)]
-    for I, J in _pairs_indexed(p, r_c, t_c):
-        pairs += I.size
-        keep = first[I] & (mD[J] > 0) & E.contains_lag(p.x[J] - p.x[I], p.t[J] - p.t[I])
+    geom = pair_geometry(p, [r_c], [t_c], erosion="fixed")
+    terms = [np.empty(0)]
+    for start in range(0, geom.I.size, _CHUNK):
+        I, J = geom.I[start:start + _CHUNK], geom.J[start:start + _CHUNK]
+        keep = (mC[I] > 0) & (mD[J] > 0) & E.contains_lag(p.x[J] - p.x[I], p.t[J] - p.t[I])
         terms.append(inv[I[keep]] * inv[J[keep]])
-    # one sum over all blocks' terms, so the total is independent of _BLOCK
+    # one sum over all chunks' terms, so the total is independent of _CHUNK
     total = float(np.sum(np.concatenate(terms)))
-    eroded = erode_window(p.window, r_c, t_c)
     denom = eroded.spatial_volume * eroded.temporal_length * nu_C * nu_D
     value = 0.0 if total == 0.0 else total / denom
     if return_report:
-        return value, {"floor_hits": weights.floor_hits, "pairs": pairs}
+        return value, {"floor_hits": weights.floor_hits, "pairs": geom.I.size}
     return value
 
 
@@ -934,7 +919,7 @@ def k_smoothed(p, C=None, D=None, r_grid=None, t_grid=None, weights_builder=None
     scenario = _norm_scenario(scenario)
     # the mark sets', grids', erosion's and window's checks, before any thinning
     _mark_sets(p, C, D)
-    r_grid, t_grid = _checked_lags(p, *_lag_grids(p, r_grid, t_grid), erosion)
+    r_grid, t_grid = _checked_lags(p, r_grid, t_grid, erosion)
     shape = (r_grid.size, t_grid.size)
 
     def one(i, child):

@@ -588,21 +588,20 @@ def simulate_preset(name, seed=None, grf_shape=(16, 16, 16), sampler=None):
     replaces the per-call sampler build for the preset's Cox component.
     """
     rng = np.random.default_rng(seed)
+
+    def cox():
+        return sim_lgcp(seed=rng, sampler=sampler if sampler is not None
+                        else preset_sampler(name, grf_shape))
+
     if name == "poisson-bernoulli":
         ground = sim_poisson(poisson_preset_intensity(), seed=rng)
         return assign_marks_iid(ground, Bernoulli(0.4), seed=rng)
     if name == "lgcp-bernoulli":
-        ground = sim_lgcp(lgcp_mean(-0.5), _BENCH_COV, grf_shape, UNIT_WINDOW,
-                          seed=rng, sampler=sampler)
-        return assign_marks_iid(ground, Bernoulli(0.4), seed=rng)
+        return assign_marks_iid(cox(), Bernoulli(0.4), seed=rng)
     if name == "bivariate":
         y1 = sim_poisson(poisson_preset_intensity(), seed=rng)
-        y2 = sim_lgcp(lgcp_mean(-1.5), _BENCH_COV, grf_shape, UNIT_WINDOW,
-                      seed=rng, sampler=sampler)
-        return superpose([y1, y2])
+        return superpose([y1, cox()])
     if name == "lgcp-geostat":
-        ground = sim_lgcp(lgcp_mean(-0.5, var_sign=+1.0), _BENCH_COV, grf_shape,
-                          UNIT_WINDOW, seed=rng, sampler=sampler)
         mark_cov = SeparableCovariance(Exponential(1.0), Constant(1.0))
-        return assign_marks_geostat(ground, mark_cov, seed=rng)
+        return assign_marks_geostat(cox(), mark_cov, seed=rng)
     raise ValueError(f"unknown preset {name!r}")

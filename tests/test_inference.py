@@ -129,6 +129,15 @@ class TestDeltaSurface:
             delta_surface(small_marked, C, D_HALF, R_GRID, T_GRID, weights,
                           scenario=scenario)
 
+    def test_geometry_must_match_the_call(self, small_marked):
+        w = const_weights(small_marked)
+        other = pair_geometry(uniform_pattern(30, seed=3), R_GRID, T_GRID)
+        with pytest.raises(ValueError, match="30 points, the pattern 20"):
+            delta_surface(small_marked, C_HALF, D_HALF, weights=w, geometry=other)
+        geom = pair_geometry(small_marked, R_GRID, T_GRID)
+        with pytest.raises(ValueError, match="not both"):
+            delta_surface(small_marked, C_HALF, D_HALF, R_GRID, T_GRID, w, geometry=geom)
+
 
 @pytest.mark.parametrize("diagnostic", [
     lambda p, C, w, sc: diag_independent_marks(p, C, D_HALF, R_GRID, T_GRID, w, scenario=sc),
@@ -388,6 +397,8 @@ class TestRandomLabelling:
         (dict(alpha=1.7), "alpha"),
         (dict(alpha=0.0), "alpha"),
         (dict(rank="global"), "rank"),
+        (dict(r_grid=np.array([np.nan, 0.1])), "finite"),
+        (dict(t_grid=np.array([0.1, np.nan])), "finite"),
     ])
     def test_bad_arguments_fail_before_any_work(self, small_marked, monkeypatch,
                                                 kwargs, match):
@@ -395,8 +406,9 @@ class TestRandomLabelling:
             raise AssertionError("work started before the arguments were checked")
 
         monkeypatch.setattr(inference, "pair_geometry", no_work)
+        kwargs = {"r_grid": R_GRID, "t_grid": T_GRID, **kwargs}
         with pytest.raises(ValueError, match=match):
-            random_labelling_test(small_marked, C_HALF, D_HALF, R_GRID, T_GRID,
+            random_labelling_test(small_marked, C_HALF, D_HALF,
                                   weights_builder=no_work, **kwargs)
 
     def test_delta_surface_checks_scenario_first(self, small_marked, monkeypatch):

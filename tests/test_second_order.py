@@ -253,6 +253,18 @@ class TestPairGeometry:
         with pytest.raises(ValueError, match="too many cells"):
             pair_geometry(p, fine, fine)
 
+    def test_default_grids(self):
+        p = uniform_pattern(200, seed=63)
+        for erosion in ("per-cell", "fixed"):
+            got = pair_geometry(p, erosion=erosion)
+            want = pair_geometry(p, *default_lag_grids(p.window), erosion=erosion)
+            for name, value in vars(want).items():
+                if isinstance(value, np.ndarray):
+                    got_value = getattr(got, name)
+                    assert got_value.dtype == value.dtype, name
+                    assert np.array_equal(got_value, value), name
+            assert got.I.size > 0
+
     def test_overlarge_lags_rejected(self):
         p = uniform_pattern(5, seed=62)
         with pytest.raises(ErosionError):
@@ -670,19 +682,28 @@ class TestEngineInvariances:
                                     Weights(lam=np.ones(5))), "one value per point"),
         (lambda p, w: k_measure_hat(p, None, None, CylinderSet(0.1, 0.1), None),
          "weights are required"),
+        (lambda p, w: k_measure_hat(p, ZERO_MASS, D_HALF, CylinderSet(0.1, 0.1), w),
+         "positive reference measure"),
         (lambda p, w: k_smoothed(p, C_HALF, D_HALF, R_GRID, T_GRID,
                                  lambda q, keep: w, erosion="nope"), "erosion must be"),
         (lambda p, w: k_smoothed(p, C_HALF, D_HALF, R_GRID[::-1], T_GRID,
                                  lambda q, keep: w), "strictly increasing"),
         (lambda p, w: k_smoothed(p, C_HALF, D_HALF, np.array([0.6]), T_GRID,
                                  lambda q, keep: w), "empties an axis"),
+        (lambda p, w: k_inhom(p, C_HALF, D_HALF, np.array([np.nan, 0.1]), T_GRID, w,
+                              scenario="S1"), "finite"),
+        (lambda p, w: k_inhom(p, C_HALF, D_HALF, R_GRID, np.array([0.1, np.inf]), w),
+         "finite"),
+        (lambda p, w: k_smoothed(p, C_HALF, D_HALF, np.array([np.nan, 0.1]), T_GRID,
+                                 lambda q, keep: w), "finite"),
     ], ids=["inhom-weights", "inhom-lam_ground", "inhom-zero-mass", "inhom-scenario",
             "directional-weights", "directional-lam_ground", "directional-zero-mass",
             "ground-scenario", "cross-labels", "stationary-unmarked",
             "stationary-zero-mass", "stationary-absent-label",
             "smoothed-scenario", "inhom-lam-length", "inhom-lam_ground-length",
             "ground-length", "cross-length", "measure-length", "measure-weights",
-            "smoothed-erosion", "smoothed-grid", "smoothed-window"])
+            "measure-zero-mass", "smoothed-erosion", "smoothed-grid", "smoothed-window",
+            "inhom-nan-grid", "inhom-inf-grid", "smoothed-nan-grid"])
     def test_bad_arguments_fail_before_any_work(self, small_marked, monkeypatch,
                                                 call, match):
         def no_work(*args, **kw):
@@ -692,6 +713,20 @@ class TestEngineInvariances:
         monkeypatch.setattr(second_order, "thin", no_work)
         with pytest.raises(ValueError, match=match):
             call(small_marked, demo_weights(small_marked))
+
+    def test_geometry_must_match_the_call(self):
+        p = uniform_pattern(60, seed=2, marks="labels")
+        w = Weights(lam=np.full(p.n, 60.0))
+        C, D = LabelSet([1]), LabelSet([2])
+        other = pair_geometry(uniform_pattern(80, seed=3, marks="labels"), [0.05], [0.05])
+        with pytest.raises(ValueError, match="80 points, the pattern 60"):
+            k_inhom(p, C, D, weights=w, scenario="S1", geometry=other)
+        geom = pair_geometry(p, [0.05], [0.05])
+        for grids in (([0.2], [0.2]), ([0.2], None), (None, [0.2])):
+            with pytest.raises(ValueError, match="not both"):
+                k_inhom(p, C, D, *grids, weights=w, scenario="S1", geometry=geom)
+        surf = k_inhom(p, C, D, weights=w, scenario="S1", geometry=geom)
+        assert surf.r_grid.tolist() == [0.05] and surf.t_grid.tolist() == [0.05]
 
     def test_plugged_weights_source(self):
         p = uniform_pattern(10, seed=65)
@@ -759,6 +794,35 @@ class TestMeasureHat:
         surf = k_inhom(p, C_HALF, D_HALF, np.array([r]), np.array([t]), w,
                        scenario="S1", erosion="fixed")
         assert direct == pytest.approx(surf.values[0, 0], rel=1e-12)
+
+    @pytest.mark.parametrize("order", ["given", "shuffled"])
+    def test_sum_is_independent_of_the_chunk_length(self, monkeypatch, order):
+        p = uniform_pattern(120, seed=75, marks="labels")
+        if order == "shuffled":
+            perm = np.random.default_rng(76).permutation(p.n)
+            p = pattern_from_arrays(p.x[perm], p.t[perm], p.marks[perm], p.window,
+                                    p.mark_space)
+        w = Weights(lam=np.random.default_rng(77).uniform(50.0, 150.0, p.n))
+        sets = [CylinderSet(0.15, 0.2), ConeSet(-0.3, 1.1, 0.2, 0.1),
+                BoxUnionSet(boxes=((((-0.1, 0.15), (-0.2, 0.1)), (-0.15, 0.2)),
+                                   (((0.0, 0.2), (0.0, 0.05)), (-0.05, 0.0))))]
+        marks = [(None, None), (LabelSet([1]), LabelSet([2]))]
+        want = [k_measure_hat(p, C, D, E, w) for E in sets for C, D in marks]
+        assert all(v > 0 for v in want)
+        for chunk in (1, 3):
+            monkeypatch.setattr(second_order, "_CHUNK", chunk)
+            got = [k_measure_hat(p, C, D, E, w) for E in sets for C, D in marks]
+            assert _bits(got) == _bits(want), chunk
+
+    def test_report_counts_the_geometry_pairs(self):
+        p = uniform_pattern(120, seed=78, marks="labels")
+        w = Weights(lam=np.full(p.n, 120.0))
+        for E in (CylinderSet(0.15, 0.2), ConeSet(-0.3, 1.1, 0.2, 0.1)):
+            r_c, t_c = E.bounding_lags()
+            _, report = k_measure_hat(p, LabelSet([1]), LabelSet([2]), E, w,
+                                      return_report=True)
+            geom = pair_geometry(p, [r_c], [t_c], erosion="fixed")
+            assert report["pairs"] == geom.I.size > 0
 
     def test_report_and_erosion_guard(self, small_marked):
         w = demo_weights(small_marked)
