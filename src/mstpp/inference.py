@@ -198,8 +198,9 @@ def _delta_values(geom, scenario, terms):
 
 
 def delta_surface(p, C, D, r_grid=None, t_grid=None, weights=None,
-                  scenario="S2", erosion="per-cell", geometry=None):
-    """The antisymmetric marking statistic Delta = K^CD - K^DC."""
+                  scenario="S2", erosion=None, geometry=None):
+    """The antisymmetric marking statistic Delta = K^CD - K^DC. ``erosion``
+    and ``geometry`` are as in `k_inhom`."""
     scenario = _norm_scenario(scenario)
     terms = _marked_terms(p, weights, C, D, scenario)
     geom = _geometry(p, r_grid, t_grid, erosion, geometry)

@@ -34,23 +34,48 @@ array, and a double cumulative sum recovers every cell total in one pass;
 per-cell denominator sums over the eroded windows use the same device with
 degenerate rectangles starting at (0, 0).
 
-`_stored_pairs` searches and filters the pairs in one blocked pass.
-Candidates come from a KD-tree that holds the points with time rescaled by
-r_max / t_max. Its sup-metric ball of radius r_max, padded by a bound on
-the rounding of the rescaled times, contains the whole (r_max, t_max)
-cylinder: it returns a superset of the pairs within the maximal lags. The
-candidates of `_BLOCK` consecutive first points at a time are sorted by
-(I, J) and filtered exactly on the unscaled lags (ds <= r_max,
-du <= t_max); the self pairs, and every pair whose rectangle is empty
-because its lags exceed its first point's erosion limits, are dropped;
-the rest are binned. A kept pair stores its first- and second-point
-indices as int32 and its first lag cells (a_r, a_t), the rectangle's low
-corner, as the smallest unsigned type that holds the cell counts (uint8 up
-to 255 cells per axis): 10 bytes per pair that can contribute. The high
-corner comes from the first point's erosion limits, so the geometry keeps
-it once per point, as (b_r + 1)(T + 1), b_t + 1 and their sum. Building it
-holds one block's candidates at a time. The stored arrays equal those of
-a plain scan over all ordered pairs (`tests/oracles.py`).
+`_stored_pairs` finds each candidate pair once, in space-time cells.
+Candidates come from KD-trees that hold the points with time rescaled by
+r_max / t_max. A sup-metric ball of radius r_max, padded by a bound on the
+rounding of the rescaled times, contains the whole (r_max, t_max)
+cylinder, so the candidates are a superset of the pairs within the
+maximal lags. The points are binned into cells of the rescaled (t, x0)
+plane at least that radius wide, so the two points of a candidate lie in
+one cell or in two adjacent ones. The widening by 1 + 1e-9 exceeds the
+rounding of the cell coordinates, which never exceed sqrt(n), so rounding
+cannot put them two cells apart. The cells are also widened to hold
+about `_BLOCK` points each on average: the width is at least the extent
+over floor(sqrt(n / `_BLOCK`)), so a small lag does not build a tree per
+point. Only the occupied cells are indexed, by their key. Each cell's tree
+finds the pairs inside it (`query_pairs`) and those with its four
+forward neighbours, (t, x0 + 1), (t + 1, x0 - 1), (t + 1, x0) and
+(t + 1, x0 + 1) (`sparse_distance_matrix`). Together these find each
+unordered candidate exactly once, and never a point with itself.
+
+`_CHUNK` candidates at a time are filtered exactly on the unscaled lags.
+ds and du are computed once per unordered pair; they have the same bits
+either way round. Each orientation is kept when its first point's erosion
+limits reach both lags (ds <= r_grid[b_r], du <= t_grid[b_t]), that is
+when its rectangle is nonempty. A pair kept either way is binned once,
+since (a_r, a_t) do not depend on the orientation, and is held unordered
+with its cells. The filter also counts the kept orientations per block
+of `_BLOCK` first points. The (I, J) order is then restored by a counting
+sort: the output arrays are allocated once at their final length, and
+each held piece's kept orientations go, in a stable order by block, to
+their block's next free slots. They are picked again by the same test on
+the cells, a_r <= b_r and a_t <= b_t. One sort of the keys I * n + J
+inside each block then finishes the order. The keys are distinct, so this
+order does not depend on the order in which the pieces arrived.
+
+A stored pair holds its first- and second-point indices as int32 and its
+first lag cells (a_r, a_t), the rectangle's low corner, as the smallest
+unsigned type that holds the cell counts (uint8 up to 255 cells per
+axis): 10 bytes per pair that can contribute. The high corner comes from
+the first point's erosion limits, so the geometry keeps it once per
+point, as (b_r + 1)(T + 1), b_t + 1 and their sum. Building it holds the
+unordered pieces (10 bytes per pair kept either way), the output arrays,
+one query's candidates and one chunk's temporaries. The stored arrays
+equal those of a plain scan over all ordered pairs (`tests/oracles.py`).
 
 `_k_values` sums the numerator over `_CHUNK` stored pairs at a time. Each
 chunk keeps only its pairs with mC[I] mD[J] != 0 (and, for the
@@ -194,8 +219,8 @@ class CylinderSet:
     t: float
 
     def __post_init__(self):
-        if self.r < 0 or self.t < 0:
-            raise ValueError("cylinder lags must be nonnegative")
+        if not (self.r >= 0 and self.t >= 0):  # NaN fails too
+            raise ValueError(f"cylinder lags must be nonnegative, not (r={self.r}, t={self.t})")
 
     def bounding_lags(self):
         return self.r, self.t
@@ -224,8 +249,8 @@ class ConeSet:
             raise ValueError("phi must lie in [-pi/2, pi/2)")
         if not self.phi < self.psi <= self.phi + math.pi:
             raise ValueError("psi must lie in (phi, phi + pi]")
-        if self.r < 0 or self.t < 0:
-            raise ValueError("cone lags must be nonnegative")
+        if not (self.r >= 0 and self.t >= 0):  # NaN fails too
+            raise ValueError(f"cone lags must be nonnegative, not (r={self.r}, t={self.t})")
 
     def bounding_lags(self):
         return self.r, self.t
@@ -305,9 +330,11 @@ class PairGeometry:
         return self.r_grid.size, self.t_grid.size
 
 
-# candidate pairs are searched and filtered _BLOCK first points at a time
+# the pair search's cells hold about _BLOCK points, and its output is
+# ordered _BLOCK first points at a time
 _BLOCK = 256
-# the surface sums run over _CHUNK stored pairs at a time
+# the pair filter runs over _CHUNK candidates, the surface sums over _CHUNK
+# stored pairs at a time
 _CHUNK = 1 << 16
 # the difference array of an R x T grid has (R + 1)(T + 1) bins, int32-indexed
 _MAX_BINS = np.iinfo(np.int32).max
@@ -320,12 +347,14 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t):
     A pair enters the cells from its own lags (a_r, a_t) up to its first
     point's erosion limits (b_r, b_t). Its rectangle is nonempty exactly
     when ds <= r_grid[b_r] and du <= t_grid[b_t], lags that never exceed
-    (r_max, t_max): this one test, with I != J, is the exact filter of the
-    tree's candidates (see the module notes), so only the pairs kept are
-    binned. Each coordinate difference the tree compares is at most the
-    pair's spatial lag or its rescaled temporal lag, so every pair the
-    filter keeps is found once the radius is padded by a bound on the
-    rounding of the rescaled times."""
+    (r_max, t_max), or equally when a_r <= b_r and a_t <= b_t, since a
+    lag's first cell is the first grid value at or above it. This one test
+    is the exact filter of the trees' candidates (see the module notes), so
+    only the pairs kept one way or the other are binned. Each coordinate
+    difference a tree compares is at most the pair's spatial lag or its
+    rescaled temporal lag, so every pair the filter keeps is found once
+    the radius is padded by a bound on the rounding of the rescaled
+    times."""
     from scipy.spatial import cKDTree
 
     n = p.n
@@ -334,35 +363,98 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t):
     radius = r_max if r_max > 0 else t_max
     coords = np.column_stack([p.x, p.t * scale])
     radius += 4.0 * np.finfo(float).eps * (radius + np.max(np.abs(coords), initial=0.0))
-    tree = cKDTree(coords)
     reach_r = np.where(pt_b_r >= 0, r_grid[pt_b_r], -1.0)
     reach_t = np.where(pt_b_t >= 0, t_grid[pt_b_t], -1.0)
     cell = np.min_scalar_type(max(r_grid.size, t_grid.size))
-    out = [], [], [], []
-    for start in range(0, n, _BLOCK):
-        found = cKDTree(coords[start:start + _BLOCK]).sparse_distance_matrix(
-            tree, radius, p=np.inf, output_type="ndarray")
-        key = (found["i"] + start) * n + found["j"]
-        del found  # the block's largest array, freed before the filter's temporaries
-        key.sort()
-        I, J = np.divmod(key, n)
-        # np.take and per-axis sums: row gathers and reductions over a short
-        # axis are several times slower through fancy indexing and np.sum
-        dx = np.take(p.x, J, axis=0) - np.take(p.x, I, axis=0)
-        ds = np.sqrt(sum(dx[:, a] * dx[:, a] for a in range(p.dim)))
-        du = np.abs(p.t[J] - p.t[I])
-        keep = np.flatnonzero((I != J) & (ds <= reach_r[I]) & (du <= reach_t[I]))
-        I, J = I[keep], J[keep]
-        out[0].append(I.astype(np.int32))
-        out[1].append(J.astype(np.int32))
-        out[2].append(np.searchsorted(r_grid, ds[keep], side="left").astype(cell))
-        out[3].append(np.searchsorted(t_grid, du[keep], side="left").astype(cell))
-    # one array at a time, each block list freed once joined, so the joined
-    # arrays and the block lists coexist for one array only
-    stored = []
-    for parts, dtype in zip(out, (np.int32, np.int32, cell, cell)):
-        stored.append(np.concatenate(parts) if parts else np.empty(0, dtype))
-        parts.clear()
+    n_blocks = -(-n // _BLOCK)
+    block = np.min_scalar_type(n_blocks)
+
+    # cells of the rescaled (t, x0) plane, at least the padded radius wide
+    # and about _BLOCK points each (the module notes say why); one empty
+    # column past the last keeps every neighbour key below in its own row
+    plane = coords[:, [-1, 0]]
+    lo = np.min(plane, axis=0, initial=np.inf)
+    extent = np.max(plane, axis=0, initial=-np.inf) - lo
+    width = np.maximum(radius, extent / max(1, math.isqrt(n // _BLOCK))) * (1.0 + 1e-9)
+    grid = ((plane - lo) / np.maximum(width, np.finfo(float).tiny)).astype(np.int64)
+    ncol = int(np.max(grid[:, 1], initial=0)) + 2
+    key = grid[:, 0] * ncol + grid[:, 1]
+    members = np.argsort(key, kind="stable")
+    key = key[members]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    cells = {c: (members[s:e], cKDTree(coords[members[s:e]]))
+             for c, s, e in zip(key[first].tolist(), first.tolist(),
+                                np.append(first[1:], n).tolist())}
+
+    def candidates():
+        # each cell against itself and its four forward neighbours: every
+        # unordered candidate once
+        for c, (own, tree) in cells.items():
+            ij = tree.query_pairs(radius, p=np.inf, output_type="ndarray")
+            yield own[ij[:, 0]], own[ij[:, 1]]
+            for nb in (c + 1, c + ncol - 1, c + ncol, c + ncol + 1):
+                if nb in cells:
+                    other, nb_tree = cells[nb]
+                    ij = tree.sparse_distance_matrix(nb_tree, radius, p=np.inf,
+                                                     output_type="ndarray")
+                    yield own[ij["i"]], other[ij["j"]]
+
+    # _CHUNK candidates at a time are filtered and binned once, and kept
+    # when either orientation's first point reaches them
+    pieces = []
+    counts = np.zeros(n_blocks, dtype=np.int64)
+    axes = [np.ascontiguousarray(p.x[:, d]) for d in range(p.dim)]
+    for a_all, b_all in candidates():
+        for start in range(0, a_all.size, _CHUNK):
+            a, b = a_all[start:start + _CHUNK], b_all[start:start + _CHUNK]
+            # per-axis gathers, squared and summed in place: the same bits
+            # as the row gathers and sum of squares, in half the time
+            ds = np.take(axes[0], b) - np.take(axes[0], a)
+            ds *= ds
+            for x in axes[1:]:
+                dx = np.take(x, b) - np.take(x, a)
+                dx *= dx
+                ds += dx
+            np.sqrt(ds, out=ds)
+            du = np.abs(np.take(p.t, b) - np.take(p.t, a))
+            fwd = (ds <= np.take(reach_r, a)) & (du <= np.take(reach_t, a))
+            back = (ds <= np.take(reach_r, b)) & (du <= np.take(reach_t, b))
+            counts += np.bincount(a[fwd] // _BLOCK, minlength=n_blocks)
+            counts += np.bincount(b[back] // _BLOCK, minlength=n_blocks)
+            keep = np.flatnonzero(fwd | back)
+            pieces.append((np.take(a, keep).astype(np.int32), np.take(b, keep).astype(np.int32),
+                           np.searchsorted(r_grid, ds[keep], side="left").astype(cell),
+                           np.searchsorted(t_grid, du[keep], side="left").astype(cell)))
+
+    # a counting sort by block of first points: each piece's orientations
+    # whose rectangle is nonempty (the reach test, on the cells) go to
+    # their blocks' next free slots, then one key sort inside each block
+    # restores (I, J) order
+    ends = np.cumsum(counts)
+    cursor = ends - counts
+    stored = [np.empty(int(counts.sum()), dtype) for dtype in (np.int32, np.int32, cell, cell)]
+    while pieces:
+        a, b, a_r, a_t = pieces.pop()
+        fwd = (a_r <= np.take(pt_b_r, a)) & (a_t <= np.take(pt_b_t, a))
+        back = (a_r <= np.take(pt_b_r, b)) & (a_t <= np.take(pt_b_t, b))
+        piece = (np.concatenate([a[fwd], b[back]]), np.concatenate([b[fwd], a[back]]),
+                 np.concatenate([a_r[fwd], a_r[back]]), np.concatenate([a_t[fwd], a_t[back]]))
+        # block ids in the smallest unsigned type: numpy's stable argsort
+        # sorts 8- and 16-bit keys by radix
+        ids = (piece[0] // _BLOCK).astype(block)
+        here = np.bincount(ids, minlength=n_blocks)
+        # each pair's rank in the piece's stable order by block, moved to
+        # its block's next free slot
+        dest = np.empty(ids.size, dtype=np.intp)
+        dest[np.argsort(ids, kind="stable")] = np.arange(ids.size)
+        dest += np.take(cursor - (np.cumsum(here) - here), ids)
+        cursor += here
+        for out, values in zip(stored, piece):
+            out[dest] = values
+    for start, stop in zip((ends - counts).tolist(), ends.tolist()):
+        order = np.argsort(stored[0][start:stop].astype(np.int64) * n + stored[1][start:stop])
+        for out in stored:
+            out[start:stop] = np.take(out[start:stop], order)
     return stored
 
 
@@ -668,11 +760,16 @@ def _marked_terms(p, weights, C, D, scenario):
 def _geometry(p, r_grid, t_grid, erosion, geometry=None):
     """The caller's precomputed geometry, checked against the call, or a new
     one for these grids, checked before `pair_geometry` is entered, as the
-    other arguments are."""
+    other arguments are. An erosion mode of None is per-cell for a new
+    geometry and the given geometry's own; a mode named beside a geometry
+    must be its own."""
     if geometry is None:
+        erosion = "per-cell" if erosion is None else erosion
         return pair_geometry(p, *_checked_lags(p, r_grid, t_grid, erosion), erosion=erosion)
     if r_grid is not None or t_grid is not None:
         raise ValueError("pass lag grids or a geometry, not both")
+    if erosion is not None and erosion != geometry.erosion:
+        raise ValueError(f"erosion {erosion!r} differs from the geometry's {geometry.erosion!r}")
     if geometry.pt_b_r.size != p.n:
         raise ValueError(f"the geometry holds {geometry.pt_b_r.size} points, "
                          f"the pattern {p.n}")
@@ -697,7 +794,7 @@ def k_inhom(
     t_grid=None,
     weights=None,
     scenario="S2",
-    erosion="per-cell",
+    erosion=None,
     symmetrize=False,
     geometry=None,
 ):
@@ -714,14 +811,15 @@ def k_inhom(
     scenario : {"S1", "S2", "S3", "S4"} or 1..4
         Normalizing-measure treatment: S1 all known; S2 mark-set masses
         estimated; S3 window measure estimated; S4 both (ratio form).
-    erosion : {"per-cell", "fixed"}
+    erosion : {"per-cell", "fixed"}, optional
         Minus-sampling erosion varies with the lag cell (literal form) or
-        is fixed at the maximal lags for all cells.
+        is fixed at the maximal lags for all cells. None means per-cell,
+        or the erosion of ``geometry`` when one is passed.
     symmetrize : bool
         Return the symmetrized estimate (mean of the CD and DC forms).
     geometry : PairGeometry, optional
         Precomputed geometry for these locations and grids (permutation
-        fast path); ``erosion`` is taken from it.
+        fast path). An ``erosion`` named beside it must be its own.
     """
     scenario = _norm_scenario(scenario)
     terms = _marked_terms(p, weights, C, D, scenario)
@@ -746,13 +844,13 @@ def k_inhom(
 
 
 def k_ground(p, r_grid=None, t_grid=None, weights=None, scenario="S1",
-             erosion="per-cell", geometry=None):
+             erosion=None, geometry=None):
     """Inhomogeneous space-time K-function of the ground process.
 
     Uses ``weights.lam_ground`` (or ``lam`` for unmarked patterns).
     ``scenario`` is "S1" (window measures known) or "S3" (window measures
     estimated by the reciprocal-intensity sum); the mark-set scenarios do
-    not arise.
+    not arise. ``erosion`` and ``geometry`` are as in `k_inhom`.
     """
     if weights is None:
         raise ValueError("weights are required")
@@ -817,10 +915,11 @@ def k_measure_hat(p, C, D, E, weights, return_report=False):
 
 def k_directional(p, C=None, D=None, phi=-math.pi / 2, psi=math.pi / 2,
                   r_grid=None, t_grid=None, weights=None, scenario="S2",
-                  erosion="per-cell", geometry=None):
+                  erosion=None, geometry=None):
     """Directional marked inhomogeneous K-function: cylinder sets replaced
     by double cones over the wedge [phi, psi]. Requires d = 2. The full
-    wedge (-pi/2, pi/2] reproduces k_inhom exactly."""
+    wedge (-pi/2, pi/2] reproduces k_inhom exactly. ``erosion`` and
+    ``geometry`` are as in `k_inhom`."""
     if p.dim != 2:
         raise ValueError("directional K requires two spatial dimensions")
     ConeSet(phi, psi, 1.0, 1.0)  # validate angles
@@ -844,14 +943,15 @@ def k_directional(p, C=None, D=None, phi=-math.pi / 2, psi=math.pi / 2,
 
 
 def k_cross_multitype(p, i, j, r_grid=None, t_grid=None, weights=None,
-                      erosion="per-cell", geometry=None):
+                      erosion=None, geometry=None):
     """i-to-j cross K-function for multitype (label-marked) patterns.
 
     ``weights.lam`` must hold each point's own-component ground intensity
     (the intensity of the sub-process carrying that point's label). The
     normalization uses eroded window measures only: the result does not
     depend on the label reference weights. ``i == j`` gives component i's
-    space-time K-function.
+    space-time K-function. ``erosion`` and ``geometry`` are as in
+    `k_inhom`.
     """
     if p.marks is None or not p.mark_space.is_labelled:
         raise ValueError("cross K requires a label-marked pattern")

@@ -137,6 +137,11 @@ class TestDeltaSurface:
         geom = pair_geometry(small_marked, R_GRID, T_GRID)
         with pytest.raises(ValueError, match="not both"):
             delta_surface(small_marked, C_HALF, D_HALF, R_GRID, T_GRID, w, geometry=geom)
+        with pytest.raises(ValueError, match="erosion 'fixed' differs from the geometry's"):
+            delta_surface(small_marked, C_HALF, D_HALF, weights=w, erosion="fixed",
+                          geometry=geom)
+        surf = delta_surface(small_marked, C_HALF, D_HALF, weights=w, geometry=geom)
+        assert surf.meta["erosion"] == "per-cell"
 
 
 @pytest.mark.parametrize("diagnostic", [

@@ -81,6 +81,11 @@ class TestLagSets:
         assert list(E.contains_lag(dx, dt)) == want
         with pytest.raises(ValueError):
             CylinderSet(-0.1, 0.1)
+        # NaN compares false both ways: the constructor names it, where a
+        # "< 0" test let it through to fail later as an erosion error
+        for r, t in ((math.nan, 0.1), (0.1, math.nan), (math.nan, math.nan)):
+            with pytest.raises(ValueError, match=r"cylinder lags must be nonnegative.*nan"):
+                CylinderSet(r, t)
 
     def test_cone_volume_shapes(self):
         quarter = ConeSet(-math.pi / 4, math.pi / 4, 0.2, 0.3)
@@ -108,6 +113,12 @@ class TestLagSets:
             ConeSet(0.0, 3.5, 0.1, 0.1)
         with pytest.raises(ValueError, match="two spatial"):
             ConeSet(0.0, 1.0, 0.1, 0.1).contains_lag(np.zeros((1, 3)), np.zeros(1))
+        for r, t in ((-0.1, 0.1), (math.nan, 0.1), (0.1, math.nan)):
+            with pytest.raises(ValueError, match="cone lags must be nonnegative"):
+                ConeSet(0.0, 1.0, r, t)
+        for phi, psi in ((math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="phi|psi"):
+                ConeSet(phi, psi, 0.1, 0.1)
 
     def test_box_union(self):
         E = BoxUnionSet(
@@ -143,7 +154,7 @@ def _with_copies(x, t, copies, window):
 
 PAIR_CASES = [
     "uniform", "clustered", "lattice", "lattice-far", "rescale-edge", "duplicates",
-    "long-time", "zero-r", "zero-t", "zero-both", "1d", "3d",
+    "long-time", "zero-r", "zero-t", "zero-both", "1d", "3d", "many-cells",
     "empty", "single", "two",
 ]
 
@@ -198,6 +209,11 @@ def pair_case(case):
         r_grid = np.array([0.0]) if case != "zero-t" else np.array([0.2, 0.4])
         t_grid = np.array([0.0]) if case != "zero-r" else np.array([0.2, 0.4])
         return _with_copies(p.x, p.t, np.arange(30), UNIT), r_grid, t_grid
+    if case == "many-cells":
+        # lags far below the window's extent: the search's space-time cells
+        # are lags wide, so pairs cross cell walls in every direction
+        lags = np.linspace(0.004, 0.02, 5)
+        return uniform_pattern(3000, seed=79), lags, lags
     if case == "1d":
         window = Window(spatial=((0.0, 4.0),), temporal=(0.0, 1.0))
         return uniform_pattern(800, seed=67, window=window), R_GRID, T_GRID
@@ -238,6 +254,26 @@ class TestPairGeometry:
         p, r_grid, t_grid = pair_case(case)
         assert_matches_oracle(pair_geometry(p, r_grid, t_grid),
                               pair_geometry_oracle(p, r_grid, t_grid))
+
+    def test_cells_hold_about_a_block_of_points(self, monkeypatch):
+        # cells one lag wide would put about one point in each here, and
+        # build a tree per point; the cells are widened to about _BLOCK
+        # points each, and every point lies in one cell's tree
+        import scipy.spatial
+
+        built = []
+        tree = scipy.spatial.cKDTree
+
+        def counting(data, *args, **kw):
+            built.append(len(data))
+            return tree(data, *args, **kw)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", counting)
+        p = uniform_pattern(3000, seed=79)
+        geom = pair_geometry(p, [0.005], [0.005])
+        assert len(built) <= p.n / second_order._BLOCK + 4
+        assert sum(built) == p.n
+        assert_matches_oracle(geom, pair_geometry_oracle(p, [0.005], [0.005]))
 
     def test_grid_validation(self):
         p = uniform_pattern(5, seed=61)
@@ -727,6 +763,26 @@ class TestEngineInvariances:
                 k_inhom(p, C, D, *grids, weights=w, scenario="S1", geometry=geom)
         surf = k_inhom(p, C, D, weights=w, scenario="S1", geometry=geom)
         assert surf.r_grid.tolist() == [0.05] and surf.t_grid.tolist() == [0.05]
+        # an erosion mode named beside a geometry must be the geometry's;
+        # None takes the geometry's own
+        fixed = pair_geometry(p, [0.05], [0.05], erosion="fixed")
+        calls = [
+            lambda g, e: k_inhom(p, C, D, weights=w, scenario="S1", erosion=e, geometry=g),
+            lambda g, e: k_ground(p, weights=w, erosion=e, geometry=g),
+            lambda g, e: k_directional(p, C, D, weights=w, erosion=e, geometry=g),
+            lambda g, e: k_cross_multitype(p, 1, 2, weights=w, erosion=e, geometry=g),
+            lambda g, e: delta_surface(p, C, D, weights=w, erosion=e, geometry=g),
+        ]
+        for call in calls:
+            for g, e in ((geom, "fixed"), (fixed, "per-cell"), (geom, "none")):
+                with pytest.raises(ValueError, match=f"erosion '{e}' differs from the "
+                                                     f"geometry's '{g.erosion}'"):
+                    call(g, e)
+            for g in (geom, fixed):
+                assert call(g, None).meta["erosion"] == g.erosion
+                assert _bits(call(g, g.erosion).values) == _bits(call(g, None).values)
+        # without a geometry, None is per-cell
+        assert k_inhom(p, C, D, [0.05], [0.05], w).meta["erosion"] == "per-cell"
 
     def test_plugged_weights_source(self):
         p = uniform_pattern(10, seed=65)
