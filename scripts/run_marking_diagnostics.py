@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from mstpp.cli import nonnegative_int, positive_int
 from mstpp.geometry import Window
 from mstpp.inference import envelopes
 from mstpp.pattern import LabelSet
@@ -30,9 +31,11 @@ def true_weights(p):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n-sim", type=int, default=99, help="number of simulated replicates")
-    ap.add_argument("--seed", type=int, default=0, help="root seed")
-    ap.add_argument("--grid", type=int, default=20, help="lag grid resolution per axis")
+    ap.add_argument("--n-sim", type=positive_int, default=99,
+                    help="number of simulated replicates")
+    ap.add_argument("--seed", type=nonnegative_int, default=0, help="root seed")
+    ap.add_argument("--grid", type=positive_int, default=20,
+                    help="lag grid resolution per axis")
     ap.add_argument("--out", default=None, help="optional CSV output path for the band")
     args = ap.parse_args(argv)
 

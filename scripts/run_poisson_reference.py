@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 
+from mstpp.cli import nonnegative_int, positive_int
 from mstpp.geometry import Window
 from mstpp.pattern import MarkInterval
 from mstpp.second_order import Weights, k_inhom
@@ -23,9 +24,9 @@ from mstpp.simulate import IntensityField, UniformInterval, assign_marks_iid, si
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--reps", type=int, default=100, help="number of replicates")
+    ap.add_argument("--reps", type=positive_int, default=100, help="number of replicates")
     ap.add_argument("--lam", type=float, default=200.0, help="Poisson intensity")
-    ap.add_argument("--seed", type=int, default=0, help="root seed")
+    ap.add_argument("--seed", type=nonnegative_int, default=0, help="root seed")
     ap.add_argument("--out", default=None, help="optional CSV output path")
     args = ap.parse_args(argv)
     if args.reps < 2:

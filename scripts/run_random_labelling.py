@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 
+from mstpp.cli import nonnegative_int, positive_int
 from mstpp.geometry import Window
 from mstpp.inference import random_labelling_test
 from mstpp.pattern import LabelSet, MarkInterval
@@ -29,9 +30,12 @@ GROUND = {
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--preset", default="poisson-bernoulli", choices=sorted(GROUND))
-    ap.add_argument("--n-perm", type=int, default=99, help="number of mark permutations")
-    ap.add_argument("--seed", type=int, default=0, help="root seed (data and permutations)")
-    ap.add_argument("--grid", type=int, default=20, help="lag grid resolution per axis")
+    ap.add_argument("--n-perm", type=positive_int, default=99,
+                    help="number of mark permutations")
+    ap.add_argument("--seed", type=nonnegative_int, default=0,
+                    help="root seed (data and permutations)")
+    ap.add_argument("--grid", type=positive_int, default=20,
+                    help="lag grid resolution per axis")
     ap.add_argument("--out-dir", default="random_labelling_out", help="output directory")
     args = ap.parse_args(argv)
 

@@ -64,7 +64,7 @@ from .second_order import (
 from .inference import random_labelling_test
 from .simulate import DENSE_CELL_GUARD, PRESET_NAMES, FactorizationError, simulate_preset
 
-__all__ = ["main", "ConfigError", "InputError"]
+__all__ = ["main", "ConfigError", "InputError", "positive_int", "nonnegative_int"]
 
 
 class ConfigError(ValueError):
@@ -533,15 +533,23 @@ COMMANDS = {
 }
 
 
-def _threads(v):
-    """``--threads``: a positive integer; anything else is a usage error (exit 2)."""
-    try:
-        n = int(v)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {v!r}")
-    return n
+def _int_at_least(low, kind):
+    def parse(v):
+        try:
+            n = int(v)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {v!r}")
+        return n
+
+    return parse
+
+
+# argparse types of counts and seeds, shared with the study scripts: any
+# other value is a usage error (exit 2) before any work
+positive_int = _int_at_least(1, "positive")
+nonnegative_int = _int_at_least(0, "non-negative")
 
 
 def main(argv=None):
@@ -553,9 +561,10 @@ def main(argv=None):
     for name in COMMANDS:
         cp = sub.add_parser(name)
         cp.add_argument("--config", required=True, help="key = value config file")
-        cp.add_argument("--seed", type=int, default=0, help="root random seed")
+        cp.add_argument("--seed", type=nonnegative_int, default=0, help="root random seed")
         cp.add_argument("--out", required=True, help="output directory")
-        cp.add_argument("--threads", type=_threads, default=1, help="worker thread cap (>= 1)")
+        cp.add_argument("--threads", type=positive_int, default=1,
+                        help="worker thread cap (>= 1)")
     args = parser.parse_args(argv)
     try:
         raw = parse_config_file(args.config)

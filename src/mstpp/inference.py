@@ -12,8 +12,13 @@ Three layers:
 * ``random_labelling_test`` permutes marks over fixed locations and
   envelopes the antisymmetric statistic Delta = K^CD - K^DC. Pair
   geometry is computed once per dataset (locations never change under
-  permutation), so each permutation costs only two weighted accumulation
-  passes.
+  permutation). Each permutation only permutes the marks, builds its
+  weights and checks its terms; the surfaces are then summed a batch of
+  permutations at a time, with the CD and DC numerators of the whole
+  batch in one rectangle sum and its denominators in another, so the
+  numpy call count is per batch, not per permutation. Each permutation's
+  surface has the bits of its own `delta_surface`: the second_order
+  module notes give the argument.
 
 Every surface here comes from the K-family core of ``second_order``
 (``_marked_terms``, ``_geometry``, ``_k_values`` over ``_denominator``), so
@@ -34,8 +39,11 @@ import numpy as np
 from .intensity import voronoi_ground
 from .pattern import permute_marks
 from .second_order import (
+    _CHUNK,
     _Surface,
+    _check_count,
     _checked_lags,
+    _children,
     _denominator,
     _geometry,
     _k_values,
@@ -43,6 +51,7 @@ from .second_order import (
     _marked_terms,
     _norm_scenario,
     _replicates,
+    _stacked,
     k_inhom,
     pair_geometry,
     weights_from_estimate,
@@ -167,8 +176,8 @@ def envelopes(observed_stat, simulator, n_sim, rank="minmax", alpha=0.05,
     empirical alpha/2 and 1-alpha/2 quantiles. Replicates may run on a
     thread pool; the reduction is in replicate order either way.
     """
-    if n_sim < 1:
-        raise ValueError("need at least one simulation")
+    children = _children(seed, n_sim, "simulation")
+    _check_count(threads, "thread")
     _check_band(rank, alpha)
 
     def run(i, child):
@@ -177,7 +186,7 @@ def envelopes(observed_stat, simulator, n_sim, rank="minmax", alpha=0.05,
         except Exception as e:  # propagate with replicate index per contract
             raise RuntimeError(f"simulator failed at replicate {i}: {e}") from e
 
-    stack = np.stack(_replicates(run, n_sim, seed, threads))
+    stack = np.stack(_replicates(run, children, threads))
     obs = _stat_values(observed_stat)
     if stack.shape[1:] != obs.shape:
         raise ValueError("simulated statistic shape differs from observed")
@@ -190,11 +199,15 @@ def envelopes(observed_stat, simulator, n_sim, rank="minmax", alpha=0.05,
 
 
 def _delta_values(geom, scenario, terms):
-    """K^CD - K^DC on shared geometry from `_marked_terms` output: the
-    denominator is symmetric in (C, D), so one serves both terms."""
+    """K^CD - K^DC on shared geometry for each of the S surfaces of a
+    `_stacked` batch of `_marked_terms`, as (S, R, T). The denominator is
+    symmetric in (C, D), so one serves both terms, and the CD and DC
+    numerators of all S are the 2S surfaces of one `_k_values` sum."""
     mC, mD, inv_lam = terms[:3]
     denom = _denominator(geom, scenario, *terms)
-    return _k_values(geom, inv_lam, mC, mD, denom) - _k_values(geom, inv_lam, mD, mC, denom)
+    k = _k_values(geom, np.concatenate([inv_lam, inv_lam]), np.concatenate([mC, mD]),
+                  np.concatenate([mD, mC]), np.concatenate([denom, denom]))
+    return k[:len(mC)] - k[len(mC):]
 
 
 def delta_surface(p, C, D, r_grid=None, t_grid=None, weights=None,
@@ -202,11 +215,11 @@ def delta_surface(p, C, D, r_grid=None, t_grid=None, weights=None,
     """The antisymmetric marking statistic Delta = K^CD - K^DC. ``erosion``
     and ``geometry`` are as in `k_inhom`."""
     scenario = _norm_scenario(scenario)
-    terms = _marked_terms(p, weights, C, D, scenario)
+    terms = _stacked([_marked_terms(p, weights, C, D, scenario)])
     geom = _geometry(p, r_grid, t_grid, erosion, geometry)
     return DeltaSurface(
         r_grid=geom.r_grid, t_grid=geom.t_grid,
-        values=_delta_values(geom, scenario, terms), C=C, D=D,
+        values=_delta_values(geom, scenario, terms)[0], C=C, D=D,
         statistic="K_CD - K_DC",
         meta={"scenario": scenario, "erosion": geom.erosion,
               "weights_source": weights.source},
@@ -313,8 +326,8 @@ def random_labelling_test(p, C, D, r_grid=None, t_grid=None, weights_builder=Non
     """
     if p.marks is None or p.n < 2:
         raise ValueError("random labelling needs a marked pattern with >= 2 points")
-    if n_perm < 1:
-        raise ValueError("need at least one permutation")
+    children = _children(seed, n_perm, "permutation")
+    _check_count(threads, "thread")
     _check_band(rank, alpha)
     scenario = _norm_scenario(scenario)
     if not p._distinct_locations:
@@ -330,12 +343,20 @@ def random_labelling_test(p, C, D, r_grid=None, t_grid=None, weights_builder=Non
     w_obs = weights_builder(p)
     observed = delta_surface(p, C, D, weights=w_obs, scenario=scenario, geometry=geom)
 
-    def run(i, child):
+    def terms(i, child):
         q = permute_marks(p, seed=child)
         w = weights_builder(q) if rebuild_weights else w_obs
-        return _delta_values(geom, scenario, _marked_terms(q, w, C, D, scenario))
+        return _marked_terms(q, w, C, D, scenario)
 
-    stack = np.stack(_replicates(run, n_perm, seed, threads))
+    # a batch's CD and DC surfaces span about four _CHUNKs of (surface,
+    # stored pair or difference-array bin) entries; larger ones fall out
+    # of the cache and run slower
+    R, T = geom.shape
+    batch = max(1, 2 * _CHUNK // (geom.I.size + (R + 1) * (T + 1)))
+    stack = np.empty((n_perm, *geom.shape))
+    for first in range(0, n_perm, batch):
+        batch_terms = _replicates(terms, children[first:first + batch], threads)
+        stack[first:first + batch] = _delta_values(geom, scenario, _stacked(batch_terms))
     env = _envelope(observed, stack, rank, alpha, "mark-permutation", seed=str(seed),
                     scenario=scenario,
                     weights_mode="rebuilt" if rebuild_weights else "fixed")

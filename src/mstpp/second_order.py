@@ -77,29 +77,38 @@ unordered pieces (10 bytes per pair kept either way), the output arrays,
 one query's candidates and one chunk's temporaries. The stored arrays
 equal those of a plain scan over all ordered pairs (`tests/oracles.py`).
 
-`_k_values` sums the numerator over `_CHUNK` stored pairs at a time. Each
-chunk keeps only its pairs with mC[I] mD[J] != 0 (and, for the
-directional statistic, inside the cone), and builds their weights
-1/lam[I] * 1/lam[J] once. It then adds the weights into the difference
-array with `np.add.at` at every chunk's first corners, then
+`_k_values` sums S surfaces at once, each with its own mark masks and
+reciprocal intensities: one for a K estimate, a batch of permutations'
+CD and DC numerators for the random-labelling test. It runs over `_CHUNK`
+stored pairs at a time. Each chunk keeps, for each surface, only its
+pairs with mC[I] mD[J] != 0 (and, for the directional statistic, inside
+the cone), surface by surface and each in pair order, and builds their
+weights 1/lam[I] * 1/lam[J] once. It then adds the weights into the
+difference array with `np.add.at` at every chunk's first corners, then
 `np.subtract.at` at every chunk's second and third, then `np.add.at` at
-every chunk's fourth, each in pair order: corner-major across all chunks.
+every chunk's fourth, each in entry order: corner-major across all chunks.
 That is the order in which `np.bincount` over the four corner lists of
 all pairs concatenated (with weights w, -w, -w, w) adds into each bin,
-and x - w is x + (-w) exactly. The skipped pairs change no bin either:
+and x - w is x + (-w) exactly. Surface s owns the bins from
+s (R + 1)(T + 1) on, so no bin receives another surface's weights, and
+the entries of one surface reach its bins in the order a sum of that
+surface alone would add them. The skipped pairs change no bin either:
 `Weights` admits only positive finite intensities, and the mark masks and
 the cone test are 0/1, so (while the products 1/lam[I] * 1/lam[J] are
 finite) a skipped pair's full weight is +0.0 and a kept pair's is the
 product times 1.0; and a bin that starts at +0.0 and only ever adds or
 subtracts finite values never holds -0.0, the one value for which
 x + 0.0 differs from x. So every cell total equals the one of the
-full-array layout bit for bit, for any chunk length. Dropping the
-empty-rectangle pairs at the build drops only corner entries that were
-masked out before, so it changes no total either.
+full-array layout bit for bit, for any chunk length and for any number
+of surfaces summed beside it; the double cumulative sum runs along each
+surface's own axes. Dropping the empty-rectangle pairs at the build
+drops only corner entries that were masked out before, so it changes no
+total either.
 """
 
 import json
 import math
+import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -512,83 +521,107 @@ def pair_geometry(p, r_grid=None, t_grid=None, erosion="per-cell"):
     )
 
 
-def _sum_rects(geom, chunks):
-    """Per-cell sums of the weights of index rectangles, each from its first
-    cell (a_r, a_t) to its point I's erosion limit, over ``chunks`` of
-    (w, I, a_r, a_t): a four-corner difference array and a double
-    cumulative sum. Every weight is added into its corner's bin
-    corner-major across all chunks, then in chunk and pair order."""
+def _sum_rects(geom, S, chunks):
+    """Per-cell sums of the weights of index rectangles on ``S`` surfaces,
+    each rectangle from its first cell (a_r, a_t) to its point I's erosion
+    limit, over ``chunks`` of (w, I, a_r, a_t, off): ``off`` is each
+    entry's surface s times (R + 1)(T + 1), or 0 when S is 1 (so that a
+    single surface holds no array of offsets). One
+    difference array holds the four-corner sums of every surface, each in
+    its own bins, and a double cumulative sum along each surface's axes
+    recovers the cells. Every weight is added into its corner's bin
+    corner-major across all chunks, then in chunk and entry order, so each
+    bin gets the additions a sum of its surface alone would make, in the
+    same order."""
     R, T = geom.shape
     ncol = T + 1
     row_end, col_end, far = geom.pair_ends
-    diff = np.zeros((R + 1) * (T + 1))
+    diff = np.zeros(S * (R + 1) * ncol)
     # the first cells are cast to intp before any index arithmetic: under
     # numpy's promotion rules uint8 * int stays uint8 and wraps
-    for w, I, a_r, a_t in chunks:
-        np.add.at(diff, a_r.astype(np.intp) * ncol + a_t, w)
-    for w, I, a_r, a_t in chunks:
-        np.subtract.at(diff, np.take(row_end, I) + a_t, w)
-    for w, I, a_r, a_t in chunks:
-        np.subtract.at(diff, a_r.astype(np.intp) * ncol + np.take(col_end, I), w)
-    for w, I, a_r, a_t in chunks:
-        np.add.at(diff, np.take(far, I), w)
-    return np.cumsum(np.cumsum(diff.reshape(R + 1, T + 1), axis=0), axis=1)[:R, :T]
+    for w, I, a_r, a_t, off in chunks:
+        np.add.at(diff, a_r.astype(np.intp) * ncol + a_t + off, w)
+    for w, I, a_r, a_t, off in chunks:
+        np.subtract.at(diff, np.take(row_end, I) + a_t + off, w)
+    for w, I, a_r, a_t, off in chunks:
+        np.subtract.at(diff, a_r.astype(np.intp) * ncol + np.take(col_end, I) + off, w)
+    for w, I, a_r, a_t, off in chunks:
+        np.add.at(diff, np.take(far, I) + off, w)
+    return np.cumsum(np.cumsum(diff.reshape(S, R + 1, ncol), axis=1), axis=2)[:, :R, :T]
 
 
 def _point_surface(geom, point_w):
     """Per-cell sums of point weights over the eroded windows (rectangle
-    from cell (0,0) to each point's erosion limit)."""
+    from cell (0,0) to each point's erosion limit), one surface per row of
+    the (S, n) ``point_w``."""
     I = np.flatnonzero((geom.pt_b_r >= 0) & (geom.pt_b_t >= 0))
-    zeros = np.zeros(I.size, dtype=np.intp)
-    return _sum_rects(geom, [(np.asarray(point_w, dtype=float)[I], I, zeros, zeros)])
+    S = len(point_w)
+    R, T = geom.shape
+    zeros = np.zeros(S * I.size, dtype=np.intp)
+    off = np.repeat(np.arange(S) * ((R + 1) * (T + 1)), I.size)
+    return _sum_rects(geom, S, [(np.take(point_w, I, axis=1).ravel(), np.tile(I, S),
+                                 zeros, zeros, off)])
 
 
 def _denominator(geom, scenario, mC, mD, inv_lam, inv_lam_g, nu_C, nu_D):
     """Scenario normalization: the window measure is known (S1, S2) or the
     reciprocal ground-intensity sum (S3, S4); the mark-set masses are known
     (S1, S3) or reciprocal-intensity sums over the C and D points (S2, S4).
-    The arguments after the scenario are the terms `_marked_terms` returns.
-    It is symmetric in (C, D)."""
+    The arguments after the scenario are the terms of S surfaces as
+    `_stacked` returns them, and so is the result, (S, R, T). It is
+    symmetric in (C, D)."""
     if scenario in ("S1", "S2"):
         window = np.outer(geom.ell_r, geom.ell_t)
     else:
         window = _point_surface(geom, inv_lam_g)
     if scenario in ("S1", "S3"):
-        return window * (nu_C * nu_D)
-    S_C = _point_surface(geom, inv_lam * mC)
-    S_D = _point_surface(geom, inv_lam * mD)
+        return window * (nu_C * nu_D)[:, None, None]
+    S_C, S_D = np.split(_point_surface(geom, np.concatenate([inv_lam * mC, inv_lam * mD])), 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(window > 0, S_C * S_D / window, 0.0)
 
 
 def _k_values(geom, inv, mC, mD, denom, pair_test=None):
-    """The minus-sampling estimate: the weights inv[I] * inv[J] of the
-    C-first, D-second stored pairs summed per lag cell (each pair counts in
-    the cells from its own lags up to its first point's erosion limit),
-    over the denominator. ``pair_test(I, J)``, if given, returns a boolean
-    per pair of the first- and second-point indices it is handed; only the
-    pairs it passes are summed. Degenerate cells give 0: an empty
-    numerator means no qualifying pairs, and an empty denominator means no
-    eligible points were available to estimate the normalizing masses.
-    Either way the cell carries no information.
+    """The minus-sampling estimate of S surfaces: row s of the (S, n)
+    ``inv``, ``mC`` and ``mD`` gives surface s the weights inv[s, I] *
+    inv[s, J] of its C-first, D-second stored pairs, summed per lag cell
+    (each pair counts in the cells from its own lags up to its first
+    point's erosion limit), over its denominator ``denom[s]``.
+    ``pair_test(I, J)``, if given, returns a boolean per pair of the first-
+    and second-point indices it is handed; only the pairs it passes are
+    summed. Degenerate cells give 0: an empty numerator means no
+    qualifying pairs, and an empty denominator means no eligible points
+    were available to estimate the normalizing masses. Either way the cell
+    carries no information.
 
-    The sum runs chunk by chunk, corner-major across all chunks; the module
-    notes say why it equals the full-array sum bit for bit."""
-    in_C, in_D = mC != 0, mD != 0
+    The sum runs over `_CHUNK` stored pairs at a time, all S surfaces of a
+    chunk together, corner-major across all chunks; the module notes say
+    why every surface equals its own full-array sum bit for bit."""
+    S, n = inv.shape
+    R, T = geom.shape
+    # (n, S): a pair's marks on all S surfaces are one row gather
+    in_C, in_D = np.ascontiguousarray((mC != 0).T), np.ascontiguousarray((mD != 0).T)
+    inv = inv.ravel()
     chunks = []
     # np.take: gathers by int32 indices are several times slower through
     # fancy indexing, which first converts the indices to intp
     for start in range(0, geom.I.size, _CHUNK):
         stop = start + _CHUNK
         I, J = geom.I[start:stop], geom.J[start:stop]
-        k = np.flatnonzero(np.take(in_C, I) & np.take(in_D, J))
+        # row s: the C-first, D-second pairs of surface s
+        sel = np.ascontiguousarray((np.take(in_C, I, axis=0) & np.take(in_D, J, axis=0)).T)
+        # the selected entries' surfaces and pairs, surface-major, each in pair order
+        s = np.repeat(np.arange(S), np.count_nonzero(sel, axis=1))
+        k = np.flatnonzero(sel) - s * I.size
         I, J = np.take(I, k), np.take(J, k)
         if pair_test is not None:
             hit = np.flatnonzero(pair_test(I, J))
-            k, I, J = np.take(k, hit), np.take(I, hit), np.take(J, hit)
-        chunks.append((np.take(inv, I) * np.take(inv, J), I,
-                       np.take(geom.a_r[start:stop], k), np.take(geom.a_t[start:stop], k)))
-    num = _sum_rects(geom, chunks)
+            s, k, I, J = (np.take(v, hit) for v in (s, k, I, J))
+        row = s * n
+        chunks.append((np.take(inv, row + I) * np.take(inv, row + J), I,
+                       np.take(geom.a_r[start:stop], k), np.take(geom.a_t[start:stop], k),
+                       s * ((R + 1) * (T + 1)) if S > 1 else 0))
+    num = _sum_rects(geom, S, chunks)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where((num == 0) | (denom == 0), 0.0, num / denom)
 
@@ -757,6 +790,13 @@ def _marked_terms(p, weights, C, D, scenario):
     return mC, mD, inv_lam, inv_lam_g, nu_C, nu_D
 
 
+def _stacked(terms):
+    """The `_marked_terms` of S patterns or weightings as one batch of S
+    surfaces for `_denominator` and `_k_values`: (S, n) masks and
+    reciprocal intensities (None where absent) and (S,) mark-set masses."""
+    return tuple(None if col[0] is None else np.stack(col) for col in zip(*terms))
+
+
 def _geometry(p, r_grid, t_grid, erosion, geometry=None):
     """The caller's precomputed geometry, checked against the call, or a new
     one for these grids, checked before `pair_geometry` is entered, as the
@@ -776,13 +816,30 @@ def _geometry(p, r_grid, t_grid, erosion, geometry=None):
     return geometry
 
 
-def _replicates(fn, n, seed, threads):
-    """[fn(i, child_i) for i < n], the child seeds spawned from ``seed``;
-    run on a thread pool when threads > 1, in index order either way."""
-    children = np.random.SeedSequence(seed).spawn(n)
+def _check_count(n, what):
+    """Reject a count of ``what`` that is not a whole number >= 1 (or is a
+    bool)."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"need a whole number of at least one {what}, got {n!r}")
+
+
+def _children(seed, n, what):
+    """The ``n`` child seed sequences spawned from ``seed``, after the
+    checks of the count and of the seed."""
+    _check_count(n, what)
+    try:
+        root = np.random.SeedSequence(seed)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"bad seed {seed!r}: {e}") from None
+    return root.spawn(n)
+
+
+def _replicates(fn, children, threads):
+    """[fn(i, children[i]) for each i]; run on a thread pool when
+    threads > 1, in index order either way."""
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(n), children))
+            return list(pool.map(fn, range(len(children)), children))
     return [fn(i, child) for i, child in enumerate(children)]
 
 
@@ -822,13 +879,13 @@ def k_inhom(
         fast path). An ``erosion`` named beside it must be its own.
     """
     scenario = _norm_scenario(scenario)
-    terms = _marked_terms(p, weights, C, D, scenario)
+    terms = _stacked([_marked_terms(p, weights, C, D, scenario)])
     geom = _geometry(p, r_grid, t_grid, erosion, geometry)
     mC, mD, inv_lam, _, nu_C, nu_D = terms
     denom = _denominator(geom, scenario, *terms)
-    values = _k_values(geom, inv_lam, mC, mD, denom)
+    values = _k_values(geom, inv_lam, mC, mD, denom)[0]
     if symmetrize:  # the denominator is symmetric in (C, D)
-        values = 0.5 * (values + _k_values(geom, inv_lam, mD, mC, denom))
+        values = 0.5 * (values + _k_values(geom, inv_lam, mD, mC, denom)[0])
     return KSurface(
         r_grid=geom.r_grid, t_grid=geom.t_grid, values=values,
         C=C, D=D, scenario=scenario, weights_source=weights.source, d=p.dim,
@@ -837,8 +894,8 @@ def k_inhom(
             "route": "indexed",
             "floor_hits": weights.floor_hits,
             "symmetrized": bool(symmetrize),
-            "nu_C": float(nu_C),
-            "nu_D": float(nu_D),
+            "nu_C": float(nu_C[0]),
+            "nu_D": float(nu_D[0]),
         },
     )
 
@@ -860,11 +917,11 @@ def k_ground(p, r_grid=None, t_grid=None, weights=None, scenario="S1",
     lam_g = weights.lam_ground if weights.lam_ground is not None else weights.lam
     if lam_g is None:
         raise ValueError("weights.lam_ground (or lam) is required")
-    inv = 1.0 / _per_point(p, lam_g)
+    inv = 1.0 / _per_point(p, lam_g)[None]
     geom = _geometry(p, r_grid, t_grid, erosion, geometry)
-    ones = np.ones(p.n)
-    denom = _denominator(geom, scenario, ones, ones, inv, inv, 1.0, 1.0)
-    values = _k_values(geom, inv, ones, ones, denom)
+    ones, unit = np.ones((1, p.n)), np.ones(1)
+    denom = _denominator(geom, scenario, ones, ones, inv, inv, unit, unit)
+    values = _k_values(geom, inv, ones, ones, denom)[0]
     return KSurface(
         r_grid=geom.r_grid, t_grid=geom.t_grid, values=values, C=None, D=None,
         scenario=scenario, weights_source=weights.source, d=p.dim,
@@ -924,7 +981,7 @@ def k_directional(p, C=None, D=None, phi=-math.pi / 2, psi=math.pi / 2,
         raise ValueError("directional K requires two spatial dimensions")
     ConeSet(phi, psi, 1.0, 1.0)  # validate angles
     scenario = _norm_scenario(scenario)
-    terms = _marked_terms(p, weights, C, D, scenario)
+    terms = _stacked([_marked_terms(p, weights, C, D, scenario)])
     geom = _geometry(p, r_grid, t_grid, erosion, geometry)
     mC, mD, inv_lam = terms[:3]
 
@@ -933,7 +990,7 @@ def k_directional(p, C=None, D=None, phi=-math.pi / 2, psi=math.pi / 2,
         return direction_in_cone(dx[:, 0], dx[:, 1], phi, psi)
 
     values = _k_values(geom, inv_lam, mC, mD, _denominator(geom, scenario, *terms),
-                       pair_test=in_cone)
+                       pair_test=in_cone)[0]
     return KSurface(
         r_grid=geom.r_grid, t_grid=geom.t_grid, values=values, C=C, D=D,
         scenario=scenario, weights_source=weights.source, d=p.dim,
@@ -956,12 +1013,13 @@ def k_cross_multitype(p, i, j, r_grid=None, t_grid=None, weights=None,
     if p.marks is None or not p.mark_space.is_labelled:
         raise ValueError("cross K requires a label-marked pattern")
     C, D = LabelSet([i]), LabelSet([j])
-    mC, mD, inv = _marked_terms(p, weights, C, D, "S1")[:3]
+    mC, mD, inv = _stacked([_marked_terms(p, weights, C, D, "S1")])[:3]
     if not mC.any() or not mD.any():
         warnings.warn(f"component {j if mC.any() else i} is empty; surface is zero")
     geom = _geometry(p, r_grid, t_grid, erosion, geometry)
-    denom = _denominator(geom, "S1", mC, mD, inv, None, 1.0, 1.0)  # unit mark masses
-    values = _k_values(geom, inv, mC, mD, denom)
+    unit = np.ones(1)  # unit mark masses
+    denom = _denominator(geom, "S1", mC, mD, inv, None, unit, unit)
+    values = _k_values(geom, inv, mC, mD, denom)[0]
     return KSurface(
         r_grid=geom.r_grid, t_grid=geom.t_grid, values=values,
         C=C, D=D, scenario="cross",
@@ -985,7 +1043,7 @@ def k_stationary(p, C=None, D=None, r_grid=None, t_grid=None, erosion="per-cell"
     n_D = float(np.sum(mD))
     inv = np.full(p.n, 1.0 / lam_hat)
     denom = np.outer(geom.ell_r, geom.ell_t) * (n_C * n_D / p.n**2)
-    values = _k_values(geom, inv, mC, mD, denom)
+    values = _k_values(geom, inv[None], mC[None], mD[None], denom[None])[0]
     return KSurface(
         r_grid=geom.r_grid, t_grid=geom.t_grid, values=values, C=C, D=D,
         scenario="stationary", weights_source="Stationary", d=p.dim,
@@ -1010,8 +1068,8 @@ def k_smoothed(p, C=None, D=None, r_grid=None, t_grid=None, weights_builder=None
     """
     if not 0.0 < retention < 1.0:
         raise ValueError("retention must lie in (0, 1)")
-    if n < 1:
-        raise ValueError("need at least one thinning")
+    children = _children(seed, n, "thinning")
+    _check_count(threads, "thread")
     if weights_builder is None:
         raise ValueError("a weights_builder is required")
     if p.marks is None:
@@ -1034,7 +1092,7 @@ def k_smoothed(p, C=None, D=None, r_grid=None, t_grid=None, weights_builder=None
                        erosion=erosion, symmetrize=symmetrize)
         return surf.values, w.floor_hits
 
-    results = _replicates(one, n, seed, threads)
+    results = _replicates(one, children, threads)
     degenerate = sum(1 for v in results if v is None)
     floor_hits = sum(v[1] for v in results if v is not None)
     surfaces = [np.zeros(shape) if v is None else v[0] for v in results]

@@ -212,6 +212,15 @@ class TestExitCodes:
         assert "--threads" in res.stderr and "positive integer" in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", "2.5"])
+    def test_bad_seed_is_2_before_any_work(self, tmp_path, seed):
+        cfg = write_config(tmp_path / "c.txt", "preset = poisson-bernoulli")
+        out = tmp_path / "o"
+        res = run_cli("simulate", "--config", cfg, "--out", str(out), "--seed", seed)
+        assert res.returncode == 2, res.stderr
+        assert "--seed" in res.stderr and "non-negative integer" in res.stderr
+        assert not out.exists()
+
     def test_bad_scenario_is_2(self, tmp_path, marked_catalog):
         cfg = write_config(
             tmp_path / "c.txt",
@@ -476,8 +485,8 @@ class TestTestCommand:
                        "--threads", "2")
         assert res1.returncode == 0, res1.stderr
         assert res2.returncode == 0, res2.stderr
-        assert (one / "envelope.csv").read_bytes() == \
-            (two / "envelope.csv").read_bytes()
+        for name in ("envelope.csv", "envelope.json"):
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
     @pytest.mark.parametrize("line", ["n_perm = 0", "alpha = 1.7", "alpha = 0"])
     def test_bad_band_settings_are_config_errors(self, tmp_path, marked_catalog, line):

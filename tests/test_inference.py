@@ -42,6 +42,12 @@ def const_weights(p):
     return Weights(lam=np.full(p.n, 12.0), lam_ground=np.full(p.n, 12.0))
 
 
+def mark_weights(p):
+    """Weights that depend on the marks, so every permutation changes them."""
+    lam = 10.0 + 5.0 * p.marks + 3.0 * p.x[:, 0]
+    return Weights(lam=lam, lam_ground=1.5 * lam)
+
+
 def no_work(*args, **kw):
     raise AssertionError("work started before the arguments were checked")
 
@@ -316,6 +322,20 @@ class TestEnvelopes:
         with pytest.raises(ValueError, match="shape"):
             envelopes(np.zeros((2, 2)), sim, n_sim=2, seed=13)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(n_sim=0), "simulation"),
+        (dict(n_sim=2.5), "simulation"),
+        (dict(n_sim=True), "simulation"),
+        (dict(seed=-1), "seed"),
+        (dict(seed=2.5), "seed"),
+        (dict(threads=0), "thread"),
+        (dict(threads=2.5), "thread"),
+    ])
+    def test_bad_counts_fail_before_any_simulation(self, kwargs, match):
+        kwargs = {"n_sim": 3, "seed": 1, **kwargs}
+        with pytest.raises(ValueError, match=match):
+            envelopes(np.zeros((2, 2)), no_work, **kwargs)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="simulation"):
             envelopes(np.zeros((2, 2)), self.noise_simulator, n_sim=0)
@@ -399,6 +419,12 @@ class TestRandomLabelling:
     @pytest.mark.parametrize("kwargs, match", [
         (dict(scenario=7), "scenario"),
         (dict(n_perm=0), "permutation"),
+        (dict(n_perm=2.5), "permutation"),
+        (dict(n_perm=True), "permutation"),
+        (dict(seed=-1), "seed"),
+        (dict(seed=2.5), "seed"),
+        (dict(threads=0), "thread"),
+        (dict(threads=2.5), "thread"),
         (dict(alpha=1.7), "alpha"),
         (dict(alpha=0.0), "alpha"),
         (dict(rank="global"), "rank"),
@@ -482,3 +508,80 @@ class TestRandomLabelling:
         assert doc["n_sim"] == 9
         assert doc["generator"] == "mark-permutation"
         assert doc["meta"]["disclaimer"] == DISCLAIMER
+
+
+class TestBatchedPermutations:
+    """The permutations are summed a batch of surfaces at a time. Every
+    band and the observed surface must equal the per-permutation
+    `delta_surface` values bit for bit, whatever the batch and pair-chunk
+    lengths."""
+
+    @staticmethod
+    def spy_batches(monkeypatch):
+        # the surface count of every `_delta_values` call, the observed one first
+        sizes, real = [], inference._delta_values
+
+        def spy(geom, scenario, terms):
+            sizes.append(len(terms[0]))
+            return real(geom, scenario, terms)
+
+        monkeypatch.setattr(inference, "_delta_values", spy)
+        return sizes
+
+    @staticmethod
+    def set_batch(monkeypatch, geom, batch):
+        # random_labelling_test batches 2 * _CHUNK // (stored pairs + bins)
+        # permutations
+        entries = geom.I.size + (R_GRID.size + 1) * (T_GRID.size + 1)
+        monkeypatch.setattr(inference, "_CHUNK", -(-batch * entries // 2))
+
+    @pytest.mark.parametrize("n_perm, batch, chunk, sizes", [
+        (1, None, None, [1, 1]),
+        (10, 4, None, [1, 4, 4, 2]),
+        (7, 3, 5, [1, 3, 3, 1]),
+    ], ids=["one", "batches-4-4-2", "batches-3-3-1-chunk5"])
+    @pytest.mark.parametrize("builder, rebuild", [(const_weights, False), (mark_weights, True)],
+                             ids=["fixed-weights", "mark-dependent"])
+    @pytest.mark.parametrize("erosion", ["per-cell", "fixed"])
+    @pytest.mark.parametrize("scenario", ["S1", "S2", "S3", "S4"])
+    def test_band_equals_per_permutation_oracle(self, monkeypatch, scenario, erosion,
+                                                builder, rebuild, n_perm, batch, chunk,
+                                                sizes):
+        p = uniform_pattern(80, seed=88)
+        geom = pair_geometry(p, R_GRID, T_GRID, erosion=erosion)
+        w_obs = builder(p)
+        want = []
+        for child in np.random.SeedSequence(31).spawn(n_perm):
+            q = permute_marks(p, seed=child)
+            want.append(delta_surface(q, C_HALF, D_HALF, weights=builder(q) if rebuild else w_obs,
+                                      scenario=scenario, geometry=geom).values)
+        want = np.stack(want)
+        assert np.any(want != 0.0)
+        observed = delta_surface(p, C_HALF, D_HALF, weights=w_obs, scenario=scenario,
+                                 geometry=geom)
+        if batch is not None:
+            self.set_batch(monkeypatch, geom, batch)
+        if chunk is not None:
+            monkeypatch.setattr(second_order, "_CHUNK", chunk)
+        got = self.spy_batches(monkeypatch)
+        env = random_labelling_test(p, C_HALF, D_HALF, R_GRID, T_GRID, weights_builder=builder,
+                                    n_perm=n_perm, rank="minmax", scenario=scenario,
+                                    erosion=erosion, seed=31, rebuild_weights=rebuild)
+        assert got == sizes
+        assert env.observed.values.tobytes() == observed.values.tobytes()
+        assert env.lower.tobytes() == want.min(axis=0).tobytes()
+        assert env.upper.tobytes() == want.max(axis=0).tobytes()
+
+    def test_thread_count_does_not_change_results(self, monkeypatch):
+        p = uniform_pattern(60, seed=89)
+        self.set_batch(monkeypatch, pair_geometry(p, R_GRID, T_GRID), 4)
+        got = self.spy_batches(monkeypatch)
+        runs = [random_labelling_test(p, C_HALF, D_HALF, R_GRID, T_GRID,
+                                      weights_builder=mark_weights, n_perm=11, seed=32,
+                                      threads=threads)
+                for threads in (1, 2, 3)]
+        assert got == [1, 4, 4, 3] * 3
+        for env in runs[1:]:
+            assert env.observed.values.tobytes() == runs[0].observed.values.tobytes()
+            for name in ("lower", "upper", "exceeds"):
+                assert getattr(env, name).tobytes() == getattr(runs[0], name).tobytes()

@@ -60,3 +60,26 @@ def test_poisson_reference_rejects_bad_arguments(argv):
     with pytest.raises(SystemExit) as exc:
         load_script("run_poisson_reference").main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("run_random_labelling", ["--n-perm", "0"]),
+    ("run_random_labelling", ["--grid", "0"]),
+    ("run_random_labelling", ["--seed", "-1"]),
+    ("run_marking_diagnostics", ["--n-sim", "2.5"]),
+    ("run_marking_diagnostics", ["--grid", "-3"]),
+    ("run_poisson_reference", ["--reps", "two"]),
+], ids=["n-perm-0", "grid-0", "seed-negative", "n-sim-2.5", "grid-negative", "reps-two"])
+def test_bad_flags_exit_2_before_any_simulation(monkeypatch, capsys, name, argv):
+    module = load_script(name)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a simulation started before the flags were checked")
+
+    for attr in ("simulate_preset", "sim_poisson"):
+        if hasattr(module, attr):
+            monkeypatch.setattr(module, attr, no_work)
+    with pytest.raises(SystemExit) as exc:
+        module.main(argv)
+    assert exc.value.code == 2
+    assert argv[0] in capsys.readouterr().err

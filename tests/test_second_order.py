@@ -732,6 +732,16 @@ class TestEngineInvariances:
          "finite"),
         (lambda p, w: k_smoothed(p, C_HALF, D_HALF, np.array([np.nan, 0.1]), T_GRID,
                                  lambda q, keep: w), "finite"),
+        (lambda p, w: k_smoothed(p, C_HALF, D_HALF, R_GRID, T_GRID,
+                                 lambda q, keep: w, threads=0), "thread"),
+        (lambda p, w: k_smoothed(p, C_HALF, D_HALF, R_GRID, T_GRID,
+                                 lambda q, keep: w, threads=2.5), "thread"),
+        (lambda p, w: k_smoothed(p, C_HALF, D_HALF, R_GRID, T_GRID,
+                                 lambda q, keep: w, n=2.5), "thinning"),
+        (lambda p, w: k_smoothed(p, C_HALF, D_HALF, R_GRID, T_GRID,
+                                 lambda q, keep: w, n=True), "thinning"),
+        (lambda p, w: k_smoothed(p, C_HALF, D_HALF, R_GRID, T_GRID,
+                                 lambda q, keep: w, seed=-1), "seed"),
     ], ids=["inhom-weights", "inhom-lam_ground", "inhom-zero-mass", "inhom-scenario",
             "directional-weights", "directional-lam_ground", "directional-zero-mass",
             "ground-scenario", "cross-labels", "stationary-unmarked",
@@ -739,7 +749,9 @@ class TestEngineInvariances:
             "smoothed-scenario", "inhom-lam-length", "inhom-lam_ground-length",
             "ground-length", "cross-length", "measure-length", "measure-weights",
             "measure-zero-mass", "smoothed-erosion", "smoothed-grid", "smoothed-window",
-            "inhom-nan-grid", "inhom-inf-grid", "smoothed-nan-grid"])
+            "inhom-nan-grid", "inhom-inf-grid", "smoothed-nan-grid",
+            "smoothed-threads-0", "smoothed-threads-2.5", "smoothed-n-2.5",
+            "smoothed-n-bool", "smoothed-seed"])
     def test_bad_arguments_fail_before_any_work(self, small_marked, monkeypatch,
                                                 call, match):
         def no_work(*args, **kw):
