@@ -50,6 +50,7 @@ from .second_order import (
     _mark_sets,
     _marked_terms,
     _norm_scenario,
+    _pool,
     _replicates,
     _stacked,
     k_inhom,
@@ -186,7 +187,8 @@ def envelopes(observed_stat, simulator, n_sim, rank="minmax", alpha=0.05,
         except Exception as e:  # propagate with replicate index per contract
             raise RuntimeError(f"simulator failed at replicate {i}: {e}") from e
 
-    stack = np.stack(_replicates(run, children, threads))
+    with _pool(threads) as pool:
+        stack = np.stack(_replicates(run, children, pool))
     obs = _stat_values(observed_stat)
     if stack.shape[1:] != obs.shape:
         raise ValueError("simulated statistic shape differs from observed")
@@ -354,9 +356,10 @@ def random_labelling_test(p, C, D, r_grid=None, t_grid=None, weights_builder=Non
     R, T = geom.shape
     batch = max(1, 2 * _CHUNK // (geom.I.size + (R + 1) * (T + 1)))
     stack = np.empty((n_perm, *geom.shape))
-    for first in range(0, n_perm, batch):
-        batch_terms = _replicates(terms, children[first:first + batch], threads)
-        stack[first:first + batch] = _delta_values(geom, scenario, _stacked(batch_terms))
+    with _pool(threads) as pool:  # one pool for every batch
+        for first in range(0, n_perm, batch):
+            batch_terms = _replicates(terms, children[first:first + batch], pool)
+            stack[first:first + batch] = _delta_values(geom, scenario, _stacked(batch_terms))
     env = _envelope(observed, stack, rank, alpha, "mark-permutation", seed=str(seed),
                     scenario=scenario,
                     weights_mode="rebuilt" if rebuild_weights else "fixed")

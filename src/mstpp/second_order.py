@@ -67,15 +67,20 @@ the cells, a_r <= b_r and a_t <= b_t. One sort of the keys I * n + J
 inside each block then finishes the order. The keys are distinct, so this
 order does not depend on the order in which the pieces arrived.
 
-A stored pair holds its first- and second-point indices as int32 and its
-first lag cells (a_r, a_t), the rectangle's low corner, as the smallest
-unsigned type that holds the cell counts (uint8 up to 255 cells per
-axis): 10 bytes per pair that can contribute. The high corner comes from
+A stored pair holds its first- and second-point indices as uint16 up to
+65,536 points (int32 above), and its first lag cells (a_r, a_t), the
+rectangle's low corner, as the smallest unsigned type that holds the cell
+counts (uint8 up to 255 cells per axis). Up to 65,536 points and 255
+cells per axis, that is 6 bytes per pair that can contribute. The indices
+are gathered by and divided by `_BLOCK`, and every sum or product with
+one is taken in intp or int64: under numpy's promotion rules uint16
+times a Python int stays uint16 and wraps. The high corner comes from
 the first point's erosion limits, so the geometry keeps it once per
 point, as (b_r + 1)(T + 1), b_t + 1 and their sum. Building it holds the
-unordered pieces (10 bytes per pair kept either way), the output arrays,
-one query's candidates and one chunk's temporaries. The stored arrays
-equal those of a plain scan over all ordered pairs (`tests/oracles.py`).
+unordered pieces (as many bytes per pair kept either way as a stored
+pair), the output arrays, one query's candidates and one chunk's
+temporaries. The stored arrays equal those of a plain scan over all
+ordered pairs (`tests/oracles.py`).
 
 `_k_values` sums S surfaces at once, each with its own mark masks and
 reciprocal intensities: one for a K estimate, a batch of permutations'
@@ -83,7 +88,8 @@ CD and DC numerators for the random-labelling test. It runs over `_CHUNK`
 stored pairs at a time. Each chunk keeps, for each surface, only its
 pairs with mC[I] mD[J] != 0 (and, for the directional statistic, inside
 the cone), surface by surface and each in pair order, and builds their
-weights 1/lam[I] * 1/lam[J] once. It then adds the weights into the
+weights 1/lam[I] * 1/lam[J] once; a single surface builds no per-entry
+surface numbers or bin offsets. It then adds the weights into the
 difference array with `np.add.at` at every chunk's first corners, then
 `np.subtract.at` at every chunk's second and third, then `np.add.at` at
 every chunk's fourth, each in entry order: corner-major across all chunks.
@@ -111,6 +117,7 @@ import math
 import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -314,8 +321,9 @@ class BoxUnionSet:
 class PairGeometry:
     r_grid: np.ndarray
     t_grid: np.ndarray
-    I: np.ndarray            # first-point indices (int32) of the stored pairs, sorted by (I, J)
-    J: np.ndarray            # second-point indices (int32)
+    I: np.ndarray            # first-point indices of the stored pairs, sorted by (I, J);
+                             # uint16 up to 65,536 points, int32 above (`_index_type`)
+    J: np.ndarray            # second-point indices, of the same type
     a_r: np.ndarray          # first r-cell of each stored pair's nonempty rectangle
     a_t: np.ndarray          # first t-cell; both np.min_scalar_type(max(R, T))
     pt_b_r: np.ndarray       # last r-cell where each point stays eroded-in
@@ -349,6 +357,12 @@ _CHUNK = 1 << 16
 _MAX_BINS = np.iinfo(np.int32).max
 
 
+def _index_type(n):
+    """The type of the point indices a geometry of ``n`` points stores:
+    uint16 up to 65,536 points, int32 above (see the module notes)."""
+    return np.uint16 if n <= 1 << 16 else np.int32
+
+
 def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t):
     """The ordered pairs whose rectangle of lag cells is nonempty, in (I, J)
     order, with the first cells (a_r, a_t) of that rectangle.
@@ -375,6 +389,7 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t):
     reach_r = np.where(pt_b_r >= 0, r_grid[pt_b_r], -1.0)
     reach_t = np.where(pt_b_t >= 0, t_grid[pt_b_t], -1.0)
     cell = np.min_scalar_type(max(r_grid.size, t_grid.size))
+    index = _index_type(n)
     n_blocks = -(-n // _BLOCK)
     block = np.min_scalar_type(n_blocks)
 
@@ -431,7 +446,7 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t):
             counts += np.bincount(a[fwd] // _BLOCK, minlength=n_blocks)
             counts += np.bincount(b[back] // _BLOCK, minlength=n_blocks)
             keep = np.flatnonzero(fwd | back)
-            pieces.append((np.take(a, keep).astype(np.int32), np.take(b, keep).astype(np.int32),
+            pieces.append((np.take(a, keep).astype(index), np.take(b, keep).astype(index),
                            np.searchsorted(r_grid, ds[keep], side="left").astype(cell),
                            np.searchsorted(t_grid, du[keep], side="left").astype(cell)))
 
@@ -441,7 +456,7 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t):
     # restores (I, J) order
     ends = np.cumsum(counts)
     cursor = ends - counts
-    stored = [np.empty(int(counts.sum()), dtype) for dtype in (np.int32, np.int32, cell, cell)]
+    stored = [np.empty(int(counts.sum()), dtype) for dtype in (index, index, cell, cell)]
     while pieces:
         a, b, a_r, a_t = pieces.pop()
         fwd = (a_r <= np.take(pt_b_r, a)) & (a_t <= np.take(pt_b_t, a))
@@ -449,7 +464,7 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t):
         piece = (np.concatenate([a[fwd], b[back]]), np.concatenate([b[fwd], a[back]]),
                  np.concatenate([a_r[fwd], a_r[back]]), np.concatenate([a_t[fwd], a_t[back]]))
         # block ids in the smallest unsigned type: numpy's stable argsort
-        # sorts 8- and 16-bit keys by radix
+        # sorts 8- and 16-bit keys by radix (a quotient cannot wrap)
         ids = (piece[0] // _BLOCK).astype(block)
         here = np.bincount(ids, minlength=n_blocks)
         # each pair's rank in the piece's stable order by block, moved to
@@ -603,24 +618,32 @@ def _k_values(geom, inv, mC, mD, denom, pair_test=None):
     in_C, in_D = np.ascontiguousarray((mC != 0).T), np.ascontiguousarray((mD != 0).T)
     inv = inv.ravel()
     chunks = []
-    # np.take: gathers by int32 indices are several times slower through
-    # fancy indexing, which first converts the indices to intp
+    # np.take: gathers by uint16 or int32 indices are several times slower
+    # through fancy indexing, which first converts the indices to intp
     for start in range(0, geom.I.size, _CHUNK):
         stop = start + _CHUNK
         I, J = geom.I[start:stop], geom.J[start:stop]
         # row s: the C-first, D-second pairs of surface s
         sel = np.ascontiguousarray((np.take(in_C, I, axis=0) & np.take(in_D, J, axis=0)).T)
-        # the selected entries' surfaces and pairs, surface-major, each in pair order
-        s = np.repeat(np.arange(S), np.count_nonzero(sel, axis=1))
-        k = np.flatnonzero(sel) - s * I.size
+        # the selected entries' pairs, surface-major, each in pair order; a
+        # single surface needs no array of their surfaces
+        k = np.flatnonzero(sel)
+        if S > 1:
+            s = np.repeat(np.arange(S), np.count_nonzero(sel, axis=1))
+            k -= s * I.size
         I, J = np.take(I, k), np.take(J, k)
         if pair_test is not None:
             hit = np.flatnonzero(pair_test(I, J))
-            s, k, I, J = (np.take(v, hit) for v in (s, k, I, J))
-        row = s * n
-        chunks.append((np.take(inv, row + I) * np.take(inv, row + J), I,
-                       np.take(geom.a_r[start:stop], k), np.take(geom.a_t[start:stop], k),
-                       s * ((R + 1) * (T + 1)) if S > 1 else 0))
+            k, I, J = (np.take(v, hit) for v in (k, I, J))
+            if S > 1:
+                s = np.take(s, hit)
+        if S > 1:
+            row = s * n  # intp, so row + I is too
+            w, off = np.take(inv, row + I) * np.take(inv, row + J), s * ((R + 1) * (T + 1))
+        else:
+            w, off = np.take(inv, I) * np.take(inv, J), 0
+        chunks.append((w, I, np.take(geom.a_r[start:stop], k), np.take(geom.a_t[start:stop], k),
+                       off))
     num = _sum_rects(geom, S, chunks)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where((num == 0) | (denom == 0), 0.0, num / denom)
@@ -834,12 +857,18 @@ def _children(seed, n, what):
     return root.spawn(n)
 
 
-def _replicates(fn, children, threads):
-    """[fn(i, children[i]) for each i]; run on a thread pool when
-    threads > 1, in index order either way."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(len(children)), children))
+def _pool(threads):
+    """A context holding a pool of ``threads`` workers for `_replicates`,
+    or None (run in the caller's thread) when threads is 1. One pool serves
+    every `_replicates` call made inside it."""
+    return ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
+
+
+def _replicates(fn, children, pool):
+    """[fn(i, children[i]) for each i]; run on ``pool`` unless it is None,
+    in index order either way."""
+    if pool is not None:
+        return list(pool.map(fn, range(len(children)), children))
     return [fn(i, child) for i, child in enumerate(children)]
 
 
@@ -1092,7 +1121,8 @@ def k_smoothed(p, C=None, D=None, r_grid=None, t_grid=None, weights_builder=None
                        erosion=erosion, symmetrize=symmetrize)
         return surf.values, w.floor_hits
 
-    results = _replicates(one, children, threads)
+    with _pool(threads) as pool:
+        results = _replicates(one, children, pool)
     degenerate = sum(1 for v in results if v is None)
     floor_hits = sum(v[1] for v in results if v is not None)
     surfaces = [np.zeros(shape) if v is None else v[0] for v in results]

@@ -585,3 +585,21 @@ class TestBatchedPermutations:
             assert env.observed.values.tobytes() == runs[0].observed.values.tobytes()
             for name in ("lower", "upper", "exceeds"):
                 assert getattr(env, name).tobytes() == getattr(runs[0], name).tobytes()
+
+    def test_one_thread_pool_serves_every_batch(self, monkeypatch):
+        p = uniform_pattern(60, seed=89)
+        self.set_batch(monkeypatch, pair_geometry(p, R_GRID, T_GRID), 4)
+        got = self.spy_batches(monkeypatch)
+        pools, real = [], second_order.ThreadPoolExecutor
+
+        def counting(max_workers):
+            pools.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(second_order, "ThreadPoolExecutor", counting)
+        for threads in (1, 2):
+            random_labelling_test(p, C_HALF, D_HALF, R_GRID, T_GRID,
+                                  weights_builder=mark_weights, n_perm=11, seed=32,
+                                  threads=threads)
+        assert got == [1, 4, 4, 3] * 2
+        assert pools == [2]

@@ -228,11 +228,12 @@ def pair_case(case):
 
 def assert_matches_oracle(geom, full):
     """A geometry stores exactly the oracle's pairs with nonempty
-    rectangles, in its (I, J) order, with their first lag cells in the
-    smallest unsigned type that holds the cell counts, and the same
-    per-point arrays."""
+    rectangles, in its (I, J) order, with their point indices as uint16 up
+    to 65,536 points (int32 above), their first lag cells in the smallest
+    unsigned type that holds the cell counts, and the same per-point
+    arrays."""
     valid = full.pair_corners[0]
-    assert geom.I.dtype == geom.J.dtype == np.int32
+    assert geom.I.dtype == geom.J.dtype == (np.uint16 if full.pt_b_r.size <= 65536 else np.int32)
     assert geom.a_r.dtype == geom.a_t.dtype == np.min_scalar_type(max(full.shape))
     assert np.array_equal(geom.I, full.I[valid])
     assert np.array_equal(geom.J, full.J[valid])
@@ -501,20 +502,60 @@ class TestPairMemory:
         assert peak < 32e6
 
     def test_surface_peak_is_bounded_by_the_geometry(self):
-        # 5000 uniform points: 789k stored pairs, 7.9 MB of pair arrays.
-        # The surface step keeps 14 bytes per pair its mark sets select
-        # (weight, first point and first cells) and one chunk's
-        # temporaries: about 0.45x the pair arrays for C = label 1,
-        # D = label 2 and 1.6x for the ground statistic, which keeps every
-        # pair. Pair-length float64 weights and masks would reach 2.4x.
+        # 5000 uniform points: 789k stored pairs, 4.7 MB of pair arrays
+        # (6 bytes each: uint16 I and J, uint8 first cells). The surface
+        # step keeps 12 bytes per pair its mark sets select (weight, first
+        # point and first cells) and one chunk's temporaries: about 4.5
+        # bytes per stored pair for C = label 1, D = label 2 and 16 for the
+        # ground statistic, which keeps every pair. Pair-length float64
+        # weights and masks would reach 24.
         p = uniform_pattern(5000, seed=71, marks="labels")
         geom = pair_geometry(p, *default_lag_grids(p.window))
         stored = sum(a.nbytes for a in (geom.I, geom.J, geom.a_r, geom.a_t))
-        assert stored == 10 * geom.I.size
+        assert stored == 6 * geom.I.size
         w = Weights(lam=np.full(p.n, 5000.0), lam_ground=np.full(p.n, 5000.0))
         C, D = LabelSet([1]), LabelSet([2])
-        assert _traced_peak(lambda: k_inhom(p, C, D, weights=w, geometry=geom)) < 0.75 * stored
-        assert _traced_peak(lambda: k_ground(p, weights=w, geometry=geom)) < 2.0 * stored
+        peak = _traced_peak(lambda: k_inhom(p, C, D, weights=w, geometry=geom))
+        assert peak < 7.5 * geom.I.size
+        assert _traced_peak(lambda: k_ground(p, weights=w, geometry=geom)) < 20 * geom.I.size
+
+    def test_build_peak_per_stored_pair(self):
+        # the same 789k stored pairs: the build holds the unordered pieces
+        # and the output arrays at 6 bytes per pair, plus one query's
+        # candidates and one chunk's temporaries, about 13 bytes per stored
+        # pair in all; int32 indices (10 bytes per pair) take about 20
+        p = uniform_pattern(5000, seed=71, marks="labels")
+        grids = default_lag_grids(p.window)
+        size = []
+        peak = _traced_peak(lambda: size.append(pair_geometry(p, *grids).I.size))
+        assert size[0] > 700_000
+        assert peak < 16 * size[0]
+
+
+def _line(n):
+    """n points a unit apart on a line, at one time: with r_grid [1.5] and
+    t_grid [0.25] only neighbours are within the lags, and every point but
+    the two ends is eroded-in."""
+    window = Window(spatial=((0.0, float(n)),), temporal=(0.0, 1.0))
+    x = (np.arange(n) + 0.5)[:, None]
+    return pattern_from_arrays(x, np.full(n, 0.5), None, window, None)
+
+
+class TestIndexType:
+    @pytest.mark.parametrize("n, dtype", [(65536, np.uint16), (65537, np.int32)])
+    def test_switches_above_65536_points(self, n, dtype):
+        p = _line(n)
+        geom = pair_geometry(p, [1.5], [0.25])
+        assert geom.I.dtype == geom.J.dtype == dtype
+        # point i (1 <= i <= n - 2) starts the pairs (i, i - 1), (i, i + 1)
+        first = np.arange(1, n - 1)
+        assert np.array_equal(geom.I, np.repeat(first, 2))
+        assert np.array_equal(geom.J, np.stack([first - 1, first + 1], axis=1).ravel())
+        assert geom.J[-1] == n - 1
+        assert not geom.a_r.any() and not geom.a_t.any()
+        # 2 (n - 2) unit-weight pairs over the eroded window (n - 3) x 0.5
+        k = k_ground(p, weights=Weights(lam_ground=np.ones(n)), geometry=geom).values
+        assert k[0, 0] == pytest.approx(2 * (n - 2) / ((n - 3) * 0.5), rel=1e-12)
 
 
 class TestAgainstOracle:
