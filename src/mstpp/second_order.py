@@ -67,6 +67,32 @@ the cells, a_r <= b_r and a_t <= b_t. One sort of the keys I * n + J
 inside each block then finishes the order. The keys are distinct, so this
 order does not depend on the order in which the pieces arrived.
 
+A lag's first cell, np.searchsorted(grid, lag, side="left"), is looked up
+in a table (`_cell_lookup`) of `_BUCKETS` buckets per cell over
+[0, grid[-1]], held in the cell type. The entry of the lag's bucket, the
+first cell of the bucket's low edge, is a first guess c; one step up
+(when grid[c] < lag) and then one step down (when grid[c - 1] >= lag)
+correct it. The result is exact on any strictly increasing grid: every
+lag is then tested against the two inequalities that define its cell,
+grid[c - 1] < lag <= grid[c] (with -inf and +inf past the ends), and the
+lags that fail go through np.searchsorted. When every gap of the grid is
+wider than a bucket, a bucket holds at most one grid value, so a lag is
+at most one cell above its guess. The edges and the bucket index are
+both rounded, so a lag within a few ulps of an edge can be binned on the
+wrong side of it, and its guess can then be one cell too high: on a
+uniform grid the edges fall on the grid values, so a lag equal to a grid
+value can need the down step. So no lag of a near-uniform grid reaches
+the binary search. That search costs 30-40 ns per lag when the lags
+spread over the cells (less when they crowd into a few, as its branches
+then predict well); the table costs about 15-20.
+
+Subsets are selected by index arrays (np.flatnonzero, then np.take), not
+by boolean masks: with numpy 2.4 a mask selection costs about 6-10 ns
+per element, the index route about 2. np.take is fast by intp and by
+16-bit indices but several times slower by 8-bit ones into wider arrays,
+so the lookup steps and the counting sort's offsets never gather by the
+uint8 cells or block ids.
+
 A stored pair holds its first- and second-point indices as uint16 up to
 65,536 points (int32 above), and its first lag cells (a_r, a_t), the
 rectangle's low corner, as the smallest unsigned type that holds the cell
@@ -355,12 +381,46 @@ _BLOCK = 256
 _CHUNK = 1 << 16
 # the difference array of an R x T grid has (R + 1)(T + 1) bins, int32-indexed
 _MAX_BINS = np.iinfo(np.int32).max
+# the lag-cell lookup's table holds _BUCKETS buckets per cell of a lag grid
+_BUCKETS = 4
 
 
 def _index_type(n):
     """The type of the point indices a geometry of ``n`` points stores:
     uint16 up to 65,536 points, int32 above (see the module notes)."""
     return np.uint16 if n <= 1 << 16 else np.int32
+
+
+def _cell_lookup(grid, cell):
+    """The table `_lag_cells` reads for ``grid``: the first cell of the low
+    edge of each of `_BUCKETS` buckets per cell over [0, grid[-1]], in the
+    cell type ``cell``; the buckets per unit lag; and the grid with -inf
+    before it and +inf after it."""
+    size = _BUCKETS * grid.size
+    step = float(grid[-1]) / size
+    table = np.searchsorted(grid, np.arange(size) * step, side="left").astype(cell)
+    return table, 1.0 / step if step > 0 else 0.0, np.concatenate([[-np.inf], grid, [np.inf]])
+
+
+def _lag_cells(lookup, x):
+    """The first cell of each lag in ``x``, the first grid value at or above
+    it: np.searchsorted(grid, x, side="left"), for the `_cell_lookup` of
+    the grid, in its cell type. The bucket's cell is the first guess; one
+    step up and one down correct it (the module notes say why that is
+    enough on a near-uniform grid), and only the lags still off go
+    through the binary search."""
+    table, scale, padded = lookup
+    below, above = padded[:-1], padded[1:]  # cell c lies between below[c] and above[c]
+    q = x * scale
+    np.clip(q, 0, table.size - 1, out=q)
+    # the steps run in intp: np.take by 8-bit indices into wider arrays is slow
+    c = np.take(table, q.astype(np.intp)).astype(np.intp)
+    c += np.take(above, c) < x
+    c -= np.take(below, c) >= x
+    miss = np.flatnonzero((np.take(above, c) < x) | (np.take(below, c) >= x))
+    if miss.size:
+        c[miss] = np.searchsorted(above[:-1], np.take(x, miss), side="left")
+    return c.astype(table.dtype)
 
 
 def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t):
@@ -377,7 +437,9 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t):
     difference a tree compares is at most the pair's spatial lag or its
     rescaled temporal lag, so every pair the filter keeps is found once
     the radius is padded by a bound on the rounding of the rescaled
-    times."""
+    times. The first cells come from the table lookup `_lag_cells`, equal
+    to np.searchsorted on any grid, and every subset is selected by an
+    index array (the module notes say why both)."""
     from scipy.spatial import cKDTree
 
     n = p.n
@@ -415,19 +477,20 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t):
         # unordered candidate once
         for c, (own, tree) in cells.items():
             ij = tree.query_pairs(radius, p=np.inf, output_type="ndarray")
-            yield own[ij[:, 0]], own[ij[:, 1]]
+            yield np.take(own, ij[:, 0]), np.take(own, ij[:, 1])
             for nb in (c + 1, c + ncol - 1, c + ncol, c + ncol + 1):
                 if nb in cells:
                     other, nb_tree = cells[nb]
                     ij = tree.sparse_distance_matrix(nb_tree, radius, p=np.inf,
                                                      output_type="ndarray")
-                    yield own[ij["i"]], other[ij["j"]]
+                    yield np.take(own, ij["i"]), np.take(other, ij["j"])
 
     # _CHUNK candidates at a time are filtered and binned once, and kept
     # when either orientation's first point reaches them
     pieces = []
     counts = np.zeros(n_blocks, dtype=np.int64)
     axes = [np.ascontiguousarray(p.x[:, d]) for d in range(p.dim)]
+    r_cells, t_cells = _cell_lookup(r_grid, cell), _cell_lookup(t_grid, cell)
     for a_all, b_all in candidates():
         for start in range(0, a_all.size, _CHUNK):
             a, b = a_all[start:start + _CHUNK], b_all[start:start + _CHUNK]
@@ -443,12 +506,12 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t):
             du = np.abs(np.take(p.t, b) - np.take(p.t, a))
             fwd = (ds <= np.take(reach_r, a)) & (du <= np.take(reach_t, a))
             back = (ds <= np.take(reach_r, b)) & (du <= np.take(reach_t, b))
-            counts += np.bincount(a[fwd] // _BLOCK, minlength=n_blocks)
-            counts += np.bincount(b[back] // _BLOCK, minlength=n_blocks)
+            counts += np.bincount(np.take(a, np.flatnonzero(fwd)) // _BLOCK, minlength=n_blocks)
+            counts += np.bincount(np.take(b, np.flatnonzero(back)) // _BLOCK, minlength=n_blocks)
             keep = np.flatnonzero(fwd | back)
             pieces.append((np.take(a, keep).astype(index), np.take(b, keep).astype(index),
-                           np.searchsorted(r_grid, ds[keep], side="left").astype(cell),
-                           np.searchsorted(t_grid, du[keep], side="left").astype(cell)))
+                           _lag_cells(r_cells, np.take(ds, keep)),
+                           _lag_cells(t_cells, np.take(du, keep))))
 
     # a counting sort by block of first points: each piece's orientations
     # whose rectangle is nonempty (the reach test, on the cells) go to
@@ -459,19 +522,20 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t):
     stored = [np.empty(int(counts.sum()), dtype) for dtype in (index, index, cell, cell)]
     while pieces:
         a, b, a_r, a_t = pieces.pop()
-        fwd = (a_r <= np.take(pt_b_r, a)) & (a_t <= np.take(pt_b_t, a))
-        back = (a_r <= np.take(pt_b_r, b)) & (a_t <= np.take(pt_b_t, b))
-        piece = (np.concatenate([a[fwd], b[back]]), np.concatenate([b[fwd], a[back]]),
-                 np.concatenate([a_r[fwd], a_r[back]]), np.concatenate([a_t[fwd], a_t[back]]))
+        fwd = np.flatnonzero((a_r <= np.take(pt_b_r, a)) & (a_t <= np.take(pt_b_t, a)))
+        back = np.flatnonzero((a_r <= np.take(pt_b_r, b)) & (a_t <= np.take(pt_b_t, b)))
+        piece = [np.concatenate([np.take(first, fwd), np.take(second, back)])
+                 for first, second in ((a, b), (b, a), (a_r, a_r), (a_t, a_t))]
         # block ids in the smallest unsigned type: numpy's stable argsort
         # sorts 8- and 16-bit keys by radix (a quotient cannot wrap)
         ids = (piece[0] // _BLOCK).astype(block)
         here = np.bincount(ids, minlength=n_blocks)
         # each pair's rank in the piece's stable order by block, moved to
-        # its block's next free slot
+        # its block's next free slot (the offsets repeated over the blocks'
+        # runs: np.take by the uint8 ids would be slow)
         dest = np.empty(ids.size, dtype=np.intp)
-        dest[np.argsort(ids, kind="stable")] = np.arange(ids.size)
-        dest += np.take(cursor - (np.cumsum(here) - here), ids)
+        dest[np.argsort(ids, kind="stable")] = (np.arange(ids.size)
+                                               + np.repeat(cursor - (np.cumsum(here) - here), here))
         cursor += here
         for out, values in zip(stored, piece):
             out[dest] = values
@@ -988,8 +1052,9 @@ def k_measure_hat(p, C, D, E, weights, return_report=False):
     terms = [np.empty(0)]
     for start in range(0, geom.I.size, _CHUNK):
         I, J = geom.I[start:start + _CHUNK], geom.J[start:start + _CHUNK]
-        keep = (mC[I] > 0) & (mD[J] > 0) & E.contains_lag(p.x[J] - p.x[I], p.t[J] - p.t[I])
-        terms.append(inv[I[keep]] * inv[J[keep]])
+        keep = np.flatnonzero((np.take(mC, I) > 0) & (np.take(mD, J) > 0) & E.contains_lag(
+            np.take(p.x, J, axis=0) - np.take(p.x, I, axis=0), np.take(p.t, J) - np.take(p.t, I)))
+        terms.append(np.take(inv, np.take(I, keep)) * np.take(inv, np.take(J, keep)))
     # one sum over all chunks' terms, so the total is independent of _CHUNK
     total = float(np.sum(np.concatenate(terms)))
     denom = eroded.spatial_volume * eroded.temporal_length * nu_C * nu_D

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kv as _bessel_kv
 
 from .geometry import Window
 from .pattern import ContinuousMarks, LabelMarks, MarkedPattern
@@ -98,13 +97,17 @@ class WhittleMatern:
         elif self.nu == 2.5:
             out = (1.0 + ch + ch * ch / 3.0) * np.exp(-ch)
         else:
+            # imported here: every preset uses a closed form, and importing
+            # scipy.special takes most of the library's import time
+            from scipy.special import kv
+
             out = np.ones_like(ch)
             pos = ch > 0
             chp = ch[pos]
             out[pos] = (
                 (2.0 ** (1.0 - self.nu) / math.gamma(self.nu))
                 * chp**self.nu
-                * _bessel_kv(self.nu, chp)
+                * kv(self.nu, chp)
             )
         return self.sigma2 * out
 

@@ -558,6 +558,62 @@ class TestIndexType:
         assert k[0, 0] == pytest.approx(2 * (n - 2) / ((n - 3) * 0.5), rel=1e-12)
 
 
+def _clustered_grid():
+    """Three grid values one ulp apart, between a zero and a far last value:
+    a bucket of the lookup table holds all three."""
+    close = [0.1]
+    for _ in range(2):
+        close.append(np.nextafter(close[-1], 1.0))
+    return np.array([0.0, *close, 0.25])
+
+
+# the default grid, CLI-style grids (r_max k / n, k = 1..n) on both sides of
+# the uint8 / uint16 cell switch, a geometric grid, a single zero lag and a
+# clustered grid
+LOOKUP_GRIDS = {
+    "default": default_lag_grids(UNIT)[0],
+    **{f"cli{n}": 0.25 * np.arange(1, n + 1) / n for n in (1, 7, 255, 256, 300)},
+    "geometric": np.geomspace(1e-6, 0.25, 20),
+    "zero": np.array([0.0]),
+    "clustered": _clustered_grid(),
+}
+UNIFORM_GRIDS = ["default", "cli1", "cli7", "cli255", "cli256", "cli300"]
+
+
+def _lookup_lags(grid):
+    """0, every grid value and its two float neighbours, and random lags up
+    to the last grid value."""
+    rng = np.random.default_rng(grid.size)
+    near = [grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf)]
+    return np.concatenate([[0.0], *near, rng.uniform(0.0, grid[-1], 20_000)])
+
+
+class TestLagCells:
+    @pytest.mark.parametrize("name", LOOKUP_GRIDS)
+    def test_matches_binary_search(self, name):
+        grid = LOOKUP_GRIDS[name]
+        cell = np.min_scalar_type(grid.size)
+        lags = _lookup_lags(grid)
+        got = second_order._lag_cells(second_order._cell_lookup(grid, cell), lags)
+        assert got.dtype == cell
+        assert np.array_equal(got, np.searchsorted(grid, lags, side="left"))
+
+    @pytest.mark.parametrize("name", UNIFORM_GRIDS)
+    def test_uniform_grids_need_no_binary_search(self, monkeypatch, name):
+        # the first guess and its steps up and down resolve every lag;
+        # the lags on and beside the grid values need the down step
+        grid = LOOKUP_GRIDS[name]
+        lookup = second_order._cell_lookup(grid, np.min_scalar_type(grid.size))
+        lags = _lookup_lags(grid)
+        want = np.searchsorted(grid, lags, side="left")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a lag went through the binary search")
+
+        monkeypatch.setattr(np, "searchsorted", refuse)
+        assert np.array_equal(second_order._lag_cells(lookup, lags), want)
+
+
 class TestAgainstOracle:
     def test_marked_scenarios_and_erosions(self, small_marked):
         p = small_marked

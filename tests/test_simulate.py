@@ -99,6 +99,23 @@ class TestPoisson:
         assert np.array_equal(a.x, b.x) and np.array_equal(a.t, b.t)
 
 
+class TestWhittleMatern:
+    # every preset uses nu = 0.5: only these reach the Bessel form
+    def test_bessel_form_at_nu_1(self):
+        cov = WhittleMatern(2.0, 1.0, 1.0)
+        values = cov.value(np.array([0.0, 1.0]))
+        assert values[0] == 2.0
+        # sigma2 (c h) K_1(c h) at c h = 1, K_1(1) = 0.6019072301972346
+        assert values[1] == pytest.approx(2.0 * 0.6019072301972346, rel=1e-12)
+
+    @pytest.mark.parametrize("dnu", [-1e-9, 1e-9])
+    def test_bessel_form_meets_the_closed_form_at_nu_1_5(self, dnu):
+        h = np.linspace(0.0, 3.0, 61)
+        closed = WhittleMatern(2.0, 1.5, 3.0).value(h)
+        np.testing.assert_allclose(WhittleMatern(2.0, 1.5 + dnu, 3.0).value(h), closed,
+                                   rtol=1e-8, atol=0.0)
+
+
 class TestGaussianField:
     cov = SeparableCovariance(WhittleMatern(SIGMA2, 0.5, 1.0), Constant(1.0))
 
