@@ -27,40 +27,64 @@ space-time(-mark) grid, the separable spatial and time-mark factors on
 theirs. The exact 1-D and label cells share the own-point value, and
 their integral is the point count.
 
-The search is exact but pruned. Each chunk of query rows is cut into small
-tiles of nearby rows (Z-order over the chunk's bounding box). For every
-generator, the metric is bounded from below at the tile box's nearest
-point (each coordinate clamped to the box) and from above at its farthest
-corner, with the same per-group sums, maximum and mark join as the
-metric itself. Only generators whose lower bound is <= the smallest upper
-bound are searched, in increasing index order, by the same first-
-occurrence argmin as a search over all generators. This is exact in
-floating point, not only in exact arithmetic: subtraction, squaring,
-summation, maximum, square root and addition are all monotone under
-rounding, so the computed distance from any row of the tile to a
-generator lies between that generator's computed bounds. A generator
-left out therefore lies strictly farther from every row than the
-generator with the smallest upper bound, so it can neither be the nearest
-nor tie with it. The distances that are computed are the same operations
-on the same operands as in a full search, labels are written back in node
-order, and every reduction adds in node order, so results are
-bit-identical to comparing every node with every generator. Under a mark
-axis each chunk is tiled and its space part bounded once; each mark node
-then only joins its mark distance to those bounds.
+The search is exact but pruned, in two forms that share one candidate
+and argmin kernel. A grid is given by its 1-d axes: its nodes are their
+product in mesh order (the last axis varies fastest) and are never
+materialised. ``_sweep`` cuts the lattice into boxes of about ``_BOX``
+nodes, a run of consecutive nodes along each axis (the last run ragged,
+padded by repeating its final node). Scattered query rows (``value_at``,
+the label cells) go through ``_nearest``, which cuts each chunk of rows
+into tiles of about ``_TILE`` nearby rows (Z-order over the chunk's
+bounding box). For every generator, the metric is bounded from below at
+the box's nearest point (each coordinate clamped to the box) and from
+above at its farthest corner, with the same per-group sums, maximum and
+mark join as the metric itself; a lattice box spans, per axis, the min to
+the max of its nodes' values, which need not be sorted (empirical mark
+atoms come in first-occurrence order). Only generators whose lower bound
+is <= the box's smallest upper bound are searched, in increasing index
+order, by the same first-occurrence argmin as a search over all
+generators. This is exact in floating point, not only in exact
+arithmetic: subtraction, squaring, summation, maximum, square root and
+addition are all monotone under rounding, so the computed distance from
+any node of the box to a generator lies between that generator's computed
+bounds. A generator left out therefore lies strictly farther from every
+node than the generator with the smallest upper bound, so it can neither
+be the nearest nor tie with it.
+
+The distances that are computed are the full search's values, bit for
+bit. On a lattice each axis holds, per generator, the term of every node
+(the squared difference, or the absolute one for a mark added to the
+space part) and of every box's nearest and farthest point, so a bound or
+a distance combines one table entry per axis by broadcasting: the squares
+are added within a group in column order, and the maximum is taken over
+the groups. Under "add" each group's square is rooted and the mark term
+added before that maximum; rooting and adding are monotone, so they
+commute with the maximum exactly. Labels are written back in node order,
+and every reduction adds in node order: the build and the audit get one
+block of every node without a mark axis, and a block of ``chunk`` nodes
+in mesh order for each mark node (chunks outer) with one. So results are
+bit-identical to comparing every node with every generator. Bounds are
+formed for blocks of boxes of about ``_BOUNDS`` box-generator pairs,
+distances in batches of about ``_BATCH`` row-candidate pairs, and a sweep
+with a mark axis holds labels for one slab of boxes (whole box rows along
+the first axis) at a time. Under a mark axis each block's space part is
+bounded once; each mark node then only joins its mark term to those
+bounds.
 
 Two more cuts are exact for the same reasons. First, a mark node of a sweep
 bounds only the generators whose mark term alone (the squared mark
 difference under max, the difference under addition) is at most ``cut``:
-the largest, over the chunk's tiles, of the joined upper bound of the
+the largest, over the block's boxes, of the joined upper bound of the
 generator nearest in mark (the lowest index among ties). The space part is
 >= 0 and joining is monotone, so a generator left out has a joined lower
-bound above ``cut``, hence above every tile's smallest upper bound; that
+bound above ``cut``, hence above every box's smallest upper bound; that
 smallest upper bound is at least its own generator's mark term, so it is
 reached among the generators kept, which stay in index order. Candidates,
 their order and the argmin are unchanged. When every generator is kept,
 as for most label axes and for mark nodes among the observed marks, no
-copy is made. Second, a
-tile with a single candidate takes it as every row's label without
+copy is made; when only the generator nearest in mark is kept, as for mark
+nodes far from every observed mark, it is every node's label. Second, a
+box with a single candidate takes it as every node's label without
 computing a distance: the generator of the smallest upper bound is always
 a candidate, so a sole candidate is that nearest generator.
 
@@ -108,8 +132,17 @@ INTENSITY_FLOOR = 1e-12
 # offset fraction for the independent mass-audit grid (any fixed value
 # away from the build grid's 0.5 works; this one is (3 - sqrt(5))/2)
 AUDIT_OFFSET = 0.3819660112501051
-# query rows per tile of the pruned nearest-generator search
+# query rows per Z-order tile, and nodes per lattice box, of the pruned
+# nearest-generator search. Every box's bounds are formed again for each
+# mark node, so boxes pay off larger than tiles: on the refined lgcp-geostat
+# marked grid (96^3 nodes x 28 mark nodes, 461 generators, 2-vCPU VM) a build
+# took about 0.6 s with boxes of 7^3 or 8^3 nodes, 0.9 s with 4^3 and 10^3
 _TILE = 64
+_BOX = 343
+# row-candidate distances per batch of tiles or boxes, and box-generator
+# bounds per block of lattice boxes
+_BATCH = 2**16
+_BOUNDS = 2**17
 
 
 class QuadratureError(RuntimeError):
@@ -135,7 +168,16 @@ class Quadrature:
     n_time_tm, n_mark_tm : int
         Axis resolutions for the joint time-mark tessellation of setup S3.
     chunk : int
-        Nodes per processing chunk (memory knob, no effect on results).
+        Nodes per block of the marked sweep's sums, and query rows per
+        batch of ``value_at``. The marked build and the marked audit add
+        their terms one block of ``chunk`` mesh-order nodes per mark node
+        at a time, so their last bits depend on it: on
+        ``uniform_pattern(60, seed=3)`` (interval marks) at
+        n_space = n_time = 12, n_mark = 9, cell measure 1 is
+        0.024305555555555573 at chunk 37 and 0.024305555555555552 at 1000
+        and 8192, and the audit 59.95963227365619, 59.959632273656155 and
+        59.95963227365615. Labels, and every other build and audit, do not
+        depend on it.
 
     Every field must be a positive integer (ValueError otherwise).
     """
@@ -168,11 +210,6 @@ def _axis_nodes(lo, hi, n, offset=0.5):
 def _space_axes(window, n, offset):
     lo, hi = window.spatial_bounds()
     return [_axis_nodes(lo[i], hi[i], n, offset) for i in range(window.dim)]
-
-
-def _mesh(axes):
-    """Every node of the product of 1-d node arrays, one row each."""
-    return np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
 
 
 def _group_rows(rows):
@@ -235,8 +272,7 @@ def _checked_marks(mark_space, m):
 # A metric is (groups, join): the sizes of the leading coordinate groups and
 # how a trailing mark joins them (None: no mark, "max": continuous marks,
 # "add": labels). Distances are compared on squares, except under "add",
-# where the space part is rooted first; for a one-coordinate group that root
-# is exactly |difference| (a correctly rounded sqrt of a square in binary).
+# where the space part is rooted first.
 # --------------------------------------------------------------------------
 
 
@@ -244,27 +280,99 @@ def _mark_join(mark_space):
     return "add" if mark_space.is_labelled else "max"
 
 
-def _space_part(metric, diff):
-    """The metric before the mark joins: max over the coordinate groups of
-    the squared distance within each, rooted when the mark is added.
-    ``diff(k)`` gives the differences in coordinate k; the squares are
-    accumulated one coordinate at a time in column order."""
+def _coord_term(metric, ncol, k, diff):
+    """Coordinate k's term of the metric from its differences ``diff``: the
+    absolute difference for a mark added to the space part (the last of
+    ``ncol`` coordinates, past the groups), the square otherwise."""
     groups, join = metric
-    d2, col = None, 0
+    return np.abs(diff) if join == "add" and k == ncol - 1 >= sum(groups) else diff**2
+
+
+def _join_mark(join, part, term):
+    """Join a mark term (the squared mark difference under "max", the
+    absolute one under "add") to the space part."""
+    return part + term if join == "add" else np.maximum(part, term)
+
+
+def _metric_value(metric, term, ncol, mark=None):
+    """The metric from the terms of ``ncol`` coordinates (``_coord_term``,
+    arrays that broadcast together). Within a group the terms are added
+    one coordinate at a time in column order. The mark term is ``mark`` or,
+    when the coordinates go past the groups, the last one's; without
+    either, this is the space part. It is the maximum over the groups (and,
+    under "max", the mark term) of each group's squared distance, rooted
+    and joined to the mark term under "add". Rounding is monotone, so
+    rooting and adding commute with the maximum: this equals the maximum
+    over the groups first, rooted, then joined, bit for bit, and the
+    maximum is taken smallest operands first."""
+    groups, join = metric
+    if mark is None and join is not None and ncol > sum(groups):
+        mark = term(ncol - 1)
+    parts, col = [] if mark is None or join == "add" else [mark], 0
     for size in groups:
-        sq = diff(col) ** 2
+        sq = term(col)
         for k in range(col + 1, col + size):
-            sq += diff(k) ** 2
-        d2 = sq if d2 is None else np.maximum(d2, sq, out=d2)
+            sq = sq + term(k)
+        if join == "add":
+            sq = np.sqrt(sq) if mark is None else np.sqrt(sq) + mark
+        parts.append(sq)
         col += size
-    return np.sqrt(d2) if join == "add" else d2
+    parts.sort(key=np.size)
+    d = parts[0]
+    for part in parts[1:]:
+        d = np.maximum(d, part)
+    return d
 
 
-def _join_mark(join, part, dm, out=None):
-    """Join absolute mark differences ``dm`` to the space part."""
-    if join == "add":
-        return np.add(part, dm, out=out)
-    return np.maximum(part, dm * dm, out=out)
+def _near_far(metric, ncol, k, lo, hi, g):
+    """Coordinate k's terms from boxes spanning [lo, hi] in it to generator
+    coordinates ``g``: at each box's nearest point (the coordinate clamped
+    to the box) and at its farthest. Rounding is monotone, so they bound the
+    term of every coordinate value in the box."""
+    below, above = g - lo, hi - g
+    near = np.maximum(-np.minimum(below, above), 0.0)
+    return _coord_term(metric, ncol, k, near), _coord_term(metric, ncol, k, np.maximum(below, above))
+
+
+def _candidate_labels(lb, ub, dist, pos, out, ids=None):
+    """Write the nearest generator of every row of every box to
+    ``out[pos]``; ``pos`` holds each box's row positions, (boxes, rows).
+    A box searches its candidates: the generators whose lower bound is <=
+    its smallest upper bound (``lb``, ``ub``: (boxes, generators), over the
+    generators ``ids`` when not all), in increasing index order, so argmin's
+    first occurrence is the lowest index among ties. A box with one
+    candidate takes it. The others go in batches of similar candidate
+    counts and about ``_BATCH`` row-candidate distances, each row padded
+    with its first candidate, which a later position never beats;
+    ``dist(sel, idx)`` gives the distances (len(sel), rows, K) from the rows
+    of boxes ``sel`` to generators ``idx``, (len(sel), K)."""
+    best = ub.argmin(axis=1)
+    keep = lb <= ub[np.arange(best.size), best][:, None]
+    counts = np.count_nonzero(keep, axis=1)
+    order = np.argsort(counts, kind="stable")
+    counts = counts[order]
+    # every box keeps the generator of its smallest upper bound, so the
+    # boxes of exactly one candidate come first; that one is their label
+    start = np.searchsorted(counts, 1, side="right")
+    one = best[order[:start]]
+    out[pos[order[:start]]] = (one if ids is None else ids[one])[:, None]
+    while start < order.size:
+        stop = np.searchsorted(counts, 2 * counts[start], side="right")
+        stop = min(stop, start + max(1, _BATCH // (pos.shape[1] * counts[stop - 1])))
+        sel, k = order[start:stop], counts[start:stop]
+        start = stop
+        rows, cols = np.nonzero(keep[sel])
+        if ids is not None:
+            cols = ids[cols]
+        first = np.cumsum(k) - k
+        idx = np.repeat(cols[first], k[-1]).reshape(sel.size, -1)
+        idx[rows, np.arange(rows.size) - first[rows]] = cols
+        out[pos[sel]] = np.take_along_axis(idx, np.argmin(dist(sel, idx), axis=2), axis=1)
+
+
+# --------------------------------------------------------------------------
+# scattered rows: Z-order tiles
+# --------------------------------------------------------------------------
 
 
 def _tiles(block):
@@ -288,63 +396,14 @@ def _tiles(block):
 
 def _box_bounds(metric, tiles, gt):
     """Lower and upper bounds of the metric from each tile's bounding box to
-    every generator, (B, n), from the coordinate differences to the box's
-    nearest point (each coordinate clamped) and to its farthest corner.
-    Rounding is monotone, so they bound every row's computed distance.
-    Generators are coordinate-major, ``gt`` (c, n). Without a mark
-    coordinate in ``tiles`` the bounds are of the space part."""
+    every generator, (B, n). Generators are coordinate-major, ``gt``
+    (c, n); a tile's last coordinate is its mark when the metric has one."""
+    ncol = tiles.shape[0]
     rows = tiles.reshape(-1, tiles.shape[2])  # 2-d: numpy reduces these rows faster
     lo, hi = (a.reshape(tiles.shape[:2]) for a in (rows.min(axis=1), rows.max(axis=1)))
-    near, far = [], []
-    for k in range(tiles.shape[0]):
-        below = gt[k] - lo[k, :, None]
-        above = hi[k, :, None] - gt[k]
-        far.append(np.maximum(below, above))
-        near.append(np.maximum(-np.minimum(below, above), 0.0))
-    marked = metric[1] is not None and tiles.shape[0] > sum(metric[0])
-    return tuple(
-        _join_mark(metric[1], _space_part(metric, b.__getitem__), b[-1]) if marked
-        else _space_part(metric, b.__getitem__)
-        for b in (near, far)
-    )
-
-
-def _tile_labels(metric, tiles, gt, lb, ub, z=None):
-    """Nearest generator of every tile row, searched among the candidates:
-    the generators whose lower bound is <= the tile's smallest upper bound,
-    in increasing index order, so argmin's first occurrence is the lowest
-    index among ties. A tile with one candidate takes it; the others go in
-    batches of similar candidate counts, each row padded with its first
-    candidate, which a later position never beats. The mark is the last
-    coordinate of ``tiles`` or, for a mark node of a sweep, ``z``."""
-    keep = lb <= ub.min(axis=1, keepdims=True)
-    out = np.empty(tiles.shape[1:], dtype=np.intp)
-    counts = np.count_nonzero(keep, axis=1)
-    order = np.argsort(counts, kind="stable")
-    counts = counts[order]
-    # every tile keeps the generator of its smallest upper bound, so the
-    # tiles of exactly one candidate come first; that one is their label
-    start = np.searchsorted(counts, 1, side="right")
-    out[order[:start]] = np.nonzero(keep[order[:start]])[1][:, None]
-    while start < order.size:
-        stop = np.searchsorted(counts, 2 * counts[start], side="right")
-        sel, k = order[start:stop], counts[start:stop]
-        start = stop
-        rows, cols = np.nonzero(keep[sel])
-        first = np.cumsum(k) - k
-        idx = np.repeat(cols[first], k[-1]).reshape(sel.size, -1)
-        idx[rows, np.arange(rows.size) - first[rows]] = cols
-        q, cand = tiles[:, sel], gt[:, idx]
-
-        def diff(col):
-            return q[col][:, :, None] - cand[col][:, None, :]
-
-        d = _space_part(metric, diff)
-        if metric[1] is not None:
-            dm = np.abs(diff(-1) if z is None else z - cand[-1][:, None, :])
-            d = _join_mark(metric[1], d, dm, d)
-        out[sel] = np.take_along_axis(idx, np.argmin(d, axis=2), axis=1)
-    return out
+    terms = [_near_far(metric, ncol, k, lo[k, :, None], hi[k, :, None], gt[k])
+             for k in range(ncol)]
+    return tuple(_metric_value(metric, lambda k: terms[k][b], ncol) for b in (0, 1))
 
 
 def _nearest(metric, queries, gens, chunk):
@@ -352,45 +411,183 @@ def _nearest(metric, queries, gens, chunk):
     a time; the mark, if the metric has one, is the last column. Ties go to
     the lowest generator index."""
     gt = np.ascontiguousarray(gens.T)
+    ncol = gt.shape[0]
     labels = np.empty(queries.shape[0], dtype=np.intp)
     for start in range(0, queries.shape[0], chunk):
         pos, tiles = _tiles(queries[start : start + chunk])
+
+        def dist(sel, idx):
+            q, cand = tiles[:, sel], gt[:, idx]
+            return _metric_value(metric, lambda k: _coord_term(
+                metric, ncol, k, q[k][:, :, None] - cand[k][:, None, :]), ncol)
+
         lb, ub = _box_bounds(metric, tiles, gt)
-        labels[start + pos] = _tile_labels(metric, tiles, gt, lb, ub)
+        _candidate_labels(lb, ub, dist, pos, labels[start : start + chunk])
     return labels
+
+
+# --------------------------------------------------------------------------
+# grids: lattice boxes
+# --------------------------------------------------------------------------
+
+
+def _box_sides(shape):
+    """Nodes per box along each axis of a lattice, about ``_BOX`` in all:
+    the shortest axes first, each as near an equal share of what is left as
+    its length allows."""
+    sides, left = [1] * len(shape), float(_BOX)
+    for i, k in enumerate(sorted(range(len(shape)), key=shape.__getitem__)):
+        sides[k] = max(1, min(shape[k], round(left ** (1.0 / (len(shape) - i)))))
+        left /= sides[k]
+    return sides
+
+
+def _blocks(counts, limit):
+    """Products of box ranges, one range per axis, that cover a lattice's
+    boxes (``counts`` along each axis) in C order, each of at most ``limit``
+    boxes or a single box. A block spans whole box rows along its first
+    axis when those fit in ``limit``."""
+    inner = int(np.prod(counts[1:]))
+    if inner > limit:
+        for b in range(counts[0]):
+            for rest in _blocks(counts[1:], limit):
+                yield (range(b, b + 1),) + rest
+        return
+    step = max(1, limit // inner)
+    for a in range(0, counts[0], step):
+        yield (range(a, min(a + step, counts[0])),) + tuple(range(c) for c in counts[1:])
+
+
+class _Lattice:
+    """A grid's nodes: the product of its 1-d axes, in mesh order (the last
+    axis varies fastest), cut into boxes of about ``_BOX`` nodes. Along
+    each axis a box is a run of consecutive nodes, the last run padded by
+    repeating its final node. A box spans, per axis, the min to the max of
+    its nodes' values, which need not be sorted (empirical mark atoms come
+    in first-occurrence order). Per axis, the lattice holds every
+    generator's coordinate term (``_coord_term``) at each node,
+    ``tables`` (nodes, n), and at each box's nearest and farthest point,
+    ``near`` and ``far`` (boxes, n). A distance or a bound then combines
+    one term per axis by broadcasting (``_metric_value``)."""
+
+    def __init__(self, metric, axes, gens):
+        self.metric, self.ncol, self.n = metric, len(axes), gens.shape[0]
+        self.shape = tuple(a.size for a in axes)
+        self.size = int(np.prod(self.shape))
+        self.strides = [int(np.prod(self.shape[k + 1 :])) for k in range(self.ncol)]
+        self.runs, self.tables, self.near, self.far = [], [], [], []
+        for k, (a, side) in enumerate(zip(axes, _box_sides(self.shape))):
+            count = -(-a.size // side)
+            side = -(-a.size // count)
+            runs = np.minimum(np.arange(count * side).reshape(count, side), a.size - 1)
+            vals = a[runs]
+            near, far = _near_far(metric, self.ncol, k, vals.min(axis=1)[:, None],
+                                  vals.max(axis=1)[:, None], gens[:, k])
+            self.runs.append(runs)
+            self.tables.append(_coord_term(metric, self.ncol, k, a[:, None] - gens[:, k]))
+            self.near.append(near)
+            self.far.append(far)
+        self.counts = [r.shape[0] for r in self.runs]
+
+    def blocks(self):
+        """Blocks of boxes (``_blocks``) of at most about ``_BOUNDS``
+        box-generator bounds."""
+        return _blocks(self.counts, max(1, _BOUNDS // self.n))
+
+    def rows(self, r):
+        """The mesh positions [lo, hi) of the nodes of box range ``r`` along
+        axis 0."""
+        side = self.runs[0].shape[1]
+        return r.start * side * self.strides[0], min(r.stop * side, self.shape[0]) * self.strides[0]
+
+    def block(self, ranges, offset):
+        """A block's lower and upper bounds, (boxes, n), its boxes' node
+        positions minus ``offset``, (boxes, rows), and its distance function
+        for ``_candidate_labels``, which joins ``mark``, a term per
+        generator, when given."""
+        c, n = self.ncol, self.n
+        shape = tuple(len(r) for r in ranges)
+
+        def along(k, a, m):
+            # an axis-k array, (m, ...), placed to broadcast as axis k of c
+            return a.reshape(a.shape[:-2] + (1,) * k + (m,) + (1,) * (c - 1 - k) + a.shape[-1:])
+
+        lb, ub = (_metric_value(self.metric, lambda k: along(
+            k, t[k][ranges[k].start : ranges[k].stop], shape[k]), c).reshape(-1, n)
+            for t in (self.near, self.far))
+        boxes = np.indices(shape).reshape(c, -1) + np.array([r.start for r in ranges])[:, None]
+        pos = sum(along(k, (self.runs[k][boxes[k]] * stride)[..., None], self.runs[k].shape[1])
+                  for k, stride in enumerate(self.strides))
+        pos = pos.reshape(boxes.shape[1], -1) - offset
+
+        def dist(sel, idx, mark=None):
+            b = boxes[:, sel]
+
+            def term(k):
+                rows = self.runs[k][b[k]]
+                return along(k, self.tables[k][rows[:, :, None], idx[:, None, :]], rows.shape[1])
+
+            if mark is not None:
+                mark = mark[idx].reshape((sel.size,) + (1,) * c + (-1,))
+            return _metric_value(self.metric, term, c, mark).reshape(sel.size, -1, idx.shape[1])
+
+        return lb, ub, pos, dist
 
 
 def _sweep(metric, gens, grid, chunk):
     """(nearest-generator labels, mark weight) blocks over a grid's nodes
-    times its mark axis. A grid is (nodes, volume element, mark axis or
-    None). Without a mark axis there is one block, of weight 1.0; with one,
-    each chunk is tiled and its space part bounded once for every mark node
-    (chunks outer, mark nodes inner), and each mark node searches only the
-    generators its mark term cannot rule out."""
-    nodes, _, mark_axis = grid
+    times its mark axis. A grid is (axes, volume element, mark axis or
+    None); its nodes are the product of the 1-d axes, in mesh order.
+    Without a mark axis there is one block, of every node, of weight 1.0;
+    with one, a block of ``chunk`` nodes in mesh order for every mark node
+    (chunks outer, mark nodes inner). The lattice is searched box by box:
+    each block of boxes is bounded once, and under a mark axis each mark
+    node searches only the generators its mark term cannot rule out. Labels
+    are held for one slab of boxes (whole box rows along the first axis) at
+    a time."""
+    axes, _, mark_axis = grid
+    lat = _Lattice(metric, axes, gens)
     if mark_axis is None:
-        yield _nearest(metric, nodes, gens, chunk), 1.0
+        labels = np.empty(lat.size, dtype=np.intp)
+        for ranges in lat.blocks():
+            lb, ub, pos, dist = lat.block(ranges, 0)
+            _candidate_labels(lb, ub, dist, pos, labels)
+        yield labels, 1.0
         return
-    join, gt = metric[1], np.ascontiguousarray(gens.T)
-    for start in range(0, nodes.shape[0], chunk):
-        block = nodes[start : start + chunk]
-        pos, tiles = _tiles(block)
-        lb, ub = _box_bounds(metric, tiles, gt)
-        for z, wj in zip(*mark_axis):
-            dm = np.abs(z - gt[-1])
+    join, (zs, ws), gm = metric[1], mark_axis, gens[:, -1]
+    held, done = np.empty((zs.size, 0), dtype=np.int32), 0
+    for ranges in lat.blocks():
+        lo, hi = lat.rows(ranges[0])
+        if all(r.start == 0 for r in ranges[1:]):
+            slab = np.empty((zs.size, hi - lo), dtype=np.int32)
+        lb, ub, pos, dist = lat.block(ranges, lo)
+        for j, z in enumerate(zs):
+            dm = np.abs(z - gm)
+            term = dm if join == "add" else dm * dm
             # the generators whose mark term alone stays within the largest
-            # upper bound, over the tiles, of the generator nearest in mark
+            # upper bound, over the boxes, of the generator nearest in mark
             g0 = np.argmin(dm)
-            cut = np.max(_join_mark(join, ub[:, g0], dm[g0]))
-            near = np.flatnonzero((dm * dm if join == "max" else dm) <= cut)
-            gs, lbs, ubs = (gt, lb, ub) if near.size == dm.size else (
-                gt[:, near], lb[:, near], ub[:, near])
-            dm = dm[near]
-            labels = np.empty(block.shape[0], dtype=np.intp)
-            labels[pos] = near[_tile_labels(
-                metric, tiles, gs, _join_mark(join, lbs, dm), _join_mark(join, ubs, dm), z
-            )]
-            yield labels, wj
+            near = np.flatnonzero(term <= np.max(_join_mark(join, ub[:, g0], term[g0])))
+            if near.size == 1:
+                slab[j][pos] = near[0]
+                continue
+            ids = None if near.size == term.size else near
+            lbs, ubs, tn = (lb, ub, term) if ids is None else (lb[:, near], ub[:, near], term[near])
+            _candidate_labels(_join_mark(join, lbs, tn), _join_mark(join, ubs, tn),
+                              lambda sel, idx: dist(sel, idx, term), pos, slab[j], ids)
+        if any(r.stop < c for r, c in zip(ranges[1:], lat.counts[1:])):
+            continue
+        # yield the chunks the slab completes; ``held`` has the labels of
+        # [done, lo), the start of the first
+        start = done
+        while start + chunk <= hi or start < hi == lat.size:
+            stop = min(start + chunk, hi)
+            for j, wj in enumerate(ws):
+                yield (slab[j, start - lo : stop - lo] if start >= lo else
+                       np.concatenate([held[j], slab[j, : stop - lo]])), wj
+            start = stop
+        held = slab[:, start - lo :].copy() if start >= lo else np.concatenate([held, slab], axis=1)
+        done = start
 
 
 def _cell_measures(metric, gens, grid, chunk):
@@ -520,7 +717,7 @@ class VoronoiEstimate(_Floored, _QuadCells):
         vol = w.volume / (quad.n_space**w.dim * quad.n_time)
         marked = metric[1] is not None
         mark_axis = _mark_axis(p.mark_space, p.marks, quad.n_mark, offset) if marked else None
-        return _mesh(axes), vol, mark_axis
+        return axes, vol, mark_axis
 
     def at(self, x, t, m=None):
         """Evaluate at arbitrary finite locations (arrays); marked estimates
@@ -665,7 +862,7 @@ class _SpatialCells(_QuadCells):
     @staticmethod
     def _grid(p, quad, offset, metric):
         vol = p.window.spatial_volume / quad.n_space_only**p.dim
-        return _mesh(_space_axes(p.window, quad.n_space_only, offset)), vol, None
+        return _space_axes(p.window, quad.n_space_only, offset), vol, None
 
 
 class _TimeMarkCells(_QuadCells):
@@ -694,7 +891,7 @@ class _TimeMarkCells(_QuadCells):
         t_nodes = _axis_nodes(w.temporal[0], w.temporal[1], quad.n_time_tm, offset)
         m_nodes, m_w = _mark_axis(p.mark_space, p.marks, quad.n_mark_tm, offset)
         ww = np.outer(np.full(t_nodes.shape, w.temporal_length / quad.n_time_tm), m_w)
-        return _mesh([t_nodes, m_nodes]), ww.ravel(), None
+        return [t_nodes, m_nodes], ww.ravel(), None
 
 
 @dataclass

@@ -239,13 +239,20 @@ def nearest_oracle(metric, queries, gens, chunk):
     return labels
 
 
+def mesh(axes):
+    """Every node of the product of 1-d node arrays, one row each, in mesh
+    order (the last axis varies fastest)."""
+    return np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+
+
 def sweep_oracle(metric, gens, grid, chunk):
     """(nearest-generator labels, mark weight) blocks over a grid's nodes
-    times its mark axis. A grid is (nodes, volume element, mark axis or
-    None). Without a mark axis there is one block, of weight 1.0; with one,
-    the space part is computed once per chunk and reused for every mark
-    node (chunks outer, mark nodes inner)."""
-    nodes, _, mark_axis = grid
+    times its mark axis. A grid is (1-d axes, volume element, mark axis or
+    None); its nodes are ``mesh(axes)``. Without a mark axis there is one
+    block, of weight 1.0; with one, the space part is computed once per
+    chunk and reused for every mark node (chunks outer, mark nodes inner)."""
+    axes, _, mark_axis = grid
+    nodes = mesh(axes)
     if mark_axis is None:
         yield nearest_oracle(metric, nodes, gens, chunk), 1.0
         return

@@ -1,18 +1,21 @@
-"""The pruned nearest-generator search against the brute reference.
+"""The pruned nearest-generator searches against the brute reference.
 
-``_nearest`` and ``_sweep`` search each tile of query rows among the
-generators that its bounding box cannot rule out. Their labels must equal
-the brute search's (every query against every generator, first-occurrence
+``_nearest`` searches each Z-order tile of scattered query rows, and
+``_sweep`` each box of a grid's lattice, among the generators that the
+tile's or box's bounding box cannot rule out. Their labels must equal the
+brute search's (every query against every generator, first-occurrence
 argmin) exactly, ties to the lowest generator index included, for every
 metric form the estimators use: the ground sup metric, the marked metric
 with the mark joined by max (continuous marks) or added (labels), the
 spatial-only metric, and the time-mark metric under max, add and the
-Euclidean plane metric.
+Euclidean plane metric. The sweep must also give the brute sweep's blocks:
+one of every node without a mark axis, else ``chunk`` nodes in mesh order
+for each mark node, chunks outer.
 
 Two cuts are exercised on purpose: the sweep drops, per mark node, the
 generators whose mark term alone rules them out (a mark axis far wider
-than the generators' marks, a label no generator carries), and a tile with
-a single candidate takes it without a distance (a few far-apart
+than the generators' marks, a label no generator carries), and a tile or
+box with a single candidate takes it without a distance (a few far-apart
 generators).
 """
 
@@ -24,7 +27,7 @@ import pytest
 from mstpp import intensity
 from mstpp.intensity import Quadrature, _nearest, _sweep
 
-from .oracles import nearest_oracle, sweep_oracle
+from .oracles import mesh, nearest_oracle, sweep_oracle
 
 # name -> (coordinate groups, mark join)
 METRICS = {
@@ -112,23 +115,19 @@ def test_pruned_search_matches_brute(name, pattern, chunk):
     got = _nearest(metric, queries, gens, chunk)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
-    nodes = queries if mark_axis is None else queries[:, :-1]
-    grid = (nodes, 1.0, mark_axis)
-    blocks = [(lab.tolist(), w) for lab, w in _sweep(metric, gens, grid, chunk)]
-    assert blocks == [(lab.tolist(), w) for lab, w in sweep_oracle(metric, gens, grid, chunk)]
 
 
-def _spy_tile_labels(monkeypatch):
-    """Record, for each call of ``_tile_labels``, how many generators it
-    was given and how many candidates each of its tiles kept."""
-    calls, real = [], intensity._tile_labels
+def _spy_candidates(monkeypatch):
+    """Record, for each call of ``_candidate_labels``, how many generators
+    it was given and how many candidates each of its tiles or boxes kept."""
+    calls, real = [], intensity._candidate_labels
 
-    def spy(metric, tiles, gt, lb, ub, z=None):
+    def spy(lb, ub, dist, pos, out, ids=None):
         counts = np.count_nonzero(lb <= ub.min(axis=1, keepdims=True), axis=1)
-        calls.append((gt.shape[1], counts))
-        return real(metric, tiles, gt, lb, ub, z)
+        calls.append((lb.shape[1], counts))
+        return real(lb, ub, dist, pos, out, ids)
 
-    monkeypatch.setattr(intensity, "_tile_labels", spy)
+    monkeypatch.setattr(intensity, "_candidate_labels", spy)
     return calls
 
 
@@ -136,7 +135,7 @@ def _spy_tile_labels(monkeypatch):
 def test_far_apart_tiles_keep_one_candidate(monkeypatch, name):
     """The far-apart case reaches the single-candidate tiles: every tile of
     a full chunk keeps one candidate."""
-    calls = _spy_tile_labels(monkeypatch)
+    calls = _spy_candidates(monkeypatch)
     gens, queries, _ = _case("far-apart", METRICS[name])
     _nearest(METRICS[name], queries, gens, Quadrature().chunk)
     counts = np.concatenate([c for _, c in calls])
@@ -154,6 +153,20 @@ MARK_AXES = {
 }
 
 
+def _grid_mark(metric):
+    """Whether a grid carries the metric's mark as its last lattice axis, as
+    the time-mark grid does (a mark joined after a single group), rather
+    than as a mark axis swept node by node."""
+    groups, join = metric
+    return join is not None and len(groups) == 1
+
+
+def _sweeps_match(metric, gens, grid, chunk):
+    want = [(lab.tolist(), w) for lab, w in sweep_oracle(metric, gens, grid, chunk)]
+    got = [(lab.tolist(), w) for lab, w in _sweep(metric, gens, grid, chunk)]
+    return got == want
+
+
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("name, axis", [
     (name, "unused-label" if join == "add" else "wide")
@@ -165,23 +178,141 @@ def test_sweep_drops_far_mark_nodes_exactly(monkeypatch, name, axis, chunk):
     rng = np.random.default_rng(11)
     ncol = sum(metric[0])
     gens = np.column_stack([scale * rng.random((30, ncol)), draw(rng, 30)])
-    nodes = scale * rng.random((150, ncol))
-    grid = (nodes, 1.0, (z, np.linspace(0.5, 1.5, z.size)))
+    axes = [scale * np.sort(rng.random(round(150 ** (1 / ncol)))) for _ in range(ncol)]
+    grid = (axes, 1.0, (z, np.linspace(0.5, 1.5, z.size)))
     want = [(lab.tolist(), w) for lab, w in sweep_oracle(metric, gens, grid, chunk)]
-    calls = _spy_tile_labels(monkeypatch)
+    calls = _spy_candidates(monkeypatch)
     assert [(lab.tolist(), w) for lab, w in _sweep(metric, gens, grid, chunk)] == want
     assert min(n for n, _ in calls) < gens.shape[0]
+    nodes = mesh(axes)
     queries = np.column_stack([np.repeat(nodes, z.size, axis=0), np.tile(z, nodes.shape[0])])
     assert np.array_equal(_nearest(metric, queries, gens, chunk),
                           nearest_oracle(metric, queries, gens, chunk))
 
 
+# lattice axis lengths, and nodes per box: the library's, and 8, which
+# cuts even these small lattices into several boxes along every axis (8
+# nodes long on a 1-d lattice, 3 x 3 on a 2-d one, 2 x 2 x 2 on a 3-d one),
+# the last one ragged
+LENGTHS = (1, 2, 5, 7, 13)
+BOXES = (8, intensity._BOX)
+LATTICE_CASES = ("lattice-tie", "coincident", "far-apart")
+
+
+def _lattice_case(case, metric, length, seed=7):
+    """(generators, grid) for a sweep over a lattice of ``length`` nodes per
+    axis, 11 times as many on a 1-d lattice and at most 5 past the first
+    two axes of a 4-d one. The mark, when the
+    metric has one, is the grid's last lattice axis or a swept mark axis
+    (``_grid_mark``), in either case unsorted, in the first-occurrence
+    order of empirical atoms. "random" draws the generators, "lattice-tie"
+    puts them on lattice nodes where the grid's midpoints tie, "coincident"
+    repeats each location three times and "far-apart" puts one generator
+    near each of a few corners of the unit box, with the marks far apart
+    too, on a sorted mark axis."""
+    groups, join = metric
+    ncol = sum(groups)
+    rng = np.random.default_rng(seed)
+    on_grid = _grid_mark(metric)
+    c = ncol + on_grid
+    shape = [11 * length] if c == 1 else [length if k < 2 else min(length, 5) for k in range(c)]
+    if case == "lattice-tie":
+        axes = [(np.arange(m) + 0.5) / m for m in shape[:ncol]]
+        gens = np.array(list(itertools.product(*[(0.25, 0.75)] * ncol)))
+    elif case == "far-apart":
+        axes = [np.linspace(0.0, 1.0, m) for m in shape[:ncol]]
+        gens = np.array(list(itertools.product((0.05, 0.95), repeat=ncol))[:6])
+    else:
+        axes = [np.sort(rng.random(m)) for m in shape[:ncol]]
+        gens = rng.random((10 if case == "coincident" else 20, ncol))
+        if case == "coincident":
+            gens = np.tile(gens, (3, 1))
+    if join is None:
+        return gens, (axes, 1.0, None)
+    labels = join == "add"
+    n_mark = shape[-1] if on_grid else (3 if labels else 5)
+    z = np.arange(1.0, n_mark + 1) if labels else np.linspace(0.0, 1.0, n_mark)
+    if case != "far-apart":
+        z = rng.permutation(z)
+    if case == "far-apart":
+        gm = np.resize([z[0], z[-1]], gens.shape[0])
+        gens = np.column_stack([gens, gm])
+    elif case == "lattice-tie" and not labels:
+        gm = np.tile([0.25, 0.75], (gens.shape[0], 1))
+        gens = np.column_stack([np.repeat(gens, 2, axis=0), gm.ravel()])
+    else:
+        gm = rng.choice(np.arange(1.0, n_mark + 1), gens.shape[0]) if labels else rng.random(gens.shape[0])
+        gens = np.column_stack([gens, gm])
+    if on_grid:
+        return gens, (axes + [z], 1.0, None)
+    return gens, (axes, 1.0, (z, np.linspace(0.5, 1.5, z.size)))
+
+
+@pytest.mark.parametrize("box", BOXES)
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("length", LENGTHS)
+@pytest.mark.parametrize("name", METRICS)
+def test_lattice_sweep_matches_brute(monkeypatch, name, length, chunk, box):
+    monkeypatch.setattr(intensity, "_BOX", box)
+    metric = METRICS[name]
+    gens, grid = _lattice_case("random", metric, length)
+    assert _sweeps_match(metric, gens, grid, chunk)
+
+
+@pytest.mark.parametrize("box", BOXES)
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("case", LATTICE_CASES)
+@pytest.mark.parametrize("name", METRICS)
+def test_lattice_sweep_cases_match_brute(monkeypatch, name, case, chunk, box):
+    monkeypatch.setattr(intensity, "_BOX", box)
+    metric = METRICS[name]
+    gens, grid = _lattice_case(case, metric, 13)
+    assert _sweeps_match(metric, gens, grid, chunk)
+
+
+@pytest.mark.parametrize("name", METRICS)
+def test_single_box_blocks_and_batches_match_brute(monkeypatch, name):
+    """One box per block of bounds and per batch of distances: the lattice
+    is cut along every axis, and its slabs end inside chunks."""
+    monkeypatch.setattr(intensity, "_BOX", 8)
+    monkeypatch.setattr(intensity, "_BOUNDS", 1)
+    monkeypatch.setattr(intensity, "_BATCH", 1)
+    metric = METRICS[name]
+    gens, grid = _lattice_case("random", metric, 13)
+    assert _sweeps_match(metric, gens, grid, 37)
+
+
+@pytest.mark.parametrize("name", METRICS)
+def test_far_apart_boxes_keep_one_candidate(monkeypatch, name):
+    """The far-apart lattice reaches the single-candidate boxes."""
+    monkeypatch.setattr(intensity, "_BOX", 8)
+    metric = METRICS[name]
+    gens, grid = _lattice_case("far-apart", metric, 13)
+    calls = _spy_candidates(monkeypatch)
+    for _ in _sweep(metric, gens, grid, Quadrature().chunk):
+        pass
+    assert np.any(np.concatenate([c for _, c in calls]) == 1)
+
+
+@pytest.mark.parametrize("counts, limit", [
+    ([1], 1), ([5], 2), ([3, 4], 5), ([3, 4], 4), ([3, 4], 3), ([2, 3, 4], 5), ([2, 3, 4], 100),
+])
+def test_blocks_cover_every_box_once_in_order(counts, limit):
+    blocks = list(intensity._blocks(counts, limit))
+    boxes = [b for block in blocks for b in itertools.product(*block)]
+    assert boxes == list(itertools.product(*(range(c) for c in counts)))
+    assert all(np.prod([len(r) for r in block]) <= limit or
+               all(len(r) == 1 for r in block) for block in blocks)
+
+
 def test_lattice_cases_contain_ties():
-    """The lattice case would not test the tie-break without equidistant
+    """The lattice cases would not test the tie-break without equidistant
     generators."""
     gens, queries, _ = _case("lattice", METRICS["spatial"])
-    d = np.sum((queries[:, None, :] - gens[None, :, :]) ** 2, axis=2)
-    assert np.any(np.sum(d == d.min(axis=1, keepdims=True), axis=1) > 1)
+    gens_l, (axes, _, _) = _lattice_case("lattice-tie", METRICS["spatial"], 13)
+    for g, q in ((gens, queries), (gens_l, mesh(axes))):
+        d = np.sum((q[:, None, :] - g[None, :, :]) ** 2, axis=2)
+        assert np.any(np.sum(d == d.min(axis=1, keepdims=True), axis=1) > 1)
 
 
 # (metric, query, generators, expected label): the query lies between two
