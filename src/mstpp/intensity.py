@@ -20,7 +20,8 @@ volumes into cells, and the mass audit, which sums the estimate over the
 same grid shifted by ``AUDIT_OFFSET``.
 
 Every quadrature tessellation is one cell type, ``_QuadCells``, with one
-build (which retries once at ``Quadrature.refined()``), one evaluation, one
+build (which retries once at ``Quadrature.refined()``, unless box bounds
+prove a cell of the refined grid empty), one evaluation, one
 value at the pattern's own points and one audit (``integral``); each
 subclass only gives its grid. ``VoronoiEstimate`` is that type on the
 space-time(-mark) grid, the separable spatial and time-mark factors on
@@ -71,7 +72,7 @@ the first axis) at a time. Under a mark axis each block's space part is
 bounded once; each mark node then only joins its mark term to those
 bounds.
 
-Two more cuts are exact for the same reasons. First, a mark node of a sweep
+Three more cuts are exact for the same reasons. First, a mark node of a sweep
 bounds only the generators whose mark term alone (the squared mark
 difference under max, the difference under addition) is at most ``cut``:
 the largest, over the block's boxes, of the joined upper bound of the
@@ -87,6 +88,17 @@ nodes far from every observed mark, it is every node's label. Second, a
 box with a single candidate takes it as every node's label without
 computing a distance: the generator of the smallest upper bound is always
 a candidate, so a sole candidate is that nearest generator.
+
+Third, the retry at ``Quadrature.refined()`` first runs a bounds pass,
+``_unreached``: the sweep's blocks, bounds, mark-node cut and candidate
+rule, with no distance. A generator that is a candidate of no box at any
+mark node lies strictly farther from every node than some other
+generator, so the sweep gives it no node, its cell measure is 0 and the
+refined build would fail; the retry then raises the same QuadratureError
+before the sweep. The pass proves nothing when every generator is a candidate
+somewhere, and then the sweep runs as before, so every result that passes
+keeps its bits. Only the retry is checked: a first build usually
+succeeds, and there the pass would only add time.
 
 Estimator variants
 ------------------
@@ -334,20 +346,27 @@ def _near_far(metric, ncol, k, lo, hi, g):
     return _coord_term(metric, ncol, k, near), _coord_term(metric, ncol, k, np.maximum(below, above))
 
 
+def _candidates(lb, ub):
+    """Each box's generator of the smallest upper bound (the lowest index
+    among ties), and its candidates: the generators whose lower bound is <=
+    that upper bound (``lb``, ``ub``: (boxes, generators)), (boxes,
+    generators) booleans."""
+    best = ub.argmin(axis=1)
+    return best, lb <= ub[np.arange(best.size), best][:, None]
+
+
 def _candidate_labels(lb, ub, dist, pos, out, ids=None):
     """Write the nearest generator of every row of every box to
     ``out[pos]``; ``pos`` holds each box's row positions, (boxes, rows).
-    A box searches its candidates: the generators whose lower bound is <=
-    its smallest upper bound (``lb``, ``ub``: (boxes, generators), over the
-    generators ``ids`` when not all), in increasing index order, so argmin's
-    first occurrence is the lowest index among ties. A box with one
-    candidate takes it. The others go in batches of similar candidate
-    counts and about ``_BATCH`` row-candidate distances, each row padded
-    with its first candidate, which a later position never beats;
-    ``dist(sel, idx)`` gives the distances (len(sel), rows, K) from the rows
-    of boxes ``sel`` to generators ``idx``, (len(sel), K)."""
-    best = ub.argmin(axis=1)
-    keep = lb <= ub[np.arange(best.size), best][:, None]
+    A box searches its ``_candidates`` (bounds over the generators ``ids``
+    when not all) in increasing index order, so argmin's first occurrence
+    is the lowest index among ties. A box with one candidate takes it. The
+    others go in batches of similar candidate counts and about ``_BATCH``
+    row-candidate distances, each row padded with its first candidate,
+    which a later position never beats; ``dist(sel, idx)`` gives the
+    distances (len(sel), rows, K) from the rows of boxes ``sel`` to
+    generators ``idx``, (len(sel), K)."""
+    best, keep = _candidates(lb, ub)
     counts = np.count_nonzero(keep, axis=1)
     order = np.argsort(counts, kind="stable")
     counts = counts[order]
@@ -500,21 +519,23 @@ class _Lattice:
         side = self.runs[0].shape[1]
         return r.start * side * self.strides[0], min(r.stop * side, self.shape[0]) * self.strides[0]
 
+    def _along(self, k, a, m):
+        """An axis-k array, (m, ...), placed to broadcast as axis k of the
+        lattice."""
+        return a.reshape(a.shape[:-2] + (1,) * k + (m,) + (1,) * (self.ncol - 1 - k) + a.shape[-1:])
+
+    def bounds(self, ranges):
+        """A block's lower and upper bounds, (boxes, n)."""
+        return tuple(_metric_value(self.metric, lambda k: self._along(
+            k, t[k][ranges[k].start : ranges[k].stop], len(ranges[k])), self.ncol
+        ).reshape(-1, self.n) for t in (self.near, self.far))
+
     def block(self, ranges, offset):
-        """A block's lower and upper bounds, (boxes, n), its boxes' node
-        positions minus ``offset``, (boxes, rows), and its distance function
-        for ``_candidate_labels``, which joins ``mark``, a term per
-        generator, when given."""
-        c, n = self.ncol, self.n
+        """A block's boxes' node positions minus ``offset``, (boxes, rows),
+        and its distance function for ``_candidate_labels``, which joins
+        ``mark``, a term per generator, when given."""
+        c, along = self.ncol, self._along
         shape = tuple(len(r) for r in ranges)
-
-        def along(k, a, m):
-            # an axis-k array, (m, ...), placed to broadcast as axis k of c
-            return a.reshape(a.shape[:-2] + (1,) * k + (m,) + (1,) * (c - 1 - k) + a.shape[-1:])
-
-        lb, ub = (_metric_value(self.metric, lambda k: along(
-            k, t[k][ranges[k].start : ranges[k].stop], shape[k]), c).reshape(-1, n)
-            for t in (self.near, self.far))
         boxes = np.indices(shape).reshape(c, -1) + np.array([r.start for r in ranges])[:, None]
         pos = sum(along(k, (self.runs[k][boxes[k]] * stride)[..., None], self.runs[k].shape[1])
                   for k, stride in enumerate(self.strides))
@@ -531,7 +552,26 @@ class _Lattice:
                 mark = mark[idx].reshape((sel.size,) + (1,) * c + (-1,))
             return _metric_value(self.metric, term, c, mark).reshape(sel.size, -1, idx.shape[1])
 
-        return lb, ub, pos, dist
+        return pos, dist
+
+
+def _mark_node(join, lb, ub, z, gm):
+    """Mark node ``z``'s search of a block of boxes whose space parts are
+    bounded by ``lb``, ``ub`` (boxes, generators), for generator marks
+    ``gm``: every generator's mark term, the generators kept (``ids``; None
+    when every one is) and their joined bounds. Kept are the generators
+    whose mark term alone stays within the largest upper bound, over the
+    boxes, of the generator nearest in mark. When that is only one, it is
+    every node's label: the bounds are None and ``ids`` holds it."""
+    dm = np.abs(z - gm)
+    term = dm if join == "add" else dm * dm
+    g0 = np.argmin(dm)
+    near = np.flatnonzero(term <= np.max(_join_mark(join, ub[:, g0], term[g0])))
+    if near.size == 1:
+        return term, near, None
+    ids = None if near.size == term.size else near
+    lbs, ubs, tn = (lb, ub, term) if ids is None else (lb[:, near], ub[:, near], term[near])
+    return term, ids, (_join_mark(join, lbs, tn), _join_mark(join, ubs, tn))
 
 
 def _sweep(metric, gens, grid, chunk):
@@ -550,8 +590,8 @@ def _sweep(metric, gens, grid, chunk):
     if mark_axis is None:
         labels = np.empty(lat.size, dtype=np.intp)
         for ranges in lat.blocks():
-            lb, ub, pos, dist = lat.block(ranges, 0)
-            _candidate_labels(lb, ub, dist, pos, labels)
+            pos, dist = lat.block(ranges, 0)
+            _candidate_labels(*lat.bounds(ranges), dist, pos, labels)
         yield labels, 1.0
         return
     join, (zs, ws), gm = metric[1], mark_axis, gens[:, -1]
@@ -560,21 +600,14 @@ def _sweep(metric, gens, grid, chunk):
         lo, hi = lat.rows(ranges[0])
         if all(r.start == 0 for r in ranges[1:]):
             slab = np.empty((zs.size, hi - lo), dtype=np.int32)
-        lb, ub, pos, dist = lat.block(ranges, lo)
+        lb, ub = lat.bounds(ranges)
+        pos, dist = lat.block(ranges, lo)
         for j, z in enumerate(zs):
-            dm = np.abs(z - gm)
-            term = dm if join == "add" else dm * dm
-            # the generators whose mark term alone stays within the largest
-            # upper bound, over the boxes, of the generator nearest in mark
-            g0 = np.argmin(dm)
-            near = np.flatnonzero(term <= np.max(_join_mark(join, ub[:, g0], term[g0])))
-            if near.size == 1:
-                slab[j][pos] = near[0]
+            term, ids, joined = _mark_node(join, lb, ub, z, gm)
+            if joined is None:
+                slab[j][pos] = ids[0]
                 continue
-            ids = None if near.size == term.size else near
-            lbs, ubs, tn = (lb, ub, term) if ids is None else (lb[:, near], ub[:, near], term[near])
-            _candidate_labels(_join_mark(join, lbs, tn), _join_mark(join, ubs, tn),
-                              lambda sel, idx: dist(sel, idx, term), pos, slab[j], ids)
+            _candidate_labels(*joined, lambda sel, idx: dist(sel, idx, term), pos, slab[j], ids)
         if any(r.stop < c for r, c in zip(ranges[1:], lat.counts[1:])):
             continue
         # yield the chunks the slab completes; ``held`` has the labels of
@@ -604,11 +637,43 @@ def _cell_measures(metric, gens, grid, chunk):
     return measures
 
 
-def _refining(measures_at, quad, message):
-    """Cell measures at ``quad``, or at ``quad.refined()`` when a cell got no
-    node; QuadratureError(message) when one gets none at either."""
-    for q in (quad, quad.refined()):
-        measures = measures_at(q)
+def _unreached(metric, gens, grid):
+    """The generators that are a candidate of no lattice box of the grid (at
+    no mark node, under a mark axis), as a mask: the bounds, the mark-node
+    cut and the candidate rule of ``_sweep``, without a distance. Such a
+    generator gets no node, so its cell measure is 0. The pass stops once
+    every generator has been a candidate."""
+    axes, _, mark_axis = grid
+    lat = _Lattice(metric, axes, gens)
+    seen = np.zeros(lat.n, dtype=bool)
+    for ranges in lat.blocks():
+        lb, ub = lat.bounds(ranges)
+        searches = [(None, (lb, ub))] if mark_axis is None else (
+            _mark_node(metric[1], lb, ub, z, gens[:, -1])[1:] for z in mark_axis[0])
+        for ids, joined in searches:
+            if joined is None:
+                seen[ids] = True
+                continue
+            kept = _candidates(*joined)[1].any(axis=0)
+            seen[kept if ids is None else ids[kept]] = True
+        if seen.all():
+            break
+    return ~seen
+
+
+def _refining(metric, gens, grid_at, quad, message):
+    """Cell measures of the grid ``grid_at(q)`` at ``q = quad``, or at
+    ``quad.refined()`` when a cell got no node; QuadratureError(message)
+    when one gets none at either. The refined grid is swept only when
+    ``_unreached`` finds no generator: a retry that the box bounds prove
+    hopeless fails before any distance is computed."""
+    measures = _cell_measures(metric, gens, grid_at(quad), quad.chunk)
+    if np.all(measures > 0):
+        return measures, quad
+    q = quad.refined()
+    grid = grid_at(q)
+    if not _unreached(metric, gens, grid).any():
+        measures = _cell_measures(metric, gens, grid, q.chunk)
         if np.all(measures > 0):
             return measures, q
     raise QuadratureError(message)
@@ -670,8 +735,7 @@ class _QuadCells(_Cells):
     def build(cls, p, rows, metric, quad, message):
         gens, mult, group = _group_rows(rows)
         measures, q = _refining(
-            lambda q: _cell_measures(metric, gens, cls._grid(p, q, 0.5, metric), q.chunk),
-            quad, message,
+            metric, gens, lambda q: cls._grid(p, q, 0.5, metric), quad, message
         )
         return cls(p, gens, mult, group, measures, metric, q, q is not quad)
 

@@ -17,17 +17,38 @@ generators whose mark term alone rules them out (a mark axis far wider
 than the generators' marks, a label no generator carries), and a tile or
 box with a single candidate takes it without a distance (a few far-apart
 generators).
+
+The bounds pass that runs before a refined retry (``_unreached``) must
+rule out only generators that the brute sweep gives no node, and a retry
+it proves hopeless must fail, with the same error, without computing a
+distance.
 """
 
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from mstpp import intensity
-from mstpp.intensity import Quadrature, _nearest, _sweep
+from mstpp.intensity import (
+    Quadrature,
+    QuadratureError,
+    VoronoiEstimate,
+    _cell_measures,
+    _nearest,
+    _sweep,
+    _unreached,
+    voronoi_ground,
+    voronoi_marked,
+    voronoi_separable,
+)
+from mstpp.pattern import ContinuousMarks, pattern_from_arrays, save_catalog
 
+from .conftest import UNIT
 from .oracles import mesh, nearest_oracle, sweep_oracle
+from .test_intensity_golden import patterns
 
 # name -> (coordinate groups, mark join)
 METRICS = {
@@ -292,6 +313,90 @@ def test_far_apart_boxes_keep_one_candidate(monkeypatch, name):
     for _ in _sweep(metric, gens, grid, Quadrature().chunk):
         pass
     assert np.any(np.concatenate([c for _, c in calls]) == 1)
+
+
+@pytest.mark.parametrize("box", BOXES)
+@pytest.mark.parametrize("case, length",
+                         [("random", n) for n in LENGTHS] + [(c, 13) for c in LATTICE_CASES])
+@pytest.mark.parametrize("name", METRICS)
+def test_bounds_pass_rules_out_only_empty_cells(monkeypatch, name, case, length, box):
+    """Every generator that no box keeps as a candidate has measure 0 in
+    the brute sweep."""
+    monkeypatch.setattr(intensity, "_BOX", box)
+    metric = METRICS[name]
+    gens, grid = _lattice_case(case, metric, length)
+    measures = np.zeros(gens.shape[0])
+    for labels, w in sweep_oracle(metric, gens, grid, Quadrature().chunk):
+        measures += np.bincount(labels, minlength=gens.shape[0]) * w
+    assert np.all(measures[_unreached(metric, gens, grid)] == 0)
+
+
+@pytest.mark.parametrize("name", ["ground-sup", "spatial", "marked-max", "marked-add",
+                                  "timemark-max"])
+def test_bounds_pass_rules_out_generators(name):
+    """The soundness cases reach ruled-out generators without a mark axis,
+    with a swept one (max and add) and with the mark on the lattice."""
+    gens, grid = _lattice_case("random", METRICS[name], 2)
+    assert np.any(_unreached(METRICS[name], gens, grid))
+
+
+def _narrow_band(n=40, seed=5):
+    """Marks in a narrow band, [3.75, 4.25], inside a wide interval mark
+    space, [0, 8], as lgcp-geostat's are: no mark node of 4 or 8 falls in
+    the band, so few generators win a node."""
+    rng = np.random.default_rng(seed)
+    return pattern_from_arrays(rng.random((n, 2)), rng.random(n), 3.75 + 0.5 * rng.random(n),
+                               UNIT, ContinuousMarks(0.0, 8.0))
+
+
+def test_hopeless_refined_retry_computes_no_distance(monkeypatch):
+    p, quad, metric = _narrow_band(), Quadrature(n_space=8, n_time=8, n_mark=4), ((2, 1), "max")
+    gens = intensity._group_rows(np.column_stack([p.x, p.t, p.marks]))[0]
+
+    def measures(q):
+        return _cell_measures(metric, gens, VoronoiEstimate._grid(p, q, 0.5, metric), q.chunk)
+
+    # the refined sweep leaves a cell empty, and the bounds pass shows it
+    refined = quad.refined()
+    assert np.any(measures(refined) == 0)
+    assert np.any(_unreached(metric, gens, VoronoiEstimate._grid(p, refined, 0.5, metric)))
+    calls = _spy_candidates(monkeypatch)
+    assert np.any(measures(quad) == 0)
+    default = len(calls)
+    assert default > 0
+    with pytest.raises(QuadratureError, match="^empty tessellation cell at refined quadrature$"):
+        voronoi_marked(p, quad)
+    assert len(calls) == 2 * default
+
+
+def test_hopeless_refined_retry_exits_3(tmp_path):
+    save_catalog(_narrow_band(), tmp_path / "band.csv")
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(f"input = {tmp_path / 'band.csv'}\nwindow = 0,1,0,1,0,1\n"
+                   "marks = interval,0,8\nquad_space = 8\nquad_time = 8\nquad_mark = 4\n")
+    res = subprocess.run([sys.executable, "-m", "mstpp.cli", "intensity", "--config", str(cfg),
+                          "--out", str(tmp_path / "run")], capture_output=True, text=True)
+    assert res.returncode == 3
+    assert "empty tessellation cell at refined quadrature" in res.stderr
+
+
+def test_golden_refined_builds_pass_the_bounds_pass(monkeypatch):
+    """The golden builds that succeed only at the refined grid run the
+    bounds pass, which rules out no generator."""
+    found, real = [], intensity._unreached
+
+    def spy(metric, gens, grid):
+        out = real(metric, gens, grid)
+        found.append(int(np.count_nonzero(out)))
+        return out
+
+    monkeypatch.setattr(intensity, "_unreached", spy)
+    (close, quad), (stacked, _) = patterns()["refined-space"], patterns()["refined-time"]
+    assert voronoi_ground(stacked, quad).refined
+    assert voronoi_marked(stacked, quad).refined
+    s3 = voronoi_separable(close, "S3", euclidean_tm=True, quadrature=quad)
+    assert s3.factors["spatial"].refined and s3.factors["timemark"].refined
+    assert found == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("counts, limit", [
