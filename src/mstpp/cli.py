@@ -418,8 +418,9 @@ def cmd_intensity(cfg, out_dir, seed, threads):
 
 def _grids_from(cfg):
     for key in ("r_max", "t_max"):
-        if not cfg[key] >= 0:  # NaN too
-            raise ConfigError(f"{key} must be nonnegative (0: the default), got {cfg[key]}")
+        if not 0 <= cfg[key] < np.inf:  # NaN too
+            raise ConfigError(f"{key} must be finite and nonnegative (0: the default), "
+                              f"got {cfg[key]}")
     r_default, t_default = default_lag_grids(_window_from(cfg["window"]))
     r_max = cfg["r_max"] if cfg["r_max"] > 0 else float(r_default[-1])
     t_max = cfg["t_max"] if cfg["t_max"] > 0 else float(t_default[-1])

@@ -20,10 +20,14 @@ Three layers:
   surface has the bits of its own `delta_surface`: the second_order
   module notes give the argument.
 
-Every surface here comes from the K-family core of ``second_order``
-(``_marked_terms``, ``_geometry``, ``_k_values`` over ``_denominator``), so
-its checks and arithmetic are those of ``k_inhom``, and bad arguments fail
-before any geometry, tessellation or permutation.
+Every surface here comes from the K-family core of ``second_order``: the
+checks of ``_marked_terms``, one ``_geometry``, and the one evaluator
+``_k_surface`` (the independent-marks diagnostic and the decomposition
+residual sum their two K terms as two surfaces of it). Only the
+Delta = K^CD - K^DC statistic keeps its own ``_delta_values``, whose CD
+and DC numerators share one denominator. So the checks and arithmetic are
+those of ``k_inhom``, every term has the bits of its own estimate, and bad
+arguments fail before any geometry, tessellation or permutation.
 
 Per-replicate randomness always derives from a root seed through
 splittable seed sequences, and reductions run in replicate-index order,
@@ -46,6 +50,7 @@ from .second_order import (
     _children,
     _denominator,
     _geometry,
+    _k_surface,
     _k_values,
     _mark_sets,
     _marked_terms,
@@ -55,6 +60,7 @@ from .second_order import (
     _stacked,
     k_inhom,
     pair_geometry,
+    poisson_reference,
     weights_from_estimate,
 )
 
@@ -228,24 +234,30 @@ def delta_surface(p, C, D, r_grid=None, t_grid=None, weights=None,
     )
 
 
+def _diagnostic(surf, statistic, values=None):
+    """A diagnostic surface on the grid and with the mark sets, scenario,
+    erosion and weights of the K-family surface ``surf``: its values, or
+    ``values`` when given."""
+    return DeltaSurface(
+        r_grid=surf.r_grid, t_grid=surf.t_grid,
+        values=surf.values if values is None else values, C=surf.C, D=surf.D,
+        statistic=statistic,
+        meta={"scenario": surf.scenario, "erosion": surf.meta["erosion"],
+              "weights_source": surf.weights_source},
+    )
+
+
 def diag_independent_marks(p, C, D, r_grid=None, t_grid=None, weights=None,
                            scenario="S2", erosion="per-cell"):
     """K^CD minus the full-mark-space surface K^MM (which reduces to the
-    ground K): centred at zero under independent marking. Computed with
-    one shared geometry, identical weights and scenario on both terms, so
-    C = D = full mark space gives an exactly zero surface."""
+    ground K): centred at zero under independent marking. Both terms are
+    surfaces of one sum on one geometry, with identical weights and
+    scenario, so C = D = full mark space gives an exactly zero surface."""
     scenario = _norm_scenario(scenario)
-    _marked_terms(p, weights, C, D, scenario)  # both terms' checks, before any work
-    geom = pair_geometry(p, r_grid, t_grid, erosion=erosion)
-    marked = k_inhom(p, C, D, weights=weights, scenario=scenario, geometry=geom)
-    ground = k_inhom(p, None, None, weights=weights, scenario=scenario, geometry=geom)
-    return DeltaSurface(
-        r_grid=geom.r_grid, t_grid=geom.t_grid,
-        values=marked.values - ground.values, C=C, D=D,
-        statistic="K_CD - K_ground",
-        meta={"scenario": marked.scenario, "erosion": erosion,
-              "weights_source": weights.source},
-    )
+    rows = [_marked_terms(p, weights, *sets, scenario) for sets in ((C, D), (None, None))]
+    geom = _geometry(p, r_grid, t_grid, erosion)
+    return _diagnostic(_k_surface(p, geom, scenario, rows, C, D, weights.source,
+                                  combine=lambda k: k[0] - k[1]), "K_CD - K_ground")
 
 
 def diag_independent_components(p, C, D, r_grid=None, t_grid=None, weights=None,
@@ -253,13 +265,7 @@ def diag_independent_components(p, C, D, r_grid=None, t_grid=None, weights=None,
     """K^CD minus the Poisson benchmark 2 omega_d r^d t: centred at zero
     when the C- and D-component processes are independent."""
     surf = k_inhom(p, C, D, r_grid, t_grid, weights, scenario=scenario, erosion=erosion)
-    return DeltaSurface(
-        r_grid=surf.r_grid, t_grid=surf.t_grid,
-        values=surf.diff_poisson(), C=C, D=D,
-        statistic="K_CD - poisson",
-        meta={"scenario": surf.scenario, "erosion": erosion,
-              "weights_source": weights.source},
-    )
+    return _diagnostic(surf, "K_CD - poisson", surf.diff_poisson())
 
 
 def decomposition_residual(p, C, r_grid=None, t_grid=None, weights=None,
@@ -269,22 +275,19 @@ def decomposition_residual(p, C, r_grid=None, t_grid=None, weights=None,
         K^{CM} - [nu(M\\C)/nu(M)] * 2 omega_d r^d t - [nu(C)/nu(M)] * K^{CC}
 
     which is centred at zero when the C and M\\C components are
-    independent."""
+    independent. K^{CM} and K^{CC} are surfaces of one sum on one
+    geometry."""
     scenario = _norm_scenario(scenario)
-    _marked_terms(p, weights, C, None, scenario)  # both terms' checks, before any work
-    geom = pair_geometry(p, r_grid, t_grid, erosion=erosion)
-    k_cm = k_inhom(p, C, None, weights=weights, scenario=scenario, geometry=geom)
-    k_cc = k_inhom(p, C, C, weights=weights, scenario=scenario, geometry=geom)
-    nu_c = p.nu(C)
-    nu_m = p.nu_total()
-    values = (k_cm.values - (nu_m - nu_c) / nu_m * k_cm.poisson_surface()
-              - nu_c / nu_m * k_cc.values)
-    return DeltaSurface(
-        r_grid=geom.r_grid, t_grid=geom.t_grid, values=values, C=C, D=None,
-        statistic="K_CM decomposition residual",
-        meta={"scenario": k_cm.scenario, "erosion": erosion,
-              "weights_source": weights.source},
-    )
+    rows = [_marked_terms(p, weights, C, D, scenario) for D in (None, C)]
+    geom = _geometry(p, r_grid, t_grid, erosion)
+    nu_c, nu_m = p.nu(C), p.nu_total()
+    poisson = poisson_reference(geom.r_grid, geom.t_grid, p.dim).values
+
+    def residual(k):
+        return k[0] - (nu_m - nu_c) / nu_m * poisson - nu_c / nu_m * k[1]
+
+    return _diagnostic(_k_surface(p, geom, scenario, rows, C, None, weights.source,
+                                  combine=residual), "K_CM decomposition residual")
 
 
 # --------------------------------------------------------------------------

@@ -146,8 +146,9 @@ class MarkInterval:
     closed_hi: bool = True
 
     def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("mark interval requires lo <= hi")
+        if not self.lo <= self.hi:  # NaN fails too
+            raise ValueError(f"mark interval requires lo <= hi, not NaN: "
+                             f"got ({self.lo}, {self.hi})")
 
     def mask(self, marks):
         marks = np.asarray(marks, dtype=float)

@@ -13,10 +13,16 @@ denominator scenarios and the stationary specialization.
 
 Every statistic here, and every contrast surface in `inference`, reads one
 `PairGeometry`, the only pair search (`_stored_pairs`). Every K-function
-estimator is `_k_values` over a resolved geometry: a pair weight summed
-over the C-first, D-second pairs of each lag cell, divided by a scenario
-`_denominator` (unit mark masses for the ground and cross K-functions) or
-the stationary plug-in. `k_smoothed` averages `k_inhom` over thinnings.
+estimator, and every marking diagnostic in `inference`, is one evaluator,
+`_k_surface`, over a resolved geometry: the terms of S surfaces stacked,
+one `_k_values` sum of each surface's pair weights over the C-first,
+D-second pairs of each lag cell, each divided by its scenario
+`_denominator`, and the values combined into one `KSurface`. The
+estimators differ only in the terms: unit mark masses for the ground and
+cross K-functions, scenario S1 with the masses (N_C N_D / N^2, 1) for the
+stationary one, a cone test for the directional one, and the DC surface
+beside the CD one for the symmetrized form. `k_smoothed` averages
+`k_inhom` over thinnings.
 `k_measure_hat`, the estimate for one structuring set, sums the stored
 pairs of the fixed-erosion geometry at its set's bounding lags that pass
 an exact membership test. `_marked_terms` checks the marked arguments and
@@ -903,6 +909,25 @@ def _geometry(p, r_grid, t_grid, erosion, geometry=None):
     return geometry
 
 
+def _k_surface(p, geom, scenario, rows, C, D, source, name=None, combine=None,
+               pair_test=None, **meta):
+    """The one evaluator of the K family: the S surfaces whose
+    `_marked_terms` are ``rows``, each over its ``scenario`` denominator,
+    summed together on ``geom`` (restricted by ``pair_test`` as in
+    `_k_values`), as a `KSurface` over C and D. ``combine`` maps their
+    (S, R, T) values to the surface's (by default the first); ``name`` is
+    its scenario (by default ``scenario``), and ``meta`` adds to its
+    erosion and route."""
+    terms = _stacked(rows)
+    k = _k_values(geom, terms[2], terms[0], terms[1], _denominator(geom, scenario, *terms),
+                  pair_test)
+    return KSurface(
+        r_grid=geom.r_grid, t_grid=geom.t_grid, values=k[0] if combine is None else combine(k),
+        C=C, D=D, scenario=name or scenario, weights_source=source, d=p.dim,
+        meta={"erosion": geom.erosion, "route": "indexed", **meta},
+    )
+
+
 def _check_count(n, what):
     """Reject a count of ``what`` that is not a whole number >= 1 (or is a
     bool)."""
@@ -972,25 +997,14 @@ def k_inhom(
         fast path). An ``erosion`` named beside it must be its own.
     """
     scenario = _norm_scenario(scenario)
-    terms = _stacked([_marked_terms(p, weights, C, D, scenario)])
+    rows = [_marked_terms(p, weights, C, D, scenario)]
+    if symmetrize:  # the DC surface beside the CD one
+        rows.append(_marked_terms(p, weights, D, C, scenario))
     geom = _geometry(p, r_grid, t_grid, erosion, geometry)
-    mC, mD, inv_lam, _, nu_C, nu_D = terms
-    denom = _denominator(geom, scenario, *terms)
-    values = _k_values(geom, inv_lam, mC, mD, denom)[0]
-    if symmetrize:  # the denominator is symmetric in (C, D)
-        values = 0.5 * (values + _k_values(geom, inv_lam, mD, mC, denom)[0])
-    return KSurface(
-        r_grid=geom.r_grid, t_grid=geom.t_grid, values=values,
-        C=C, D=D, scenario=scenario, weights_source=weights.source, d=p.dim,
-        meta={
-            "erosion": geom.erosion,
-            "route": "indexed",
-            "floor_hits": weights.floor_hits,
-            "symmetrized": bool(symmetrize),
-            "nu_C": float(nu_C[0]),
-            "nu_D": float(nu_D[0]),
-        },
-    )
+    return _k_surface(p, geom, scenario, rows, C, D, weights.source,
+                      combine=(lambda k: 0.5 * (k[0] + k[1])) if symmetrize else None,
+                      floor_hits=weights.floor_hits, symmetrized=bool(symmetrize),
+                      nu_C=float(rows[0][4]), nu_D=float(rows[0][5]))
 
 
 def k_ground(p, r_grid=None, t_grid=None, weights=None, scenario="S1",
@@ -1010,17 +1024,10 @@ def k_ground(p, r_grid=None, t_grid=None, weights=None, scenario="S1",
     lam_g = weights.lam_ground if weights.lam_ground is not None else weights.lam
     if lam_g is None:
         raise ValueError("weights.lam_ground (or lam) is required")
-    inv = 1.0 / _per_point(p, lam_g)[None]
+    inv, ones = 1.0 / _per_point(p, lam_g), np.ones(p.n)
     geom = _geometry(p, r_grid, t_grid, erosion, geometry)
-    ones, unit = np.ones((1, p.n)), np.ones(1)
-    denom = _denominator(geom, scenario, ones, ones, inv, inv, unit, unit)
-    values = _k_values(geom, inv, ones, ones, denom)[0]
-    return KSurface(
-        r_grid=geom.r_grid, t_grid=geom.t_grid, values=values, C=None, D=None,
-        scenario=scenario, weights_source=weights.source, d=p.dim,
-        meta={"erosion": geom.erosion, "route": "indexed",
-              "floor_hits": weights.floor_hits, "ground": True},
-    )
+    return _k_surface(p, geom, scenario, [(ones, ones, inv, inv, 1.0, 1.0)], None, None,
+                      weights.source, floor_hits=weights.floor_hits, ground=True)
 
 
 def k_measure_hat(p, C, D, E, weights, return_report=False):
@@ -1075,22 +1082,15 @@ def k_directional(p, C=None, D=None, phi=-math.pi / 2, psi=math.pi / 2,
         raise ValueError("directional K requires two spatial dimensions")
     ConeSet(phi, psi, 1.0, 1.0)  # validate angles
     scenario = _norm_scenario(scenario)
-    terms = _stacked([_marked_terms(p, weights, C, D, scenario)])
+    rows = [_marked_terms(p, weights, C, D, scenario)]
     geom = _geometry(p, r_grid, t_grid, erosion, geometry)
-    mC, mD, inv_lam = terms[:3]
 
     def in_cone(I, J):
         dx = np.take(p.x, J, axis=0) - np.take(p.x, I, axis=0)
         return direction_in_cone(dx[:, 0], dx[:, 1], phi, psi)
 
-    values = _k_values(geom, inv_lam, mC, mD, _denominator(geom, scenario, *terms),
-                       pair_test=in_cone)[0]
-    return KSurface(
-        r_grid=geom.r_grid, t_grid=geom.t_grid, values=values, C=C, D=D,
-        scenario=scenario, weights_source=weights.source, d=p.dim,
-        meta={"erosion": geom.erosion, "route": "indexed", "phi": phi, "psi": psi,
-              "floor_hits": weights.floor_hits},
-    )
+    return _k_surface(p, geom, scenario, rows, C, D, weights.source, pair_test=in_cone,
+                      phi=phi, psi=psi, floor_hits=weights.floor_hits)
 
 
 def k_cross_multitype(p, i, j, r_grid=None, t_grid=None, weights=None,
@@ -1107,20 +1107,13 @@ def k_cross_multitype(p, i, j, r_grid=None, t_grid=None, weights=None,
     if p.marks is None or not p.mark_space.is_labelled:
         raise ValueError("cross K requires a label-marked pattern")
     C, D = LabelSet([i]), LabelSet([j])
-    mC, mD, inv = _stacked([_marked_terms(p, weights, C, D, "S1")])[:3]
+    mC, mD, inv = _marked_terms(p, weights, C, D, "S1")[:3]
     if not mC.any() or not mD.any():
         warnings.warn(f"component {j if mC.any() else i} is empty; surface is zero")
     geom = _geometry(p, r_grid, t_grid, erosion, geometry)
-    unit = np.ones(1)  # unit mark masses
-    denom = _denominator(geom, "S1", mC, mD, inv, None, unit, unit)
-    values = _k_values(geom, inv, mC, mD, denom)[0]
-    return KSurface(
-        r_grid=geom.r_grid, t_grid=geom.t_grid, values=values,
-        C=C, D=D, scenario="cross",
-        weights_source=weights.source, d=p.dim,
-        meta={"erosion": geom.erosion, "route": "indexed", "i": i, "j": j,
-              "floor_hits": weights.floor_hits},
-    )
+    rows = [(mC, mD, inv, None, 1.0, 1.0)]  # unit mark masses
+    return _k_surface(p, geom, "S1", rows, C, D, weights.source, name="cross", i=i, j=j,
+                      floor_hits=weights.floor_hits)
 
 
 def k_stationary(p, C=None, D=None, r_grid=None, t_grid=None, erosion="per-cell"):
@@ -1136,14 +1129,9 @@ def k_stationary(p, C=None, D=None, r_grid=None, t_grid=None, erosion="per-cell"
     n_C = float(np.sum(mC))
     n_D = float(np.sum(mD))
     inv = np.full(p.n, 1.0 / lam_hat)
-    denom = np.outer(geom.ell_r, geom.ell_t) * (n_C * n_D / p.n**2)
-    values = _k_values(geom, inv[None], mC[None], mD[None], denom[None])[0]
-    return KSurface(
-        r_grid=geom.r_grid, t_grid=geom.t_grid, values=values, C=C, D=D,
-        scenario="stationary", weights_source="Stationary", d=p.dim,
-        meta={"erosion": geom.erosion, "route": "indexed",
-              "n_C": n_C, "n_D": n_D},
-    )
+    # scenario S1 with the masses (N_C N_D / N^2, 1): x * 1.0 is x
+    return _k_surface(p, geom, "S1", [(mC, mD, inv, None, n_C * n_D / p.n**2, 1.0)], C, D,
+                      "Stationary", name="stationary", n_C=n_C, n_D=n_D)
 
 
 def k_smoothed(p, C=None, D=None, r_grid=None, t_grid=None, weights_builder=None,

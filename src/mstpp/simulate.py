@@ -177,22 +177,6 @@ class IntensityField:
     window: Window
     lam_max: float
 
-    @classmethod
-    def from_function(cls, fn, window, lam_max=None, scan=41):
-        """Wrap a function, obtaining lam_max by a grid scan (``scan`` nodes
-        per axis) with a 5% safety factor when no analytic bound is given."""
-        if lam_max is None:
-            lo, hi = window.spatial_bounds()
-            axes = [np.linspace(lo[i], hi[i], scan) for i in range(window.dim)]
-            axes.append(np.linspace(window.temporal[0], window.temporal[1], scan))
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.column_stack([m.ravel() for m in mesh])
-            vals = np.asarray(fn(pts[:, :-1], pts[:, -1]), dtype=float)
-            if np.any(vals < 0) or not np.all(np.isfinite(vals)):
-                raise ValueError("intensity must be finite and nonnegative")
-            lam_max = float(vals.max()) * 1.05
-        return cls(fn=fn, window=window, lam_max=float(lam_max))
-
 
 @dataclass(frozen=True)
 class GridField:

@@ -181,6 +181,13 @@ class TestExitCodes:
         ("k", "t_max = -5", "t_max"),
         ("test", "r_max = -0.1", "r_max"),
         ("test", "t_max = -5", "t_max"),
+        ("k", "r_max = inf", "r_max"),
+        ("k", "t_max = inf", "t_max"),
+        ("test", "r_max = inf", "r_max"),
+        ("test", "t_max = inf", "t_max"),
+        # a NaN interval bound selects no mark but has a positive mass
+        ("k", "c_set = interval,nan,1", "bad mark set"),
+        ("k", "d_set = interval,0,nan", "bad mark set"),
         # over the pair geometry's cell limit: once a numerical failure (exit
         # 3) after the weights were built
         ("k", "n_r = 50000\nn_t = 50000", "n_r = 50000 and n_t = 50000"),
@@ -190,7 +197,9 @@ class TestExitCodes:
         ("test", "route = indexed", "unknown key(s) for 'test': ['route']"),
     ], ids=["intensity-eval_cells", "k-scenario", "k-n_r", "k-n_t", "k-smooth_n",
             "k-smooth_p-above", "k-smooth_p-zero", "test-scenario", "test-n_r", "test-n_t",
-            "k-r_max", "k-t_max", "test-r_max", "test-t_max", "k-cells", "test-cells",
+            "k-r_max", "k-t_max", "test-r_max", "test-t_max", "k-r_max-inf", "k-t_max-inf",
+            "test-r_max-inf", "test-t_max-inf", "k-c_set-nan", "k-d_set-nan",
+            "k-cells", "test-cells",
             "k-route", "test-route"])
     def test_bad_settings_are_2_before_loading(self, tmp_path, command, lines, key):
         # the catalog does not exist: loading it first would exit 1

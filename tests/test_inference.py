@@ -169,6 +169,29 @@ def test_diagnostics_fail_before_any_work(small_marked, monkeypatch, diagnostic,
         diagnostic(small_marked, C, weights, scenario)
 
 
+@pytest.mark.parametrize("diagnostic", [
+    lambda p, w: diag_independent_marks(p, C_HALF, D_HALF, R_GRID, T_GRID, w),
+    lambda p, w: decomposition_residual(p, C_HALF, R_GRID, T_GRID, w),
+], ids=["marks", "residual"])
+def test_diagnostic_terms_are_one_sum_on_one_geometry(small_marked, monkeypatch, diagnostic):
+    builds, sums = [], []
+    build, k_values = second_order.pair_geometry, second_order._k_values
+
+    def counting_build(*args, **kw):
+        builds.append(1)
+        return build(*args, **kw)
+
+    def counting_sum(geom, inv, *args, **kw):
+        sums.append(len(inv))
+        return k_values(geom, inv, *args, **kw)
+
+    for module in (inference, second_order):
+        monkeypatch.setattr(module, "pair_geometry", counting_build)
+        monkeypatch.setattr(module, "_k_values", counting_sum)
+    diagnostic(small_marked, const_weights(small_marked))
+    assert builds == [1] and sums == [2]
+
+
 class TestIndependentMarksDiagnostic:
     def test_full_sets_identically_zero(self, small_marked):
         w = const_weights(small_marked)
@@ -244,6 +267,9 @@ class TestDecompositionResidual:
         want = k_cm.values - 0.5 * bench - 0.5 * k_cc.values
         assert np.allclose(res.values, want, rtol=1e-12, atol=1e-15)
         assert res.statistic == "K_CM decomposition residual"
+        # each term keeps the bits of its own estimate
+        exact = k_cm.values - 0.5 * k_cm.poisson_surface() - 0.5 * k_cc.values
+        assert np.array_equal(res.values, exact)
 
     def test_weights_required(self, small_marked):
         with pytest.raises(ValueError, match="weights"):

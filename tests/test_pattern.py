@@ -50,6 +50,13 @@ class TestMarkSpaces:
         ms = ContinuousMarks(0.0, 1.0)
         assert ms.nu(MarkInterval(0.5, 4.0)) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("lo, hi", [(2.0, 1.0), (np.nan, 1.0), (0.0, np.nan),
+                                        (np.nan, np.nan)])
+    def test_interval_rejects_crossed_or_nan_bounds(self, lo, hi):
+        # a NaN bound would select no mark yet have a positive mass
+        with pytest.raises(ValueError, match="lo <= hi"):
+            MarkInterval(lo, hi)
+
     def test_labels_counting_mass(self):
         ms = LabelMarks(k=3)
         assert ms.nu(LabelSet([1, 3])) == pytest.approx(2.0)

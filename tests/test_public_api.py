@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import mstpp
 from mstpp import geometry, inference, intensity, pattern, second_order, simulate
@@ -24,3 +25,13 @@ def test_importing_the_package_and_cli_loads_no_scipy_special_or_spatial():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_quick_start_runs(capsys):
+    # the documented API must stay runnable: run the block as README shows it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md (Library quick start)", "exec"), {})
+    fraction = float(capsys.readouterr().out)
+    assert 0.0 <= fraction <= 1.0

@@ -85,14 +85,6 @@ class TestPoisson:
         with pytest.raises(ValueError, match="lam_max"):
             sim_poisson(lying, seed=0)
 
-    def test_from_function_scans_a_bound(self):
-        field = IntensityField.from_function(
-            lambda x, t: 10.0 + 0.0 * np.asarray(t), UNIT
-        )
-        assert field.lam_max == pytest.approx(10.5)
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            IntensityField.from_function(lambda x, t: -1.0 + 0.0 * np.asarray(t), UNIT)
-
     def test_determinism(self):
         a = sim_poisson(CONST_100, seed=11)
         b = sim_poisson(CONST_100, seed=11)
