@@ -9,11 +9,12 @@ Four subcommands tie the library together into reproducible runs::
     mstpp test      --config cfg.txt --seed 7 --out runs/test
 
 Config files are plain ``key = value`` text: one setting per line, ``#``
-starts a comment, keys are lowercase. Every command validates its keys
-against a schema before computing anything, echoes the fully resolved
-configuration to ``config_used.txt`` in the output directory, and writes
-CSV/JSON artifacts that are byte-identical for a fixed (config, seed)
-regardless of ``--threads``.
+starts a comment, keys are lowercase. This module owns their syntax; the
+library owns every rule on a value it reads. Every command runs those
+checks before it reads the catalogue (a bad value's message names its
+key(s)), echoes the fully resolved configuration to ``config_used.txt``
+in the output directory, and writes CSV/JSON artifacts that are
+byte-identical for a fixed (config, seed) regardless of ``--threads``.
 
 Shared catalog keys (intensity / k / test)::
 
@@ -30,9 +31,12 @@ Exit codes: 0 success, 1 input/output error, 2 configuration error,
 """
 
 import argparse
+import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -50,19 +54,23 @@ from .pattern import (
     LabelMarks,
     LabelSet,
     MarkInterval,
+    _check_retention,
     load_catalog,
     save_catalog,
 )
 from .second_order import (
-    _MAX_BINS,
+    _check_count,
+    _check_lag_cells,
+    _checked_grids,
+    _norm_scenario,
     default_lag_grids,
     k_inhom,
     k_smoothed,
     k_stationary,
     weights_from_estimate,
 )
-from .inference import random_labelling_test
-from .simulate import DENSE_CELL_GUARD, PRESET_NAMES, FactorizationError, simulate_preset
+from .inference import _check_band, random_labelling_test
+from .simulate import PRESET_NAMES, FactorizationError, _grid_shape, simulate_preset
 
 __all__ = ["main", "ConfigError", "InputError", "positive_int", "nonnegative_int"]
 
@@ -157,15 +165,29 @@ _QUAD_KEYS = {
     "quad_mark_tm": "n_mark_tm",
 }
 
+# the catalogue's keys, shared by intensity, k and test
+_CATALOG_KEYS = {
+    "input": (_p_str, _REQUIRED),
+    "window": (_p_floats, _REQUIRED),
+    "marks": (_p_str, _REQUIRED),
+}
+# the lag grids' and the normalisation's keys, shared by k and test
+_LAG_KEYS = {
+    "n_r": (_p_int, 20),
+    "n_t": (_p_int, 20),
+    "r_max": (_p_float, 0.0),
+    "t_max": (_p_float, 0.0),
+    "scenario": (_p_int, 2),
+    "erosion": (_choice("per-cell", "fixed"), "per-cell"),
+}
+
 SCHEMAS = {
     "simulate": {
         "preset": (_p_str, _REQUIRED),
         "grf_cells": (_p_ints, (16, 16, 16)),
     },
     "intensity": {
-        "input": (_p_str, _REQUIRED),
-        "window": (_p_floats, _REQUIRED),
-        "marks": (_p_str, _REQUIRED),
+        **_CATALOG_KEYS,
         "estimator": (_choice("ground", "marked", "s1", "s2", "s3"), "marked"),
         "euclidean_tm": (_p_bool, False),
         "eval_cells": (_p_ints, (10, 10, 5, 5)),
@@ -173,45 +195,42 @@ SCHEMAS = {
         "dump_cells": (_p_bool, False),
     },
     "k": {
-        "input": (_p_str, _REQUIRED),
-        "window": (_p_floats, _REQUIRED),
-        "marks": (_p_str, _REQUIRED),
+        **_CATALOG_KEYS,
         "c_set": (_p_str, "all"),
         "d_set": (_p_str, "all"),
-        "n_r": (_p_int, 20),
-        "n_t": (_p_int, 20),
-        "r_max": (_p_float, 0.0),
-        "t_max": (_p_float, 0.0),
-        "scenario": (_p_int, 2),
+        **_LAG_KEYS,
         "weights": (
             _choice("voronoi-marked", "voronoi-ground", "separable-s1",
                     "separable-s2", "separable-s3", "stationary"),
             "voronoi-marked",
         ),
-        "erosion": (_choice("per-cell", "fixed"), "per-cell"),
         "symmetrize": (_p_bool, False),
         "smooth_n": (_p_int, 0),
         "smooth_p": (_p_float, 0.5),
     },
     "test": {
-        "input": (_p_str, _REQUIRED),
-        "window": (_p_floats, _REQUIRED),
-        "marks": (_p_str, _REQUIRED),
+        **_CATALOG_KEYS,
         "c_set": (_p_str, _REQUIRED),
         "d_set": (_p_str, _REQUIRED),
-        "n_r": (_p_int, 20),
-        "n_t": (_p_int, 20),
-        "r_max": (_p_float, 0.0),
-        "t_max": (_p_float, 0.0),
-        "scenario": (_p_int, 2),
+        **_LAG_KEYS,
         "weights": (_choice("voronoi-ground", "voronoi-marked"), "voronoi-ground"),
         "rebuild_weights": (_p_bool, True),
         "n_perm": (_p_int, 99),
-        "rank": (_choice("pointwise", "minmax"), "pointwise"),
+        "rank": (str.lower, "pointwise"),
         "alpha": (_p_float, 0.05),
-        "erosion": (_choice("per-cell", "fixed"), "per-cell"),
     },
 }
+
+
+@contextmanager
+def _named(*keys, prefix=""):
+    """A ValueError raised in the block, as by a library check, becomes a
+    ConfigError that names the config ``keys`` and quotes its message."""
+    try:
+        yield
+    except ValueError as e:
+        names = ", ".join(repr(key) for key in keys)
+        raise ConfigError(f"key{'s' * (len(keys) > 1)} {names}: {prefix}{e}") from e
 
 
 def resolve_config(command, raw):
@@ -222,10 +241,8 @@ def resolve_config(command, raw):
     resolved = {}
     for key, (parser, default) in schema.items():
         if key in raw:
-            try:
+            with _named(key):
                 resolved[key] = parser(raw[key])
-            except ConfigError as e:
-                raise ConfigError(f"key {key!r}: {e}") from e
         elif default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r} for {command!r}")
         else:
@@ -236,56 +253,45 @@ def resolve_config(command, raw):
 def _window_from(vals):
     if len(vals) != 6:
         raise ConfigError("window needs 6 numbers: x_lo,x_hi,y_lo,y_hi,t_lo,t_hi")
-    try:
+    with _named("window", prefix="bad window: "):
         return Window(
             spatial=((vals[0], vals[1]), (vals[2], vals[3])),
             temporal=(vals[4], vals[5]),
         )
-    except ValueError as e:
-        raise ConfigError(f"bad window: {e}") from e
 
 
 def _markspace_from(spec):
-    parts = [s.strip() for s in spec.split(",")]
-    try:
-        if parts[0] == "labels":
-            k = int(parts[1])
-            weights = tuple(float(v) for v in parts[2:]) or None
-            return LabelMarks(k, weights=weights)
-        if parts[0] == "interval":
-            lo, hi = float(parts[1]), float(parts[2])
-            reference = parts[3] if len(parts) > 3 else "lebesgue"
-            return ContinuousMarks(lo, hi, reference=reference)
-    except (IndexError, ValueError) as e:
-        raise ConfigError(f"bad marks spec {spec!r}: {e}") from e
-    raise ConfigError(f"bad marks spec {spec!r}: expected labels,... or interval,...")
+    kind, *args = [s.strip() for s in spec.split(",")]
+    with _named("marks", prefix=f"bad marks spec {spec!r}: "):
+        if kind == "labels":
+            k, *weights = args
+            return LabelMarks(int(k), weights=tuple(float(v) for v in weights) or None)
+        if kind == "interval":
+            lo, hi, *reference = args
+            return ContinuousMarks(float(lo), float(hi), *reference[:1])
+        raise ValueError("expected labels,... or interval,...")
 
 
-def _markset_from(spec):
-    parts = [s.strip() for s in spec.split(",")]
-    try:
-        if parts[0] == "all":
+def _markset_from(spec, key):
+    kind, *args = [s.strip() for s in spec.split(",")]
+    with _named(key, prefix=f"bad mark set {spec!r}: "):
+        if kind == "all":
             return None
-        if parts[0] == "interval":
-            return MarkInterval(float(parts[1]), float(parts[2]))
-        if parts[0] == "labels":
-            return LabelSet([int(v) for v in parts[1:]])
-    except (IndexError, ValueError) as e:
-        raise ConfigError(f"bad mark set {spec!r}: {e}") from e
-    raise ConfigError(f"bad mark set {spec!r}: expected all, interval,.. or labels,..")
+        if kind == "interval":
+            lo, hi, *_ = args
+            return MarkInterval(float(lo), float(hi))
+        if kind == "labels":
+            return LabelSet([int(v) for v in args])
+        raise ValueError("expected all, interval,.. or labels,..")
 
 
 def _quadrature_from(cfg):
-    """Quadrature from the quad_* keys; a key left at 0 keeps its default."""
-    for key in _QUAD_KEYS:
-        if cfg.get(key, 0) < 0:
-            raise ConfigError(f"key {key!r}: expected a positive integer (0: the default), "
-                              f"got {cfg[key]}")
-    overrides = {field: cfg.get(key, 0) for key, field in _QUAD_KEYS.items()}
-    if not any(overrides.values()):
+    """Quadrature from the nonzero quad_* keys (0: the default), or None."""
+    overrides = {key: field for key, field in _QUAD_KEYS.items() if cfg.get(key, 0)}
+    if not overrides:
         return None
-    base = Quadrature()
-    return Quadrature(**{f: (v if v else getattr(base, f)) for f, v in overrides.items()})
+    with _named(*overrides):
+        return replace(Quadrature(), **{field: cfg[key] for key, field in overrides.items()})
 
 
 def _load_pattern(cfg):
@@ -323,14 +329,9 @@ def cmd_simulate(cfg, out_dir, seed, threads):
     preset = cfg["preset"]
     if preset not in PRESET_NAMES:
         raise ConfigError(f"unknown preset {preset!r}; expected one of {PRESET_NAMES}")
-    shape = cfg["grf_cells"]
-    if len(shape) != 3 or any(v < 1 for v in shape):
-        raise ConfigError("grf_cells needs 3 positive integers")
-    nx, ny, nt = shape
-    if max(nx * ny, nt) > DENSE_CELL_GUARD:
-        raise ConfigError(f"grf_cells {nx},{ny},{nt} has {nx * ny} spatial cells and {nt} "
-                          f"time slices; at most {DENSE_CELL_GUARD} of each")
-    p = simulate_preset(preset, seed=seed, grf_shape=tuple(shape))
+    with _named("grf_cells"):
+        shape = _grid_shape(cfg["grf_cells"])
+    p = simulate_preset(preset, seed=seed, grf_shape=shape)
     save_catalog(p, os.path.join(out_dir, "catalog.csv"))
     meta = {
         "preset": preset,
@@ -382,10 +383,8 @@ def cmd_intensity(cfg, out_dir, seed, threads):
     columns = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
     columns.append(est.at(np.column_stack(columns[:2]), *columns[2:]))
     header = ["x", "y", "t", "m"][:len(axes)] + ["lambda_hat"]
-    import csv as _csv
-
     with open(os.path.join(out_dir, "intensity.csv"), "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(header)
         for row in zip(*columns):
             writer.writerow([_fmt(v) for v in row])
@@ -410,29 +409,10 @@ def cmd_intensity(cfg, out_dir, seed, threads):
         fh.write("\n".join(lines) + "\n")
     if cfg.get("dump_cells") and hasattr(est, "cell_measure_rows"):
         with open(os.path.join(out_dir, "cell_measures.csv"), "w", newline="") as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(["point_index", "cell_measure"])
             for idx, measure in est.cell_measure_rows():
                 writer.writerow([str(int(idx)), _fmt(measure)])
-
-
-def _grids_from(cfg):
-    for key in ("r_max", "t_max"):
-        if not 0 <= cfg[key] < np.inf:  # NaN too
-            raise ConfigError(f"{key} must be finite and nonnegative (0: the default), "
-                              f"got {cfg[key]}")
-    r_default, t_default = default_lag_grids(_window_from(cfg["window"]))
-    r_max = cfg["r_max"] if cfg["r_max"] > 0 else float(r_default[-1])
-    t_max = cfg["t_max"] if cfg["t_max"] > 0 else float(t_default[-1])
-    n_r, n_t = cfg["n_r"], cfg["n_t"]
-    if n_r < 1 or n_t < 1:
-        raise ConfigError("n_r and n_t must be positive")
-    if (n_r + 1) * (n_t + 1) > _MAX_BINS:
-        raise ConfigError(f"n_r = {n_r} and n_t = {n_t} give too many lag cells: "
-                          f"(n_r + 1)(n_t + 1) must not exceed {_MAX_BINS}")
-    r_grid = r_max * np.arange(1, n_r + 1) / n_r
-    t_grid = t_max * np.arange(1, n_t + 1) / n_t
-    return r_grid, t_grid
 
 
 def _build_weights(p, mode, scenario):
@@ -443,33 +423,41 @@ def _build_weights(p, mode, scenario):
     if mode == "voronoi-ground":
         ground = est
     else:
-        ground = voronoi_ground(p) if scenario in (3, 4) else None
+        ground = voronoi_ground(p) if scenario in ("S3", "S4") else None
     return weights_from_estimate(est, ground)
 
 
-def _scenario_from(cfg):
-    if cfg["scenario"] not in (1, 2, 3, 4):
-        raise ConfigError("scenario must be 1, 2, 3 or 4")
-    return cfg["scenario"]
+def _second_order_from(cfg):
+    """The scenario, the mark sets and the lag grids of a k or test config,
+    after the library's checks. A maximal lag of 0 is the default grid's."""
+    with _named("scenario"):
+        scenario = _norm_scenario(cfg["scenario"])
+    C, D = (_markset_from(cfg[key], key) for key in ("c_set", "d_set"))
+    r_default, t_default = default_lag_grids(_window_from(cfg["window"]))
+    r_max = cfg["r_max"] or float(r_default[-1])
+    t_max = cfg["t_max"] or float(t_default[-1])
+    n_r, n_t = cfg["n_r"], cfg["n_t"]
+    with _named("n_r", "n_t", "r_max", "t_max"):
+        _check_lag_cells(n_r, n_t)  # before the grids are allocated
+        r_grid, t_grid = _checked_grids(r_max * np.arange(1, n_r + 1) / n_r,
+                                        t_max * np.arange(1, n_t + 1) / n_t)
+    return scenario, C, D, r_grid, t_grid
 
 
 def cmd_k(cfg, out_dir, seed, threads):
-    C = _markset_from(cfg["c_set"])
-    D = _markset_from(cfg["d_set"])
-    r_grid, t_grid = _grids_from(cfg)
+    scenario, C, D, r_grid, t_grid = _second_order_from(cfg)
     mode = cfg["weights"]
-    scenario = _scenario_from(cfg)
-    if cfg["smooth_n"] < 0:
-        raise ConfigError("smooth_n must be nonnegative (0: no smoothing)")
-    if cfg["smooth_n"] > 0:
+    if cfg["smooth_n"]:  # 0: no smoothing
+        with _named("smooth_n"):
+            _check_count(cfg["smooth_n"], "thinning")
         if mode == "stationary":
             raise ConfigError("smoothing is not defined for the stationary estimator")
-        if not 0.0 < cfg["smooth_p"] < 1.0:
-            raise ConfigError("smooth_p must lie in (0, 1)")
+        with _named("smooth_p"):
+            _check_retention(cfg["smooth_p"])
     p = _load_pattern(cfg)
     if mode == "stationary":
         surf = k_stationary(p, C, D, r_grid, t_grid, erosion=cfg["erosion"])
-    elif cfg["smooth_n"] > 0:
+    elif cfg["smooth_n"]:
         def builder(q, keep):
             return _build_weights(q, mode, scenario)
 
@@ -488,14 +476,11 @@ def cmd_k(cfg, out_dir, seed, threads):
 
 
 def cmd_test(cfg, out_dir, seed, threads):
-    if cfg["n_perm"] < 1:
-        raise ConfigError("n_perm must be at least 1")
-    if not 0.0 < cfg["alpha"] < 1.0:
-        raise ConfigError("alpha must lie in (0, 1)")
-    C = _markset_from(cfg["c_set"])
-    D = _markset_from(cfg["d_set"])
-    r_grid, t_grid = _grids_from(cfg)
-    scenario = _scenario_from(cfg)
+    with _named("n_perm"):
+        _check_count(cfg["n_perm"], "permutation")
+    with _named("rank", "alpha"):
+        _check_band(cfg["rank"], cfg["alpha"])
+    scenario, C, D, r_grid, t_grid = _second_order_from(cfg)
     p = _load_pattern(cfg)
     builder = None
     if cfg["weights"] == "voronoi-marked":

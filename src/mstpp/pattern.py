@@ -47,7 +47,7 @@ class ContinuousMarks:
     Parameters
     ----------
     lo, hi : float
-        Interval bounds, lo < hi.
+        Finite interval bounds, lo < hi.
     reference : {"lebesgue", "normalized", "empirical"}
         Reference measure on the interval: plain length, length normalized
         to a probability measure, or the empirical mark distribution
@@ -60,8 +60,8 @@ class ContinuousMarks:
     reference: str = "lebesgue"
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("mark interval requires lo < hi")
+        if not -np.inf < self.lo < self.hi < np.inf:  # NaN fails too
+            raise ValueError(f"mark interval requires finite lo < hi, got ({self.lo}, {self.hi})")
         if self.reference not in _REFERENCES:
             raise ValueError(f"unknown reference measure {self.reference!r}")
 
@@ -97,15 +97,15 @@ class ContinuousMarks:
 
 @dataclass(frozen=True)
 class LabelMarks:
-    """Finite label space {1, ..., k} with positive per-label weights
-    (the counting measure when weights are omitted)."""
+    """Finite label space {1, ..., k}, k >= 2, with positive finite per-label
+    weights (the counting measure when weights are omitted)."""
 
     k: int
     weights: tuple = None
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("label space requires k >= 2")
+        if not isinstance(self.k, (int, np.integer)) or self.k < 2:
+            raise ValueError(f"label space requires a whole number k >= 2, got {self.k!r}")
         w = self.weights
         if w is None:
             w = tuple(1.0 for _ in range(self.k))
@@ -113,8 +113,8 @@ class LabelMarks:
             w = tuple(float(v) for v in w)
             if len(w) != self.k:
                 raise ValueError("need one weight per label")
-            if any(v <= 0 for v in w):
-                raise ValueError("label weights must be positive")
+            if not all(0 < v < np.inf for v in w):  # NaN fails too
+                raise ValueError(f"label weights must be positive and finite, got {w}")
         object.__setattr__(self, "weights", w)
 
     is_labelled = True
@@ -411,11 +411,15 @@ def project_ground(p, mark_set=None):
     return MarkedPattern(x=p.x, t=p.t, marks=None, window=p.window, mark_space=None)
 
 
+def _check_retention(retention):
+    if not 0 < retention < 1:  # NaN fails too
+        raise ValueError(f"retention must lie in (0, 1), got {retention!r}")
+
+
 def thin(p, retention, seed=None):
     """Independent thinning: each point kept with probability ``retention``,
     reproducibly under ``seed``."""
-    if not 0 < retention < 1:
-        raise ValueError("retention must lie in (0, 1)")
+    _check_retention(retention)
     rng = np.random.default_rng(seed)
     keep = rng.random(p.n) < retention
     marks = p.marks[keep] if p.is_marked else None

@@ -156,7 +156,7 @@ import numpy as np
 
 from .geometry import (cone_volume, cylinder_volume, direction_in_cone, erode_window,
                        unit_ball_volume)
-from .pattern import LabelSet, full_mark_set, thin
+from .pattern import LabelSet, _check_retention, full_mark_set, thin
 
 __all__ = [
     "Weights",
@@ -226,6 +226,10 @@ class Weights:
         if v is None:
             raise ValueError(f"weights.{name} is required for {why}")
         return v
+
+    def _ground(self, why):
+        """``lam_ground``, else ``lam``: an unmarked pattern's only intensity."""
+        return self._require("lam" if self.lam_ground is None else "lam_ground", why)
 
 
 def weights_from_function(p, marked_fn=None, ground_fn=None, source="TrueIntensity"):
@@ -552,20 +556,32 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t):
     return stored
 
 
-def _checked_lags(p, r_grid, t_grid, erosion):
-    """The lag grids as float arrays, the default grid for any left as None,
-    after the checks of the grids, of the erosion mode and of the window's
-    erosion at the maximal lags."""
-    dr, dt = default_lag_grids(p.window)
-    r_grid = np.asarray(dr if r_grid is None else r_grid, dtype=float)
-    t_grid = np.asarray(dt if t_grid is None else t_grid, dtype=float)
-    for g, name in ((r_grid, "r_grid"), (t_grid, "t_grid")):
+def _check_lag_cells(n_r, n_t):
+    """Reject an n_r x n_t lag grid whose difference array int32 cannot index."""
+    if (n_r + 1) * (n_t + 1) > _MAX_BINS:
+        raise ValueError(f"r_grid and t_grid have too many cells: {n_r} x {n_t} lags give "
+                         f"{(n_r + 1) * (n_t + 1)} difference bins, more than {_MAX_BINS}")
+
+
+def _checked_grids(r_grid, t_grid):
+    """The lag grids as float arrays, each a nonempty, strictly increasing
+    vector of finite nonnegative lags, with few enough cells (no window)."""
+    grids = np.asarray(r_grid, dtype=float), np.asarray(t_grid, dtype=float)
+    for g, name in zip(grids, ("r_grid", "t_grid")):
         if (g.ndim != 1 or g.size == 0 or not np.all(np.isfinite(g)) or np.any(g < 0)
                 or np.any(np.diff(g) <= 0)):
             raise ValueError(f"{name} must be a nonempty, strictly increasing vector "
                              "of finite nonnegative lags")
-    if (r_grid.size + 1) * (t_grid.size + 1) > _MAX_BINS:
-        raise ValueError("r_grid and t_grid have too many cells")
+    _check_lag_cells(grids[0].size, grids[1].size)
+    return grids
+
+
+def _checked_lags(p, r_grid, t_grid, erosion):
+    """The `_checked_grids` (the default grid for any left as None), after the
+    checks of the erosion mode and of the window's erosion at the maximal lags."""
+    dr, dt = default_lag_grids(p.window)
+    r_grid, t_grid = _checked_grids(dr if r_grid is None else r_grid,
+                                    dt if t_grid is None else t_grid)
     if erosion not in ("per-cell", "fixed"):
         raise ValueError("erosion must be 'per-cell' or 'fixed'")
     erode_window(p.window, float(r_grid[-1]), float(t_grid[-1]))  # ErosionError if too large
@@ -1021,10 +1037,7 @@ def k_ground(p, r_grid=None, t_grid=None, weights=None, scenario="S1",
     scenario = _norm_scenario(scenario)
     if scenario not in ("S1", "S3"):
         raise ValueError("ground K supports scenarios S1 and S3 only")
-    lam_g = weights.lam_ground if weights.lam_ground is not None else weights.lam
-    if lam_g is None:
-        raise ValueError("weights.lam_ground (or lam) is required")
-    inv, ones = 1.0 / _per_point(p, lam_g), np.ones(p.n)
+    inv, ones = 1.0 / _per_point(p, weights._ground("ground K without lam_ground")), np.ones(p.n)
     geom = _geometry(p, r_grid, t_grid, erosion, geometry)
     return _k_surface(p, geom, scenario, [(ones, ones, inv, inv, 1.0, 1.0)], None, None,
                       weights.source, floor_hits=weights.floor_hits, ground=True)
@@ -1041,7 +1054,8 @@ def k_measure_hat(p, C, D, E, weights, return_report=False):
     whose stored pairs, in (I, J) order, contain every such pair on the
     same lags (a cylinder or cone tests ds itself; a box's ds rounds to at
     most r_c, since squaring, summing and sqrt are monotone under rounding).
-    With ``return_report``, ``pairs`` counts those stored pairs.
+    An unmarked pattern's pairs are weighted by its ground intensity, as in
+    `k_ground`. With ``return_report``, ``pairs`` counts those stored pairs.
     """
     if weights is None:
         raise ValueError("weights are required")
@@ -1051,9 +1065,7 @@ def k_measure_hat(p, C, D, E, weights, return_report=False):
     if p.marks is not None:
         lam = weights._require("lam", "measure estimation")
     else:
-        lam = weights.lam if weights.lam is not None else weights._require(
-            "lam_ground", "measure estimation on an unmarked pattern"
-        )
+        lam = weights._ground("an unmarked pattern's measure without lam_ground")
     inv = 1.0 / _per_point(p, lam)
     geom = pair_geometry(p, [r_c], [t_c], erosion="fixed")
     terms = [np.empty(0)]
@@ -1148,8 +1160,7 @@ def k_smoothed(p, C=None, D=None, r_grid=None, t_grid=None, weights_builder=None
     their count is reported in the metadata, and so is ``floor_hits``, the
     sum of the other thinnings' ``Weights.floor_hits``.
     """
-    if not 0.0 < retention < 1.0:
-        raise ValueError("retention must lie in (0, 1)")
+    _check_retention(retention)
     children = _children(seed, n, "thinning")
     _check_count(threads, "thread")
     if weights_builder is None:

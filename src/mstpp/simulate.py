@@ -263,7 +263,7 @@ def _chol_with_jitter(cov):
 
 
 def _grid_shape(shape):
-    # (nx, ny, nt) as Python ints, or ValueError
+    # (nx, ny, nt) as Python ints, within the dense guard, or ValueError
     try:
         dims = tuple(shape)
     except TypeError:
@@ -272,7 +272,11 @@ def _grid_shape(shape):
         isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1 for v in dims
     ):
         raise ValueError(f"grid shape must be three positive integers, got {shape!r}")
-    return tuple(int(v) for v in dims)
+    nx, ny, nt = (int(v) for v in dims)
+    if max(nx * ny, nt) > DENSE_CELL_GUARD:
+        raise ValueError(f"grid has {nx * ny} spatial cells and {nt} time slices; "
+                         f"dense guard is {DENSE_CELL_GUARD} for each")
+    return nx, ny, nt
 
 
 @dataclass(frozen=True)
@@ -316,11 +320,6 @@ class GRFSampler:
         nx, ny, nt = _grid_shape(shape)
         if not isinstance(cov, SeparableCovariance):
             raise ValueError(f"cov must be a SeparableCovariance, got {type(cov).__name__}")
-        if max(nx * ny, nt) > DENSE_CELL_GUARD:
-            raise ValueError(
-                f"grid has {nx * ny} spatial cells and {nt} time slices; "
-                f"dense guard is {DENSE_CELL_GUARD} for each"
-            )
         grid = GridField(window=window, shape=(nx, ny, nt), values=np.zeros((nx, ny, nt)))
         cx, cy, ct = grid.cell_centers()
         mx, my, mt = np.meshgrid(cx, cy, ct, indexing="ij")

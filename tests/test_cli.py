@@ -17,13 +17,19 @@ from mstpp.cli import (
     resolve_config,
 )
 from mstpp.geometry import Window
+from mstpp.inference import _check_band
+from mstpp.intensity import Quadrature
 from mstpp.pattern import (
     ContinuousMarks,
+    LabelMarks,
     LabelSet,
     MarkInterval,
+    _check_retention,
     pattern_from_arrays,
     save_catalog,
 )
+from mstpp.second_order import _check_count, _check_lag_cells, _checked_grids, _norm_scenario
+from mstpp.simulate import _grid_shape
 
 from .conftest import UNIT, uniform_pattern
 
@@ -40,6 +46,20 @@ def run_cli(*args):
 def write_config(path, text):
     path.write_text(text.strip() + "\n")
     return str(path)
+
+
+def run_missing_catalog(tmp_path, command, lines):
+    """Run ``command`` with ``lines`` on a config whose catalogue does not
+    exist: a command that loads it before checking ``lines`` exits 1. A key
+    set in ``lines`` replaces its default here."""
+    defaults = {"preset": "lgcp-bernoulli"} if command == "simulate" else {
+        "input": tmp_path / "missing.csv", "window": "0,1,0,1,0,1", "marks": "labels,2"}
+    if command == "test":
+        defaults.update(c_set="all", d_set="all")
+    given = {line.split("=")[0].strip() for line in lines.splitlines()}
+    text = "".join(f"{k} = {v}\n" for k, v in defaults.items() if k not in given)
+    cfg = write_config(tmp_path / "c.txt", text + lines)
+    return run_cli(command, "--config", cfg, "--out", str(tmp_path / "o"))
 
 
 @pytest.fixture(scope="module")
@@ -111,11 +131,11 @@ class TestConfigParsing:
             _markspace_from("interval,0")
 
     def test_markset_spec(self):
-        assert _markset_from("all") is None
-        assert _markset_from("interval,0,0.5") == MarkInterval(0.0, 0.5)
-        assert _markset_from("labels,1,3") == LabelSet([1, 3])
-        with pytest.raises(ConfigError, match="bad mark set"):
-            _markset_from("ball,1")
+        assert _markset_from("all", "c_set") is None
+        assert _markset_from("interval,0,0.5", "c_set") == MarkInterval(0.0, 0.5)
+        assert _markset_from("labels,1,3", "d_set") == LabelSet([1, 3])
+        with pytest.raises(ConfigError, match="key 'd_set': bad mark set"):
+            _markset_from("ball,1", "d_set")
 
     def test_quadrature_overrides(self):
         assert _quadrature_from({}) is None
@@ -190,8 +210,13 @@ class TestExitCodes:
         ("k", "d_set = interval,0,nan", "bad mark set"),
         # over the pair geometry's cell limit: once a numerical failure (exit
         # 3) after the weights were built
-        ("k", "n_r = 50000\nn_t = 50000", "n_r = 50000 and n_t = 50000"),
-        ("test", "n_r = 50000\nn_t = 50000", "n_r = 50000 and n_t = 50000"),
+        ("k", "n_r = 50000\nn_t = 50000", "too many cells: 50000 x 50000 lags"),
+        ("test", "n_r = 50000\nn_t = 50000", "too many cells: 50000 x 50000 lags"),
+        # a non-finite reference mass: once an all-zero K (exit 0), or a
+        # numerical failure after the tessellation was built
+        ("k", "marks = labels,2,inf,1", "key 'marks': bad marks spec"),
+        ("k", "marks = labels,2,nan,1", "key 'marks': bad marks spec"),
+        ("k", "marks = interval,0,inf", "key 'marks': bad marks spec"),
         # one pair search: no key selects it
         ("k", "route = indexed", "unknown key(s) for 'k': ['route']"),
         ("test", "route = indexed", "unknown key(s) for 'test': ['route']"),
@@ -199,18 +224,52 @@ class TestExitCodes:
             "k-smooth_p-above", "k-smooth_p-zero", "test-scenario", "test-n_r", "test-n_t",
             "k-r_max", "k-t_max", "test-r_max", "test-t_max", "k-r_max-inf", "k-t_max-inf",
             "test-r_max-inf", "test-t_max-inf", "k-c_set-nan", "k-d_set-nan",
-            "k-cells", "test-cells",
+            "k-cells", "test-cells", "k-marks-inf-weight", "k-marks-nan-weight",
+            "k-marks-inf-bound",
             "k-route", "test-route"])
     def test_bad_settings_are_2_before_loading(self, tmp_path, command, lines, key):
-        # the catalog does not exist: loading it first would exit 1
-        sets = "c_set = all\nd_set = all\n" if command == "test" else ""
-        cfg = write_config(
-            tmp_path / "c.txt",
-            f"input = {tmp_path / 'missing.csv'}\n{CATALOG_KEYS}marks = labels,2\n{sets}{lines}",
-        )
-        res = run_cli(command, "--config", cfg, "--out", str(tmp_path / "o"))
+        res = run_missing_catalog(tmp_path, command, lines)
         assert res.returncode == 2, res.stderr
         assert "config error" in res.stderr and key in res.stderr
+
+    @pytest.mark.parametrize("command, lines, keys, check", [
+        ("simulate", "grf_cells = 100,100,2", "'grf_cells'",
+         lambda: _grid_shape((100, 100, 2))),
+        ("simulate", "grf_cells = 4,0,4", "'grf_cells'", lambda: _grid_shape((4, 0, 4))),
+        ("intensity", "quad_space = -3", "'quad_space'", lambda: Quadrature(n_space=-3)),
+        ("k", "r_max = -0.1", "'n_r', 'n_t', 'r_max', 't_max'",
+         lambda: _checked_grids(-0.1 * np.arange(1, 21) / 20, [1.0])),
+        ("test", "t_max = nan", "'n_r', 'n_t', 'r_max', 't_max'",
+         lambda: _checked_grids([1.0], np.full(20, np.nan))),
+        ("k", "n_t = 0", "'n_r', 'n_t', 'r_max', 't_max'",
+         lambda: _checked_grids([1.0], [])),
+        ("test", "n_r = -1", "'n_r', 'n_t', 'r_max', 't_max'",
+         lambda: _checked_grids([], [1.0])),
+        ("test", "n_r = 50000\nn_t = 50000", "'n_r', 'n_t', 'r_max', 't_max'",
+         lambda: _check_lag_cells(50000, 50000)),
+        ("k", "scenario = 5", "'scenario'", lambda: _norm_scenario(5)),
+        ("test", "scenario = 0", "'scenario'", lambda: _norm_scenario(0)),
+        ("k", "smooth_n = -2", "'smooth_n'", lambda: _check_count(-2, "thinning")),
+        ("k", "smooth_n = 3\nsmooth_p = 1.5", "'smooth_p'", lambda: _check_retention(1.5)),
+        ("test", "n_perm = 0", "'n_perm'", lambda: _check_count(0, "permutation")),
+        ("test", "alpha = 1.7", "'rank', 'alpha'", lambda: _check_band("pointwise", 1.7)),
+        ("test", "rank = median", "'rank', 'alpha'", lambda: _check_band("median", 0.05)),
+        ("k", "marks = labels,2,inf,1", "'marks'",
+         lambda: LabelMarks(2, weights=(np.inf, 1.0))),
+        ("k", "marks = interval,0,inf", "'marks'", lambda: ContinuousMarks(0.0, np.inf)),
+        ("test", "c_set = interval,nan,1", "'c_set'", lambda: MarkInterval(np.nan, 1.0)),
+    ], ids=["grf_cells-guard", "grf_cells-zero", "quad_space", "r_max", "t_max", "n_t",
+            "n_r", "cells", "k-scenario", "test-scenario", "smooth_n", "smooth_p", "n_perm",
+            "alpha", "rank", "marks-weight", "marks-bound", "c_set"])
+    def test_bad_values_quote_the_library_check(self, tmp_path, command, lines, keys, check):
+        # one source for each value rule: the CLI reports the library's own
+        # message for the same value, under the key(s) it came from
+        with pytest.raises(ValueError) as library:
+            check()
+        res = run_missing_catalog(tmp_path, command, lines)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith(f"config error: key{'s' if ',' in keys else ''} {keys}: ")
+        assert res.stderr.endswith(f"{library.value}\n")
 
     @pytest.mark.parametrize("threads", ["-4", "0", "two"])
     def test_bad_threads_is_2_before_any_work(self, tmp_path, threads):

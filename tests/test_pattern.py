@@ -79,6 +79,24 @@ class TestMarkSpaces:
         with pytest.raises(ValueError):
             LabelSet([])
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0),
+                                        (0.0, np.nan)])
+    def test_interval_space_rejects_nonfinite_bounds(self, lo, hi):
+        # an infinite bound gives an infinite total mass, so a zero K
+        with pytest.raises(ValueError, match="finite lo < hi"):
+            ContinuousMarks(lo, hi)
+
+    @pytest.mark.parametrize("weights", [(np.inf, 1.0), (np.nan, 1.0), (1.0, 0.0)])
+    def test_label_weights_must_be_positive_and_finite(self, weights):
+        with pytest.raises(ValueError, match="positive and finite"):
+            LabelMarks(2, weights=weights)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "3", None])
+    def test_label_count_must_be_whole(self, k):
+        # not a TypeError from range()
+        with pytest.raises(ValueError, match="whole number k >= 2"):
+            LabelMarks(k)
+
     def test_full_mark_set(self):
         assert full_mark_set(LabelMarks(k=3)).labels == frozenset({1, 2, 3})
         fs = full_mark_set(ContinuousMarks(-1.0, 2.0))

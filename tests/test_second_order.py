@@ -928,6 +928,20 @@ class TestMeasureHat:
         split = k_measure_hat(p, LabelSet([1]), LabelSet([2]), CylinderSet(0.1, 0.1), w)
         assert split == pytest.approx(125.0 / 576.0, rel=1e-12)
 
+    def test_unmarked_pattern_reads_the_ground_intensity(self):
+        # one ground-intensity rule with k_ground: lam_ground, else lam
+        p = project_ground(uniform_pattern(80, seed=74))
+        rng = np.random.default_rng(74)
+        w = Weights(lam=rng.uniform(20.0, 40.0, p.n), lam_ground=rng.uniform(60.0, 120.0, p.n))
+        r, t = 0.1, 0.1
+        ground = k_ground(p, [r], [t], w, erosion="fixed").values[0, 0]
+        assert ground > 0
+        assert k_measure_hat(p, None, None, CylinderSet(r, t), w) == \
+            pytest.approx(ground, rel=1e-12)
+        lam_only = Weights(lam=w.lam)
+        assert k_measure_hat(p, None, None, CylinderSet(r, t), lam_only) == pytest.approx(
+            k_ground(p, [r], [t], lam_only, erosion="fixed").values[0, 0], rel=1e-12)
+
     def test_degenerate_set_is_zero(self, small_marked):
         w = demo_weights(small_marked)
         assert k_measure_hat(small_marked, None, None, CylinderSet(0.0, 0.0), w) == 0.0
