@@ -17,7 +17,7 @@ import numpy as np
 from mstpp.cli import nonnegative_int, positive_int
 from mstpp.geometry import Window
 from mstpp.inference import envelopes
-from mstpp.pattern import LabelSet
+from mstpp.pattern import LabelSet, write_table
 from mstpp.second_order import default_lag_grids, weights_from_function
 from mstpp.inference import diag_independent_marks
 from mstpp.simulate import preset_sampler, simulate_preset
@@ -60,14 +60,9 @@ def main(argv=None):
     print(f"cells whose MinMax envelope covers zero: {covered:.1%}")
 
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("r,t,lower,upper,covers_zero\n")
-            for i, r in enumerate(r_grid):
-                for j, t in enumerate(t_grid):
-                    fh.write(
-                        f"{r!r},{t!r},{env.lower[i, j]!r},{env.upper[i, j]!r},"
-                        f"{int(not env.exceeds[i, j])}\n"
-                    )
+        r, t = np.meshgrid(r_grid, t_grid, indexing="ij")
+        write_table(args.out, ["r", "t", "lower", "upper", "covers_zero"],
+                    [g.ravel() for g in (r, t, env.lower, env.upper, ~env.exceeds)])
         print(f"wrote {args.out}")
     return 0
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from mstpp.cli import nonnegative_int, positive_int
 from mstpp.geometry import Window
-from mstpp.pattern import MarkInterval
+from mstpp.pattern import MarkInterval, write_table
 from mstpp.second_order import Weights, k_inhom
 from mstpp.simulate import IntensityField, UniformInterval, assign_marks_iid, sim_poisson
 
@@ -65,10 +65,7 @@ def main(argv=None):
             print(f"{r:6.3f} {t:6.3f} {mean[a, b]:12.6g} {se[a, b]:12.6g} {ref:12.6g} {zs}")
 
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("r,t,mean,se,reference,z\n")
-            for row in rows:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_table(args.out, ["r", "t", "mean", "se", "reference", "z"], zip(*rows))
         print(f"wrote {args.out}")
     return 0
 

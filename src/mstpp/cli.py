@@ -13,8 +13,9 @@ starts a comment, keys are lowercase. This module owns their syntax; the
 library owns every rule on a value it reads. Every command runs those
 checks before it reads the catalogue (a bad value's message names its
 key(s)), echoes the fully resolved configuration to ``config_used.txt``
-in the output directory, and writes CSV/JSON artifacts that are
-byte-identical for a fixed (config, seed) regardless of ``--threads``.
+in the output directory, and writes its CSV/JSON artifacts with
+``pattern.write_table``/``pattern.write_json``, byte-identical for a
+fixed (config, seed) regardless of ``--threads``.
 
 Shared catalog keys (intensity / k / test)::
 
@@ -26,13 +27,13 @@ Mark sets (``c_set`` / ``d_set``)::
 
     all | interval,<a>,<b> | labels,<l1>[,<l2>...]
 
+(``labels`` on a label space, ``interval`` on a continuous one).
+
 Exit codes: 0 success, 1 input/output error, 2 configuration error,
 3 numerical failure.
 """
 
 import argparse
-import csv
-import json
 import os
 import sys
 from contextlib import contextmanager
@@ -54,9 +55,12 @@ from .pattern import (
     LabelMarks,
     LabelSet,
     MarkInterval,
+    _check_mark_set,
     _check_retention,
     load_catalog,
     save_catalog,
+    write_json,
+    write_table,
 )
 from .second_order import (
     _check_count,
@@ -260,29 +264,47 @@ def _window_from(vals):
         )
 
 
+def _fields(args, names, optional=0):
+    """The fields of a spec after its kind: one per name in ``names``, then
+    at most ``optional`` more."""
+    if len(args) < len(names):
+        raise ValueError(f"missing field <{names[len(args)]}>")
+    extra = args[len(names) + optional:]
+    if extra:
+        raise ValueError(f"unexpected field(s) {','.join(extra)!r}")
+    return args
+
+
 def _markspace_from(spec):
     kind, *args = [s.strip() for s in spec.split(",")]
     with _named("marks", prefix=f"bad marks spec {spec!r}: "):
         if kind == "labels":
-            k, *weights = args
+            # any number of weights: LabelMarks checks there is one per label
+            k, *weights = _fields(args, ["k"], optional=len(args))
             return LabelMarks(int(k), weights=tuple(float(v) for v in weights) or None)
         if kind == "interval":
-            lo, hi, *reference = args
-            return ContinuousMarks(float(lo), float(hi), *reference[:1])
+            lo, hi, *reference = _fields(args, ["lo", "hi"], optional=1)
+            return ContinuousMarks(float(lo), float(hi), *reference)
         raise ValueError("expected labels,... or interval,...")
 
 
-def _markset_from(spec, key):
+def _markset_from(spec, key, mark_space):
+    """The mark set of ``spec`` (None for all marks), of the kind that
+    ``mark_space`` takes."""
     kind, *args = [s.strip() for s in spec.split(",")]
     with _named(key, prefix=f"bad mark set {spec!r}: "):
         if kind == "all":
+            _fields(args, [])
             return None
         if kind == "interval":
-            lo, hi, *_ = args
-            return MarkInterval(float(lo), float(hi))
-        if kind == "labels":
-            return LabelSet([int(v) for v in args])
-        raise ValueError("expected all, interval,.. or labels,..")
+            lo, hi = _fields(args, ["a", "b"])
+            mark_set = MarkInterval(float(lo), float(hi))
+        elif kind == "labels":
+            mark_set = LabelSet([int(v) for v in args])
+        else:
+            raise ValueError("expected all, interval,.. or labels,..")
+        _check_mark_set(mark_space, mark_set)
+        return mark_set
 
 
 def _quadrature_from(cfg):
@@ -343,9 +365,7 @@ def cmd_simulate(cfg, out_dir, seed, threads):
         },
         "marks": str(p.mark_space),
     }
-    with open(os.path.join(out_dir, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "meta.json"), meta)
 
 
 def _build_estimate(p, estimator, quad, euclidean_tm):
@@ -365,8 +385,10 @@ def cmd_intensity(cfg, out_dir, seed, threads):
     if len(cells) != 4 or any(v < 1 for v in cells):
         raise ConfigError("eval_cells needs 3 or 4 positive integers")
     nx, ny, nt, nm = cells
-    p = _load_pattern(cfg)
     estimator = cfg["estimator"]
+    if cfg["dump_cells"] and estimator not in ("ground", "marked"):
+        raise ConfigError(f"dump_cells needs the ground or marked estimator, not {estimator!r}")
+    p = _load_pattern(cfg)
     est = _build_estimate(p, estimator, quad, cfg["euclidean_tm"])
 
     lo, hi = p.window.spatial_bounds()
@@ -383,11 +405,7 @@ def cmd_intensity(cfg, out_dir, seed, threads):
     columns = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
     columns.append(est.at(np.column_stack(columns[:2]), *columns[2:]))
     header = ["x", "y", "t", "m"][:len(axes)] + ["lambda_hat"]
-    with open(os.path.join(out_dir, "intensity.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([_fmt(v) for v in row])
+    write_table(os.path.join(out_dir, "intensity.csv"), header, columns)
 
     mass = estimate_mass(est)
     lines = [
@@ -407,12 +425,10 @@ def cmd_intensity(cfg, out_dir, seed, threads):
     lines += [f"{key} = {res[f]}" for key, f in _QUAD_KEYS.items() if f in res]
     with open(os.path.join(out_dir, "audit.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    if cfg.get("dump_cells") and hasattr(est, "cell_measure_rows"):
-        with open(os.path.join(out_dir, "cell_measures.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["point_index", "cell_measure"])
-            for idx, measure in est.cell_measure_rows():
-                writer.writerow([str(int(idx)), _fmt(measure)])
+    if cfg["dump_cells"]:
+        idx, measure = est.cell_measure_rows().T
+        write_table(os.path.join(out_dir, "cell_measures.csv"),
+                    ["point_index", "cell_measure"], [idx.astype(int), measure])
 
 
 def _build_weights(p, mode, scenario):
@@ -432,7 +448,8 @@ def _second_order_from(cfg):
     after the library's checks. A maximal lag of 0 is the default grid's."""
     with _named("scenario"):
         scenario = _norm_scenario(cfg["scenario"])
-    C, D = (_markset_from(cfg[key], key) for key in ("c_set", "d_set"))
+    mark_space = _markspace_from(cfg["marks"])
+    C, D = (_markset_from(cfg[key], key, mark_space) for key in ("c_set", "d_set"))
     r_default, t_default = default_lag_grids(_window_from(cfg["window"]))
     r_max = cfg["r_max"] or float(r_default[-1])
     t_max = cfg["t_max"] or float(t_default[-1])

@@ -34,14 +34,13 @@ splittable seed sequences, and reductions run in replicate-index order,
 so results are independent of the worker count.
 """
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .intensity import voronoi_ground
-from .pattern import permute_marks
+from .pattern import permute_marks, write_json, write_table
 from .second_order import (
     _CHUNK,
     _Surface,
@@ -116,19 +115,10 @@ class EnvelopeSet:
         return float(np.mean(self.exceeds))
 
     def write_csv(self, path):
-        import csv
-
-        obs = self.observed.values
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["r", "t", "observed", "lower", "upper", "exceeds"])
-            for i, r in enumerate(self.observed.r_grid):
-                for j, t in enumerate(self.observed.t_grid):
-                    w.writerow(
-                        [repr(float(r)), repr(float(t)), repr(float(obs[i, j])),
-                         repr(float(self.lower[i, j])), repr(float(self.upper[i, j])),
-                         int(self.exceeds[i, j])]
-                    )
+        obs = self.observed
+        r, t = np.meshgrid(obs.r_grid, obs.t_grid, indexing="ij")
+        write_table(path, ["r", "t", "observed", "lower", "upper", "exceeds"],
+                    [g.ravel() for g in (r, t, obs.values, self.lower, self.upper, self.exceeds)])
 
     def write_meta(self, path):
         doc = {
@@ -139,9 +129,7 @@ class EnvelopeSet:
             "meta": {k: (v.tolist() if isinstance(v, np.ndarray) else str(v))
                      for k, v in self.meta.items()},
         }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, doc)
 
 
 def _stat_values(stat):

@@ -878,7 +878,7 @@ class _Cells1D(_Cells):
         return cls(vals, counts, group, measures, bounds)
 
     def value_at(self, q):
-        idx = np.searchsorted(self.boundaries, np.asarray(q, dtype=float), side="right")
+        idx = np.searchsorted(self.boundaries, np.asarray(q, dtype=float), side="left")
         return self.mult[idx] / self.measures[idx]
 
 

@@ -3,6 +3,10 @@ The marked point-pattern data model: mark spaces and their reference
 measures, mark sets, patterns, ingestion, and the basic transformers
 (rescaling, mark restriction, thinning, mark permutation).
 
+Every CSV and JSON artifact the package writes goes through one of two
+writers: ``write_table`` (float cells at full round-trip precision) and
+``write_json`` (sorted keys, two-space indent, final newline).
+
 A pattern holds its points only as arrays (x: (N, d), t: (N,), marks:
 (N,)), which the estimators read whole; there is no per-point object. It
 is immutable after construction, and always satisfies simpleness: no two
@@ -12,6 +16,7 @@ and the marking operations upgrade them.
 """
 
 import csv
+import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,6 +35,8 @@ __all__ = [
     "pattern_from_arrays",
     "load_catalog",
     "save_catalog",
+    "write_table",
+    "write_json",
     "rescale",
     "restrict_marks",
     "project_ground",
@@ -78,6 +85,7 @@ class ContinuousMarks:
     def nu(self, mark_set, marks=None):
         """Reference-measure mass of a mark set; empirical reference needs
         the observed marks."""
+        _check_mark_set(self, mark_set)
         lo = max(self.lo, mark_set.lo)
         hi = min(self.hi, mark_set.hi)
         if self.reference == "empirical":
@@ -128,6 +136,7 @@ class LabelMarks:
         return (marks == np.round(marks)) & (marks >= 1) & (marks <= self.k)
 
     def nu(self, mark_set, marks=None):
+        _check_mark_set(self, mark_set)
         return float(sum(self.weights[i - 1] for i in sorted(mark_set.labels) if 1 <= i <= self.k))
 
     def nu_total(self, marks=None):
@@ -180,6 +189,15 @@ class LabelSet:
 
     def contains(self, m):
         return int(m) in self.labels
+
+
+def _check_mark_set(mark_space, mark_set):
+    """Raise ValueError unless ``mark_set`` is of the kind ``mark_space``
+    takes: a LabelSet on labels, a MarkInterval on continuous marks."""
+    kind = LabelSet if mark_space.is_labelled else MarkInterval
+    if not isinstance(mark_set, kind):
+        raise ValueError(f"a {type(mark_space).__name__} mark space takes a {kind.__name__} "
+                         f"mark set, got a {type(mark_set).__name__}")
 
 
 def full_mark_set(mark_space):
@@ -303,10 +321,17 @@ def pattern_from_arrays(x, t, marks=None, window=None, mark_space=None):
     return MarkedPattern(x=x, t=t, marks=marks, window=window, mark_space=mark_space)
 
 
-def load_catalog(path, window, mark_space, dim=2):
+def _catalog_header(dim):
+    """``x,y,t,mark`` for d = 2, else ``x1,...,xd,t,mark``."""
+    coords = ["x", "y"] if dim == 2 else [f"x{i + 1}" for i in range(dim)]
+    return coords + ["t", "mark"]
+
+
+def load_catalog(path, window, mark_space):
     """Read a catalog CSV into a validated pattern.
 
-    The header must be ``x,y,t,mark`` (d = 2) or ``x1,...,xd,t,mark``.
+    The header must be ``x,y,t,mark`` (d = 2) or ``x1,...,xd,t,mark``, for
+    the window's dimension d.
     Label marks are integers 1..k. Rows outside the window are dropped with
     a count report (warning); duplicate (location, mark) rows collapse to
     one with a warning so the pattern stays simple.
@@ -316,7 +341,8 @@ def load_catalog(path, window, mark_space, dim=2):
     ValueError
         On a malformed row (with its line number) or an empty result.
     """
-    expected = ["x", "y", "t", "mark"] if dim == 2 else [f"x{i + 1}" for i in range(dim)] + ["t", "mark"]
+    dim = window.dim
+    expected = _catalog_header(dim)
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -359,17 +385,29 @@ def save_catalog(p, path):
     ``load_catalog``); floats are written with full round-trip precision."""
     if not p.is_marked:
         raise ValueError("catalogs carry a mark column; pattern is unmarked")
-    header = ["x", "y", "t", "mark"] if p.dim == 2 else [
-        f"x{i + 1}" for i in range(p.dim)
-    ] + ["t", "mark"]
+    write_table(path, _catalog_header(p.dim), [*p.x.T, p.t, p.marks])
+
+
+def write_table(path, header, columns):
+    """Write equal-length ``columns`` under ``header`` as a CSV table in the
+    ``csv`` module's default dialect. A float cell is ``repr(float(v))``
+    (full round-trip precision); an integer or bool cell is an integer."""
+    cells = []
+    for col in map(np.asarray, columns):
+        cells.append(col.astype(int).tolist() if col.dtype.kind in "biu"
+                     else list(map(repr, col.astype(float).tolist())))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(p.n):
-            row = [repr(float(v)) for v in p.x[i]]
-            row.append(repr(float(p.t[i])))
-            row.append(repr(float(p.marks[i])))
-            writer.writerow(row)
+        writer.writerows(zip(*cells, strict=True))
+
+
+def write_json(path, doc):
+    """Write ``doc`` as JSON with sorted keys, a two-space indent and a
+    final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def rescale(p, beta_s, beta_t):

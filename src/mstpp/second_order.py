@@ -144,7 +144,6 @@ drops only corner entries that were masked out before, so it changes no
 total either.
 """
 
-import json
 import math
 import numbers
 import warnings
@@ -156,7 +155,7 @@ import numpy as np
 
 from .geometry import (cone_volume, cylinder_volume, direction_in_cone, erode_window,
                        unit_ball_volume)
-from .pattern import LabelSet, _check_retention, full_mark_set, thin
+from .pattern import LabelSet, _check_retention, full_mark_set, thin, write_json, write_table
 
 __all__ = [
     "Weights",
@@ -787,18 +786,10 @@ class KSurface(_Surface):
 
     def write_csv(self, path):
         """Long-format rows r,t,k_hat,k_poisson,diff."""
-        import csv
-
         ref = self.poisson_surface()
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["r", "t", "k_hat", "k_poisson", "diff"])
-            for i, r in enumerate(self.r_grid):
-                for j, t in enumerate(self.t_grid):
-                    w.writerow(
-                        [repr(float(r)), repr(float(t)), repr(float(self.values[i, j])),
-                         repr(float(ref[i, j])), repr(float(self.values[i, j] - ref[i, j]))]
-                    )
+        r, t = np.meshgrid(self.r_grid, self.t_grid, indexing="ij")
+        write_table(path, ["r", "t", "k_hat", "k_poisson", "diff"],
+                    [g.ravel() for g in (r, t, self.values, ref, self.values - ref)])
 
     def write_meta(self, path):
         doc = {
@@ -811,9 +802,7 @@ class KSurface(_Surface):
             "t_grid": [float(v) for v in self.t_grid],
             "meta": _jsonable(self.meta),
         }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, doc)
 
 
 def _jsonable(obj):

@@ -24,6 +24,7 @@ from mstpp.pattern import (
     LabelMarks,
     LabelSet,
     MarkInterval,
+    _check_mark_set,
     _check_retention,
     pattern_from_arrays,
     save_catalog,
@@ -131,11 +132,35 @@ class TestConfigParsing:
             _markspace_from("interval,0")
 
     def test_markset_spec(self):
-        assert _markset_from("all", "c_set") is None
-        assert _markset_from("interval,0,0.5", "c_set") == MarkInterval(0.0, 0.5)
-        assert _markset_from("labels,1,3", "d_set") == LabelSet([1, 3])
+        continuous, labels = ContinuousMarks(0.0, 1.0), LabelMarks(3)
+        assert _markset_from("all", "c_set", continuous) is None
+        assert _markset_from("interval,0,0.5", "c_set", continuous) == MarkInterval(0.0, 0.5)
+        assert _markset_from("labels,1,3", "d_set", labels) == LabelSet([1, 3])
         with pytest.raises(ConfigError, match="key 'd_set': bad mark set"):
-            _markset_from("ball,1", "d_set")
+            _markset_from("ball,1", "d_set", labels)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("labels", "missing field <k>"),
+        ("interval", "missing field <lo>"),
+        ("interval,0", "missing field <hi>"),
+        ("interval,-8,8,lebesgue,junk", "unexpected field(s) 'junk'"),
+        ("labels,2,1,1,1", "need one weight per label"),
+    ])
+    def test_markspace_spec_field_count(self, spec, message):
+        with pytest.raises(ConfigError) as exc:
+            _markspace_from(spec)
+        assert str(exc.value) == f"key 'marks': bad marks spec {spec!r}: {message}"
+
+    @pytest.mark.parametrize("spec, message", [
+        ("all,junk", "unexpected field(s) 'junk'"),
+        ("interval,-8", "missing field <b>"),
+        ("interval,-8,0,junk", "unexpected field(s) 'junk'"),
+        ("interval,-8,0,1,2", "unexpected field(s) '1,2'"),
+    ])
+    def test_markset_spec_field_count(self, spec, message):
+        with pytest.raises(ConfigError) as exc:
+            _markset_from(spec, "c_set", ContinuousMarks(-8.0, 8.0))
+        assert str(exc.value) == f"key 'c_set': bad mark set {spec!r}: {message}"
 
     def test_quadrature_overrides(self):
         assert _quadrature_from({}) is None
@@ -217,6 +242,21 @@ class TestExitCodes:
         ("k", "marks = labels,2,inf,1", "key 'marks': bad marks spec"),
         ("k", "marks = labels,2,nan,1", "key 'marks': bad marks spec"),
         ("k", "marks = interval,0,inf", "key 'marks': bad marks spec"),
+        # a mark set of the wrong kind for the mark space: once a traceback
+        # (exit 1) from the reference measure
+        ("k", "d_set = interval,0,1",
+         "key 'd_set': bad mark set 'interval,0,1': a LabelMarks mark space takes a LabelSet"),
+        ("test", "c_set = interval,0,1",
+         "key 'c_set': bad mark set 'interval,0,1': a LabelMarks mark space takes a LabelSet"),
+        ("k", "marks = interval,0,1\nc_set = labels,1",
+         "key 'c_set': bad mark set 'labels,1': a ContinuousMarks mark space takes a MarkInterval"),
+        # an extra field in a mark spec: once ignored (exit 0)
+        ("k", "marks = interval,-8,8\nc_set = interval,-8,0,junk", "unexpected field(s) 'junk'"),
+        ("k", "marks = interval,-8,8\nc_set = all,junk", "unexpected field(s) 'junk'"),
+        ("k", "marks = interval,-8,8,lebesgue,junk", "unexpected field(s) 'junk'"),
+        ("k", "marks = labels", "missing field <k>"),
+        # no cell dump for the separable estimators: once silently skipped
+        ("intensity", "estimator = s2\ndump_cells = true", "dump_cells"),
         # one pair search: no key selects it
         ("k", "route = indexed", "unknown key(s) for 'k': ['route']"),
         ("test", "route = indexed", "unknown key(s) for 'test': ['route']"),
@@ -225,7 +265,9 @@ class TestExitCodes:
             "k-r_max", "k-t_max", "test-r_max", "test-t_max", "k-r_max-inf", "k-t_max-inf",
             "test-r_max-inf", "test-t_max-inf", "k-c_set-nan", "k-d_set-nan",
             "k-cells", "test-cells", "k-marks-inf-weight", "k-marks-nan-weight",
-            "k-marks-inf-bound",
+            "k-marks-inf-bound", "k-d_set-kind", "test-c_set-kind", "k-c_set-kind",
+            "k-c_set-extra", "k-c_set-all-extra", "k-marks-extra", "k-marks-missing",
+            "intensity-dump_cells-s2",
             "k-route", "test-route"])
     def test_bad_settings_are_2_before_loading(self, tmp_path, command, lines, key):
         res = run_missing_catalog(tmp_path, command, lines)
@@ -258,9 +300,11 @@ class TestExitCodes:
          lambda: LabelMarks(2, weights=(np.inf, 1.0))),
         ("k", "marks = interval,0,inf", "'marks'", lambda: ContinuousMarks(0.0, np.inf)),
         ("test", "c_set = interval,nan,1", "'c_set'", lambda: MarkInterval(np.nan, 1.0)),
+        ("k", "d_set = interval,0,1", "'d_set'",
+         lambda: _check_mark_set(LabelMarks(2), MarkInterval(0.0, 1.0))),
     ], ids=["grf_cells-guard", "grf_cells-zero", "quad_space", "r_max", "t_max", "n_t",
             "n_r", "cells", "k-scenario", "test-scenario", "smooth_n", "smooth_p", "n_perm",
-            "alpha", "rank", "marks-weight", "marks-bound", "c_set"])
+            "alpha", "rank", "marks-weight", "marks-bound", "c_set", "d_set-kind"])
     def test_bad_values_quote_the_library_check(self, tmp_path, command, lines, keys, check):
         # one source for each value rule: the CLI reports the library's own
         # message for the same value, under the key(s) it came from

@@ -311,6 +311,18 @@ class TestSeparableSetups:
             max_metric.weights_for_own_points(), euclid.weights_for_own_points()
         )
 
+    def test_1d_cell_boundary_goes_to_the_lower_generator(self):
+        # generators 0.25, 0.75 and 0.8 on [0, 1] give the cells [0, 0.5],
+        # [0.5, 0.775] and [0.775, 1]: a query on a boundary takes the lower
+        # generator's cell, as ties go to the lowest index
+        v = np.array([0.25, 0.75, 0.8])
+        p = pattern_from_arrays(np.array([[0.2, 0.2], [0.5, 0.5], [0.8, 0.3]]), v, v, UNIT,
+                                ContinuousMarks(0.0, 1.0))
+        est = voronoi_separable(p, "S1")
+        for axis in ("temporal", "mark"):
+            values = est.factors[axis].value_at(np.array([0.5, 0.775]))
+            assert values == pytest.approx([1 / 0.5, 1 / 0.275], rel=1e-12)
+
     def test_unknown_setup_rejected(self):
         p = uniform_pattern(5, seed=44)
         with pytest.raises(ValueError, match="unknown setup"):

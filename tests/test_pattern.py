@@ -1,3 +1,6 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +21,8 @@ from mstpp.pattern import (
     restrict_marks,
     save_catalog,
     thin,
+    write_json,
+    write_table,
 )
 
 from .conftest import UNIT, uniform_pattern
@@ -96,6 +101,19 @@ class TestMarkSpaces:
         # not a TypeError from range()
         with pytest.raises(ValueError, match="whole number k >= 2"):
             LabelMarks(k)
+
+    @pytest.mark.parametrize("space, mark_set, kinds", [
+        (LabelMarks(2), MarkInterval(0.0, 1.5), "LabelMarks.*LabelSet.*MarkInterval"),
+        (ContinuousMarks(0.0, 1.0), LabelSet([1]), "ContinuousMarks.*MarkInterval.*LabelSet"),
+    ], ids=["labels-interval", "continuous-labels"])
+    def test_mark_set_of_the_wrong_kind_rejected(self, space, mark_set, kinds):
+        # once an AttributeError from the space's nu
+        with pytest.raises(ValueError, match=kinds):
+            space.nu(mark_set)
+        p = uniform_pattern(5, seed=2, mark_space=space,
+                            marks="labels" if space.is_labelled else "interval")
+        with pytest.raises(ValueError, match=kinds):
+            restrict_marks(p, mark_set)
 
     def test_full_mark_set(self):
         assert full_mark_set(LabelMarks(k=3)).labels == frozenset({1, 2, 3})
@@ -215,10 +233,63 @@ class TestCatalogIO:
         assert np.array_equal(p.t, q.t)
         assert np.array_equal(p.marks, q.marks)
 
+    def test_round_trip_3d(self, tmp_path):
+        # the header follows the window's dimension on both sides
+        window = Window(((0.0, 1.0), (0.0, 2.0), (-1.0, 1.0)), (0.0, 1.0))
+        rng = np.random.default_rng(12)
+        x = rng.uniform([0.0, 0.0, -1.0], [1.0, 2.0, 1.0], (25, 3))
+        p = pattern_from_arrays(x, rng.random(25), rng.random(25), window, self.ms)
+        path = tmp_path / "out.csv"
+        save_catalog(p, path)
+        assert path.read_text().splitlines()[0] == "x1,x2,x3,t,mark"
+        q = load_catalog(path, window, self.ms)
+        assert np.array_equal(p.x, q.x)
+        assert np.array_equal(p.t, q.t)
+        assert np.array_equal(p.marks, q.marks)
+
     def test_save_requires_marks(self, tmp_path):
         ground = uniform_pattern(3, seed=4, marks=None)
         with pytest.raises(ValueError, match="unmarked"):
             save_catalog(ground, tmp_path / "out.csv")
+
+
+class TestWriters:
+    def test_table_floats_read_back_exactly_and_integers_stay_integers(self, tmp_path):
+        rng = np.random.default_rng(8)
+        floats = np.concatenate([
+            rng.standard_normal(40) * 10.0 ** rng.integers(-300, 290, 40),
+            [0.1, 1 / 3, -0.0, 5e-324, np.inf, -np.inf, np.nan],
+        ])
+        n = floats.size
+        ints = np.arange(n) - 20
+        flags = np.arange(n) % 3 == 0
+        singles = rng.standard_normal(n).astype(np.float32)
+        scalars = [np.float64(v) for v in floats]  # not written as "np.float64(...)"
+        path = tmp_path / "t.csv"
+        write_table(path, ["f", "f32", "s", "i", "b"],
+                    [floats, singles, scalars, ints, flags])
+        assert path.read_bytes().count(b"\r\n") == n + 1
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["f", "f32", "s", "i", "b"]
+        f, f32, s, i, b = (list(col) for col in zip(*rows))
+        back = np.array(f, dtype=float)
+        assert np.array_equal(back, floats, equal_nan=True)
+        assert np.array_equal(np.signbit(back), np.signbit(floats))
+        assert s == f
+        assert np.array_equal(np.array(f32, dtype=float), singles)
+        assert i == [str(v) for v in ints]
+        assert b == ["1" if v else "0" for v in flags]
+
+    def test_table_columns_must_have_one_length(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "t.csv", ["a", "b"], [[1.0, 2.0], [3.0]])
+
+    def test_json_sorted_indented_with_final_newline(self, tmp_path):
+        doc = {"b": [1, 2.5], "a": {"z": None, "y": "text"}}
+        path = tmp_path / "d.json"
+        write_json(path, doc)
+        assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 class TestRescale:

@@ -5,6 +5,7 @@ here."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -37,7 +38,10 @@ def test_every_script_is_run():
 def test_script_runs(tmp_path, capsys, name, argv, table, lines):
     main = load_script(name).main
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 0
-    assert len((tmp_path / table).read_text().splitlines()) == lines
+    rows = (tmp_path / table).read_text().splitlines()
+    assert len(rows) == lines
+    # every data cell is a number (not, say, "np.float64(0.125)")
+    np.array([row.split(",") for row in rows[1:]], dtype=float)
     assert "wrote" in capsys.readouterr().out
 
 
