@@ -40,23 +40,36 @@ array, and a double cumulative sum recovers every cell total in one pass;
 per-cell denominator sums over the eroded windows use the same device with
 degenerate rectangles starting at (0, 0).
 
-`_stored_pairs` finds each candidate pair once, in space-time cells.
-Candidates come from KD-trees that hold the points with time rescaled by
-r_max / t_max. A sup-metric ball of radius r_max, padded by a bound on the
-rounding of the rescaled times, contains the whole (r_max, t_max)
-cylinder, so the candidates are a superset of the pairs within the
-maximal lags. The points are binned into cells of the rescaled (t, x0)
-plane at least that radius wide, so the two points of a candidate lie in
-one cell or in two adjacent ones. The widening by 1 + 1e-9 exceeds the
-rounding of the cell coordinates, which never exceed sqrt(n), so rounding
-cannot put them two cells apart. The cells are also widened to hold
-about `_BLOCK` points each on average: the width is at least the extent
-over floor(sqrt(n / `_BLOCK`)), so a small lag does not build a tree per
-point. Only the occupied cells are indexed, by their key. Each cell's tree
-finds the pairs inside it (`query_pairs`) and those with its four
-forward neighbours, (t, x0 + 1), (t + 1, x0 - 1), (t + 1, x0) and
-(t + 1, x0 + 1) (`sparse_distance_matrix`). Together these find each
-unordered candidate exactly once, and never a point with itself.
+`_stored_pairs` finds each candidate pair once, with a numpy sweep over
+spatial cells (`_candidate_pairs`). Time is rescaled by r_max / t_max. A
+sup-metric ball of radius r_max (t_max when r_max is zero), padded by
+4 eps times the radius plus the largest coordinate, contains the whole
+(r_max, t_max) cylinder even after the rounding of the rescaled times and
+of the lags, so the candidates are a superset of the pairs within the
+maximal lags. The points are binned into cells half the radius wide on
+each spatial axis, widened by 1 + 1e-9, but never narrower than the
+axis's extent over 4096 (fewer cells on more than three axes), so the
+cell keys stay exact as int64 and as float64, and no array is sized by
+the number of cells. Two points within the radius lie at most
+reach = floor(radius / width + 1e-9) + 1 cells apart on each axis, 2 at
+the usual width: the cell coordinates never exceed 4096, so their
+rounding is far below 1e-9 of a cell. Each axis's key stride leaves
+reach empty cells past its last one, so the stencil of a cell at an edge
+reaches no occupied cell across the window. The points are sorted by
+(cell key, rescaled time); the exact complex key, key + 1j t, sorts the
+same way, since numpy orders complex numbers by real part, then
+imaginary part. For the own cell and each forward offset of the
+(2 reach + 1)^d stencil, two vectorised np.searchsorted calls on that key
+give each point's run of neighbours within the radius in time (in the
+own cell, only the later points). The search bounds t - radius and
+t + radius round by at most half an ulp, well within the padding. So
+every unordered candidate is found once, from the cell with the lower
+key, and no point is paired with itself. The nonempty runs of all
+offsets are held, three words each (at most one per point and offset),
+and expanded with np.repeat in batches of `_CHUNK` candidates, the last
+one shorter, a run cut where a batch ends. So a small pattern is
+filtered in one batch, and the Python steps grow with the stencil and
+with the candidates over `_CHUNK`, never with n or the number of cells.
 
 `_CHUNK` candidates at a time are filtered exactly on the unscaled lags.
 ds and du are computed once per unordered pair; they have the same bits
@@ -110,9 +123,10 @@ times a Python int stays uint16 and wraps. The high corner comes from
 the first point's erosion limits, so the geometry keeps it once per
 point, as (b_r + 1)(T + 1), b_t + 1 and their sum. Building it holds the
 unordered pieces (as many bytes per pair kept either way as a stored
-pair), the output arrays, one query's candidates and one chunk's
-temporaries. The stored arrays equal those of a plain scan over all
-ordered pairs (`tests/oracles.py`).
+pair), the output arrays, the sweep's runs (three words per nonempty run
+of a point and an offset) and one batch's candidates and temporaries.
+The stored arrays equal those of a plain scan over all ordered pairs
+(`tests/oracles.py`).
 
 `_k_values` sums S surfaces at once, each with its own mark masks and
 reciprocal intensities: one for a K estimate, a batch of permutations'
@@ -144,6 +158,7 @@ drops only corner entries that were masked out before, so it changes no
 total either.
 """
 
+import itertools
 import math
 import numbers
 import warnings
@@ -382,9 +397,11 @@ class PairGeometry:
         return self.r_grid.size, self.t_grid.size
 
 
-# the pair search's cells hold about _BLOCK points, and its output is
-# ordered _BLOCK first points at a time
+# the pair search's output is ordered _BLOCK first points at a time
 _BLOCK = 256
+# the pair search's cell keys take at most about _KEY_BITS bits, exact in
+# float64: up to 4096 cells per axis on up to three axes, fewer on more
+_KEY_BITS = 36
 # the pair filter runs over _CHUNK candidates, the surface sums over _CHUNK
 # stored pairs at a time
 _CHUNK = 1 << 16
@@ -432,6 +449,63 @@ def _lag_cells(lookup, x):
     return c.astype(table.dtype)
 
 
+def _candidate_pairs(space, t, radius):
+    """Every unordered pair of points whose coordinates in ``space`` (one row
+    per point) and times ``t`` each differ by at most ``radius``, once, with
+    some farther pairs: (a, b) index arrays in batches of `_CHUNK`
+    candidates, the last one shorter. The points are swept in spatial
+    cells, sorted by cell key and time; each point's candidates in its own
+    cell and in each forward cell of the stencil are a run of that order
+    (see the module notes)."""
+    n, dim = space.shape
+    if n < 2:
+        return
+    lo = np.min(space, axis=0)
+    extent = np.max(space, axis=0) - lo
+    width = np.maximum(radius / 2.0, extent / 2.0 ** (_KEY_BITS // max(dim, 3)))
+    width = np.maximum(width * (1.0 + 1e-9), np.finfo(float).tiny)
+    reach = (np.floor(radius / width + 1e-9) + 1).astype(np.int64)
+    cells = ((space - lo) / width).astype(np.int64)
+    # reach empty cells past the last on each axis: a neighbour key of a
+    # cell at an edge names no occupied cell across the window
+    strides = np.cumprod(np.concatenate([[1], np.max(cells, axis=0)[:-1] + 1 + reach[:-1]]))
+    key = cells @ strides
+    order = np.lexsort((t, key))
+    z = key[order] + 1j * t[order]  # complex numbers sort by real, then imaginary part
+    # each distinct key offset once: every pair of neighbour cells is swept
+    # from the lower key
+    stencil = {int(np.dot(step, strides))
+               for step in itertools.product(*(range(-r, r + 1) for r in reach.tolist()))}
+    # each point's nonempty runs, over the own cell and the forward offsets
+    live, first, runs = [], [], []
+    for offset in sorted(s for s in stencil if s >= 0):
+        if offset:
+            start = np.searchsorted(z, z + complex(offset, -radius), side="left")
+        else:
+            start = np.arange(1, n + 1)  # the later points of the own cell
+        count = np.searchsorted(z, z + complex(offset, radius), side="right") - start
+        nonempty = np.flatnonzero(count)
+        live.append(nonempty)
+        first.append(np.take(start, nonempty))
+        runs.append(np.take(count, nonempty))
+    live, first, runs = (np.concatenate(parts) for parts in (live, first, runs))
+    ends = np.cumsum(runs)
+    total = int(ends[-1]) if ends.size else 0
+    for lo_c in range(0, total, _CHUNK):
+        hi_c = min(lo_c + _CHUNK, total)
+        # the runs that hold candidates lo_c .. hi_c - 1, the first and the
+        # last cut to them
+        s0, s1 = np.searchsorted(ends, [lo_c, hi_c - 1], side="right").tolist()
+        here, begin = runs[s0:s1 + 1].copy(), first[s0:s1 + 1].copy()
+        cut = lo_c - int(ends[s0] - runs[s0])
+        here[0] -= cut
+        begin[0] += cut
+        here[-1] -= int(ends[s1]) - hi_c
+        yield (np.take(order, np.repeat(live[s0:s1 + 1], here)),
+               np.take(order, np.repeat(begin - (np.cumsum(here) - here), here)
+                       + np.arange(hi_c - lo_c)))
+
+
 def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t):
     """The ordered pairs whose rectangle of lag cells is nonempty, in (I, J)
     order, with the first cells (a_r, a_t) of that rectangle.
@@ -441,22 +515,21 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t):
     when ds <= r_grid[b_r] and du <= t_grid[b_t], lags that never exceed
     (r_max, t_max), or equally when a_r <= b_r and a_t <= b_t, since a
     lag's first cell is the first grid value at or above it. This one test
-    is the exact filter of the trees' candidates (see the module notes), so
-    only the pairs kept one way or the other are binned. Each coordinate
-    difference a tree compares is at most the pair's spatial lag or its
+    is the exact filter of the sweep's candidates (see the module notes),
+    so only the pairs kept one way or the other are binned. Each coordinate
+    difference the sweep bounds is at most the pair's spatial lag or its
     rescaled temporal lag, so every pair the filter keeps is found once
     the radius is padded by a bound on the rounding of the rescaled
     times. The first cells come from the table lookup `_lag_cells`, equal
     to np.searchsorted on any grid, and every subset is selected by an
     index array (the module notes say why both)."""
-    from scipy.spatial import cKDTree
-
     n = p.n
     r_max, t_max = float(r_grid[-1]), float(t_grid[-1])
     scale = r_max / t_max if r_max > 0 and t_max > 0 else 1.0
     radius = r_max if r_max > 0 else t_max
-    coords = np.column_stack([p.x, p.t * scale])
-    radius += 4.0 * np.finfo(float).eps * (radius + np.max(np.abs(coords), initial=0.0))
+    t = p.t * scale
+    largest = max(np.max(np.abs(p.x), initial=0.0), np.max(np.abs(t), initial=0.0))
+    radius += 4.0 * np.finfo(float).eps * (radius + largest)
     reach_r = np.where(pt_b_r >= 0, r_grid[pt_b_r], -1.0)
     reach_t = np.where(pt_b_t >= 0, t_grid[pt_b_t], -1.0)
     cell = np.min_scalar_type(max(r_grid.size, t_grid.size))
@@ -464,63 +537,31 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t):
     n_blocks = -(-n // _BLOCK)
     block = np.min_scalar_type(n_blocks)
 
-    # cells of the rescaled (t, x0) plane, at least the padded radius wide
-    # and about _BLOCK points each (the module notes say why); one empty
-    # column past the last keeps every neighbour key below in its own row
-    plane = coords[:, [-1, 0]]
-    lo = np.min(plane, axis=0, initial=np.inf)
-    extent = np.max(plane, axis=0, initial=-np.inf) - lo
-    width = np.maximum(radius, extent / max(1, math.isqrt(n // _BLOCK))) * (1.0 + 1e-9)
-    grid = ((plane - lo) / np.maximum(width, np.finfo(float).tiny)).astype(np.int64)
-    ncol = int(np.max(grid[:, 1], initial=0)) + 2
-    key = grid[:, 0] * ncol + grid[:, 1]
-    members = np.argsort(key, kind="stable")
-    key = key[members]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    cells = {c: (members[s:e], cKDTree(coords[members[s:e]]))
-             for c, s, e in zip(key[first].tolist(), first.tolist(),
-                                np.append(first[1:], n).tolist())}
-
-    def candidates():
-        # each cell against itself and its four forward neighbours: every
-        # unordered candidate once
-        for c, (own, tree) in cells.items():
-            ij = tree.query_pairs(radius, p=np.inf, output_type="ndarray")
-            yield np.take(own, ij[:, 0]), np.take(own, ij[:, 1])
-            for nb in (c + 1, c + ncol - 1, c + ncol, c + ncol + 1):
-                if nb in cells:
-                    other, nb_tree = cells[nb]
-                    ij = tree.sparse_distance_matrix(nb_tree, radius, p=np.inf,
-                                                     output_type="ndarray")
-                    yield np.take(own, ij["i"]), np.take(other, ij["j"])
-
-    # _CHUNK candidates at a time are filtered and binned once, and kept
-    # when either orientation's first point reaches them
+    # each batch of candidates is filtered and binned once, and kept when
+    # either orientation's first point reaches them
     pieces = []
     counts = np.zeros(n_blocks, dtype=np.int64)
     axes = [np.ascontiguousarray(p.x[:, d]) for d in range(p.dim)]
     r_cells, t_cells = _cell_lookup(r_grid, cell), _cell_lookup(t_grid, cell)
-    for a_all, b_all in candidates():
-        for start in range(0, a_all.size, _CHUNK):
-            a, b = a_all[start:start + _CHUNK], b_all[start:start + _CHUNK]
-            # per-axis gathers, squared and summed in place: the same bits
-            # as the row gathers and sum of squares, in half the time
-            ds = np.take(axes[0], b) - np.take(axes[0], a)
-            ds *= ds
-            for x in axes[1:]:
-                dx = np.take(x, b) - np.take(x, a)
-                dx *= dx
-                ds += dx
-            np.sqrt(ds, out=ds)
-            du = np.abs(np.take(p.t, b) - np.take(p.t, a))
-            fwd = (ds <= np.take(reach_r, a)) & (du <= np.take(reach_t, a))
-            back = (ds <= np.take(reach_r, b)) & (du <= np.take(reach_t, b))
-            counts += np.bincount(np.take(a, np.flatnonzero(fwd)) // _BLOCK, minlength=n_blocks)
-            counts += np.bincount(np.take(b, np.flatnonzero(back)) // _BLOCK, minlength=n_blocks)
-            keep = np.flatnonzero(fwd | back)
-            pieces.append((np.take(a, keep).astype(index), np.take(b, keep).astype(index),
-                           _lag_cells(r_cells, np.take(ds, keep)),
-                           _lag_cells(t_cells, np.take(du, keep))))
+    for a, b in _candidate_pairs(p.x, t, radius):
+        # per-axis gathers, squared and summed in place: the same bits
+        # as the row gathers and sum of squares, in half the time
+        ds = np.take(axes[0], b) - np.take(axes[0], a)
+        ds *= ds
+        for x in axes[1:]:
+            dx = np.take(x, b) - np.take(x, a)
+            dx *= dx
+            ds += dx
+        np.sqrt(ds, out=ds)
+        du = np.abs(np.take(p.t, b) - np.take(p.t, a))
+        fwd = (ds <= np.take(reach_r, a)) & (du <= np.take(reach_t, a))
+        back = (ds <= np.take(reach_r, b)) & (du <= np.take(reach_t, b))
+        counts += np.bincount(np.take(a, np.flatnonzero(fwd)) // _BLOCK, minlength=n_blocks)
+        counts += np.bincount(np.take(b, np.flatnonzero(back)) // _BLOCK, minlength=n_blocks)
+        keep = np.flatnonzero(fwd | back)
+        pieces.append((np.take(a, keep).astype(index), np.take(b, keep).astype(index),
+                       _lag_cells(r_cells, np.take(ds, keep)),
+                       _lag_cells(t_cells, np.take(du, keep))))
 
     # a counting sort by block of first points: each piece's orientations
     # whose rectangle is nonempty (the reach test, on the cells) go to
@@ -822,8 +863,10 @@ def _jsonable(obj):
 
 
 def default_lag_grids(window, n=20):
-    """20-cell lag grids reaching a quarter of the shorter spatial side and
-    a quarter of the temporal extent."""
+    """``n``-cell lag grids (20 by default) reaching a quarter of the shorter
+    spatial side and a quarter of the temporal extent; ``n`` must be a
+    whole number of at least one."""
+    _check_count(n, "lag cell")
     lo, hi = window.spatial_bounds()
     r_max = float(np.min(hi - lo)) / 4.0
     t_max = window.temporal_length / 4.0

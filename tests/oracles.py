@@ -6,7 +6,7 @@ time — with none of the difference-array, sorting, or indexing machinery
 of the library code. Slow on purpose; tests keep N small. Two sections
 instead keep a library kernel as it was before it was optimized (the brute
 nearest-generator search and the full-array pair geometry, whose pairs
-come from a plain scan instead of the library's KD-tree), as references
+come from a plain scan instead of the library's cell sweep), as references
 the optimized kernels must match exactly.
 """
 
@@ -311,7 +311,7 @@ def pair_geometry_oracle(p, r_grid, t_grid, erosion="per-cell"):
     per-pair arrays; no argument checks. The candidates come from a plain
     scan, one first point at a time, over all ordered pairs with i != j
     and |dt| <= t_max, so the reference does not depend on the library's
-    KD-tree search."""
+    cell sweep."""
     r_grid = np.asarray(r_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     r_max, t_max = float(r_grid[-1]), float(t_grid[-1])

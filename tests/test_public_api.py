@@ -5,6 +5,9 @@ from pathlib import Path
 
 import mstpp
 from mstpp import geometry, inference, intensity, pattern, second_order, simulate
+from mstpp.pattern import save_catalog
+
+from .conftest import uniform_pattern
 
 MODULES = (geometry, pattern, simulate, intensity, second_order, inference)
 
@@ -25,6 +28,30 @@ def test_importing_the_package_and_cli_loads_no_scipy_special_or_spatial():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_k_and_test_commands_load_no_scipy_spatial(tmp_path):
+    # the pair search is a numpy sweep: neither second-order command loads
+    # the KD-tree module, nor the sparse and linear algebra it pulls in
+    save_catalog(uniform_pattern(120, seed=5, marks="labels"), tmp_path / "catalog.csv")
+    head = f"input = {tmp_path / 'catalog.csv'}\nwindow = 0,1,0,1,0,1\nmarks = labels,2\n"
+    (tmp_path / "k.cfg").write_text(head + "weights = stationary\nc_set = labels,1\n"
+                                    "d_set = labels,2\n")
+    (tmp_path / "test.cfg").write_text(head + "c_set = labels,1\nd_set = labels,2\n"
+                                       "n_perm = 9\n")
+    code = ("import sys, mstpp.cli\n"
+            "for command in ('k', 'test'):\n"
+            "    argv = [command, '--config', f'{sys.argv[1]}/{command}.cfg',\n"
+            "            '--out', f'{sys.argv[1]}/{command}_out']\n"
+            "    assert mstpp.cli.main(argv) == 0, command\n"
+            "print('scipy.spatial' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+    for name in ("k_out/k_surface.csv", "k_out/k_surface.json",
+                 "test_out/envelope.csv", "test_out/envelope.json"):
+        assert (tmp_path / name).stat().st_size > 0, name
 
 
 def test_readme_quick_start_runs(capsys):

@@ -160,8 +160,8 @@ PAIR_CASES = [
 
 
 def pair_case(case):
-    """(pattern, r_grid, t_grid) for the comparisons of the KD-tree pair
-    search with the plain scan of the oracle."""
+    """(pattern, r_grid, t_grid) for the comparisons of the cell sweep's
+    pair search with the plain scan of the oracle."""
     if case == "uniform":
         return uniform_pattern(2000, seed=63), R_GRID, T_GRID
     if case == "clustered":
@@ -210,8 +210,8 @@ def pair_case(case):
         t_grid = np.array([0.0]) if case != "zero-r" else np.array([0.2, 0.4])
         return _with_copies(p.x, p.t, np.arange(30), UNIT), r_grid, t_grid
     if case == "many-cells":
-        # lags far below the window's extent: the search's space-time cells
-        # are lags wide, so pairs cross cell walls in every direction
+        # lags far below the window's extent: the search's spatial cells are
+        # half a lag wide, so pairs cross cell walls in every direction
         lags = np.linspace(0.004, 0.02, 5)
         return uniform_pattern(3000, seed=79), lags, lags
     if case == "1d":
@@ -220,6 +220,11 @@ def pair_case(case):
     if case == "3d":
         window = Window(spatial=((0.0, 1.0),) * 3, temporal=(0.0, 1.0))
         return uniform_pattern(800, seed=68, window=window), R_GRID, T_GRID
+    if case == "5d":
+        # more than three axes: fewer cells per axis keep the keys exact
+        window = Window(spatial=((0.0, 1.0),) * 5, temporal=(0.0, 1.0))
+        lags = np.array([0.1, 0.2])
+        return uniform_pattern(600, seed=80, window=window), lags, lags
     n = {"empty": 0, "single": 1, "two": 2}[case]
     x = np.full((n, 2), 0.5)
     t = 0.5 + 0.01 * np.arange(n)
@@ -250,31 +255,38 @@ class TestPairGeometry:
         assert geom.I.size
         assert_matches_oracle(geom, pair_geometry_oracle(p, R_GRID, T_GRID))
 
-    @pytest.mark.parametrize("case", PAIR_CASES)
+    @pytest.mark.parametrize("case", PAIR_CASES + ["5d"])
     def test_indexed_search_matches_scan(self, case):
         p, r_grid, t_grid = pair_case(case)
         assert_matches_oracle(pair_geometry(p, r_grid, t_grid),
                               pair_geometry_oracle(p, r_grid, t_grid))
 
-    def test_cells_hold_about_a_block_of_points(self, monkeypatch):
-        # cells one lag wide would put about one point in each here, and
-        # build a tree per point; the cells are widened to about _BLOCK
-        # points each, and every point lies in one cell's tree
-        import scipy.spatial
+    @pytest.mark.parametrize("lag, chunk", [(0.005, None), (0.05, 512)],
+                             ids=["small-lags", "small-chunks"])
+    def test_search_batches_are_full_and_few(self, monkeypatch, lag, chunk):
+        # the candidates come in batches of _CHUNK, only the last one short:
+        # their number grows with the candidates, never with the points or
+        # the cells (cells one lag wide, each searched on its own, would
+        # cost a step per point at the small lags)
+        if chunk is not None:
+            monkeypatch.setattr(second_order, "_CHUNK", chunk)
+        sizes = []
+        search = second_order._candidate_pairs
 
-        built = []
-        tree = scipy.spatial.cKDTree
+        def counting(*args):
+            for a, b in search(*args):
+                assert a.size == b.size
+                sizes.append(a.size)
+                yield a, b
 
-        def counting(data, *args, **kw):
-            built.append(len(data))
-            return tree(data, *args, **kw)
-
-        monkeypatch.setattr(scipy.spatial, "cKDTree", counting)
+        monkeypatch.setattr(second_order, "_candidate_pairs", counting)
         p = uniform_pattern(3000, seed=79)
-        geom = pair_geometry(p, [0.005], [0.005])
-        assert len(built) <= p.n / second_order._BLOCK + 4
-        assert sum(built) == p.n
-        assert_matches_oracle(geom, pair_geometry_oracle(p, [0.005], [0.005]))
+        geom = pair_geometry(p, [lag], [lag])
+        assert len(sizes) == -(-sum(sizes) // second_order._CHUNK)
+        assert sizes[:-1] == [second_order._CHUNK] * (len(sizes) - 1)
+        # one batch at the small lags; several at the small chunks, which cut runs
+        assert (len(sizes) == 1) == (chunk is None)
+        assert_matches_oracle(geom, pair_geometry_oracle(p, [lag], [lag]))
 
     def test_grid_validation(self):
         p = uniform_pattern(5, seed=61)
@@ -521,9 +533,10 @@ class TestPairMemory:
 
     def test_build_peak_per_stored_pair(self):
         # the same 789k stored pairs: the build holds the unordered pieces
-        # and the output arrays at 6 bytes per pair, plus one query's
-        # candidates and one chunk's temporaries, about 13 bytes per stored
-        # pair in all; int32 indices (10 bytes per pair) take about 20
+        # and the output arrays at 6 bytes per pair, plus the cell sweep's
+        # runs and one batch's candidates and temporaries, about 14 bytes
+        # per stored pair in all, every buffer of the search traced; int32
+        # indices (10 bytes per pair) take about 21
         p = uniform_pattern(5000, seed=71, marks="labels")
         grids = default_lag_grids(p.window)
         size = []
@@ -1293,3 +1306,16 @@ class TestSurfaces:
         assert r_grid[-1] == pytest.approx(0.5)
         assert t_grid[-1] == pytest.approx(2.0)
         assert r_grid[0] == pytest.approx(0.5 / 20)
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5, True, "3", None])
+    def test_default_lag_grids_reject_bad_counts(self, n):
+        # 0 and -1 gave empty grids, and 2.5 gave r lags 0.1, 0.2, 0.3 on the
+        # unit window, beyond its quarter extent
+        with pytest.raises(ValueError, match="lag cell"):
+            default_lag_grids(UNIT, n)
+
+    @pytest.mark.parametrize("n", [1, 3, np.int64(5)])
+    def test_default_lag_grids_take_whole_counts(self, n):
+        r_grid, t_grid = default_lag_grids(UNIT, n)
+        assert r_grid.size == t_grid.size == n
+        assert r_grid[-1] == t_grid[-1] == 0.25
