@@ -75,16 +75,14 @@ with the candidates over `_CHUNK`, never with n or the number of cells.
 ds and du are computed once per unordered pair; they have the same bits
 either way round. Each orientation is kept when its first point's erosion
 limits reach both lags (ds <= r_grid[b_r], du <= t_grid[b_t]), that is
-when its rectangle is nonempty. A pair kept either way is binned once,
-since (a_r, a_t) do not depend on the orientation, and is held unordered
-with its cells. The filter also counts the kept orientations per block
-of `_BLOCK` first points. The (I, J) order is then restored by a counting
-sort: the output arrays are allocated once at their final length, and
-each held piece's kept orientations go, in a stable order by block, to
-their block's next free slots. They are picked again by the same test on
-the cells, a_r <= b_r and a_t <= b_t. One sort of the keys I * n + J
-inside each block then finishes the order. The keys are distinct, so this
-order does not depend on the order in which the pieces arrived.
+when its rectangle is nonempty, as one key I * n + J in the smallest
+unsigned type that holds n^2 - 1 (uint32 up to 65,536 points, uint64
+above), and counted at its first point. One in-place np.sort of all keys
+restores the (I, J) order; the keys are distinct, so this order does not
+depend on the order of the candidates. J is decoded from the keys, which
+are then freed, and I is rebuilt from the counts by np.repeat. Only then
+are the stored pairs binned, `_CHUNK` at a time: their lags are computed
+again, with the same bits, and looked up in the grids.
 
 A lag's first cell, np.searchsorted(grid, lag, side="left"), is looked up
 in a table (`_cell_lookup`) of `_BUCKETS` buckets per cell over
@@ -109,24 +107,24 @@ Subsets are selected by index arrays (np.flatnonzero, then np.take), not
 by boolean masks: with numpy 2.4 a mask selection costs about 6-10 ns
 per element, the index route about 2. np.take is fast by intp and by
 16-bit indices but several times slower by 8-bit ones into wider arrays,
-so the lookup steps and the counting sort's offsets never gather by the
-uint8 cells or block ids.
+so the lookup steps never gather by the uint8 cells.
 
 A stored pair holds its first- and second-point indices as uint16 up to
 65,536 points (int32 above), and its first lag cells (a_r, a_t), the
 rectangle's low corner, as the smallest unsigned type that holds the cell
 counts (uint8 up to 255 cells per axis). Up to 65,536 points and 255
-cells per axis, that is 6 bytes per pair that can contribute. The indices
-are gathered by and divided by `_BLOCK`, and every sum or product with
-one is taken in intp or int64: under numpy's promotion rules uint16
-times a Python int stays uint16 and wraps. The high corner comes from
-the first point's erosion limits, so the geometry keeps it once per
-point, as (b_r + 1)(T + 1), b_t + 1 and their sum. Building it holds the
-unordered pieces (as many bytes per pair kept either way as a stored
-pair), the output arrays, the sweep's runs (three words per nonempty run
-of a point and an offset) and one batch's candidates and temporaries.
-The stored arrays equal those of a plain scan over all ordered pairs
-(`tests/oracles.py`).
+cells per axis, that is 6 bytes per pair that can contribute. The keys
+are built from the candidates' intp indices, and every sum or product
+with a stored index is taken in intp or int64: under numpy's promotion
+rules uint16 times a Python int stays uint16 and wraps. The high corner comes from the first point's erosion
+limits, so the geometry keeps it once per point, as (b_r + 1)(T + 1),
+b_t + 1 and their sum. While the candidates are filtered, building it
+holds the keys kept so far (4 bytes per stored pair up to 65,536
+points), the sweep's runs (three words per nonempty run of a point and
+an offset) and one batch's candidates and temporaries; then the keys
+twice, as the batches' pieces and their join; and last the output arrays
+and one chunk's lags. The stored arrays equal those of a plain scan over
+all ordered pairs (`tests/oracles.py`).
 
 `_k_values` sums S surfaces at once, each with its own mark masks and
 reciprocal intensities: one for a K estimate, a batch of permutations'
@@ -397,13 +395,11 @@ class PairGeometry:
         return self.r_grid.size, self.t_grid.size
 
 
-# the pair search's output is ordered _BLOCK first points at a time
-_BLOCK = 256
 # the pair search's cell keys take at most about _KEY_BITS bits, exact in
 # float64: up to 4096 cells per axis on up to three axes, fewer on more
 _KEY_BITS = 36
-# the pair filter runs over _CHUNK candidates, the surface sums over _CHUNK
-# stored pairs at a time
+# the pair filter runs over _CHUNK candidates, the binning of the stored
+# pairs and the surface sums over _CHUNK stored pairs at a time
 _CHUNK = 1 << 16
 # the difference array of an R x T grid has (R + 1)(T + 1) bins, int32-indexed
 _MAX_BINS = np.iinfo(np.int32).max
@@ -506,6 +502,22 @@ def _candidate_pairs(space, t, radius):
                        + np.arange(hi_c - lo_c)))
 
 
+def _lags(axes, t, a, b):
+    """The spatial and temporal lags of the pairs (a, b), with the same bits
+    for (b, a): the coordinate differences only change sign. The per-axis
+    gathers of ``axes`` (one coordinate array per spatial axis) are squared
+    and summed in place: the same bits as the row gathers and sum of
+    squares, in half the time."""
+    ds = np.take(axes[0], b) - np.take(axes[0], a)
+    ds *= ds
+    for x in axes[1:]:
+        dx = np.take(x, b) - np.take(x, a)
+        dx *= dx
+        ds += dx
+    np.sqrt(ds, out=ds)
+    return ds, np.abs(np.take(t, b) - np.take(t, a))
+
+
 def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t):
     """The ordered pairs whose rectangle of lag cells is nonempty, in (I, J)
     order, with the first cells (a_r, a_t) of that rectangle.
@@ -514,15 +526,18 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t):
     point's erosion limits (b_r, b_t). Its rectangle is nonempty exactly
     when ds <= r_grid[b_r] and du <= t_grid[b_t], lags that never exceed
     (r_max, t_max), or equally when a_r <= b_r and a_t <= b_t, since a
-    lag's first cell is the first grid value at or above it. This one test
-    is the exact filter of the sweep's candidates (see the module notes),
-    so only the pairs kept one way or the other are binned. Each coordinate
-    difference the sweep bounds is at most the pair's spatial lag or its
-    rescaled temporal lag, so every pair the filter keeps is found once
-    the radius is padded by a bound on the rounding of the rescaled
-    times. The first cells come from the table lookup `_lag_cells`, equal
-    to np.searchsorted on any grid, and every subset is selected by an
-    index array (the module notes say why both)."""
+    lag's first cell is the first grid value at or above it. The lag test
+    is the exact filter of the sweep's candidates (see the module notes).
+    Each coordinate difference the sweep bounds is at most the pair's
+    spatial lag or its rescaled temporal lag, so every pair the filter
+    keeps is found once the radius is padded by a bound on the rounding
+    of the rescaled times. The filter keeps each orientation as one key
+    I * n + J and counts it at its first point; one sort of the keys
+    restores (I, J) order, J is decoded from them and I rebuilt from the
+    counts. Only then are the stored pairs binned, from their lags. The
+    first cells come from the table lookup `_lag_cells`, equal to
+    np.searchsorted on any grid, and every subset is selected by an index
+    array (the module notes say why both)."""
     n = p.n
     r_max, t_max = float(r_grid[-1]), float(t_grid[-1])
     scale = r_max / t_max if r_max > 0 and t_max > 0 else 1.0
@@ -534,66 +549,45 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t):
     reach_t = np.where(pt_b_t >= 0, t_grid[pt_b_t], -1.0)
     cell = np.min_scalar_type(max(r_grid.size, t_grid.size))
     index = _index_type(n)
-    n_blocks = -(-n // _BLOCK)
-    block = np.min_scalar_type(n_blocks)
+    # the keys I * n + J: uint32 up to 65,536 points, uint64 above
+    key_type = np.min_scalar_type(max(n * n - 1, 0))
 
-    # each batch of candidates is filtered and binned once, and kept when
-    # either orientation's first point reaches them
-    pieces = []
-    counts = np.zeros(n_blocks, dtype=np.int64)
+    counts = np.zeros(n, dtype=np.intp)
     axes = [np.ascontiguousarray(p.x[:, d]) for d in range(p.dim)]
-    r_cells, t_cells = _cell_lookup(r_grid, cell), _cell_lookup(t_grid, cell)
-    for a, b in _candidate_pairs(p.x, t, radius):
-        # per-axis gathers, squared and summed in place: the same bits
-        # as the row gathers and sum of squares, in half the time
-        ds = np.take(axes[0], b) - np.take(axes[0], a)
-        ds *= ds
-        for x in axes[1:]:
-            dx = np.take(x, b) - np.take(x, a)
-            dx *= dx
-            ds += dx
-        np.sqrt(ds, out=ds)
-        du = np.abs(np.take(p.t, b) - np.take(p.t, a))
-        fwd = (ds <= np.take(reach_r, a)) & (du <= np.take(reach_t, a))
-        back = (ds <= np.take(reach_r, b)) & (du <= np.take(reach_t, b))
-        counts += np.bincount(np.take(a, np.flatnonzero(fwd)) // _BLOCK, minlength=n_blocks)
-        counts += np.bincount(np.take(b, np.flatnonzero(back)) // _BLOCK, minlength=n_blocks)
-        keep = np.flatnonzero(fwd | back)
-        pieces.append((np.take(a, keep).astype(index), np.take(b, keep).astype(index),
-                       _lag_cells(r_cells, np.take(ds, keep)),
-                       _lag_cells(t_cells, np.take(du, keep))))
 
-    # a counting sort by block of first points: each piece's orientations
-    # whose rectangle is nonempty (the reach test, on the cells) go to
-    # their blocks' next free slots, then one key sort inside each block
-    # restores (I, J) order
-    ends = np.cumsum(counts)
-    cursor = ends - counts
-    stored = [np.empty(int(counts.sum()), dtype) for dtype in (index, index, cell, cell)]
-    while pieces:
-        a, b, a_r, a_t = pieces.pop()
-        fwd = np.flatnonzero((a_r <= np.take(pt_b_r, a)) & (a_t <= np.take(pt_b_t, a)))
-        back = np.flatnonzero((a_r <= np.take(pt_b_r, b)) & (a_t <= np.take(pt_b_t, b)))
-        piece = [np.concatenate([np.take(first, fwd), np.take(second, back)])
-                 for first, second in ((a, b), (b, a), (a_r, a_r), (a_t, a_t))]
-        # block ids in the smallest unsigned type: numpy's stable argsort
-        # sorts 8- and 16-bit keys by radix (a quotient cannot wrap)
-        ids = (piece[0] // _BLOCK).astype(block)
-        here = np.bincount(ids, minlength=n_blocks)
-        # each pair's rank in the piece's stable order by block, moved to
-        # its block's next free slot (the offsets repeated over the blocks'
-        # runs: np.take by the uint8 ids would be slow)
-        dest = np.empty(ids.size, dtype=np.intp)
-        dest[np.argsort(ids, kind="stable")] = (np.arange(ids.size)
-                                               + np.repeat(cursor - (np.cumsum(here) - here), here))
-        cursor += here
-        for out, values in zip(stored, piece):
-            out[dest] = values
-    for start, stop in zip((ends - counts).tolist(), ends.tolist()):
-        order = np.argsort(stored[0][start:stop].astype(np.int64) * n + stored[1][start:stop])
-        for out in stored:
-            out[start:stop] = np.take(out[start:stop], order)
-    return stored
+    def kept(a, b):
+        """The key of each orientation of the candidates (a, b) whose first
+        point reaches both lags, each counted at its first point."""
+        ds, du = _lags(axes, p.t, a, b)
+        fwd = np.flatnonzero((ds <= np.take(reach_r, a)) & (du <= np.take(reach_t, a)))
+        back = np.flatnonzero((ds <= np.take(reach_r, b)) & (du <= np.take(reach_t, b)))
+        first = np.concatenate([np.take(a, fwd), np.take(b, back)])
+        np.add(counts, np.bincount(first, minlength=n), out=counts)
+        first *= n
+        first += np.concatenate([np.take(b, fwd), np.take(a, back)])
+        return first.astype(key_type)
+
+    # each batch's temporaries are freed before the next, and the last
+    # batch's before the keys are joined (np.concatenate needs one piece)
+    pieces = [np.empty(0, key_type)] + [kept(a, b) for a, b in _candidate_pairs(p.x, t, radius)]
+
+    # one in-place sort of the distinct keys gives (I, J) order; J is decoded
+    # while the keys are alive, I from the counts once they are freed
+    key = np.concatenate(pieces)
+    del pieces
+    key.sort()
+    J = np.empty(key.size, index)
+    np.remainder(key, n, out=J, casting="unsafe")
+    del key
+    I = np.repeat(np.arange(n, dtype=index), counts)
+    a_r, a_t = np.empty(I.size, cell), np.empty(I.size, cell)
+    r_cells, t_cells = _cell_lookup(r_grid, cell), _cell_lookup(t_grid, cell)
+    for start in range(0, I.size, _CHUNK):
+        stop = start + _CHUNK
+        ds, du = _lags(axes, p.t, I[start:stop], J[start:stop])
+        a_r[start:stop] = _lag_cells(r_cells, ds)
+        a_t[start:stop] = _lag_cells(t_cells, du)
+    return I, J, a_r, a_t
 
 
 def _check_lag_cells(n_r, n_t):

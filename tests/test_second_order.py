@@ -288,6 +288,23 @@ class TestPairGeometry:
         assert (len(sizes) == 1) == (chunk is None)
         assert_matches_oracle(geom, pair_geometry_oracle(p, [lag], [lag]))
 
+    @pytest.mark.parametrize("case", PAIR_CASES)
+    def test_stored_arrays_ignore_candidate_order(self, monkeypatch, case):
+        # the keys I * n + J are distinct, so their sort gives the same
+        # arrays whatever the order of the batches and of each candidate
+        p, r_grid, t_grid = pair_case(case)
+        want = pair_geometry(p, r_grid, t_grid)
+        search = second_order._candidate_pairs
+
+        def reversed_and_swapped(*args):
+            yield from reversed([(b, a) for a, b in search(*args)])
+
+        monkeypatch.setattr(second_order, "_candidate_pairs", reversed_and_swapped)
+        got = pair_geometry(p, r_grid, t_grid)
+        for name in ("I", "J", "a_r", "a_t"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
     def test_grid_validation(self):
         p = uniform_pattern(5, seed=61)
         with pytest.raises(ValueError, match="r_grid"):
@@ -396,7 +413,7 @@ def reference_surfaces(p, w, full):
 
 
 def library_surfaces(p, w, geom, r_grid, t_grid, erosion):
-    """The same names -> the library's estimators on a blocked geometry."""
+    """The same names -> the library's estimators on a built geometry."""
     out = {}
     for sc in ("S1", "S2", "S3", "S4"):
         kw = dict(weights=w, scenario=sc, geometry=geom)
@@ -418,21 +435,26 @@ def library_surfaces(p, w, geom, r_grid, t_grid, erosion):
     return out
 
 
-class TestBlockedGeometry:
-    """The blocked pass stores exactly the reference's pairs with nonempty
-    rectangles, for any block length and any order of the points, and every
+class TestChunkedGeometry:
+    """The batched build stores exactly the reference's pairs with nonempty
+    rectangles, for any batch length and any order of the points, and every
     estimator on it equals the reference formulas on the full arrays bit
-    for bit."""
+    for bit, for any chunk length of its sums."""
 
-    @pytest.mark.parametrize("block", [1, 3, None], ids=["block1", "block3", "default"])
+    # the short batches cross batch boundaries in the filter and in the
+    # binning of the stored pairs; the surfaces are summed at the default
+    # chunk length (a batch of one would cost the lattice case's 1.26M
+    # candidates a Python step each)
+    @pytest.mark.parametrize("chunk", [97, 4096, None], ids=["chunk97", "chunk4096", "default"])
     @pytest.mark.parametrize("order", ["given", "shuffled"])
     @pytest.mark.parametrize("erosion", ["per-cell", "fixed"])
     @pytest.mark.parametrize("case", PAIR_CASES)
-    def test_matches_full_arrays(self, monkeypatch, case, erosion, order, block):
-        if block is not None:
-            monkeypatch.setattr(second_order, "_BLOCK", block)
+    def test_matches_full_arrays(self, monkeypatch, case, erosion, order, chunk):
         p, r_grid, t_grid, w, full, want = full_case(case, erosion, order)
-        geom = pair_geometry(p, r_grid, t_grid, erosion=erosion)
+        with monkeypatch.context() as build:
+            if chunk is not None:
+                build.setattr(second_order, "_CHUNK", chunk)
+            geom = pair_geometry(p, r_grid, t_grid, erosion=erosion)
         assert_matches_oracle(geom, full)
         # k_stationary takes no geometry: hand it the one just checked
         monkeypatch.setattr(second_order, "pair_geometry", lambda *args, **kw: geom)
@@ -507,7 +529,7 @@ class TestPairMemory:
     def test_stationary_peak_is_bounded(self):
         # 3000 uniform points on the default grid: about 616k pairs within
         # the maximal lags, 284k of them with a nonempty rectangle. The
-        # blocked pass and the chunked surface sum peak at about 16 MB;
+        # batched build and the chunked surface sum peak at about 6 MB;
         # holding every candidate's full arrays at once would take 88 MB.
         p = uniform_pattern(3000, seed=71, marks="labels")
         peak = _traced_peak(lambda: k_stationary(p, LabelSet([1]), LabelSet([2])))
@@ -532,17 +554,18 @@ class TestPairMemory:
         assert _traced_peak(lambda: k_ground(p, weights=w, geometry=geom)) < 20 * geom.I.size
 
     def test_build_peak_per_stored_pair(self):
-        # the same 789k stored pairs: the build holds the unordered pieces
-        # and the output arrays at 6 bytes per pair, plus the cell sweep's
-        # runs and one batch's candidates and temporaries, about 14 bytes
-        # per stored pair in all, every buffer of the search traced; int32
-        # indices (10 bytes per pair) take about 21
+        # the same 789k stored pairs: the build holds the uint32 keys of the
+        # kept orientations, the cell sweep's runs and one batch's
+        # candidates and temporaries, then the keys twice while their
+        # pieces are joined, then the output arrays at 6 bytes per pair and
+        # one chunk's lags: about 11.5 bytes per stored pair at the peak,
+        # every buffer of the search traced
         p = uniform_pattern(5000, seed=71, marks="labels")
         grids = default_lag_grids(p.window)
         size = []
         peak = _traced_peak(lambda: size.append(pair_geometry(p, *grids).I.size))
         assert size[0] > 700_000
-        assert peak < 16 * size[0]
+        assert peak < 13.5 * size[0]
 
 
 def _line(n):
