@@ -15,18 +15,11 @@ import sys
 import numpy as np
 
 from mstpp.cli import nonnegative_int, positive_int
-from mstpp.geometry import Window
 from mstpp.inference import envelopes
 from mstpp.pattern import LabelSet, write_table
 from mstpp.second_order import default_lag_grids, weights_from_function
 from mstpp.inference import diag_independent_marks
-from mstpp.simulate import preset_sampler, simulate_preset
-
-
-def true_weights(p):
-    ground = lambda x, t: 750.0 * np.exp(-0.5 * (x[:, 1] + t))
-    marked = lambda x, t, m: ground(x, t) * np.where(m == 1.0, 0.6, 0.4)
-    return weights_from_function(p, marked_fn=marked, ground_fn=ground)
+from mstpp.simulate import UNIT_WINDOW, preset_intensity, preset_sampler, simulate_preset
 
 
 def main(argv=None):
@@ -39,15 +32,16 @@ def main(argv=None):
     ap.add_argument("--out", default=None, help="optional CSV output path for the band")
     args = ap.parse_args(argv)
 
-    window = Window(((0.0, 1.0), (0.0, 1.0)), (0.0, 1.0))
-    r_grid, t_grid = default_lag_grids(window, args.grid)
+    r_grid, t_grid = default_lag_grids(UNIT_WINDOW, args.grid)
     sampler = preset_sampler("lgcp-bernoulli", (16, 16, 16))
+    ground_fn, marked_fn = preset_intensity("lgcp-bernoulli")
     label_1, label_2 = LabelSet((1,)), LabelSet((2,))
 
     def simulator(index, seed):
         p = simulate_preset("lgcp-bernoulli", seed=seed, sampler=sampler)
+        weights = weights_from_function(p, marked_fn=marked_fn, ground_fn=ground_fn)
         diag = diag_independent_marks(
-            p, label_1, label_2, r_grid, t_grid, weights=true_weights(p), scenario="S1"
+            p, label_1, label_2, r_grid, t_grid, weights=weights, scenario="S1"
         )
         return diag.values
 

@@ -11,25 +11,19 @@ import argparse
 import pathlib
 import sys
 
-import numpy as np
-
 from mstpp.cli import nonnegative_int, positive_int
-from mstpp.geometry import Window
 from mstpp.inference import random_labelling_test
 from mstpp.pattern import LabelSet, MarkInterval
 from mstpp.second_order import default_lag_grids, weights_from_function
-from mstpp.simulate import preset_sampler, simulate_preset
+from mstpp.simulate import UNIT_WINDOW, preset_intensity, preset_sampler, simulate_preset
 
-GROUND = {
-    "poisson-bernoulli": lambda x, t: 5.0 * t * np.exp(5.0 + 0.5 * x[:, 0]),
-    "lgcp-bernoulli": lambda x, t: 750.0 * np.exp(-0.5 * (x[:, 1] + t)),
-    "lgcp-geostat": lambda x, t: 750.0 * np.exp(1.0 / 16.0) * np.exp(-0.5 * (x[:, 1] + t)),
-}
+# bivariate is left out: its labels name two superposed components
+PRESETS = ("lgcp-bernoulli", "lgcp-geostat", "poisson-bernoulli")
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--preset", default="poisson-bernoulli", choices=sorted(GROUND))
+    ap.add_argument("--preset", default="poisson-bernoulli", choices=PRESETS)
     ap.add_argument("--n-perm", type=positive_int, default=99,
                     help="number of mark permutations")
     ap.add_argument("--seed", type=nonnegative_int, default=0,
@@ -39,22 +33,15 @@ def main(argv=None):
     ap.add_argument("--out-dir", default="random_labelling_out", help="output directory")
     args = ap.parse_args(argv)
 
-    window = Window(((0.0, 1.0), (0.0, 1.0)), (0.0, 1.0))
-    r_grid, t_grid = default_lag_grids(window, args.grid)
-    ground_fn = GROUND[args.preset]
-
+    r_grid, t_grid = default_lag_grids(UNIT_WINDOW, args.grid)
+    ground_fn, marked_fn = preset_intensity(args.preset)
+    sampler = preset_sampler(args.preset, (16, 16, 16)) if args.preset.startswith("lgcp") else None
+    p = simulate_preset(args.preset, seed=args.seed, sampler=sampler)
     if args.preset == "lgcp-geostat":
-        sampler = preset_sampler(args.preset, (16, 16, 16))
-        p = simulate_preset(args.preset, seed=args.seed, sampler=sampler)
         c_set = MarkInterval(-8.0, 0.0)
         d_set = MarkInterval(0.0, 8.0, closed_lo=False)
-        density = lambda m: np.exp(-0.5 * m**2) / np.sqrt(2.0 * np.pi)
-        marked_fn = lambda x, t, m: ground_fn(x, t) * density(m)
     else:
-        sampler = preset_sampler(args.preset, (16, 16, 16)) if args.preset.startswith("lgcp") else None
-        p = simulate_preset(args.preset, seed=args.seed, sampler=sampler)
         c_set, d_set = LabelSet((1,)), LabelSet((2,))
-        marked_fn = lambda x, t, m: ground_fn(x, t) * np.where(m == 1.0, 0.6, 0.4)
 
     def builder(q):
         return weights_from_function(q, marked_fn=marked_fn, ground_fn=ground_fn)

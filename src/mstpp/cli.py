@@ -359,10 +359,7 @@ def cmd_simulate(cfg, out_dir, seed, threads):
         "preset": preset,
         "seed": seed,
         "n": p.n,
-        "window": {
-            "spatial": [list(b) for b in p.window.spatial],
-            "temporal": list(p.window.temporal),
-        },
+        "window": {"spatial": p.window.spatial, "temporal": p.window.temporal},
         "marks": str(p.mark_space),
     }
     write_json(os.path.join(out_dir, "meta.json"), meta)

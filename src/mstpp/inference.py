@@ -126,7 +126,7 @@ class EnvelopeSet:
             "n_sim": self.n_sim,
             "generator": self.generator,
             "exceedance_fraction": self.exceedance_fraction,
-            "meta": {k: (v.tolist() if isinstance(v, np.ndarray) else str(v))
+            "meta": {k: (v if isinstance(v, np.ndarray) else str(v))
                      for k, v in self.meta.items()},
         }
         write_json(path, doc)

@@ -5,7 +5,8 @@ measures, mark sets, patterns, ingestion, and the basic transformers
 
 Every CSV and JSON artifact the package writes goes through one of two
 writers: ``write_table`` (float cells at full round-trip precision) and
-``write_json`` (sorted keys, two-space indent, final newline).
+``write_json`` (numpy values as plain JSON, sorted keys, two-space indent,
+final newline).
 
 A pattern holds its points only as arrays (x: (N, d), t: (N,), marks:
 (N,)), which the estimators read whole; there is no per-point object. It
@@ -404,10 +405,26 @@ def write_table(path, header, columns):
 
 def write_json(path, doc):
     """Write ``doc`` as JSON with sorted keys, a two-space indent and a
-    final newline."""
+    final newline. numpy arrays and scalars are written as lists and
+    numbers, dict keys as strings, and any other value JSON cannot hold as
+    its ``str``."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(doc), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _jsonable(obj):
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (np.integer, np.floating)):
+        return obj.item()
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    return str(obj)
 
 
 def rescale(p, beta_s, beta_t):

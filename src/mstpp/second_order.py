@@ -833,27 +833,11 @@ class KSurface(_Surface):
             "scenario": self.scenario,
             "weights_source": self.weights_source,
             "d": self.d,
-            "r_grid": [float(v) for v in self.r_grid],
-            "t_grid": [float(v) for v in self.t_grid],
-            "meta": _jsonable(self.meta),
+            "r_grid": self.r_grid,
+            "t_grid": self.t_grid,
+            "meta": self.meta,
         }
         write_json(path, doc)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    return str(obj)
 
 
 def default_lag_grids(window, n=20):

@@ -13,6 +13,9 @@ Saatci 2012), and no matrix over all grid cells is ever formed. The
 geostatistical marks are correlated at irregular points instead and use a
 dense Cholesky factor with a jitter ladder.
 
+Each named preset's true intensity has one home, ``preset_intensity``; it
+reads the same per-preset Cox parameters as ``preset_sampler``.
+
 All generators are pure functions of (inputs, seed) and safe to run
 concurrently with independent seeds.
 """
@@ -47,6 +50,7 @@ __all__ = [
     "preset_sampler",
     "poisson_preset_intensity",
     "lgcp_mean",
+    "preset_intensity",
     "PRESET_NAMES",
     "UNIT_WINDOW",
     "SIGMA2",
@@ -78,12 +82,12 @@ class WhittleMatern:
     c: float
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
-        if self.c < 0:
-            raise ValueError("c must be nonnegative")
+        if not 0 < self.sigma2 < math.inf:  # NaN fails each check
+            raise ValueError(f"sigma2 must be positive and finite, not {self.sigma2}")
+        if not 0 < self.nu < math.inf:
+            raise ValueError(f"nu must be positive and finite, not {self.nu}")
+        if not 0 <= self.c < math.inf:
+            raise ValueError(f"c must be nonnegative and finite, not {self.c}")
 
     def value(self, h):
         h = np.asarray(h, dtype=float)
@@ -119,8 +123,8 @@ class Exponential:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < math.inf:  # NaN fails too
+            raise ValueError(f"scale must be positive and finite, not {self.scale}")
 
     def value(self, h):
         return np.exp(-np.asarray(h, dtype=float) / self.scale)
@@ -131,6 +135,10 @@ class Constant:
     """Constant covariance C(h) = level for every lag (h = 0 included)."""
 
     level: float = 1.0
+
+    def __post_init__(self):
+        if not -math.inf < self.level < math.inf:  # NaN fails too
+            raise ValueError(f"level must be finite, not {self.level}")
 
     def value(self, h):
         return np.full(np.asarray(h, dtype=float).shape, float(self.level))
@@ -429,6 +437,10 @@ class UniformInterval:
     lo: float = 0.0
     hi: float = 1.0
 
+    def __post_init__(self):
+        if not -math.inf < self.lo < self.hi < math.inf:  # NaN fails too
+            raise ValueError(f"uniform marks need finite lo < hi, got ({self.lo}, {self.hi})")
+
     def default_space(self):
         return ContinuousMarks(self.lo, self.hi, reference="lebesgue")
 
@@ -520,6 +532,11 @@ PRESET_NAMES = ("poisson-bernoulli", "lgcp-bernoulli", "bivariate", "lgcp-geosta
 # clipped at 0
 _BENCH_COV = SeparableCovariance(WhittleMatern(SIGMA2, 0.5, 1.0), Constant(1.0))
 
+# (slope, var_sign) of each preset's Cox component, read by preset_sampler
+# (the field mean lgcp_mean(slope, var_sign)) and by preset_intensity
+_COX = {"lgcp-bernoulli": (-0.5, -1.0), "bivariate": (-1.5, -1.0), "lgcp-geostat": (-0.5, 1.0)}
+_LABELS = Bernoulli(0.4)
+
 
 def poisson_preset_intensity():
     """The fixed inhomogeneous test intensity 5 t exp(5 + 0.5 x) on the
@@ -541,13 +558,31 @@ def lgcp_mean(slope, var_sign=-1.0):
 def preset_sampler(name, grf_shape=(16, 16, 16)):
     """Prebuild the Gaussian-field sampler behind an LGCP preset so repeated
     ``simulate_preset`` calls can skip the covariance eigendecompositions."""
-    if name == "lgcp-bernoulli":
-        return GRFSampler.build(lgcp_mean(-0.5), _BENCH_COV, grf_shape, UNIT_WINDOW)
+    if name not in _COX:
+        raise ValueError(f"preset {name!r} has no Gaussian-field component")
+    return GRFSampler.build(lgcp_mean(*_COX[name]), _BENCH_COV, grf_shape, UNIT_WINDOW)
+
+
+def preset_intensity(name):
+    """A preset's true intensity as ``(ground_fn, marked_fn)``, the callables
+    ``weights_from_function`` takes. A Cox part is the field's mean intensity
+    exp(mu + sigma2 / 2); Bernoulli(0.4) labels take 0.6 and 0.4, the
+    geostatistical marks the standard normal density, and each ``bivariate``
+    label its own component's intensity, whose sum is the ground."""
+    if name not in PRESET_NAMES:
+        raise ValueError(f"unknown preset {name!r}")
+    poisson = ground = poisson_preset_intensity().fn
+    if name in _COX:
+        slope, var_sign = _COX[name]
+        level = 750.0 * np.exp((var_sign + 1.0) * SIGMA2 / 2.0)
+        ground = cox = lambda x, t: level * np.exp(slope * (np.asarray(x)[:, 1] + t))
     if name == "bivariate":
-        return GRFSampler.build(lgcp_mean(-1.5), _BENCH_COV, grf_shape, UNIT_WINDOW)
+        return (lambda x, t: poisson(x, t) + cox(x, t),
+                lambda x, t, m: np.where(m == 1.0, poisson(x, t), cox(x, t)))
     if name == "lgcp-geostat":
-        return GRFSampler.build(lgcp_mean(-0.5, var_sign=+1.0), _BENCH_COV, grf_shape, UNIT_WINDOW)
-    raise ValueError(f"preset {name!r} has no Gaussian-field component")
+        density = lambda m: np.exp(-0.5 * m**2) / np.sqrt(2.0 * np.pi)
+        return ground, lambda x, t, m: ground(x, t) * density(m)
+    return ground, lambda x, t, m: ground(x, t) * np.where(m == 1.0, 1.0 - _LABELS.p, _LABELS.p)
 
 
 def simulate_preset(name, seed=None, grf_shape=(16, 16, 16), sampler=None):
@@ -581,9 +616,9 @@ def simulate_preset(name, seed=None, grf_shape=(16, 16, 16), sampler=None):
 
     if name == "poisson-bernoulli":
         ground = sim_poisson(poisson_preset_intensity(), seed=rng)
-        return assign_marks_iid(ground, Bernoulli(0.4), seed=rng)
+        return assign_marks_iid(ground, _LABELS, seed=rng)
     if name == "lgcp-bernoulli":
-        return assign_marks_iid(cox(), Bernoulli(0.4), seed=rng)
+        return assign_marks_iid(cox(), _LABELS, seed=rng)
     if name == "bivariate":
         y1 = sim_poisson(poisson_preset_intensity(), seed=rng)
         return superpose([y1, cox()])

@@ -35,6 +35,7 @@ from mstpp.simulate import (
     IntensityField,
     UniformInterval,
     assign_marks_iid,
+    preset_intensity,
     preset_sampler,
     sim_poisson,
     simulate_preset,
@@ -61,6 +62,12 @@ def _report(cap, num, name, ok, detail, t0):
 @functools.lru_cache(maxsize=None)
 def _sampler(name):
     return preset_sampler(name, (16, 16, 16))
+
+
+def _true_weights(name):
+    """Weights builder from the preset's true intensity."""
+    ground_fn, marked_fn = preset_intensity(name)
+    return lambda p: weights_from_function(p, marked_fn=marked_fn, ground_fn=ground_fn)
 
 
 # ------------------------------------------------------------------
@@ -197,14 +204,7 @@ class TestAcceptance:
     def test_06_independent_marks_envelope(self, capsys):
         t0 = time.time()
         sampler = _sampler("lgcp-bernoulli")
-
-        def true_weights(p):
-            g = lambda x, t: 750.0 * np.exp(-0.5 * (x[:, 1] + t))
-            return weights_from_function(
-                p,
-                marked_fn=lambda x, t, m: g(x, t) * np.where(m == 1.0, 0.6, 0.4),
-                ground_fn=g,
-            )
+        true_weights = _true_weights("lgcp-bernoulli")
 
         def simulator(index, seed):
             p = simulate_preset("lgcp-bernoulli", seed=seed, sampler=sampler)
@@ -224,12 +224,11 @@ class TestAcceptance:
         t0 = time.time()
         sampler = _sampler("bivariate")
         bench = poisson_reference(R20, T20, 2).values
+        _, marked_fn = preset_intensity("bivariate")
 
         def simulator(index, seed):
             p = simulate_preset("bivariate", seed=seed, sampler=sampler)
-            lam1 = 5.0 * p.t * np.exp(5.0 + 0.5 * p.x[:, 0])
-            lam2 = 750.0 * np.exp(-1.5 * (p.x[:, 1] + p.t))
-            w = Weights(lam=np.where(p.marks == 1.0, lam1, lam2))
+            w = weights_from_function(p, marked_fn=marked_fn)
             kx = k_cross_multitype(p, 1, 2, R20, T20, weights=w)
             return kx.values - bench
 
@@ -242,15 +241,7 @@ class TestAcceptance:
 
     def test_08_random_labelling_calibration_and_power(self, capsys):
         t0 = time.time()
-
-        def bernoulli_builder(q):
-            g = lambda x, t: 5.0 * t * np.exp(5.0 + 0.5 * x[:, 0])
-            return weights_from_function(
-                q,
-                marked_fn=lambda x, t, m: g(x, t) * np.where(m == 1.0, 0.6, 0.4),
-                ground_fn=g,
-            )
-
+        bernoulli_builder = _true_weights("poisson-bernoulli")
         exceed = np.zeros((20, 20))
         null_any = 0
         for s, child in enumerate(np.random.SeedSequence(808).spawn(100)):
@@ -267,13 +258,7 @@ class TestAcceptance:
         sampler = _sampler("lgcp-geostat")
         c_neg = MarkInterval(-8.0, 0.0)
         d_pos = MarkInterval(0.0, 8.0, closed_lo=False)
-
-        def geostat_builder(q):
-            g = lambda x, t: 750.0 * np.exp(1.0 / 16.0) * np.exp(-0.5 * (x[:, 1] + t))
-            density = lambda m: np.exp(-0.5 * m**2) / np.sqrt(2.0 * np.pi)
-            return weights_from_function(
-                q, marked_fn=lambda x, t, m: g(x, t) * density(m), ground_fn=g
-            )
+        geostat_builder = _true_weights("lgcp-geostat")
 
         power_hits = 0
         for s, child in enumerate(np.random.SeedSequence(809).spawn(50)):

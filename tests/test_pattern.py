@@ -291,6 +291,12 @@ class TestWriters:
         write_json(path, doc)
         assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
+    def test_json_writes_numpy_values_as_plain_json(self, tmp_path):
+        write_json(tmp_path / "d.json", {"a": np.array([0.25]), "n": np.int64(3),
+                                         "k": {2: np.float32(0.5)}, "s": LabelSet((1,))})
+        plain = {"a": [0.25], "n": 3, "k": {"2": 0.5}, "s": str(LabelSet((1,)))}
+        assert (tmp_path / "d.json").read_text() == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+
 
 class TestRescale:
     def test_identity(self):

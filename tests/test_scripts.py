@@ -19,7 +19,14 @@ RUNS = [
      "band.csv", 1 + 4 * 4),
     ("run_random_labelling", ["--n-perm", "3", "--grid", "4", "--out-dir", "{tmp}/rl"],
      "rl/envelope.csv", 1 + 4 * 4),
+    ("run_random_labelling", ["--preset", "lgcp-bernoulli", "--n-perm", "3", "--grid", "4",
+                              "--out-dir", "{tmp}/rl"], "rl/envelope.csv", 1 + 4 * 4),
+    ("run_random_labelling", ["--preset", "lgcp-geostat", "--n-perm", "3", "--grid", "4",
+                              "--out-dir", "{tmp}/rl"], "rl/envelope.csv", 1 + 4 * 4),
 ]
+
+# a run's id is its script's name, with the preset of a run that names one
+IDS = [f"{name}-{argv[1]}" if argv[0] == "--preset" else name for name, argv, _, _ in RUNS]
 
 
 def load_script(name):
@@ -30,11 +37,11 @@ def load_script(name):
 
 
 def test_every_script_is_run():
-    assert sorted(path.stem for path in SCRIPTS.glob("*.py")) == sorted(r[0] for r in RUNS)
+    assert sorted(path.stem for path in SCRIPTS.glob("*.py")) == sorted({r[0] for r in RUNS})
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("name, argv, table, lines", RUNS, ids=[r[0] for r in RUNS])
+@pytest.mark.parametrize("name, argv, table, lines", RUNS, ids=IDS)
 def test_script_runs(tmp_path, capsys, name, argv, table, lines):
     main = load_script(name).main
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 0

@@ -28,6 +28,7 @@ from mstpp.simulate import (
     assign_marks_iid,
     lgcp_mean,
     poisson_preset_intensity,
+    preset_intensity,
     preset_sampler,
     sim_grf,
     sim_lgcp,
@@ -41,6 +42,13 @@ from .conftest import UNIT, uniform_pattern
 CONST_100 = IntensityField(
     fn=lambda x, t: np.full(np.asarray(t).shape, 100.0), window=UNIT, lam_max=100.0
 )
+
+
+def _midpoints(n):
+    # the cell midpoints (x, t) of an n x n x n grid on the unit cube
+    c = (np.arange(n) + 0.5) / n
+    x, y, t = (g.ravel() for g in np.meshgrid(c, c, c, indexing="ij"))
+    return np.column_stack([x, y]), t
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +78,9 @@ class TestPoisson:
         field = poisson_preset_intensity()
         target = 5.0 * math.exp(5.0) * (math.exp(0.5) - 1.0)
         assert target == pytest.approx(481.4, abs=0.1)
+        # the midpoint rule for the integral of the true ground intensity
+        ground_fn, _ = preset_intensity("poisson-bernoulli")
+        assert ground_fn(*_midpoints(48)).mean() == pytest.approx(target, rel=1e-4)
         counts = [sim_poisson(field, seed=s).n for s in range(300)]
         assert abs(np.mean(counts) - target) < 0.02 * target
 
@@ -106,6 +117,23 @@ class TestWhittleMatern:
         closed = WhittleMatern(2.0, 1.5, 3.0).value(h)
         np.testing.assert_allclose(WhittleMatern(2.0, 1.5 + dnu, 3.0).value(h), closed,
                                    rtol=1e-8, atol=0.0)
+
+
+BAD_LAWS = [
+    (WhittleMatern, (math.nan, 0.5, 1.0)), (WhittleMatern, (1.0, math.nan, 1.0)),
+    (WhittleMatern, (1.0, 0.5, math.nan)), (WhittleMatern, (1.0, 0.5, -1.0)),
+    (Exponential, (math.nan,)), (Exponential, (0.0,)), (Constant, (math.nan,)),
+    (Constant, (math.inf,)), (UniformInterval, (1.0, 0.0)), (UniformInterval, (0.0, math.nan)),
+    (UniformInterval, (math.nan, 1.0)), (UniformInterval, (0.0, math.inf)),
+    (Bernoulli, (1.2,)), (Bernoulli, (math.nan,)), (UserTable, ((0.5, 0.6),)),
+    (UserTable, ((1.0,),)),
+]
+
+
+@pytest.mark.parametrize("law, args", BAD_LAWS, ids=[f"{c.__name__}{a}" for c, a in BAD_LAWS])
+def test_bad_law_parameters_are_refused(law, args):
+    with pytest.raises(ValueError):
+        law(*args)
 
 
 class TestGaussianField:
@@ -241,6 +269,8 @@ class TestCox:
     def test_mean_count_matches_closed_form(self, lgcp_counts):
         target = 750.0 * (2.0 * (1.0 - math.exp(-0.5))) ** 2
         assert target == pytest.approx(464.4, abs=0.1)
+        ground_fn, _ = preset_intensity("lgcp-bernoulli")
+        assert ground_fn(*_midpoints(48)).mean() == pytest.approx(target, rel=1e-4)
         assert abs(lgcp_counts.mean() - target) < 0.03 * target
 
     def test_counts_overdispersed_relative_to_poisson(self, lgcp_counts):
@@ -269,8 +299,6 @@ class TestMarkingLaws:
         ground = uniform_pattern(40, seed=6, marks=None)
         assert np.all(assign_marks_iid(ground, Bernoulli(1.0), seed=0).marks == 2.0)
         assert np.all(assign_marks_iid(ground, Bernoulli(0.0), seed=0).marks == 1.0)
-        with pytest.raises(ValueError):
-            Bernoulli(1.2)
 
     def test_uniform_interval_law(self):
         ground = uniform_pattern(500, seed=7, marks=None)
@@ -280,10 +308,6 @@ class TestMarkingLaws:
         assert p.mark_space == ContinuousMarks(2.0, 4.0, reference="lebesgue")
 
     def test_user_table_law(self):
-        with pytest.raises(ValueError):
-            UserTable((0.5, 0.6))
-        with pytest.raises(ValueError):
-            UserTable((1.0,))
         ground = uniform_pattern(2000, seed=8, marks=None)
         p = assign_marks_iid(ground, UserTable((0.2, 0.3, 0.5)), seed=2)
         assert p.mark_space == LabelMarks(k=3)
@@ -373,6 +397,8 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
             simulate_preset("nope", seed=0)
+        with pytest.raises(ValueError, match="unknown preset"):
+            preset_intensity("nope")
         with pytest.raises(ValueError, match="Gaussian-field"):
             preset_sampler("poisson-bernoulli")
 
@@ -400,3 +426,25 @@ class TestPresets:
     def test_bivariate_mixes_two_labels(self):
         p = simulate_preset("bivariate", seed=2, grf_shape=(8, 8, 8))
         assert set(np.unique(p.marks)) == {1.0, 2.0}
+
+
+class TestPresetIntensity:
+    @pytest.mark.parametrize("name", ["poisson-bernoulli", "lgcp-bernoulli", "bivariate"])
+    def test_labels_sum_to_the_ground(self, name):
+        (x, t), (ground_fn, marked_fn) = _midpoints(8), preset_intensity(name)
+        total = sum(marked_fn(x, t, np.full(t.size, label)) for label in (1.0, 2.0))
+        np.testing.assert_allclose(total, ground_fn(x, t), rtol=1e-14, atol=0.0)
+
+    def test_geostat_mark_density_integrates_to_one(self):
+        m = -8.0 + (np.arange(1600) + 0.5) / 100.0
+        x, t = np.tile([[0.3, 0.7]], (m.size, 1)), np.full(m.size, 0.4)
+        ground_fn, marked_fn = preset_intensity("lgcp-geostat")
+        assert marked_fn(x, t, m).sum() / 100.0 == pytest.approx(ground_fn(x, t)[0], rel=1e-9)
+
+    @pytest.mark.parametrize("name", ["lgcp-bernoulli", "bivariate", "lgcp-geostat"])
+    def test_cox_part_is_the_field_mean_intensity(self, name):
+        # exp(mu + sigma2 / 2) at the cell centres of the preset's own field
+        (x, t), (ground_fn, marked_fn) = _midpoints(3), preset_intensity(name)
+        cox = marked_fn(x, t, np.full(t.size, 2.0)) if name == "bivariate" else ground_fn(x, t)
+        mean = preset_sampler(name, grf_shape=(3, 3, 3)).mean
+        np.testing.assert_allclose(cox, np.exp(mean + SIGMA2 / 2.0), rtol=1e-13)
