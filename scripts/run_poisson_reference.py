@@ -16,10 +16,15 @@ import sys
 import numpy as np
 
 from mstpp.cli import nonnegative_int, positive_int
-from mstpp.geometry import Window
 from mstpp.pattern import MarkInterval, write_table
-from mstpp.second_order import Weights, k_inhom
-from mstpp.simulate import IntensityField, UniformInterval, assign_marks_iid, sim_poisson
+from mstpp.second_order import Weights, k_inhom, poisson_reference
+from mstpp.simulate import (
+    UNIT_WINDOW,
+    IntensityField,
+    UniformInterval,
+    assign_marks_iid,
+    sim_poisson,
+)
 
 
 def main(argv=None):
@@ -34,8 +39,7 @@ def main(argv=None):
     if not args.lam > 0:
         ap.error(f"--lam must be positive, got {args.lam}")
 
-    window = Window(((0.0, 1.0), (0.0, 1.0)), (0.0, 1.0))
-    field = IntensityField(lambda x, t: np.full(len(t), args.lam), window, args.lam)
+    field = IntensityField(lambda x, t: np.full(len(t), args.lam), UNIT_WINDOW, args.lam)
     lower = MarkInterval(0.0, 0.5)
     upper = MarkInterval(0.5, 1.0, closed_lo=False)
     r_grid = t_grid = np.array([0.05, 0.10, 0.15])
@@ -53,11 +57,12 @@ def main(argv=None):
 
     mean = stack.mean(axis=0)
     se = stack.std(axis=0, ddof=1) / np.sqrt(args.reps)
+    reference = poisson_reference(r_grid, t_grid, 2).values
     rows = []
     print(f"{'r':>6} {'t':>6} {'mean':>12} {'se':>12} {'reference':>12} {'z':>8}")
     for a, r in enumerate(r_grid):
         for b, t in enumerate(t_grid):
-            ref = 2.0 * np.pi * r**2 * t
+            ref = reference[a, b]
             spread = se[a, b] > 0
             z = (mean[a, b] - ref) / se[a, b] if spread else float("nan")
             rows.append((r, t, mean[a, b], se[a, b], ref, z))

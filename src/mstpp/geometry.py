@@ -122,7 +122,7 @@ def direction_in_cone(dx, dy, phi, psi):
 def cylinder_volume(r, t, d):
     """Lebesgue volume 2 t r^d omega_d of a cylinder with spatial radius r,
     temporal half-height t, in spatial dimension d."""
-    if r < 0 or t < 0:
+    if not (r >= 0 and t >= 0):  # NaN fails too
         raise ValueError("cylinder volume requires r >= 0 and t >= 0")
     return 2.0 * t * r ** int(d) * unit_ball_volume(d)
 
@@ -133,7 +133,7 @@ def cone_volume(phi, psi, r, t):
     times the temporal extent 2t."""
     if not phi < psi <= phi + math.pi:
         raise ValueError("psi must lie in (phi, phi + pi]")
-    if r < 0 or t < 0:
+    if not (r >= 0 and t >= 0):  # NaN fails too
         raise ValueError("cone volume requires r >= 0 and t >= 0")
     return (psi - phi) * r * r * 2.0 * t
 
@@ -148,7 +148,7 @@ def erode_window(w, r, t):
         If the eroded window would be empty or degenerate; this error drives
         the maximum admissible (r, t) lag grid.
     """
-    if r < 0 or t < 0:
+    if not (r >= 0 and t >= 0):  # NaN fails too
         raise ValueError("erosion requires r >= 0 and t >= 0")
     spatial = tuple((lo + r, hi - r) for lo, hi in w.spatial)
     temporal = (w.temporal[0] + t, w.temporal[1] - t)

@@ -18,6 +18,7 @@ and the marking operations upgrade them.
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -177,6 +178,11 @@ class LabelSet:
     labels: frozenset
 
     def __init__(self, labels):
+        labels = tuple(labels)
+        for v in labels:
+            # the marks are floats, so 2.0 names label 2; NaN fails too
+            if not (math.isfinite(v) and v == int(v)):
+                raise ValueError(f"labels must be whole numbers, got {v}")
         object.__setattr__(self, "labels", frozenset(int(v) for v in labels))
         if not self.labels:
             raise ValueError("label set must be nonempty")
@@ -189,7 +195,7 @@ class LabelSet:
         return out
 
     def contains(self, m):
-        return int(m) in self.labels
+        return m in self.labels
 
 
 def _check_mark_set(mark_space, mark_set):

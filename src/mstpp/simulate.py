@@ -74,7 +74,8 @@ class WhittleMatern:
     C(0) = sigma2 by continuity and the c = 0 limit constant at sigma2.
 
     Closed forms are used at nu in {0.5, 1.5, 2.5}; other smoothness
-    values fall back to the modified Bessel function.
+    values take the Bessel term from ``_matern_term``, once per distinct
+    lag c h.
     """
 
     sigma2: float
@@ -101,19 +102,39 @@ class WhittleMatern:
         elif self.nu == 2.5:
             out = (1.0 + ch + ch * ch / 3.0) * np.exp(-ch)
         else:
-            # imported here: every preset uses a closed form, and importing
-            # scipy.special takes most of the library's import time
-            from scipy.special import kv
-
             out = np.ones_like(ch)
             pos = ch > 0
-            chp = ch[pos]
-            out[pos] = (
-                (2.0 ** (1.0 - self.nu) / math.gamma(self.nu))
-                * chp**self.nu
-                * kv(self.nu, chp)
-            )
+            lags, inverse = np.unique(ch[pos], return_inverse=True)
+            out[pos] = _matern_term(self.nu, lags)[inverse]
         return self.sigma2 * out
+
+
+def _matern_term(nu, x):
+    """The Matern term 2^(1-nu)/Gamma(nu) x^nu K_nu(x) at x > 0, with
+    K_nu(x) the integral of exp(-x cosh s) cosh(nu s) over s >= 0 (DLMF
+    10.32.9), by a trapezoid rule on [0, S], S = arccosh(max(750/x, 1)) + 1.
+    It takes 200 nodes, or more where S grows past 25 (x below about 6e-8),
+    so that no step exceeds 1/8: a coarser step misses the integrand's peak
+    near s = log(2 nu / x). Its relative error against scipy.special.kv is
+    below 1e-12 for nu in [0.3, 40] and x >= 1e-300, wherever kv is finite
+    (tests/test_simulate.py).
+    Each node's integrand is exponentiated from its logarithm, so nothing
+    overflows at large nu or small x, and the nodes are summed one at a
+    time, so memory stays O(len x)."""
+    # 750 / x overflows below about 4e-306; below 1e-300 the term differs
+    # from 1 by O(x^min(2 nu, 2))
+    x = np.maximum(x, 1e-300)
+    log_front = nu * np.log(x) - math.lgamma(nu) + (1.0 - nu) * math.log(2.0)
+    span = np.arccosh(np.maximum(750.0 / x, 1.0)) + 1.0
+    nodes = max(200, math.ceil(8.0 * np.max(span, initial=0.0)) + 1)
+    step = span / (nodes - 1)
+    total = np.zeros_like(x)
+    for k in range(nodes):
+        s = k * step
+        rest = log_front - x * np.cosh(s)
+        node = np.exp(rest + nu * s) + np.exp(rest - nu * s)
+        total += node if 0 < k < nodes - 1 else 0.5 * node
+    return 0.5 * step * total
 
 
 @dataclass(frozen=True)

@@ -100,7 +100,7 @@ class TestAcceptance:
         stack, _, _ = _poisson_uniform_replicates()
         mean = stack.mean(axis=0)
         se = stack.std(axis=0, ddof=1) / np.sqrt(stack.shape[0])
-        ref = 2.0 * np.pi * np.outer(R3**2, T3)
+        ref = poisson_reference(R3, T3, 2).values
         z = (mean - ref) / se
         ok = bool(np.all(np.abs(z) <= 3.0))
         _report(capsys, 1, "marked K of Poisson(200) vs 2*pi*r^2*t",

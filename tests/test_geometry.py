@@ -14,6 +14,7 @@ from mstpp.geometry import (
     unit_ball_volume,
 )
 
+from .conftest import UNIT
 from .oracles import mc_volume, wedge_contains
 
 
@@ -111,3 +112,19 @@ class TestErodeWindow:
             Window(spatial=((0.0, 0.0), (0.0, 1.0)), temporal=(0.0, 1.0))
         with pytest.raises(ValueError):
             Window(spatial=((0.0, 1.0),), temporal=(1.0, 0.0))
+
+
+LAG_FUNCTIONS = {
+    "cylinder_volume": lambda r, t: cylinder_volume(r, t, 2),
+    "cone_volume": lambda r, t: cone_volume(0.0, 1.0, r, t),
+    "erode_window": lambda r, t: erode_window(UNIT, r, t),
+}
+
+
+@pytest.mark.parametrize("r, t", [(math.nan, 0.1), (0.1, math.nan), (-0.1, 0.1), (0.1, -0.1)])
+@pytest.mark.parametrize("name", LAG_FUNCTIONS)
+def test_negative_or_nan_lags_are_refused(name, r, t):
+    # a NaN lag is neither a volume of NaN nor an erosion that empties an axis
+    with pytest.raises(ValueError, match="requires r >= 0 and t >= 0") as exc:
+        LAG_FUNCTIONS[name](r, t)
+    assert not isinstance(exc.value, ErosionError)

@@ -96,6 +96,17 @@ class TestMarkSpaces:
         with pytest.raises(ValueError, match="positive and finite"):
             LabelMarks(2, weights=weights)
 
+    @pytest.mark.parametrize("label", [2.5, np.float64(1.5), np.inf, np.nan])
+    def test_label_set_rejects_a_label_that_is_not_whole(self, label):
+        # 2.5 once named label 2, and an infinite label raised OverflowError
+        with pytest.raises(ValueError, match="whole numbers"):
+            LabelSet([1, label])
+
+    def test_label_set_takes_whole_floats(self):
+        # the marks are stored as floats
+        assert LabelSet([1, 1.0, np.float64(2.0), np.int64(3)]).labels == {1, 2, 3}
+        assert LabelSet([2]).contains(2.0) and not LabelSet([2]).contains(2.5)
+
     @pytest.mark.parametrize("k", [2.5, 2.0, "3", None])
     def test_label_count_must_be_whole(self, k):
         # not a TypeError from range()

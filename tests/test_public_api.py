@@ -1,13 +1,13 @@
+import ast
 import subprocess
 import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import mstpp
 from mstpp import geometry, inference, intensity, pattern, second_order, simulate
-from mstpp.pattern import save_catalog
-
-from .conftest import uniform_pattern
 
 MODULES = (geometry, pattern, simulate, intensity, second_order, inference)
 
@@ -20,37 +20,44 @@ def test_package_exports_exactly_the_modules_public_names():
     assert exported == set(declared)
 
 
-def test_importing_the_package_and_cli_loads_no_scipy_special_or_spatial():
-    # scipy.special loads for a general Whittle-Matern smoothness only, and
-    # scipy.spatial at the first pair search; both take most of the import
-    code = ("import sys, mstpp, mstpp.cli; "
-            "print([m for m in ('scipy.special', 'scipy.spatial') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # from here on, any import of scipy fails
+import mstpp, mstpp.cli
+from mstpp import geometry, inference, intensity, pattern, second_order, simulate
+
+out = sys.argv[1]
+
+def run(command, name, cfg):
+    with open(f"{out}/{name}.cfg", "w") as f:
+        f.write(cfg)
+    argv = [command, "--config", f"{out}/{name}.cfg", "--seed", "1", "--out", f"{out}/{name}"]
+    assert mstpp.cli.main(argv) == 0, name
+
+for preset in simulate.PRESET_NAMES:
+    run("simulate", preset, f"preset = {preset}\\ngrf_cells = 8,8,8\\n")
+head = f"input = {out}/poisson-bernoulli/catalog.csv\\nwindow = 0,1,0,1,0,1\\nmarks = labels,2\\n"
+run("intensity", "intensity", head + "estimator = ground\\n")
+run("k", "k", head + "weights = stationary\\nc_set = labels,1\\nd_set = labels,2\\n")
+run("test", "test", head + "c_set = labels,1\\nd_set = labels,2\\nn_perm = 9\\n")
+print(simulate.WhittleMatern(1.0, 1.0, 1.0).value([0.0, 1.0]).tolist())
+"""
 
 
-def test_k_and_test_commands_load_no_scipy_spatial(tmp_path):
-    # the pair search is a numpy sweep: neither second-order command loads
-    # the KD-tree module, nor the sparse and linear algebra it pulls in
-    save_catalog(uniform_pattern(120, seed=5, marks="labels"), tmp_path / "catalog.csv")
-    head = f"input = {tmp_path / 'catalog.csv'}\nwindow = 0,1,0,1,0,1\nmarks = labels,2\n"
-    (tmp_path / "k.cfg").write_text(head + "weights = stationary\nc_set = labels,1\n"
-                                    "d_set = labels,2\n")
-    (tmp_path / "test.cfg").write_text(head + "c_set = labels,1\nd_set = labels,2\n"
-                                       "n_perm = 9\n")
-    code = ("import sys, mstpp.cli\n"
-            "for command in ('k', 'test'):\n"
-            "    argv = [command, '--config', f'{sys.argv[1]}/{command}.cfg',\n"
-            "            '--out', f'{sys.argv[1]}/{command}_out']\n"
-            "    assert mstpp.cli.main(argv) == 0, command\n"
-            "print('scipy.spatial' in sys.modules)\n")
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+def test_the_package_and_every_command_run_without_scipy(tmp_path):
+    # scipy is a test dependency only: with it blocked, every module
+    # imports, the four commands run, and a smoothness without a closed
+    # form still evaluates
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path)],
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
-    for name in ("k_out/k_surface.csv", "k_out/k_surface.json",
-                 "test_out/envelope.csv", "test_out/envelope.json"):
+    # C(1) = (c h) K_1(c h) at c h = 1, K_1(1) = 0.6019072301972346
+    values = ast.literal_eval(out.stdout.strip())
+    assert values[0] == 1.0 and values[1] == pytest.approx(0.6019072301972346, rel=1e-12)
+    names = [f"{preset}/catalog.csv" for preset in simulate.PRESET_NAMES]
+    names += ["intensity/intensity.csv", "intensity/audit.txt", "k/k_surface.csv",
+              "k/k_surface.json", "test/envelope.csv", "test/envelope.json"]
+    for name in names:
         assert (tmp_path / name).stat().st_size > 0, name
 
 

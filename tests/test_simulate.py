@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from mstpp.geometry import Window
@@ -117,6 +118,32 @@ class TestWhittleMatern:
         closed = WhittleMatern(2.0, 1.5, 3.0).value(h)
         np.testing.assert_allclose(WhittleMatern(2.0, 1.5 + dnu, 3.0).value(h), closed,
                                    rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize("nu", [0.3, 1.0, 1.7, 3.2, 7.5, 20.0, 40.0])
+    def test_bessel_form_matches_scipy_kv(self, nu):
+        # the numpy integral for K_nu against scipy's, wherever the
+        # reference term exceeds 1e-300
+        x = np.logspace(-6, 2.5, 2001)
+        got = WhittleMatern(1.0, nu, 1.0).value(x)
+        ref = 2.0 ** (1.0 - nu) / math.gamma(nu) * x**nu * scipy.special.kv(nu, x)
+        keep = ref > 1e-300
+        assert keep.sum() > 1000
+        np.testing.assert_allclose(got[keep], ref[keep], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("nu", [0.3, 1.0, 1.7, 3.2, 7.5, 20.0, 40.0])
+    def test_bessel_form_stays_accurate_at_tiny_lags(self, nu):
+        # a fixed 200-node rule is too coarse for the integrand's peak here
+        # (it read 1.23 at nu = 1, x = 1e-300)
+        x = np.concatenate([[5e-324, 1e-310], np.logspace(-300, -6, 295)])
+        got = WhittleMatern(1.0, nu, 1.0).value(x)
+        # the term tends to 1; the rounding of nu log x (up to 3e4) leaves 1e-11
+        np.testing.assert_allclose(got[:10], 1.0, rtol=1e-11, atol=0.0)
+        assert np.all(got <= 1.0 + 1e-11)
+        with np.errstate(over="ignore", invalid="ignore"):  # kv overflows first
+            ref = 2.0 ** (1.0 - nu) / math.gamma(nu) * x**nu * scipy.special.kv(nu, x)
+        keep = np.isfinite(ref) & (ref > 1e-300)
+        assert keep.any()
+        np.testing.assert_allclose(got[keep], ref[keep], rtol=1e-12, atol=0.0)
 
 
 BAD_LAWS = [
