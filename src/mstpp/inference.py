@@ -212,7 +212,9 @@ def delta_surface(p, C, D, r_grid=None, t_grid=None, weights=None,
     and ``geometry`` are as in `k_inhom`."""
     scenario = _norm_scenario(scenario)
     terms = _stacked([_marked_terms(p, weights, C, D, scenario)])
-    geom = _geometry(p, r_grid, t_grid, erosion, geometry)
+    # the CD and the DC pairs
+    geom = _geometry(p, r_grid, t_grid, erosion, geometry,
+                     marks=[(terms[0][0], terms[1][0]), (terms[1][0], terms[0][0])])
     return DeltaSurface(
         r_grid=geom.r_grid, t_grid=geom.t_grid,
         values=_delta_values(geom, scenario, terms)[0], C=C, D=D,
@@ -243,7 +245,7 @@ def diag_independent_marks(p, C, D, r_grid=None, t_grid=None, weights=None,
     scenario, so C = D = full mark space gives an exactly zero surface."""
     scenario = _norm_scenario(scenario)
     rows = [_marked_terms(p, weights, *sets, scenario) for sets in ((C, D), (None, None))]
-    geom = _geometry(p, r_grid, t_grid, erosion)
+    geom = _geometry(p, r_grid, t_grid, erosion, marks=[r[:2] for r in rows])
     return _diagnostic(_k_surface(p, geom, scenario, rows, C, D, weights.source,
                                   combine=lambda k: k[0] - k[1]), "K_CD - K_ground")
 
@@ -267,7 +269,7 @@ def decomposition_residual(p, C, r_grid=None, t_grid=None, weights=None,
     geometry."""
     scenario = _norm_scenario(scenario)
     rows = [_marked_terms(p, weights, C, D, scenario) for D in (None, C)]
-    geom = _geometry(p, r_grid, t_grid, erosion)
+    geom = _geometry(p, r_grid, t_grid, erosion, marks=[r[:2] for r in rows])
     nu_c, nu_m = p.nu(C), p.nu_total()
     poisson = poisson_reference(geom.r_grid, geom.t_grid, p.dim).values
 

@@ -23,6 +23,15 @@ cross K-functions, scenario S1 with the masses (N_C N_D / N^2, 1) for the
 stationary one, a cone test for the directional one, and the DC surface
 beside the CD one for the symmetrized form. `k_smoothed` averages
 `k_inhom` over thinnings.
+A geometry that `pair_geometry` returns holds every pair that can
+contribute to some cell, so it serves any marks and weights. An estimator
+that builds its own geometry (no ``geometry`` argument) builds only the
+pairs its surfaces sum: the first point eroded-in and in some surface's C,
+the second in that surface's D (`_selection`); when one surface sums every
+pair (the ground K, the independent-marks diagnostic, C = D = None), it
+builds them all. That geometry never leaves the estimator, and no
+``geometry`` argument takes one. The random-labelling test, whose
+permutations move the marks, builds every pair.
 `k_measure_hat`, the estimate for one structuring set, sums the stored
 pairs of the fixed-erosion geometry at its set's bounding lags that pass
 an exact membership test. `_marked_terms` checks the marked arguments and
@@ -47,35 +56,52 @@ sup-metric ball of radius r_max (t_max when r_max is zero), padded by
 (r_max, t_max) cylinder even after the rounding of the rescaled times and
 of the lags, so the candidates are a superset of the pairs within the
 maximal lags. The points are binned into cells half the radius wide on
-each spatial axis, widened by 1 + 1e-9, but never narrower than the
-axis's extent over 4096 (fewer cells on more than three axes), so the
-cell keys stay exact as int64 and as float64, and no array is sized by
-the number of cells. Two points within the radius lie at most
-reach = floor(radius / width + 1e-9) + 1 cells apart on each axis, 2 at
-the usual width: the cell coordinates never exceed 4096, so their
-rounding is far below 1e-9 of a cell. Each axis's key stride leaves
-reach empty cells past its last one, so the stencil of a cell at an edge
-reaches no occupied cell across the window. The points are sorted by
-(cell key, rescaled time); the exact complex key, key + 1j t, sorts the
-same way, since numpy orders complex numbers by real part, then
-imaginary part. For the own cell and each forward offset of the
-(2 reach + 1)^d stencil, two vectorised np.searchsorted calls on that key
-give each point's run of neighbours within the radius in time (in the
-own cell, only the later points). The search bounds t - radius and
-t + radius round by at most half an ulp, well within the padding. So
-every unordered candidate is found once, from the cell with the lower
-key, and no point is paired with itself. The nonempty runs of all
-offsets are held, three words each (at most one per point and offset),
-and expanded with np.repeat in batches of `_CHUNK` candidates, the last
-one shorter, a run cut where a batch ends. So a small pattern is
-filtered in one batch, and the Python steps grow with the stencil and
-with the candidates over `_CHUNK`, never with n or the number of cells.
+each spatial axis up to three axes and one radius wide above (a stencil
+of 3^5 = 243 cells in 5-d, not 5^5), widened by 1 + 4e-9, but never
+narrower than the axis's extent over 4096 (fewer cells on more than
+three axes), so the cell keys stay exact as int64 and as float64, and no
+array is sized by the number of cells. Two points within the radius lie
+at most reach = floor(radius / width + 1e-9) + 1 cells apart on each
+axis, 2 at half a radius and 1 at a whole one (the widening keeps
+radius / width at least 3e-9 below 2 or 1): the cell coordinates never
+exceed 4096, so their rounding is far below 1e-9 of a cell. Each axis's
+key stride leaves reach empty cells past its last one, so the stencil of
+a cell at an edge reaches no occupied cell across the window.
+
+A selection comes as two bit masks per point (`_selection`), f for the
+surfaces whose C holds the point and g for those whose D does; a -> b is
+selected when f[a] & g[b] != 0, and f is cleared on the points that are
+not eroded-in, which start no pair. The points' distinct (f, g) are their
+classes, k of them (one without a selection, at most 16 for the two
+surfaces an estimator sums); two classes are linked when the selection
+takes a pair of them one way or the other, and a point of a class linked
+to none is not swept. A cell's classes are k consecutive keys, cell key
+times k plus class, which stay exact in float64. The points are sorted by
+(key, rescaled time); the exact complex key, key + 1j t, sorts the same
+way, since numpy orders complex numbers by real part, then imaginary
+part. For the own cell and each forward offset of the (2 reach + 1)^d
+stencil, and each pair of linked classes, two vectorised np.searchsorted
+calls on that key give each point of the first class its run of
+neighbours of the second within the radius in time (in the own cell,
+only the later points of its own class, and only the higher classes).
+The search bounds t - radius and t + radius round by at most half an
+ulp, well within the padding. So every unordered candidate of linked
+classes is found once, from the cell with the lower key (in its cell,
+from the lower class), and no point is paired with itself. The nonempty
+runs are held, three words each (at most one per point, offset and
+class), and expanded with np.repeat in batches of `_CHUNK` candidates,
+the last one shorter, a run cut where a batch ends. So a small pattern
+is filtered in one batch, and the Python steps grow with the stencil,
+the linked classes and the candidates over `_CHUNK`, never with n or the
+number of cells.
 
 `_CHUNK` candidates at a time are filtered exactly on the unscaled lags.
 ds and du are computed once per unordered pair; they have the same bits
 either way round. Each orientation is kept when its first point's erosion
 limits reach both lags (ds <= r_grid[b_r], du <= t_grid[b_t]), that is
-when its rectangle is nonempty, as one key I * n + J in the smallest
+when its rectangle is nonempty (and, under a selection, when a table of
+the two classes says the selection takes that orientation), as one key
+I * n + J in the smallest
 unsigned type that holds n^2 - 1 (uint32 up to 65,536 points, uint64
 above), and counted at its first point. One in-place np.sort of all keys
 restores the (I, J) order; the keys are distinct, so this order does not
@@ -153,7 +179,14 @@ full-array layout bit for bit, for any chunk length and for any number
 of surfaces summed beside it; the double cumulative sum runs along each
 surface's own axes. Dropping the empty-rectangle pairs at the build
 drops only corner entries that were masked out before, so it changes no
-total either.
+total either. Nor does a selected build: its stored pairs are the full
+geometry's stored pairs that some surface selects, in the same (I, J)
+order, with the same first cells, and every pair a surface's masks keep
+is among them. So each surface keeps the same entries, in the same pair
+order, only cut into other chunks, and each bin receives the same
+additions in the same order; the pairs left out are ones every surface
+skipped, which change no bin. The denominators read the per-point arrays
+only, which a selection leaves as they are.
 """
 
 import itertools
@@ -362,6 +395,7 @@ class BoxUnionSet:
 # --------------------------------------------------------------------------
 # pair geometry: everything about a (pattern, lag grid) combination that
 # does not depend on marks or weights — reusable across mark permutations
+# (all but an estimator's own selected build)
 # --------------------------------------------------------------------------
 
 
@@ -379,6 +413,7 @@ class PairGeometry:
     ell_r: np.ndarray        # eroded spatial volumes per r-cell
     ell_t: np.ndarray        # eroded temporal lengths per t-cell
     erosion: str             # "per-cell" | "fixed"
+    selected: bool = False   # only the pairs one estimator's surfaces select
     pair_ends: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -395,8 +430,9 @@ class PairGeometry:
         return self.r_grid.size, self.t_grid.size
 
 
-# the pair search's cell keys take at most about _KEY_BITS bits, exact in
-# float64: up to 4096 cells per axis on up to three axes, fewer on more
+# the pair search's cell keys take at most about _KEY_BITS bits (and the
+# classes of a selection 4 more), exact in float64: up to 4096 cells per
+# axis on up to three axes, fewer on more
 _KEY_BITS = 36
 # the pair filter runs over _CHUNK candidates, the binning of the stored
 # pairs and the surface sums over _CHUNK stored pairs at a time
@@ -445,45 +481,66 @@ def _lag_cells(lookup, x):
     return c.astype(table.dtype)
 
 
-def _candidate_pairs(space, t, radius):
+def _candidate_pairs(space, t, radius, cls=None, linked=None):
     """Every unordered pair of points whose coordinates in ``space`` (one row
     per point) and times ``t`` each differ by at most ``radius``, once, with
     some farther pairs: (a, b) index arrays in batches of `_CHUNK`
-    candidates, the last one shorter. The points are swept in spatial
-    cells, sorted by cell key and time; each point's candidates in its own
-    cell and in each forward cell of the stencil are a run of that order
-    (see the module notes)."""
+    candidates, the last one shorter. With the points' classes ``cls`` and
+    the symmetric (k, k) matrix ``linked``, only the pairs of linked
+    classes. The points are swept in spatial cells, sorted by cell key,
+    class and time; each point's candidates of one class in its own cell
+    and in each forward cell of the stencil are a run of that order (see
+    the module notes)."""
     n, dim = space.shape
     if n < 2:
         return
+    if cls is None:
+        cls, linked = np.zeros(n, np.intp), np.ones((1, 1), bool)
+    if not linked.any():
+        return
+    k = len(linked)
     lo = np.min(space, axis=0)
     extent = np.max(space, axis=0) - lo
-    width = np.maximum(radius / 2.0, extent / 2.0 ** (_KEY_BITS // max(dim, 3)))
-    width = np.maximum(width * (1.0 + 1e-9), np.finfo(float).tiny)
+    # half a radius up to three axes, a whole one above: a stencil of
+    # 5^d cells at d <= 3, 3^d above
+    width = np.maximum(radius / (2.0 if dim <= 3 else 1.0),
+                       extent / 2.0 ** (_KEY_BITS // max(dim, 3)))
+    width = np.maximum(width * (1.0 + 4e-9), np.finfo(float).tiny)
     reach = (np.floor(radius / width + 1e-9) + 1).astype(np.int64)
     cells = ((space - lo) / width).astype(np.int64)
     # reach empty cells past the last on each axis: a neighbour key of a
     # cell at an edge names no occupied cell across the window
     strides = np.cumprod(np.concatenate([[1], np.max(cells, axis=0)[:-1] + 1 + reach[:-1]]))
-    key = cells @ strides
-    order = np.lexsort((t, key))
-    z = key[order] + 1j * t[order]  # complex numbers sort by real, then imaginary part
+    key = (cells @ strides) * k + cls  # a cell's classes are k consecutive keys
+    # a point of a class linked to none is not swept
+    order = np.flatnonzero(np.take(linked.any(axis=1), cls))
+    order = np.take(order, np.lexsort((np.take(t, order), np.take(key, order))))
+    # complex numbers sort by real, then imaginary part
+    z = np.take(key, order) + 1j * np.take(t, order)
+    members = [np.flatnonzero(np.take(cls, order) == u) for u in range(k)]
     # each distinct key offset once: every pair of neighbour cells is swept
     # from the lower key
     stencil = {int(np.dot(step, strides))
                for step in itertools.product(*(range(-r, r + 1) for r in reach.tolist()))}
-    # each point's nonempty runs, over the own cell and the forward offsets
+    # each point's nonempty runs, over the own cell and the forward offsets,
+    # one per linked class; in the own cell, a pair of two classes is swept
+    # from the lower one
     live, first, runs = [], [], []
     for offset in sorted(s for s in stencil if s >= 0):
-        if offset:
-            start = np.searchsorted(z, z + complex(offset, -radius), side="left")
-        else:
-            start = np.arange(1, n + 1)  # the later points of the own cell
-        count = np.searchsorted(z, z + complex(offset, radius), side="right") - start
-        nonempty = np.flatnonzero(count)
-        live.append(nonempty)
-        first.append(np.take(start, nonempty))
-        runs.append(np.take(count, nonempty))
+        for u, v in zip(*np.nonzero(linked)):
+            if offset == 0 and v < u:
+                continue
+            q = members[u]
+            zq = np.take(z, q) + (offset * k + v - u)
+            if offset == 0 and v == u:
+                start = q + 1  # the later points of the own cell and class
+            else:
+                start = np.searchsorted(z, zq - 1j * radius, side="left")
+            count = np.searchsorted(z, zq + 1j * radius, side="right") - start
+            nonempty = np.flatnonzero(count)
+            live.append(np.take(q, nonempty))
+            first.append(np.take(start, nonempty))
+            runs.append(np.take(count, nonempty))
     live, first, runs = (np.concatenate(parts) for parts in (live, first, runs))
     ends = np.cumsum(runs)
     total = int(ends[-1]) if ends.size else 0
@@ -518,9 +575,11 @@ def _lags(axes, t, a, b):
     return ds, np.abs(np.take(t, b) - np.take(t, a))
 
 
-def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t):
+def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t, select=None):
     """The ordered pairs whose rectangle of lag cells is nonempty, in (I, J)
-    order, with the first cells (a_r, a_t) of that rectangle.
+    order, with the first cells (a_r, a_t) of that rectangle; with a
+    ``select`` of per-point bit masks (f, g), only those pairs a -> b with
+    f[a] & g[b] != 0.
 
     A pair enters the cells from its own lags (a_r, a_t) up to its first
     point's erosion limits (b_r, b_t). Its rectangle is nonempty exactly
@@ -537,7 +596,10 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t):
     counts. Only then are the stored pairs binned, from their lags. The
     first cells come from the table lookup `_lag_cells`, equal to
     np.searchsorted on any grid, and every subset is selected by an index
-    array (the module notes say why both)."""
+    array (the module notes say why both). Under a selection the sweep
+    pairs only the points of linked classes, so no candidate that the
+    selection takes neither way reaches the lags, and an orientation is
+    kept only where the selection takes it."""
     n = p.n
     r_max, t_max = float(r_grid[-1]), float(t_grid[-1])
     scale = r_max / t_max if r_max > 0 and t_max > 0 else 1.0
@@ -545,6 +607,24 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t):
     t = p.t * scale
     largest = max(np.max(np.abs(p.x), initial=0.0), np.max(np.abs(t), initial=0.0))
     radius += 4.0 * np.finfo(float).eps * (radius + largest)
+    sweep = ()
+    if select is not None:
+        # a point that is not eroded-in starts no pair (its reach below is
+        # -1): it gets no first-point bits
+        f, g = select
+        f = np.where((pt_b_r >= 0) & (pt_b_t >= 0), f, 0)
+        # the points' distinct (f, g) as classes: the selection takes the
+        # pairs of class u -> class v when f_u & g_v != 0, and the sweep
+        # pairs only the classes it takes one way or the other
+        kinds, cls = np.unique(np.stack([f, g], axis=1), axis=0, return_inverse=True)
+        takes = (kinds[:, 0, None] & kinds[None, :, 1]) != 0
+        sweep = cls.reshape(-1), takes | takes.T
+        # a candidate's code u k + v looks up whether it is taken a -> b
+        # and whether b -> a
+        k = len(kinds)
+        cls = sweep[0].astype(np.min_scalar_type(k * k - 1))
+        cls_k = cls * cls.dtype.type(k)
+        fwd_sel, back_sel = takes.ravel(), takes.T.ravel()
     reach_r = np.where(pt_b_r >= 0, r_grid[pt_b_r], -1.0)
     reach_t = np.where(pt_b_t >= 0, t_grid[pt_b_t], -1.0)
     cell = np.min_scalar_type(max(r_grid.size, t_grid.size))
@@ -557,10 +637,18 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t):
 
     def kept(a, b):
         """The key of each orientation of the candidates (a, b) whose first
-        point reaches both lags, each counted at its first point."""
+        point reaches both lags (and that the selection selects), each
+        counted at its first point."""
+        if select is not None:
+            code = np.take(cls_k, a)
+            code += np.take(cls, b)
         ds, du = _lags(axes, p.t, a, b)
-        fwd = np.flatnonzero((ds <= np.take(reach_r, a)) & (du <= np.take(reach_t, a)))
-        back = np.flatnonzero((ds <= np.take(reach_r, b)) & (du <= np.take(reach_t, b)))
+        fwd = (ds <= np.take(reach_r, a)) & (du <= np.take(reach_t, a))
+        back = (ds <= np.take(reach_r, b)) & (du <= np.take(reach_t, b))
+        if select is not None:
+            fwd &= np.take(fwd_sel, code)
+            back &= np.take(back_sel, code)
+        fwd, back = np.flatnonzero(fwd), np.flatnonzero(back)
         first = np.concatenate([np.take(a, fwd), np.take(b, back)])
         np.add(counts, np.bincount(first, minlength=n), out=counts)
         first *= n
@@ -569,7 +657,8 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t):
 
     # each batch's temporaries are freed before the next, and the last
     # batch's before the keys are joined (np.concatenate needs one piece)
-    pieces = [np.empty(0, key_type)] + [kept(a, b) for a, b in _candidate_pairs(p.x, t, radius)]
+    pieces = [np.empty(0, key_type)] + [kept(a, b)
+                                        for a, b in _candidate_pairs(p.x, t, radius, *sweep)]
 
     # one in-place sort of the distinct keys gives (I, J) order; J is decoded
     # while the keys are alive, I from the counts once they are freed
@@ -622,13 +711,17 @@ def _checked_lags(p, r_grid, t_grid, erosion):
     return r_grid, t_grid
 
 
-def pair_geometry(p, r_grid=None, t_grid=None, erosion="per-cell"):
+def pair_geometry(p, r_grid=None, t_grid=None, erosion="per-cell", *, _select=None):
     """Build the mark-independent pair/erosion geometry for a lag grid
     (default: quarter-extent 20-cell grids).
 
     Validates that the window survives erosion at the maximal lags. The
-    result can be reused across any number of weight/mark-set evaluations
-    on the same point locations (e.g. mark permutations).
+    result holds every ordered pair that can contribute to some cell, so it
+    can be reused across any number of weight/mark-set evaluations on the
+    same point locations (e.g. mark permutations). An estimator that builds
+    its own geometry passes the private ``_select``, the per-point bit
+    masks of `_selection`, and gets only the pairs its surfaces select; it
+    keeps that geometry to itself.
     """
     r_grid, t_grid = _checked_lags(p, r_grid, t_grid, erosion)
     R, T = r_grid.size, t_grid.size
@@ -648,11 +741,11 @@ def pair_geometry(p, r_grid=None, t_grid=None, erosion="per-cell"):
         pt_b_t = np.where(eligible, T - 1, -1)
         ell_r = np.full(R, np.prod([(hi[a] - lo[a]) - 2.0 * r_max for a in range(p.dim)]))
         ell_t = np.full(T, p.window.temporal_length - 2.0 * t_max)
-    I, J, a_r, a_t = _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t)
+    I, J, a_r, a_t = _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t, _select)
     return PairGeometry(
         r_grid=r_grid, t_grid=t_grid, I=I, J=J, a_r=a_r, a_t=a_t,
         pt_b_r=pt_b_r, pt_b_t=pt_b_t, ell_r=ell_r, ell_t=ell_t,
-        erosion=erosion,
+        erosion=erosion, selected=_select is not None,
     )
 
 
@@ -916,17 +1009,38 @@ def _stacked(terms):
     return tuple(None if col[0] is None else np.stack(col) for col in zip(*terms))
 
 
-def _geometry(p, r_grid, t_grid, erosion, geometry=None):
+def _selection(marks):
+    """The ordered pairs that the surfaces with the (mC, mD) masks of
+    ``marks`` sum, as per-point bit masks (f, g): bit s of f[a] says a is
+    in surface s's C, bit s of g[b] that b is in its D, so a -> b is summed
+    when f[a] & g[b] != 0. None when some surface sums every pair (or there
+    are no masks)."""
+    if not marks:
+        return None
+    c, d = (np.stack([m != 0 for m in masks]) for masks in zip(*marks))
+    if np.any(c.all(axis=1) & d.all(axis=1)):
+        return None
+    bits = (1 << np.arange(len(c))).astype(np.min_scalar_type((1 << len(c)) - 1))
+    return tuple(np.bitwise_or.reduce(m * bits[:, None], axis=0) for m in (c, d))
+
+
+def _geometry(p, r_grid, t_grid, erosion, geometry=None, marks=()):
     """The caller's precomputed geometry, checked against the call, or a new
     one for these grids, checked before `pair_geometry` is entered, as the
-    other arguments are. An erosion mode of None is per-cell for a new
-    geometry and the given geometry's own; a mode named beside a geometry
-    must be its own."""
+    other arguments are. A new geometry holds only the pairs that the
+    surfaces with the (mC, mD) masks of ``marks`` sum (`_selection`); a
+    given one must hold every pair. An erosion mode of None is per-cell for
+    a new geometry and the given geometry's own; a mode named beside a
+    geometry must be its own."""
     if geometry is None:
         erosion = "per-cell" if erosion is None else erosion
-        return pair_geometry(p, *_checked_lags(p, r_grid, t_grid, erosion), erosion=erosion)
+        return pair_geometry(p, *_checked_lags(p, r_grid, t_grid, erosion), erosion=erosion,
+                             _select=_selection(marks))
     if r_grid is not None or t_grid is not None:
         raise ValueError("pass lag grids or a geometry, not both")
+    if geometry.selected:
+        raise ValueError("the geometry holds only one statistic's pairs; pass a "
+                         "pair_geometry built without a selection")
     if erosion is not None and erosion != geometry.erosion:
         raise ValueError(f"erosion {erosion!r} differs from the geometry's {geometry.erosion!r}")
     if geometry.pt_b_r.size != p.n:
@@ -1026,7 +1140,7 @@ def k_inhom(
     rows = [_marked_terms(p, weights, C, D, scenario)]
     if symmetrize:  # the DC surface beside the CD one
         rows.append(_marked_terms(p, weights, D, C, scenario))
-    geom = _geometry(p, r_grid, t_grid, erosion, geometry)
+    geom = _geometry(p, r_grid, t_grid, erosion, geometry, marks=[r[:2] for r in rows])
     return _k_surface(p, geom, scenario, rows, C, D, weights.source,
                       combine=(lambda k: 0.5 * (k[0] + k[1])) if symmetrize else None,
                       floor_hits=weights.floor_hits, symmetrized=bool(symmetrize),
@@ -1105,7 +1219,7 @@ def k_directional(p, C=None, D=None, phi=-math.pi / 2, psi=math.pi / 2,
     ConeSet(phi, psi, 1.0, 1.0)  # validate angles
     scenario = _norm_scenario(scenario)
     rows = [_marked_terms(p, weights, C, D, scenario)]
-    geom = _geometry(p, r_grid, t_grid, erosion, geometry)
+    geom = _geometry(p, r_grid, t_grid, erosion, geometry, marks=[rows[0][:2]])
 
     def in_cone(I, J):
         dx = np.take(p.x, J, axis=0) - np.take(p.x, I, axis=0)
@@ -1132,7 +1246,7 @@ def k_cross_multitype(p, i, j, r_grid=None, t_grid=None, weights=None,
     mC, mD, inv = _marked_terms(p, weights, C, D, "S1")[:3]
     if not mC.any() or not mD.any():
         warnings.warn(f"component {j if mC.any() else i} is empty; surface is zero")
-    geom = _geometry(p, r_grid, t_grid, erosion, geometry)
+    geom = _geometry(p, r_grid, t_grid, erosion, geometry, marks=[(mC, mD)])
     rows = [(mC, mD, inv, None, 1.0, 1.0)]  # unit mark masses
     return _k_surface(p, geom, "S1", rows, C, D, weights.source, name="cross", i=i, j=j,
                       floor_hits=weights.floor_hits)
@@ -1146,7 +1260,7 @@ def k_stationary(p, C=None, D=None, r_grid=None, t_grid=None, erosion="per-cell"
     if p.n == 0:
         raise ValueError("stationary K needs a nonempty pattern")
     mC, mD = _mark_sets(p, C, D)[:2]
-    geom = _geometry(p, r_grid, t_grid, erosion)
+    geom = _geometry(p, r_grid, t_grid, erosion, marks=[(mC, mD)])
     lam_hat = p.n / p.window.volume
     n_C = float(np.sum(mC))
     n_D = float(np.sum(mD))

@@ -306,12 +306,13 @@ class FullGeometry:
         return self.r_grid.size, self.t_grid.size
 
 
-def pair_geometry_oracle(p, r_grid, t_grid, erosion="per-cell"):
+def pair_geometry_oracle(p, r_grid, t_grid, erosion="per-cell", select=None):
     """Every pair within the maximal lags, in (I, J) order, with the full
     per-pair arrays; no argument checks. The candidates come from a plain
     scan, one first point at a time, over all ordered pairs with i != j
     and |dt| <= t_max, so the reference does not depend on the library's
-    cell sweep."""
+    cell sweep. A ``select`` of per-point bit masks (first, second) keeps
+    only the pairs i -> j with first[i] & second[j] != 0."""
     r_grid = np.asarray(r_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     r_max, t_max = float(r_grid[-1]), float(t_grid[-1])
@@ -320,6 +321,8 @@ def pair_geometry_oracle(p, r_grid, t_grid, erosion="per-cell"):
     for i in range(p.n):
         j = np.flatnonzero(np.abs(p.t - p.t[i]) <= t_max)
         j = j[j != i]
+        if select is not None:
+            j = j[(select[0][i] & select[1][j]) != 0]
         dx = p.x[j] - p.x[i]
         ds = np.sqrt(sum(dx[:, a] * dx[:, a] for a in range(p.dim)))
         keep = ds <= r_max

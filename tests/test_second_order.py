@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mstpp.geometry import ErosionError, Window, direction_in_cone
-from mstpp.inference import delta_surface
+from mstpp.inference import decomposition_residual, delta_surface, diag_independent_marks
 from mstpp.intensity import Quadrature, voronoi_ground, voronoi_marked
 from mstpp.pattern import (
     ContinuousMarks,
@@ -225,6 +225,11 @@ def pair_case(case):
         window = Window(spatial=((0.0, 1.0),) * 5, temporal=(0.0, 1.0))
         lags = np.array([0.1, 0.2])
         return uniform_pattern(600, seed=80, window=window), lags, lags
+    if case == "5d-lattice":
+        # cells one radius wide: neighbours one lattice step, the largest
+        # spatial lag, apart on an axis sit on or across a cell wall
+        window = Window(spatial=((0.0, 1.0),) * 5, temporal=(0.0, 1.0))
+        return _lattice((4, 4, 4, 4, 4, 3), window), np.array([0.125, 0.25]), np.array([1 / 3])
     n = {"empty": 0, "single": 1, "two": 2}[case]
     x = np.full((n, 2), 0.5)
     t = 0.5 + 0.01 * np.arange(n)
@@ -255,11 +260,26 @@ class TestPairGeometry:
         assert geom.I.size
         assert_matches_oracle(geom, pair_geometry_oracle(p, R_GRID, T_GRID))
 
-    @pytest.mark.parametrize("case", PAIR_CASES + ["5d"])
+    @pytest.mark.parametrize("case", PAIR_CASES + ["5d", "5d-lattice"])
     def test_indexed_search_matches_scan(self, case):
         p, r_grid, t_grid = pair_case(case)
         assert_matches_oracle(pair_geometry(p, r_grid, t_grid),
                               pair_geometry_oracle(p, r_grid, t_grid))
+
+    def test_five_axes_sweep_cells_one_radius_wide(self, monkeypatch):
+        # above three axes the cells are one radius wide: a stencil of 3^5
+        # cells, the own one and 121 forward ones. Each forward cell takes
+        # a search for the start and the end of every point's run, the own
+        # one for the end only, and the one batch of candidates a lookup of
+        # its runs: 244 searches, where half-radius cells would take 3,126
+        p, r_grid, t_grid = pair_case("5d")
+        calls = []
+        search = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted",
+                            lambda *args, **kw: calls.append(1) or search(*args, **kw))
+        batches = list(second_order._candidate_pairs(p.x, p.t, float(r_grid[-1])))
+        assert len(batches) == 1
+        assert len(calls) == 2 * 121 + 1 + 1
 
     @pytest.mark.parametrize("lag, chunk", [(0.005, None), (0.05, 512)],
                              ids=["small-lags", "small-chunks"])
@@ -516,6 +536,153 @@ class TestChunkedGeometry:
         assert dropped > 0 and kept >= 10
 
 
+def _recorded_builds(monkeypatch):
+    """Wrap `second_order.pair_geometry`: the list it returns collects the
+    selection (the private ``_select``) and the result of every build."""
+    built = []
+    build = second_order.pair_geometry
+
+    def recording(*args, **kw):
+        geom = build(*args, **kw)
+        built.append((kw.get("_select"), geom))
+        return geom
+
+    monkeypatch.setattr(second_order, "pair_geometry", recording)
+    return built
+
+
+def _full_builds(monkeypatch):
+    """Make every estimator build the full geometry: `pair_geometry` with the
+    selection dropped."""
+    build = second_order.pair_geometry
+    monkeypatch.setattr(second_order, "pair_geometry",
+                        lambda *args, _select=None, **kw: build(*args, **kw))
+
+
+def _smoothing_weights(q, keep):
+    rng = np.random.default_rng(q.n)
+    return Weights(lam=rng.uniform(5.0, 20.0, q.n), lam_ground=rng.uniform(5.0, 20.0, q.n))
+
+
+def own_geometry_surfaces(p, w):
+    """name -> (call, whether it takes a geometry): the surfaces of the
+    estimators that can build their own geometry. ``call(**geo)`` passes
+    ``geo``, the lag grids and erosion or a geometry, to the estimator."""
+    calls = {
+        "k_inhom": (lambda **geo: k_inhom(p, C_ONE, D_TWO, weights=w, **geo), True),
+        "k_inhom/symmetrized": (lambda **geo: k_inhom(p, C_ONE, D_TWO, weights=w, scenario="S4",
+                                                      symmetrize=True, **geo), True),
+        "delta_surface": (lambda **geo: delta_surface(p, C_ONE, D_TWO, weights=w, **geo), True),
+        "decomposition_residual": (
+            lambda **geo: decomposition_residual(p, C_ONE, weights=w, **geo), False),
+        "k_smoothed": (lambda **geo: k_smoothed(p, C_ONE, D_TWO, weights_builder=_smoothing_weights,
+                                                retention=0.7, n=3, seed=5, **geo), False),
+    }
+    for i, j in ((1, 2), (2, 2)):
+        calls[f"k_cross_multitype/{i}{j}"] = (
+            lambda i=i, j=j, **geo: k_cross_multitype(p, i, j, weights=w, **geo), True)
+    if p.n:
+        calls["k_stationary"] = (lambda **geo: k_stationary(p, C_ONE, D_TWO, **geo), False)
+    if p.dim == 2:
+        calls["k_directional"] = (
+            lambda **geo: k_directional(p, C_ONE, D_TWO, *CONE, weights=w, **geo), True)
+    return calls
+
+
+class TestSelectedGeometry:
+    """An estimator that builds its own geometry stores only the pairs its
+    surfaces select, the selected subset of the full arrays in the same
+    (I, J) order, and every surface keeps its bits."""
+
+    @pytest.mark.parametrize("erosion", ["per-cell", "fixed"])
+    @pytest.mark.parametrize("case", PAIR_CASES)
+    def test_surfaces_match_the_full_geometry(self, monkeypatch, case, erosion):
+        p, r_grid, t_grid, w = full_case(case, erosion)[:4]
+        own_lags = dict(r_grid=r_grid, t_grid=t_grid, erosion=erosion)
+        full = pair_geometry(p, r_grid, t_grid, erosion=erosion)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # empty components in the tiny cases
+            for name, (call, takes_geometry) in own_geometry_surfaces(p, w).items():
+                with monkeypatch.context() as m:
+                    built = _recorded_builds(m)
+                    own = call(**own_lags)
+                # the thinnings' geometries are the thinned patterns'
+                if name != "k_smoothed":
+                    assert len(built) == 1, name
+                    _assert_selected(built[0][1], full, built[0][0])
+                if takes_geometry:
+                    want = call(geometry=full)
+                else:
+                    with monkeypatch.context() as m:
+                        _full_builds(m)
+                        want = call(**own_lags)
+                assert _bits(own.values) == _bits(want.values), name
+
+    @pytest.mark.parametrize("case", ["uniform", "duplicates", "lattice", "3d", "zero-both"])
+    def test_selected_builds_match_the_scan(self, monkeypatch, case):
+        p, r_grid, t_grid, w = full_case(case, "per-cell")[:4]
+        built = _recorded_builds(monkeypatch)
+        k_inhom(p, C_ONE, D_TWO, r_grid, t_grid, w, symmetrize=True)
+        decomposition_residual(p, C_ONE, r_grid, t_grid, w)
+        k_stationary(p, C_ONE, D_TWO, r_grid, t_grid)
+        assert len(built) == 3
+        for select, geom in built:
+            assert_matches_oracle(geom, pair_geometry_oracle(p, r_grid, t_grid, select=select))
+
+    @pytest.mark.parametrize("case", ["uniform", "clustered", "3d", "two"])
+    def test_empty_mark_set_builds_no_pairs(self, monkeypatch, case):
+        p, r_grid, t_grid, w = full_case(case, "per-cell")[:4]
+        ones = pattern_from_arrays(p.x, p.t, np.ones(p.n), p.window, LabelMarks(2))
+        full = pair_geometry(ones, r_grid, t_grid)
+        calls = [
+            lambda **geo: k_inhom(ones, C_ONE, D_TWO, weights=w, scenario="S1", **geo),
+            lambda **geo: k_cross_multitype(ones, 2, 1, weights=w, **geo),
+            lambda **geo: delta_surface(ones, D_TWO, C_ONE, weights=w, scenario="S3", **geo),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the empty component
+            for call in calls:
+                with monkeypatch.context() as m:
+                    built = _recorded_builds(m)
+                    own = call(r_grid=r_grid, t_grid=t_grid)
+                assert built[0][1].selected and built[0][1].I.size == 0
+                assert _bits(own.values) == _bits(call(geometry=full).values)
+
+    def test_full_selections_build_every_pair(self, monkeypatch, small_marked):
+        # a surface that sums every pair leaves the build unselected
+        p, w = small_marked, demo_weights(small_marked)
+        built = _recorded_builds(monkeypatch)
+        k_ground(p, R_GRID, T_GRID, w)
+        k_inhom(p, None, None, R_GRID, T_GRID, w)
+        diag_independent_marks(p, C_HALF, D_HALF, R_GRID, T_GRID, w)
+        assert [select for select, _ in built] == [None] * 3
+        assert not any(geom.selected for _, geom in built)
+
+    def test_selected_geometry_is_not_accepted(self, small_marked):
+        p, w = small_marked, demo_weights(small_marked)
+        select = tuple(m.mask(p.marks).astype(np.uint8) for m in (C_HALF, D_HALF))
+        geom = pair_geometry(p, R_GRID, T_GRID, _select=select)
+        assert geom.selected
+        with pytest.raises(ValueError, match="only one statistic's pairs"):
+            k_inhom(p, C_HALF, D_HALF, weights=w, geometry=geom)
+
+
+def _assert_selected(geom, full, select):
+    """``geom`` holds exactly the pairs of ``full`` that the selection
+    (first, second) takes (every pair when it is None), with the same
+    arrays at those positions and the same per-point arrays."""
+    keep = np.ones(full.I.size, dtype=bool)
+    if select is not None:
+        first, second = select
+        keep = (first[full.I.astype(np.intp)] & second[full.J.astype(np.intp)]) != 0
+    assert geom.selected == (select is not None) and not full.selected
+    for name in ("I", "J", "a_r", "a_t"):
+        assert getattr(geom, name).dtype == getattr(full, name).dtype, name
+        assert getattr(geom, name).tobytes() == getattr(full, name)[keep].tobytes(), name
+    for name in ("pt_b_r", "pt_b_t", "ell_r", "ell_t"):
+        assert np.array_equal(getattr(geom, name), getattr(full, name)), name
+
+
 def _traced_peak(fn):
     tracemalloc.start()
     try:
@@ -528,12 +695,26 @@ def _traced_peak(fn):
 class TestPairMemory:
     def test_stationary_peak_is_bounded(self):
         # 3000 uniform points on the default grid: about 616k pairs within
-        # the maximal lags, 284k of them with a nonempty rectangle. The
-        # batched build and the chunked surface sum peak at about 6 MB;
-        # holding every candidate's full arrays at once would take 88 MB.
+        # the maximal lags, 284k of them with a nonempty rectangle, 69k of
+        # those from label 1 to label 2. Building only those and summing
+        # them in chunks peaks at about 5 MB (6.2 MB when every pair was
+        # built); holding every candidate's full arrays at once would take
+        # 88 MB.
         p = uniform_pattern(3000, seed=71, marks="labels")
         peak = _traced_peak(lambda: k_stationary(p, LabelSet([1]), LabelSet([2])))
-        assert peak < 32e6
+        assert peak < 6e6
+
+    def test_stationary_builds_only_the_cross_pairs(self, monkeypatch):
+        # the same points: the build of K^CD for C = label 1, D = label 2
+        # stores only the 69k C -> D pairs of the 284k
+        p = uniform_pattern(3000, seed=71, marks="labels")
+        full = pair_geometry(p, *default_lag_grids(p.window))
+        I, J = full.I.astype(np.intp), full.J.astype(np.intp)
+        cross = np.count_nonzero((p.marks[I] == 1) & (p.marks[J] == 2))
+        built = _recorded_builds(monkeypatch)
+        k_stationary(p, LabelSet([1]), LabelSet([2]))
+        assert [geom.I.size for _, geom in built] == [cross]
+        assert 4 * cross < full.I.size
 
     def test_surface_peak_is_bounded_by_the_geometry(self):
         # 5000 uniform points: 789k stored pairs, 4.7 MB of pair arrays
