@@ -32,12 +32,13 @@ pair (the ground K, the independent-marks diagnostic, C = D = None), it
 builds them all. That geometry never leaves the estimator, and no
 ``geometry`` argument takes one. The random-labelling test, whose
 permutations move the marks, builds every pair.
-`k_measure_hat`, the estimate for one structuring set, sums the stored
-pairs of the fixed-erosion geometry at its set's bounding lags that pass
-an exact membership test. `_marked_terms` checks the marked arguments and
-`_checked_lags` the lag grids (the default grid for any left out), the
-erosion mode and the window before the geometry is built (and before
-`k_smoothed` thins), so bad arguments fail before any pair is searched.
+`k_measure_hat`, the estimate for one structuring set, sums the pairs of
+its own fixed-erosion geometry at the set's bounding lags (the eroded-in
+C -> D pairs) that pass the set's exact membership test. `_marked_terms`
+checks the marked arguments and `_checked_lags` the lag grids (the default
+grid for any left out), the erosion mode and the window before the
+geometry is built (and before `k_smoothed` thins), so bad arguments fail
+before any pair is searched.
 
 Implementation notes
 --------------------
@@ -99,16 +100,16 @@ number of cells.
 ds and du are computed once per unordered pair; they have the same bits
 either way round. Each orientation is kept when its first point's erosion
 limits reach both lags (ds <= r_grid[b_r], du <= t_grid[b_t]), that is
-when its rectangle is nonempty (and, under a selection, when a table of
-the two classes says the selection takes that orientation), as one key
-I * n + J in the smallest
-unsigned type that holds n^2 - 1 (uint32 up to 65,536 points, uint64
-above), and counted at its first point. One in-place np.sort of all keys
-restores the (I, J) order; the keys are distinct, so this order does not
-depend on the order of the candidates. J is decoded from the keys, which
-are then freed, and I is rebuilt from the counts by np.repeat. Only then
-are the stored pairs binned, `_CHUNK` at a time: their lags are computed
-again, with the same bits, and looked up in the grids.
+when its rectangle is nonempty (and, under a selection, when
+f[first] & g[second] != 0, the one rule of `_selection`), as one key
+I * n + J in the smallest unsigned type that holds n^2 - 1 (uint32 up to
+65,536 points, uint64 above), and counted at its first point. One
+in-place np.sort of all keys restores the (I, J) order; the keys are
+distinct, so this order does not depend on the order of the candidates.
+J is decoded from the keys, which are then freed, and I is rebuilt from
+the counts by np.repeat. Only then are the stored pairs binned, `_CHUNK`
+at a time: their lags are computed again, with the same bits, and looked
+up in the grids.
 
 A lag's first cell, np.searchsorted(grid, lag, side="left"), is looked up
 in a table (`_cell_lookup`) of `_BUCKETS` buckets per cell over
@@ -372,6 +373,13 @@ class BoxUnionSet:
 
     boxes: tuple
 
+    def __post_init__(self):
+        bounds = [b for spatial, temporal in self.boxes for b in (*spatial, temporal)]
+        if (len({len(spatial) for spatial, _ in self.boxes}) != 1
+                or not all(-math.inf < lo <= hi < math.inf for lo, hi in bounds)):  # NaN fails
+            raise ValueError("a box union needs one box or more, all with the same spatial "
+                             f"axes and finite bounds lo <= hi, not {self.boxes}")
+
     def bounding_lags(self):
         r2 = 0.0
         t = 0.0
@@ -383,6 +391,8 @@ class BoxUnionSet:
     def contains_lag(self, dx, dt):
         dx = np.asarray(dx, dtype=float)
         dt = np.asarray(dt, dtype=float)
+        if dx.shape[1] != len(self.boxes[0][0]):
+            raise ValueError(f"boxes have {len(self.boxes[0][0])} spatial axes, not {dx.shape[1]}")
         out = np.zeros(dx.shape[0], dtype=bool)
         for spatial, temporal in self.boxes:
             ok = (dt >= temporal[0]) & (dt <= temporal[1])
@@ -598,8 +608,8 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t, select=None):
     np.searchsorted on any grid, and every subset is selected by an index
     array (the module notes say why both). Under a selection the sweep
     pairs only the points of linked classes, so no candidate that the
-    selection takes neither way reaches the lags, and an orientation is
-    kept only where the selection takes it."""
+    selection takes neither way reaches the lags, and an orientation
+    a -> b is kept only where f[a] & g[b] != 0."""
     n = p.n
     r_max, t_max = float(r_grid[-1]), float(t_grid[-1])
     scale = r_max / t_max if r_max > 0 and t_max > 0 else 1.0
@@ -619,12 +629,6 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t, select=None):
         kinds, cls = np.unique(np.stack([f, g], axis=1), axis=0, return_inverse=True)
         takes = (kinds[:, 0, None] & kinds[None, :, 1]) != 0
         sweep = cls.reshape(-1), takes | takes.T
-        # a candidate's code u k + v looks up whether it is taken a -> b
-        # and whether b -> a
-        k = len(kinds)
-        cls = sweep[0].astype(np.min_scalar_type(k * k - 1))
-        cls_k = cls * cls.dtype.type(k)
-        fwd_sel, back_sel = takes.ravel(), takes.T.ravel()
     reach_r = np.where(pt_b_r >= 0, r_grid[pt_b_r], -1.0)
     reach_t = np.where(pt_b_t >= 0, t_grid[pt_b_t], -1.0)
     cell = np.min_scalar_type(max(r_grid.size, t_grid.size))
@@ -639,15 +643,12 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t, select=None):
         """The key of each orientation of the candidates (a, b) whose first
         point reaches both lags (and that the selection selects), each
         counted at its first point."""
-        if select is not None:
-            code = np.take(cls_k, a)
-            code += np.take(cls, b)
         ds, du = _lags(axes, p.t, a, b)
         fwd = (ds <= np.take(reach_r, a)) & (du <= np.take(reach_t, a))
         back = (ds <= np.take(reach_r, b)) & (du <= np.take(reach_t, b))
         if select is not None:
-            fwd &= np.take(fwd_sel, code)
-            back &= np.take(back_sel, code)
+            fwd &= (np.take(f, a) & np.take(g, b)) != 0
+            back &= (np.take(f, b) & np.take(g, a)) != 0
         fwd, back = np.flatnonzero(fwd), np.flatnonzero(back)
         first = np.concatenate([np.take(a, fwd), np.take(b, back)])
         np.add(counts, np.bincount(first, minlength=n), out=counts)
@@ -1167,19 +1168,19 @@ def k_ground(p, r_grid=None, t_grid=None, weights=None, scenario="S1",
                       weights.source, floor_hits=weights.floor_hits, ground=True)
 
 
-def k_measure_hat(p, C, D, E, weights, return_report=False):
+def k_measure_hat(p, C, D, E, weights):
     """Minus-sampling estimate of the second-order reduced moment measure
     of a single structuring set E (known window and mark-set measures).
 
     The window is eroded by E's circumscribing cylinder lags (r_c, t_c);
     the sum runs over ordered distinct pairs with the first point in the
     eroded window with mark in C and the second point displaced into E with
-    mark in D. It reads the fixed-erosion `pair_geometry` at (r_c, t_c),
-    whose stored pairs, in (I, J) order, contain every such pair on the
-    same lags (a cylinder or cone tests ds itself; a box's ds rounds to at
-    most r_c, since squaring, summing and sqrt are monotone under rounding).
-    An unmarked pattern's pairs are weighted by its ground intensity, as in
-    `k_ground`. With ``return_report``, ``pairs`` counts those stored pairs.
+    mark in D; E is first tried on the pattern's axes. The fixed-erosion
+    geometry of the eroded-in C -> D pairs at (r_c, t_c), summed in (I, J)
+    order, holds every such pair on the same lags (a cylinder or cone tests
+    ds itself; a box's ds rounds to at most r_c, since squaring, summing and
+    sqrt are monotone under rounding). An unmarked pattern's pairs are
+    weighted by its ground intensity, as in `k_ground`.
     """
     if weights is None:
         raise ValueError("weights are required")
@@ -1191,20 +1192,18 @@ def k_measure_hat(p, C, D, E, weights, return_report=False):
     else:
         lam = weights._ground("an unmarked pattern's measure without lam_ground")
     inv = 1.0 / _per_point(p, lam)
-    geom = pair_geometry(p, [r_c], [t_c], erosion="fixed")
+    E.contains_lag(np.empty((0, p.dim)), np.empty(0))  # a set of other axes fails here
+    geom = _geometry(p, [r_c], [t_c], "fixed", marks=[(mC, mD)])
     terms = [np.empty(0)]
     for start in range(0, geom.I.size, _CHUNK):
         I, J = geom.I[start:start + _CHUNK], geom.J[start:start + _CHUNK]
-        keep = np.flatnonzero((np.take(mC, I) > 0) & (np.take(mD, J) > 0) & E.contains_lag(
+        keep = np.flatnonzero(E.contains_lag(
             np.take(p.x, J, axis=0) - np.take(p.x, I, axis=0), np.take(p.t, J) - np.take(p.t, I)))
         terms.append(np.take(inv, np.take(I, keep)) * np.take(inv, np.take(J, keep)))
     # one sum over all chunks' terms, so the total is independent of _CHUNK
     total = float(np.sum(np.concatenate(terms)))
     denom = eroded.spatial_volume * eroded.temporal_length * nu_C * nu_D
-    value = 0.0 if total == 0.0 else total / denom
-    if return_report:
-        return value, {"floor_hits": weights.floor_hits, "pairs": geom.I.size}
-    return value
+    return 0.0 if total == 0.0 else total / denom
 
 
 def k_directional(p, C=None, D=None, phi=-math.pi / 2, psi=math.pi / 2,

@@ -59,6 +59,12 @@ D_HALF = MarkInterval(0.5, 1.0, closed_lo=False)
 ZERO_MASS = MarkInterval(0.5, 0.5)
 
 
+def _three_axes(p):
+    """``p`` with its time as a third spatial axis, in the unit cube."""
+    window = Window(spatial=((0.0, 1.0),) * 3, temporal=UNIT.temporal)
+    return pattern_from_arrays(np.column_stack([p.x, p.t]), p.t, p.marks, window, p.mark_space)
+
+
 def demo_weights(p):
     return weights_from_function(
         p,
@@ -132,6 +138,19 @@ class TestLagSets:
         assert t_c == pytest.approx(0.2)
         assert E.contains_lag(np.array([[0.35, 0.05]]), np.array([0.0]))[0]
         assert not E.contains_lag(np.array([[0.2, 0.0]]), np.array([0.0]))[0]
+
+    def test_box_union_validation(self):
+        box = (((-0.1, 0.1), (-0.1, 0.1)), (-0.2, 0.2))
+        bad = [(), (box, (((0.0, 0.1),), (0.0, 0.1)))]
+        for b in ((0.2, 0.1), (math.nan, 0.1), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0)):
+            bad += [((((-0.1, 0.1), b), (-0.2, 0.2)),), ((((-0.1, 0.1), (-0.1, 0.1)), b),)]
+        for boxes in bad:
+            with pytest.raises(ValueError, match="a box union needs one box or more"):
+                BoxUnionSet(boxes=boxes)
+        E = BoxUnionSet(boxes=(box,))
+        for axes in (1, 3):
+            with pytest.raises(ValueError, match=f"2 spatial axes, not {axes}"):
+                E.contains_lag(np.zeros((1, axes)), np.zeros(1))
 
 
 def _lattice(steps, window):
@@ -1034,6 +1053,20 @@ class TestEngineInvariances:
          "weights are required"),
         (lambda p, w: k_measure_hat(p, ZERO_MASS, D_HALF, CylinderSet(0.1, 0.1), w),
          "positive reference measure"),
+        (lambda p, w: k_measure_hat(_three_axes(p), None, None,
+                                    ConeSet(-0.3, 1.1, 0.1, 0.1), w), "two spatial"),
+        (lambda p, w: k_measure_hat(p, None, None, BoxUnionSet(
+            boxes=((((-0.1, 0.1),), (-0.1, 0.1)),)), w), "1 spatial axes, not 2"),
+        (lambda p, w: k_measure_hat(p, None, None, BoxUnionSet(
+            boxes=((((-0.1, 0.1),) * 3, (-0.1, 0.1)),)), w), "3 spatial axes, not 2"),
+        (lambda p, w: k_measure_hat(p, None, None, BoxUnionSet(
+            boxes=((((-0.1, 0.1), (math.nan, 0.1)), (-0.1, 0.1)),)), w), "one box or more"),
+        (lambda p, w: k_measure_hat(p, None, None, BoxUnionSet(
+            boxes=((((-0.1, 0.1), (-0.1, 0.1)), (0.1, -0.1)),)), w), "one box or more"),
+        (lambda p, w: k_measure_hat(p, None, None, BoxUnionSet(boxes=()), w), "one box or more"),
+        (lambda p, w: k_measure_hat(p, None, None, BoxUnionSet(
+            boxes=((((-0.1, 0.1), (-0.1, 0.1)), (-0.1, 0.1)), (((0.0, 0.1),), (0.0, 0.1)))),
+            w), "one box or more"),
         (lambda p, w: k_smoothed(p, C_HALF, D_HALF, R_GRID, T_GRID,
                                  lambda q, keep: w, erosion="nope"), "erosion must be"),
         (lambda p, w: k_smoothed(p, C_HALF, D_HALF, R_GRID[::-1], T_GRID,
@@ -1062,7 +1095,10 @@ class TestEngineInvariances:
             "stationary-zero-mass", "stationary-absent-label",
             "smoothed-scenario", "inhom-lam-length", "inhom-lam_ground-length",
             "ground-length", "cross-length", "measure-length", "measure-weights",
-            "measure-zero-mass", "smoothed-erosion", "smoothed-grid", "smoothed-window",
+            "measure-zero-mass", "measure-cone-3d", "measure-box-1-axis",
+            "measure-box-3-axes", "measure-box-nan", "measure-box-reversed",
+            "measure-box-none", "measure-box-mixed-axes",
+            "smoothed-erosion", "smoothed-grid", "smoothed-window",
             "inhom-nan-grid", "inhom-inf-grid", "smoothed-nan-grid",
             "smoothed-threads-0", "smoothed-threads-2.5", "smoothed-n-2.5",
             "smoothed-n-bool", "smoothed-seed"])
@@ -1210,22 +1246,34 @@ class TestMeasureHat:
             got = [k_measure_hat(p, C, D, E, w) for E in sets for C, D in marks]
             assert _bits(got) == _bits(want), chunk
 
-    def test_report_counts_the_geometry_pairs(self):
+    def test_builds_only_the_eroded_in_cross_pairs(self, monkeypatch):
+        # the build holds exactly the scan's eroded-in C -> D pairs at the
+        # set's bounding lags; C = D = None and an unmarked pattern build
+        # every pair
         p = uniform_pattern(120, seed=78, marks="labels")
         w = Weights(lam=np.full(p.n, 120.0))
+        C, D = LabelSet([1]), LabelSet([2])
+        select = tuple(m.mask(p.marks).astype(np.uint8) for m in (C, D))
+        ground = project_ground(p)
         for E in (CylinderSet(0.15, 0.2), ConeSet(-0.3, 1.1, 0.2, 0.1)):
             r_c, t_c = E.bounding_lags()
-            _, report = k_measure_hat(p, LabelSet([1]), LabelSet([2]), E, w,
-                                      return_report=True)
-            geom = pair_geometry(p, [r_c], [t_c], erosion="fixed")
-            assert report["pairs"] == geom.I.size > 0
+            with monkeypatch.context() as m:
+                built = _recorded_builds(m)
+                k_measure_hat(p, C, D, E, w)
+                k_measure_hat(p, None, None, E, w)
+                k_measure_hat(ground, None, None, E, w)
+            assert [s is None for s, _ in built] == [False, True, True]
+            full = pair_geometry(p, [r_c], [t_c], erosion="fixed")
+            assert 0 < built[0][1].I.size < full.I.size
+            assert built[0][1].selected
+            assert_matches_oracle(built[0][1], pair_geometry_oracle(
+                p, [r_c], [t_c], erosion="fixed", select=select))
+            for q, (_, geom) in zip((p, ground), built[1:]):
+                assert not geom.selected
+                assert_matches_oracle(geom, pair_geometry_oracle(q, [r_c], [t_c], "fixed"))
 
-    def test_report_and_erosion_guard(self, small_marked):
+    def test_erosion_guard(self, small_marked):
         w = demo_weights(small_marked)
-        value, report = k_measure_hat(
-            small_marked, None, None, CylinderSet(0.1, 0.1), w, return_report=True
-        )
-        assert report["pairs"] >= 0 and "floor_hits" in report
         with pytest.raises(ErosionError):
             k_measure_hat(small_marked, None, None, CylinderSet(0.6, 0.1), w)
 
