@@ -12,13 +12,16 @@ Three layers:
 * ``random_labelling_test`` permutes marks over fixed locations and
   envelopes the antisymmetric statistic Delta = K^CD - K^DC. Pair
   geometry is computed once per dataset (locations never change under
-  permutation). Each permutation only permutes the marks, builds its
-  weights and checks its terms; the surfaces are then summed a batch of
-  permutations at a time, with the CD and DC numerators of the whole
-  batch in one rectangle sum and its denominators in another, so the
-  numpy call count is per batch, not per permutation. Each permutation's
-  surface has the bits of its own `delta_surface`: the second_order
-  module notes give the argument.
+  permutation). Each permutation only permutes the marks and builds its
+  weights, checked, keeping the observed 1/lam when its builder returns
+  the observed weights; the surfaces are then summed a batch of
+  permutations at a time. A batch's masks come from one call per mark
+  set on its stacked marks, its mark-set masses are the observed ones (a
+  permutation keeps the marks' multiset), the CD and DC numerators of the
+  whole batch are one pair-major rectangle sum, and its denominators
+  another, so the numpy call count is per batch, not per permutation.
+  Each permutation's surface has the bits of its own `delta_surface`:
+  the second_order module notes give the argument.
 
 Every surface here comes from the K-family core of ``second_order``: the
 checks of ``_marked_terms``, one ``_geometry``, and the one evaluator
@@ -49,8 +52,10 @@ from .second_order import (
     _children,
     _denominator,
     _geometry,
+    _inverse_intensities,
     _k_surface,
     _k_values,
+    _mark_masks,
     _mark_sets,
     _marked_terms,
     _norm_scenario,
@@ -150,8 +155,10 @@ def _envelope(observed, stack, rank, alpha, generator, **meta):
     if rank == "minmax":
         lower, upper, label = stack.min(axis=0), stack.max(axis=0), "MinMax"
     else:
-        lower = np.quantile(stack, alpha / 2.0, axis=0)
-        upper = np.quantile(stack, 1.0 - alpha / 2.0, axis=0)
+        # both bounds from one partition of the stack, with the bits of one
+        # call per bound (but for the sign of a zero bound where the stack
+        # holds both -0.0 and +0.0: the partition can pick either)
+        lower, upper = np.quantile(stack, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0)
         label = f"Pointwise({alpha})"
     obs = _stat_values(observed)
     return EnvelopeSet(
@@ -328,7 +335,8 @@ def random_labelling_test(p, C, D, r_grid=None, t_grid=None, weights_builder=Non
     if not p._distinct_locations:
         raise ValueError("random labelling needs distinct point locations: a mark "
                          "permutation can give coincident points the same mark")
-    _mark_sets(p, C, D)  # the mark sets' and the lags' checks, before any work
+    # the mark sets' and the lags' checks, before any work
+    nu_C, nu_D = _mark_sets(p, C, D)[2:]
     _checked_lags(p, r_grid, t_grid, erosion)
     if C == D:
         warnings.warn("C == D makes Delta identically zero; the test is degenerate")
@@ -337,22 +345,35 @@ def random_labelling_test(p, C, D, r_grid=None, t_grid=None, weights_builder=Non
         weights_builder = _default_builder(p)
     w_obs = weights_builder(p)
     observed = delta_surface(p, C, D, weights=w_obs, scenario=scenario, geometry=geom)
+    inv_obs = _inverse_intensities(p, w_obs, scenario)
 
-    def terms(i, child):
+    def permuted(i, child):
+        """A permutation's marks and its 1/lam and 1/lam_ground, the observed
+        ones while its builder returns the observed weights."""
         q = permute_marks(p, seed=child)
         w = weights_builder(q) if rebuild_weights else w_obs
-        return _marked_terms(q, w, C, D, scenario)
+        return q.marks, inv_obs if w is w_obs else _inverse_intensities(q, w, scenario)
+
+    def batch_terms(perms):
+        """The `_stacked` `_marked_terms` of a batch of permutations: each
+        mark set's masks from one call on their stacked marks, and the
+        observed masses, since a permutation keeps the marks' multiset (an
+        empirical mass is a count over n, exact in float64)."""
+        marks, inv = zip(*perms)
+        mC, mD = _mark_masks(p, C, D, np.stack(marks))
+        return (mC, mD, *_stacked(inv), np.full(len(marks), nu_C), np.full(len(marks), nu_D))
 
     # a batch's CD and DC surfaces span about four _CHUNKs of (surface,
     # stored pair or difference-array bin) entries; larger ones fall out
-    # of the cache and run slower
+    # of the cache and run slower (on ~480 points, batches of 4 to 16
+    # permutations time alike, and 32 runs slower)
     R, T = geom.shape
     batch = max(1, 2 * _CHUNK // (geom.I.size + (R + 1) * (T + 1)))
     stack = np.empty((n_perm, *geom.shape))
     with _pool(threads) as pool:  # one pool for every batch
         for first in range(0, n_perm, batch):
-            batch_terms = _replicates(terms, children[first:first + batch], pool)
-            stack[first:first + batch] = _delta_values(geom, scenario, _stacked(batch_terms))
+            perms = _replicates(permuted, children[first:first + batch], pool)
+            stack[first:first + batch] = _delta_values(geom, scenario, batch_terms(perms))
     env = _envelope(observed, stack, rank, alpha, "mark-permutation", seed=str(seed),
                     scenario=scenario,
                     weights_mode="rebuilt" if rebuild_weights else "fixed")

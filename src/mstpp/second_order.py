@@ -155,39 +155,54 @@ all ordered pairs (`tests/oracles.py`).
 
 `_k_values` sums S surfaces at once, each with its own mark masks and
 reciprocal intensities: one for a K estimate, a batch of permutations'
-CD and DC numerators for the random-labelling test. It runs over `_CHUNK`
-stored pairs at a time. Each chunk keeps, for each surface, only its
-pairs with mC[I] mD[J] != 0 (and, for the directional statistic, inside
-the cone), surface by surface and each in pair order, and builds their
-weights 1/lam[I] * 1/lam[J] once; a single surface builds no per-entry
-surface numbers or bin offsets. It then adds the weights into the
-difference array with `np.add.at` at every chunk's first corners, then
-`np.subtract.at` at every chunk's second and third, then `np.add.at` at
-every chunk's fourth, each in entry order: corner-major across all chunks.
-That is the order in which `np.bincount` over the four corner lists of
-all pairs concatenated (with weights w, -w, -w, w) adds into each bin,
-and x - w is x + (-w) exactly. Surface s owns the bins from
-s (R + 1)(T + 1) on, so no bin receives another surface's weights, and
-the entries of one surface reach its bins in the order a sum of that
+CD and DC numerators for the random-labelling test. It runs over
+`_CHUNK` stored pairs at a time. Each chunk gathers the (pairs, S)
+selection mC[I] mD[J] != 0 and keeps its nonzero entries pair-major
+(and, for the directional statistic, those inside the cone): an entry
+holds its pair's position in the chunk, its surface's bin offset and its
+weight, and each surface's entries are in pair order. A single surface
+on its own selected geometry, without a cone, selects nothing: its build
+stored only the pairs its masks keep. The weight of an entry of surface
+s is 1/lam[s, I] * 1/lam[s, J]; when every row of 1/lam equals the
+first, the chunk's pair weights are formed once and gathered per entry,
+with the same bits, since equal factors give an equal product.
+`_sum_rects` forms each corner's bins once per chunk, from the chunk's
+pairs, and gathers them by position. That pays when the entries
+outnumber the pairs (a batch of permutations on a few thousand pairs); a
+chunk with no more entries than pairs (one permutation's two surfaces on
+millions of pairs) instead gathers each entry's own pair, and its bins
+and weights are formed per entry, with the same values. It adds the
+weights into the difference array with `np.add.at` at every chunk's
+first corners, then `np.subtract.at` at every chunk's second and third,
+then `np.add.at` at every chunk's fourth, each in entry order:
+corner-major across all chunks. That is the order in which `np.bincount`
+over the four corner lists of all pairs concatenated (with weights
+w, -w, -w, w) adds into each bin, and x - w is x + (-w) exactly. Surface s
+owns the bins from s (R + 1)(T + 1) on, so no bin receives another
+surface's weights, and pair-major order leaves the entries of one
+surface in pair order: they reach its bins in the order a sum of that
 surface alone would add them. The skipped pairs change no bin either:
-`Weights` admits only positive finite intensities, and the mark masks and
-the cone test are 0/1, so (while the products 1/lam[I] * 1/lam[J] are
-finite) a skipped pair's full weight is +0.0 and a kept pair's is the
-product times 1.0; and a bin that starts at +0.0 and only ever adds or
-subtracts finite values never holds -0.0, the one value for which
-x + 0.0 differs from x. So every cell total equals the one of the
-full-array layout bit for bit, for any chunk length and for any number
-of surfaces summed beside it; the double cumulative sum runs along each
-surface's own axes. Dropping the empty-rectangle pairs at the build
-drops only corner entries that were masked out before, so it changes no
-total either. Nor does a selected build: its stored pairs are the full
-geometry's stored pairs that some surface selects, in the same (I, J)
-order, with the same first cells, and every pair a surface's masks keep
-is among them. So each surface keeps the same entries, in the same pair
-order, only cut into other chunks, and each bin receives the same
-additions in the same order; the pairs left out are ones every surface
-skipped, which change no bin. The denominators read the per-point arrays
-only, which a selection leaves as they are.
+`Weights` admits only positive finite intensities, and the mark masks
+and the cone test are 0/1, so (while the products 1/lam[I] * 1/lam[J]
+are finite) a skipped pair's full weight is +0.0 and a kept pair's is
+the product times 1.0; and a bin that starts at +0.0 and only ever adds
+or subtracts finite values never holds -0.0, the one value for which
+x + 0.0 differs from x. The denominators' point sums (`_point_surface`) run
+pair-major over (eroded point, surface) in the same way and skip their
+zero weights, 1/lam times a 0 mask, by the same argument. So every cell
+total equals the one of the full-array layout bit for bit, for any chunk
+length and for any number of surfaces summed beside it; the double
+cumulative sum runs along each surface's own axes. Dropping the
+empty-rectangle pairs at the build drops only corner entries that were
+masked out before, so it changes no total either. Nor does a selected
+build: its stored pairs are the full geometry's stored pairs that some
+surface selects, in the same (I, J) order, with the same first cells,
+and every pair a surface's masks keep is among them. So each surface
+keeps the same entries, in the same pair order, only cut into other
+chunks, and each bin receives the same additions in the same order; the
+pairs left out are ones every surface skipped, which change no bin. The
+denominators read the per-point arrays only, which a selection leaves as
+they are.
 """
 
 import itertools
@@ -753,12 +768,15 @@ def pair_geometry(p, r_grid=None, t_grid=None, erosion="per-cell", *, _select=No
 def _sum_rects(geom, S, chunks):
     """Per-cell sums of the weights of index rectangles on ``S`` surfaces,
     each rectangle from its first cell (a_r, a_t) to its point I's erosion
-    limit, over ``chunks`` of (w, I, a_r, a_t, off): ``off`` is each
-    entry's surface s times (R + 1)(T + 1), or 0 when S is 1 (so that a
-    single surface holds no array of offsets). One
-    difference array holds the four-corner sums of every surface, each in
-    its own bins, and a double cumulative sum along each surface's axes
-    recovers the cells. Every weight is added into its corner's bin
+    limit, over ``chunks`` of (I, a_r, a_t, pos, off, w). A chunk holds
+    rectangles (I, a_r, a_t) and entries: each entry's rectangle position
+    ``pos`` in the chunk (None when there is one entry per rectangle, in
+    order), its surface s's bin offset ``off``, s (R + 1)(T + 1) (0 when S
+    is 1), and its weight ``w``. One difference array holds the
+    four-corner sums of every surface, each in its own bins, and a double
+    cumulative sum along each surface's axes recovers the cells. Each
+    corner's bins are formed once per chunk, from its rectangles, and
+    gathered by position. Every weight is added into its corner's bin
     corner-major across all chunks, then in chunk and entry order, so each
     bin gets the additions a sum of its surface alone would make, in the
     same order."""
@@ -768,28 +786,49 @@ def _sum_rects(geom, S, chunks):
     diff = np.zeros(S * (R + 1) * ncol)
     # the first cells are cast to intp before any index arithmetic: under
     # numpy's promotion rules uint8 * int stays uint8 and wraps
-    for w, I, a_r, a_t, off in chunks:
-        np.add.at(diff, a_r.astype(np.intp) * ncol + a_t + off, w)
-    for w, I, a_r, a_t, off in chunks:
-        np.subtract.at(diff, np.take(row_end, I) + a_t + off, w)
-    for w, I, a_r, a_t, off in chunks:
-        np.subtract.at(diff, a_r.astype(np.intp) * ncol + np.take(col_end, I) + off, w)
-    for w, I, a_r, a_t, off in chunks:
-        np.add.at(diff, np.take(far, I) + off, w)
+    corners = ((np.add.at, lambda I, a_r, a_t: a_r.astype(np.intp) * ncol + a_t),
+               (np.subtract.at, lambda I, a_r, a_t: np.take(row_end, I) + a_t),
+               (np.subtract.at, lambda I, a_r, a_t: a_r.astype(np.intp) * ncol
+                + np.take(col_end, I)),
+               (np.add.at, lambda I, a_r, a_t: np.take(far, I)))
+    for add, corner in corners:
+        for I, a_r, a_t, pos, off, w in chunks:
+            bins = corner(I, a_r, a_t)
+            if pos is not None:
+                bins = np.take(bins, pos)
+            if S > 1:
+                bins += off
+            add(diff, bins, w)
     return np.cumsum(np.cumsum(diff.reshape(S, R + 1, ncol), axis=1), axis=2)[:, :R, :T]
+
+
+def _pair_major(keep):
+    """The nonzero entries of the (m, S) ``keep`` (rows are pairs or points,
+    columns surfaces) in row-major order, so each surface's entries stay
+    in row order: their flat indices, their rows and their surfaces (the
+    rows are the flat indices, and the surfaces None, when S is 1)."""
+    e = np.flatnonzero(keep)
+    S = keep.shape[1]
+    if S == 1:
+        return e, e, None
+    pos = e // S
+    return e, pos, e - pos * S
 
 
 def _point_surface(geom, point_w):
     """Per-cell sums of point weights over the eroded windows (rectangle
     from cell (0,0) to each point's erosion limit), one surface per row of
-    the (S, n) ``point_w``."""
+    the (S, n) ``point_w``. The entries run pair-major over (eroded point,
+    surface), and a zero weight is skipped: it is +0.0, which changes no
+    bin (see the module notes)."""
     I = np.flatnonzero((geom.pt_b_r >= 0) & (geom.pt_b_t >= 0))
     S = len(point_w)
     R, T = geom.shape
-    zeros = np.zeros(S * I.size, dtype=np.intp)
-    off = np.repeat(np.arange(S) * ((R + 1) * (T + 1)), I.size)
-    return _sum_rects(geom, S, [(np.take(point_w, I, axis=1).ravel(), np.tile(I, S),
-                                 zeros, zeros, off)])
+    w = np.take(point_w.T, I, axis=0)  # (eroded point, surface)
+    e, pos, s = _pair_major(w)
+    zeros = np.zeros(I.size, dtype=np.intp)
+    off = 0 if s is None else s * ((R + 1) * (T + 1))
+    return _sum_rects(geom, S, [(I, zeros, zeros, pos, off, np.take(w, e))])
 
 
 def _denominator(geom, scenario, mC, mD, inv_lam, inv_lam_g, nu_C, nu_D):
@@ -824,40 +863,55 @@ def _k_values(geom, inv, mC, mD, denom, pair_test=None):
     carries no information.
 
     The sum runs over `_CHUNK` stored pairs at a time, all S surfaces of a
-    chunk together, corner-major across all chunks; the module notes say
-    why every surface equals its own full-array sum bit for bit."""
+    chunk together, corner-major across all chunks. A chunk's entries are
+    its selected (pair, surface) pairs, pair-major; a single surface on
+    its own selected geometry, without a ``pair_test``, sums every stored
+    pair and selects none. An entry refers to its pair by position in the
+    chunk, or, when the chunk has no more entries than pairs, carries its
+    own pair. When every row of ``inv`` equals the first, the weights are
+    formed once per pair and gathered per entry. The module notes say why
+    every surface equals its own full-array sum bit for bit."""
     S, n = inv.shape
     R, T = geom.shape
     # (n, S): a pair's marks on all S surfaces are one row gather
     in_C, in_D = np.ascontiguousarray((mC != 0).T), np.ascontiguousarray((mD != 0).T)
-    inv = inv.ravel()
+    # every stored pair of a single surface's own selected build is C-first,
+    # D-second
+    every = geom.selected and S == 1 and pair_test is None
+    # equal rows give equal products
+    fixed = bool(np.all(inv == inv[0]))
+    flat = inv.ravel()
     chunks = []
     # np.take: gathers by uint16 or int32 indices are several times slower
     # through fancy indexing, which first converts the indices to intp
     for start in range(0, geom.I.size, _CHUNK):
         stop = start + _CHUNK
         I, J = geom.I[start:stop], geom.J[start:stop]
-        # row s: the C-first, D-second pairs of surface s
-        sel = np.ascontiguousarray((np.take(in_C, I, axis=0) & np.take(in_D, J, axis=0)).T)
-        # the selected entries' pairs, surface-major, each in pair order; a
-        # single surface needs no array of their surfaces
-        k = np.flatnonzero(sel)
-        if S > 1:
-            s = np.repeat(np.arange(S), np.count_nonzero(sel, axis=1))
-            k -= s * I.size
-        I, J = np.take(I, k), np.take(J, k)
-        if pair_test is not None:
-            hit = np.flatnonzero(pair_test(I, J))
-            k, I, J = (np.take(v, hit) for v in (k, I, J))
-            if S > 1:
-                s = np.take(s, hit)
-        if S > 1:
-            row = s * n  # intp, so row + I is too
-            w, off = np.take(inv, row + I) * np.take(inv, row + J), s * ((R + 1) * (T + 1))
+        a_r, a_t = geom.a_r[start:stop], geom.a_t[start:stop]
+        pos = s = None
+        if not every:
+            # the selected entries, pair-major, each surface's in pair order
+            pos, s = _pair_major(np.take(in_C, I, axis=0) & np.take(in_D, J, axis=0))[1:]
+            if pair_test is not None:
+                hit = np.flatnonzero(pair_test(np.take(I, pos), np.take(J, pos)))
+                pos = np.take(pos, hit)
+                if s is not None:
+                    s = np.take(s, hit)
+            if pos.size <= I.size:
+                # no more entries than pairs: each entry takes its own pair
+                I, J, a_r, a_t = (np.take(v, pos) for v in (I, J, a_r, a_t))
+                pos = None
+        if fixed:
+            w = np.take(flat, I) * np.take(flat, J)
+            if pos is not None:
+                w = np.take(w, pos)
         else:
-            w, off = np.take(inv, I) * np.take(inv, J), 0
-        chunks.append((w, I, np.take(geom.a_r[start:stop], k), np.take(geom.a_t[start:stop], k),
-                       off))
+            # the entries' own pairs; unequal rows come with S > 1
+            first, second = (I, J) if pos is None else (np.take(I, pos), np.take(J, pos))
+            row = s * n  # intp, so row + first is too
+            w = np.take(flat, row + first) * np.take(flat, row + second)
+        off = 0 if s is None else s * ((R + 1) * (T + 1))
+        chunks.append((I, a_r, a_t, pos, off, w))
     num = _sum_rects(geom, S, chunks)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where((num == 0) | (denom == 0), 0.0, num / denom)
@@ -957,15 +1011,19 @@ def poisson_reference(r_grid, t_grid, d):
     )
 
 
-def _mark_masks(p, C, D):
+def _mark_masks(p, C, D, marks=None):
+    """The 0/1 masks of C and D (None = full mark space) over the marks of
+    ``p``, or over ``marks`` of its mark space in any shape (a batch of
+    permutations' marks stacked); ones on an unmarked pattern."""
     if p.marks is None:
         if C is not None or D is not None:
             raise ValueError("mark sets supplied for an unmarked pattern")
         ones = np.ones(p.n)
         return ones, ones.copy()
+    marks = p.marks if marks is None else marks
     C = full_mark_set(p.mark_space) if C is None else C
     D = full_mark_set(p.mark_space) if D is None else D
-    return C.mask(p.marks).astype(float), D.mask(p.marks).astype(float)
+    return C.mask(marks).astype(float), D.mask(marks).astype(float)
 
 
 def _mark_sets(p, C, D):
@@ -996,11 +1054,19 @@ def _marked_terms(p, weights, C, D, scenario):
     if p.marks is None:
         raise ValueError("marked K needs a marked pattern; use k_ground instead")
     mC, mD, nu_C, nu_D = _mark_sets(p, C, D)
+    return (mC, mD, *_inverse_intensities(p, weights, scenario), nu_C, nu_D)
+
+
+def _inverse_intensities(p, weights, scenario):
+    """1/lam and 1/lam_ground (S3 and S4 only, else None) of ``weights`` at
+    the points of ``p``, checked."""
+    if weights is None:
+        raise ValueError("weights are required")
     inv_lam = 1.0 / _per_point(p, weights._require("lam", "marked K estimation"))
     inv_lam_g = None
     if scenario in ("S3", "S4"):
         inv_lam_g = 1.0 / _per_point(p, weights._require("lam_ground", f"scenario {scenario}"))
-    return mC, mD, inv_lam, inv_lam_g, nu_C, nu_D
+    return inv_lam, inv_lam_g
 
 
 def _stacked(terms):

@@ -28,7 +28,12 @@ from mstpp.pattern import (
 from mstpp.second_order import Weights, k_ground, k_inhom, pair_geometry
 
 from .conftest import UNIT, uniform_pattern
-from .oracles import k_cells_oracle
+from .oracles import (
+    denominator_oracle,
+    k_cells_oracle,
+    k_values_oracle,
+    pair_geometry_oracle,
+)
 
 R_GRID = np.linspace(0.05, 0.25, 5)
 T_GRID = np.linspace(0.05, 0.25, 5)
@@ -302,6 +307,21 @@ class TestEnvelopes:
         assert np.array_equal(env.lower, np.quantile(stack, 0.05, axis=0))
         assert np.array_equal(env.upper, np.quantile(stack, 0.95, axis=0))
         assert env.rank == "Pointwise(0.1)"
+
+    @pytest.mark.parametrize("n_sim", [19, 99, 999])
+    def test_pointwise_bounds_have_the_bits_of_separate_quantiles(self, n_sim):
+        # both bounds come from one np.quantile call; its partition can
+        # pick the other of two tied zeros, -0.0 and +0.0, which a
+        # difference surface never holds (x - x is +0.0), so the ties here
+        # are +0.0 alone
+        rng = np.random.default_rng(n_sim)
+        stack = rng.normal(size=(n_sim, 20, 20))
+        stack[:, :5] = np.round(stack[:, :5]) + 0.0
+        for alpha in (0.01, 0.05, 0.1, 0.5):
+            env = inference._envelope(np.zeros((20, 20)), stack, "pointwise", alpha, "noise")
+            assert env.lower.tobytes() == np.quantile(stack, alpha / 2.0, axis=0).tobytes()
+            assert env.upper.tobytes() == np.quantile(stack, 1.0 - alpha / 2.0,
+                                                      axis=0).tobytes()
 
     def test_single_simulation_minmax_is_that_replicate(self):
         env = envelopes(np.zeros((3, 4)), self.noise_simulator, n_sim=1, seed=7)
@@ -612,6 +632,21 @@ class TestBatchedPermutations:
             for name in ("lower", "upper", "exceeds"):
                 assert getattr(env, name).tobytes() == getattr(runs[0], name).tobytes()
 
+    def test_thread_count_does_not_change_results_with_the_default_builder(self, monkeypatch):
+        # every permutation keeps the observed weights object and its 1/lam
+        p = uniform_pattern(60, seed=90)
+        self.set_batch(monkeypatch, pair_geometry(p, R_GRID, T_GRID), 4)
+        got = self.spy_batches(monkeypatch)
+        runs = [random_labelling_test(p, C_HALF, D_HALF, R_GRID, T_GRID, n_perm=11, seed=33,
+                                      rank="minmax", threads=threads)
+                for threads in (1, 2, 3)]
+        assert got == [1, 4, 4, 3] * 3
+        assert np.any(runs[0].upper != runs[0].lower)
+        for env in runs[1:]:
+            assert env.observed.values.tobytes() == runs[0].observed.values.tobytes()
+            for name in ("lower", "upper", "exceeds"):
+                assert getattr(env, name).tobytes() == getattr(runs[0], name).tobytes()
+
     def test_one_thread_pool_serves_every_batch(self, monkeypatch):
         p = uniform_pattern(60, seed=89)
         self.set_batch(monkeypatch, pair_geometry(p, R_GRID, T_GRID), 4)
@@ -629,3 +664,58 @@ class TestBatchedPermutations:
                                   threads=threads)
         assert got == [1, 4, 4, 3] * 2
         assert pools == [2]
+
+
+def _oracle_delta(full, q, w, C, D, scenario):
+    """K^CD - K^DC of the pattern ``q`` under ``w`` by the full-array
+    formulas of the reference geometry ``full``, with q's own masks and
+    mark-set masses."""
+    mC, mD = C.mask(q.marks).astype(float), D.mask(q.marks).astype(float)
+    inv, inv_g = 1.0 / w.lam, 1.0 / w.lam_ground
+    denom = denominator_oracle(full, scenario, mC, mD, inv, inv_g, q.nu(C), q.nu(D))
+    pw = inv[full.I] * inv[full.J]
+    return k_values_oracle(full, pw, mC, mD, denom) - k_values_oracle(full, pw, mD, mC, denom)
+
+
+class TestLabellingAgainstOracle:
+    """The random-labelling band against the full-array formulas of
+    `tests/oracles.py`, evaluated permutation by permutation: a check that
+    does not share the library's batched sum."""
+
+    @staticmethod
+    def check(monkeypatch, p, builder, rebuild, scenario, n_perm=7):
+        full = pair_geometry_oracle(p, R_GRID, T_GRID)
+        w_obs = builder(p)
+        want = np.stack([
+            _oracle_delta(full, q, builder(q) if rebuild else w_obs, C_HALF, D_HALF, scenario)
+            for q in (permute_marks(p, seed=child)
+                      for child in np.random.SeedSequence(34).spawn(n_perm))])
+        assert np.any(want != 0.0)
+        # batches of 3 permutations, over chunks of 50 stored pairs
+        entries = pair_geometry(p, R_GRID, T_GRID).I.size + (R_GRID.size + 1) * (T_GRID.size + 1)
+        monkeypatch.setattr(inference, "_CHUNK", -(-3 * entries // 2))
+        monkeypatch.setattr(second_order, "_CHUNK", 50)
+        env = random_labelling_test(p, C_HALF, D_HALF, R_GRID, T_GRID, weights_builder=builder,
+                                    n_perm=n_perm, rank="minmax", scenario=scenario, seed=34,
+                                    rebuild_weights=rebuild)
+        assert env.observed.values.tobytes() == _oracle_delta(
+            full, p, w_obs, C_HALF, D_HALF, scenario).tobytes()
+        assert env.lower.tobytes() == want.min(axis=0).tobytes()
+        assert env.upper.tobytes() == want.max(axis=0).tobytes()
+
+    @pytest.mark.parametrize("builder, rebuild", [(const_weights, False), (const_weights, True),
+                                                  (mark_weights, True)],
+                             ids=["fixed-weights", "rebuilt-equal-weights", "mark-dependent"])
+    @pytest.mark.parametrize("scenario", ["S1", "S2", "S3", "S4"])
+    def test_band_equals_oracle(self, monkeypatch, scenario, builder, rebuild):
+        self.check(monkeypatch, uniform_pattern(80, seed=91), builder, rebuild, scenario)
+
+    @pytest.mark.parametrize("builder, rebuild", [(const_weights, False), (mark_weights, True)],
+                             ids=["fixed-weights", "mark-dependent"])
+    @pytest.mark.parametrize("scenario", ["S1", "S2", "S3", "S4"])
+    def test_empirical_masses_equal_oracle(self, monkeypatch, scenario, builder, rebuild):
+        # the masses of an empirical reference read the marks: the test
+        # takes the observed ones for every permutation
+        p = uniform_pattern(80, seed=92, mark_space=ContinuousMarks(0.0, 1.0, "empirical"))
+        assert p.nu(C_HALF) != C_HALF.hi - C_HALF.lo
+        self.check(monkeypatch, p, builder, rebuild, scenario)

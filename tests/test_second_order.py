@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -676,6 +677,39 @@ class TestSelectedGeometry:
         diag_independent_marks(p, C_HALF, D_HALF, R_GRID, T_GRID, w)
         assert [select for select, _ in built] == [None] * 3
         assert not any(geom.selected for _, geom in built)
+
+    @pytest.mark.parametrize("case", ["uniform", "duplicates", "lattice", "3d", "zero-both",
+                                      "two"])
+    def test_single_surface_sums_every_stored_pair(self, monkeypatch, case):
+        # an estimator of one surface without a cone test stores only the
+        # pairs its masks keep, so `_k_values` selects none of them, with
+        # the bits of selecting
+        p, r_grid, t_grid, w = full_case(case, "per-cell")[:4]
+        single = [name for name in own_geometry_surfaces(p, w)
+                  if name in ("k_inhom", "k_stationary") or name.startswith("k_cross")]
+        assert len(single) == 4
+        sums, k_values = [], second_order._k_values
+        monkeypatch.setattr(second_order, "_k_values",
+                            lambda *args: sums.append(args) or k_values(*args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # empty components in the tiny cases
+            for name in single:
+                own_geometry_surfaces(p, w)[name][0](r_grid=r_grid, t_grid=t_grid)
+        assert len(sums) == len(single)
+        selections, pair_major = [], second_order._pair_major
+        monkeypatch.setattr(second_order, "_pair_major",
+                            lambda keep: selections.append(keep.dtype) or pair_major(keep))
+        for name, (geom, inv, mC, mD, denom, pair_test) in zip(single, sums):
+            assert geom.selected and len(inv) == 1 and pair_test is None, name
+            I, J = geom.I.astype(np.intp), geom.J.astype(np.intp)
+            assert np.all((mC[0, I] != 0) & (mD[0, J] != 0)), name
+            selections.clear()
+            got = k_values(geom, inv, mC, mD, denom)
+            assert bool not in selections, name
+            unselected = dataclasses.replace(geom, selected=False)
+            want = k_values(unselected, inv, mC, mD, denom)
+            assert selections.count(bool) == -(-geom.I.size // second_order._CHUNK), name
+            assert _bits(got) == _bits(want), name
 
     def test_selected_geometry_is_not_accepted(self, small_marked):
         p, w = small_marked, demo_weights(small_marked)
