@@ -55,6 +55,7 @@ from .pattern import (
     LabelMarks,
     LabelSet,
     MarkInterval,
+    _check_count,
     _check_mark_set,
     _check_retention,
     load_catalog,
@@ -63,7 +64,6 @@ from .pattern import (
     write_table,
 )
 from .second_order import (
-    _check_count,
     _check_lag_cells,
     _checked_grids,
     _norm_scenario,

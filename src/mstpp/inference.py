@@ -43,11 +43,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .intensity import voronoi_ground
-from .pattern import permute_marks, write_json, write_table
+from .pattern import _check_count, permute_marks, write_json, write_table
 from .second_order import (
     _CHUNK,
     _Surface,
-    _check_count,
     _checked_lags,
     _children,
     _denominator,

@@ -127,7 +127,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .pattern import MarkedPattern
+from .pattern import MarkedPattern, _is_count
 
 __all__ = [
     "Quadrature",
@@ -205,7 +205,7 @@ class Quadrature:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+            if not _is_count(v):
                 raise ValueError(f"quadrature {f.name} must be a positive integer, got {v!r}")
 
     def refined(self):

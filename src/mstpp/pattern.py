@@ -19,6 +19,7 @@ and the marking operations upgrade them.
 import csv
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -77,8 +78,7 @@ class ContinuousMarks:
     is_labelled = False
 
     def contains_mark(self, m):
-        m = np.asarray(m, dtype=float)
-        return bool(np.all((m >= self.lo) & (m <= self.hi)))
+        return bool(np.all(self.mark_mask(m)))
 
     def mark_mask(self, marks):
         marks = np.asarray(marks, dtype=float)
@@ -130,8 +130,7 @@ class LabelMarks:
     is_labelled = True
 
     def contains_mark(self, m):
-        m = np.asarray(m, dtype=float)
-        return bool(np.all((m == np.round(m)) & (m >= 1) & (m <= self.k)))
+        return bool(np.all(self.mark_mask(m)))
 
     def mark_mask(self, marks):
         marks = np.asarray(marks, dtype=float)
@@ -470,6 +469,18 @@ def project_ground(p, mark_set=None):
     if mark_set is not None:
         p = restrict_marks(p, mark_set)
     return MarkedPattern(x=p.x, t=p.t, marks=None, window=p.window, mark_space=None)
+
+
+def _is_count(n):
+    """Whether ``n`` is a whole number of at least one: of an integral type,
+    and not a bool."""
+    return not isinstance(n, bool) and isinstance(n, numbers.Integral) and n >= 1
+
+
+def _check_count(n, what):
+    """Reject a count of ``what`` that is not `_is_count`."""
+    if not _is_count(n):
+        raise ValueError(f"need a whole number of at least one {what}, got {n!r}")
 
 
 def _check_retention(retention):

@@ -23,15 +23,18 @@ cross K-functions, scenario S1 with the masses (N_C N_D / N^2, 1) for the
 stationary one, a cone test for the directional one, and the DC surface
 beside the CD one for the symmetrized form. `k_smoothed` averages
 `k_inhom` over thinnings.
-A geometry that `pair_geometry` returns holds every pair that can
-contribute to some cell, so it serves any marks and weights. An estimator
-that builds its own geometry (no ``geometry`` argument) builds only the
-pairs its surfaces sum: the first point eroded-in and in some surface's C,
-the second in that surface's D (`_selection`); when one surface sums every
-pair (the ground K, the independent-marks diagnostic, C = D = None), it
-builds them all. That geometry never leaves the estimator, and no
-``geometry`` argument takes one. The random-labelling test, whose
-permutations move the marks, builds every pair.
+Every geometry is built by one rule (`_selection`): the pairs whose
+first point is eroded-in and in some surface's C, and whose second point
+is in that surface's D. A geometry that `pair_geometry` returns is the
+selection of one surface with C = D = the whole mark space, so it holds
+every pair that can contribute to some cell and serves any marks and
+weights. An estimator that builds its own geometry (no ``geometry``
+argument) builds only the pairs its surfaces sum; when one surface sums
+every pair (the ground K, the independent-marks diagnostic, C = D =
+None), that is the full geometry. A selected geometry never leaves its
+estimator, and a ``geometry`` argument is taken to hold every pair. The
+random-labelling test, whose permutations move the marks, builds every
+pair.
 `k_measure_hat`, the estimate for one structuring set, sums the pairs of
 its own fixed-erosion geometry at the set's bounding lags (the eroded-in
 C -> D pairs) that pass the set's exact membership test. `_marked_terms`
@@ -72,12 +75,15 @@ a cell at an edge reaches no occupied cell across the window.
 A selection comes as two bit masks per point (`_selection`), f for the
 surfaces whose C holds the point and g for those whose D does; a -> b is
 selected when f[a] & g[b] != 0, and f is cleared on the points that are
-not eroded-in, which start no pair. The points' distinct (f, g) are their
-classes, k of them (one without a selection, at most 16 for the two
-surfaces an estimator sums); two classes are linked when the selection
-takes a pair of them one way or the other, and a point of a class linked
-to none is not swept. A cell's classes are k consecutive keys, cell key
-times k plus class, which stay exact in float64. The points are sorted by
+not eroded-in, which start no pair. A build without a selection takes
+f = g = 1 on every point, so it never pairs two points that are both not
+eroded-in. The points' distinct (f, g) are their classes, k of them (at
+most two without a selection, at most 16 for the two surfaces an
+estimator sums), numbered in (f, g) order by one code per point,
+f (max g + 1) + g; two classes are linked when the selection takes a
+pair of them one way or the other, and a point of a class linked to none
+is not swept. A cell's classes are k consecutive keys, cell key times k
+plus class, which stay exact in float64. The points are sorted by
 (key, rescaled time); the exact complex key, key + 1j t, sorts the same
 way, since numpy orders complex numbers by real part, then imaginary
 part. For the own cell and each forward offset of the (2 reach + 1)^d
@@ -101,7 +107,8 @@ ds and du are computed once per unordered pair; they have the same bits
 either way round. Each orientation is kept when its first point's erosion
 limits reach both lags (ds <= r_grid[b_r], du <= t_grid[b_t]), that is
 when its rectangle is nonempty (and, under a selection, when
-f[first] & g[second] != 0, the one rule of `_selection`), as one key
+f[first] & g[second] != 0, the one rule of `_selection`, which the reach
+test implies without one), as one key
 I * n + J in the smallest unsigned type that holds n^2 - 1 (uint32 up to
 65,536 points, uint64 above), and counted at its first point. One
 in-place np.sort of all keys restores the (I, J) order; the keys are
@@ -143,15 +150,15 @@ counts (uint8 up to 255 cells per axis). Up to 65,536 points and 255
 cells per axis, that is 6 bytes per pair that can contribute. The keys
 are built from the candidates' intp indices, and every sum or product
 with a stored index is taken in intp or int64: under numpy's promotion
-rules uint16 times a Python int stays uint16 and wraps. The high corner comes from the first point's erosion
-limits, so the geometry keeps it once per point, as (b_r + 1)(T + 1),
-b_t + 1 and their sum. While the candidates are filtered, building it
-holds the keys kept so far (4 bytes per stored pair up to 65,536
-points), the sweep's runs (three words per nonempty run of a point and
-an offset) and one batch's candidates and temporaries; then the keys
-twice, as the batches' pieces and their join; and last the output arrays
-and one chunk's lags. The stored arrays equal those of a plain scan over
-all ordered pairs (`tests/oracles.py`).
+rules uint16 times a Python int stays uint16 and wraps. The high corner
+comes from the first point's erosion limits, so the geometry keeps it
+once per point, as (b_r + 1)(T + 1), b_t + 1 and their sum. While the
+candidates are filtered, building it holds the keys kept so far (4 bytes
+per stored pair up to 65,536 points), the sweep's runs (three words per
+nonempty run of a point and an offset) and one batch's candidates and
+temporaries; then the keys twice, as the batches' pieces and their join;
+and last the output arrays and one chunk's lags. The stored arrays equal
+those of a plain scan over all ordered pairs (`tests/oracles.py`).
 
 `_k_values` sums S surfaces at once, each with its own mark masks and
 reciprocal intensities: one for a K estimate, a batch of permutations'
@@ -160,12 +167,13 @@ CD and DC numerators for the random-labelling test. It runs over
 selection mC[I] mD[J] != 0 and keeps its nonzero entries pair-major
 (and, for the directional statistic, those inside the cone): an entry
 holds its pair's position in the chunk, its surface's bin offset and its
-weight, and each surface's entries are in pair order. A single surface
-on its own selected geometry, without a cone, selects nothing: its build
-stored only the pairs its masks keep. The weight of an entry of surface
-s is 1/lam[s, I] * 1/lam[s, J]; when every row of 1/lam equals the
-first, the chunk's pair weights are formed once and gathered per entry,
-with the same bits, since equal factors give an equal product.
+weight, and each surface's entries are in pair order. A chunk of a
+single surface that selects every stored pair (an estimator's own build
+of one surface without a cone, or the ground K on any geometry) is summed
+in place, without a gather. The weight of an entry of surface s is
+1/lam[s, I] * 1/lam[s, J]; when every row of 1/lam equals the first, the
+chunk's pair weights are formed once and gathered per entry, with the
+same bits, since equal factors give an equal product.
 `_sum_rects` forms each corner's bins once per chunk, from the chunk's
 pairs, and gathers them by position. That pays when the entries
 outnumber the pairs (a batch of permutations on a few thousand pairs); a
@@ -207,7 +215,6 @@ they are.
 
 import itertools
 import math
-import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -217,7 +224,8 @@ import numpy as np
 
 from .geometry import (cone_volume, cylinder_volume, direction_in_cone, erode_window,
                        unit_ball_volume)
-from .pattern import LabelSet, _check_retention, full_mark_set, thin, write_json, write_table
+from .pattern import (LabelSet, _check_count, _check_retention, full_mark_set, thin, write_json,
+                      write_table)
 
 __all__ = [
     "Weights",
@@ -438,7 +446,6 @@ class PairGeometry:
     ell_r: np.ndarray        # eroded spatial volumes per r-cell
     ell_t: np.ndarray        # eroded temporal lengths per t-cell
     erosion: str             # "per-cell" | "fixed"
-    selected: bool = False   # only the pairs one estimator's surfaces select
     pair_ends: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -456,7 +463,7 @@ class PairGeometry:
 
 
 # the pair search's cell keys take at most about _KEY_BITS bits (and the
-# classes of a selection 4 more), exact in float64: up to 4096 cells per
+# classes at most 4 more), exact in float64: up to 4096 cells per
 # axis on up to three axes, fewer on more
 _KEY_BITS = 36
 # the pair filter runs over _CHUNK candidates, the binning of the stored
@@ -506,22 +513,18 @@ def _lag_cells(lookup, x):
     return c.astype(table.dtype)
 
 
-def _candidate_pairs(space, t, radius, cls=None, linked=None):
-    """Every unordered pair of points whose coordinates in ``space`` (one row
-    per point) and times ``t`` each differ by at most ``radius``, once, with
-    some farther pairs: (a, b) index arrays in batches of `_CHUNK`
-    candidates, the last one shorter. With the points' classes ``cls`` and
-    the symmetric (k, k) matrix ``linked``, only the pairs of linked
-    classes. The points are swept in spatial cells, sorted by cell key,
-    class and time; each point's candidates of one class in its own cell
-    and in each forward cell of the stencil are a run of that order (see
-    the module notes)."""
+def _candidate_pairs(space, t, radius, cls, linked):
+    """Every unordered pair of points of linked classes whose coordinates in
+    ``space`` (one row per point) and times ``t`` each differ by at most
+    ``radius``, once, with some farther pairs: (a, b) index arrays in
+    batches of `_CHUNK` candidates, the last one shorter. ``cls`` holds the
+    points' classes 0 .. k - 1, and the symmetric (k, k) ``linked`` says
+    which classes pair. The points are swept in spatial cells, sorted by
+    cell key, class and time; each point's candidates of one class in its
+    own cell and in each forward cell of the stencil are a run of that
+    order (see the module notes)."""
     n, dim = space.shape
-    if n < 2:
-        return
-    if cls is None:
-        cls, linked = np.zeros(n, np.intp), np.ones((1, 1), bool)
-    if not linked.any():
+    if n < 2 or not linked.any():
         return
     k = len(linked)
     lo = np.min(space, axis=0)
@@ -621,10 +624,11 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t, select=None):
     counts. Only then are the stored pairs binned, from their lags. The
     first cells come from the table lookup `_lag_cells`, equal to
     np.searchsorted on any grid, and every subset is selected by an index
-    array (the module notes say why both). Under a selection the sweep
-    pairs only the points of linked classes, so no candidate that the
-    selection takes neither way reaches the lags, and an orientation
-    a -> b is kept only where f[a] & g[b] != 0."""
+    array (the module notes say why both). The sweep pairs only the points
+    of linked classes, so no candidate that the selection takes neither way
+    reaches the lags; without a ``select`` it takes every pair of an
+    eroded-in first point. Under a selection an orientation a -> b is kept
+    only where f[a] & g[b] != 0."""
     n = p.n
     r_max, t_max = float(r_grid[-1]), float(t_grid[-1])
     scale = r_max / t_max if r_max > 0 and t_max > 0 else 1.0
@@ -632,18 +636,19 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t, select=None):
     t = p.t * scale
     largest = max(np.max(np.abs(p.x), initial=0.0), np.max(np.abs(t), initial=0.0))
     radius += 4.0 * np.finfo(float).eps * (radius + largest)
-    sweep = ()
-    if select is not None:
-        # a point that is not eroded-in starts no pair (its reach below is
-        # -1): it gets no first-point bits
-        f, g = select
-        f = np.where((pt_b_r >= 0) & (pt_b_t >= 0), f, 0)
-        # the points' distinct (f, g) as classes: the selection takes the
-        # pairs of class u -> class v when f_u & g_v != 0, and the sweep
-        # pairs only the classes it takes one way or the other
-        kinds, cls = np.unique(np.stack([f, g], axis=1), axis=0, return_inverse=True)
-        takes = (kinds[:, 0, None] & kinds[None, :, 1]) != 0
-        sweep = cls.reshape(-1), takes | takes.T
+    # without a selection every pair is taken: f = 1 and g = 1. A point that
+    # is not eroded-in starts no pair (its reach below is -1): it gets no
+    # first-point bits
+    f, g = (np.ones(n, np.uint8),) * 2 if select is None else select
+    f = np.where((pt_b_r >= 0) & (pt_b_t >= 0), f, 0)
+    # the points' distinct (f, g) as classes, in (f, g) order by one code
+    # per point: the selection takes the pairs of class u -> class v when
+    # f_u & g_v != 0, and the sweep pairs only the classes it takes one way
+    # or the other
+    span = int(np.max(g, initial=0)) + 1
+    kinds, cls = np.unique(f.astype(np.intp) * span + g, return_inverse=True)
+    takes = ((kinds // span)[:, None] & (kinds % span)[None, :]) != 0
+    linked = takes | takes.T
     reach_r = np.where(pt_b_r >= 0, r_grid[pt_b_r], -1.0)
     reach_t = np.where(pt_b_t >= 0, t_grid[pt_b_t], -1.0)
     cell = np.min_scalar_type(max(r_grid.size, t_grid.size))
@@ -661,7 +666,7 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t, select=None):
         ds, du = _lags(axes, p.t, a, b)
         fwd = (ds <= np.take(reach_r, a)) & (du <= np.take(reach_t, a))
         back = (ds <= np.take(reach_r, b)) & (du <= np.take(reach_t, b))
-        if select is not None:
+        if select is not None:  # else the reach test implies it
             fwd &= (np.take(f, a) & np.take(g, b)) != 0
             back &= (np.take(f, b) & np.take(g, a)) != 0
         fwd, back = np.flatnonzero(fwd), np.flatnonzero(back)
@@ -674,7 +679,7 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t, select=None):
     # each batch's temporaries are freed before the next, and the last
     # batch's before the keys are joined (np.concatenate needs one piece)
     pieces = [np.empty(0, key_type)] + [kept(a, b)
-                                        for a, b in _candidate_pairs(p.x, t, radius, *sweep)]
+                                        for a, b in _candidate_pairs(p.x, t, radius, cls, linked)]
 
     # one in-place sort of the distinct keys gives (I, J) order; J is decoded
     # while the keys are alive, I from the counts once they are freed
@@ -732,12 +737,13 @@ def pair_geometry(p, r_grid=None, t_grid=None, erosion="per-cell", *, _select=No
     (default: quarter-extent 20-cell grids).
 
     Validates that the window survives erosion at the maximal lags. The
-    result holds every ordered pair that can contribute to some cell, so it
-    can be reused across any number of weight/mark-set evaluations on the
-    same point locations (e.g. mark permutations). An estimator that builds
-    its own geometry passes the private ``_select``, the per-point bit
-    masks of `_selection`, and gets only the pairs its surfaces select; it
-    keeps that geometry to itself.
+    result holds every ordered pair that can contribute to some cell (its
+    first point eroded-in), so it can be reused across any number of
+    weight/mark-set evaluations on the same point locations (e.g. mark
+    permutations). An estimator that builds its own geometry passes the
+    private ``_select``, the per-point bit masks of `_selection`, and gets
+    only the pairs its surfaces select by the same rule; it keeps that
+    geometry to itself.
     """
     r_grid, t_grid = _checked_lags(p, r_grid, t_grid, erosion)
     R, T = r_grid.size, t_grid.size
@@ -761,7 +767,7 @@ def pair_geometry(p, r_grid=None, t_grid=None, erosion="per-cell", *, _select=No
     return PairGeometry(
         r_grid=r_grid, t_grid=t_grid, I=I, J=J, a_r=a_r, a_t=a_t,
         pt_b_r=pt_b_r, pt_b_t=pt_b_t, ell_r=ell_r, ell_t=ell_t,
-        erosion=erosion, selected=_select is not None,
+        erosion=erosion,
     )
 
 
@@ -864,20 +870,17 @@ def _k_values(geom, inv, mC, mD, denom, pair_test=None):
 
     The sum runs over `_CHUNK` stored pairs at a time, all S surfaces of a
     chunk together, corner-major across all chunks. A chunk's entries are
-    its selected (pair, surface) pairs, pair-major; a single surface on
-    its own selected geometry, without a ``pair_test``, sums every stored
-    pair and selects none. An entry refers to its pair by position in the
-    chunk, or, when the chunk has no more entries than pairs, carries its
-    own pair. When every row of ``inv`` equals the first, the weights are
-    formed once per pair and gathered per entry. The module notes say why
-    every surface equals its own full-array sum bit for bit."""
+    its selected (pair, surface) pairs, pair-major. A chunk of a single
+    surface that keeps every stored pair is summed in place; otherwise an
+    entry refers to its pair by position in the chunk, or, when the chunk
+    has no more entries than pairs, carries its own pair. When every row of
+    ``inv`` equals the first, the weights are formed once per pair and
+    gathered per entry. The module notes say why every surface equals its
+    own full-array sum bit for bit."""
     S, n = inv.shape
     R, T = geom.shape
     # (n, S): a pair's marks on all S surfaces are one row gather
     in_C, in_D = np.ascontiguousarray((mC != 0).T), np.ascontiguousarray((mD != 0).T)
-    # every stored pair of a single surface's own selected build is C-first,
-    # D-second
-    every = geom.selected and S == 1 and pair_test is None
     # equal rows give equal products
     fixed = bool(np.all(inv == inv[0]))
     flat = inv.ravel()
@@ -888,19 +891,19 @@ def _k_values(geom, inv, mC, mD, denom, pair_test=None):
         stop = start + _CHUNK
         I, J = geom.I[start:stop], geom.J[start:stop]
         a_r, a_t = geom.a_r[start:stop], geom.a_t[start:stop]
-        pos = s = None
-        if not every:
-            # the selected entries, pair-major, each surface's in pair order
-            pos, s = _pair_major(np.take(in_C, I, axis=0) & np.take(in_D, J, axis=0))[1:]
-            if pair_test is not None:
-                hit = np.flatnonzero(pair_test(np.take(I, pos), np.take(J, pos)))
-                pos = np.take(pos, hit)
-                if s is not None:
-                    s = np.take(s, hit)
-            if pos.size <= I.size:
-                # no more entries than pairs: each entry takes its own pair
-                I, J, a_r, a_t = (np.take(v, pos) for v in (I, J, a_r, a_t))
-                pos = None
+        # the selected entries, pair-major, each surface's in pair order
+        pos, s = _pair_major(np.take(in_C, I, axis=0) & np.take(in_D, J, axis=0))[1:]
+        if pair_test is not None:
+            hit = np.flatnonzero(pair_test(np.take(I, pos), np.take(J, pos)))
+            pos = np.take(pos, hit)
+            if s is not None:
+                s = np.take(s, hit)
+        if s is None and pos.size == I.size:
+            pos = None  # one surface keeps every pair: the chunk is summed in place
+        elif pos.size <= I.size:
+            # no more entries than pairs: each entry takes its own pair
+            I, J, a_r, a_t = (np.take(v, pos) for v in (I, J, a_r, a_t))
+            pos = None
         if fixed:
             w = np.take(flat, I) * np.take(flat, J)
             if pos is not None:
@@ -1049,8 +1052,6 @@ def _marked_terms(p, weights, C, D, scenario):
     """Everything a marked statistic needs besides the geometry, checked:
     the mark masks, 1/lam, 1/lam_ground (S3 and S4 only) and the mark-set
     masses, in the argument order of `_denominator`."""
-    if weights is None:
-        raise ValueError("weights are required")
     if p.marks is None:
         raise ValueError("marked K needs a marked pattern; use k_ground instead")
     mC, mD, nu_C, nu_D = _mark_sets(p, C, D)
@@ -1096,18 +1097,15 @@ def _geometry(p, r_grid, t_grid, erosion, geometry=None, marks=()):
     one for these grids, checked before `pair_geometry` is entered, as the
     other arguments are. A new geometry holds only the pairs that the
     surfaces with the (mC, mD) masks of ``marks`` sum (`_selection`); a
-    given one must hold every pair. An erosion mode of None is per-cell for
-    a new geometry and the given geometry's own; a mode named beside a
-    geometry must be its own."""
+    given one is taken to hold every pair, as `pair_geometry` builds it. An
+    erosion mode of None is per-cell for a new geometry and the given
+    geometry's own; a mode named beside a geometry must be its own."""
     if geometry is None:
         erosion = "per-cell" if erosion is None else erosion
         return pair_geometry(p, *_checked_lags(p, r_grid, t_grid, erosion), erosion=erosion,
                              _select=_selection(marks))
     if r_grid is not None or t_grid is not None:
         raise ValueError("pass lag grids or a geometry, not both")
-    if geometry.selected:
-        raise ValueError("the geometry holds only one statistic's pairs; pass a "
-                         "pair_geometry built without a selection")
     if erosion is not None and erosion != geometry.erosion:
         raise ValueError(f"erosion {erosion!r} differs from the geometry's {geometry.erosion!r}")
     if geometry.pt_b_r.size != p.n:
@@ -1133,13 +1131,6 @@ def _k_surface(p, geom, scenario, rows, C, D, source, name=None, combine=None,
         C=C, D=D, scenario=name or scenario, weights_source=source, d=p.dim,
         meta={"erosion": geom.erosion, "route": "indexed", **meta},
     )
-
-
-def _check_count(n, what):
-    """Reject a count of ``what`` that is not a whole number >= 1 (or is a
-    bool)."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ValueError(f"need a whole number of at least one {what}, got {n!r}")
 
 
 def _children(seed, n, what):

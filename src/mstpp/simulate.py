@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Window
-from .pattern import ContinuousMarks, LabelMarks, MarkedPattern
+from .pattern import ContinuousMarks, LabelMarks, MarkedPattern, _is_count
 
 __all__ = [
     "WhittleMatern",
@@ -297,9 +297,7 @@ def _grid_shape(shape):
         dims = tuple(shape)
     except TypeError:
         dims = ()
-    if len(dims) != 3 or any(
-        isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1 for v in dims
-    ):
+    if len(dims) != 3 or not all(_is_count(v) for v in dims):
         raise ValueError(f"grid shape must be three positive integers, got {shape!r}")
     nx, ny, nt = (int(v) for v in dims)
     if max(nx * ny, nt) > DENSE_CELL_GUARD:

@@ -24,12 +24,13 @@ from mstpp.pattern import (
     LabelMarks,
     LabelSet,
     MarkInterval,
+    _check_count,
     _check_mark_set,
     _check_retention,
     pattern_from_arrays,
     save_catalog,
 )
-from mstpp.second_order import _check_count, _check_lag_cells, _checked_grids, _norm_scenario
+from mstpp.second_order import _check_lag_cells, _checked_grids, _norm_scenario
 from mstpp.simulate import _grid_shape
 
 from .conftest import UNIT, uniform_pattern

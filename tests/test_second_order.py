@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import functools
 import json
 import math
@@ -286,6 +285,26 @@ class TestPairGeometry:
         assert_matches_oracle(pair_geometry(p, r_grid, t_grid),
                               pair_geometry_oracle(p, r_grid, t_grid))
 
+    @pytest.mark.parametrize("case", PAIR_CASES)
+    def test_fixed_erosion_sweeps_no_pair_of_two_outer_points(self, monkeypatch, case):
+        # a full build is the selection that takes every pair of an
+        # eroded-in first point, so the sweep never pairs two points that
+        # are both not eroded-in: neither orientation could be stored
+        p, r_grid, t_grid = pair_case(case)
+        pairs, search = [], second_order._candidate_pairs
+
+        def recording(*args):
+            for a, b in search(*args):
+                pairs.append((a, b))
+                yield a, b
+
+        monkeypatch.setattr(second_order, "_candidate_pairs", recording)
+        geom = pair_geometry(p, r_grid, t_grid, erosion="fixed")
+        assert_matches_oracle(geom, pair_geometry_oracle(p, r_grid, t_grid, erosion="fixed"))
+        inner = geom.pt_b_r >= 0
+        for a, b in pairs:
+            assert np.all(inner[a] | inner[b]), case
+
     def test_five_axes_sweep_cells_one_radius_wide(self, monkeypatch):
         # above three axes the cells are one radius wide: a stencil of 3^5
         # cells, the own one and 121 forward ones. Each forward cell takes
@@ -297,7 +316,8 @@ class TestPairGeometry:
         search = np.searchsorted
         monkeypatch.setattr(np, "searchsorted",
                             lambda *args, **kw: calls.append(1) or search(*args, **kw))
-        batches = list(second_order._candidate_pairs(p.x, p.t, float(r_grid[-1])))
+        one_class = np.zeros(p.n, np.intp), np.ones((1, 1), bool)
+        batches = list(second_order._candidate_pairs(p.x, p.t, float(r_grid[-1]), *one_class))
         assert len(batches) == 1
         assert len(calls) == 2 * 121 + 1 + 1
 
@@ -665,7 +685,7 @@ class TestSelectedGeometry:
                 with monkeypatch.context() as m:
                     built = _recorded_builds(m)
                     own = call(r_grid=r_grid, t_grid=t_grid)
-                assert built[0][1].selected and built[0][1].I.size == 0
+                assert built[0][0] is not None and built[0][1].I.size == 0
                 assert _bits(own.values) == _bits(call(geometry=full).values)
 
     def test_full_selections_build_every_pair(self, monkeypatch, small_marked):
@@ -676,48 +696,75 @@ class TestSelectedGeometry:
         k_inhom(p, None, None, R_GRID, T_GRID, w)
         diag_independent_marks(p, C_HALF, D_HALF, R_GRID, T_GRID, w)
         assert [select for select, _ in built] == [None] * 3
-        assert not any(geom.selected for _, geom in built)
+        full = pair_geometry(p, R_GRID, T_GRID)
+        for _, geom in built:
+            _assert_selected(geom, full, None)
 
     @pytest.mark.parametrize("case", ["uniform", "duplicates", "lattice", "3d", "zero-both",
                                       "two"])
     def test_single_surface_sums_every_stored_pair(self, monkeypatch, case):
         # an estimator of one surface without a cone test stores only the
-        # pairs its masks keep, so `_k_values` selects none of them, with
-        # the bits of selecting
+        # pairs its masks keep, so `_k_values` sums each chunk in place,
+        # with the bits of the full-array sum
         p, r_grid, t_grid, w = full_case(case, "per-cell")[:4]
+        full = pair_geometry_oracle(p, r_grid, t_grid)
         single = [name for name in own_geometry_surfaces(p, w)
                   if name in ("k_inhom", "k_stationary") or name.startswith("k_cross")]
         assert len(single) == 4
         sums, k_values = [], second_order._k_values
         monkeypatch.setattr(second_order, "_k_values",
                             lambda *args: sums.append(args) or k_values(*args))
+        monkeypatch.setattr(second_order, "_CHUNK", 64)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # empty components in the tiny cases
             for name in single:
                 own_geometry_surfaces(p, w)[name][0](r_grid=r_grid, t_grid=t_grid)
         assert len(sums) == len(single)
-        selections, pair_major = [], second_order._pair_major
-        monkeypatch.setattr(second_order, "_pair_major",
-                            lambda keep: selections.append(keep.dtype) or pair_major(keep))
         for name, (geom, inv, mC, mD, denom, pair_test) in zip(single, sums):
-            assert geom.selected and len(inv) == 1 and pair_test is None, name
+            assert len(inv) == 1 and pair_test is None, name
             I, J = geom.I.astype(np.intp), geom.J.astype(np.intp)
             assert np.all((mC[0, I] != 0) & (mD[0, J] != 0)), name
-            selections.clear()
+            calls = _summed_chunks(monkeypatch)
             got = k_values(geom, inv, mC, mD, denom)
-            assert bool not in selections, name
-            unselected = dataclasses.replace(geom, selected=False)
-            want = k_values(unselected, inv, mC, mD, denom)
-            assert selections.count(bool) == -(-geom.I.size // second_order._CHUNK), name
-            assert _bits(got) == _bits(want), name
+            assert len(calls) == 1 and len(calls[0]) == -(-geom.I.size // 64), name
+            for chunk in calls[0]:
+                assert chunk[3] is None and np.shares_memory(chunk[0], geom.I), name
+            want = k_values_oracle(full, inv[0, full.I] * inv[0, full.J], mC[0], mD[0], denom[0])
+            assert _bits(got[0]) == _bits(want), name
 
-    def test_selected_geometry_is_not_accepted(self, small_marked):
-        p, w = small_marked, demo_weights(small_marked)
-        select = tuple(m.mask(p.marks).astype(np.uint8) for m in (C_HALF, D_HALF))
-        geom = pair_geometry(p, R_GRID, T_GRID, _select=select)
-        assert geom.selected
-        with pytest.raises(ValueError, match="only one statistic's pairs"):
-            k_inhom(p, C_HALF, D_HALF, weights=w, geometry=geom)
+    @pytest.mark.parametrize("erosion", ["per-cell", "fixed"])
+    def test_ground_on_a_given_geometry_sums_in_place(self, monkeypatch, erosion):
+        # every stored pair of a full geometry is a ground pair: the chunks
+        # are summed in place, with no gathered copy of the stored arrays,
+        # and the surface has the bits of the estimator's own build
+        p, r_grid, t_grid, w = full_case("uniform", erosion)[:4]
+        monkeypatch.setattr(second_order, "_CHUNK", 4096)
+        full = pair_geometry(p, r_grid, t_grid, erosion=erosion)
+        stored = (full.I, full.J, full.a_r, full.a_t)
+        copies, take = [], np.take
+        monkeypatch.setattr(np, "take", lambda a, *args, **kw: copies.append(
+            any(np.shares_memory(a, v) for v in stored)) or take(a, *args, **kw))
+        calls = _summed_chunks(monkeypatch)
+        for scenario in ("S1", "S3"):
+            got = k_ground(p, weights=w, scenario=scenario, geometry=full)
+            assert copies and not any(copies), scenario
+            chunks = calls[-1]  # the numerator's
+            assert len(chunks) > 1 and all(c[3] is None for c in chunks), scenario
+            assert all(np.shares_memory(c[0], full.I) for c in chunks), scenario
+            copies.clear()
+            calls.clear()
+            want = k_ground(p, r_grid, t_grid, w, scenario, erosion=erosion)
+            assert _bits(got.values) == _bits(want.values), scenario
+
+
+def _summed_chunks(monkeypatch):
+    """Wrap `second_order._sum_rects`: the list it returns collects the
+    chunks (I, a_r, a_t, pos, off, w) of each sum, one list per call (a
+    surface's denominator sums come before its numerator's)."""
+    calls, sum_rects = [], second_order._sum_rects
+    monkeypatch.setattr(second_order, "_sum_rects",
+                        lambda geom, S, parts: calls.append(parts) or sum_rects(geom, S, parts))
+    return calls
 
 
 def _assert_selected(geom, full, select):
@@ -728,7 +775,6 @@ def _assert_selected(geom, full, select):
     if select is not None:
         first, second = select
         keep = (first[full.I.astype(np.intp)] & second[full.J.astype(np.intp)]) != 0
-    assert geom.selected == (select is not None) and not full.selected
     for name in ("I", "J", "a_r", "a_t"):
         assert getattr(geom, name).dtype == getattr(full, name).dtype, name
         assert getattr(geom, name).tobytes() == getattr(full, name)[keep].tobytes(), name
@@ -1299,11 +1345,9 @@ class TestMeasureHat:
             assert [s is None for s, _ in built] == [False, True, True]
             full = pair_geometry(p, [r_c], [t_c], erosion="fixed")
             assert 0 < built[0][1].I.size < full.I.size
-            assert built[0][1].selected
             assert_matches_oracle(built[0][1], pair_geometry_oracle(
                 p, [r_c], [t_c], erosion="fixed", select=select))
             for q, (_, geom) in zip((p, ground), built[1:]):
-                assert not geom.selected
                 assert_matches_oracle(geom, pair_geometry_oracle(q, [r_c], [t_c], "fixed"))
 
     def test_erosion_guard(self, small_marked):
