@@ -17,9 +17,11 @@ and the marking operations upgrade them.
 """
 
 import csv
+import io
 import json
 import math
 import numbers
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -333,6 +335,11 @@ def _catalog_header(dim):
     return coords + ["t", "mark"]
 
 
+# the characters of a catalog body that np.loadtxt reads as float() does,
+# with no quoting, underscore, comment or unicode whitespace
+_PLAIN = re.compile(r"[0-9eE+\-., \t\r\n]*")
+
+
 def load_catalog(path, window, mark_space):
     """Read a catalog CSV into a validated pattern.
 
@@ -340,33 +347,29 @@ def load_catalog(path, window, mark_space):
     the window's dimension d.
     Label marks are integers 1..k. Rows outside the window are dropped with
     a count report (warning); duplicate (location, mark) rows collapse to
-    one with a warning so the pattern stays simple.
+    one with a warning so the pattern stays simple. Blank lines are skipped.
+
+    A body of plain numbers is parsed by one np.loadtxt call, which reads
+    each field as float() does; any other body (quoted fields, underscores,
+    a malformed row) is read row by row by the ``csv`` module, the only
+    parser that reports a malformed row, so both give the same pattern.
 
     Raises
     ------
     ValueError
-        On a malformed row (with its line number) or an empty result.
+        On a malformed row, a row with a NaN or infinite value among
+        them (each with its line number), or an empty result.
     """
     dim = window.dim
     expected = _catalog_header(dim)
-    rows = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None or [h.strip() for h in header] != expected:
             raise ValueError(f"expected header {','.join(expected)!r}, got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 2:
-                raise ValueError(f"line {lineno}: expected {dim + 2} fields, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from exc
-    if not rows:
-        raise ValueError("catalog is empty")
-    data = np.asarray(rows, dtype=float)
+        body = fh.read()
+    data = _plain_rows(body, dim + 2)
+    if data is None:
+        data = _csv_rows(body, dim + 2)
     x, t, marks = data[:, :dim], data[:, dim], data[:, dim + 1]
     inside = window.contains(x, t) & mark_space.mark_mask(marks)
     n_dropped = int(np.sum(~inside))
@@ -383,7 +386,45 @@ def load_catalog(path, window, mark_space):
         x, t, marks = x[keep], t[keep], marks[keep]
     if x.shape[0] == 0:
         raise ValueError("no rows remain inside the window")
-    return MarkedPattern(x=x, t=t, marks=marks, window=window, mark_space=mark_space)
+    # finite, inside the window and the mark space, and simple: the checks
+    # of the constructor, already made; the arrays are fresh copies
+    return MarkedPattern._trusted(x, t, marks, window, mark_space)
+
+
+def _plain_rows(body, width):
+    """The rows of a catalog ``body`` (the text after its header) as one
+    (rows, ``width``) float array, read by np.loadtxt; None unless the body
+    holds plain numbers only, ``width`` finite ones on each nonblank line."""
+    lines = [line for line in body.splitlines() if line]
+    if not lines or _PLAIN.fullmatch(body) is None:
+        return None  # and no data: loadtxt would warn
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return data if data.shape[1] == width and np.all(np.isfinite(data)) else None
+
+
+def _csv_rows(body, width):
+    """The rows of a catalog ``body`` read one at a time by the ``csv``
+    module, as a float array; a malformed row raises ValueError with its
+    line number."""
+    rows = []
+    for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise ValueError(f"line {lineno}: expected {width} fields, got {len(row)}")
+        try:
+            values = [float(v) for v in row]
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"line {lineno}: values must be finite, got {','.join(row)!r}")
+        rows.append(values)
+    if not rows:
+        raise ValueError("catalog is empty")
+    return np.asarray(rows, dtype=float)
 
 
 def save_catalog(p, path):

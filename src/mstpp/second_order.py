@@ -53,70 +53,80 @@ array, and a double cumulative sum recovers every cell total in one pass;
 per-cell denominator sums over the eroded windows use the same device with
 degenerate rectangles starting at (0, 0).
 
-`_stored_pairs` finds each candidate pair once, with a numpy sweep over
-spatial cells (`_candidate_pairs`). Time is rescaled by r_max / t_max. A
-sup-metric ball of radius r_max (t_max when r_max is zero), padded by
-4 eps times the radius plus the largest coordinate, contains the whole
-(r_max, t_max) cylinder even after the rounding of the rescaled times and
-of the lags, so the candidates are a superset of the pairs within the
-maximal lags. The points are binned into cells half the radius wide on
-each spatial axis up to three axes and one radius wide above (a stencil
-of 3^5 = 243 cells in 5-d, not 5^5), widened by 1 + 4e-9, but never
-narrower than the axis's extent over 4096 (fewer cells on more than
-three axes), so the cell keys stay exact as int64 and as float64, and no
-array is sized by the number of cells. Two points within the radius lie
-at most reach = floor(radius / width + 1e-9) + 1 cells apart on each
-axis, 2 at half a radius and 1 at a whole one (the widening keeps
-radius / width at least 3e-9 below 2 or 1): the cell coordinates never
-exceed 4096, so their rounding is far below 1e-9 of a cell. Each axis's
-key stride leaves reach empty cells past its last one, so the stencil of
-a cell at an edge reaches no occupied cell across the window.
+`_stored_pairs` finds each candidate pair once, from its first point,
+with a numpy sweep over spatial cells (`_candidate_pairs`). A pair a ->
+b is stored only when its lags lie within a's own erosion limits, ds <=
+r_grid[b_r(a)] and du <= t_grid[b_t(a)] (a's reach), so only the
+eroded-in points search, each within its own reach. Each reach is padded
+by 4 eps times the largest lag plus the largest coordinate, in space and
+in time apart, so the candidates are a superset of the stored pairs even
+after the rounding of the lags and of the search bounds. The points are
+binned into cells half the radius, the largest padded spatial reach,
+wide on each spatial axis up to three axes and one radius wide above (a
+stencil of 3^5 = 243 cells in 5-d, not 5^5), widened by 1 + 4e-9, but
+never narrower than the axis's extent over 4096 (fewer cells on more
+than three axes), so the cell keys stay exact as int64 and as float64,
+and no array is sized by the number of cells. Two points within the
+radius lie at most reach = floor(radius / width + 1e-9) + 1 cells apart
+on each axis, 2 at half a radius and 1 at a whole one (the widening
+keeps radius / width at least 3e-9 below 2 or 1): the cell coordinates
+never exceed 4096, so their rounding is far below 1e-9 of a cell. Each
+axis's key stride leaves reach empty cells past its last one, so a step
+of the stencil from a cell at an edge names no occupied cell across the
+window (two steps can then share a key, but only an unoccupied one).
+
+Point a searches the cell s steps away only when the cell's box lies
+within its padded spatial reach. On each axis the gap from a to the box is
+o - frac for a step o > 0, frac - 1 - o for o < 0 and 0 for o = 0, in
+cells, where frac, a's coordinate in cells less its own cell, is exact;
+each gap is taken 1e-9 of a cell short before it is scaled by the cell
+width and squared, and the sum is compared with the squared reach. A gap
+is at most two cells, so the shortening lowers the squared distance by a
+relative 1e-9 or more, far above the rounding of the cell coordinates
+(below 1e-12 of a cell) and of the sums: every b that a can store lies in
+a cell that passes. The candidates are still a superset of the stored
+pairs, and fewer than the pairs within the maximal lags: on the seed-1
+`k-large` catalogue (9,612 points, 20 x 20 grid) K^CD with C = label 1
+and D = label 2 sweeps 1,575,026 candidates for 827,623 stored pairs.
 
 A selection comes as two bit masks per point (`_selection`), f for the
 surfaces whose C holds the point and g for those whose D does; a -> b is
 selected when f[a] & g[b] != 0, and f is cleared on the points that are
 not eroded-in, which start no pair. A build without a selection takes
-f = g = 1 on every point, so it never pairs two points that are both not
-eroded-in. The points' distinct (f, g) are their classes, k of them (at
-most two without a selection, at most 16 for the two surfaces an
-estimator sums), numbered in (f, g) order by one code per point,
-f (max g + 1) + g; two classes are linked when the selection takes a
-pair of them one way or the other, and a point of a class linked to none
-is not swept. A cell's classes are k consecutive keys, cell key times k
-plus class, which stay exact in float64. The points are sorted by
-(key, rescaled time); the exact complex key, key + 1j t, sorts the same
-way, since numpy orders complex numbers by real part, then imaginary
-part. For the own cell and each forward offset of the (2 reach + 1)^d
-stencil, and each pair of linked classes, two vectorised np.searchsorted
-calls on that key give each point of the first class its run of
-neighbours of the second within the radius in time (in the own cell,
-only the later points of its own class, and only the higher classes).
-The search bounds t - radius and t + radius round by at most half an
-ulp, well within the padding. So every unordered candidate of linked
-classes is found once, from the cell with the lower key (in its cell,
-from the lower class), and no point is paired with itself. The nonempty
-runs are held, three words each (at most one per point, offset and
-class), and expanded with np.repeat in batches of `_CHUNK` candidates,
-the last one shorter, a run cut where a batch ends. So a small pattern
-is filtered in one batch, and the Python steps grow with the stencil,
-the linked classes and the candidates over `_CHUNK`, never with n or the
-number of cells.
+f = g = 1 on every point. The points with g != 0 are the targets; their
+distinct g are their k g-classes (one without a selection, at most three
+for the two surfaces an estimator sums), and a cell's g-classes are k
+consecutive keys, cell key times k plus class, which stay exact in
+float64. The targets are sorted by (key, time); the exact complex key,
+key + 1j t, sorts the same way, since numpy orders complex numbers by real
+part, then imaginary part. The points with f != 0, the sources, are
+grouped by f, and a group searches only the g-classes v with f & g_v != 0,
+so the selection needs no test per candidate. For each step of the
+(2 reach + 1)^d stencil (the own cell and every neighbour, forward and
+backward), each group and each of its g-classes, two vectorised
+np.searchsorted calls on that key give each source whose reach takes the
+step's cell its run of targets of the class in that cell within its
+padded temporal reach of its time. The bounds t - reach and t + reach
+round by at most half an ulp, well within the pad. A target lies in one
+cell and one class, so every ordered candidate is found once; a -> a is
+among them when a is a target too. The nonempty runs are held, three
+words each (at most one per source, step and class), and expanded with
+np.repeat in batches of `_CHUNK` candidates, the last one shorter, a run
+cut where a batch ends. So a small pattern is filtered in one batch, and
+the Python steps grow with the stencil, the classes and the candidates
+over `_CHUNK`, never with n or the number of cells.
 
-`_CHUNK` candidates at a time are filtered exactly on the unscaled lags.
-ds and du are computed once per unordered pair; they have the same bits
-either way round. Each orientation is kept when its first point's erosion
-limits reach both lags (ds <= r_grid[b_r], du <= t_grid[b_t]), that is
-when its rectangle is nonempty (and, under a selection, when
-f[first] & g[second] != 0, the one rule of `_selection`, which the reach
-test implies without one), as one key
-I * n + J in the smallest unsigned type that holds n^2 - 1 (uint32 up to
-65,536 points, uint64 above), and counted at its first point. One
-in-place np.sort of all keys restores the (I, J) order; the keys are
-distinct, so this order does not depend on the order of the candidates.
-J is decoded from the keys, which are then freed, and I is rebuilt from
-the counts by np.repeat. Only then are the stored pairs binned, `_CHUNK`
-at a time: their lags are computed again, with the same bits, and looked
-up in the grids.
+`_CHUNK` candidates at a time are filtered exactly on their lags. A
+candidate a -> b is kept when a != b and a's erosion limits reach both
+lags (ds <= r_grid[b_r], du <= t_grid[b_t]), that is when its rectangle is
+nonempty, as one key I * n + J in the smallest unsigned type that holds
+n^2 - 1 (uint32 up to 65,536 points, uint64 above), and counted at its
+first point. One in-place np.sort of all keys restores the (I, J) order;
+the keys are distinct, so this order does not depend on the order of the
+candidates. J is decoded from the keys, which are then freed, and I is
+rebuilt from the counts by np.repeat. Only then are the stored pairs
+binned, `_CHUNK` at a time: their lags are computed again, with the same
+bits, and looked up in the grids.
 
 A lag's first cell, np.searchsorted(grid, lag, side="left"), is looked up
 in a table (`_cell_lookup`) of `_BUCKETS` buckets per cell over
@@ -145,20 +155,21 @@ so the lookup steps never gather by the uint8 cells.
 
 A stored pair holds its first- and second-point indices as uint16 up to
 65,536 points (int32 above), and its first lag cells (a_r, a_t), the
-rectangle's low corner, as the smallest unsigned type that holds the cell
-counts (uint8 up to 255 cells per axis). Up to 65,536 points and 255
-cells per axis, that is 6 bytes per pair that can contribute. The keys
-are built from the candidates' intp indices, and every sum or product
-with a stored index is taken in intp or int64: under numpy's promotion
-rules uint16 times a Python int stays uint16 and wraps. The high corner
-comes from the first point's erosion limits, so the geometry keeps it
-once per point, as (b_r + 1)(T + 1), b_t + 1 and their sum. While the
-candidates are filtered, building it holds the keys kept so far (4 bytes
-per stored pair up to 65,536 points), the sweep's runs (three words per
-nonempty run of a point and an offset) and one batch's candidates and
-temporaries; then the keys twice, as the batches' pieces and their join;
-and last the output arrays and one chunk's lags. The stored arrays equal
-those of a plain scan over all ordered pairs (`tests/oracles.py`).
+rectangle's low corner, as the smallest unsigned type that holds the
+cell counts (uint8 up to 255 cells per axis). Up to 65,536 points and
+255 cells per axis, that is 6 bytes per pair that can contribute. The
+keys are built from the candidates' intp indices, and every sum or
+product with a stored index is taken in intp or int64: under numpy's
+promotion rules uint16 times a Python int stays uint16 and wraps. The
+high corner comes from the first point's erosion limits, so the geometry
+keeps it once per point, as (b_r + 1)(T + 1), b_t + 1 and their sum.
+While the candidates are filtered, building it holds the keys kept so
+far (4 bytes per stored pair up to 65,536 points), the sweep's runs
+(three words per nonempty run of a source, a step and a class) and one
+batch's candidates and temporaries; then the keys twice, as the batches'
+pieces and their join; and last the output arrays and one chunk's lags.
+The stored arrays equal those of a plain scan over all ordered pairs
+(`tests/oracles.py`).
 
 `_k_values` sums S surfaces at once, each with its own mark masks and
 reciprocal intensities: one for a K estimate, a batch of permutations'
@@ -513,62 +524,85 @@ def _lag_cells(lookup, x):
     return c.astype(table.dtype)
 
 
-def _candidate_pairs(space, t, radius, cls, linked):
-    """Every unordered pair of points of linked classes whose coordinates in
-    ``space`` (one row per point) and times ``t`` each differ by at most
-    ``radius``, once, with some farther pairs: (a, b) index arrays in
-    batches of `_CHUNK` candidates, the last one shorter. ``cls`` holds the
-    points' classes 0 .. k - 1, and the symmetric (k, k) ``linked`` says
-    which classes pair. The points are swept in spatial cells, sorted by
-    cell key, class and time; each point's candidates of one class in its
-    own cell and in each forward cell of the stencil are a run of that
-    order (see the module notes)."""
-    n, dim = space.shape
-    if n < 2 or not linked.any():
+def _candidate_pairs(space, t, reach_s, reach_t, f, g):
+    """Every ordered pair a -> b with f[a] & g[b] != 0 whose second point
+    lies within reach_s[a] of the first in ``space`` (one row per point)
+    and within reach_t[a] of it in time ``t``, once, with some farther
+    pairs (a -> a among them): (a, b) index arrays in batches of `_CHUNK`
+    candidates, the last one shorter. ``f`` and ``g`` are per-point bit
+    masks. The points with g != 0 are binned in spatial cells and sorted by
+    cell key, g-class and time; a point with f != 0 searches each cell of
+    the stencil whose box lies within its reach_s, and there the run of
+    each g-class it pairs with (see the module notes)."""
+    src, dst = np.flatnonzero(f), np.flatnonzero(g)
+    if not src.size or not dst.size:
         return
-    k = len(linked)
+    dim = space.shape[1]
     lo = np.min(space, axis=0)
     extent = np.max(space, axis=0) - lo
-    # half a radius up to three axes, a whole one above: a stencil of
-    # 5^d cells at d <= 3, 3^d above
+    # half the largest reach up to three axes, a whole one above: a stencil
+    # of 5^d cells at d <= 3, 3^d above
+    radius = np.max(np.take(reach_s, src))
     width = np.maximum(radius / (2.0 if dim <= 3 else 1.0),
                        extent / 2.0 ** (_KEY_BITS // max(dim, 3)))
     width = np.maximum(width * (1.0 + 4e-9), np.finfo(float).tiny)
     reach = (np.floor(radius / width + 1e-9) + 1).astype(np.int64)
-    cells = ((space - lo) / width).astype(np.int64)
+    coords = (space - lo) / width  # in cells
+    cells = coords.astype(np.int64)
     # reach empty cells past the last on each axis: a neighbour key of a
     # cell at an edge names no occupied cell across the window
     strides = np.cumprod(np.concatenate([[1], np.max(cells, axis=0)[:-1] + 1 + reach[:-1]]))
-    key = (cells @ strides) * k + cls  # a cell's classes are k consecutive keys
-    # a point of a class linked to none is not swept
-    order = np.flatnonzero(np.take(linked.any(axis=1), cls))
-    order = np.take(order, np.lexsort((np.take(t, order), np.take(key, order))))
+    cell_key = cells @ strides
+    # the targets by (key, time), a cell's g-classes k consecutive keys;
     # complex numbers sort by real, then imaginary part
-    z = np.take(key, order) + 1j * np.take(t, order)
-    members = [np.flatnonzero(np.take(cls, order) == u) for u in range(k)]
-    # each distinct key offset once: every pair of neighbour cells is swept
-    # from the lower key
-    stencil = {int(np.dot(step, strides))
-               for step in itertools.product(*(range(-r, r + 1) for r in reach.tolist()))}
-    # each point's nonempty runs, over the own cell and the forward offsets,
-    # one per linked class; in the own cell, a pair of two classes is swept
-    # from the lower one
+    kinds, cls = np.unique(np.take(g, dst), return_inverse=True)
+    k = kinds.size
+    key = np.take(cell_key, dst) * k + cls
+    order = np.lexsort((np.take(t, dst), key))
+    z = np.take(key, order) + 1j * np.take(t, np.take(dst, order))
+    order = np.take(dst, order)
+    # the sources grouped by f, each group with the g-classes it pairs with,
+    # and each source with its run's bounds in its own cell and its squared
+    # reach
+    src = np.take(src, np.argsort(np.take(f, src), kind="stable"))
+    fk, begin = np.unique(np.take(f, src), return_index=True)
+    groups = [(b, e, np.flatnonzero(kinds & fu).tolist())
+              for fu, b, e in zip(fk, begin.tolist(), np.append(begin[1:], src.size).tolist())]
+    base = np.take(cell_key, src) * k
+    ts, rt = np.take(t, src), np.take(reach_t, src)
+    z_lo, z_hi = base + 1j * (ts - rt), base + 1j * (ts + rt)
+    rho2 = np.take(reach_s, src) ** 2
+    # per axis and step o, each source's squared distance to the box of the
+    # cell o steps away on that axis, taken 1e-9 of a cell short
+    frac = np.take(coords, src, axis=0) - np.take(cells, src, axis=0)
+    gaps = []
+    for axis, (r, w) in enumerate(zip(reach.tolist(), width.tolist())):
+        steps = np.arange(-r, r + 1)[:, None]
+        gap = np.maximum(steps - frac[:, axis], frac[:, axis] - 1 - steps)
+        gap = np.maximum(gap - 1e-9, 0.0) * w
+        gaps.append(gap * gap)
+    # each source's nonempty runs, over every step of the stencil whose cell
+    # lies within its reach, one per g-class its group pairs with
     live, first, runs = [], [], []
-    for offset in sorted(s for s in stencil if s >= 0):
-        for u, v in zip(*np.nonzero(linked)):
-            if offset == 0 and v < u:
+    for step in itertools.product(*(range(r + 1) for r in (2 * reach).tolist())):
+        dist = gaps[0][step[0]]
+        for axis in range(1, dim):
+            dist = dist + gaps[axis][step[axis]]
+        near = dist <= rho2
+        offset = int(np.dot(np.subtract(step, reach), strides)) * k
+        for b, e, classes in groups:
+            q = b + np.flatnonzero(near[b:e])
+            if not q.size:
                 continue
-            q = members[u]
-            zq = np.take(z, q) + (offset * k + v - u)
-            if offset == 0 and v == u:
-                start = q + 1  # the later points of the own cell and class
-            else:
-                start = np.searchsorted(z, zq - 1j * radius, side="left")
-            count = np.searchsorted(z, zq + 1j * radius, side="right") - start
-            nonempty = np.flatnonzero(count)
-            live.append(np.take(q, nonempty))
-            first.append(np.take(start, nonempty))
-            runs.append(np.take(count, nonempty))
+            for v in classes:
+                start = np.searchsorted(z, np.take(z_lo, q) + (offset + v), side="left")
+                count = np.searchsorted(z, np.take(z_hi, q) + (offset + v), side="right") - start
+                nonempty = np.flatnonzero(count)
+                live.append(np.take(src, np.take(q, nonempty)))
+                first.append(np.take(start, nonempty))
+                runs.append(np.take(count, nonempty))
+    if not runs:
+        return
     live, first, runs = (np.concatenate(parts) for parts in (live, first, runs))
     ends = np.cumsum(runs)
     total = int(ends[-1]) if ends.size else 0
@@ -582,7 +616,7 @@ def _candidate_pairs(space, t, radius, cls, linked):
         here[0] -= cut
         begin[0] += cut
         here[-1] -= int(ends[s1]) - hi_c
-        yield (np.take(order, np.repeat(live[s0:s1 + 1], here)),
+        yield (np.repeat(live[s0:s1 + 1], here),
                np.take(order, np.repeat(begin - (np.cumsum(here) - here), here)
                        + np.arange(hi_c - lo_c)))
 
@@ -615,42 +649,28 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t, select=None):
     (r_max, t_max), or equally when a_r <= b_r and a_t <= b_t, since a
     lag's first cell is the first grid value at or above it. The lag test
     is the exact filter of the sweep's candidates (see the module notes).
-    Each coordinate difference the sweep bounds is at most the pair's
-    spatial lag or its rescaled temporal lag, so every pair the filter
-    keeps is found once the radius is padded by a bound on the rounding
-    of the rescaled times. The filter keeps each orientation as one key
-    I * n + J and counts it at its first point; one sort of the keys
-    restores (I, J) order, J is decoded from them and I rebuilt from the
-    counts. Only then are the stored pairs binned, from their lags. The
-    first cells come from the table lookup `_lag_cells`, equal to
-    np.searchsorted on any grid, and every subset is selected by an index
-    array (the module notes say why both). The sweep pairs only the points
-    of linked classes, so no candidate that the selection takes neither way
-    reaches the lags; without a ``select`` it takes every pair of an
-    eroded-in first point. Under a selection an orientation a -> b is kept
-    only where f[a] & g[b] != 0."""
+    The sweep searches from each eroded-in first point, within its own
+    erosion limits padded by a bound on the rounding, only the second
+    points the selection pairs it with (every point without a ``select``),
+    so the filter tests one orientation per candidate, a != b and its first
+    point's reach. It keeps each pair as one key I * n + J and counts it at
+    its first point; one sort of the keys restores (I, J) order, J is
+    decoded from them and I rebuilt from the counts. Only then are the
+    stored pairs binned, from their lags. The first cells come from the
+    table lookup `_lag_cells`, equal to np.searchsorted on any grid, and
+    every subset is selected by an index array (the module notes say why
+    both)."""
     n = p.n
-    r_max, t_max = float(r_grid[-1]), float(t_grid[-1])
-    scale = r_max / t_max if r_max > 0 and t_max > 0 else 1.0
-    radius = r_max if r_max > 0 else t_max
-    t = p.t * scale
-    largest = max(np.max(np.abs(p.x), initial=0.0), np.max(np.abs(t), initial=0.0))
-    radius += 4.0 * np.finfo(float).eps * (radius + largest)
-    # without a selection every pair is taken: f = 1 and g = 1. A point that
-    # is not eroded-in starts no pair (its reach below is -1): it gets no
-    # first-point bits
-    f, g = (np.ones(n, np.uint8),) * 2 if select is None else select
-    f = np.where((pt_b_r >= 0) & (pt_b_t >= 0), f, 0)
-    # the points' distinct (f, g) as classes, in (f, g) order by one code
-    # per point: the selection takes the pairs of class u -> class v when
-    # f_u & g_v != 0, and the sweep pairs only the classes it takes one way
-    # or the other
-    span = int(np.max(g, initial=0)) + 1
-    kinds, cls = np.unique(f.astype(np.intp) * span + g, return_inverse=True)
-    takes = ((kinds // span)[:, None] & (kinds % span)[None, :]) != 0
-    linked = takes | takes.T
+    eps = np.finfo(float).eps
+    # the rounding pads of the spatial and the temporal reach
+    pad_s = 4.0 * eps * (float(r_grid[-1]) + np.max(np.abs(p.x), initial=0.0))
+    pad_t = 4.0 * eps * (float(t_grid[-1]) + np.max(np.abs(p.t), initial=0.0))
     reach_r = np.where(pt_b_r >= 0, r_grid[pt_b_r], -1.0)
     reach_t = np.where(pt_b_t >= 0, t_grid[pt_b_t], -1.0)
+    # without a selection every pair is taken: f = 1 and g = 1. A point that
+    # is not eroded-in starts no pair: it gets no first-point bits
+    f, g = (np.ones(n, np.uint8),) * 2 if select is None else select
+    f = np.where((pt_b_r >= 0) & (pt_b_t >= 0), f, 0)
     cell = np.min_scalar_type(max(r_grid.size, t_grid.size))
     index = _index_type(n)
     # the keys I * n + J: uint32 up to 65,536 points, uint64 above
@@ -660,26 +680,20 @@ def _stored_pairs(p, r_grid, t_grid, pt_b_r, pt_b_t, select=None):
     axes = [np.ascontiguousarray(p.x[:, d]) for d in range(p.dim)]
 
     def kept(a, b):
-        """The key of each orientation of the candidates (a, b) whose first
-        point reaches both lags (and that the selection selects), each
-        counted at its first point."""
+        """The key of each candidate a -> b, a != b, whose first point
+        reaches both lags, counted at its first point."""
         ds, du = _lags(axes, p.t, a, b)
-        fwd = (ds <= np.take(reach_r, a)) & (du <= np.take(reach_t, a))
-        back = (ds <= np.take(reach_r, b)) & (du <= np.take(reach_t, b))
-        if select is not None:  # else the reach test implies it
-            fwd &= (np.take(f, a) & np.take(g, b)) != 0
-            back &= (np.take(f, b) & np.take(g, a)) != 0
-        fwd, back = np.flatnonzero(fwd), np.flatnonzero(back)
-        first = np.concatenate([np.take(a, fwd), np.take(b, back)])
+        keep = np.flatnonzero((ds <= np.take(reach_r, a)) & (du <= np.take(reach_t, a)) & (a != b))
+        first = np.take(a, keep)
         np.add(counts, np.bincount(first, minlength=n), out=counts)
         first *= n
-        first += np.concatenate([np.take(b, fwd), np.take(a, back)])
+        first += np.take(b, keep)
         return first.astype(key_type)
 
     # each batch's temporaries are freed before the next, and the last
     # batch's before the keys are joined (np.concatenate needs one piece)
-    pieces = [np.empty(0, key_type)] + [kept(a, b)
-                                        for a, b in _candidate_pairs(p.x, t, radius, cls, linked)]
+    pieces = [np.empty(0, key_type)] + [
+        kept(a, b) for a, b in _candidate_pairs(p.x, p.t, reach_r + pad_s, reach_t + pad_t, f, g)]
 
     # one in-place sort of the distinct keys gives (I, J) order; J is decoded
     # while the keys are alive, I from the counts once they are freed

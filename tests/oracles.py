@@ -7,13 +7,18 @@ of the library code. Slow on purpose; tests keep N small. Two sections
 instead keep a library kernel as it was before it was optimized (the brute
 nearest-generator search and the full-array pair geometry, whose pairs
 come from a plain scan instead of the library's cell sweep), as references
-the optimized kernels must match exactly.
+the optimized kernels must match exactly; so does the row-by-row catalog
+reader.
 """
 
+import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from mstpp.pattern import MarkedPattern
 
 
 def margins(p):
@@ -390,3 +395,51 @@ def k_values_oracle(geom, pair_w, mC, mD, denom):
     num = sum_corners_oracle(geom.pair_corners, pair_w * mC[geom.I] * mD[geom.J], *geom.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where((num == 0) | (denom == 0), 0.0, num / denom)
+
+
+# --------------------------------------------------------------------------
+# catalog reading, one row at a time
+# --------------------------------------------------------------------------
+
+
+def load_catalog_oracle(path, window, mark_space):
+    """`load_catalog` as a plain row-by-row ``csv`` read, each field through
+    float(), into the checked `MarkedPattern` constructor: the same header
+    rule, messages, line numbers and warnings."""
+    dim = window.dim
+    expected = (["x", "y"] if dim == 2 else [f"x{i + 1}" for i in range(dim)]) + ["t", "mark"]
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != expected:
+            raise ValueError(f"expected header {','.join(expected)!r}, got {header!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != dim + 2:
+                raise ValueError(f"line {lineno}: expected {dim + 2} fields, got {len(row)}")
+            try:
+                values = [float(v) for v in row]
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"line {lineno}: values must be finite, got {','.join(row)!r}")
+            rows.append(values)
+    if not rows:
+        raise ValueError("catalog is empty")
+    data = np.asarray(rows, dtype=float)
+    x, t, marks = data[:, :dim], data[:, dim], data[:, dim + 1]
+    inside = window.contains(x, t) & mark_space.mark_mask(marks)
+    if not inside.all():
+        warnings.warn(f"{int(np.sum(~inside))} dropped (outside window or mark space)")
+    x, t, marks = x[inside], t[inside], marks[inside]
+    rows_in = np.column_stack([x, t, marks])
+    _, keep = np.unique(rows_in, axis=0, return_index=True)
+    if keep.shape[0] != rows_in.shape[0]:
+        warnings.warn(f"{rows_in.shape[0] - keep.shape[0]} duplicate rows collapsed")
+        keep = np.sort(keep)
+        x, t, marks = x[keep], t[keep], marks[keep]
+    if x.shape[0] == 0:
+        raise ValueError("no rows remain inside the window")
+    return MarkedPattern(x=x, t=t, marks=marks, window=window, mark_space=mark_space)

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,10 @@ from mstpp.pattern import (
     write_table,
 )
 
+import mstpp.pattern as pattern
+
 from .conftest import UNIT, uniform_pattern
+from .oracles import load_catalog_oracle
 
 
 def write_csv(path, lines):
@@ -257,6 +261,94 @@ class TestCatalogIO:
         assert np.array_equal(p.x, q.x)
         assert np.array_equal(p.t, q.t)
         assert np.array_equal(p.marks, q.marks)
+
+    @pytest.mark.parametrize("first", ["0.1,0.2,0.3,0.5", '0.1,"0.2",0.3,0.5'],
+                             ids=["plain", "quoted"])
+    @pytest.mark.parametrize("kind", ["nan", "inf", "-Infinity"])
+    def test_non_finite_row_is_malformed(self, tmp_path, first, kind):
+        # a NaN or infinite value makes its row malformed, whichever parser
+        # reads the body (a quoted field sends it to the csv loop)
+        path = write_csv(tmp_path / "cat.csv", [
+            self.header, first, f"0.4,{kind},0.6,0.7", "0.7,0.8,0.9,0.2",
+        ])
+        with pytest.raises(ValueError) as info:
+            load_catalog(path, UNIT, self.ms)
+        assert str(info.value) == f"line 3: values must be finite, got '0.4,{kind},0.6,0.7'"
+
+    @pytest.mark.parametrize("body, reads", [
+        (["0.1,0.2,0.3,0.5", "", "0.4,0.5,0.6,0.7", ""], "plain"),
+        (["0.1,0.2,0.3,0.5", "0.1,0.2,0.3,0.5", "0.4,0.5,1.6,0.7"], "plain"),
+        ([" 0.1 ,\t0.2,+0.3,.5", "4e-1,0.5,0.6,7E-1"], "plain"),
+        (["0.1,0.2,0.3,0.5", "   ", "0.4,0.5,0.6,0.7"], "csv"),
+        (["0.1,0.2,0.3,0.5", "\t"], "csv"),
+        (['0.1,"0.2",0.3,0.5', "0.4,0.5,0.6,0.7"], "csv"),
+        (['0.1,"0,2",0.3,0.5'], "csv"),
+        (["0.1,0.2,0.3,0.5", "0.4,0.5,0.6,0.7", "1_0e-1,0.2,0.3,0.5"], "csv"),
+        (["0.1,0.2,0.3,0.5", "# a comment"], "csv"),
+        (["0.1,0.2,0.3,0.5", "0.4,0.5,0.6,0.7,"], "csv"),
+        (["0.1,0.2,0.3,0.5", "0.4,,0.6,0.7"], "csv"),
+        (["0.1,0.2,0.3,0.5", "0.4,0.5,0.6"], "csv"),
+        (["0.1,0.2,0.3,0.5", "0.4,0.5,0.6,\x1c0.7"], "csv"),
+        (["0.1,0.2,0.3,0.5", "0.4,\u20030.5,0.6,0.7"], "csv"),
+        ([], "csv"),
+        (["", ""], "csv"),
+    ], ids=["blank-lines", "dropped-and-duplicate", "spaces-signs-exponents", "whitespace-line",
+            "tab-line", "quoted-field", "quoted-comma", "underscore", "comment", "trailing-comma",
+            "empty-field", "short-row", "control-character", "unicode-space", "header-only",
+            "blank-only"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_edge_cases_match_the_row_by_row_reader(self, monkeypatch, tmp_path, body, reads,
+                                                    newline):
+        # the pattern bits and warnings, or the exact message, of the
+        # reference reader; a plain body is read by np.loadtxt, any other by
+        # the csv loop. save_catalog writes CRLF line ends
+        path = tmp_path / "cat.csv"
+        path.write_bytes(newline.join([self.header] + body + [""]).encode())
+        loops, csv_rows = [], pattern._csv_rows
+        monkeypatch.setattr(pattern, "_csv_rows", lambda *a: loops.append(1) or csv_rows(*a))
+        with warnings.catch_warnings(record=True) as want_warned:
+            warnings.simplefilter("always")
+            try:
+                want = load_catalog_oracle(path, UNIT, self.ms)
+            except ValueError as exc:
+                want = exc
+        with warnings.catch_warnings(record=True) as got_warned:
+            warnings.simplefilter("always")
+            try:
+                got = load_catalog(path, UNIT, self.ms)
+            except ValueError as exc:
+                got = exc
+        assert [str(w.message) for w in got_warned] == [str(w.message) for w in want_warned]
+        assert all(w.category is UserWarning for w in got_warned)
+        assert len(loops) == (reads == "csv")
+        if isinstance(want, ValueError):
+            assert isinstance(got, ValueError) and str(got) == str(want)
+            return
+        for name in ("x", "t", "marks"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert not getattr(got, name).flags.writeable, name
+
+    def test_saved_catalog_reads_back_through_either_parser(self, monkeypatch, tmp_path):
+        # a catalog as save_catalog writes it (CRLF, full-precision floats)
+        # reads back with the bits of the pattern and of the reference
+        # reader, by np.loadtxt; with one field quoted, by the csv loop
+        p = uniform_pattern(500, seed=11, marks="labels")
+        path = tmp_path / "cat.csv"
+        save_catalog(p, path)
+        lines = path.read_bytes().decode().split("\r\n")
+        assert len(lines) == p.n + 2 and lines[-1] == ""
+        lines[1] = '"' + lines[1].replace(",", '",', 1)
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_bytes("\r\n".join(lines).encode())
+        loops, csv_rows = [], pattern._csv_rows
+        monkeypatch.setattr(pattern, "_csv_rows", lambda *a: loops.append(1) or csv_rows(*a))
+        want = load_catalog_oracle(path, UNIT, LabelMarks(2))
+        for source, by_csv in ((path, 0), (quoted, 1)):
+            got = load_catalog(source, UNIT, LabelMarks(2))
+            assert len(loops) == by_csv
+            for name in ("x", "t", "marks"):
+                assert getattr(got, name).tobytes() == getattr(p, name).tobytes(), name
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_save_requires_marks(self, tmp_path):
         ground = uniform_pattern(3, seed=4, marks=None)

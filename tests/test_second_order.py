@@ -40,7 +40,8 @@ from mstpp.second_order import (
     weights_from_function,
 )
 import mstpp.second_order as second_order
-from mstpp.simulate import IntensityField, sim_poisson, superpose
+from mstpp.simulate import (Bernoulli, IntensityField, assign_marks_iid, poisson_preset_intensity,
+                            sim_poisson, superpose)
 
 from .conftest import UNIT, uniform_pattern
 from .oracles import (
@@ -173,7 +174,7 @@ def _with_copies(x, t, copies, window):
 
 PAIR_CASES = [
     "uniform", "clustered", "lattice", "lattice-far", "rescale-edge", "duplicates",
-    "long-time", "zero-r", "zero-t", "zero-both", "1d", "3d", "many-cells",
+    "long-time", "zero-r", "zero-t", "zero-both", "1d", "3d", "many-cells", "on-grid",
     "empty", "single", "two",
 ]
 
@@ -233,6 +234,16 @@ def pair_case(case):
         # half a lag wide, so pairs cross cell walls in every direction
         lags = np.linspace(0.004, 0.02, 5)
         return uniform_pattern(3000, seed=79), lags, lags
+    if case == "on-grid":
+        # points an eighth apart on every axis, the window's edges included:
+        # every margin and every axis-aligned lag is a multiple of 1/8,
+        # exactly, so a point with a margin on a grid value pairs with the
+        # points at exactly its own reach, and the cells, a hair wider than
+        # 1/8, put every point within 4e-9 of a cell wall
+        axis = np.arange(9) / 8
+        mesh = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        p = pattern_from_arrays(mesh[:, :2], mesh[:, 2], None, UNIT, None)
+        return p, np.array([0.125, 0.25]), np.array([0.125, 0.25])
     if case == "1d":
         window = Window(spatial=((0.0, 4.0),), temporal=(0.0, 1.0))
         return uniform_pattern(800, seed=67, window=window), R_GRID, T_GRID
@@ -306,20 +317,24 @@ class TestPairGeometry:
             assert np.all(inner[a] | inner[b]), case
 
     def test_five_axes_sweep_cells_one_radius_wide(self, monkeypatch):
-        # above three axes the cells are one radius wide: a stencil of 3^5
-        # cells, the own one and 121 forward ones. Each forward cell takes
-        # a search for the start and the end of every point's run, the own
-        # one for the end only, and the one batch of candidates a lookup of
-        # its runs: 244 searches, where half-radius cells would take 3,126
+        # above three axes the cells are one radius wide: a stencil of 3^5 =
+        # 243 cells, the own one and every neighbour, forward and backward.
+        # With every point's reach at the radius, each step's cell lies
+        # within the reach of some of these 600 points, so each step takes a
+        # search for the start and one for the end of those points' runs,
+        # and the one batch of candidates a lookup of its runs: 2 * 243 + 1
+        # = 487 searches, where half-radius cells would take 2 * 5^5 + 1 =
+        # 6,251
         p, r_grid, t_grid = pair_case("5d")
         calls = []
         search = np.searchsorted
         monkeypatch.setattr(np, "searchsorted",
                             lambda *args, **kw: calls.append(1) or search(*args, **kw))
-        one_class = np.zeros(p.n, np.intp), np.ones((1, 1), bool)
-        batches = list(second_order._candidate_pairs(p.x, p.t, float(r_grid[-1]), *one_class))
+        reach = np.full(p.n, float(r_grid[-1]))
+        ones = np.ones(p.n, np.uint8)
+        batches = list(second_order._candidate_pairs(p.x, p.t, reach, reach, ones, ones))
         assert len(batches) == 1
-        assert len(calls) == 2 * 121 + 1 + 1
+        assert len(calls) == 2 * 243 + 1
 
     @pytest.mark.parametrize("lag, chunk", [(0.005, None), (0.05, 512)],
                              ids=["small-lags", "small-chunks"])
@@ -351,15 +366,19 @@ class TestPairGeometry:
     @pytest.mark.parametrize("case", PAIR_CASES)
     def test_stored_arrays_ignore_candidate_order(self, monkeypatch, case):
         # the keys I * n + J are distinct, so their sort gives the same
-        # arrays whatever the order of the batches and of each candidate
+        # arrays whatever the order of the batches and of the candidates in
+        # each
         p, r_grid, t_grid = pair_case(case)
         want = pair_geometry(p, r_grid, t_grid)
         search = second_order._candidate_pairs
+        rng = np.random.default_rng(73)
 
-        def reversed_and_swapped(*args):
-            yield from reversed([(b, a) for a, b in search(*args)])
+        def reversed_and_shuffled(*args):
+            for a, b in reversed(list(search(*args))):
+                mix = rng.permutation(a.size)
+                yield a[mix], b[mix]
 
-        monkeypatch.setattr(second_order, "_candidate_pairs", reversed_and_swapped)
+        monkeypatch.setattr(second_order, "_candidate_pairs", reversed_and_shuffled)
         got = pair_geometry(p, r_grid, t_grid)
         for name in ("I", "J", "a_r", "a_t"):
             assert getattr(got, name).dtype == getattr(want, name).dtype, name
@@ -407,6 +426,123 @@ class TestPairGeometry:
         # pair distance exactly 0.125, margins exactly on grid values
         assert surf.values[0, 0] == 2.0 / (0.75**2 * 0.5)
         assert surf.values[1, 1] == 2.0 / (0.5**2 * 0.25)
+
+
+def _labelled(case):
+    """A pair case with labels {1, 2} (drawn where it has other marks or
+    none)."""
+    p, r_grid, t_grid = pair_case(case)
+    if p.marks is None or not p.mark_space.is_labelled:
+        labels = np.random.default_rng(74).integers(1, 3, size=p.n).astype(float)
+        p = pattern_from_arrays(p.x, p.t, labels, p.window, LabelMarks(2))
+    return p, r_grid, t_grid
+
+
+def _selections(p):
+    """name -> the `_select` of no selection, of K^CD, of K^DC and of both
+    (the symmetrized estimate), for C = label 1 and D = label 2."""
+    mC, mD = (LabelSet([k]).mask(p.marks).astype(float) for k in (1, 2))
+    return {"all": None, "CD": second_order._selection([(mC, mD)]),
+            "DC": second_order._selection([(mD, mC)]),
+            "CD+DC": second_order._selection([(mC, mD), (mD, mC)])}
+
+
+def _swept(monkeypatch):
+    """Wrap `second_order._candidate_pairs`: the list it returns collects,
+    for each sweep, its arguments and its candidates (a, b) joined."""
+    sweeps, search = [], second_order._candidate_pairs
+
+    def recording(*args):
+        batches = list(search(*args))
+        a, b = ([np.empty(0, np.intp)] + [pair[end] for pair in batches] for end in (0, 1))
+        sweeps.append((args, np.concatenate(a), np.concatenate(b)))
+        yield from batches
+
+    monkeypatch.setattr(second_order, "_candidate_pairs", recording)
+    return sweeps
+
+
+class TestOrderedSweep:
+    """The sweep finds each ordered pair from its first point, within that
+    point's own reach: a superset of the stored pairs, with no candidate
+    twice."""
+
+    @pytest.mark.parametrize("select", ["all", "CD", "DC", "CD+DC"])
+    @pytest.mark.parametrize("erosion", ["per-cell", "fixed"])
+    def test_pairs_at_exactly_their_reach_match_the_scan(self, erosion, select):
+        p, r_grid, t_grid = _labelled("on-grid")
+        sel = _selections(p)[select]
+        geom = pair_geometry(p, r_grid, t_grid, erosion, _select=sel)
+        assert_matches_oracle(geom, pair_geometry_oracle(p, r_grid, t_grid, erosion, select=sel))
+        # the case holds stored pairs at exactly their first point's reach,
+        # in space and in time, below the maximal lags
+        I, J = geom.I.astype(np.intp), geom.J.astype(np.intp)
+        ds = np.sqrt(np.sum((p.x[J] - p.x[I]) ** 2, axis=1))
+        du = np.abs(p.t[J] - p.t[I])
+        at_r = ds == r_grid[geom.pt_b_r[I]]
+        at_t = du == t_grid[geom.pt_b_t[I]]
+        assert np.any(at_r & (ds < r_grid[-1])) == (erosion == "per-cell")
+        assert np.any(at_t & (du < t_grid[-1])) == (erosion == "per-cell")
+        assert np.any(at_r & at_t)
+
+    @pytest.mark.parametrize("select", ["all", "CD"])
+    @pytest.mark.parametrize("erosion", ["per-cell", "fixed"])
+    @pytest.mark.parametrize("case", PAIR_CASES + ["5d", "5d-lattice"])
+    def test_candidates_lie_within_the_first_point_reach(self, monkeypatch, case, erosion,
+                                                         select):
+        # every candidate a -> b has an eroded-in first point that the
+        # selection pairs with b, and b lies in a cell whose box is within
+        # a's padded spatial reach and within a's padded temporal reach
+        p, r_grid, t_grid = _labelled(case)
+        sel = _selections(p)[select]
+        sweeps = _swept(monkeypatch)
+        geom = pair_geometry(p, r_grid, t_grid, erosion, _select=sel)
+        inner = (geom.pt_b_r >= 0) & (geom.pt_b_t >= 0)
+        [((space, t, reach_s, reach_t, f, g), a, b)] = sweeps
+        first, second = (np.ones(p.n, np.uint8),) * 2 if sel is None else sel
+        assert np.array_equal(f != 0, inner & (first != 0))
+        assert np.array_equal(g, second)
+        assert np.unique(a * p.n + b).size == a.size
+        assert np.all(inner[a]) and np.all((first[a] & second[b]) != 0)
+        src = np.flatnonzero(f)
+        if not src.size:
+            assert not a.size
+            return
+        # the pads are a few ulps of the lags and the coordinates
+        for reach, grid, b_cell, values in ((reach_s, r_grid, geom.pt_b_r, p.x),
+                                            (reach_t, t_grid, geom.pt_b_t, p.t)):
+            pad = reach[src] - grid[b_cell[src]]
+            assert np.all(pad > 0)
+            assert np.all(pad <= 8 * np.finfo(float).eps * (grid[-1] + np.max(np.abs(values))))
+        assert np.all((t[a] - reach_t[a] <= t[b]) & (t[b] <= t[a] + reach_t[a]))
+        # a cell is at most half the largest reach wide up to three axes,
+        # one reach above, or the extent over 2^(36 // max(d, 3))
+        lo, hi = np.min(space, axis=0), np.max(space, axis=0)
+        width = np.maximum(np.max(reach_s[src]) / (2.0 if p.dim <= 3 else 1.0),
+                           (hi - lo) / 2.0 ** (36 // max(p.dim, 3))) * (1 + 1e-8)
+        gap = np.maximum(np.abs(space[b] - space[a]) - width, 0.0)
+        assert np.all(np.sqrt(np.sum(gap * gap, axis=1)) <= reach_s[a] + 1e-8 * np.max(width))
+
+    def test_k_large_cross_sweep(self, monkeypatch):
+        # the seed-1 `k-large` benchmark catalogue (perfbench/worker.py;
+        # its pinned simulation seed is 1000) on the 20 x 20 grid of its
+        # `mstpp k` call: K^CD with C = label 1 (5,784 points) and D =
+        # label 2 (3,828) sweeps 1,575,026 candidates for 827,623 stored
+        # pairs, fewer than the 1,893,902 C -> D pairs within the maximal lags
+        base = poisson_preset_intensity()
+        field = IntensityField(fn=lambda x, t: 20.0 * base.fn(x, t), window=base.window,
+                               lam_max=20.0 * base.lam_max)
+        rng = np.random.default_rng(1000)
+        p = assign_marks_iid(sim_poisson(field, seed=rng), Bernoulli(0.4), seed=rng)
+        assert p.n == 9612
+        grid = 0.25 * np.arange(1, 21) / 20
+        sizes, search = [], second_order._candidate_pairs
+        monkeypatch.setattr(second_order, "_candidate_pairs", lambda *args: (
+            sizes.append(a.size) or (a, b) for a, b in search(*args)))
+        built = _recorded_builds(monkeypatch)
+        k_stationary(p, C_ONE, D_TWO, grid, grid)
+        assert sum(sizes) == 1_575_026
+        assert [geom.I.size for _, geom in built] == [827_623]
 
 
 def _bits(values):
