@@ -17,20 +17,18 @@ Three layers:
   the observed weights; the surfaces are then summed a batch of
   permutations at a time. A batch's masks come from one call per mark
   set on its stacked marks, its mark-set masses are the observed ones (a
-  permutation keeps the marks' multiset), the CD and DC numerators of the
-  whole batch are one pair-major rectangle sum, and its denominators
-  another, so the numpy call count is per batch, not per permutation.
-  Each permutation's surface has the bits of its own `delta_surface`:
-  the second_order module notes give the argument.
+  permutation keeps the marks' multiset), and its P surfaces are one
+  ``_k_rows`` call, whose DC swaps read their CD rows' denominators, so
+  the numpy call count is per batch, not per permutation; each surface
+  has the bits of its own `delta_surface` (second_order module notes).
 
 Every surface here comes from the K-family core of ``second_order``: the
 checks of ``_marked_terms``, one ``_geometry``, and the one evaluator
-``_k_surface`` (the independent-marks diagnostic and the decomposition
-residual sum their two K terms as two surfaces of it). Only the
-Delta = K^CD - K^DC statistic keeps its own ``_delta_values``, whose CD
-and DC numerators share one denominator. So the checks and arithmetic are
-those of ``k_inhom``, every term has the bits of its own estimate, and bad
-arguments fail before any geometry, tessellation or permutation.
+``_k_surface`` (Delta, the independent-marks diagnostic and the
+decomposition residual sum their two K terms as two surfaces of it). So
+the checks and arithmetic are those of ``k_inhom``, every term has the
+bits of its own estimate, and bad arguments fail before any geometry,
+tessellation or permutation.
 
 Per-replicate randomness always derives from a root seed through
 splittable seed sequences, and reductions run in replicate-index order,
@@ -49,11 +47,10 @@ from .second_order import (
     _Surface,
     _checked_lags,
     _children,
-    _denominator,
     _geometry,
     _inverse_intensities,
+    _k_rows,
     _k_surface,
-    _k_values,
     _mark_masks,
     _mark_sets,
     _marked_terms,
@@ -200,16 +197,9 @@ def envelopes(observed_stat, simulator, n_sim, rank="minmax", alpha=0.05,
 # --------------------------------------------------------------------------
 
 
-def _delta_values(geom, scenario, terms):
-    """K^CD - K^DC on shared geometry for each of the S surfaces of a
-    `_stacked` batch of `_marked_terms`, as (S, R, T). The denominator is
-    symmetric in (C, D), so one serves both terms, and the CD and DC
-    numerators of all S are the 2S surfaces of one `_k_values` sum."""
-    mC, mD, inv_lam = terms[:3]
-    denom = _denominator(geom, scenario, *terms)
-    k = _k_values(geom, np.concatenate([inv_lam, inv_lam]), np.concatenate([mC, mD]),
-                  np.concatenate([mD, mC]), np.concatenate([denom, denom]))
-    return k[:len(mC)] - k[len(mC):]
+def _delta(k):
+    """K^CD - K^DC: the CD surfaces of `_k_rows` less their DC swaps."""
+    return k[0] - k[1]
 
 
 def delta_surface(p, C, D, r_grid=None, t_grid=None, weights=None,
@@ -217,17 +207,11 @@ def delta_surface(p, C, D, r_grid=None, t_grid=None, weights=None,
     """The antisymmetric marking statistic Delta = K^CD - K^DC. ``erosion``
     and ``geometry`` are as in `k_inhom`."""
     scenario = _norm_scenario(scenario)
-    terms = _stacked([_marked_terms(p, weights, C, D, scenario)])
-    # the CD and the DC pairs
-    geom = _geometry(p, r_grid, t_grid, erosion, geometry,
-                     marks=[(terms[0][0], terms[1][0]), (terms[1][0], terms[0][0])])
-    return DeltaSurface(
-        r_grid=geom.r_grid, t_grid=geom.t_grid,
-        values=_delta_values(geom, scenario, terms)[0], C=C, D=D,
-        statistic="K_CD - K_DC",
-        meta={"scenario": scenario, "erosion": geom.erosion,
-              "weights_source": weights.source},
-    )
+    rows = [_marked_terms(p, weights, C, D, scenario)]
+    mC, mD = rows[0][:2]
+    geom = _geometry(p, r_grid, t_grid, erosion, geometry, marks=[(mC, mD), (mD, mC)])
+    return _diagnostic(_k_surface(p, geom, scenario, rows, C, D, weights.source, swap=True,
+                                  combine=_delta), "K_CD - K_DC")
 
 
 def _diagnostic(surf, statistic, values=None):
@@ -372,7 +356,8 @@ def random_labelling_test(p, C, D, r_grid=None, t_grid=None, weights_builder=Non
     with _pool(threads) as pool:  # one pool for every batch
         for first in range(0, n_perm, batch):
             perms = _replicates(permuted, children[first:first + batch], pool)
-            stack[first:first + batch] = _delta_values(geom, scenario, batch_terms(perms))
+            k = _k_rows(geom, scenario, batch_terms(perms), swap=True)
+            stack[first:first + batch] = _delta(k.reshape(2, -1, R, T))
     env = _envelope(observed, stack, rank, alpha, "mark-permutation", seed=str(seed),
                     scenario=scenario,
                     weights_mode="rebuilt" if rebuild_weights else "fixed")

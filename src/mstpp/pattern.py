@@ -215,6 +215,16 @@ def full_mark_set(mark_space):
     return MarkInterval(mark_space.lo, mark_space.hi)
 
 
+def _first_rows(rows):
+    """The first index of each distinct row of the 2-d ``rows``, in row
+    order. A stable lexsort sets equal rows (-0.0 == 0.0) side by side."""
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    return np.sort(order[new])
+
+
 @dataclass(frozen=True)
 class MarkedPattern:
     """A finite marked (or ground) spatio-temporal point pattern in a window.
@@ -265,7 +275,7 @@ class MarkedPattern:
         elif self.mark_space is not None:
             raise ValueError("mark space given but no marks")
         rows = np.column_stack([x, t] if marks is None else [x, t, marks])
-        if rows.shape[0] > 1 and np.unique(rows, axis=0).shape[0] != rows.shape[0]:
+        if _first_rows(rows).size != t.size:
             raise ValueError("pattern is not simple: duplicate (location, mark)")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "t", t)
@@ -291,8 +301,7 @@ class MarkedPattern:
     @cached_property
     def _distinct_locations(self):
         """Whether no two points share a location (x, t); computed once."""
-        rows = np.column_stack([self.x, self.t])
-        return np.unique(rows, axis=0).shape[0] == rows.shape[0]
+        return _first_rows(np.column_stack([self.x, self.t])).size == self.n
 
     @property
     def n(self):
@@ -376,13 +385,9 @@ def load_catalog(path, window, mark_space):
     if n_dropped:
         warnings.warn(f"{n_dropped} dropped (outside window or mark space)", stacklevel=2)
     x, t, marks = x[inside], t[inside], marks[inside]
-    rows_in = np.column_stack([x, t, marks])
-    _, keep = np.unique(rows_in, axis=0, return_index=True)
-    if keep.shape[0] != rows_in.shape[0]:
-        warnings.warn(
-            f"{rows_in.shape[0] - keep.shape[0]} duplicate rows collapsed", stacklevel=2
-        )
-        keep = np.sort(keep)
+    keep = _first_rows(np.column_stack([x, t, marks]))
+    if keep.size != t.size:
+        warnings.warn(f"{t.size - keep.size} duplicate rows collapsed", stacklevel=2)
         x, t, marks = x[keep], t[keep], marks[keep]
     if x.shape[0] == 0:
         raise ValueError("no rows remain inside the window")

@@ -21,8 +21,8 @@ D-second pairs of each lag cell, each divided by its scenario
 estimators differ only in the terms: unit mark masses for the ground and
 cross K-functions, scenario S1 with the masses (N_C N_D / N^2, 1) for the
 stationary one, a cone test for the directional one, and the DC surface
-beside the CD one for the symmetrized form. `k_smoothed` averages
-`k_inhom` over thinnings.
+beside the CD one, reading the CD denominator (`_k_rows`), for the
+symmetrized form. `k_smoothed` averages `k_inhom` over thinnings.
 Every geometry is built by one rule (`_selection`): the pairs whose
 first point is eroded-in and in some surface's C, and whose second point
 is in that surface's D. A geometry that `pair_geometry` returns is the
@@ -1086,8 +1086,8 @@ def _inverse_intensities(p, weights, scenario):
 
 def _stacked(terms):
     """The `_marked_terms` of S patterns or weightings as one batch of S
-    surfaces for `_denominator` and `_k_values`: (S, n) masks and
-    reciprocal intensities (None where absent) and (S,) mark-set masses."""
+    surfaces for `_k_rows`: (S, n) masks and reciprocal intensities (None
+    where absent) and (S,) mark-set masses."""
     return tuple(None if col[0] is None else np.stack(col) for col in zip(*terms))
 
 
@@ -1128,18 +1128,26 @@ def _geometry(p, r_grid, t_grid, erosion, geometry=None, marks=()):
     return geometry
 
 
+def _k_rows(geom, scenario, terms, swap=False, pair_test=None):
+    """The evaluator's core: the (S, R, T) values of the S surfaces of the
+    `_stacked` ``terms`` over their ``scenario`` denominators, summed on
+    ``geom`` (``pair_test`` as in `_k_values`); with ``swap``, then their
+    (D, C) swaps, each over its row's denominator, symmetric in (C, D)."""
+    mC, mD, inv = terms[:3]
+    denom = _denominator(geom, scenario, *terms)
+    if swap:
+        mC, mD = np.concatenate([mC, mD]), np.concatenate([mD, mC])
+        inv, denom = np.concatenate([inv, inv]), np.concatenate([denom, denom])
+    return _k_values(geom, inv, mC, mD, denom, pair_test)
+
+
 def _k_surface(p, geom, scenario, rows, C, D, source, name=None, combine=None,
-               pair_test=None, **meta):
-    """The one evaluator of the K family: the S surfaces whose
-    `_marked_terms` are ``rows``, each over its ``scenario`` denominator,
-    summed together on ``geom`` (restricted by ``pair_test`` as in
-    `_k_values`), as a `KSurface` over C and D. ``combine`` maps their
-    (S, R, T) values to the surface's (by default the first); ``name`` is
-    its scenario (by default ``scenario``), and ``meta`` adds to its
-    erosion and route."""
-    terms = _stacked(rows)
-    k = _k_values(geom, terms[2], terms[0], terms[1], _denominator(geom, scenario, *terms),
-                  pair_test)
+               pair_test=None, swap=False, **meta):
+    """The one evaluator of the K family: the `_k_rows` surfaces of the
+    `_marked_terms` ``rows`` (``swap`` as there), mapped by ``combine`` (by
+    default to the first) to a `KSurface` over C and D of scenario ``name``
+    (by default ``scenario``), with ``meta`` beside its erosion and route."""
+    k = _k_rows(geom, scenario, _stacked(rows), swap, pair_test)
     return KSurface(
         r_grid=geom.r_grid, t_grid=geom.t_grid, values=k[0] if combine is None else combine(k),
         C=C, D=D, scenario=name or scenario, weights_source=source, d=p.dim,
@@ -1210,10 +1218,10 @@ def k_inhom(
     """
     scenario = _norm_scenario(scenario)
     rows = [_marked_terms(p, weights, C, D, scenario)]
-    if symmetrize:  # the DC surface beside the CD one
-        rows.append(_marked_terms(p, weights, D, C, scenario))
-    geom = _geometry(p, r_grid, t_grid, erosion, geometry, marks=[r[:2] for r in rows])
-    return _k_surface(p, geom, scenario, rows, C, D, weights.source,
+    mC, mD = rows[0][:2]
+    geom = _geometry(p, r_grid, t_grid, erosion, geometry,
+                     marks=[(mC, mD), (mD, mC)] if symmetrize else [(mC, mD)])
+    return _k_surface(p, geom, scenario, rows, C, D, weights.source, swap=symmetrize,
                       combine=(lambda k: 0.5 * (k[0] + k[1])) if symmetrize else None,
                       floor_hits=weights.floor_hits, symmetrized=bool(symmetrize),
                       nu_C=float(rows[0][4]), nu_D=float(rows[0][5]))

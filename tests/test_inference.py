@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mstpp.inference as inference
+import mstpp.pattern as pattern
 import mstpp.second_order as second_order
 from mstpp.inference import (
     DISCLAIMER,
@@ -192,7 +193,7 @@ def test_diagnostic_terms_are_one_sum_on_one_geometry(small_marked, monkeypatch,
 
     for module in (inference, second_order):
         monkeypatch.setattr(module, "pair_geometry", counting_build)
-        monkeypatch.setattr(module, "_k_values", counting_sum)
+    monkeypatch.setattr(second_order, "_k_values", counting_sum)
     diagnostic(small_marked, const_weights(small_marked))
     assert builds == [1] and sums == [2]
 
@@ -525,16 +526,17 @@ class TestRandomLabelling:
         # the test's own check and the permutations share the pattern's
         # cached result
         p = uniform_pattern(40, seed=87, marks="labels")
-        real, axes = np.unique, []
+        real, widths = pattern._first_rows, []
 
-        def counting(*args, **kwargs):
-            axes.append(kwargs.get("axis"))
-            return real(*args, **kwargs)
+        def counting(rows):
+            widths.append(rows.shape[1])
+            return real(rows)
 
-        monkeypatch.setattr(np, "unique", counting)
+        monkeypatch.setattr(pattern, "_first_rows", counting)
         random_labelling_test(p, LabelSet([1]), LabelSet([2]), R_GRID, T_GRID,
                               weights_builder=const_weights, n_perm=5, seed=0)
-        assert axes.count(0) == 1
+        # one (x, t) check; a checked (x, t, mark) pattern would add 4s
+        assert widths == [3]
 
     def test_serialization_round_trip(self, small_marked, tmp_path):
         env = random_labelling_test(small_marked, C_HALF, D_HALF, R_GRID, T_GRID,
@@ -564,14 +566,16 @@ class TestBatchedPermutations:
 
     @staticmethod
     def spy_batches(monkeypatch):
-        # the surface count of every `_delta_values` call, the observed one first
-        sizes, real = [], inference._delta_values
+        # the row count of every call of the evaluator core `_k_rows`, the
+        # observed surface's (through `_k_surface`) first
+        sizes, real = [], second_order._k_rows
 
-        def spy(geom, scenario, terms):
+        def spy(geom, scenario, terms, *args, **kw):
             sizes.append(len(terms[0]))
-            return real(geom, scenario, terms)
+            return real(geom, scenario, terms, *args, **kw)
 
-        monkeypatch.setattr(inference, "_delta_values", spy)
+        for module in (inference, second_order):
+            monkeypatch.setattr(module, "_k_rows", spy)
         return sizes
 
     @staticmethod
@@ -664,6 +668,75 @@ class TestBatchedPermutations:
                                   threads=threads)
         assert got == [1, 4, 4, 3] * 2
         assert pools == [2]
+
+
+class TestSharedDenominator:
+    """A (D, C) surface summed beside its (C, D) one reads the (C, D)
+    denominator: each surface pair sums one C row and one D row of
+    reciprocal intensities (and, under S4, one window row), not two of
+    each, and keeps the bits of the two surfaces summed apart."""
+
+    @staticmethod
+    def spy_point_surfaces(monkeypatch):
+        # the row count of every `_point_surface` call
+        rows, real = [], second_order._point_surface
+
+        def spy(geom, point_w):
+            rows.append(len(point_w))
+            return real(geom, point_w)
+
+        monkeypatch.setattr(second_order, "_point_surface", spy)
+        return rows
+
+    @staticmethod
+    def per_pair(scenario, pairs):
+        # S2: the C and D rows in one call; S4: the window rows first
+        return [2 * pairs] if scenario == "S2" else [pairs, 2 * pairs]
+
+    @pytest.mark.parametrize("erosion", ["per-cell", "fixed"])
+    @pytest.mark.parametrize("scenario", ["S2", "S4"])
+    def test_delta_and_symmetrized_k(self, monkeypatch, scenario, erosion):
+        p = uniform_pattern(80, seed=93)
+        w = mark_weights(p)
+        geom = pair_geometry(p, R_GRID, T_GRID, erosion=erosion)
+        cd, dc = (k_inhom(p, C, D, weights=w, scenario=scenario, geometry=geom).values
+                  for C, D in ((C_HALF, D_HALF), (D_HALF, C_HALF)))
+        assert np.any(cd != dc)
+        rows = self.spy_point_surfaces(monkeypatch)
+        delta = delta_surface(p, C_HALF, D_HALF, weights=w, scenario=scenario, geometry=geom)
+        assert rows == self.per_pair(scenario, 1)
+        rows.clear()
+        sym = k_inhom(p, C_HALF, D_HALF, weights=w, scenario=scenario, geometry=geom,
+                      symmetrize=True)
+        assert rows == self.per_pair(scenario, 1)
+        assert delta.values.tobytes() == (cd - dc).tobytes()
+        assert sym.values.tobytes() == (0.5 * (cd + dc)).tobytes()
+
+    @pytest.mark.parametrize("erosion", ["per-cell", "fixed"])
+    @pytest.mark.parametrize("scenario", ["S2", "S4"])
+    def test_one_labelling_batch(self, monkeypatch, scenario, erosion):
+        p = uniform_pattern(80, seed=94)
+        geom = pair_geometry(p, R_GRID, T_GRID, erosion=erosion)
+        n_perm = 5
+
+        def per_row_delta(q):
+            w = mark_weights(q)
+            cd, dc = (k_inhom(q, C, D, weights=w, scenario=scenario, geometry=geom).values
+                      for C, D in ((C_HALF, D_HALF), (D_HALF, C_HALF)))
+            return cd - dc
+
+        want = np.stack([per_row_delta(permute_marks(p, seed=child))
+                         for child in np.random.SeedSequence(35).spawn(n_perm)])
+        TestBatchedPermutations.set_batch(monkeypatch, geom, n_perm)
+        rows = self.spy_point_surfaces(monkeypatch)
+        env = random_labelling_test(p, C_HALF, D_HALF, R_GRID, T_GRID,
+                                    weights_builder=mark_weights, n_perm=n_perm, rank="minmax",
+                                    scenario=scenario, erosion=erosion, seed=35)
+        # the observed surface, then the one batch
+        assert rows == self.per_pair(scenario, 1) + self.per_pair(scenario, n_perm)
+        assert env.observed.values.tobytes() == per_row_delta(p).tobytes()
+        assert env.lower.tobytes() == want.min(axis=0).tobytes()
+        assert env.upper.tobytes() == want.max(axis=0).tobytes()
 
 
 def _oracle_delta(full, q, w, C, D, scenario):

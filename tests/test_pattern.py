@@ -210,6 +210,42 @@ class TestCatalogIO:
             p = load_catalog(path, UNIT, self.ms)
         assert p.n == 2
 
+    def test_duplicates_by_value_collapse_to_first_in_file_order(self, tmp_path):
+        # exact duplicates and rows that differ only in the sign of a zero
+        # collapse to their first occurrence; a row one ulp away is kept
+        path = write_csv(tmp_path / "cat.csv", [
+            self.header,
+            "0.1,0.2,0.3,0.5",
+            "0.4,0.5,0.6,0.7",
+            "0.1,0.2,0.3,0.5",
+            "0.0,0.5,0.6,0.7",
+            "-0.0,0.5,0.6,0.7",
+            "0.1,0.2,0.3,0.5000000000000001",
+            "0.7,-0.0,0.2,0.1",
+            "0.4,0.5,0.6,0.7",
+            "0.7,0.0,0.2,0.1",
+            "0.1,0.2,0.30000000000000004,0.5",
+        ])
+        with pytest.warns(UserWarning, match="^4 duplicate rows collapsed$"):
+            p = load_catalog(path, UNIT, self.ms)
+        assert p.n == 6
+        assert np.array_equal(p.marks, [0.5, 0.7, 0.7, np.nextafter(0.5, 1.0), 0.1, 0.5])
+        assert np.array_equal(p.t, [0.3, 0.6, 0.6, 0.3, 0.2, np.nextafter(0.3, 1.0)])
+        # the first occurrence's zero, with its sign
+        assert list(np.signbit([p.x[2, 0], p.x[4, 1]])) == [False, True]
+        with pytest.warns(UserWarning, match="^4 duplicate rows collapsed$"):
+            want = load_catalog_oracle(path, UNIT, self.ms)
+        for name in ("x", "t", "marks"):
+            assert getattr(p, name).tobytes() == getattr(want, name).tobytes()
+
+    @given(st.lists(st.tuples(*[st.sampled_from([0.0, -0.0, 0.25, 0.5])] * 3),
+                    max_size=40))
+    def test_first_rows_match_the_structured_unique(self, rows):
+        # the rule of np.unique(rows, axis=0): field-wise float equality
+        rows = np.array(rows, dtype=float).reshape(-1, 3)
+        want = np.sort(np.unique(rows, axis=0, return_index=True)[1])
+        assert np.array_equal(pattern._first_rows(rows), want)
+
     def test_malformed_row_reports_line(self, tmp_path):
         path = write_csv(tmp_path / "cat.csv", [
             self.header, "0.1,0.2,0.3,0.5", "0.4,oops,0.6,0.7",
