@@ -385,6 +385,8 @@ def cmd_intensity(cfg, out_dir, seed, threads):
     estimator = cfg["estimator"]
     if cfg["dump_cells"] and estimator not in ("ground", "marked"):
         raise ConfigError(f"dump_cells needs the ground or marked estimator, not {estimator!r}")
+    if cfg["euclidean_tm"] and estimator != "s3":
+        raise ConfigError(f"euclidean_tm needs the s3 estimator, not {estimator!r}")
     p = _load_pattern(cfg)
     est = _build_estimate(p, estimator, quad, cfg["euclidean_tm"])
 

@@ -38,7 +38,7 @@ class Window:
 
     Parameters
     ----------
-    spatial : tuple of (lo, hi) pairs
+    spatial : tuple of one or more (lo, hi) pairs
         Per-axis spatial bounds; lo < hi on every axis.
     temporal : (lo, hi) pair
         Temporal bounds; lo < hi.
@@ -48,6 +48,10 @@ class Window:
     temporal: tuple
 
     def __post_init__(self):
+        bounds = list(self.spatial) + [self.temporal]
+        if len(bounds) < 2 or any(np.shape(b) != (2,) for b in bounds):
+            raise ValueError("a window needs at least one spatial axis and a (lo, hi) pair "
+                             "on every axis and on time")
         spatial = tuple((float(lo), float(hi)) for lo, hi in self.spatial)
         temporal = (float(self.temporal[0]), float(self.temporal[1]))
         object.__setattr__(self, "spatial", spatial)

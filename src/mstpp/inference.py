@@ -23,12 +23,13 @@ Three layers:
   has the bits of its own `delta_surface` (second_order module notes).
 
 Every surface here comes from the K-family core of ``second_order``: the
-checks of ``_marked_terms``, one ``_geometry``, and the one evaluator
-``_k_surface`` (Delta, the independent-marks diagnostic and the
-decomposition residual sum their two K terms as two surfaces of it). So
-the checks and arithmetic are those of ``k_inhom``, every term has the
-bits of its own estimate, and bad arguments fail before any geometry,
-tessellation or permutation.
+checks of ``_marked_terms`` and the one evaluator ``_k_surface``, which
+builds the geometry of the rows it sums (Delta is a row and its swap;
+the independent-marks diagnostic and the decomposition residual sum
+their two K terms as two rows). A diagnostic states only its rows, the
+swap and the combination. So the checks and arithmetic are those of
+``k_inhom``, every term has the bits of its own estimate, and bad
+arguments fail before any geometry, tessellation or permutation.
 
 Per-replicate randomness always derives from a root seed through
 splittable seed sequences, and reductions run in replicate-index order,
@@ -47,7 +48,6 @@ from .second_order import (
     _Surface,
     _checked_lags,
     _children,
-    _geometry,
     _inverse_intensities,
     _k_rows,
     _k_surface,
@@ -208,10 +208,8 @@ def delta_surface(p, C, D, r_grid=None, t_grid=None, weights=None,
     and ``geometry`` are as in `k_inhom`."""
     scenario = _norm_scenario(scenario)
     rows = [_marked_terms(p, weights, C, D, scenario)]
-    mC, mD = rows[0][:2]
-    geom = _geometry(p, r_grid, t_grid, erosion, geometry, marks=[(mC, mD), (mD, mC)])
-    return _diagnostic(_k_surface(p, geom, scenario, rows, C, D, weights.source, swap=True,
-                                  combine=_delta), "K_CD - K_DC")
+    return _diagnostic(_k_surface(p, (r_grid, t_grid, erosion, geometry), scenario, rows, C, D,
+                                  weights.source, swap=True, combine=_delta), "K_CD - K_DC")
 
 
 def _diagnostic(surf, statistic, values=None):
@@ -235,9 +233,9 @@ def diag_independent_marks(p, C, D, r_grid=None, t_grid=None, weights=None,
     scenario, so C = D = full mark space gives an exactly zero surface."""
     scenario = _norm_scenario(scenario)
     rows = [_marked_terms(p, weights, *sets, scenario) for sets in ((C, D), (None, None))]
-    geom = _geometry(p, r_grid, t_grid, erosion, marks=[r[:2] for r in rows])
-    return _diagnostic(_k_surface(p, geom, scenario, rows, C, D, weights.source,
-                                  combine=lambda k: k[0] - k[1]), "K_CD - K_ground")
+    return _diagnostic(_k_surface(p, (r_grid, t_grid, erosion, None), scenario, rows, C, D,
+                                  weights.source, combine=lambda k: k[0] - k[1]),
+                       "K_CD - K_ground")
 
 
 def diag_independent_components(p, C, D, r_grid=None, t_grid=None, weights=None,
@@ -259,15 +257,17 @@ def decomposition_residual(p, C, r_grid=None, t_grid=None, weights=None,
     geometry."""
     scenario = _norm_scenario(scenario)
     rows = [_marked_terms(p, weights, C, D, scenario) for D in (None, C)]
-    geom = _geometry(p, r_grid, t_grid, erosion, marks=[r[:2] for r in rows])
-    nu_c, nu_m = p.nu(C), p.nu_total()
-    poisson = poisson_reference(geom.r_grid, geom.t_grid, p.dim).values
+    # the lags' checks after the rows', as the geometry's build makes them
+    lags = _checked_lags(p, r_grid, t_grid, "per-cell" if erosion is None else erosion)
+    nu_c, nu_m = rows[0][4:]
+    poisson = poisson_reference(*lags, p.dim).values
 
     def residual(k):
         return k[0] - (nu_m - nu_c) / nu_m * poisson - nu_c / nu_m * k[1]
 
-    return _diagnostic(_k_surface(p, geom, scenario, rows, C, None, weights.source,
-                                  combine=residual), "K_CM decomposition residual")
+    return _diagnostic(_k_surface(p, (*lags, erosion, None), scenario, rows, C, None,
+                                  weights.source, combine=residual),
+                       "K_CM decomposition residual")
 
 
 # --------------------------------------------------------------------------

@@ -127,7 +127,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .pattern import MarkedPattern, _is_count
+from .pattern import MarkedPattern, _first_rows, _is_count
 
 __all__ = [
     "Quadrature",
@@ -229,13 +229,8 @@ def _group_rows(rows):
     each input row's group index. First-occurrence order makes argmin
     tie-breaks resolve to the lowest original point index."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    uniq, first, inverse, counts = np.unique(
-        rows, axis=0, return_index=True, return_inverse=True, return_counts=True
-    )
-    order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return uniq[order], counts[order], rank[np.asarray(inverse).ravel()]
+    first, group = _first_rows(rows, groups=True)
+    return rows[first], np.bincount(group, minlength=first.size), group
 
 
 def _mark_axis(mark_space, marks, n_mark, offset=0.5):
@@ -1030,6 +1025,8 @@ def voronoi_separable(p, setup, euclidean_tm=False, quadrature=None):
         raise ValueError("cannot estimate intensity from an empty pattern")
     if not p.is_marked:
         raise ValueError("separable setups need a marked pattern")
+    if euclidean_tm and setup in ("S1", "S2"):
+        raise ValueError(f"euclidean_tm applies to setup S3 only, not {setup}")
     quad = quadrature if quadrature is not None else Quadrature()
     ms = p.mark_space
 

@@ -215,14 +215,22 @@ def full_mark_set(mark_space):
     return MarkInterval(mark_space.lo, mark_space.hi)
 
 
-def _first_rows(rows):
+def _first_rows(rows, groups=False):
     """The first index of each distinct row of the 2-d ``rows``, in row
-    order. A stable lexsort sets equal rows (-0.0 == 0.0) side by side."""
+    order, and with ``groups`` each row's group, the position of its
+    group's first index there. A stable lexsort sets equal rows (-0.0 ==
+    0.0) side by side, each run headed by its first index."""
     order = np.lexsort(rows.T)
     ordered = rows[order]
     new = np.ones(len(rows), dtype=bool)
     new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    return np.sort(order[new])
+    heads = order[new]
+    first = np.sort(heads)
+    if not groups:
+        return first
+    group = np.empty(len(rows), dtype=np.intp)
+    group[order] = np.searchsorted(first, heads)[np.cumsum(new) - 1]
+    return first, group
 
 
 @dataclass(frozen=True)

@@ -14,27 +14,30 @@ denominator scenarios and the stationary specialization.
 Every statistic here, and every contrast surface in `inference`, reads one
 `PairGeometry`, the only pair search (`_stored_pairs`). Every K-function
 estimator, and every marking diagnostic in `inference`, is one evaluator,
-`_k_surface`, over a resolved geometry: the terms of S surfaces stacked,
-one `_k_values` sum of each surface's pair weights over the C-first,
-D-second pairs of each lag cell, each divided by its scenario
-`_denominator`, and the values combined into one `KSurface`. The
-estimators differ only in the terms: unit mark masses for the ground and
-cross K-functions, scenario S1 with the masses (N_C N_D / N^2, 1) for the
-stationary one, a cone test for the directional one, and the DC surface
-beside the CD one, reading the CD denominator (`_k_rows`), for the
+`_k_surface`: the terms of S surfaces stacked (their rows, with each
+row's (D, C) swap beside it under ``swap``), one `_k_values` sum of each
+surface's pair weights over the C-first, D-second pairs of each lag
+cell, each divided by its scenario `_denominator`, and the values
+combined into one `KSurface`. The estimators differ only in the rows,
+the swap and the combination: unit mark masses for the ground and cross
+K-functions, scenario S1 with the masses (N_C N_D / N^2, 1) for the
+stationary one, a cone test for the directional one, and the DC swap
+beside the CD row, reading the CD denominator (`_k_rows`), for the
 symmetrized form. `k_smoothed` averages `k_inhom` over thinnings.
-Every geometry is built by one rule (`_selection`): the pairs whose
-first point is eroded-in and in some surface's C, and whose second point
-is in that surface's D. A geometry that `pair_geometry` returns is the
-selection of one surface with C = D = the whole mark space, so it holds
-every pair that can contribute to some cell and serves any marks and
-weights. An estimator that builds its own geometry (no ``geometry``
-argument) builds only the pairs its surfaces sum; when one surface sums
-every pair (the ground K, the independent-marks diagnostic, C = D =
-None), that is the full geometry. A selected geometry never leaves its
-estimator, and a ``geometry`` argument is taken to hold every pair. The
-random-labelling test, whose permutations move the marks, builds every
-pair.
+An estimator hands `_k_surface` its lag arguments, and `_k_surface`
+resolves the geometry (`_geometry`) from the surfaces it sums, so an
+estimator states its mark sets once, in its rows. A new geometry holds
+the pairs of one rule (`_selection`): those whose first point is
+eroded-in and in some surface's C, and whose second point is in that
+surface's D. A geometry that `pair_geometry` returns is the selection of
+one surface with C = D = the whole mark space, so it holds every pair
+that can contribute to some cell and serves any marks and weights; when
+one surface sums every pair (the ground K, the independent-marks
+diagnostic, C = D = None), the evaluator's own build is that full
+geometry. The selected geometry lives only inside the `_k_surface` call
+that builds it, and a ``geometry`` argument is taken to hold every pair.
+The random-labelling test, whose permutations move the marks, builds
+every pair.
 `k_measure_hat`, the estimate for one structuring set, sums the pairs of
 its own fixed-erosion geometry at the set's bounding lags (the eroded-in
 C -> D pairs) that pass the set's exact membership test. `_marked_terms`
@@ -754,10 +757,10 @@ def pair_geometry(p, r_grid=None, t_grid=None, erosion="per-cell", *, _select=No
     result holds every ordered pair that can contribute to some cell (its
     first point eroded-in), so it can be reused across any number of
     weight/mark-set evaluations on the same point locations (e.g. mark
-    permutations). An estimator that builds its own geometry passes the
-    private ``_select``, the per-point bit masks of `_selection`, and gets
-    only the pairs its surfaces select by the same rule; it keeps that
-    geometry to itself.
+    permutations). The K-family evaluator, building its own geometry,
+    passes the private ``_select``, the per-point bit masks of
+    `_selection`, and gets only the pairs its surfaces select by the same
+    rule; it keeps that geometry to itself.
     """
     r_grid, t_grid = _checked_lags(p, r_grid, t_grid, erosion)
     R, T = r_grid.size, t_grid.size
@@ -1091,33 +1094,33 @@ def _stacked(terms):
     return tuple(None if col[0] is None else np.stack(col) for col in zip(*terms))
 
 
-def _selection(marks):
-    """The ordered pairs that the surfaces with the (mC, mD) masks of
-    ``marks`` sum, as per-point bit masks (f, g): bit s of f[a] says a is
-    in surface s's C, bit s of g[b] that b is in its D, so a -> b is summed
-    when f[a] & g[b] != 0. None when some surface sums every pair (or there
-    are no masks)."""
-    if not marks:
-        return None
-    c, d = (np.stack([m != 0 for m in masks]) for masks in zip(*marks))
+def _selection(rows, swap=False):
+    """The ordered pairs that the surfaces of ``rows``, each led by its
+    (mC, mD) masks, sum, and with ``swap`` their (D, C) swaps, as per-point
+    bit masks (f, g): bit s of f[a] says a is in surface s's C, bit s of
+    g[b] that b is in its D, so a -> b is summed when f[a] & g[b] != 0. None
+    when some surface sums every pair."""
+    c, d = (np.stack([row[i] != 0 for row in rows]) for i in (0, 1))
+    if swap:
+        c, d = np.concatenate([c, d]), np.concatenate([d, c])
     if np.any(c.all(axis=1) & d.all(axis=1)):
         return None
     bits = (1 << np.arange(len(c))).astype(np.min_scalar_type((1 << len(c)) - 1))
     return tuple(np.bitwise_or.reduce(m * bits[:, None], axis=0) for m in (c, d))
 
 
-def _geometry(p, r_grid, t_grid, erosion, geometry=None, marks=()):
+def _geometry(p, marks, r_grid, t_grid, erosion, geometry=None):
     """The caller's precomputed geometry, checked against the call, or a new
     one for these grids, checked before `pair_geometry` is entered, as the
-    other arguments are. A new geometry holds only the pairs that the
-    surfaces with the (mC, mD) masks of ``marks`` sum (`_selection`); a
-    given one is taken to hold every pair, as `pair_geometry` builds it. An
+    other arguments are. A new geometry holds only the pairs that
+    `_selection` of ``marks``, its (rows, swap), picks; a given one is
+    taken to hold every pair, as `pair_geometry` builds it. An
     erosion mode of None is per-cell for a new geometry and the given
     geometry's own; a mode named beside a geometry must be its own."""
     if geometry is None:
         erosion = "per-cell" if erosion is None else erosion
         return pair_geometry(p, *_checked_lags(p, r_grid, t_grid, erosion), erosion=erosion,
-                             _select=_selection(marks))
+                             _select=_selection(*marks))
     if r_grid is not None or t_grid is not None:
         raise ValueError("pass lag grids or a geometry, not both")
     if erosion is not None and erosion != geometry.erosion:
@@ -1141,12 +1144,16 @@ def _k_rows(geom, scenario, terms, swap=False, pair_test=None):
     return _k_values(geom, inv, mC, mD, denom, pair_test)
 
 
-def _k_surface(p, geom, scenario, rows, C, D, source, name=None, combine=None,
+def _k_surface(p, lags, scenario, rows, C, D, source, name=None, combine=None,
                pair_test=None, swap=False, **meta):
     """The one evaluator of the K family: the `_k_rows` surfaces of the
     `_marked_terms` ``rows`` (``swap`` as there), mapped by ``combine`` (by
     default to the first) to a `KSurface` over C and D of scenario ``name``
-    (by default ``scenario``), with ``meta`` beside its erosion and route."""
+    (by default ``scenario``), with ``meta`` beside its erosion and route.
+    They are summed on the `_geometry` of the estimator's ``lags``, its
+    (r_grid, t_grid, erosion, geometry), which a new build selects from the
+    rows' masks and their swaps, so it holds every pair they sum."""
+    geom = _geometry(p, (rows, swap), *lags)
     k = _k_rows(geom, scenario, _stacked(rows), swap, pair_test)
     return KSurface(
         r_grid=geom.r_grid, t_grid=geom.t_grid, values=k[0] if combine is None else combine(k),
@@ -1218,10 +1225,8 @@ def k_inhom(
     """
     scenario = _norm_scenario(scenario)
     rows = [_marked_terms(p, weights, C, D, scenario)]
-    mC, mD = rows[0][:2]
-    geom = _geometry(p, r_grid, t_grid, erosion, geometry,
-                     marks=[(mC, mD), (mD, mC)] if symmetrize else [(mC, mD)])
-    return _k_surface(p, geom, scenario, rows, C, D, weights.source, swap=symmetrize,
+    return _k_surface(p, (r_grid, t_grid, erosion, geometry), scenario, rows, C, D,
+                      weights.source, swap=symmetrize,
                       combine=(lambda k: 0.5 * (k[0] + k[1])) if symmetrize else None,
                       floor_hits=weights.floor_hits, symmetrized=bool(symmetrize),
                       nu_C=float(rows[0][4]), nu_D=float(rows[0][5]))
@@ -1242,9 +1247,9 @@ def k_ground(p, r_grid=None, t_grid=None, weights=None, scenario="S1",
     if scenario not in ("S1", "S3"):
         raise ValueError("ground K supports scenarios S1 and S3 only")
     inv, ones = 1.0 / _per_point(p, weights._ground("ground K without lam_ground")), np.ones(p.n)
-    geom = _geometry(p, r_grid, t_grid, erosion, geometry)
-    return _k_surface(p, geom, scenario, [(ones, ones, inv, inv, 1.0, 1.0)], None, None,
-                      weights.source, floor_hits=weights.floor_hits, ground=True)
+    return _k_surface(p, (r_grid, t_grid, erosion, geometry), scenario,
+                      [(ones, ones, inv, inv, 1.0, 1.0)], None, None, weights.source,
+                      floor_hits=weights.floor_hits, ground=True)
 
 
 def k_measure_hat(p, C, D, E, weights):
@@ -1272,7 +1277,7 @@ def k_measure_hat(p, C, D, E, weights):
         lam = weights._ground("an unmarked pattern's measure without lam_ground")
     inv = 1.0 / _per_point(p, lam)
     E.contains_lag(np.empty((0, p.dim)), np.empty(0))  # a set of other axes fails here
-    geom = _geometry(p, [r_c], [t_c], "fixed", marks=[(mC, mD)])
+    geom = _geometry(p, ([(mC, mD)], False), [r_c], [t_c], "fixed")
     terms = [np.empty(0)]
     for start in range(0, geom.I.size, _CHUNK):
         I, J = geom.I[start:start + _CHUNK], geom.J[start:start + _CHUNK]
@@ -1297,14 +1302,14 @@ def k_directional(p, C=None, D=None, phi=-math.pi / 2, psi=math.pi / 2,
     ConeSet(phi, psi, 1.0, 1.0)  # validate angles
     scenario = _norm_scenario(scenario)
     rows = [_marked_terms(p, weights, C, D, scenario)]
-    geom = _geometry(p, r_grid, t_grid, erosion, geometry, marks=[rows[0][:2]])
 
     def in_cone(I, J):
         dx = np.take(p.x, J, axis=0) - np.take(p.x, I, axis=0)
         return direction_in_cone(dx[:, 0], dx[:, 1], phi, psi)
 
-    return _k_surface(p, geom, scenario, rows, C, D, weights.source, pair_test=in_cone,
-                      phi=phi, psi=psi, floor_hits=weights.floor_hits)
+    return _k_surface(p, (r_grid, t_grid, erosion, geometry), scenario, rows, C, D,
+                      weights.source, pair_test=in_cone, phi=phi, psi=psi,
+                      floor_hits=weights.floor_hits)
 
 
 def k_cross_multitype(p, i, j, r_grid=None, t_grid=None, weights=None,
@@ -1324,10 +1329,9 @@ def k_cross_multitype(p, i, j, r_grid=None, t_grid=None, weights=None,
     mC, mD, inv = _marked_terms(p, weights, C, D, "S1")[:3]
     if not mC.any() or not mD.any():
         warnings.warn(f"component {j if mC.any() else i} is empty; surface is zero")
-    geom = _geometry(p, r_grid, t_grid, erosion, geometry, marks=[(mC, mD)])
     rows = [(mC, mD, inv, None, 1.0, 1.0)]  # unit mark masses
-    return _k_surface(p, geom, "S1", rows, C, D, weights.source, name="cross", i=i, j=j,
-                      floor_hits=weights.floor_hits)
+    return _k_surface(p, (r_grid, t_grid, erosion, geometry), "S1", rows, C, D,
+                      weights.source, name="cross", i=i, j=j, floor_hits=weights.floor_hits)
 
 
 def k_stationary(p, C=None, D=None, r_grid=None, t_grid=None, erosion="per-cell"):
@@ -1338,14 +1342,16 @@ def k_stationary(p, C=None, D=None, r_grid=None, t_grid=None, erosion="per-cell"
     if p.n == 0:
         raise ValueError("stationary K needs a nonempty pattern")
     mC, mD = _mark_sets(p, C, D)[:2]
-    geom = _geometry(p, r_grid, t_grid, erosion, marks=[(mC, mD)])
     lam_hat = p.n / p.window.volume
     n_C = float(np.sum(mC))
     n_D = float(np.sum(mD))
-    inv = np.full(p.n, 1.0 / lam_hat)
+    # a view, so no array made here is held through the pair build (a
+    # 77 kB one raised the peak RSS of the build at n = 9,642 by 0.5 MB)
+    inv = np.broadcast_to(1.0 / lam_hat, p.n)
     # scenario S1 with the masses (N_C N_D / N^2, 1): x * 1.0 is x
-    return _k_surface(p, geom, "S1", [(mC, mD, inv, None, n_C * n_D / p.n**2, 1.0)], C, D,
-                      "Stationary", name="stationary", n_C=n_C, n_D=n_D)
+    return _k_surface(p, (r_grid, t_grid, erosion, None), "S1",
+                      [(mC, mD, inv, None, n_C * n_D / p.n**2, 1.0)], C, D, "Stationary",
+                      name="stationary", n_C=n_C, n_D=n_D)
 
 
 def k_smoothed(p, C=None, D=None, r_grid=None, t_grid=None, weights_builder=None,

@@ -258,6 +258,8 @@ class TestExitCodes:
         ("k", "marks = labels", "missing field <k>"),
         # no cell dump for the separable estimators: once silently skipped
         ("intensity", "estimator = s2\ndump_cells = true", "dump_cells"),
+        ("intensity", "estimator = marked\neuclidean_tm = true", "euclidean_tm"),
+        ("intensity", "estimator = s1\neuclidean_tm = true", "euclidean_tm"),
         # one pair search: no key selects it
         ("k", "route = indexed", "unknown key(s) for 'k': ['route']"),
         ("test", "route = indexed", "unknown key(s) for 'test': ['route']"),
@@ -268,7 +270,8 @@ class TestExitCodes:
             "k-cells", "test-cells", "k-marks-inf-weight", "k-marks-nan-weight",
             "k-marks-inf-bound", "k-d_set-kind", "test-c_set-kind", "k-c_set-kind",
             "k-c_set-extra", "k-c_set-all-extra", "k-marks-extra", "k-marks-missing",
-            "intensity-dump_cells-s2",
+            "intensity-dump_cells-s2", "intensity-euclidean_tm-marked",
+            "intensity-euclidean_tm-s1",
             "k-route", "test-route"])
     def test_bad_settings_are_2_before_loading(self, tmp_path, command, lines, key):
         res = run_missing_catalog(tmp_path, command, lines)

@@ -113,6 +113,19 @@ class TestErodeWindow:
         with pytest.raises(ValueError):
             Window(spatial=((0.0, 1.0),), temporal=(1.0, 0.0))
 
+    @pytest.mark.parametrize("spatial, temporal", [
+        ((), (0.0, 1.0)),
+        (((0.0, 1.0), (0.0, 1.0)), (0.0, 1.0, 2.0)),
+        (((0.0, 1.0),), (0.0,)),
+        (((0.0, 1.0, 2.0),), (0.0, 1.0)),
+        ((0.0, 1.0), (0.0, 1.0)),
+        (((0.0, 1.0),), 1.0),
+    ], ids=["no-spatial-axis", "three-time-bounds", "one-time-bound", "three-axis-bounds",
+            "flat-spatial-bounds", "scalar-time"])
+    def test_malformed_bounds_rejected(self, spatial, temporal):
+        with pytest.raises(ValueError, match="at least one spatial axis and a .lo, hi. pair"):
+            Window(spatial=spatial, temporal=temporal)
+
 
 LAG_FUNCTIONS = {
     "cylinder_volume": lambda r, t: cylinder_volume(r, t, 2),

@@ -261,6 +261,15 @@ class TestDecompositionResidual:
                                      R_GRID, T_GRID, w)
         assert np.allclose(res.values, 0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("scenario", ["S1", "S2", "S3", "S4"])
+    def test_full_mark_space_residual_is_exactly_zero(self, small_marked, small_labelled,
+                                                     scenario):
+        # C = None is the full mark space, as in every K-family function
+        for p in (small_marked, small_labelled):
+            res = decomposition_residual(p, None, R_GRID, T_GRID, mark_weights(p),
+                                         scenario=scenario)
+            assert np.all(res.values == 0.0)
+
     def test_matches_manual_combination(self, small_labelled):
         p = small_labelled
         w = const_weights(p)

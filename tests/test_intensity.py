@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mstpp.intensity as intensity
 from mstpp.geometry import Window
 from mstpp.intensity import (
     Quadrature,
@@ -310,6 +311,17 @@ class TestSeparableSetups:
         assert not np.allclose(
             max_metric.weights_for_own_points(), euclid.weights_for_own_points()
         )
+
+    @pytest.mark.parametrize("setup", ["S1", "S2"])
+    def test_euclidean_tm_outside_s3_rejected_before_any_cell(self, monkeypatch, setup):
+        def no_cells(*args, **kw):
+            raise AssertionError("a cell was built before the arguments were checked")
+
+        for cells in (intensity._SpatialCells, intensity._Cells1D, intensity._TimeMarkCells):
+            monkeypatch.setattr(cells, "build", no_cells)
+        monkeypatch.setattr(intensity, "voronoi_ground", no_cells)
+        with pytest.raises(ValueError, match="euclidean_tm applies to setup S3 only"):
+            voronoi_separable(uniform_pattern(10, seed=44), setup, euclidean_tm=True)
 
     def test_1d_cell_boundary_goes_to_the_lower_generator(self):
         # generators 0.25, 0.75 and 0.8 on [0, 1] give the cells [0, 0.5],

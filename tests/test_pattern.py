@@ -168,6 +168,18 @@ class TestConstruction:
                 np.array([[0.5, 0.5]]), np.array([0.5]), np.array([0.3]), UNIT, None
             )
 
+    @pytest.mark.parametrize("x, t, marks, window, mark_space, message", [
+        ([[0.5, 0.5], [0.25, 0.5]], [0.5], None, UNIT, None, "one row per point"),
+        ([[0.5, np.inf]], [0.5], None, UNIT, None, "coordinates must be finite"),
+        ([[0.5, 0.5]], [np.nan], None, UNIT, None, "times must be finite"),
+        ([[0.5, 0.5]], [0.5], None, Window(((0, 1),), (0, 1)), None, "dimension mismatch"),
+        ([[0.5, 0.5]], [0.5], [1.0, 2.0], UNIT, LabelMarks(k=2), "one mark per point"),
+        ([[0.5, 0.5]], [0.5], None, UNIT, LabelMarks(k=2), "mark space given but no marks"),
+    ], ids=["lengths", "coordinates", "times", "dimension", "marks-length", "no-marks"])
+    def test_malformed_arrays_rejected(self, x, t, marks, window, mark_space, message):
+        with pytest.raises(ValueError, match=message):
+            pattern_from_arrays(np.array(x), np.array(t), marks, window, mark_space)
+
     def test_arrays_frozen(self):
         p = uniform_pattern(5, seed=1)
         with pytest.raises(ValueError):
@@ -245,6 +257,10 @@ class TestCatalogIO:
         rows = np.array(rows, dtype=float).reshape(-1, 3)
         want = np.sort(np.unique(rows, axis=0, return_index=True)[1])
         assert np.array_equal(pattern._first_rows(rows), want)
+        # each row's group is its first row's position, in first-occurrence order
+        first, group = pattern._first_rows(rows, groups=True)
+        assert np.array_equal(first, want) and np.array_equal(group[first], np.arange(want.size))
+        assert np.array_equal(rows[first][group], rows)
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = write_csv(tmp_path / "cat.csv", [
