@@ -34,6 +34,7 @@ Exit codes: 0 success, 1 input/output error, 2 configuration error,
 """
 
 import argparse
+import functools
 import os
 import sys
 from contextlib import contextmanager
@@ -430,15 +431,21 @@ def cmd_intensity(cfg, out_dir, seed, threads):
                     ["point_index", "cell_measure"], [idx.astype(int), measure])
 
 
-def _build_weights(p, mode, scenario):
+def _build_weights(p, mode, scenario, ground=None):
     """Plug-in weights of a ``voronoi-*`` or ``separable-*`` mode at the
     default quadratures, with the ground estimate as lam_ground for the
-    ``voronoi-ground`` mode and for scenarios 3 and 4."""
+    ``voronoi-ground`` mode and for scenarios 3 and 4: the mode's own
+    estimate, S2's ground factor, or ``ground()`` (by default a new build
+    on the locations of ``p``; the ground estimate ignores the marks)."""
     est = _build_estimate(p, mode.split("-")[1], None, False)
     if mode == "voronoi-ground":
         ground = est
+    elif scenario not in ("S3", "S4"):
+        ground = None
+    elif mode == "separable-s2":
+        ground = est.factors["ground"]
     else:
-        ground = voronoi_ground(p) if scenario in ("S3", "S4") else None
+        ground = voronoi_ground(p) if ground is None else ground()
     return weights_from_estimate(est, ground)
 
 
@@ -470,6 +477,8 @@ def cmd_k(cfg, out_dir, seed, threads):
             raise ConfigError("smoothing is not defined for the stationary estimator")
         with _named("smooth_p"):
             _check_retention(cfg["smooth_p"])
+    if mode == "stationary" and cfg["symmetrize"]:
+        raise ConfigError("symmetrize is not defined for the stationary estimator")
     p = _load_pattern(cfg)
     if mode == "stationary":
         surf = k_stationary(p, C, D, r_grid, t_grid, erosion=cfg["erosion"])
@@ -500,8 +509,13 @@ def cmd_test(cfg, out_dir, seed, threads):
     p = _load_pattern(cfg)
     builder = None
     if cfg["weights"] == "voronoi-marked":
+        # the ground estimate ignores the marks, so one build serves every
+        # permutation; the builder's first call, on the observed pattern in
+        # this thread, builds it before any permutation runs on the pool
+        ground = functools.cache(lambda: voronoi_ground(p))
+
         def builder(q):
-            return _build_weights(q, "voronoi-marked", scenario)
+            return _build_weights(q, "voronoi-marked", scenario, ground)
 
     env = random_labelling_test(
         p, C, D, r_grid, t_grid, weights_builder=builder,

@@ -125,8 +125,9 @@ def direction_in_cone(dx, dy, phi, psi):
 
 def cylinder_volume(r, t, d):
     """Lebesgue volume 2 t r^d omega_d of a cylinder with spatial radius r,
-    temporal half-height t, in spatial dimension d."""
-    if not (r >= 0 and t >= 0):  # NaN fails too
+    temporal half-height t, in spatial dimension d; r and t may be arrays
+    that broadcast together."""
+    if not (np.all(r >= 0) and np.all(t >= 0)):  # NaN fails too
         raise ValueError("cylinder volume requires r >= 0 and t >= 0")
     return 2.0 * t * r ** int(d) * unit_ball_volume(d)
 
@@ -134,10 +135,11 @@ def cylinder_volume(r, t, d):
 def cone_volume(phi, psi, r, t):
     """Lebesgue volume of the closed double cone: the double wedge spans an
     angle (psi - phi) on each side, giving spatial area (psi - phi) r^2,
-    times the temporal extent 2t."""
+    times the temporal extent 2t; r and t may be arrays, as in
+    `cylinder_volume`."""
     if not phi < psi <= phi + math.pi:
         raise ValueError("psi must lie in (phi, phi + pi]")
-    if not (r >= 0 and t >= 0):  # NaN fails too
+    if not (np.all(r >= 0) and np.all(t >= 0)):  # NaN fails too
         raise ValueError("cone volume requires r >= 0 and t >= 0")
     return (psi - phi) * r * r * 2.0 * t
 

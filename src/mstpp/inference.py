@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import cylinder_volume
 from .intensity import voronoi_ground
 from .pattern import _check_count, permute_marks, write_json, write_table
 from .second_order import (
@@ -60,7 +61,6 @@ from .second_order import (
     _stacked,
     k_inhom,
     pair_geometry,
-    poisson_reference,
     weights_from_estimate,
 )
 
@@ -172,21 +172,29 @@ def envelopes(observed_stat, simulator, n_sim, rank="minmax", alpha=0.05,
     ``observed_stat`` (same grid); it receives a child seed spawned from
     the root seed. MinMax takes pointwise extremes; pointwise takes the
     empirical alpha/2 and 1-alpha/2 quantiles. Replicates may run on a
-    thread pool; the reduction is in replicate order either way.
+    thread pool; the reduction is in replicate order either way. A
+    non-finite value makes the band non-finite in its cell, where nothing
+    can exceed it, so it is an error: in the observed statistic before any
+    replicate runs, and in a replicate as a failed replicate.
     """
     children = _children(seed, n_sim, "simulation")
     _check_count(threads, "thread")
     _check_band(rank, alpha)
+    obs = _stat_values(observed_stat)
+    if not np.all(np.isfinite(obs)):
+        raise ValueError("the observed statistic must be finite")
 
     def run(i, child):
         try:
-            return _stat_values(simulator(i, child))
+            values = _stat_values(simulator(i, child))
         except Exception as e:  # propagate with replicate index per contract
             raise RuntimeError(f"simulator failed at replicate {i}: {e}") from e
+        if not np.all(np.isfinite(values)):
+            raise RuntimeError(f"simulator returned a non-finite statistic at replicate {i}")
+        return values
 
     with _pool(threads) as pool:
         stack = np.stack(_replicates(run, children, pool))
-    obs = _stat_values(observed_stat)
     if stack.shape[1:] != obs.shape:
         raise ValueError("simulated statistic shape differs from observed")
     return _envelope(observed_stat, stack, rank, alpha, generator, seed=str(seed))
@@ -260,7 +268,7 @@ def decomposition_residual(p, C, r_grid=None, t_grid=None, weights=None,
     # the lags' checks after the rows', as the geometry's build makes them
     lags = _checked_lags(p, r_grid, t_grid, "per-cell" if erosion is None else erosion)
     nu_c, nu_m = rows[0][4:]
-    poisson = poisson_reference(*lags, p.dim).values
+    poisson = cylinder_volume(lags[0].reshape(-1, 1), lags[1], p.dim)
 
     def residual(k):
         return k[0] - (nu_m - nu_c) / nu_m * poisson - nu_c / nu_m * k[1]

@@ -9,7 +9,12 @@ mark in D, each pair weighted by the reciprocal product of intensities.
 Evaluated on cylinder sets over a lag grid this yields the marked
 inhomogeneous spatio-temporal K-function; cones give the directional
 variant, and plug-in choices of the normalizing measures give the four
-denominator scenarios and the stationary specialization.
+denominator scenarios and the stationary specialization. Under Poisson the
+reduced moment measure of a lag set is its volume, so a surface's
+benchmark is the volume of its cells' lag sets: `cylinder_volume`, or for
+a directional surface `cone_volume` of the wedge in its ``meta``, the one
+home of each formula (in `geometry`). `CylinderSet.contains_lag` is the one
+cylinder test; `ConeSet` adds the direction test to it.
 
 Every statistic here, and every contrast surface in `inference`, reads one
 `PairGeometry`, the only pair search (`_stored_pairs`). Every K-function
@@ -236,8 +241,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (cone_volume, cylinder_volume, direction_in_cone, erode_window,
-                       unit_ball_volume)
+from .geometry import cone_volume, cylinder_volume, direction_in_cone, erode_window
 from .pattern import (LabelSet, _check_count, _check_retention, full_mark_set, thin, write_json,
                       write_table)
 
@@ -394,9 +398,8 @@ class ConeSet:
         dx = np.asarray(dx, dtype=float)
         if dx.shape[1] != 2:
             raise ValueError("cone sets require two spatial dimensions")
-        ds = np.sqrt(np.sum(dx**2, axis=1))
-        ok = (ds <= self.r) & (np.abs(dt) <= self.t)
-        return ok & direction_in_cone(dx[:, 0], dx[:, 1], self.phi, self.psi)
+        return (CylinderSet(self.r, self.t).contains_lag(dx, dt)
+                & direction_in_cone(dx[:, 0], dx[:, 1], self.phi, self.psi))
 
     def volume(self, d=2):
         return cone_volume(self.phi, self.psi, self.r, self.t)
@@ -972,7 +975,8 @@ class KSurface(_Surface):
     TrueIntensity / PluggedEstimate / Smoothed(n, p). ``meta`` carries
     data-quality items (floor hits, erosion mode, spread of smoothing
     replicates, degenerate-thinning count, seeds); its ``route`` names the
-    pair search and is always "indexed".
+    pair search and is always "indexed". Its Poisson benchmark is the
+    volume of each cell's lag set (`poisson_surface`).
     """
 
     scenario: str
@@ -981,8 +985,13 @@ class KSurface(_Surface):
     meta: dict = field(default_factory=dict)
 
     def poisson_surface(self):
-        """The Poisson benchmark 2 t r^d omega_d on the same grid."""
-        return poisson_reference(self.r_grid, self.t_grid, self.d).values
+        """The Poisson benchmark on the same grid: the volume of each cell's
+        lag set, the cylinder 2 t r^d omega_d, or the double cone of the
+        wedge [phi, psi] of a `k_directional` surface."""
+        r = self.r_grid.reshape(-1, 1)
+        if "phi" in self.meta:
+            return cone_volume(self.meta["phi"], self.meta["psi"], r, self.t_grid)
+        return cylinder_volume(r, self.t_grid, self.d)
 
     def diff_poisson(self):
         return self.values - self.poisson_surface()
@@ -1021,13 +1030,13 @@ def default_lag_grids(window, n=20):
 
 
 def poisson_reference(r_grid, t_grid, d):
-    """The theoretical Poisson surface 2 t r^d omega_d."""
+    """The theoretical Poisson surface: the cylinder volumes 2 t r^d omega_d
+    of the grid."""
     r_grid = np.asarray(r_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
-    values = np.outer(r_grid**d, 2.0 * t_grid) * unit_ball_volume(d)
     return KSurface(
-        r_grid=r_grid, t_grid=t_grid, values=values, C=None, D=None,
-        scenario="theory", weights_source="Poisson", d=d,
+        r_grid=r_grid, t_grid=t_grid, values=cylinder_volume(r_grid.reshape(-1, 1), t_grid, d),
+        C=None, D=None, scenario="theory", weights_source="Poisson", d=d,
     )
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mstpp.cli as cli
+import mstpp.intensity as intensity
 from mstpp.cli import (
     ConfigError,
     InputError,
@@ -30,7 +32,8 @@ from mstpp.pattern import (
     pattern_from_arrays,
     save_catalog,
 )
-from mstpp.second_order import _check_lag_cells, _checked_grids, _norm_scenario
+from mstpp.second_order import (_check_lag_cells, _checked_grids, _norm_scenario,
+                                 weights_from_estimate)
 from mstpp.simulate import _grid_shape
 
 from .conftest import UNIT, uniform_pattern
@@ -81,6 +84,29 @@ def labelled_catalog(tmp_path_factory):
 
 
 CATALOG_KEYS = "window = 0,1,0,1,0,1\n"
+
+
+def count_ground_builds(monkeypatch):
+    """The patterns' sizes of every ground Voronoi build from here on, the
+    command's own and a separable S2 estimate's factor alike."""
+    builds = []
+    for module in (cli, intensity):
+        def counted(p, *args, _build=module.voronoi_ground, **kwargs):
+            builds.append(p.n)
+            return _build(p, *args, **kwargs)
+
+        monkeypatch.setattr(module, "voronoi_ground", counted)
+    return builds
+
+
+def ground_built_per_call(monkeypatch):
+    """Make the command's weights take a new ground estimate at every call,
+    as every permutation and the separable S2 estimate once did."""
+    def build(q, mode, scenario, ground=None):
+        est = cli._build_estimate(q, mode.split("-")[1], None, False)
+        return weights_from_estimate(est, cli.voronoi_ground(q))
+
+    monkeypatch.setattr(cli, "_build_weights", build)
 
 
 class TestConfigParsing:
@@ -263,6 +289,9 @@ class TestExitCodes:
         # one pair search: no key selects it
         ("k", "route = indexed", "unknown key(s) for 'k': ['route']"),
         ("test", "route = indexed", "unknown key(s) for 'test': ['route']"),
+        # the stationary estimator is not symmetrized: once exit 0, with the
+        # unsymmetrized surface written and symmetrize = True echoed
+        ("k", "weights = stationary\nsymmetrize = true", "symmetrize"),
     ], ids=["intensity-eval_cells", "k-scenario", "k-n_r", "k-n_t", "k-smooth_n",
             "k-smooth_p-above", "k-smooth_p-zero", "test-scenario", "test-n_r", "test-n_t",
             "k-r_max", "k-t_max", "test-r_max", "test-t_max", "k-r_max-inf", "k-t_max-inf",
@@ -272,7 +301,7 @@ class TestExitCodes:
             "k-c_set-extra", "k-c_set-all-extra", "k-marks-extra", "k-marks-missing",
             "intensity-dump_cells-s2", "intensity-euclidean_tm-marked",
             "intensity-euclidean_tm-s1",
-            "k-route", "test-route"])
+            "k-route", "test-route", "k-stationary-symmetrize"])
     def test_bad_settings_are_2_before_loading(self, tmp_path, command, lines, key):
         res = run_missing_catalog(tmp_path, command, lines)
         assert res.returncode == 2, res.stderr
@@ -558,6 +587,27 @@ class TestKCommand:
         meta = json.loads((out / "k_surface.json").read_text())
         assert meta["meta"]["floor_hits"] == estimates * p.n
 
+    def test_separable_s2_plugs_in_its_own_ground_factor(self, tmp_path, monkeypatch,
+                                                         marked_catalog):
+        # scenario 3 takes the ground estimate as lam_ground; S2's ground
+        # factor is that estimate, so it is built once, not twice, and the
+        # surface keeps the bytes of a second build
+        cfg = write_config(
+            tmp_path / "c.txt",
+            f"input = {marked_catalog}\n{CATALOG_KEYS}marks = interval,0,1\n"
+            "c_set = interval,0,0.5\nd_set = interval,0.5,1\n"
+            "weights = separable-s2\nscenario = 3\nn_r = 3\nn_t = 3",
+        )
+        builds = count_ground_builds(monkeypatch)
+        assert cli.main(["k", "--config", cfg, "--out", str(tmp_path / "once")]) == 0
+        assert builds == [18]
+        ground_built_per_call(monkeypatch)
+        assert cli.main(["k", "--config", cfg, "--out", str(tmp_path / "twice")]) == 0
+        assert builds == [18] * 3
+        for name in ("k_surface.csv", "k_surface.json"):
+            assert (tmp_path / "once" / name).read_bytes() == \
+                (tmp_path / "twice" / name).read_bytes(), name
+
     def test_stationary_smoothing_rejected(self, tmp_path, marked_catalog):
         cfg = write_config(
             tmp_path / "c.txt",
@@ -612,6 +662,25 @@ class TestTestCommand:
         assert res.returncode == 2, res.stderr
         assert "config error" in res.stderr
         assert line.split()[0] in res.stderr
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_marked_weights_build_the_ground_estimate_once(self, tmp_path, monkeypatch,
+                                                           marked_catalog, threads):
+        # scenario 3 takes the ground estimate as lam_ground; it ignores the
+        # marks, so one build serves the observed pattern and every
+        # permutation, with the bytes of a build per permutation
+        text = self.config_text(marked_catalog) + "\nweights = voronoi-marked\nscenario = 3"
+        cfg = write_config(tmp_path / "c.txt", text)
+        builds = count_ground_builds(monkeypatch)
+        args = ["test", "--config", cfg, "--seed", "5", "--threads", threads, "--out"]
+        assert cli.main(args + [str(tmp_path / "once")]) == 0
+        assert builds == [18]
+        ground_built_per_call(monkeypatch)
+        assert cli.main(args + [str(tmp_path / "rebuilt")]) == 0
+        assert builds == [18] * 11
+        for name in ("envelope.csv", "envelope.json", "summary.txt"):
+            assert (tmp_path / "once" / name).read_bytes() == \
+                (tmp_path / "rebuilt" / name).read_bytes(), name
 
     def test_degenerate_sets_warn(self, tmp_path, marked_catalog):
         cfg = write_config(

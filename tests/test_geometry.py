@@ -141,3 +141,17 @@ def test_negative_or_nan_lags_are_refused(name, r, t):
     with pytest.raises(ValueError, match="requires r >= 0 and t >= 0") as exc:
         LAG_FUNCTIONS[name](r, t)
     assert not isinstance(exc.value, ErosionError)
+
+
+@pytest.mark.parametrize("name", ["cylinder_volume", "cone_volume"])
+def test_array_lags_give_each_cell_its_volume(name):
+    # arrays broadcast to one volume per (r, t) cell, with the bits of the
+    # scalar volume; one NaN or negative entry fails the whole call
+    volume = LAG_FUNCTIONS[name]
+    r, t = np.array([0.0, 0.1, 0.35]), np.array([0.2, 0.05])
+    want = np.array([[volume(a, b) for b in t] for a in r])
+    assert np.array_equal(volume(r[:, None], t), want)
+    for bad in (math.nan, -0.1):
+        for args in ((np.array([0.1, bad])[:, None], t), (r[:, None], np.array([bad, 0.1]))):
+            with pytest.raises(ValueError, match="requires r >= 0 and t >= 0"):
+                volume(*args)

@@ -371,6 +371,28 @@ class TestEnvelopes:
         with pytest.raises(RuntimeError, match="replicate 3"):
             envelopes(np.zeros((2, 2)), sim, n_sim=5, seed=12)
 
+    @pytest.mark.parametrize("rank", ["minmax", "pointwise"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_non_finite_replicate_reports_index(self, rank, bad, threads):
+        # a NaN replicate once made the band NaN in every cell, so that no
+        # cell exceeded it; it fails as a raising replicate does
+        def sim(i, seed):
+            values = np.zeros((2, 2))
+            values[1, 0] = bad if i == 3 else 0.0
+            return values
+
+        with pytest.raises(RuntimeError, match="non-finite statistic at replicate 3"):
+            envelopes(np.zeros((2, 2)), sim, n_sim=5, rank=rank, seed=12, threads=threads)
+
+    @pytest.mark.parametrize("rank", ["minmax", "pointwise"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_observed_fails_before_any_replicate(self, rank, bad):
+        observed = np.zeros((2, 2))
+        observed[0, 1] = bad
+        with pytest.raises(ValueError, match="observed statistic must be finite"):
+            envelopes(observed, no_work, n_sim=5, rank=rank, seed=12)
+
     def test_shape_mismatch_rejected(self):
         def sim(i, seed):
             return np.zeros((3, 3))

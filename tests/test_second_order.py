@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mstpp.geometry import ErosionError, Window, direction_in_cone
+from mstpp.geometry import (ErosionError, Window, cone_volume, direction_in_cone,
+                            unit_ball_volume)
 from mstpp.inference import decomposition_residual, delta_surface, diag_independent_marks
 from mstpp.intensity import Quadrature, voronoi_ground, voronoi_marked
 from mstpp.pattern import (
@@ -110,6 +111,27 @@ class TestLagSets:
             [wedge_contains(v, -0.5, 0.9) for v in dx]
         ) & (np.sqrt(np.sum(dx**2, axis=1)) <= 0.3) & (np.abs(dt) <= 0.3)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("phi, psi, r, t", [
+        (-0.5, 0.9, 0.3, 0.2), (0.0, math.pi / 2, 0.25, 0.1),
+        (-math.pi / 2, math.pi / 2, 0.2, 0.3), (0.3, 0.3 + math.pi, 0.1, 0.4),
+    ])
+    def test_cone_membership_is_the_cylinder_and_direction_tests(self, phi, psi, r, t):
+        # the former expression, written out, on random lags and on lags
+        # exactly at r, t, phi and psi (and at the opposite directions)
+        rng = np.random.default_rng(3)
+        dx = rng.uniform(-1.5 * r, 1.5 * r, size=(2000, 2))
+        dt = rng.uniform(-1.5 * t, 1.5 * t, size=2000)
+        angles = np.array([phi, psi, phi + math.pi, psi + math.pi])
+        radii = np.array([0.0, 0.5 * r, r, 1.01 * r])
+        a, rad, u = (g.ravel() for g in np.meshgrid(angles, radii, [-t, 0.0, t, 1.01 * t]))
+        dx = np.vstack([dx, np.column_stack([rad * np.cos(a), rad * np.sin(a)]), [[r, 0.0]]])
+        dt = np.concatenate([dt, u, [t]])
+        want = ((np.sqrt(np.sum(dx**2, axis=1)) <= r) & (np.abs(dt) <= t)
+                & direction_in_cone(dx[:, 0], dx[:, 1], phi, psi))
+        got = ConeSet(phi, psi, r, t).contains_lag(dx, dt)
+        assert np.array_equal(got, want)
+        assert got[2000:].any() and not got[2000:].all()
 
     def test_cone_validation(self):
         with pytest.raises(ValueError):
@@ -1538,6 +1560,26 @@ class TestDirectional:
         )
         assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("phi, psi", [
+        (-math.pi / 4, math.pi / 4), (-1.0, 1.2), (0.0, math.pi / 2), (-math.pi / 2, math.pi / 2),
+    ])
+    def test_benchmark_is_the_cone_volume(self, small_marked, tmp_path, phi, psi):
+        # a directional surface's Poisson benchmark is the volume of its own
+        # lag sets, the double cones: a quarter wedge's is a quarter of the
+        # cylinder's, the full wedge's the cylinder's within 2 ulp
+        p = small_marked
+        surf = k_directional(p, C_HALF, D_HALF, phi, psi, R_GRID, T_GRID, demo_weights(p))
+        want = np.array([[cone_volume(phi, psi, r, t) for t in T_GRID] for r in R_GRID])
+        assert np.array_equal(surf.poisson_surface(), want)
+        assert np.array_equal(surf.diff_poisson(), surf.values - want)
+        path = tmp_path / "surface.csv"
+        surf.write_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(row["k_poisson"]) for row in rows] == list(want.ravel())
+        cylinder = poisson_reference(R_GRID, T_GRID, 2).values
+        np.testing.assert_array_max_ulp(want * math.pi / (psi - phi), cylinder, maxulp=2)
+
     def test_angle_validation(self, small_marked):
         w = demo_weights(small_marked)
         with pytest.raises(ValueError):
@@ -1726,6 +1768,30 @@ class TestSurfaces:
         assert surf.values[0, 0] == pytest.approx(4.0)
         surf2 = poisson_reference(np.array([0.2]), np.array([0.3]), 2)
         assert surf2.values[0, 0] == pytest.approx(2.0 * 0.3 * math.pi * 0.04)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_cylinder_benchmarks_keep_the_bits_of_the_element_formula(self, d):
+        # 2 t r^d omega_d per cell, and the outer product the benchmark was
+        # once formed by: the same bits, since IEEE products commute
+        rng = np.random.default_rng(40 + d)
+        omega = unit_ball_volume(d)
+
+        def formulas(r, t):
+            return (2.0 * t[None, :] * r[:, None] ** d * omega,
+                    np.outer(r**d, 2.0 * t) * omega)
+
+        for _ in range(200):
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            r, t = (np.sort(rng.random(rng.integers(1, 9))) * scale for axis in "rt")
+            for want in formulas(r, t):
+                assert np.array_equal(poisson_reference(r, t, d).values, want)
+        window = Window(spatial=((0.0, 1.0),) * d, temporal=(0.0, 1.0))
+        p = uniform_pattern(30, seed=d, window=window)
+        r, t = (np.sort(rng.uniform(0.01, 0.25, 4)) for axis in "rt")
+        surf = k_inhom(p, r_grid=r, t_grid=t, weights=Weights(lam=np.full(p.n, 30.0)))
+        for want in formulas(r, t):
+            assert np.array_equal(surf.poisson_surface(), want)
+            assert np.array_equal(surf.diff_poisson(), surf.values - want)
 
     def test_diff_poisson(self, small_marked):
         w = demo_weights(small_marked)
