@@ -27,7 +27,9 @@ Mark sets (``c_set`` / ``d_set``)::
 
     all | interval,<a>,<b> | labels,<l1>[,<l2>...]
 
-(``labels`` on a label space, ``interval`` on a continuous one).
+(``labels`` on a label space, ``interval`` on a continuous one), of
+positive reference mass; under an empirical reference the mass reads the
+catalogue's marks, so it is checked once the catalogue is read.
 
 Exit codes: 0 success, 1 input/output error, 2 configuration error,
 3 numerical failure.
@@ -42,7 +44,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .geometry import ErosionError, Window
+from .geometry import ErosionError, Window, erode_window
 from .intensity import (
     Quadrature,
     QuadratureError,
@@ -67,6 +69,7 @@ from .pattern import (
 from .second_order import (
     _check_lag_cells,
     _checked_grids,
+    _mark_mass,
     _norm_scenario,
     default_lag_grids,
     k_inhom,
@@ -291,7 +294,8 @@ def _markspace_from(spec):
 
 def _markset_from(spec, key, mark_space):
     """The mark set of ``spec`` (None for all marks), of the kind that
-    ``mark_space`` takes."""
+    ``mark_space`` takes, with a positive reference mass unless that mass
+    reads the catalogue's marks (an empirical reference)."""
     kind, *args = [s.strip() for s in spec.split(",")]
     with _named(key, prefix=f"bad mark set {spec!r}: "):
         if kind == "all":
@@ -305,6 +309,8 @@ def _markset_from(spec, key, mark_space):
         else:
             raise ValueError("expected all, interval,.. or labels,..")
         _check_mark_set(mark_space, mark_set)
+        if mark_space.is_labelled or mark_space.reference != "empirical":
+            _mark_mass(mark_space, mark_set)
         return mark_set
 
 
@@ -451,12 +457,14 @@ def _build_weights(p, mode, scenario, ground=None):
 
 def _second_order_from(cfg):
     """The scenario, the mark sets and the lag grids of a k or test config,
-    after the library's checks. A maximal lag of 0 is the default grid's."""
+    after the library's checks, the window's erosion at the maximal lags
+    included. A maximal lag of 0 is the default grid's."""
     with _named("scenario"):
         scenario = _norm_scenario(cfg["scenario"])
     mark_space = _markspace_from(cfg["marks"])
     C, D = (_markset_from(cfg[key], key, mark_space) for key in ("c_set", "d_set"))
-    r_default, t_default = default_lag_grids(_window_from(cfg["window"]))
+    window = _window_from(cfg["window"])
+    r_default, t_default = default_lag_grids(window)
     r_max = cfg["r_max"] or float(r_default[-1])
     t_max = cfg["t_max"] or float(t_default[-1])
     n_r, n_t = cfg["n_r"], cfg["n_t"]
@@ -464,6 +472,7 @@ def _second_order_from(cfg):
         _check_lag_cells(n_r, n_t)  # before the grids are allocated
         r_grid, t_grid = _checked_grids(r_max * np.arange(1, n_r + 1) / n_r,
                                         t_max * np.arange(1, n_t + 1) / n_t)
+        erode_window(window, float(r_grid[-1]), float(t_grid[-1]))  # _checked_lags's rule
     return scenario, C, D, r_grid, t_grid
 
 

@@ -20,13 +20,12 @@ volumes into cells, and the mass audit, which sums the estimate over the
 same grid shifted by ``AUDIT_OFFSET``.
 
 Every quadrature tessellation is one cell type, ``_QuadCells``, with one
-build (which retries once at ``Quadrature.refined()``, unless box bounds
-prove a cell of the refined grid empty), one evaluation, one
-value at the pattern's own points and one audit (``integral``); each
-subclass only gives its grid. ``VoronoiEstimate`` is that type on the
-space-time(-mark) grid, the separable spatial and time-mark factors on
-theirs. The exact 1-D and label cells share the own-point value, and
-their integral is the point count.
+build (tried at its quadrature and, when a cell gets no node, once more at
+``Quadrature.refined()``), one evaluation, one value at the pattern's own
+points and one audit (``integral``); each subclass only gives its grid.
+``VoronoiEstimate`` is that type on the space-time(-mark) grid, the
+separable spatial and time-mark factors on theirs. The exact 1-D and label
+cells share the own-point value, and their integral is the point count.
 
 The search is exact but pruned, in two forms that share one candidate
 and argmin kernel. A grid is given by its 1-d axes: its nodes are their
@@ -68,9 +67,11 @@ bit-identical to comparing every node with every generator. Bounds are
 formed for blocks of boxes of about ``_BOUNDS`` box-generator pairs,
 distances in batches of about ``_BATCH`` row-candidate pairs, and a sweep
 with a mark axis holds labels for one slab of boxes (whole box rows along
-the first axis) at a time. Under a mark axis each block's space part is
-bounded once; each mark node then only joins its mark term to those
-bounds.
+the first axis) at a time. A sweep walks its lattice once, before any
+distance: it bounds each block once (under a mark axis, each mark node
+then only joins its mark term to the block's space part) and keeps each
+search's best generators and candidate masks, packed into bits. Only then
+are the blocks labelled from what was kept, in the same order.
 
 Three more cuts are exact for the same reasons. First, a mark node of a sweep
 bounds only the generators whose mark term alone (the squared mark
@@ -89,16 +90,15 @@ box with a single candidate takes it as every node's label without
 computing a distance: the generator of the smallest upper bound is always
 a candidate, so a sole candidate is that nearest generator.
 
-Third, the retry at ``Quadrature.refined()`` first runs a bounds pass,
-``_unreached``: the sweep's blocks, bounds, mark-node cut and candidate
-rule, with no distance. A generator that is a candidate of no box at any
-mark node lies strictly farther from every node than some other
-generator, so the sweep gives it no node, its cell measure is 0 and the
-refined build would fail; the retry then raises the same QuadratureError
-before the sweep. The pass proves nothing when every generator is a candidate
-somewhere, and then the sweep runs as before, so every result that passes
-keeps its bits. Only the retry is checked: a first build usually
-succeeds, and there the pass would only add time.
+Third, the walk also gives the mask of the generators that are a
+candidate of no box (at no mark node, under a mark axis). Such a generator
+lies strictly farther from every node than some other generator, so the
+sweep would give it no node and its cell measure would be 0. A build whose
+mask is not empty therefore returns zero measures without computing a
+distance, and that attempt fails as it would have after the sweep. Both
+attempts, at the quadrature and at ``Quadrature.refined()``, follow this
+one rule. A build whose mask is empty labels every node as before, so
+every result that passes keeps its bits. The audit reads no mask.
 
 Estimator variants
 ------------------
@@ -350,18 +350,17 @@ def _candidates(lb, ub):
     return best, lb <= ub[np.arange(best.size), best][:, None]
 
 
-def _candidate_labels(lb, ub, dist, pos, out, ids=None):
+def _candidate_labels(best, keep, dist, pos, out, ids=None):
     """Write the nearest generator of every row of every box to
     ``out[pos]``; ``pos`` holds each box's row positions, (boxes, rows).
-    A box searches its ``_candidates`` (bounds over the generators ``ids``
-    when not all) in increasing index order, so argmin's first occurrence
-    is the lowest index among ties. A box with one candidate takes it. The
-    others go in batches of similar candidate counts and about ``_BATCH``
-    row-candidate distances, each row padded with its first candidate,
-    which a later position never beats; ``dist(sel, idx)`` gives the
-    distances (len(sel), rows, K) from the rows of boxes ``sel`` to
-    generators ``idx``, (len(sel), K)."""
-    best, keep = _candidates(lb, ub)
+    A box searches its ``_candidates``, ``best`` and ``keep`` (over the
+    generators ``ids`` when not all), in increasing index order, so
+    argmin's first occurrence is the lowest index among ties. A box with
+    one candidate takes it. The others go in batches of similar candidate
+    counts and about ``_BATCH`` row-candidate distances, each row padded
+    with its first candidate, which a later position never beats;
+    ``dist(sel, idx)`` gives the distances (len(sel), rows, K) from the
+    rows of boxes ``sel`` to generators ``idx``, (len(sel), K)."""
     counts = np.count_nonzero(keep, axis=1)
     order = np.argsort(counts, kind="stable")
     counts = counts[order]
@@ -435,8 +434,8 @@ def _nearest(metric, queries, gens, chunk):
             return _metric_value(metric, lambda k: _coord_term(
                 metric, ncol, k, q[k][:, :, None] - cand[k][:, None, :]), ncol)
 
-        lb, ub = _box_bounds(metric, tiles, gt)
-        _candidate_labels(lb, ub, dist, pos, labels[start : start + chunk])
+        best, keep = _candidates(*_box_bounds(metric, tiles, gt))
+        _candidate_labels(best, keep, dist, pos, labels[start : start + chunk])
     return labels
 
 
@@ -550,81 +549,111 @@ class _Lattice:
         return pos, dist
 
 
-def _mark_node(join, lb, ub, z, gm):
-    """Mark node ``z``'s search of a block of boxes whose space parts are
-    bounded by ``lb``, ``ub`` (boxes, generators), for generator marks
-    ``gm``: every generator's mark term, the generators kept (``ids``; None
-    when every one is) and their joined bounds. Kept are the generators
-    whose mark term alone stays within the largest upper bound, over the
-    boxes, of the generator nearest in mark. When that is only one, it is
-    every node's label: the bounds are None and ``ids`` holds it."""
-    dm = np.abs(z - gm)
-    term = dm if join == "add" else dm * dm
-    g0 = np.argmin(dm)
+def _mark_node(join, lb, ub, term, g0):
+    """A mark node's search of a block of boxes whose space parts are
+    bounded by ``lb``, ``ub`` (boxes, generators), for every generator's
+    mark term ``term`` and the generator ``g0`` nearest in mark: the
+    generators kept (``ids``; None when every one is) and their joined
+    bounds. Kept are the generators whose mark term alone stays within the
+    largest upper bound, over the boxes, of ``g0``. When that is only
+    ``g0``, it is every node's label: the bounds are None."""
     near = np.flatnonzero(term <= np.max(_join_mark(join, ub[:, g0], term[g0])))
     if near.size == 1:
-        return term, near, None
+        return near, None
     ids = None if near.size == term.size else near
     lbs, ubs, tn = (lb, ub, term) if ids is None else (lb[:, near], ub[:, near], term[near])
-    return term, ids, (_join_mark(join, lbs, tn), _join_mark(join, ubs, tn))
+    return ids, (_join_mark(join, lbs, tn), _join_mark(join, ubs, tn))
 
 
 def _sweep(metric, gens, grid, chunk):
-    """(nearest-generator labels, mark weight) blocks over a grid's nodes
-    times its mark axis. A grid is (axes, volume element, mark axis or
-    None); its nodes are the product of the 1-d axes, in mesh order.
-    Without a mark axis there is one block, of every node, of weight 1.0;
-    with one, a block of ``chunk`` nodes in mesh order for every mark node
-    (chunks outer, mark nodes inner). The lattice is searched box by box:
-    each block of boxes is bounded once, and under a mark axis each mark
-    node searches only the generators its mark term cannot rule out. Labels
-    are held for one slab of boxes (whole box rows along the first axis) at
-    a time."""
+    """The nearest-generator search over a grid's nodes times its mark axis:
+    the mask of the generators that are a candidate of no box, and an
+    iterator of (labels, mark weight) blocks. A grid is (axes, volume
+    element, mark axis or None); its nodes are the product of the 1-d axes,
+    in mesh order. The lattice is walked once, before any distance: each
+    block of boxes is bounded, under a mark axis each mark node searches
+    only the generators its mark term cannot rule out, and each search
+    keeps its ``_candidates`` (the masks packed). The blocks are labelled
+    from those: without a mark axis one block, of every node, of weight
+    1.0; with one, a block of ``chunk`` nodes in mesh order for every mark
+    node (chunks outer, mark nodes inner), labels held for one slab of
+    boxes (whole box rows along the first axis) at a time."""
     axes, _, mark_axis = grid
     lat = _Lattice(metric, axes, gens)
-    if mark_axis is None:
-        labels = np.empty(lat.size, dtype=np.intp)
-        for ranges in lat.blocks():
-            pos, dist = lat.block(ranges, 0)
-            _candidate_labels(*lat.bounds(ranges), dist, pos, labels)
-        yield labels, 1.0
-        return
-    join, (zs, ws), gm = metric[1], mark_axis, gens[:, -1]
-    held, done = np.empty((zs.size, 0), dtype=np.int32), 0
+    if mark_axis is not None:
+        zs, ws = mark_axis
+        dm = np.abs(zs[:, None] - gens[:, -1])
+        terms = dm if metric[1] == "add" else dm * dm
+    kept, seen = [], np.zeros(lat.n, dtype=bool)
     for ranges in lat.blocks():
-        lo, hi = lat.rows(ranges[0])
-        if all(r.start == 0 for r in ranges[1:]):
-            slab = np.empty((zs.size, hi - lo), dtype=np.int32)
         lb, ub = lat.bounds(ranges)
-        pos, dist = lat.block(ranges, lo)
-        for j, z in enumerate(zs):
-            term, ids, joined = _mark_node(join, lb, ub, z, gm)
+        searches = [(None, (lb, ub))] if mark_axis is None else (
+            _mark_node(metric[1], lb, ub, term, np.argmin(d)) for term, d in zip(terms, dm))
+        block = []
+        for ids, joined in searches:
             if joined is None:
-                slab[j][pos] = ids[0]
+                seen[ids] = True
+                block.append((ids, None, None))
                 continue
-            _candidate_labels(*joined, lambda sel, idx: dist(sel, idx, term), pos, slab[j], ids)
-        if any(r.stop < c for r, c in zip(ranges[1:], lat.counts[1:])):
-            continue
-        # yield the chunks the slab completes; ``held`` has the labels of
-        # [done, lo), the start of the first
-        start = done
-        while start + chunk <= hi or start < hi == lat.size:
-            stop = min(start + chunk, hi)
-            for j, wj in enumerate(ws):
-                yield (slab[j, start - lo : stop - lo] if start >= lo else
-                       np.concatenate([held[j], slab[j, : stop - lo]])), wj
-            start = stop
-        held = slab[:, start - lo :].copy() if start >= lo else np.concatenate([held, slab], axis=1)
-        done = start
+            best, keep = _candidates(*joined)
+            hit = keep.any(axis=0)
+            seen[hit if ids is None else ids[hit]] = True
+            block.append((ids, best, np.packbits(keep)))
+        kept.append((ranges, block))
+
+    def label(ranges, block, lo, out):
+        pos, dist = lat.block(ranges, lo)
+        for j, (ids, best, keep) in enumerate(block):
+            if best is None:
+                out[j][pos] = ids[0]
+                continue
+            keep = np.unpackbits(keep, count=best.size * (lat.n if ids is None else ids.size))
+            mark = None if mark_axis is None else terms[j]
+            _candidate_labels(best, keep.view(bool).reshape(best.size, -1),
+                              lambda sel, idx: dist(sel, idx, mark), pos, out[j], ids)
+
+    def blocks():
+        if mark_axis is None:
+            labels = np.empty((1, lat.size), dtype=np.intp)
+            for ranges, block in kept:
+                label(ranges, block, 0, labels)
+            yield labels[0], 1.0
+            return
+        held, done = np.empty((zs.size, 0), dtype=np.int32), 0
+        for ranges, block in kept:
+            lo, hi = lat.rows(ranges[0])
+            if all(r.start == 0 for r in ranges[1:]):
+                slab = np.empty((zs.size, hi - lo), dtype=np.int32)
+            label(ranges, block, lo, slab)
+            if any(r.stop < c for r, c in zip(ranges[1:], lat.counts[1:])):
+                continue
+            # yield the chunks the slab completes; ``held`` has the labels of
+            # [done, lo), the start of the first
+            start = done
+            while start + chunk <= hi or start < hi == lat.size:
+                stop = min(start + chunk, hi)
+                for j, wj in enumerate(ws):
+                    yield (slab[j, start - lo : stop - lo] if start >= lo else
+                           np.concatenate([held[j], slab[j, : stop - lo]])), wj
+                start = stop
+            held = slab[:, start - lo :].copy() if start >= lo else np.concatenate([held, slab], axis=1)
+            done = start
+
+    return ~seen, blocks()
 
 
 def _cell_measures(metric, gens, grid, chunk):
     """The build: each node's volume element, times its mark weight, accrues
     to its nearest generator. The volume element is a scalar or, for the
-    time-mark grid, one weight per node."""
+    time-mark grid, one weight per node. A generator that the sweep's
+    bounds leave a candidate of no box gets no node; the measures are then
+    all 0, and no distance is computed."""
     vol, n = grid[1], gens.shape[0]
+    unreached, blocks = _sweep(metric, gens, grid, chunk)
     measures = np.zeros(n)
-    for labels, wj in _sweep(metric, gens, grid, chunk):
+    if unreached.any():
+        return measures
+    for labels, wj in blocks:
         if np.ndim(vol):
             measures += np.bincount(labels, weights=vol, minlength=n)
         else:
@@ -632,43 +661,12 @@ def _cell_measures(metric, gens, grid, chunk):
     return measures
 
 
-def _unreached(metric, gens, grid):
-    """The generators that are a candidate of no lattice box of the grid (at
-    no mark node, under a mark axis), as a mask: the bounds, the mark-node
-    cut and the candidate rule of ``_sweep``, without a distance. Such a
-    generator gets no node, so its cell measure is 0. The pass stops once
-    every generator has been a candidate."""
-    axes, _, mark_axis = grid
-    lat = _Lattice(metric, axes, gens)
-    seen = np.zeros(lat.n, dtype=bool)
-    for ranges in lat.blocks():
-        lb, ub = lat.bounds(ranges)
-        searches = [(None, (lb, ub))] if mark_axis is None else (
-            _mark_node(metric[1], lb, ub, z, gens[:, -1])[1:] for z in mark_axis[0])
-        for ids, joined in searches:
-            if joined is None:
-                seen[ids] = True
-                continue
-            kept = _candidates(*joined)[1].any(axis=0)
-            seen[kept if ids is None else ids[kept]] = True
-        if seen.all():
-            break
-    return ~seen
-
-
 def _refining(metric, gens, grid_at, quad, message):
-    """Cell measures of the grid ``grid_at(q)`` at ``q = quad``, or at
-    ``quad.refined()`` when a cell got no node; QuadratureError(message)
-    when one gets none at either. The refined grid is swept only when
-    ``_unreached`` finds no generator: a retry that the box bounds prove
-    hopeless fails before any distance is computed."""
-    measures = _cell_measures(metric, gens, grid_at(quad), quad.chunk)
-    if np.all(measures > 0):
-        return measures, quad
-    q = quad.refined()
-    grid = grid_at(q)
-    if not _unreached(metric, gens, grid).any():
-        measures = _cell_measures(metric, gens, grid, q.chunk)
+    """Cell measures of the grid ``grid_at(q)`` at the first ``q`` of
+    ``quad`` and ``quad.refined()`` at which every cell gets a node;
+    QuadratureError(message) when one gets none at both."""
+    for q in (quad, quad.refined()):
+        measures = _cell_measures(metric, gens, grid_at(q), q.chunk)
         if np.all(measures > 0):
             return measures, q
     raise QuadratureError(message)
@@ -745,7 +743,7 @@ class _QuadCells(_Cells):
         q = quadrature if quadrature is not None else self.quadrature
         grid = self._grid(self.pattern, q, AUDIT_OFFSET, self.metric)
         values, vol, total = self.mult / self.measures, grid[1], 0.0
-        for labels, wj in _sweep(self.metric, self.rows, grid, q.chunk):
+        for labels, wj in _sweep(self.metric, self.rows, grid, q.chunk)[1]:
             vals = values[labels]
             total += float(np.sum(vals * vol)) if np.ndim(vol) else float(np.sum(vals)) * vol * wj
         return total

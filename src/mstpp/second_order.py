@@ -1055,17 +1055,23 @@ def _mark_masks(p, C, D, marks=None):
     return C.mask(marks).astype(float), D.mask(marks).astype(float)
 
 
+def _mark_mass(mark_space, mark_set, marks=None):
+    """The reference mass of ``mark_set`` (None = full mark space) under
+    ``mark_space``, whose empirical reference reads the observed ``marks``;
+    ValueError unless it is positive."""
+    nu = mark_space.nu_total(marks) if mark_set is None else mark_space.nu(mark_set, marks)
+    if nu <= 0:
+        raise ValueError("mark sets must have positive reference measure")
+    return nu
+
+
 def _mark_sets(p, C, D):
     """Masks and reference masses of C and D (None = full mark space);
     unit masses on an unmarked pattern."""
     mC, mD = _mark_masks(p, C, D)
     if p.marks is None:
         return mC, mD, 1.0, 1.0
-    nu_C = p.nu(C) if C is not None else p.nu_total()
-    nu_D = p.nu(D) if D is not None else p.nu_total()
-    if nu_C <= 0 or nu_D <= 0:
-        raise ValueError("mark sets must have positive reference measure")
-    return mC, mD, nu_C, nu_D
+    return mC, mD, _mark_mass(p.mark_space, C, p.marks), _mark_mass(p.mark_space, D, p.marks)
 
 
 def _per_point(p, lam):

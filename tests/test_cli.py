@@ -18,7 +18,7 @@ from mstpp.cli import (
     parse_config_file,
     resolve_config,
 )
-from mstpp.geometry import Window
+from mstpp.geometry import Window, erode_window
 from mstpp.inference import _check_band
 from mstpp.intensity import Quadrature
 from mstpp.pattern import (
@@ -32,11 +32,12 @@ from mstpp.pattern import (
     pattern_from_arrays,
     save_catalog,
 )
-from mstpp.second_order import (_check_lag_cells, _checked_grids, _norm_scenario,
+from mstpp.second_order import (_check_lag_cells, _checked_grids, _mark_mass, _norm_scenario,
                                  weights_from_estimate)
 from mstpp.simulate import _grid_shape
 
 from .conftest import UNIT, uniform_pattern
+from .test_nearest_search import _narrow_band
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -166,6 +167,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="key 'd_set': bad mark set"):
             _markset_from("ball,1", "d_set", labels)
 
+    def test_markset_mass_is_checked_unless_it_reads_the_marks(self):
+        # an empirical mass reads the catalogue's marks, so it is checked
+        # after loading; every other reference is checked here
+        empirical = ContinuousMarks(0.0, 1.0, "empirical")
+        assert _markset_from("interval,2,3", "c_set", empirical) == MarkInterval(2.0, 3.0)
+        for space, spec in [(ContinuousMarks(0.0, 1.0), "interval,2,3"),
+                            (ContinuousMarks(0.0, 1.0, "normalized"), "interval,1,1"),
+                            (LabelMarks(2), "labels,3"),
+                            (LabelMarks(3, weights=(1.0, 2.0, 3.0)), "labels,4,5")]:
+            with pytest.raises(ConfigError, match="positive reference measure"):
+                _markset_from(spec, "c_set", space)
+
     @pytest.mark.parametrize("spec, message", [
         ("labels", "missing field <k>"),
         ("interval", "missing field <lo>"),
@@ -217,13 +230,16 @@ class TestExitCodes:
         assert res.returncode == 1
         assert "input error" in res.stderr
 
-    def test_numerical_failure_is_3(self, tmp_path, marked_catalog):
+    def test_numerical_failure_is_3(self, tmp_path):
+        # marks in a narrow band that the mark nodes miss: cells stay empty
+        # at the quadrature and at its refinement
+        save_catalog(_narrow_band(), tmp_path / "band.csv")
         cfg = write_config(
             tmp_path / "c.txt",
-            f"input = {marked_catalog}\n{CATALOG_KEYS}marks = interval,0,1\n"
-            "weights = stationary\nn_r = 2\nn_t = 2\nr_max = 0.6",
+            f"input = {tmp_path / 'band.csv'}\n{CATALOG_KEYS}marks = interval,0,8\n"
+            "estimator = marked\nquad_space = 8\nquad_time = 8\nquad_mark = 4",
         )
-        res = run_cli("k", "--config", cfg, "--out", str(tmp_path / "o"))
+        res = run_cli("intensity", "--config", cfg, "--out", str(tmp_path / "o"))
         assert res.returncode == 3
         assert "numerical failure" in res.stderr
 
@@ -292,6 +308,21 @@ class TestExitCodes:
         # the stationary estimator is not symmetrized: once exit 0, with the
         # unsymmetrized surface written and symmetrize = True echoed
         ("k", "weights = stationary\nsymmetrize = true", "symmetrize"),
+        # a mark set of no reference mass: once a numerical failure (exit 3)
+        # after loading
+        ("k", "c_set = labels,3", "key 'c_set': bad mark set 'labels,3': "
+         "mark sets must have positive reference measure"),
+        ("test", "d_set = labels,3", "key 'd_set': bad mark set 'labels,3': "
+         "mark sets must have positive reference measure"),
+        ("k", "marks = interval,0,1\nc_set = interval,2,3", "key 'c_set': bad mark set "
+         "'interval,2,3': mark sets must have positive reference measure"),
+        ("test", "marks = interval,0,1,normalized\nd_set = interval,1,1", "key 'd_set': bad "
+         "mark set 'interval,1,1': mark sets must have positive reference measure"),
+        # a lag grid the window cannot hold: once a numerical failure (exit
+        # 3) after loading
+        ("k", "r_max = 0.6", "'r_max', 't_max': erosion exceeds window"),
+        ("k", "t_max = 0.5", "'r_max', 't_max': erosion exceeds window"),
+        ("test", "r_max = 0.5", "'r_max', 't_max': erosion exceeds window"),
     ], ids=["intensity-eval_cells", "k-scenario", "k-n_r", "k-n_t", "k-smooth_n",
             "k-smooth_p-above", "k-smooth_p-zero", "test-scenario", "test-n_r", "test-n_t",
             "k-r_max", "k-t_max", "test-r_max", "test-t_max", "k-r_max-inf", "k-t_max-inf",
@@ -301,7 +332,9 @@ class TestExitCodes:
             "k-c_set-extra", "k-c_set-all-extra", "k-marks-extra", "k-marks-missing",
             "intensity-dump_cells-s2", "intensity-euclidean_tm-marked",
             "intensity-euclidean_tm-s1",
-            "k-route", "test-route", "k-stationary-symmetrize"])
+            "k-route", "test-route", "k-stationary-symmetrize", "k-c_set-no-mass",
+            "test-d_set-no-mass", "k-interval-no-mass", "test-normalized-no-mass",
+            "k-r_max-erosion", "k-t_max-erosion", "test-r_max-erosion"])
     def test_bad_settings_are_2_before_loading(self, tmp_path, command, lines, key):
         res = run_missing_catalog(tmp_path, command, lines)
         assert res.returncode == 2, res.stderr
@@ -335,9 +368,17 @@ class TestExitCodes:
         ("test", "c_set = interval,nan,1", "'c_set'", lambda: MarkInterval(np.nan, 1.0)),
         ("k", "d_set = interval,0,1", "'d_set'",
          lambda: _check_mark_set(LabelMarks(2), MarkInterval(0.0, 1.0))),
+        ("k", "c_set = labels,3", "'c_set'", lambda: _mark_mass(LabelMarks(2), LabelSet([3]))),
+        ("test", "marks = interval,0,1\nd_set = interval,2,3", "'d_set'",
+         lambda: _mark_mass(ContinuousMarks(0.0, 1.0), MarkInterval(2.0, 3.0))),
+        ("k", "r_max = 0.6", "'n_r', 'n_t', 'r_max', 't_max'",
+         lambda: erode_window(UNIT, 0.6, 0.25)),
+        ("test", "t_max = 0.5", "'n_r', 'n_t', 'r_max', 't_max'",
+         lambda: erode_window(UNIT, 0.25, 0.5)),
     ], ids=["grf_cells-guard", "grf_cells-zero", "quad_space", "r_max", "t_max", "n_t",
             "n_r", "cells", "k-scenario", "test-scenario", "smooth_n", "smooth_p", "n_perm",
-            "alpha", "rank", "marks-weight", "marks-bound", "c_set", "d_set-kind"])
+            "alpha", "rank", "marks-weight", "marks-bound", "c_set", "d_set-kind",
+            "c_set-mass", "d_set-mass", "r_max-erosion", "t_max-erosion"])
     def test_bad_values_quote_the_library_check(self, tmp_path, command, lines, keys, check):
         # one source for each value rule: the CLI reports the library's own
         # message for the same value, under the key(s) it came from

@@ -18,10 +18,11 @@ than the generators' marks, a label no generator carries), and a tile or
 box with a single candidate takes it without a distance (a few far-apart
 generators).
 
-The bounds pass that runs before a refined retry (``_unreached``) must
-rule out only generators that the brute sweep gives no node, and a retry
-it proves hopeless must fail, with the same error, without computing a
-distance.
+The sweep bounds every block once, before any distance, and returns the
+mask of the generators that are a candidate of no box. That mask must
+rule out only generators that the brute sweep gives no node, and a build
+whose attempts it proves hopeless must fail, with the same error, without
+computing a distance.
 """
 
 import itertools
@@ -39,7 +40,6 @@ from mstpp.intensity import (
     _cell_measures,
     _nearest,
     _sweep,
-    _unreached,
     voronoi_ground,
     voronoi_marked,
     voronoi_separable,
@@ -143,10 +143,10 @@ def _spy_candidates(monkeypatch):
     it was given and how many candidates each of its tiles or boxes kept."""
     calls, real = [], intensity._candidate_labels
 
-    def spy(lb, ub, dist, pos, out, ids=None):
-        counts = np.count_nonzero(lb <= ub.min(axis=1, keepdims=True), axis=1)
-        calls.append((lb.shape[1], counts))
-        return real(lb, ub, dist, pos, out, ids)
+    def spy(best, keep, dist, pos, out, ids=None):
+        assert np.all(keep[np.arange(best.size), best])
+        calls.append((keep.shape[1], np.count_nonzero(keep, axis=1)))
+        return real(best, keep, dist, pos, out, ids)
 
     monkeypatch.setattr(intensity, "_candidate_labels", spy)
     return calls
@@ -184,7 +184,7 @@ def _grid_mark(metric):
 
 def _sweeps_match(metric, gens, grid, chunk):
     want = [(lab.tolist(), w) for lab, w in sweep_oracle(metric, gens, grid, chunk)]
-    got = [(lab.tolist(), w) for lab, w in _sweep(metric, gens, grid, chunk)]
+    got = [(lab.tolist(), w) for lab, w in _sweep(metric, gens, grid, chunk)[1]]
     return got == want
 
 
@@ -203,7 +203,7 @@ def test_sweep_drops_far_mark_nodes_exactly(monkeypatch, name, axis, chunk):
     grid = (axes, 1.0, (z, np.linspace(0.5, 1.5, z.size)))
     want = [(lab.tolist(), w) for lab, w in sweep_oracle(metric, gens, grid, chunk)]
     calls = _spy_candidates(monkeypatch)
-    assert [(lab.tolist(), w) for lab, w in _sweep(metric, gens, grid, chunk)] == want
+    assert [(lab.tolist(), w) for lab, w in _sweep(metric, gens, grid, chunk)[1]] == want
     assert min(n for n, _ in calls) < gens.shape[0]
     nodes = mesh(axes)
     queries = np.column_stack([np.repeat(nodes, z.size, axis=0), np.tile(z, nodes.shape[0])])
@@ -310,7 +310,7 @@ def test_far_apart_boxes_keep_one_candidate(monkeypatch, name):
     metric = METRICS[name]
     gens, grid = _lattice_case("far-apart", metric, 13)
     calls = _spy_candidates(monkeypatch)
-    for _ in _sweep(metric, gens, grid, Quadrature().chunk):
+    for _ in _sweep(metric, gens, grid, Quadrature().chunk)[1]:
         pass
     assert np.any(np.concatenate([c for _, c in calls]) == 1)
 
@@ -320,15 +320,15 @@ def test_far_apart_boxes_keep_one_candidate(monkeypatch, name):
                          [("random", n) for n in LENGTHS] + [(c, 13) for c in LATTICE_CASES])
 @pytest.mark.parametrize("name", METRICS)
 def test_bounds_pass_rules_out_only_empty_cells(monkeypatch, name, case, length, box):
-    """Every generator that no box keeps as a candidate has measure 0 in
-    the brute sweep."""
+    """Every generator that the sweep's mask rules out (a candidate of no
+    box) has measure 0 in the brute sweep."""
     monkeypatch.setattr(intensity, "_BOX", box)
     metric = METRICS[name]
     gens, grid = _lattice_case(case, metric, length)
     measures = np.zeros(gens.shape[0])
     for labels, w in sweep_oracle(metric, gens, grid, Quadrature().chunk):
         measures += np.bincount(labels, minlength=gens.shape[0]) * w
-    assert np.all(measures[_unreached(metric, gens, grid)] == 0)
+    assert np.all(measures[_sweep(metric, gens, grid, Quadrature().chunk)[0]] == 0)
 
 
 @pytest.mark.parametrize("name", ["ground-sup", "spatial", "marked-max", "marked-add",
@@ -337,7 +337,7 @@ def test_bounds_pass_rules_out_generators(name):
     """The soundness cases reach ruled-out generators without a mark axis,
     with a swept one (max and add) and with the mark on the lattice."""
     gens, grid = _lattice_case("random", METRICS[name], 2)
-    assert np.any(_unreached(METRICS[name], gens, grid))
+    assert np.any(_sweep(METRICS[name], gens, grid, Quadrature().chunk)[0])
 
 
 def _narrow_band(n=40, seed=5):
@@ -349,24 +349,40 @@ def _narrow_band(n=40, seed=5):
                                UNIT, ContinuousMarks(0.0, 8.0))
 
 
+def _spy_bounds(monkeypatch):
+    """Record every ``_Lattice.bounds`` call as (lattice, block ranges)."""
+    calls, real = [], intensity._Lattice.bounds
+
+    def spy(lat, ranges):
+        calls.append((lat, ranges))
+        return real(lat, ranges)
+
+    monkeypatch.setattr(intensity._Lattice, "bounds", spy)
+    return calls
+
+
 def test_hopeless_refined_retry_computes_no_distance(monkeypatch):
     p, quad, metric = _narrow_band(), Quadrature(n_space=8, n_time=8, n_mark=4), ((2, 1), "max")
     gens = intensity._group_rows(np.column_stack([p.x, p.t, p.marks]))[0]
-
-    def measures(q):
-        return _cell_measures(metric, gens, VoronoiEstimate._grid(p, q, 0.5, metric), q.chunk)
-
-    # the refined sweep leaves a cell empty, and the bounds pass shows it
-    refined = quad.refined()
-    assert np.any(measures(refined) == 0)
-    assert np.any(_unreached(metric, gens, VoronoiEstimate._grid(p, refined, 0.5, metric)))
-    calls = _spy_candidates(monkeypatch)
-    assert np.any(measures(quad) == 0)
-    default = len(calls)
-    assert default > 0
+    for q in (quad, quad.refined()):
+        # the sweep leaves a cell empty at both attempts, and its mask shows it
+        unreached, blocks = _sweep(metric, gens, VoronoiEstimate._grid(p, q, 0.5, metric), q.chunk)
+        assert np.any(unreached)
+        reached = np.zeros(gens.shape[0], dtype=bool)
+        for labels, _ in blocks:
+            reached[labels] = True
+        assert not np.all(reached) and not np.any(reached & unreached)
+    calls, blocks = _spy_candidates(monkeypatch), []
+    bounds = _spy_bounds(monkeypatch)
+    real = intensity._Lattice.block
+    monkeypatch.setattr(intensity._Lattice, "block", lambda *a: blocks.append(a) or real(*a))
     with pytest.raises(QuadratureError, match="^empty tessellation cell at refined quadrature$"):
         voronoi_marked(p, quad)
-    assert len(calls) == 2 * default
+    # both attempts are bounded, and neither labels a box
+    assert len({id(lat) for lat, _ in bounds}) == 2
+    assert calls == [] and blocks == []
+    assert np.all(_cell_measures(metric, gens, VoronoiEstimate._grid(p, quad, 0.5, metric),
+                                 quad.chunk) == 0)
 
 
 def test_hopeless_refined_retry_exits_3(tmp_path):
@@ -380,23 +396,40 @@ def test_hopeless_refined_retry_exits_3(tmp_path):
     assert "empty tessellation cell at refined quadrature" in res.stderr
 
 
-def test_golden_refined_builds_pass_the_bounds_pass(monkeypatch):
-    """The golden builds that succeed only at the refined grid run the
-    bounds pass, which rules out no generator."""
-    found, real = [], intensity._unreached
-
-    def spy(metric, gens, grid):
-        out = real(metric, gens, grid)
-        found.append(int(np.count_nonzero(out)))
-        return out
-
-    monkeypatch.setattr(intensity, "_unreached", spy)
+def _refined_golden_builds():
+    """The golden builds that succeed only at the refined grid."""
     (close, quad), (stacked, _) = patterns()["refined-space"], patterns()["refined-time"]
     assert voronoi_ground(stacked, quad).refined
     assert voronoi_marked(stacked, quad).refined
     s3 = voronoi_separable(close, "S3", euclidean_tm=True, quadrature=quad)
     assert s3.factors["spatial"].refined and s3.factors["timemark"].refined
-    assert found == [0, 0, 0, 0]
+
+
+def test_golden_refined_builds_pass_the_bounds_pass(monkeypatch):
+    """Each refined attempt of the golden builds that succeed only there
+    rules out no generator."""
+    found, real = [], intensity._sweep
+
+    def spy(metric, gens, grid, chunk):
+        unreached, blocks = real(metric, gens, grid, chunk)
+        found.append(int(np.count_nonzero(unreached)))
+        return unreached, blocks
+
+    monkeypatch.setattr(intensity, "_sweep", spy)
+    _refined_golden_builds()
+    assert len(found) == 8
+    assert found[1::2] == [0, 0, 0, 0]
+
+
+def test_each_attempt_bounds_each_block_once(monkeypatch):
+    """The refined golden builds bound every block of each attempt's
+    lattice once, in order, and no other lattice."""
+    calls = _spy_bounds(monkeypatch)
+    _refined_golden_builds()
+    lattices = list({id(lat): lat for lat, _ in calls}.values())
+    assert len(lattices) == 8
+    for lat in lattices:
+        assert [r for seen, r in calls if seen is lat] == list(lat.blocks())
 
 
 @pytest.mark.parametrize("counts, limit", [
