@@ -70,8 +70,8 @@ with a mark axis holds labels for one slab of boxes (whole box rows along
 the first axis) at a time. A sweep walks its lattice once, before any
 distance: it bounds each block once (under a mark axis, each mark node
 then only joins its mark term to the block's space part) and keeps each
-search's best generators and candidate masks, packed into bits. Only then
-are the blocks labelled from what was kept, in the same order.
+search's candidate lists (``_candidates``). Only then are the blocks
+labelled from those lists, in the same order.
 
 Three more cuts are exact for the same reasons. First, a mark node of a sweep
 bounds only the generators whose mark term alone (the squared mark
@@ -85,13 +85,13 @@ reached among the generators kept, which stay in index order. Candidates,
 their order and the argmin are unchanged. When every generator is kept,
 as for most label axes and for mark nodes among the observed marks, no
 copy is made; when only the generator nearest in mark is kept, as for mark
-nodes far from every observed mark, it is every node's label. Second, a
-box with a single candidate takes it as every node's label without
-computing a distance: the generator of the smallest upper bound is always
-a candidate, so a sole candidate is that nearest generator.
+nodes far from every observed mark, it is every box's one candidate.
+Second, a box with a single candidate takes it as every node's label
+without computing a distance: the generator of the smallest upper bound
+is always a candidate, so a sole candidate is that nearest generator.
 
-Third, the walk also gives the mask of the generators that are a
-candidate of no box (at no mark node, under a mark axis). Such a generator
+Third, the walk also gives the mask of the generators that are in no
+box's candidate list (at no mark node, under a mark axis). Such a generator
 lies strictly farther from every node than some other generator, so the
 sweep would give it no node and its cell measure would be 0. A build whose
 mask is not empty therefore returns zero measures without computing a
@@ -258,12 +258,19 @@ def _discretized(mark_space):
     return not mark_space.is_labelled and mark_space.reference != "empirical"
 
 
-def _checked_coords(x, t):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    t = np.asarray(t, dtype=float).ravel()
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(t))):
+def _checked_coords(dim, x, t, m=None):
+    """x as (m, dim) rows, or (dim,) for one point, with m finite times
+    and, when given, m marks (ValueError otherwise)."""
+    x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+    rows = x[None] if x.shape == (dim,) else x
+    if (rows.ndim != 2 or rows.shape[1] != dim or t.ndim > 1 or t.size != rows.shape[0]
+            or m is not None and (np.ndim(m) > 1 or np.size(m) != rows.shape[0])):
+        marks = "" if m is None else f", marks {np.shape(m)}"
+        raise ValueError(f"evaluation points need x of shape (m, {dim}) or ({dim},), m times"
+                         f"{' and m marks' if marks else ''}; got x {x.shape}, t {t.shape}{marks}")
+    if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(t))):
         raise ValueError("evaluation coordinates must be finite")
-    return x, t
+    return rows, t.ravel()
 
 
 def _checked_marks(mark_space, m):
@@ -341,45 +348,43 @@ def _near_far(metric, ncol, k, lo, hi, g):
     return _coord_term(metric, ncol, k, near), _coord_term(metric, ncol, k, np.maximum(below, above))
 
 
-def _candidates(lb, ub):
-    """Each box's generator of the smallest upper bound (the lowest index
-    among ties), and its candidates: the generators whose lower bound is <=
-    that upper bound (``lb``, ``ub``: (boxes, generators)), (boxes,
-    generators) booleans."""
-    best = ub.argmin(axis=1)
-    return best, lb <= ub[np.arange(best.size), best][:, None]
+def _candidates(lb, ub, ids=None):
+    """Each box's candidates: the generators whose lower bound is <= the
+    box's smallest upper bound (``lb``, ``ub``: (boxes, columns), the
+    columns standing for the generators ``ids`` when not all). Returns
+    their count per box and their indices, box by box in increasing order,
+    in ``np.min_scalar_type(n - 1)`` for n generators, the type of ``ids``."""
+    keep = lb <= ub.min(axis=1)[:, None]
+    cols = np.flatnonzero(keep) % keep.shape[1]
+    cands = cols.astype(np.min_scalar_type(keep.shape[1] - 1)) if ids is None else ids[cols]
+    return np.count_nonzero(keep, axis=1), cands
 
 
-def _candidate_labels(best, keep, dist, pos, out, ids=None):
+def _candidate_labels(counts, cands, dist, pos, out):
     """Write the nearest generator of every row of every box to
     ``out[pos]``; ``pos`` holds each box's row positions, (boxes, rows).
-    A box searches its ``_candidates``, ``best`` and ``keep`` (over the
-    generators ``ids`` when not all), in increasing index order, so
-    argmin's first occurrence is the lowest index among ties. A box with
-    one candidate takes it. The others go in batches of similar candidate
-    counts and about ``_BATCH`` row-candidate distances, each row padded
-    with its first candidate, which a later position never beats;
-    ``dist(sel, idx)`` gives the distances (len(sel), rows, K) from the
-    rows of boxes ``sel`` to generators ``idx``, (len(sel), K)."""
-    counts = np.count_nonzero(keep, axis=1)
+    A box searches its ``_candidates``, ``counts`` and ``cands``, in
+    increasing index order, so argmin's first occurrence is the lowest
+    index among ties. A box with one candidate takes it. The others go in
+    batches of similar candidate counts and about ``_BATCH`` row-candidate
+    distances, each row padded with its first candidate, which a later
+    position never beats; ``dist(sel, idx)`` gives the distances
+    (len(sel), rows, K) from the rows of boxes ``sel`` to generators
+    ``idx``, (len(sel), K)."""
+    first = np.cumsum(counts) - counts
     order = np.argsort(counts, kind="stable")
     counts = counts[order]
     # every box keeps the generator of its smallest upper bound, so the
     # boxes of exactly one candidate come first; that one is their label
     start = np.searchsorted(counts, 1, side="right")
-    one = best[order[:start]]
-    out[pos[order[:start]]] = (one if ids is None else ids[one])[:, None]
+    out[pos[order[:start]]] = cands[first[order[:start]]][:, None]
     while start < order.size:
         stop = np.searchsorted(counts, 2 * counts[start], side="right")
         stop = min(stop, start + max(1, _BATCH // (pos.shape[1] * counts[stop - 1])))
         sel, k = order[start:stop], counts[start:stop]
         start = stop
-        rows, cols = np.nonzero(keep[sel])
-        if ids is not None:
-            cols = ids[cols]
-        first = np.cumsum(k) - k
-        idx = np.repeat(cols[first], k[-1]).reshape(sel.size, -1)
-        idx[rows, np.arange(rows.size) - first[rows]] = cols
+        col = np.arange(k[-1])
+        idx = cands[first[sel, None] + np.where(col < k[:, None], col, 0)]
         out[pos[sel]] = np.take_along_axis(idx, np.argmin(dist(sel, idx), axis=2), axis=1)
 
 
@@ -434,8 +439,8 @@ def _nearest(metric, queries, gens, chunk):
             return _metric_value(metric, lambda k: _coord_term(
                 metric, ncol, k, q[k][:, :, None] - cand[k][:, None, :]), ncol)
 
-        best, keep = _candidates(*_box_bounds(metric, tiles, gt))
-        _candidate_labels(best, keep, dist, pos, labels[start : start + chunk])
+        counts, cands = _candidates(*_box_bounds(metric, tiles, gt))
+        _candidate_labels(counts, cands, dist, pos, labels[start : start + chunk])
     return labels
 
 
@@ -550,34 +555,35 @@ class _Lattice:
 
 
 def _mark_node(join, lb, ub, term, g0):
-    """A mark node's search of a block of boxes whose space parts are
-    bounded by ``lb``, ``ub`` (boxes, generators), for every generator's
-    mark term ``term`` and the generator ``g0`` nearest in mark: the
-    generators kept (``ids``; None when every one is) and their joined
-    bounds. Kept are the generators whose mark term alone stays within the
-    largest upper bound, over the boxes, of ``g0``. When that is only
-    ``g0``, it is every node's label: the bounds are None."""
+    """A mark node's ``_candidates`` in a block of boxes whose space parts
+    are bounded by ``lb``, ``ub`` (boxes, generators), for every
+    generator's mark term ``term`` and the generator ``g0`` nearest in
+    mark. Only the generators whose mark term alone stays within the
+    largest upper bound, over the boxes, of ``g0`` are bounded; when that
+    is only ``g0``, it is every box's one candidate."""
     near = np.flatnonzero(term <= np.max(_join_mark(join, ub[:, g0], term[g0])))
+    near = near.astype(np.min_scalar_type(term.size - 1))
     if near.size == 1:
-        return near, None
+        return np.ones(lb.shape[0], dtype=np.intp), np.repeat(near, lb.shape[0])
     ids = None if near.size == term.size else near
-    lbs, ubs, tn = (lb, ub, term) if ids is None else (lb[:, near], ub[:, near], term[near])
-    return ids, (_join_mark(join, lbs, tn), _join_mark(join, ubs, tn))
+    if ids is not None:
+        lb, ub, term = lb[:, ids], ub[:, ids], term[ids]
+    return _candidates(_join_mark(join, lb, term), _join_mark(join, ub, term), ids)
 
 
 def _sweep(metric, gens, grid, chunk):
     """The nearest-generator search over a grid's nodes times its mark axis:
-    the mask of the generators that are a candidate of no box, and an
-    iterator of (labels, mark weight) blocks. A grid is (axes, volume
-    element, mark axis or None); its nodes are the product of the 1-d axes,
-    in mesh order. The lattice is walked once, before any distance: each
-    block of boxes is bounded, under a mark axis each mark node searches
-    only the generators its mark term cannot rule out, and each search
-    keeps its ``_candidates`` (the masks packed). The blocks are labelled
-    from those: without a mark axis one block, of every node, of weight
-    1.0; with one, a block of ``chunk`` nodes in mesh order for every mark
-    node (chunks outer, mark nodes inner), labels held for one slab of
-    boxes (whole box rows along the first axis) at a time."""
+    the mask of the generators in no box's candidate list, and an iterator
+    of (labels, mark weight) blocks. A grid is (axes, volume element, mark
+    axis or None); its nodes are the product of the 1-d axes, in mesh
+    order. The lattice is walked once, before any distance: each block of
+    boxes is bounded, under a mark axis each mark node searches only the
+    generators its mark term cannot rule out, and each search keeps its
+    ``_candidates``. The blocks are labelled from those: without a mark
+    axis one block, of every node, of weight 1.0; with one, a block of
+    ``chunk`` nodes in mesh order for every mark node (chunks outer, mark
+    nodes inner), labels held for one slab of boxes (whole box rows along
+    the first axis) at a time."""
     axes, _, mark_axis = grid
     lat = _Lattice(metric, axes, gens)
     if mark_axis is not None:
@@ -587,30 +593,17 @@ def _sweep(metric, gens, grid, chunk):
     kept, seen = [], np.zeros(lat.n, dtype=bool)
     for ranges in lat.blocks():
         lb, ub = lat.bounds(ranges)
-        searches = [(None, (lb, ub))] if mark_axis is None else (
-            _mark_node(metric[1], lb, ub, term, np.argmin(d)) for term, d in zip(terms, dm))
-        block = []
-        for ids, joined in searches:
-            if joined is None:
-                seen[ids] = True
-                block.append((ids, None, None))
-                continue
-            best, keep = _candidates(*joined)
-            hit = keep.any(axis=0)
-            seen[hit if ids is None else ids[hit]] = True
-            block.append((ids, best, np.packbits(keep)))
+        block = [_candidates(lb, ub)] if mark_axis is None else [
+            _mark_node(metric[1], lb, ub, term, np.argmin(d)) for term, d in zip(terms, dm)]
+        for _, cands in block:
+            seen[cands] = True
         kept.append((ranges, block))
 
     def label(ranges, block, lo, out):
         pos, dist = lat.block(ranges, lo)
-        for j, (ids, best, keep) in enumerate(block):
-            if best is None:
-                out[j][pos] = ids[0]
-                continue
-            keep = np.unpackbits(keep, count=best.size * (lat.n if ids is None else ids.size))
+        for j, (counts, cands) in enumerate(block):
             mark = None if mark_axis is None else terms[j]
-            _candidate_labels(best, keep.view(bool).reshape(best.size, -1),
-                              lambda sel, idx: dist(sel, idx, mark), pos, out[j], ids)
+            _candidate_labels(counts, cands, lambda sel, idx: dist(sel, idx, mark), pos, out[j])
 
     def blocks():
         if mark_axis is None:
@@ -645,9 +638,9 @@ def _sweep(metric, gens, grid, chunk):
 def _cell_measures(metric, gens, grid, chunk):
     """The build: each node's volume element, times its mark weight, accrues
     to its nearest generator. The volume element is a scalar or, for the
-    time-mark grid, one weight per node. A generator that the sweep's
-    bounds leave a candidate of no box gets no node; the measures are then
-    all 0, and no distance is computed."""
+    time-mark grid, one weight per node. A generator in no box's candidate
+    list gets no node; the measures are then all 0, and no distance is
+    computed."""
     vol, n = grid[1], gens.shape[0]
     unreached, blocks = _sweep(metric, gens, grid, chunk)
     measures = np.zeros(n)
@@ -777,10 +770,11 @@ class VoronoiEstimate(_Floored, _QuadCells):
         return axes, vol, mark_axis
 
     def at(self, x, t, m=None):
-        """Evaluate at arbitrary finite locations (arrays); marked estimates
-        require the mark coordinate, inside the mark space."""
-        cols = list(_checked_coords(x, t))
-        if self.kind == "marked":
+        """Evaluate at m finite locations, x (m, d) or (d,) and t (m,);
+        marked estimates require m marks, inside the mark space."""
+        marked = self.kind == "marked"
+        cols = list(_checked_coords(self.pattern.dim, x, t, m if marked else None))
+        if marked:
             if m is None:
                 raise ValueError("marked estimate needs mark coordinates")
             cols.append(_checked_marks(self.pattern.mark_space, m))
@@ -971,9 +965,9 @@ class SeparableIntensity(_Floored):
         return {k: v for f in self.factors.values() for k, v in f.resolutions().items()}
 
     def at(self, x, t, m):
-        """Evaluate at arbitrary finite space-time-mark locations (marks
-        inside the mark space)."""
-        x, t = _checked_coords(x, t)
+        """Evaluate at m finite locations, x (m, d) or (d,) and t (m,),
+        with m marks inside the mark space."""
+        x, t = _checked_coords(self.pattern.dim, x, t, m)
         m = _checked_marks(self.pattern.mark_space, m)
         coords = {"spatial": (x,), "temporal": (t,), "mark": (m,), "timemark": (t, m)}
         return np.maximum(self._product({

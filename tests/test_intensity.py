@@ -268,6 +268,50 @@ class TestMarkedEstimator:
         )
 
 
+LINE = Window(spatial=((0.0, 1.0),), temporal=(0.0, 1.0))
+SHAPE_QUAD = Quadrature(n_space=12, n_time=12, n_mark=4, n_space_only=192)
+SHAPE_ESTIMATES = {
+    "ground": lambda p: voronoi_ground(p, SHAPE_QUAD),
+    "marked": lambda p: voronoi_marked(p, SHAPE_QUAD),
+    "S1": lambda p: voronoi_separable(p, "S1", quadrature=SHAPE_QUAD),
+    "S2": lambda p: voronoi_separable(p, "S2", quadrature=SHAPE_QUAD),
+}
+
+
+@pytest.mark.parametrize("window", [UNIT, LINE], ids=["2d", "1d"])
+@pytest.mark.parametrize("setup", SHAPE_ESTIMATES)
+def test_misshaped_evaluation_points_rejected_before_search(monkeypatch, setup, window):
+    """``at`` takes x of shape (m, d), or (d,) for one point, with m times
+    and m marks; any other shape is a ValueError naming the shapes, raised
+    before the nearest-generator search."""
+    p = uniform_pattern(10, seed=40, window=window)
+    est = SHAPE_ESTIMATES[setup](p)
+    d = p.dim
+    good = (np.full((3, d), 0.5), np.full(3, 0.5), p.marks[:3])
+    bad = {
+        "x-too-wide": (np.zeros((3, d + 1)), np.zeros(3), p.marks[:3]),
+        "x-too-narrow": (np.zeros((3, d - 1)), np.zeros(3), p.marks[:3]),
+        "x-flat": (np.zeros(3), np.zeros(3), p.marks[:3]),
+        "x-3d": (np.zeros((3, d, 1)), np.zeros(3), p.marks[:3]),
+        "t-longer": (good[0], np.zeros(4), p.marks[:3]),
+        "t-2d": (good[0], np.zeros((3, 1)), p.marks[:3]),
+        "marks-shorter": (good[0], good[1], p.marks[:2]),
+    }
+    if setup == "ground":
+        del bad["marks-shorter"]
+    called = []
+    real = intensity._nearest
+    monkeypatch.setattr(intensity, "_nearest", lambda *a: called.append(a) or real(*a))
+    for name, (x, t, m) in bad.items():
+        args = (x, t) if setup == "ground" else (x, t, m)
+        with pytest.raises(ValueError, match=r"evaluation points need .* got x \("):
+            est.at(*args)
+    assert called == []
+    one = est.at(good[0][0], 0.5) if setup == "ground" else est.at(good[0][0], 0.5, p.marks[:1])
+    rows = est.at(*good[:2]) if setup == "ground" else est.at(*good)
+    assert rows.shape == (3,) and one.shape == (1,) and one[0] == rows[0]
+
+
 class TestSeparableSetups:
     def test_s1_single_point_exact(self):
         p = single_point(UNIT, np.array([0.5]), ContinuousMarks(0.0, 2.0))

@@ -18,11 +18,12 @@ than the generators' marks, a label no generator carries), and a tile or
 box with a single candidate takes it without a distance (a few far-apart
 generators).
 
-The sweep bounds every block once, before any distance, and returns the
-mask of the generators that are a candidate of no box. That mask must
-rule out only generators that the brute sweep gives no node, and a build
-whose attempts it proves hopeless must fail, with the same error, without
-computing a distance.
+Each box keeps one candidate list (``_candidates``): its count and its
+generators in increasing index order. The sweep bounds every block once,
+before any distance, and returns the mask of the generators in no box's
+candidate list. That mask must rule out only generators that the brute
+sweep gives no node, and a build whose attempts it proves hopeless must
+fail, with the same error, without computing a distance.
 """
 
 import itertools
@@ -139,17 +140,56 @@ def test_pruned_search_matches_brute(name, pattern, chunk):
 
 
 def _spy_candidates(monkeypatch):
-    """Record, for each call of ``_candidate_labels``, how many generators
-    it was given and how many candidates each of its tiles or boxes kept."""
+    """Record, for each call of ``_candidate_labels``, how many candidates
+    each of its tiles or boxes kept."""
     calls, real = [], intensity._candidate_labels
 
-    def spy(best, keep, dist, pos, out, ids=None):
-        assert np.all(keep[np.arange(best.size), best])
-        calls.append((keep.shape[1], np.count_nonzero(keep, axis=1)))
-        return real(best, keep, dist, pos, out, ids)
+    def spy(counts, cands, dist, pos, out):
+        calls.append(counts)
+        return real(counts, cands, dist, pos, out)
 
     monkeypatch.setattr(intensity, "_candidate_labels", spy)
     return calls
+
+
+def _spy_columns(monkeypatch):
+    """Record, for each call of ``_candidates``, how many generators it
+    bounds."""
+    calls, real = [], intensity._candidates
+
+    def spy(lb, ub, ids=None):
+        calls.append(lb.shape[1])
+        return real(lb, ub, ids)
+
+    monkeypatch.setattr(intensity, "_candidates", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n, dtype", [(1, np.uint8), (256, np.uint8), (300, np.uint16)])
+@pytest.mark.parametrize("seed", range(4))
+def test_candidates_list_each_box_once(seed, n, dtype):
+    """Each box's list is exactly the generators whose lower bound is <= its
+    smallest upper bound, in increasing index order, and always holds the
+    generator of that upper bound (the lowest index among ties). Bounds on
+    a few integer levels force ties, both among the upper bounds and
+    between a lower bound and the smallest upper bound."""
+    rng = np.random.default_rng(seed)
+    lb = rng.integers(0, 6, (50, n)).astype(float)
+    ub = lb + rng.integers(0, 3, (50, n))
+    # the columns standing for n of 2n generators, as after a mark node's cut
+    ids = np.sort(rng.choice(2 * n, n, replace=False)).astype(np.min_scalar_type(2 * n - 1))
+    low = ub.min(axis=1)
+    if n > 1:
+        assert np.any(np.sum(ub == low[:, None], axis=1) > 1)
+        assert np.any((lb == low[:, None]) & (ub > low[:, None]))
+    for cols, names in ((None, np.arange(n)), (ids, ids)):
+        counts, cands = intensity._candidates(lb, ub, cols)
+        assert cands.dtype == (dtype if cols is None else ids.dtype)
+        assert counts.sum() == cands.size
+        lists = np.split(cands, np.cumsum(counts)[:-1])
+        for b, got in enumerate(lists):
+            assert got.tolist() == names[lb[b] <= low[b]].tolist()
+            assert names[ub[b].argmin()] in got
 
 
 @pytest.mark.parametrize("name", METRICS)
@@ -159,8 +199,7 @@ def test_far_apart_tiles_keep_one_candidate(monkeypatch, name):
     calls = _spy_candidates(monkeypatch)
     gens, queries, _ = _case("far-apart", METRICS[name])
     _nearest(METRICS[name], queries, gens, Quadrature().chunk)
-    counts = np.concatenate([c for _, c in calls])
-    assert np.all(counts == 1)
+    assert np.all(np.concatenate(calls) == 1)
 
 
 # mark-axis cases: (generator marks, mark axis, space scale).
@@ -202,9 +241,9 @@ def test_sweep_drops_far_mark_nodes_exactly(monkeypatch, name, axis, chunk):
     axes = [scale * np.sort(rng.random(round(150 ** (1 / ncol)))) for _ in range(ncol)]
     grid = (axes, 1.0, (z, np.linspace(0.5, 1.5, z.size)))
     want = [(lab.tolist(), w) for lab, w in sweep_oracle(metric, gens, grid, chunk)]
-    calls = _spy_candidates(monkeypatch)
+    calls = _spy_columns(monkeypatch)
     assert [(lab.tolist(), w) for lab, w in _sweep(metric, gens, grid, chunk)[1]] == want
-    assert min(n for n, _ in calls) < gens.shape[0]
+    assert min(calls) < gens.shape[0]
     nodes = mesh(axes)
     queries = np.column_stack([np.repeat(nodes, z.size, axis=0), np.tile(z, nodes.shape[0])])
     assert np.array_equal(_nearest(metric, queries, gens, chunk),
@@ -312,7 +351,7 @@ def test_far_apart_boxes_keep_one_candidate(monkeypatch, name):
     calls = _spy_candidates(monkeypatch)
     for _ in _sweep(metric, gens, grid, Quadrature().chunk)[1]:
         pass
-    assert np.any(np.concatenate([c for _, c in calls]) == 1)
+    assert np.any(np.concatenate(calls) == 1)
 
 
 @pytest.mark.parametrize("box", BOXES)
